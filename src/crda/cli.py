@@ -565,6 +565,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1 (got {args.threads})")
         _COMMANDS[args.command](args)
     except DenseLimitError as exc:
         _fail("resource", str(exc))

@@ -9,8 +9,8 @@ carrying a bound are marked passed only when value <= bound + 1e-9.
 
 The commutator norms exploit structure: commutators of Hermitian sums
 are anti-Hermitian, so the spectral norm is the extreme eigenvalue of
-the Hermitian operator i*C, which keeps dense and Lanczos paths on
-symmetric solvers.
+the Hermitian operator i*C, which keeps the dense and ARPACK paths on
+Hermitian solvers.
 """
 
 from __future__ import annotations

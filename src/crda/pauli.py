@@ -24,12 +24,14 @@ sorted mask order so repeated runs are bitwise deterministic.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 __all__ = [
     "PRUNE_TOL",
@@ -45,7 +47,6 @@ __all__ = [
     "apply",
     "frobenius_norm",
     "spectral_norm",
-    "spectral_norm_dense",
     "expm_hermitian",
 ]
 
@@ -55,19 +56,15 @@ PRUNE_TOL = 1e-14
 # 2^12 dense eigensolves stay seconds-scale; larger sizes must go matrix-free.
 DEFAULT_DENSE_LIMIT = 12
 
-_LETTERS = "IXYZ"
 # letter -> (x bit, z bit)
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+
+# 2^n vectors the Krylov norm holds besides the apply plan: ARPACK's basis
+# (ncv = 20), work array (3), residual, start vector, matvec output, scratch.
+_KRYLOV_VECTORS = 27
 
 
 class ConvergenceError(RuntimeError):
@@ -75,7 +72,7 @@ class ConvergenceError(RuntimeError):
 
 
 class DenseLimitError(ValueError):
-    """A dense-only operation was requested above the configured qubit limit."""
+    """A dense operation exceeds the qubit limit, or a matrix-free one memory."""
 
 
 def _check_dense(n: int, dense_limit: int, what: str) -> None:
@@ -83,6 +80,17 @@ def _check_dense(n: int, dense_limit: int, what: str) -> None:
         raise DenseLimitError(
             f"{what} needs a dense {2**n} x {2**n} matrix; "
             f"limit is {dense_limit} qubits (got {n})"
+        )
+
+
+def _check_memory(n: int, vectors: int, what: str) -> None:
+    """Refuse, before allocating, to hold ``vectors`` complex 2^n vectors."""
+    need = vectors * (16 << n)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise DenseLimitError(
+            f"{what} needs about {need / 2**30:.3g} GiB ({vectors} vectors of "
+            f"2^{n} amplitudes); physical memory is {have / 2**30:.3g} GiB"
         )
 
 
@@ -162,14 +170,6 @@ class PauliTerm:
     def weight(self) -> int:
         """Number of non-identity sites."""
         return (self.x | self.z).bit_count()
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix with site 0 as the least significant index bit."""
-        mat = np.array([[self.coeff]], dtype=complex)
-        pat = self.pattern
-        for k in range(self.n - 1, -1, -1):
-            mat = np.kron(mat, _PAULI_MATS[pat[k]])
-        return mat
 
 
 def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
@@ -352,22 +352,30 @@ class PauliSum:
 
     def to_dense(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
         _check_dense(self.n, dense_limit, "to_dense")
-        dim = 1 << self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        for t in self.terms():
-            out += t.dense()
-        return out
+        return self.to_sparse().toarray()
+
+    def _phase_groups(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(x, phase)`` per distinct X mask, in sorted order.
+
+        String ``(x, z)`` sends basis state ``i`` to ``i ^ x`` with weight
+        ``c * i^|x&z| * (-1)^|i&z|``; ``phase[i]`` sums the strings sharing x.
+        """
+        idx = np.arange(1 << self.n, dtype=np.int64)
+        for x, group in itertools.groupby(self._terms.items(), key=lambda kv: kv[0][0]):
+            yield x, sum(
+                c * _I_POW[(x & z).bit_count() % 4] * _parity_signs(idx, z)
+                for (_, z), c in group
+            )
 
     def to_sparse(self) -> scipy.sparse.csr_matrix:
-        """CSR matrix; each string contributes one permutation diagonal."""
+        """CSR matrix; each distinct X mask contributes one permutation diagonal."""
         dim = 1 << self.n
         idx = np.arange(dim, dtype=np.int64)
         rows, cols, data = [], [], []
-        for (x, z), c in self._terms.items():
-            phases = c * _I_POW[(x & z).bit_count() % 4] * _parity_signs(idx, z)
+        for x, phase in self._phase_groups():
             rows.append(idx ^ x)
             cols.append(idx)
-            data.append(phases)
+            data.append(phase)
         if not rows:
             return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
         return scipy.sparse.csr_matrix(
@@ -375,29 +383,42 @@ class PauliSum:
             shape=(dim, dim),
         )
 
-    def _plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        # Per-term (permutation, phase vector), built once and reused by apply().
+    def _num_x_masks(self) -> int:
+        return len({x for x, _ in self._terms})
+
+    def _plan(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """Cached apply plan: ``(flip axes, phase)`` per distinct X mask.
+
+        On the ``(2,)*n`` state tensor (axis ``n-1-k`` is site ``k``) a
+        group's X part flips the axes of its set bits. As ``out[j] =
+        phase[j ^ x] * state[j ^ x]``, the phase is stored flipped once here.
+        Raises :class:`DenseLimitError` before allocating when the plan and a
+        matvec's input, output and scratch exceed physical memory.
+        """
         if self._apply_plan is None:
-            dim = 1 << self.n
-            idx = np.arange(dim, dtype=np.int64)
+            n = self.n
+            _check_memory(n, self._num_x_masks() + 3, "apply plan")
             plan = []
-            for (x, z), c in self._terms.items():
-                phase = c * _I_POW[(x & z).bit_count() % 4] * _parity_signs(idx, z)
-                plan.append((idx ^ x, phase))
+            for x, phase in self._phase_groups():
+                axes = tuple(n - 1 - k for k in range(n) if (x >> k) & 1)
+                plan.append((axes, np.flip(phase.reshape((2,) * n), axes).copy()))
             self._apply_plan = plan
         return self._apply_plan
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Matrix-free matvec; equals ``to_dense() @ state`` on small sizes."""
+        """Matrix-free matvec, one multiply and one state flip per X mask."""
         state = np.asarray(state, dtype=complex)
         if state.shape != (1 << self.n,):
             raise ValueError(
                 f"state has {state.shape} amplitudes; expected {(1 << self.n,)}"
             )
-        out = np.zeros_like(state)
-        for perm, phase in self._plan():
-            out[perm] += phase * state
-        return out
+        psi = state.reshape((2,) * self.n)
+        out = np.zeros_like(psi)
+        tmp = np.empty_like(psi)
+        for axes, phase in self._plan():
+            np.multiply(phase, np.flip(psi, axes), out=tmp)
+            out += tmp
+        return out.reshape(-1)
 
     def expectation(self, state: np.ndarray) -> complex:
         return complex(np.vdot(state, self.apply(state)))
@@ -479,61 +500,33 @@ def frobenius_norm(h: PauliSum, normalized: bool = True) -> float:
     return h.frobenius_norm(normalized)
 
 
-def spectral_norm_dense(m: np.ndarray, hermitian: bool = False) -> float:
-    if hermitian:
-        return float(np.max(np.abs(np.linalg.eigvalsh(m)))) if m.size else 0.0
-    return float(np.linalg.norm(m, 2))
+def _krylov_extreme(h: PauliSum, gram: bool, tol: float, max_iter: int, seed: int) -> float:
+    """Largest |eigenvalue| of Hermitian ``h`` (of ``h†h`` if ``gram``) by ARPACK."""
+    _check_memory(h.n, (1 + gram) * h._num_x_masks() + _KRYLOV_VECTORS, "Krylov norm")
+    hd = h.dagger() if gram else None
+    dim = 1 << h.n
+    matvecs = 0
+    failed = ConvergenceError(f"ARPACK did not converge in {max_iter} matvecs (tol={tol})")
 
+    def matvec(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        if matvecs > max_iter:
+            raise failed
+        w = h.apply(v)
+        return hd.apply(w) if gram else w
 
-def _lanczos_extreme(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    tol: float,
-    max_iter: int,
-    seed: int,
-) -> float:
-    """Largest |eigenvalue| of a Hermitian operator by Lanczos iteration.
-
-    Full reorthogonalization for stability; deterministic seeded start
-    vector; converged when the extreme Ritz values are stable to ``tol``
-    relative between consecutive iterations.
-    """
     rng = np.random.default_rng(seed)
-    q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas: list[float] = []
-    betas: list[float] = []
-    max_dim = min(dim, max_iter)
-    for _ in range(max_dim):
-        w = matvec(basis[-1])
-        alpha = float(np.real(np.vdot(basis[-1], w)))
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # full reorthogonalization against all previous vectors
-        for v in basis:
-            w = w - np.vdot(v, w) * v
-        beta = float(np.linalg.norm(w))
-        theta, vecs = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
+    try:
+        (lam,) = scipy.sparse.linalg.eigsh(
+            op, k=1, which="LM", v0=v0, tol=tol, maxiter=max(max_iter, 1),
+            return_eigenvectors=False,
         )
-        cur = float(np.max(np.abs(theta)))
-        if beta < 1e-13:
-            return cur  # invariant subspace found; Ritz values exact
-        # residual bound |beta * (last component of Ritz vector)| for the
-        # two extreme pairs; both ends must settle since either may carry
-        # the largest magnitude
-        res_lo = beta * abs(vecs[-1, 0])
-        res_hi = beta * abs(vecs[-1, -1])
-        if max(res_lo, res_hi) <= tol * max(cur, 1e-300):
-            return cur
-        betas.append(beta)
-        basis.append(w / beta)
-    raise ConvergenceError(
-        f"Lanczos did not converge in {max_dim} iterations (tol={tol})"
-    )
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        raise failed from None
+    return float(abs(lam))
 
 
 def spectral_norm(
@@ -543,29 +536,29 @@ def spectral_norm(
     max_iter: int = 10_000,
     seed: int = 7,
 ) -> float:
-    """Largest singular value of the operator.
+    """Largest singular value, from the top |eigenvalue| of a Hermitian proxy.
 
-    Dense eigensolve up to ``dense_limit`` qubits; above that, matrix-free
-    Lanczos on a Hermitian proxy (the operator itself if Hermitian, i*h if
-    anti-Hermitian, h†h otherwise).
+    The proxy is ``h`` if Hermitian, ``i*h`` if anti-Hermitian (commutators
+    of Hermitian sums), else ``h†h``. Up to ``dense_limit`` qubits (and at
+    one qubit, too small for ARPACK) its dense matrix goes to ``eigvalsh``;
+    above, ARPACK ``eigsh`` (Lehoucq, Sorensen & Yang, 1998) runs from a
+    seeded start vector on ``PauliSum.apply``. ``max_iter`` budgets proxy
+    matvecs: overrunning it, or ARPACK not converging, raises
+    :class:`ConvergenceError` (CLI exit 4). :class:`DenseLimitError` (CLI
+    exit 3) is raised before allocating when the apply plan and the ARPACK
+    workspace would not fit in physical memory.
     """
     if h.is_zero():
         return 0.0
-    if h.n <= dense_limit:
-        m = h.to_dense(dense_limit)
-        return spectral_norm_dense(m, hermitian=h.is_hermitian())
-    dim = 1 << h.n
-    if h.is_hermitian():
-        return _lanczos_extreme(h.apply, dim, tol, max_iter, seed)
-    ih = 1j * h
-    if ih.is_hermitian():
-        return _lanczos_extreme(ih.apply, dim, tol, max_iter, seed)
-    hd = h.dagger()
-
-    def gram(v: np.ndarray) -> np.ndarray:
-        return hd.apply(h.apply(v))
-
-    return float(np.sqrt(_lanczos_extreme(gram, dim, tol, max_iter, seed)))
+    if not h.is_hermitian() and (1j * h).is_hermitian():
+        h = 1j * h
+    gram = not h.is_hermitian()
+    if h.n <= max(dense_limit, 1):
+        m = h.to_dense(h.n)
+        lam = float(np.max(np.abs(np.linalg.eigvalsh(m.conj().T @ m if gram else m))))
+    else:
+        lam = _krylov_extreme(h, gram, tol, max_iter, seed)
+    return float(np.sqrt(lam)) if gram else lam
 
 
 def expm_hermitian(

@@ -7,6 +7,12 @@ so dense comparisons actually cross-check the two representations.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run: no random seed, no
+# example database, and no per-example deadline (a loaded host is slow).
+settings.register_profile("crda", derandomize=True, database=None, deadline=None)
+settings.load_profile("crda")
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -225,6 +225,28 @@ class TestFailureModes:
             main(["simulate", "--model", "ising", "--n", "4", "--nope"])
         assert exc.value.code == 2
 
+    def test_oversize_trotter_norm_is_resource_error(self, capsys):
+        code, out, errtext = run_cli(
+            ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "40"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "resource"
+        assert "GiB" in error["message"]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out, errtext = run_cli(
+            ["errors", "--which", "dyson", "--n", "2", "--sweep", "t=0:1:3", "--threads", threads],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "usage"
+        assert "--threads" in error["message"]
+
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(
             ["errors", "--which", "dyson", "--n", "2", "--sweep", "t=1:2"], capsys

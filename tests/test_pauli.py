@@ -1,5 +1,7 @@
 """Pauli-string algebra: products, commutators, norms, exponentials."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,21 @@ class TestSpectralNorm:
 
     def test_zero_operator(self):
         assert spectral_norm(PauliSum.zero(3)) == 0.0
+
+
+class TestMemoryGuard:
+    def test_forty_qubits_refused_before_allocating(self):
+        h = PauliSum.from_pattern("XZ" * 20) + PauliSum.from_pattern("Y" * 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match="GiB"):
+                spectral_norm(h)
+            with pytest.raises(DenseLimitError, match="GiB"):
+                h._plan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestExpm:
