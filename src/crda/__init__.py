@@ -24,7 +24,6 @@ from .device import (
     DeviceParams,
     DriveConfig,
     Lattice,
-    ModelParams,
     RegimeReport,
     effective_coupling,
     load_config,
@@ -75,13 +74,10 @@ from .pauli import (
     PauliSum,
     PauliTerm,
     anticommutes,
-    apply,
     commutator,
     expm_hermitian,
-    frobenius_norm,
     multiply,
     spectral_norm,
-    to_dense,
 )
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,33 +45,8 @@ from .hamiltonians import (
 )
 from .pauli import ConvergenceError, DenseLimitError, PauliSum
 
-_CANONICAL_KINDS = {
-    k.value
-    for k in (
-        HamiltonianKind.CONTROL,
-        HamiltonianKind.QF_EFFECTIVE,
-        HamiltonianKind.QF_EFFECTIVE_ODD,
-        HamiltonianKind.QF_EFFECTIVE_EVEN,
-        HamiltonianKind.H1,
-        HamiltonianKind.H2,
-        HamiltonianKind.H_ZZ,
-        HamiltonianKind.H_EVEN,
-        HamiltonianKind.H_ODD,
-        HamiltonianKind.H_EVEN_PRIME,
-        HamiltonianKind.H_ODD_PRIME,
-        HamiltonianKind.H_XY_1D,
-        HamiltonianKind.H_2D_ODD,
-        HamiltonianKind.H_2D_EVEN,
-        HamiltonianKind.H_I,
-        HamiltonianKind.H_II,
-        HamiltonianKind.H_XY_2D,
-        HamiltonianKind.H_E,
-        HamiltonianKind.H_E_PRIME,
-        HamiltonianKind.H_E_DOUBLE_PRIME,
-        HamiltonianKind.H_HEIS,
-    )
-}
 _DEVICE_KINDS = {"lab", "qf_device", "org", "org_xy", "org_zz", "delta", "delta_xy", "delta_zz"}
+_CANONICAL_KINDS = {k.value for k in HamiltonianKind} - _DEVICE_KINDS
 _2D_KINDS = {"h_2d_odd", "h_2d_even", "h_i", "h_ii", "h_xy_2d"}
 
 
@@ -202,7 +178,7 @@ def _emit(args, payload: dict, csv_rows: list[list] | None) -> None:
 
 
 def _config_echo(args, extra: dict | None = None) -> dict:
-    skip = {"command", "func", "out"}
+    skip = {"command", "func", "out", "threads"}
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     if extra:
         cfg.update(extra)
@@ -235,9 +211,7 @@ def _uniform_device(
         omega = p.omega if args.delta is None else p.omega_q - args.delta
         Omega = p.Omega if args.omega is None else np.full(p.n, args.omega)
         g = p.g if args.g is None else np.full(p.g.size, args.g)
-        return DeviceParams(
-            n=p.n, omega_q=p.omega_q, omega=omega, Omega=Omega, phi=p.phi, g=g
-        )
+        return replace(p, omega=omega, Omega=Omega, g=g)
     g = args.g if args.g is not None else float(cfg.get("g", g_fb))
     delta = args.delta if args.delta is not None else float(cfg.get("delta", delta_fb))
     omega = args.omega if args.omega is not None else float(cfg.get("Omega", omega_fb))
@@ -368,14 +342,7 @@ def _cmd_verify_frames(args) -> None:
     base = _ladder_device(args)
 
     def run(scale: float) -> dict:
-        p = DeviceParams(
-            n=base.n,
-            omega_q=base.omega_q,
-            omega=base.omega,
-            Omega=scale * base.Omega,
-            phi=base.phi,
-            g=scale * base.g,
-        )
+        p = replace(base, Omega=scale * base.Omega, g=scale * base.g)
         rep = verify_effective(p, args.t, mode=args.mode, tol=args.tol)
         return {
             "scale": scale,
@@ -414,10 +381,8 @@ def _target_model(args) -> TargetModel:
     )
 
 
-def _cmd_simulate(args) -> None:
-    model = _target_model(args)
-    device = None
-    resolved: dict = {
+def _resolved_model(model: TargetModel) -> dict:
+    return {
         "resolved_model": {
             "j": model.j,
             "tau": model.tau,
@@ -427,6 +392,12 @@ def _cmd_simulate(args) -> None:
             "boundary": model.lattice.boundary,
         }
     }
+
+
+def _cmd_simulate(args) -> None:
+    model = _target_model(args)
+    device = None
+    resolved = _resolved_model(model)
     if args.realistic:
         device = _uniform_device(args, model.lattice.n_sites, omega_fb=0.4)
         resolved["device"] = _device_echo(device)
@@ -456,23 +427,14 @@ def _cmd_simulate(args) -> None:
 def _cmd_errors(args) -> None:
     which = args.which
     resolved: dict = {}
-    if which == "synthesis":
-        model = args.model or "control"
+    if which in ("synthesis", "dyson"):
         p = _uniform_device(args, args.n)
         resolved["device"] = _device_echo(p)
-
-        def run(t: float) -> err.ErrorReport:
-            return err.synthesis_norm(model, p, t)
-
-        reports = _run_time_sweep(args, run)
-    elif which == "dyson":
-        p = _uniform_device(args, args.n)
-        resolved["device"] = _device_echo(p)
-
-        def run(t: float) -> err.ErrorReport:
-            return err.dyson_propagator_diff(p, t)
-
-        reports = _run_time_sweep(args, run)
+        if which == "synthesis":
+            model = args.model or "control"
+            reports = _run_time_sweep(args, lambda t: err.synthesis_norm(model, p, t))
+        else:
+            reports = _run_time_sweep(args, lambda t: err.dyson_propagator_diff(p, t))
     elif which == "table1":
         lat = _lattice_from_args(args, default_boundary_2d="periodic")
         reports = [err.table1_check(lat, j=args.j)]
@@ -528,18 +490,11 @@ def _run_time_sweep(args, run) -> list:
 
 def _cmd_compile(args) -> None:
     model = _target_model(args)
-    resolved = {
-        "resolved_model": {
-            "j": model.j,
-            "tau": model.tau,
-            "blocks": model.repetitions,
-            "nx": model.lattice.nx,
-            "ny": model.lattice.ny,
-            "boundary": model.lattice.boundary,
-        }
-    }
     schedule = compile_model(model, fuse_layers=args.fuse)
-    payload = {"config": _config_echo(args, resolved), "schedule": schedule.to_json_dict()}
+    payload = {
+        "config": _config_echo(args, _resolved_model(model)),
+        "schedule": schedule.to_json_dict(),
+    }
     rows = [["step", "type", "kind_or_drive", "support_or_duration"]]
     for i, step in enumerate(schedule.to_json_dict()["steps"]):
         if step["type"] == "gate":

@@ -262,8 +262,9 @@ def compile_model(
 def fuse(schedule: Schedule) -> Schedule:
     """Peephole reduction of adjacent gate layers; the unitary is unchanged.
 
-    Cancels exact inverse pairs, composes axis-cycle powers, and merges
-    equal-kind layers on disjoint supports into one layer.
+    Cancels exact inverse pairs, replaces a same-support pair by one layer
+    when their product is again a catalogued kind, and merges equal-kind
+    layers on disjoint supports into one layer.
     """
     n = schedule.n
     steps = [

@@ -23,7 +23,6 @@ __all__ = [
     "DeviceParams",
     "DriveConfig",
     "Lattice",
-    "ModelParams",
     "RegimeReport",
     "effective_coupling",
     "validate_regime",
@@ -334,33 +333,6 @@ class Lattice:
     def is_even_site(k: int) -> bool:
         """Parity in the 1-based chain convention (site 2 is even)."""
         return k % 2 == 0
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Target-model coupling and block timing: total time T = M * tau."""
-
-    J: float
-    tau: float
-    M: int = 1
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.M < 1:
-            raise ValueError("M must be at least 1")
-
-    @property
-    def total_time(self) -> float:
-        return self.M * self.tau
-
-    @classmethod
-    def from_config(cls, cfg: Mapping) -> "ModelParams":
-        return cls(
-            J=float(cfg.get("J", 1.0)),
-            tau=float(cfg["tau"]),
-            M=int(cfg.get("M", 1)),
-        )
 
 
 def load_config(path: str | Path) -> dict:

@@ -26,6 +26,7 @@ from .hamiltonians import (
     H_I_CELL_BONDS,
     H_II_CELL_BONDS,
     HamiltonianKind,
+    _chain_bond_family,
     build_canonical,
     build_delta,
     cell_terms,
@@ -394,7 +395,11 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
 
 
 def xy2d_digital_hamiltonians(lat: Lattice, j: float) -> tuple[PauliSum, PauliSum]:
-    """All-xx and all-yy edge sums of the 2D XY model (digital splitting)."""
+    """All-xx and all-yy edge sums of the 2D XY model (digital splitting).
+
+    The edges are walked directly rather than split out of the unit-cell
+    tiling, so periodic lattices with an odd extent are accepted.
+    """
     if lat.dim != 2:
         raise ValueError("needs a 2D lattice")
     n = lat.n_sites
@@ -420,15 +425,34 @@ def heisenberg_da_commutator_sum(n: int, j: float) -> PauliSum:
     return commutator(he, hep) + commutator(he, hepp) + commutator(hep, hepp)
 
 
-def _heisenberg_digital_split(n: int, j: float) -> tuple[PauliSum, PauliSum]:
-    """Odd-bond and even-bond layers of the Heisenberg chain."""
-    odd_bonds: list[PauliTerm] = []
-    even_bonds: list[PauliTerm] = []
-    for k in range(1, n):
-        for letter in "XYZ":
-            t = PauliTerm.from_sites(n, {k - 1: letter, k: letter}, j)
-            (odd_bonds if k % 2 == 1 else even_bonds).append(t)
-    return PauliSum.from_terms(odd_bonds), PauliSum.from_terms(even_bonds)
+# One Heisenberg bond: XX + YY + ZZ.
+_HEIS_BOND = [(letter, letter, 1.0) for letter in "XYZ"]
+
+
+def _heisenberg_layer_commutator(n: int, j: float) -> PauliSum:
+    """Commutator of the odd-bond and even-bond layers of the Heisenberg chain."""
+    chain = Lattice.chain(n)
+    return commutator(
+        _chain_bond_family(chain, _HEIS_BOND, [], j),
+        _chain_bond_family(chain, [], _HEIS_BOND, j),
+    )
+
+
+# Analytic commutator bounds: the multiple of J^2 times the site count, and
+# the lattice dimension of the model.
+_COMMUTATOR_BOUND = {
+    "xy2d_da": (8.0, 2),
+    "xy2d_digital": (24.0, 2),
+    "heis_da": (6.0, 1),
+    "heis_digital": (12.0, 1),
+}
+
+
+def _commutator_bound(model: str, sites: int, j: float) -> float:
+    # Each family keeps its own operand order, which fixes how the bound
+    # rounds for a general j.
+    c, dim = _COMMUTATOR_BOUND[model]
+    return c * sites * j * j if dim == 2 else c * j * j * sites
 
 
 def trotter_commutator(
@@ -446,43 +470,34 @@ def trotter_commutator(
     axis-cycled chain splitting, commutators summed), ``heis_digital``
     (even-bond vs odd-bond layers).
     """
-    params: dict = {"model": model, "j": j, "seed": seed}
-    if model.startswith("xy2d"):
-        if lat.dim != 2:
-            raise ValueError("2D model needs a 2D lattice")
-        params.update({"nx": lat.nx, "ny": lat.ny, "boundary": lat.boundary})
-        n_sites = lat.n_sites
-        if model == "xy2d_da":
-            a = build_canonical(HamiltonianKind.H_I, lat, j)
-            b = build_canonical(HamiltonianKind.H_II, lat, j)
-            bound = 8.0 * n_sites * j * j
-        elif model == "xy2d_digital":
-            a, b = xy2d_digital_hamiltonians(lat, j)
-            bound = 24.0 * n_sites * j * j
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        comm = commutator(a, b)
-    elif model in ("heis_da", "heis_digital"):
-        if lat.dim != 1:
-            raise ValueError("Heisenberg chain needs a 1D lattice")
-        n = lat.nx
-        params["n"] = n
-        if model == "heis_da":
-            comm = heisenberg_da_commutator_sum(n, j)
-            bound = 6.0 * j * j * n
-        else:
-            a, b = _heisenberg_digital_split(n, j)
-            comm = commutator(a, b)
-            bound = 12.0 * j * j * n
-    else:
+    if model not in _COMMUTATOR_BOUND:
         raise ValueError(f"unknown model {model!r}")
+    dim = _COMMUTATOR_BOUND[model][1]
+    if lat.dim != dim:
+        raise ValueError(f"{model} needs a {dim}D lattice")
+    params: dict = {"model": model, "j": j, "seed": seed}
+    if dim == 2:
+        params.update({"nx": lat.nx, "ny": lat.ny, "boundary": lat.boundary})
+    else:
+        params["n"] = lat.nx
+    sites = lat.n_sites
+    if model == "xy2d_da":
+        a = build_canonical(HamiltonianKind.H_I, lat, j)
+        b = build_canonical(HamiltonianKind.H_II, lat, j)
+        comm = commutator(a, b)
+    elif model == "xy2d_digital":
+        comm = commutator(*xy2d_digital_hamiltonians(lat, j))
+    elif model == "heis_da":
+        comm = heisenberg_da_commutator_sum(sites, j)
+    else:
+        comm = _heisenberg_layer_commutator(sites, j)
 
     norm = spectral_norm(comm, dense_limit=dense_limit, tol=tol, seed=seed)
     report = ErrorReport(which=f"trotter:{model}", params=params)
     report.add(
         "commutator_spectral_norm",
         norm,
-        bound=bound,
+        bound=_commutator_bound(model, sites, j),
         provenance="computed, bound analytic-formula",
     )
     report.add("commutator_terms", float(comm.num_terms()))
@@ -515,22 +530,11 @@ def trotter_commutator(
             passed=structured,
         )
     if model == "heis_digital":
-        pair = commutator(
-            *(
-                PauliSum.from_terms(
-                    [
-                        PauliTerm.from_sites(3, {a0: letter, a0 + 1: letter}, j)
-                        for letter in "XYZ"
-                    ]
-                )
-                for a0 in (0, 1)
-            )
-        )
         report.add(
             "per_bond_pair_norm",
-            spectral_norm(pair, dense_limit=dense_limit, seed=seed),
+            spectral_norm(_heisenberg_layer_commutator(3, j), dense_limit=dense_limit, seed=seed),
             analytic=4.0 * math.sqrt(3.0) * j * j,
-            bound=12.0 * j * j,
+            bound=_commutator_bound(model, 1, j),
             provenance="computed; bound analytic-formula",
         )
     return report
@@ -553,6 +557,13 @@ def _free_cell_pair() -> tuple[PauliSum, PauliSum]:
     return a, b
 
 
+def _star(n: int, letter: str, j: float) -> PauliSum:
+    """Same-letter bonds from site 0 to every other site of an n-site patch."""
+    return PauliSum.from_terms(
+        [PauliTerm.from_sites(n, {0: letter, k: letter}, j) for k in range(1, n)]
+    )
+
+
 def unit_cell_report(j: float = 1.0, seed: int = 7) -> ErrorReport:
     """Unit-cell commutator norms next to their quoted reference values.
 
@@ -572,19 +583,7 @@ def unit_cell_report(j: float = 1.0, seed: int = 7) -> ErrorReport:
     )
 
     # corner-sharing vertical+horizontal pair, the literal two-interaction cell
-    corner_x = PauliSum.from_terms(
-        [
-            PauliTerm.from_sites(3, {0: "X", 1: "X"}, j),
-            PauliTerm.from_sites(3, {0: "X", 2: "X"}, j),
-        ]
-    )
-    corner_y = PauliSum.from_terms(
-        [
-            PauliTerm.from_sites(3, {0: "Y", 1: "Y"}, j),
-            PauliTerm.from_sites(3, {0: "Y", 2: "Y"}, j),
-        ]
-    )
-    corner_norm = spectral_norm(commutator(corner_x, corner_y), seed=seed)
+    corner_norm = spectral_norm(commutator(_star(3, "X", j), _star(3, "Y", j)), seed=seed)
     report.add(
         "digital_corner_cell_norm",
         corner_norm,
@@ -593,15 +592,9 @@ def unit_cell_report(j: float = 1.0, seed: int = 7) -> ErrorReport:
     )
 
     # four edges around one center site
-    star_x = PauliSum.from_terms(
-        [PauliTerm.from_sites(5, {0: "X", k: "X"}, j) for k in range(1, 5)]
-    )
-    star_y = PauliSum.from_terms(
-        [PauliTerm.from_sites(5, {0: "Y", k: "Y"}, j) for k in range(1, 5)]
-    )
     report.add(
         "digital_star4_cell_norm",
-        spectral_norm(commutator(star_x, star_y), seed=seed),
+        spectral_norm(commutator(_star(5, "X", j), _star(5, "Y", j)), seed=seed),
         provenance="computed",
     )
 
@@ -629,25 +622,17 @@ def bound_table(model: str, size: int, j: float = 1.0, g: float = 1.0) -> ErrorR
     report = ErrorReport(
         which=f"bounds:{model}", params={"size": size, "j": j, "g": g}
     )
-    if model == "xy2d_da":
-        report.add("commutator_bound", 8.0 * size * size * j * j, provenance="analytic-formula")
-    elif model == "xy2d_digital":
-        report.add("commutator_bound", 24.0 * size * size * j * j, provenance="analytic-formula")
-    elif model == "heis_da":
-        report.add("commutator_bound", 6.0 * j * j * size, provenance="analytic-formula")
-    elif model == "heis_digital":
-        report.add("commutator_bound", 12.0 * j * j * size, provenance="analytic-formula")
-    elif model == "synthesis_control":
+    if model in _COMMUTATOR_BOUND:
+        sites = size ** _COMMUTATOR_BOUND[model][1]
         report.add(
-            "defect_norm",
-            synthesis_norm_formula("control", g, size),
-            units="energy",
+            "commutator_bound",
+            _commutator_bound(model, sites, j),
             provenance="analytic-formula",
         )
-    elif model == "synthesis_xy":
+    elif model in ("synthesis_control", "synthesis_xy"):
         report.add(
             "defect_norm",
-            synthesis_norm_formula("xy", g, size),
+            synthesis_norm_formula(model.removeprefix("synthesis_"), g, size),
             units="energy",
             provenance="analytic-formula",
         )

@@ -4,7 +4,9 @@ A gate layer is one single-qubit unitary repeated over a site subset.
 The layers used here are Clifford-like on Pauli strings (including the
 axis-cycling rotation about (x+y+z)/sqrt(3)), so conjugating a Pauli sum
 maps strings to signed strings exactly; :func:`toggle` performs that
-symbolically without any matrices.
+symbolically without any matrices. The gate matrices are the one source:
+each kind's signed letter images, its inverse and every exact pairwise
+composition are derived from them once at import.
 
 The module also carries the numerical side: the lab-to-quad-frame
 rotation pipeline, the approximate quad-frame entry unitary for driven
@@ -16,7 +18,7 @@ dynamics match the first-order effective chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -35,6 +37,7 @@ from .pauli import (
     PauliSum,
     expm_hermitian,
     _check_dense,
+    _expm_eigh,
 )
 
 __all__ = [
@@ -90,38 +93,40 @@ _KIND_MATS = {
     GateLayerKind.IDENTITY: _ID,
 }
 
-# Conjugation action U† P U as letter -> (letter, sign), per supported site.
-_KIND_MAPS: dict[GateLayerKind, dict[str, tuple[str, int]]] = {
-    GateLayerKind.HADAMARD: {"X": ("Z", 1), "Y": ("Y", -1), "Z": ("X", 1)},
-    GateLayerKind.RX90: {"X": ("X", 1), "Y": ("Z", -1), "Z": ("Y", 1)},
-    GateLayerKind.RX90DAG: {"X": ("X", 1), "Y": ("Z", 1), "Z": ("Y", -1)},
-    GateLayerKind.SPHASE: {"X": ("Y", -1), "Y": ("X", 1), "Z": ("Z", 1)},
-    GateLayerKind.UE: {"X": ("Z", 1), "Y": ("X", 1), "Z": ("Y", 1)},
-    GateLayerKind.UEDAG: {"X": ("Y", 1), "Y": ("Z", 1), "Z": ("X", 1)},
-    GateLayerKind.UE2: {"X": ("Y", 1), "Y": ("Z", 1), "Z": ("X", 1)},
-    GateLayerKind.UE2DAG: {"X": ("Z", 1), "Y": ("X", 1), "Z": ("Y", 1)},
-    GateLayerKind.IDENTITY: {"X": ("X", 1), "Y": ("Y", 1), "Z": ("Z", 1)},
-}
+# (x bit, z bit) of the letters X, Y, Z.
+_LETTER_BITS = ((1, 0), (1, 1), (0, 1))
 
-_INVERSE_KIND = {
-    GateLayerKind.HADAMARD: GateLayerKind.HADAMARD,
-    GateLayerKind.RX90: GateLayerKind.RX90DAG,
-    GateLayerKind.RX90DAG: GateLayerKind.RX90,
-    GateLayerKind.UE: GateLayerKind.UEDAG,
-    GateLayerKind.UEDAG: GateLayerKind.UE,
-    GateLayerKind.UE2: GateLayerKind.UE2DAG,
-    GateLayerKind.UE2DAG: GateLayerKind.UE2,
-    GateLayerKind.IDENTITY: GateLayerKind.IDENTITY,
-}
 
-# Exponent in the order-6 cyclic group generated by the axis-cycling gate.
-_UE_POWER = {
-    GateLayerKind.UE: 1,
-    GateLayerKind.UE2: 2,
-    GateLayerKind.UE2DAG: 4,
-    GateLayerKind.UEDAG: 5,
-}
-_UE_OF_POWER = {v: k for k, v in _UE_POWER.items()}
+def _derive_tables() -> tuple[dict, dict]:
+    """Letter images and exact compositions, read off ``_KIND_MATS``.
+
+    A Clifford gate is fixed by where conjugation sends X, Y and Z, so
+    U† P U is matched against the six signed Paulis; a product of two
+    kinds is matched against every kind's matrix (exactly, not up to a
+    phase, so UE then UE2 = -I has no single-layer form).
+    """
+    kinds = list(GateLayerKind)
+    u = np.array([_KIND_MATS[k] for k in kinds])
+    paulis = np.array([_X, _Y, _Z])
+    signed = np.concatenate([paulis, -paulis])
+    conj = np.einsum("kba,pbc,kcd->kpad", u.conj(), paulis, u)
+    hit = np.all(np.abs(conj[:, :, None] - signed) < 1e-12, axis=(-2, -1))
+    if not hit.any(axis=-1).all():
+        raise ValueError("every gate kind must map Pauli letters to signed letters")
+    images = {
+        kind: tuple((*_LETTER_BITS[s % 3], s >= 3) for s in row)
+        for kind, row in zip(kinds, hit.argmax(axis=-1).tolist())
+    }
+    # products[a, b] is kind b applied after kind a
+    products = np.einsum("bij,ajk->abik", u, u)
+    same = np.all(np.abs(products[:, :, None] - u) < 1e-12, axis=(-2, -1))
+    compose = {(kinds[a], kinds[b]): kinds[k] for a, b, k in zip(*np.nonzero(same))}
+    return images, compose
+
+
+# Per kind, U† P U for P = X, Y, Z as (x bit, z bit, negated).
+_IMAGES, _COMPOSE = _derive_tables()
+_INVERSE = {a: b for (a, b), k in _COMPOSE.items() if k is GateLayerKind.IDENTITY}
 
 
 def compose_kinds(first: GateLayerKind, second: GateLayerKind) -> GateLayerKind | None:
@@ -131,18 +136,7 @@ def compose_kinds(first: GateLayerKind, second: GateLayerKind) -> GateLayerKind 
     is again a catalogued gate, and None when no exact single-layer
     replacement exists (e.g. two quarter x-rotations).
     """
-    if first is GateLayerKind.IDENTITY:
-        return second
-    if second is GateLayerKind.IDENTITY:
-        return first
-    if _INVERSE_KIND.get(first) is second:
-        return GateLayerKind.IDENTITY
-    if first in _UE_POWER and second in _UE_POWER:
-        power = (_UE_POWER[first] + _UE_POWER[second]) % 6
-        if power == 0:
-            return GateLayerKind.IDENTITY
-        return _UE_OF_POWER.get(power)  # power 3 is a global sign, not a layer
-    return None
+    return _COMPOSE.get((first, second))
 
 
 @dataclass(frozen=True)
@@ -173,9 +167,16 @@ class GateLayer:
 
     def inverse(self) -> "GateLayer":
         try:
-            return GateLayer(_INVERSE_KIND[self.kind], self.support)
+            return GateLayer(_INVERSE[self.kind], self.support)
         except KeyError:
             raise ValueError(f"no catalogued inverse for {self.kind}") from None
+
+
+def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
+    out = np.array([[1.0 + 0j]])
+    for m in reversed(mats):  # site 0 is the least significant bit
+        out = np.kron(out, m)
+    return out
 
 
 def layer_unitary(
@@ -184,10 +185,7 @@ def layer_unitary(
     _check_dense(n, dense_limit, "layer_unitary")
     on = set(layer.sites(n))
     u = _KIND_MATS[layer.kind]
-    out = np.array([[1.0 + 0j]])
-    for k in range(n - 1, -1, -1):
-        out = np.kron(out, u if k in on else _ID)
-    return out
+    return _kron_chain([u if k in on else _ID for k in range(n)])
 
 
 def apply_layer(layer: GateLayer, state: np.ndarray, n: int) -> np.ndarray:
@@ -208,26 +206,24 @@ def toggle(h: PauliSum, layer: GateLayer) -> PauliSum:
     """Exact conjugated operator U† h U for a gate layer U.
 
     Works symbolically on the Pauli strings; Hermiticity and Frobenius
-    norm are preserved exactly.
+    norm are preserved exactly. On the layer's sites each letter class
+    (X, Y, Z) is one mask: its image letter is OR-ed in, and its sign
+    enters through the parity of the mask's popcount.
     """
-    mapping = _KIND_MAPS[layer.kind]
-    on = set(layer.sites(h.n))
+    images = _IMAGES[layer.kind]
+    on = sum(1 << k for k in layer.sites(h.n))
     acc: dict[tuple[int, int], complex] = {}
-    for t in h.terms():
-        x = z = 0
-        sign = 1
-        for k in range(h.n):
-            bx, bz = (t.x >> k) & 1, (t.z >> k) & 1
-            if bx == bz == 0:
-                continue
-            letter = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(bx, bz)]
-            if k in on:
-                letter, s = mapping[letter]
-                sign *= s
-            nbx, nbz = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[letter]
-            x |= nbx << k
-            z |= nbz << k
-        acc[(x, z)] = acc.get((x, z), 0.0) + sign * t.coeff
+    for (x, z), c in h._terms.items():
+        nx, nz, odd = x & ~on, z & ~on, 0
+        for m, (ix, iz, neg) in zip((x & ~z & on, x & z & on, ~x & z & on), images):
+            if ix:
+                nx |= m
+            if iz:
+                nz |= m
+            if neg:
+                odd ^= m.bit_count() & 1
+        key = (nx, nz)
+        acc[key] = acc.get(key, 0.0) + (-c if odd else c)
     return PauliSum(h.n, acc)
 
 
@@ -242,13 +238,6 @@ def toggle_chain(h: PauliSum, layers: Sequence[GateLayer]) -> PauliSum:
 # ----------------------------------------------------------------------
 # lab -> quad frame rotation pipeline
 # ----------------------------------------------------------------------
-
-
-def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in reversed(mats):  # site 0 is the least significant bit
-        out = np.kron(out, m)
-    return out
 
 
 def _axis_rot(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -326,12 +315,6 @@ _GL_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _GL_C2 = 0.5 + math.sqrt(3.0) / 6.0
 
 
-def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
-    k = 1j * a  # Hermitian
-    evals, evecs = np.linalg.eigh(k)
-    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
-
-
 def propagate_unitary(
     h: TimeDependentHamiltonian,
     t_final: float,
@@ -369,7 +352,7 @@ def propagate_unitary(
             a1 = -1j * ham(ta + _GL_C1 * hstep)
             a2 = -1j * ham(ta + _GL_C2 * hstep)
             om = 0.5 * hstep * (a1 + a2) + w * (a2 @ a1 - a1 @ a2)
-            u = _expm_antihermitian(om) @ u
+            u = _expm_eigh(1j * om, 1.0) @ u  # i*om is Hermitian
         return u
 
     # initial resolution: resolve the fastest drive and the local norm scale
@@ -481,14 +464,7 @@ def frame_error_scaling(
     """
     distances = []
     for s in scales:
-        ps = DeviceParams(
-            n=p.n,
-            omega_q=p.omega_q,
-            omega=p.omega,
-            Omega=s * p.Omega,
-            phi=p.phi,
-            g=s * p.g,
-        )
+        ps = replace(p, Omega=s * p.Omega, g=s * p.g)
         distances.append(verify_effective(ps, t_final, mode=mode, tol=tol).distance)
     slope = float(
         np.polyfit(np.log(np.asarray(scales)), np.log(np.asarray(distances)), 1)[0]

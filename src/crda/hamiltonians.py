@@ -492,15 +492,6 @@ def _uniform_quantities(p: DeviceParams) -> tuple[int, float, float, float, floa
     return p.n, g, delta, Omega, j_signed
 
 
-def _chain_sum(n: int, pairs: Sequence[tuple[str, str, float]]) -> PauliSum:
-    terms = [
-        _two_site(n, k, l1, k + 1, l2, w)
-        for k in range(n - 1)
-        for (l1, l2, w) in pairs
-    ]
-    return PauliSum.from_terms(terms) if terms else PauliSum.zero(n)
-
-
 def org_hamiltonian(
     kind: HamiltonianKind,
     p: DeviceParams,
@@ -516,6 +507,10 @@ def org_hamiltonian(
     r = Omega / delta
     q = 0.25 * g
     K = HamiltonianKind
+    chain = Lattice.chain(n)
+
+    def bonds(pairs: Sequence[tuple[str, str, float]]) -> PauliSum:
+        return _chain_bond_family(chain, pairs, pairs, 1.0)
 
     def cosd(t: float) -> float:
         return math.cos(delta * t)
@@ -531,26 +526,26 @@ def org_hamiltonian(
 
     if kind is K.ORG:
         pieces = (
-            (_chain_sum(n, [("Z", "Z", q), ("Y", "Y", q)]), cosd),
-            (_chain_sum(n, [("Y", "Z", q), ("Z", "Y", -q)]), sind),
-            (_chain_sum(n, [("X", "Z", j_signed)]), lambda t: 1.0),
-            (_chain_sum(n, [("Z", "X", -q * r)]), cos2d),
-            (_chain_sum(n, [("Y", "X", -q * r)]), sin2d),
+            (bonds([("Z", "Z", q), ("Y", "Y", q)]), cosd),
+            (bonds([("Y", "Z", q), ("Z", "Y", -q)]), sind),
+            (bonds([("X", "Z", j_signed)]), lambda t: 1.0),
+            (bonds([("Z", "X", -q * r)]), cos2d),
+            (bonds([("Y", "X", -q * r)]), sin2d),
         )
         return TimeDependentHamiltonian(n, pieces, (delta, 2 * delta))
 
     if kind is K.ORG_XY:
         pieces = (
-            (_chain_sum(n, [("X", "X", j_signed), ("Y", "Y", j_signed)]), lambda t: 1.0),
-            (_chain_sum(n, [("X", "Y", q), ("Y", "X", q), ("Z", "Z", -2 * q)]), cosd),
+            (bonds([("X", "X", j_signed), ("Y", "Y", j_signed)]), lambda t: 1.0),
+            (bonds([("X", "Y", q), ("Y", "X", q), ("Z", "Z", -2 * q)]), cosd),
             (
-                _chain_sum(
-                    n, [("Z", "Y", q), ("Z", "X", -q), ("X", "Z", q), ("Y", "Z", -q)]
+                bonds(
+                    [("Z", "Y", q), ("Z", "X", -q), ("X", "Z", q), ("Y", "Z", -q)]
                 ),
                 sind,
             ),
-            (_chain_sum(n, [("Z", "Y", q * r), ("Z", "X", -q * r)]), sin2d),
-            (_chain_sum(n, [("Y", "Y", -q * r), ("X", "X", -q * r)]), cos2d),
+            (bonds([("Z", "Y", q * r), ("Z", "X", -q * r)]), sin2d),
+            (bonds([("Y", "Y", -q * r), ("X", "X", -q * r)]), cos2d),
         )
         return TimeDependentHamiltonian(n, pieces, (delta, 2 * delta))
 
@@ -559,31 +554,31 @@ def org_hamiltonian(
             varphi = lambda t: delta * t  # noqa: E731
         j_plus = g * Omega / (4.0 * delta)
         pieces = (
-            (_chain_sum(n, [("Z", "Z", j_plus)]), lambda t: 1.0),
-            (_chain_sum(n, [("X", "Z", -q), ("Y", "Y", q)]), cosd),
-            (_chain_sum(n, [("Y", "Z", q), ("X", "Y", q)]), sind),
+            (bonds([("Z", "Z", j_plus)]), lambda t: 1.0),
+            (bonds([("X", "Z", -q), ("Y", "Y", q)]), cosd),
+            (bonds([("Y", "Z", q), ("X", "Y", q)]), sind),
             (
-                _chain_sum(n, [("Z", "Z", q * r)]),
+                bonds([("Z", "Z", q * r)]),
                 lambda t: math.cos(varphi(t)),
             ),
             (
-                _chain_sum(n, [("Z", "X", -q), ("Y", "Y", q)]),
+                bonds([("Z", "X", -q), ("Y", "Y", q)]),
                 lambda t: math.cos(varphi(t)) * cosd(t),
             ),
             (
-                _chain_sum(n, [("Z", "Y", q), ("Y", "X", q)]),
+                bonds([("Z", "Y", q), ("Y", "X", q)]),
                 lambda t: math.cos(varphi(t)) * sind(t),
             ),
             (
-                _chain_sum(n, [("Y", "Z", q * r)]),
+                bonds([("Y", "Z", q * r)]),
                 lambda t: math.sin(varphi(t)),
             ),
             (
-                _chain_sum(n, [("Z", "Y", -q), ("Y", "X", -q)]),
+                bonds([("Z", "Y", -q), ("Y", "X", -q)]),
                 lambda t: math.sin(varphi(t)) * cosd(t),
             ),
             (
-                _chain_sum(n, [("Z", "X", -q), ("Y", "Y", q)]),
+                bonds([("Z", "X", -q), ("Y", "Y", q)]),
                 lambda t: math.sin(varphi(t)) * sind(t),
             ),
         )

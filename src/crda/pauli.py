@@ -13,7 +13,7 @@ Conventions (fixed once, used everywhere):
   written with site 0 leftmost.
 * In dense matrices and state vectors, site 0 is the least significant
   bit of the computational-basis index.
-* ``frobenius_norm(..., normalized=True)`` uses the trace convention
+* ``PauliSum.frobenius_norm(normalized=True)`` uses the trace convention
   tr(1) = 1, i.e. sqrt(tr(A†A) / 2^N); the unnormalized variant carries
   the extra 2^(N/2).
 
@@ -43,9 +43,6 @@ __all__ = [
     "multiply",
     "commutator",
     "anticommutes",
-    "to_dense",
-    "apply",
-    "frobenius_norm",
     "spectral_norm",
     "expm_hermitian",
 ]
@@ -337,14 +334,7 @@ class PauliSum:
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         """Operator product, canonicalized."""
-        self._require_same_size(other)
-        acc: dict[tuple[int, int], complex] = {}
-        for (x1, z1), c1 in self._terms.items():
-            for (x2, z2), c2 in other._terms.items():
-                key = (x1 ^ x2, z1 ^ z2)
-                phase = _I_POW[_product_phase_exp(x1, z1, x2, z2)]
-                acc[key] = acc.get(key, 0.0) + c1 * c2 * phase
-        return PauliSum(self.n, acc)
+        return PauliSum(self.n, _pair_products(self, other, anticommuting_only=False))
 
     # ------------------------------------------------------------------
     # numerical backends
@@ -469,35 +459,33 @@ def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _pair_products(
+    a: PauliSum, b: PauliSum, anticommuting_only: bool
+) -> dict[tuple[int, int], complex]:
+    """Summed string products ``PQ`` over all pairs, keyed by the result string."""
+    a._require_same_size(b)
+    acc: dict[tuple[int, int], complex] = {}
+    for (x1, z1), c1 in a._terms.items():
+        for (x2, z2), c2 in b._terms.items():
+            if anticommuting_only and not ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1:
+                continue
+            key = (x1 ^ x2, z1 ^ z2)
+            phase = _I_POW[_product_phase_exp(x1, z1, x2, z2)]
+            acc[key] = acc.get(key, 0.0) + c1 * c2 * phase
+    return acc
+
+
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """Exact ``ab - ba`` in canonical pruned form.
 
     Commuting string pairs are skipped: for anticommuting strings P, Q the
-    pair contributes 2*PQ, otherwise nothing.
+    pair contributes 2*PQ, otherwise nothing. The factor 2 is applied
+    after summing; scaling by 2 is exact, so the order does not matter.
     """
-    if a.n != b.n:
-        raise ValueError(f"site count mismatch: {a.n} != {b.n}")
-    acc: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a._terms.items():
-        for (x2, z2), c2 in b._terms.items():
-            if (((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2) == 0:
-                continue
-            key = (x1 ^ x2, z1 ^ z2)
-            phase = _I_POW[_product_phase_exp(x1, z1, x2, z2)]
-            acc[key] = acc.get(key, 0.0) + 2.0 * c1 * c2 * phase
+    acc = _pair_products(a, b, anticommuting_only=True)
+    for key in acc:
+        acc[key] *= 2.0
     return PauliSum(a.n, acc)
-
-
-def to_dense(h: PauliSum, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    return h.to_dense(dense_limit)
-
-
-def apply(h: PauliSum, state: np.ndarray) -> np.ndarray:
-    return h.apply(state)
-
-
-def frobenius_norm(h: PauliSum, normalized: bool = True) -> float:
-    return h.frobenius_norm(normalized)
 
 
 def _krylov_extreme(h: PauliSum, gram: bool, tol: float, max_iter: int, seed: int) -> float:
@@ -568,6 +556,10 @@ def expm_hermitian(
     if not h.is_hermitian():
         raise ValueError("expm_hermitian requires a Hermitian operator")
     _check_dense(h.n, dense_limit, "expm_hermitian")
-    m = h.to_dense(dense_limit)
+    return _expm_eigh(h.to_dense(dense_limit), t)
+
+
+def _expm_eigh(m: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i m t) of a Hermitian matrix ``m`` by ``eigh``; no argument checks."""
     evals, evecs = np.linalg.eigh(m)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T

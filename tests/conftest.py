@@ -7,6 +7,7 @@ so dense comparisons actually cross-check the two representations.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 # Property tests replay the same examples on every run: no random seed, no
@@ -20,12 +21,35 @@ Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 MATS = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
 
+# Single-qubit gate of each layer kind (keyed by its CLI spelling), built
+# by matrix exponentials of the rotation generators.
+_AXIS_CYCLE = np.pi * (X2 + Y2 + Z2) / (3 * np.sqrt(3))
+GATES = {
+    "h": (X2 + Z2) / np.sqrt(2),
+    "rx90": scipy.linalg.expm(-0.25j * np.pi * X2),
+    "rx90dag": scipy.linalg.expm(0.25j * np.pi * X2),
+    "s": scipy.linalg.expm(-0.25j * np.pi * Z2),
+    "ue": scipy.linalg.expm(-1j * _AXIS_CYCLE),
+    "uedag": scipy.linalg.expm(1j * _AXIS_CYCLE),
+    "ue2": scipy.linalg.expm(-2j * _AXIS_CYCLE),
+    "ue2dag": scipy.linalg.expm(2j * _AXIS_CYCLE),
+    "id": I2,
+}
+
 
 def kron_pattern(pattern: str) -> np.ndarray:
     """Dense matrix of a Pauli pattern, site 0 as the least significant bit."""
     out = np.array([[1.0 + 0j]])
     for ch in reversed(pattern):
         out = np.kron(out, MATS[ch])
+    return out
+
+
+def layer_oracle(kind: str, sites, n: int) -> np.ndarray:
+    """Dense gate layer: ``GATES[kind]`` on the 1-based ``sites``, identity elsewhere."""
+    out = np.array([[1.0 + 0j]])
+    for k in range(n, 0, -1):
+        out = np.kron(out, GATES[kind] if k in sites else I2)
     return out
 
 

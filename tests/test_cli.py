@@ -88,6 +88,27 @@ class TestErrorsCommand:
         assert rep["entries"][0]["value"] == 60.0
 
 
+    def test_two_site_heisenberg_digital_trotter(self, capsys):
+        code, out, _ = run_cli(
+            ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "2"], capsys
+        )
+        assert code == 0
+        entries = {e["name"]: e for e in json.loads(out)["reports"][0]["entries"]}
+        assert entries["commutator_spectral_norm"]["value"] == 0.0
+        assert entries["commutator_spectral_norm"]["passed"] is True
+
+
+    def test_xy2d_digital_trotter_on_odd_periodic_lattice(self, capsys):
+        code, out, _ = run_cli(
+            ["errors", "--which", "trotter", "--model", "xy2d_digital", "--nx", "3"], capsys
+        )
+        assert code == 0
+        rep = json.loads(out)["reports"][0]
+        assert rep["params"]["boundary"] == "periodic"
+        norm = rep["entries"][0]["value"]
+        assert norm == pytest.approx(68.08776358574299, rel=1e-12)
+
+
 class TestSimulateCommand:
     def test_ising_rows_and_norm(self, capsys):
         code, out, _ = run_cli(
@@ -175,6 +196,16 @@ class TestFilesAndDeterminism:
                 assert ret.returncode == 0, ret.stderr
                 outs.append(path.read_bytes())
             assert outs[0] == outs[1]
+
+
+    def test_stdout_independent_of_threads(self, capsys):
+        cmd = ["errors", "--which", "dyson", "--n", "2", "--omega", "1", "--sweep", "t=0:0.6:4"]
+        outs = []
+        for threads in ("1", "4"):
+            code, out, _ = run_cli([*cmd, "--threads", threads], capsys)
+            assert code == 0
+            outs.append(out.encode())
+        assert outs[0] == outs[1]
 
 
 class TestParamsFile:

@@ -81,6 +81,12 @@ class TestBlockStructure:
         with pytest.raises(ValueError):
             TargetModel(ModelKind.ISING_1D, Lattice.square(2, 2))
 
+    def test_timing_validated(self):
+        with pytest.raises(ValueError):
+            TargetModel(ModelKind.ISING_1D, Lattice.chain(4), tau=0.0)
+        with pytest.raises(ValueError):
+            TargetModel(ModelKind.ISING_1D, Lattice.chain(4), repetitions=0)
+
     def test_segment_analogs_are_toggled_effective_chains(self):
         # conjugating each segment's chain through the gate layers that
         # precede it must land on the summands of the target model

@@ -9,7 +9,6 @@ from crda.device import (
     DeviceParams,
     DriveConfig,
     Lattice,
-    ModelParams,
     effective_coupling,
     load_config,
     validate_regime,
@@ -131,17 +130,6 @@ class TestLattice:
         assert Lattice.is_even_site(2)
 
 
-class TestModelParams:
-    def test_total_time(self):
-        assert ModelParams(J=1.0, tau=0.25, M=8).total_time == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModelParams(J=1.0, tau=0.0)
-        with pytest.raises(ValueError):
-            ModelParams(J=1.0, tau=0.1, M=0)
-
-
 class TestConfigFiles:
     def test_flat_file(self, tmp_path):
         cfg_file = tmp_path / "device.cfg"
@@ -162,8 +150,6 @@ class TestConfigFiles:
         assert p.n == 3
         assert p.omega_q[0] == 45.0 and p.omega_q[1] == 40.0
         assert np.allclose(p.g, [0.2, 0.3])
-        mp = ModelParams.from_config(cfg)
-        assert mp.M == 4 and mp.J == -0.01
 
     def test_json_file(self, tmp_path):
         cfg_file = tmp_path / "device.json"

@@ -191,6 +191,12 @@ class TestTrotterCommutators:
         assert abs(pair.value - 4 * np.sqrt(3)) <= 1e-6
         assert pair.passed  # <= 12 J^2
 
+    def test_two_site_heisenberg_digital_has_no_even_bonds(self):
+        rep = trotter_commutator("heis_digital", Lattice.chain(2))
+        norm = rep.entry("commutator_spectral_norm")
+        assert norm.value == 0.0 and norm.passed
+        assert rep.entry("commutator_terms").value == 0.0
+
     def test_digital_dominates_da_on_chains(self):
         for n in range(3, 9):
             da = trotter_commutator("heis_da", Lattice.chain(n))
@@ -227,6 +233,29 @@ class TestTrotterCommutators:
         assert small.num_terms() == 12
         assert small.coefficient("XXIIIIII") == 2.0
 
+    @pytest.mark.parametrize(
+        "nx, ny, norm", [(3, 3, 68.08776358574299), (3, 4, 91.70664985046636)]
+    )
+    def test_xy2d_digital_odd_periodic_extent(self, nx, ny, norm):
+        # The all-xx / all-yy edge split has no unit cells, so an odd
+        # periodic side is allowed: every site keeps its +x and +y bond.
+        lat = Lattice.square(nx, ny)
+        hxx, hyy = xy2d_digital_hamiltonians(lat, 1.0)
+        for h, letter in ((hxx, "X"), (hyy, "Y")):
+            expected = {}
+            for j in range(ny):
+                for i in range(nx):
+                    for a, b in (((i + 1) % nx, j), (i, (j + 1) % ny)):
+                        pattern = ["I"] * lat.n_sites
+                        pattern[j * nx + i] = pattern[b * nx + a] = letter
+                        expected["".join(pattern)] = 1.0
+            assert {t.pattern: t.coeff for t in h.terms()} == expected
+        rep = trotter_commutator("xy2d_digital", lat)
+        entry = rep.entry("commutator_spectral_norm")
+        assert entry.value == pytest.approx(norm, rel=1e-12)
+        assert entry.bound == 24.0 * lat.n_sites
+        assert entry.passed
+
     def test_coupling_scaling(self):
         j = 0.5
         rep = trotter_commutator("heis_da", Lattice.chain(4), j=j)
@@ -239,6 +268,14 @@ class TestTrotterCommutators:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             trotter_commutator("nope", Lattice.chain(4))
+
+    @pytest.mark.parametrize(
+        "model, lat",
+        [("xy2d_digital", Lattice.chain(4)), ("heis_da", Lattice.square(2, 2))],
+    )
+    def test_wrong_lattice_dimension_rejected(self, model, lat):
+        with pytest.raises(ValueError, match="lattice"):
+            trotter_commutator(model, lat)
 
 
 class TestUnitCell:

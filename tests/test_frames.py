@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_oracle, kron_pattern, random_pauli_sum
+from conftest import GATES, dense_oracle, kron_pattern, random_pauli_sum
 from crda.device import DeviceParams, Lattice
 from crda.frames import (
     GateLayer,
@@ -91,6 +91,28 @@ class TestLayerUnitaries:
                 ub = layer_unitary(GateLayer(b, "all"), 1)
                 uk = layer_unitary(GateLayer(k, "all"), 1)
                 assert np.allclose(ub @ ua, uk, atol=1e-12), (a, b, k)
+
+    def test_compose_kinds_finds_every_exact_product(self):
+        # a kind comes back exactly when some kind's matrix is the product
+        for a in G:
+            for b in G:
+                product = GATES[b.value] @ GATES[a.value]
+                exact = [k for k in G if np.allclose(GATES[k.value], product, rtol=0, atol=1e-12)]
+                got = compose_kinds(a, b)
+                assert exact == ([] if got is None else [got]), (a, b)
+        assert compose_kinds(G.RX90, G.SPHASE) is G.UE
+        assert compose_kinds(G.RX90DAG, G.UE) is G.SPHASE
+        assert compose_kinds(G.SPHASE, G.UEDAG) is G.RX90DAG
+
+    def test_inverse_layers(self):
+        for kind in G:
+            if kind is G.SPHASE:
+                with pytest.raises(ValueError):
+                    GateLayer(kind, "odd").inverse()
+                continue
+            inv = GateLayer(kind, "odd").inverse()
+            assert inv.support == "odd"
+            assert np.allclose(GATES[inv.kind.value] @ GATES[kind.value], np.eye(2), atol=1e-12)
 
 
 class TestToggle:

@@ -72,3 +72,24 @@ def test_commutator_norm_matrix_free_matches_dense(c):
 def test_complex_sum_norm_matrix_free_matches_dense(h):
     # general complex weights: the h^dagger h proxy unless h is (anti-)Hermitian
     _assert_norms_agree(h)
+
+
+@st.composite
+def sum_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(pauli_sums(n=n)), draw(pauli_sums(n=n))
+
+
+@given(sum_pairs())
+def test_product_matches_oracle(pair):
+    a, b = pair
+    want = dense_oracle(a) @ dense_oracle(b)
+    assert np.allclose(dense_oracle(a @ b), want, rtol=0.0, atol=1e-12 * (1 + len(a) * len(b)))
+
+
+@given(sum_pairs())
+def test_commutator_matches_oracle(pair):
+    a, b = pair
+    da, db = dense_oracle(a), dense_oracle(b)
+    want = da @ db - db @ da
+    assert np.allclose(dense_oracle(commutator(a, b)), want, rtol=0.0, atol=1e-12 * (1 + len(a) * len(b)))
