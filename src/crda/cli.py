@@ -30,6 +30,7 @@ from . import errors as err
 from .compiler import (
     ModelKind,
     TargetModel,
+    _check_simulation_memory,
     compile_model,
     simulate,
 )
@@ -406,6 +407,7 @@ def _cmd_simulate(args) -> None:
     )
     n = model.lattice.n_sites
     obs, names = _parse_observables(args.observable, n)
+    _check_simulation_memory(schedule, obs)
     psi0 = _initial_state(args.initial, n)
     trace = simulate(schedule, psi0, obs, observable_names=names)
     results = []

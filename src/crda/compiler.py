@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse.linalg
@@ -47,7 +47,13 @@ from .hamiltonians import (
     build_canonical,
     org_hamiltonian,
 )
-from .pauli import DEFAULT_DENSE_LIMIT, PauliSum, _check_dense, expm_hermitian
+from .pauli import (
+    DEFAULT_DENSE_LIMIT,
+    PauliSum,
+    _check_dense,
+    _check_memory,
+    expm_hermitian,
+)
 
 __all__ = [
     "ModelKind",
@@ -62,6 +68,8 @@ __all__ = [
     "target_hamiltonian",
     "fuse",
 ]
+
+T = TypeVar("T")
 
 
 class ModelKind(Enum):
@@ -325,15 +333,23 @@ def fuse(schedule: Schedule) -> Schedule:
 # ----------------------------------------------------------------------
 
 
-def _segment_unitary(
-    s: AnalogSegment, dense_limit: int, tol: float
-) -> np.ndarray:
-    if isinstance(s.analog, PauliSum):
-        return expm_hermitian(s.analog, s.duration, dense_limit)
-    u, _ = propagate_unitary(
-        s.analog, s.duration, tol=tol, dense_limit=dense_limit
-    )
-    return u
+def _segment_memo(make: Callable[[AnalogSegment], T]) -> Callable[[AnalogSegment], T]:
+    """``make`` called once per distinct ``(duration, analog)``; equal segments share it.
+
+    ``PauliSum`` is not hashable, so a short list is searched with ``==``.
+    """
+    made: list[tuple[tuple, T]] = []
+
+    def get(s: AnalogSegment) -> T:
+        key = (s.duration, s.analog)
+        for seen, value in made:
+            if seen == key:
+                return value
+        value = make(s)
+        made.append((key, value))
+        return value
+
+    return get
 
 
 def block_unitary(
@@ -343,13 +359,19 @@ def block_unitary(
 ) -> np.ndarray:
     """Dense unitary of one block (steps composed in application order)."""
     _check_dense(schedule.n, dense_limit, "block_unitary")
-    dim = 1 << schedule.n
-    u = np.eye(dim, dtype=complex)
+
+    def segment_unitary(s: AnalogSegment) -> np.ndarray:
+        if isinstance(s.analog, PauliSum):
+            return expm_hermitian(s.analog, s.duration, dense_limit)
+        return propagate_unitary(s.analog, s.duration, tol=tol, dense_limit=dense_limit)[0]
+
+    segment = _segment_memo(segment_unitary)
+    u = np.eye(1 << schedule.n, dtype=complex)
     for step in schedule.steps:
         if isinstance(step, GateLayer):
             u = layer_unitary(step, schedule.n, dense_limit) @ u
         else:
-            u = _segment_unitary(step, dense_limit, tol) @ u
+            u = segment(step) @ u
     return u
 
 
@@ -373,19 +395,28 @@ class SimulationTrace:
     observable_names: tuple[str, ...]
 
 
-def _step_applier(
-    step: GateLayer | AnalogSegment, n: int, dense_limit: int, tol: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(step, GateLayer):
-        return lambda psi: apply_layer(step, psi, n)
-    if isinstance(step.analog, PauliSum):
-        if n <= dense_limit:
-            u = expm_hermitian(step.analog, step.duration, dense_limit)
-            return lambda psi: u @ psi
-        gen = (-1j * step.duration) * step.analog.to_sparse()
-        return lambda psi: scipy.sparse.linalg.expm_multiply(gen, psi)
-    u, _ = propagate_unitary(step.analog, step.duration, tol=tol, dense_limit=dense_limit)
-    return lambda psi: u @ psi
+# 2^n vectors a simulation holds besides its generators and observable
+# plans: the state and the expm_multiply workspace (Taylor term, partial
+# sum, matvec output and temporaries).
+_SIMULATE_VECTORS = 8
+# 2^n vectors per distinct X mask of a segment: the CSR generator (data and
+# column index), its shifted copy inside expm_multiply, and the COO arrays
+# to_sparse builds it from.
+_GENERATOR_VECTORS_PER_MASK = 6
+
+
+def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
+    """Refuse, before allocating, a simulation whose vectors exceed memory."""
+    generators: list[tuple[float, PauliSum]] = []  # as _segment_memo keys them
+    for s in schedule.segments():
+        if isinstance(s.analog, PauliSum) and (s.duration, s.analog) not in generators:
+            generators.append((s.duration, s.analog))
+    vectors = (
+        _SIMULATE_VECTORS
+        + _GENERATOR_VECTORS_PER_MASK * sum(h._num_x_masks() for _, h in generators)
+        + sum(obs._num_x_masks() for obs in observables)
+    )
+    _check_memory(schedule.n, vectors, "simulate")
 
 
 def simulate(
@@ -396,15 +427,41 @@ def simulate(
     dense_limit: int = DEFAULT_DENSE_LIMIT,
     tol: float = 1e-10,
 ) -> SimulationTrace:
-    """Evolve a state through the schedule, recording one row per block."""
+    """Evolve a state through the schedule, recording one row per block.
+
+    Every static (``PauliSum``) segment acts on the state, at every size,
+    by ``scipy.sparse.linalg.expm_multiply`` on its sparse generator
+    -i tau H: the scaled truncated-Taylor action of the exponential (Al-Mohy
+    & Higham, SIAM J. Sci. Comput. 33, 2011). Gate layers act matrix-free.
+    A time-dependent segment becomes a dense unitary from
+    :func:`~crda.frames.propagate_unitary` (to ``tol``); ``dense_limit``
+    bounds only those. Each operator is built once per distinct
+    ``(duration, analog)`` and shared by the segments equal to it. Raises
+    :class:`~crda.pauli.DenseLimitError` before allocating when the state,
+    the generators and the workspace would not fit in physical memory.
+    """
+    n = schedule.n
+    _check_simulation_memory(schedule, observables)
     psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (1 << schedule.n,):
+    if psi.shape != (1 << n,):
         raise ValueError("initial state size does not match the schedule")
     for obs in observables:
-        if obs.n != schedule.n:
+        if obs.n != n:
             raise ValueError("observable size does not match the schedule")
+
+    def segment_applier(s: AnalogSegment) -> Callable[[np.ndarray], np.ndarray]:
+        if isinstance(s.analog, PauliSum):
+            gen = (-1j * s.duration) * s.analog.to_sparse()
+            return lambda psi: scipy.sparse.linalg.expm_multiply(gen, psi)
+        u, _ = propagate_unitary(s.analog, s.duration, tol=tol, dense_limit=dense_limit)
+        return lambda psi: u @ psi
+
+    segment = _segment_memo(segment_applier)
     appliers = [
-        _step_applier(s, schedule.n, dense_limit, tol) for s in schedule.steps
+        (lambda psi, layer=step: apply_layer(layer, psi, n))
+        if isinstance(step, GateLayer)
+        else segment(step)
+        for step in schedule.steps
     ]
     tau_block = schedule.analog_time_per_block
     blocks = schedule.repetitions
@@ -415,7 +472,8 @@ def simulate(
         for f in appliers:
             psi = f(psi)
         times[b] = (b + 1) * tau_block
-        norms[b] = float(np.linalg.norm(psi))
+        # numpy's sum, not BLAS (see PauliSum.expectation): thread-independent
+        norms[b] = float(np.sqrt(np.sum((psi.conj() * psi).real)))
         for i, obs in enumerate(observables):
             expectations[b, i] = float(obs.expectation(psi).real)
     names = tuple(

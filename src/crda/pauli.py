@@ -411,7 +411,12 @@ class PauliSum:
         return out.reshape(-1)
 
     def expectation(self, state: np.ndarray) -> complex:
-        return complex(np.vdot(state, self.apply(state)))
+        """<state|h|state>, summed by numpy rather than a BLAS dot product.
+
+        A threaded BLAS splits long dot products across threads, so the
+        rounding, and the last digits, would follow the thread count.
+        """
+        return complex(np.sum(np.conj(state) * self.apply(state)))
 
     def frobenius_norm(self, normalized: bool = True) -> float:
         """sqrt of the summed squared weights, via Pauli-string orthogonality."""
@@ -560,6 +565,9 @@ def expm_hermitian(
 
 
 def _expm_eigh(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i m t) of a Hermitian matrix ``m`` by ``eigh``; no argument checks."""
+    """exp(-i m t) of a Hermitian matrix, or a stack of them, by ``eigh``.
+
+    No argument checks. A ``(k, d, d)`` stack goes to one batched ``eigh``.
+    """
     evals, evecs = np.linalg.eigh(m)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    return (evecs * np.exp(-1j * evals * t)[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)

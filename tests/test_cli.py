@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -208,6 +209,27 @@ class TestFilesAndDeterminism:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            ["--model", "heisenberg", "--n", "10", "--blocks", "3", "--initial", "1010011001"],
+            ["--model", "xy2d", "--nx", "4", "--ny", "4", "--blocks", "2"],
+        ],
+        ids=["heisenberg-n10", "xy2d-4x4"],
+    )
+    def test_simulate_stdout_independent_of_blas_threads(self, cmd):
+        outs = []
+        for threads in ("1", "2"):
+            ret = subprocess.run(
+                [sys.executable, "-m", "crda.cli", "simulate", *cmd],
+                capture_output=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert ret.returncode == 0, ret.stderr
+            outs.append(ret.stdout)
+        assert outs[0] == outs[1]
+
+
 class TestParamsFile:
     def test_flags_override_file_values(self, tmp_path, capsys):
         cfg = tmp_path / "dev.cfg"
@@ -260,6 +282,14 @@ class TestFailureModes:
         code, out, errtext = run_cli(
             ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "40"], capsys
         )
+        assert code == 3
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "resource"
+        assert "GiB" in error["message"]
+
+    def test_oversize_simulation_is_resource_error(self, capsys):
+        code, out, errtext = run_cli(["simulate", "--model", "ising", "--n", "40"], capsys)
         assert code == 3
         assert out == ""
         error = json.loads(errtext)["error"]

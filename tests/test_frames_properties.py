@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import dense_oracle, layer_oracle
 from crda.compiler import AnalogSegment, Schedule, block_unitary, fuse
-from crda.frames import GateLayer, GateLayerKind as G, toggle
+from crda.frames import GateLayer, GateLayerKind as G, phase_insensitive_distance, toggle
 from crda.pauli import PauliSum
 from test_pauli_properties import pauli_sums
 
@@ -56,3 +58,50 @@ def test_fuse_preserves_block_unitary(parts):
     fused = fuse(s)
     assert len(fused.steps) <= len(s.steps)
     assert np.allclose(block_unitary(fused), block_unitary(s), rtol=0.0, atol=1e-12)
+
+
+def _haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _scanned_minimum(u, v, points=2048):
+    """min over theta of ||u - e^{i theta} v||: a grid, then every grid dip refined."""
+
+    def dist(theta):
+        return np.linalg.norm(u - np.exp(1j * theta) * v, 2)
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    grid = np.linalg.norm(u - np.exp(1j * thetas)[:, None, None] * v, 2, axis=(-2, -1))
+    step = thetas[1]
+    dips = np.flatnonzero((grid <= np.roll(grid, 1)) & (grid <= np.roll(grid, -1)))
+    # offsets from the dip, so the search tolerance is absolute, not ~1e-8 * theta
+    refined = [
+        scipy.optimize.minimize_scalar(
+            lambda d, t=thetas[i]: dist(t + d), bounds=(-step, step), method="bounded",
+            options={"xatol": 1e-14},
+        ).fun
+        for i in dips
+    ]
+    return grid.min(), min(refined)
+
+
+@given(
+    st.sampled_from([2, 4, 8]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1e-6, 1e-3, 0.1, 1.0]),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_phase_insensitive_distance_is_the_minimum_over_theta(dim, seed, near, phase):
+    """Exact against a theta scan, for unrelated unitaries and for v near e^{i a} u."""
+    rng = np.random.default_rng(seed)
+    u = _haar_unitary(rng, dim)
+    if near is None:
+        v = _haar_unitary(rng, dim)
+    else:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v = np.exp(1j * phase) * u @ scipy.linalg.expm(1j * near * (g + g.conj().T))
+    got = phase_insensitive_distance(u, v)
+    grid_min, scan_min = _scanned_minimum(u, v)
+    assert got <= grid_min + 1e-12
+    assert abs(got - scan_min) <= 1e-9
