@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .hamiltonians import (
     delta_hamiltonian,
 )
 from .pauli import (
-    DEFAULT_DENSE_LIMIT,
     PauliSum,
     PauliTerm,
     commutator,
@@ -186,27 +184,20 @@ def _synthesis_exact_form(model: str, g: float, n: int, dt: float, r: float) -> 
     return 0.25 * g * math.sqrt((n - 1) * inner)
 
 
-def synthesis_norm(
-    model: str,
-    p: DeviceParams,
-    t: float,
-    varphi: Callable[[float], float] | None = None,
-) -> ErrorReport:
-    """Numeric vs analytic normalized Frobenius norm of the defect."""
+def synthesis_norm(model: str, p: DeviceParams, t: float) -> ErrorReport:
+    """Numeric vs analytic normalized Frobenius norm of the defect.
+
+    The zz defect's target-qubit frame phase is delta * t (see
+    :func:`~crda.hamiltonians.org_hamiltonian`), and the closed form is
+    evaluated at that phase.
+    """
     kind = _SYNTH_KIND[model]
     g, delta, Omega = p.uniform()
     r = Omega / delta
     dt = delta * t
-    if varphi is None and model == "zz":
-        varphi = lambda s: delta * s  # noqa: E731
-    numeric = build_delta(kind, p, t, varphi).frobenius_norm(normalized=True)
+    numeric = build_delta(kind, p, t).frobenius_norm(normalized=True)
     analytic = synthesis_norm_formula(
-        model,
-        g,
-        p.n,
-        delta_t=dt,
-        varphi_val=varphi(t) if varphi is not None else 0.0,
-        ratio=r,
+        model, g, p.n, delta_t=dt, varphi_val=dt if model == "zz" else 0.0, ratio=r
     )
     report = ErrorReport(
         which=f"synthesis:{model}",
@@ -248,9 +239,10 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     """Normalized Frobenius norm of the first-order propagator difference.
 
     Both propagators are expanded to first order in time, so the
-    difference is -i times the time integral of the defect; the integral
-    is taken by Gauss-Legendre quadrature dense enough to be exact for
-    the trigonometric weights involved.
+    difference is -i times the time integral of the defect. Each piece's
+    scalar weight is integrated by Gauss-Legendre quadrature, dense enough
+    to be exact for the sinusoids involved, and the pieces are then summed
+    once with their integrals as coefficients.
     """
     g, delta, Omega = p.uniform()
     gen = delta_hamiltonian(HamiltonianKind.DELTA_H, p)
@@ -259,9 +251,7 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     # map [-1, 1] -> [0, t]
     ss = 0.5 * t * (xs + 1.0)
     ww = 0.5 * t * ws
-    integral = PauliSum.zero(p.n)
-    for s, w in zip(ss, ww):
-        integral = integral + w * gen.at(float(s))
+    integral = gen.weighted_sum(gen.weights(ss) @ ww)
     numeric = integral.frobenius_norm(normalized=True)  # |-i| factor is 1
     analytic = dyson_norm_formula(g, delta, p.n, t)
     report = ErrorReport(
@@ -459,7 +449,6 @@ def trotter_commutator(
     model: str,
     lat: Lattice,
     j: float = 1.0,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
     seed: int = 7,
     tol: float = 1e-8,
 ) -> ErrorReport:
@@ -492,7 +481,7 @@ def trotter_commutator(
     else:
         comm = _heisenberg_layer_commutator(sites, j)
 
-    norm = spectral_norm(comm, dense_limit=dense_limit, tol=tol, seed=seed)
+    norm = spectral_norm(comm, tol=tol, seed=seed)
     report = ErrorReport(which=f"trotter:{model}", params=params)
     report.add(
         "commutator_spectral_norm",
@@ -532,7 +521,7 @@ def trotter_commutator(
     if model == "heis_digital":
         report.add(
             "per_bond_pair_norm",
-            spectral_norm(_heisenberg_layer_commutator(3, j), dense_limit=dense_limit, seed=seed),
+            spectral_norm(_heisenberg_layer_commutator(3, j), seed=seed),
             analytic=4.0 * math.sqrt(3.0) * j * j,
             bound=_commutator_bound(model, 1, j),
             provenance="computed; bound analytic-formula",

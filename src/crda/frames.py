@@ -144,7 +144,7 @@ class GateLayer:
     """One single-qubit gate repeated over a support of sites.
 
     ``support`` is "all", "even", "odd" (1-based site parity) or an
-    explicit tuple of 1-based site numbers.
+    explicit tuple of distinct 1-based site numbers.
     """
 
     kind: GateLayerKind
@@ -156,6 +156,8 @@ class GateLayer:
             for s in self.support:
                 if not 1 <= s <= n:
                     raise ValueError(f"site {s} outside 1..{n}")
+            if len(set(self.support)) != len(self.support):
+                raise ValueError(f"repeated site in support {self.support}")
             return tuple(s - 1 for s in self.support)
         if self.support == "all":
             return tuple(range(n))
@@ -194,9 +196,10 @@ def apply_layer(layer: GateLayer, state: np.ndarray, n: int) -> np.ndarray:
     if psi.shape != (1 << n,):
         raise ValueError("state size mismatch")
     u = _KIND_MATS[layer.kind]
+    sites = layer.sites(n)
     if layer.kind is GateLayerKind.IDENTITY:
         return psi.copy()
-    for k in layer.sites(n):
+    for k in sites:
         shaped = psi.reshape(1 << (n - k - 1), 2, 1 << k)
         psi = np.einsum("ab,ibj->iaj", u, shaped).reshape(-1)
     return psi
@@ -348,24 +351,25 @@ def propagate_unitary(
     The step count doubles until two consecutive resolutions agree to
     ``tol`` in spectral norm; non-convergence within ``max_halvings``
     doublings raises :class:`~crda.pauli.ConvergenceError`. Steps are
-    batched (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): the piece
-    weights at both Gauss-Legendre nodes of a chunk of steps form the node
-    Hamiltonians in one ``einsum``, each step's Magnus exponent exp(Omega)
-    comes from one batched ``eigh``, and a pairwise tree multiplies the
-    chunk's step unitaries, later steps on the left. Chunks hold as many
-    steps as fit a fixed byte budget, so a large ``dim`` means short chunks.
+    batched (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): one
+    ``h.weights`` call gives the piece weights at both Gauss-Legendre nodes
+    of a chunk of steps, one ``einsum`` forms the node Hamiltonians, each
+    step's Magnus exponent exp(Omega) comes from one batched ``eigh``, and
+    a pairwise tree multiplies the chunk's step unitaries, later steps on
+    the left. Chunks hold as many steps as fit a fixed byte budget, so a
+    large ``dim`` means short chunks. The first step size resolves
+    ``h.max_frequency``, which is read off the weight factors.
     """
     _check_dense(h.n, dense_limit, "propagate_unitary")
     dim = 1 << h.n
     mats = np.array([ps.to_dense(dense_limit) for ps, _ in h.pieces])
-    weights = [f for _, f in h.pieces]
     span = t_final - t_start
-    if span == 0.0 or not weights:
+    if span == 0.0 or not h.pieces:
         return np.eye(dim, dtype=complex), {"steps": 0, "step_size": 0.0, "residual": 0.0}
 
     def ham(times: np.ndarray) -> np.ndarray:
         """Dense H(t) for every entry of ``times``, shape ``times.shape + (dim, dim)``."""
-        w = np.array([[f(t) for t in times.ravel()] for f in weights])
+        w = h.weights(times.ravel())  # (pieces, times.size)
         return np.einsum("pk,pij->kij", w, mats).reshape(*times.shape, dim, dim)
 
     chunk = max(1, _MAGNUS_CHUNK_BYTES // (16 * dim * dim))
@@ -431,7 +435,6 @@ def verify_effective(
     t_final: float,
     mode: str = "lab",
     tol: float = 1e-8,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> FrameVerification:
     """Integrate the driven chain and compare against the effective model.
 
@@ -452,11 +455,11 @@ def verify_effective(
         frame = rot_frame_unitary
     else:
         raise ValueError("mode must be 'lab' or 'rotating'")
-    u_num, info = propagate_unitary(gen, t_final, tol=tol, dense_limit=dense_limit)
+    u_num, info = propagate_unitary(gen, t_final, tol=tol)
     f_end = frame(p, t_final)
     f_start = frame(p, 0.0)
     h_eff = build_qf_effective(p, DriveConfig.ALL)
-    u_eff = expm_hermitian(h_eff, t_final, dense_limit)
+    u_eff = expm_hermitian(h_eff, t_final)
     u_num_qf = f_end.conj().T @ u_num @ f_start
     d_qf = phase_insensitive_distance(u_num_qf, u_eff)
     u_eff_lab = f_end @ u_eff @ f_start.conj().T

@@ -26,13 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
 from .pauli import PauliSum, PauliTerm
 
 __all__ = [
     "HamiltonianKind",
+    "Sinusoid",
     "TimeDependentHamiltonian",
     "build_canonical",
     "build_lab_frame",
@@ -83,30 +86,60 @@ class HamiltonianKind(Enum):
     DELTA_ZZ = "delta_zz"
 
 
+# One weight factor: ("cos" | "sin", angular frequency omega, phase) is
+# cos or sin of omega * t + phase.
+Sinusoid = tuple[str, float, float]
+
+_TRIG = {"cos": np.cos, "sin": np.sin}
+
+
 @dataclass(frozen=True)
 class TimeDependentHamiltonian:
-    """Sum of static Pauli sums with scalar time-dependent weights.
+    """Sum of static Pauli sums, each scaled by a product of sinusoids.
 
-    ``frequencies`` lists the angular frequencies present in the weights
-    so integrators can pick step sizes resolving the fastest oscillation.
+    Each piece is ``(PauliSum, weight)``, where the weight is a tuple of
+    :data:`Sinusoid` factors whose product multiplies the sum; the empty
+    tuple is the constant 1. Weights are data, so ``frequencies`` (and the
+    fastest one, which integrators resolve) are read off the factors.
     """
 
     n: int
-    pieces: tuple[tuple[PauliSum, Callable[[float], float]], ...]
-    frequencies: tuple[float, ...]
+    pieces: tuple[tuple[PauliSum, tuple[Sinusoid, ...]], ...]
+
+    def weights(self, times: float | np.ndarray) -> np.ndarray:
+        """Piece weights at ``times``, shape ``(len(pieces), *times.shape)``."""
+        times = np.asarray(times, dtype=float)
+        out = np.ones((len(self.pieces), *times.shape))
+        for i, (_, weight) in enumerate(self.pieces):
+            for fn, omega, phase in weight:
+                out[i] *= _TRIG[fn](omega * times + phase)
+        return out
+
+    def weighted_sum(self, scalars: Sequence[float] | np.ndarray) -> PauliSum:
+        """The pieces' Pauli sums scaled by one scalar per piece, summed in order."""
+        out = PauliSum.zero(self.n)
+        for (ps, _), c in zip(self.pieces, scalars):
+            out = out + float(c) * ps
+        return out
 
     def at(self, t: float) -> PauliSum:
-        out = PauliSum.zero(self.n)
-        for ps, f in self.pieces:
-            out = out + f(t) * ps
-        return out
+        return self.weighted_sum(self.weights(t))
 
     def __call__(self, t: float) -> PauliSum:
         return self.at(t)
 
     @property
+    def frequencies(self) -> tuple[float, ...]:
+        """Top angular frequency of each non-constant weight, distinct, ascending.
+
+        A product of sinusoids at omega_1 .. omega_m holds no frequency above
+        |omega_1| + ... + |omega_m|, so that sum stands for the weight.
+        """
+        return tuple(sorted({sum(abs(om) for _, om, _ in w) for _, w in self.pieces if w}))
+
+    @property
     def max_frequency(self) -> float:
-        return max((abs(f) for f in self.frequencies), default=0.0)
+        return max(self.frequencies, default=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -359,22 +392,13 @@ def lab_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
             static = static + PauliSum.from_sites(
                 n, {k: "X", k + 1: "X"}, 0.5 * p.g[k]
             )
-    pieces: list[tuple[PauliSum, Callable[[float], float]]] = []
-    freqs: list[float] = []
-    if not static.is_zero():
-        pieces.append((static, lambda t: 1.0))
+    pieces = [(static, ())] if not static.is_zero() else []
     for k in range(n):
         if p.Omega[k] == 0.0:
             continue
-        w, ph = float(p.omega[k]), float(p.phi[k])
-        pieces.append(
-            (
-                PauliSum.from_sites(n, {k: "X"}, float(p.Omega[k])),
-                lambda t, w=w, ph=ph: math.cos(w * t + ph),
-            )
-        )
-        freqs.append(w)
-    return TimeDependentHamiltonian(n, tuple(pieces), tuple(freqs))
+        drive = ("cos", float(p.omega[k]), float(p.phi[k]))
+        pieces.append((PauliSum.from_sites(n, {k: "X"}, float(p.Omega[k])), (drive,)))
+    return TimeDependentHamiltonian(n, tuple(pieces))
 
 
 def build_lab_frame(p: DeviceParams, t: float) -> PauliSum:
@@ -395,10 +419,7 @@ def rotating_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
             static = static + PauliSum.from_sites(n, {k: "Z"}, 0.5 * p.delta[k])
         if p.Omega[k] != 0.0:
             static = static + PauliSum.from_sites(n, {k: "X"}, 0.5 * p.Omega[k])
-    pieces: list[tuple[PauliSum, Callable[[float], float]]] = []
-    freqs: list[float] = []
-    if not static.is_zero():
-        pieces.append((static, lambda t: 1.0))
+    pieces = [(static, ())] if not static.is_zero() else []
     for k in range(n - 1):
         if p.g[k] == 0.0:
             continue
@@ -411,10 +432,9 @@ def rotating_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
         asym = PauliSum.from_sites(n, {k: "X", k + 1: "Y"}, w) - PauliSum.from_sites(
             n, {k: "Y", k + 1: "X"}, w
         )
-        pieces.append((sym, lambda t, a=a, b=b: math.cos(a * t + b)))
-        pieces.append((asym, lambda t, a=a, b=b: math.sin(a * t + b)))
-        freqs.append(a)
-    return TimeDependentHamiltonian(n, tuple(pieces), tuple(freqs))
+        pieces.append((sym, (("cos", a, b),)))
+        pieces.append((asym, (("sin", a, b),)))
+    return TimeDependentHamiltonian(n, tuple(pieces))
 
 
 # ----------------------------------------------------------------------
@@ -492,16 +512,14 @@ def _uniform_quantities(p: DeviceParams) -> tuple[int, float, float, float, floa
     return p.n, g, delta, Omega, j_signed
 
 
-def org_hamiltonian(
-    kind: HamiltonianKind,
-    p: DeviceParams,
-    varphi: Callable[[float], float] | None = None,
-) -> TimeDependentHamiltonian:
+def org_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHamiltonian:
     """Time-dependent original Hamiltonian for a uniform chain.
 
     ``kind`` selects the frame: the bare quad-frame chain, or its XY- and
-    ZZ-protocol toggled counterparts. ``varphi`` is the target-qubit
-    frame phase entering the ZZ form; it defaults to delta * t.
+    ZZ-protocol toggled counterparts. Every weight is a product of
+    cos/sin(delta t) and cos/sin(2 delta t); the target-qubit frame phase
+    of the ZZ form is fixed at delta * t, so its weights are products of
+    two delta-sinusoids.
     """
     n, g, delta, Omega, j_signed = _uniform_quantities(p)
     r = Omega / delta
@@ -512,88 +530,47 @@ def org_hamiltonian(
     def bonds(pairs: Sequence[tuple[str, str, float]]) -> PauliSum:
         return _chain_bond_family(chain, pairs, pairs, 1.0)
 
-    def cosd(t: float) -> float:
-        return math.cos(delta * t)
-
-    def sind(t: float) -> float:
-        return math.sin(delta * t)
-
-    def cos2d(t: float) -> float:
-        return math.cos(2.0 * delta * t)
-
-    def sin2d(t: float) -> float:
-        return math.sin(2.0 * delta * t)
+    cos1, sin1 = ("cos", delta, 0.0), ("sin", delta, 0.0)
+    cos2, sin2 = ("cos", 2 * delta, 0.0), ("sin", 2 * delta, 0.0)
 
     if kind is K.ORG:
         pieces = (
-            (bonds([("Z", "Z", q), ("Y", "Y", q)]), cosd),
-            (bonds([("Y", "Z", q), ("Z", "Y", -q)]), sind),
-            (bonds([("X", "Z", j_signed)]), lambda t: 1.0),
-            (bonds([("Z", "X", -q * r)]), cos2d),
-            (bonds([("Y", "X", -q * r)]), sin2d),
+            (bonds([("Z", "Z", q), ("Y", "Y", q)]), (cos1,)),
+            (bonds([("Y", "Z", q), ("Z", "Y", -q)]), (sin1,)),
+            (bonds([("X", "Z", j_signed)]), ()),
+            (bonds([("Z", "X", -q * r)]), (cos2,)),
+            (bonds([("Y", "X", -q * r)]), (sin2,)),
         )
-        return TimeDependentHamiltonian(n, pieces, (delta, 2 * delta))
-
-    if kind is K.ORG_XY:
+    elif kind is K.ORG_XY:
         pieces = (
-            (bonds([("X", "X", j_signed), ("Y", "Y", j_signed)]), lambda t: 1.0),
-            (bonds([("X", "Y", q), ("Y", "X", q), ("Z", "Z", -2 * q)]), cosd),
+            (bonds([("X", "X", j_signed), ("Y", "Y", j_signed)]), ()),
+            (bonds([("X", "Y", q), ("Y", "X", q), ("Z", "Z", -2 * q)]), (cos1,)),
             (
-                bonds(
-                    [("Z", "Y", q), ("Z", "X", -q), ("X", "Z", q), ("Y", "Z", -q)]
-                ),
-                sind,
+                bonds([("Z", "Y", q), ("Z", "X", -q), ("X", "Z", q), ("Y", "Z", -q)]),
+                (sin1,),
             ),
-            (bonds([("Z", "Y", q * r), ("Z", "X", -q * r)]), sin2d),
-            (bonds([("Y", "Y", -q * r), ("X", "X", -q * r)]), cos2d),
+            (bonds([("Z", "Y", q * r), ("Z", "X", -q * r)]), (sin2,)),
+            (bonds([("Y", "Y", -q * r), ("X", "X", -q * r)]), (cos2,)),
         )
-        return TimeDependentHamiltonian(n, pieces, (delta, 2 * delta))
-
-    if kind is K.ORG_ZZ:
-        if varphi is None:
-            varphi = lambda t: delta * t  # noqa: E731
-        j_plus = g * Omega / (4.0 * delta)
+    elif kind is K.ORG_ZZ:
         pieces = (
-            (bonds([("Z", "Z", j_plus)]), lambda t: 1.0),
-            (bonds([("X", "Z", -q), ("Y", "Y", q)]), cosd),
-            (bonds([("Y", "Z", q), ("X", "Y", q)]), sind),
-            (
-                bonds([("Z", "Z", q * r)]),
-                lambda t: math.cos(varphi(t)),
-            ),
-            (
-                bonds([("Z", "X", -q), ("Y", "Y", q)]),
-                lambda t: math.cos(varphi(t)) * cosd(t),
-            ),
-            (
-                bonds([("Z", "Y", q), ("Y", "X", q)]),
-                lambda t: math.cos(varphi(t)) * sind(t),
-            ),
-            (
-                bonds([("Y", "Z", q * r)]),
-                lambda t: math.sin(varphi(t)),
-            ),
-            (
-                bonds([("Z", "Y", -q), ("Y", "X", -q)]),
-                lambda t: math.sin(varphi(t)) * cosd(t),
-            ),
-            (
-                bonds([("Z", "X", -q), ("Y", "Y", q)]),
-                lambda t: math.sin(varphi(t)) * sind(t),
-            ),
+            (bonds([("Z", "Z", g * Omega / (4.0 * delta))]), ()),
+            (bonds([("X", "Z", -q), ("Y", "Y", q)]), (cos1,)),
+            (bonds([("Y", "Z", q), ("X", "Y", q)]), (sin1,)),
+            (bonds([("Z", "Z", q * r)]), (cos1,)),
+            (bonds([("Z", "X", -q), ("Y", "Y", q)]), (cos1, cos1)),
+            (bonds([("Z", "Y", q), ("Y", "X", q)]), (cos1, sin1)),
+            (bonds([("Y", "Z", q * r)]), (sin1,)),
+            (bonds([("Z", "Y", -q), ("Y", "X", -q)]), (sin1, cos1)),
+            (bonds([("Z", "X", -q), ("Y", "Y", q)]), (sin1, sin1)),
         )
-        return TimeDependentHamiltonian(n, pieces, (delta, 2 * delta))
+    else:
+        raise ValueError(f"{kind} is not an original-Hamiltonian kind")
+    return TimeDependentHamiltonian(n, pieces)
 
-    raise ValueError(f"{kind} is not an original-Hamiltonian kind")
 
-
-def build_org(
-    kind: HamiltonianKind,
-    p: DeviceParams,
-    t: float,
-    varphi: Callable[[float], float] | None = None,
-) -> PauliSum:
-    return org_hamiltonian(kind, p, varphi).at(t)
+def build_org(kind: HamiltonianKind, p: DeviceParams, t: float) -> PauliSum:
+    return org_hamiltonian(kind, p).at(t)
 
 
 _DELTA_OF = {
@@ -603,32 +580,23 @@ _DELTA_OF = {
 }
 
 
-def delta_hamiltonian(
-    kind: HamiltonianKind,
-    p: DeviceParams,
-    varphi: Callable[[float], float] | None = None,
-) -> TimeDependentHamiltonian:
+def delta_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHamiltonian:
     """Synthesis defect: the original Hamiltonian minus its effective model.
 
     The subtracted effective model carries the frame-appropriate signed
     coupling: -g Omega / (4 delta) for the control and XY frames,
-    +g Omega / (4 delta) for the ZZ frame.
+    +g Omega / (4 delta) for the ZZ frame. It enters as one constant
+    piece holding the negated sum.
     """
     if kind not in _DELTA_OF:
         raise ValueError(f"{kind} is not a synthesis-defect kind")
     org_kind, eff_kind, sign = _DELTA_OF[kind]
     n, g, delta, Omega, _ = _uniform_quantities(p)
-    org = org_hamiltonian(org_kind, p, varphi)
+    org = org_hamiltonian(org_kind, p)
     j_eff = sign * (g * Omega / (4.0 * delta))
     eff = build_canonical(eff_kind, Lattice.chain(n), j=j_eff)
-    pieces = org.pieces + ((eff, lambda t: -1.0),)
-    return TimeDependentHamiltonian(n, pieces, org.frequencies)
+    return TimeDependentHamiltonian(n, org.pieces + ((-eff, ()),))
 
 
-def build_delta(
-    kind: HamiltonianKind,
-    p: DeviceParams,
-    t: float,
-    varphi: Callable[[float], float] | None = None,
-) -> PauliSum:
-    return delta_hamiltonian(kind, p, varphi).at(t)
+def build_delta(kind: HamiltonianKind, p: DeviceParams, t: float) -> PauliSum:
+    return delta_hamiltonian(kind, p).at(t)

@@ -24,6 +24,7 @@ sorted mask order so repeated runs are bitwise deterministic.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import os
 from dataclasses import dataclass
@@ -123,8 +124,7 @@ class PauliTerm:
             raise ValueError("need at least one site")
         if self.x >> self.n or self.z >> self.n:
             raise ValueError("mask bits outside the registered site range")
-        c = complex(self.coeff)
-        if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+        if not cmath.isfinite(complex(self.coeff)):
             raise ValueError("coefficient must be finite")
 
     @classmethod
@@ -200,7 +200,7 @@ class PauliSum:
         if terms:
             for key in sorted(terms):
                 c = complex(terms[key])
-                if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+                if not cmath.isfinite(c):
                     raise ValueError("coefficient must be finite")
                 if abs(c) > PRUNE_TOL:
                     clean[key] = c

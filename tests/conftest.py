@@ -5,6 +5,8 @@ own Kronecker loop, independent of the package's mask-based encoding,
 so dense comparisons actually cross-check the two representations.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -60,6 +62,11 @@ def dense_oracle(h) -> np.ndarray:
     for t in h.terms():
         out += t.coeff * kron_pattern(t.pattern)
     return out
+
+
+def sinusoid_product(weight, t: float) -> float:
+    """A piece weight at one time, by ``math`` rather than the package's numpy path."""
+    return math.prod(getattr(math, fn)(omega * t + phase) for fn, omega, phase in weight)
 
 
 def random_pauli_sum(rng, n, nterms=6, real=False):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_oracle, layer_oracle
+from conftest import dense_oracle, layer_oracle, sinusoid_product
 from crda import compiler, frames
 from crda.compiler import (
     AnalogSegment,
@@ -84,12 +84,12 @@ def test_simulate_matches_dense_oracle(model, fused, seed):
 
 def _sequential_propagator(h, t_final, tol, max_halvings=14):
     """The step-by-step Magnus loop: one 4x4 expm and one product per step."""
-    mats = [(dense_oracle(ps), f) for ps, f in h.pieces]
+    mats = [(dense_oracle(ps), w) for ps, w in h.pieces]
     dim = 1 << h.n
     c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 
     def ham(t):
-        return sum(f(t) * m for m, f in mats)
+        return sum(sinusoid_product(w, t) * m for m, w in mats)
 
     def run(nsteps):
         hstep = t_final / nsteps

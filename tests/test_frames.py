@@ -65,6 +65,20 @@ class TestLayerUnitaries:
         with pytest.raises(ValueError):
             GateLayer(G.HADAMARD, (3,)).sites(2)
 
+    @pytest.mark.parametrize("kind", [G.HADAMARD, G.IDENTITY])
+    def test_repeated_site_rejected_everywhere(self, kind):
+        # (1, 1) once landed on site 2 in toggle, applied H twice in
+        # apply_layer and once in layer_unitary
+        layer = GateLayer(kind, (1, 1))
+        with pytest.raises(ValueError, match="repeated site"):
+            layer.sites(2)
+        with pytest.raises(ValueError, match="repeated site"):
+            toggle(PauliSum.from_pattern("ZI"), layer)
+        with pytest.raises(ValueError, match="repeated site"):
+            apply_layer(layer, np.eye(4)[0], 2)
+        with pytest.raises(ValueError, match="repeated site"):
+            layer_unitary(layer, 2)
+
     def test_apply_layer_matches_dense(self, rng):
         for kind in (G.HADAMARD, G.RX90, G.UE, G.SPHASE):
             for support in ("all", "even", "odd", (1, 3)):
@@ -269,14 +283,14 @@ class TestUqfApprox:
 class TestPropagator:
     def test_static_generator_matches_expm(self, rng):
         h = random_pauli_sum(rng, 2, real=True)
-        gen = TimeDependentHamiltonian(2, ((h, lambda t: 1.0),), ())
+        gen = TimeDependentHamiltonian(2, ((h, ()),))
         u, info = propagate_unitary(gen, 0.9)
         assert np.allclose(u, expm_hermitian(h, 0.9), atol=1e-9)
         assert info["residual"] < 1e-8
 
     def test_commuting_time_dependence_matches_phase_integral(self):
         z = PauliSum.from_pattern("Z")
-        gen = TimeDependentHamiltonian(1, ((z, lambda t: np.cos(3 * t)),), (3.0,))
+        gen = TimeDependentHamiltonian(1, ((z, (("cos", 3.0, 0.0),)),))
         t = 2.2
         u, _ = propagate_unitary(gen, t)
         phase = np.sin(3 * t) / 3.0
@@ -284,7 +298,7 @@ class TestPropagator:
 
     def test_zero_span(self):
         z = PauliSum.from_pattern("Z")
-        gen = TimeDependentHamiltonian(1, ((z, lambda t: 1.0),), ())
+        gen = TimeDependentHamiltonian(1, ((z, ()),))
         u, _ = propagate_unitary(gen, 0.0)
         assert np.allclose(u, np.eye(2))
 

@@ -280,6 +280,11 @@ class TestPauliSumInvariants:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PauliSum.from_pattern("X", np.nan)
+        for bad in (np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, -np.inf)):
+            with pytest.raises(ValueError):
+                PauliTerm(1, 1, 0, bad)
+            with pytest.raises(ValueError):
+                PauliSum(1, {(1, 0): bad})
 
     def test_pattern_length_must_match_n(self):
         with pytest.raises(ValueError):
