@@ -37,6 +37,9 @@ from .compiler import (
 from .device import DeviceParams, DriveConfig, Lattice, load_config
 from .frames import verify_effective
 from .hamiltonians import (
+    _CHAIN_BONDS,
+    _PHASE_CHAINS,
+    _TILINGS,
     HamiltonianKind,
     build_canonical,
     build_delta,
@@ -46,9 +49,9 @@ from .hamiltonians import (
 )
 from .pauli import ConvergenceError, DenseLimitError, PauliSum
 
-_DEVICE_KINDS = {"lab", "qf_device", "org", "org_xy", "org_zz", "delta", "delta_xy", "delta_zz"}
-_CANONICAL_KINDS = {k.value for k in HamiltonianKind} - _DEVICE_KINDS
-_2D_KINDS = {"h_2d_odd", "h_2d_even", "h_i", "h_ii", "h_xy_2d"}
+_CANONICAL_KINDS = {k.value for k in (*_PHASE_CHAINS, *_CHAIN_BONDS, *_TILINGS)}
+_2D_KINDS = {k.value for k in _TILINGS}
+_DEVICE_KINDS = ({k.value for k in HamiltonianKind} - _CANONICAL_KINDS) | {"qf_device"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -195,7 +198,9 @@ def _lattice_from_args(args, cfg=None, default_boundary_1d="open", default_bound
     n = args.n if args.n is not None else cfg.get("n")
     boundary = args.boundary or cfg.get("boundary")
     if args.nx is not None:
-        return Lattice.square(args.nx, args.ny or args.nx, boundary=boundary or default_boundary_2d)
+        return Lattice.square(args.nx, args.ny, boundary=boundary or default_boundary_2d)
+    if args.ny is not None:
+        raise ValueError("--ny needs --nx")
     if n is None:
         raise ValueError("specify --n for chains or --nx/--ny for lattices")
     return Lattice.chain(int(n), boundary=boundary or default_boundary_1d)
@@ -446,7 +451,7 @@ def _cmd_errors(args) -> None:
         if args.model.startswith("xy2d"):
             lat = _lattice_from_args(args, default_boundary_2d="periodic")
         else:
-            lat = Lattice.chain(args.n or 4)
+            lat = Lattice.chain(args.n if args.n is not None else 4)
         reports = [
             err.trotter_commutator(args.model, lat, j=args.j, seed=args.seed)
         ]
@@ -464,20 +469,9 @@ def _cmd_errors(args) -> None:
         "config": _config_echo(args, resolved),
         "reports": [r.to_json_dict() for r in reports],
     }
-    rows: list[list] = [["name", "value", "analytic", "bound", "pass", "t"]]
+    rows = [[*reports[0].to_csv_rows()[0], "t"]]
     for rep in reports:
-        t = rep.params.get("t", "")
-        for e in rep.entries:
-            rows.append(
-                [
-                    e.name,
-                    e.value,
-                    "" if e.analytic is None else e.analytic,
-                    "" if e.bound is None else e.bound,
-                    "" if e.passed is None else str(e.passed).lower(),
-                    t,
-                ]
-            )
+        rows += [[*row, rep.params.get("t", "")] for row in rep.to_csv_rows()[1:]]
     _emit(args, payload, rows)
 
 

@@ -4,7 +4,9 @@ A schedule is a repeated block of single-qubit gate layers interleaved
 with analog evolution segments under the device's effective chain. The
 gate layers place each segment in a rotated frame, so the segment
 effectively evolves under a toggled chain; summing the toggled forms
-over the block realizes the target model:
+over the block realizes the target model. Each model's protocol is one
+row of the ``_PROTOCOLS`` table: the target kind, the lattice dimension,
+the original chain realistic mode substitutes, and the framed segments:
 
 * Ising (zz chain): two segments under the odd- and even-sublattice
   cross-resonance chains, sandwiched by Hadamard layers. The two toggled
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse.linalg
@@ -79,6 +81,47 @@ class ModelKind(Enum):
     HEISENBERG_1D = "heisenberg"
 
 
+class _Protocol(NamedTuple):
+    """One model's block as data.
+
+    ``segments`` are ``(entry layers, analog kind, drive)`` triples in
+    application order; a segment's exit layers are the inverses of its
+    entry layers, in reverse order. ``original`` is the closed-form
+    original chain that realistic mode substitutes, if the model has one.
+    """
+
+    target: HamiltonianKind
+    dim: int
+    original: HamiltonianKind | None
+    segments: tuple[tuple[tuple[GateLayer, ...], HamiltonianKind, str], ...]
+
+
+_H_ALL = GateLayer(GateLayerKind.HADAMARD, "all")
+_H_EVEN = GateLayer(GateLayerKind.HADAMARD, "even")
+_RX90_ALL = GateLayer(GateLayerKind.RX90, "all")
+_K = HamiltonianKind
+
+_PROTOCOLS: dict[ModelKind, _Protocol] = {
+    ModelKind.ISING_1D: _Protocol(target=_K.H_ZZ, dim=1, original=_K.ORG_ZZ, segments=(
+        ((_H_ALL,), _K.QF_EFFECTIVE_ODD, "odd"),
+        ((_H_ALL,), _K.QF_EFFECTIVE_EVEN, "even"),
+    )),
+    ModelKind.XY_1D: _Protocol(target=_K.H_XY_1D, dim=1, original=_K.ORG_XY, segments=(
+        ((_RX90_ALL, _H_EVEN), _K.CONTROL, "all"),
+        ((_RX90_ALL, GateLayer(GateLayerKind.HADAMARD, "odd")), _K.CONTROL, "all"),
+    )),
+    ModelKind.HEISENBERG_1D: _Protocol(target=_K.H_HEIS, dim=1, original=None, segments=(
+        ((GateLayer(GateLayerKind.UE2, "all"), _H_EVEN), _K.CONTROL, "all"),
+        ((GateLayer(GateLayerKind.UE, "all"), _H_EVEN), _K.CONTROL, "all"),
+        ((_H_EVEN,), _K.CONTROL, "all"),
+    )),
+    ModelKind.XY_2D: _Protocol(target=_K.H_XY_2D, dim=2, original=None, segments=(
+        ((_RX90_ALL,), _K.H_2D_ODD, "all"),
+        ((_RX90_ALL, _H_ALL), _K.H_2D_ODD, "all"),
+    )),
+}
+
+
 @dataclass(frozen=True)
 class TargetModel:
     kind: ModelKind
@@ -92,7 +135,7 @@ class TargetModel:
             raise ValueError("tau must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        want_dim = 2 if self.kind is ModelKind.XY_2D else 1
+        want_dim = _PROTOCOLS[self.kind].dim
         if self.lattice.dim != want_dim:
             raise ValueError(f"{self.kind.value} needs a {want_dim}D lattice")
 
@@ -159,23 +202,8 @@ class Schedule:
 # ----------------------------------------------------------------------
 
 
-def _framed_segment(
-    entry: Sequence[GateLayer], segment: AnalogSegment
-) -> list[GateLayer | AnalogSegment]:
-    """Entry layers, the segment, then the exit layers (inverses, reversed)."""
-    exit_layers = [layer.inverse() for layer in reversed(entry)]
-    return [*entry, segment, *exit_layers]
-
-
 def target_hamiltonian(m: TargetModel) -> PauliSum:
-    K = HamiltonianKind
-    kind = {
-        ModelKind.ISING_1D: K.H_ZZ,
-        ModelKind.XY_1D: K.H_XY_1D,
-        ModelKind.XY_2D: K.H_XY_2D,
-        ModelKind.HEISENBERG_1D: K.H_HEIS,
-    }[m.kind]
-    return build_canonical(kind, m.lattice, m.j)
+    return build_canonical(_PROTOCOLS[m.kind].target, m.lattice, m.j)
 
 
 def compile_model(
@@ -186,83 +214,33 @@ def compile_model(
 ) -> Schedule:
     """Compile a target model into its digital-analog block schedule.
 
-    With ``realistic=True`` the analog segments carry the time-dependent
-    original chain of the matching frame instead of the effective one,
-    exposing synthesis error end to end (supported for the 1D Ising and
-    XY protocols, which have closed-form originals); ``device`` must then
-    supply the uniform drive parameters.
+    The block is the model's ``_PROTOCOLS`` row, one framed segment after
+    another. With ``realistic=True`` the analog segments carry the
+    time-dependent original chain of the matching frame instead of the
+    effective one, exposing synthesis error end to end (supported for the
+    1D Ising and XY protocols, which have closed-form originals);
+    ``device`` must then supply the uniform drive parameters.
     """
-    lat = m.lattice
-    n = lat.n_sites
-    K = HamiltonianKind
-    G = GateLayerKind
-    tau = m.tau
-
-    def seg(analog_kind: K, drive: str) -> AnalogSegment:
-        analog: PauliSum | TimeDependentHamiltonian
-        analog = build_canonical(analog_kind, lat, m.j)
-        return AnalogSegment(tau, drive, analog)
-
-    if m.kind is ModelKind.ISING_1D:
-        h_all = GateLayer(G.HADAMARD, "all")
-        steps = [
-            h_all,
-            seg(K.QF_EFFECTIVE_ODD, "odd"),
-            h_all,
-            h_all,
-            seg(K.QF_EFFECTIVE_EVEN, "even"),
-            h_all,
-        ]
-    elif m.kind is ModelKind.XY_1D:
-        part_e = _framed_segment(
-            [GateLayer(G.RX90, "all"), GateLayer(G.HADAMARD, "even")],
-            seg(K.CONTROL, "all"),
-        )
-        part_o = _framed_segment(
-            [GateLayer(G.RX90, "all"), GateLayer(G.HADAMARD, "odd")],
-            seg(K.CONTROL, "all"),
-        )
-        steps = [*part_e, *part_o]
-    elif m.kind is ModelKind.HEISENBERG_1D:
-        h_even = GateLayer(G.HADAMARD, "even")
-        parts = []
-        for power_layer in (
-            GateLayer(G.UE2, "all"),
-            GateLayer(G.UE, "all"),
-            None,
-        ):
-            entry = [power_layer, h_even] if power_layer else [h_even]
-            parts.extend(_framed_segment(entry, seg(K.CONTROL, "all")))
-        steps = parts
-    elif m.kind is ModelKind.XY_2D:
-        part_ii = _framed_segment(
-            [GateLayer(G.RX90, "all")], seg(K.H_2D_ODD, "all")
-        )
-        part_i = _framed_segment(
-            [GateLayer(G.RX90, "all"), GateLayer(G.HADAMARD, "all")],
-            seg(K.H_2D_ODD, "all"),
-        )
-        steps = [*part_ii, *part_i]
-    else:
-        raise ValueError(f"unsupported model {m.kind}")
+    protocol = _PROTOCOLS[m.kind]
+    steps: list[GateLayer | AnalogSegment] = []
+    for entry, analog_kind, drive in protocol.segments:
+        analog = build_canonical(analog_kind, m.lattice, m.j)
+        exit_layers = [layer.inverse() for layer in reversed(entry)]
+        steps += [*entry, AnalogSegment(m.tau, drive, analog), *exit_layers]
 
     if realistic:
-        org_kind = {
-            ModelKind.ISING_1D: K.ORG_ZZ,
-            ModelKind.XY_1D: K.ORG_XY,
-        }.get(m.kind)
-        if org_kind is None:
+        if protocol.original is None:
             raise ValueError(f"no closed-form original chain for {m.kind.value}")
         if device is None:
             raise ValueError("realistic mode needs device parameters")
-        org = org_hamiltonian(org_kind, device)
+        org = org_hamiltonian(protocol.original, device)
         steps = [
             replace(s, analog=org) if isinstance(s, AnalogSegment) else s
             for s in steps
         ]
 
     schedule = Schedule(
-        n=n, steps=tuple(steps), repetitions=m.repetitions, model=m.kind.value
+        n=m.lattice.n_sites, steps=tuple(steps), repetitions=m.repetitions, model=m.kind.value
     )
     return fuse(schedule) if fuse_layers else schedule
 
@@ -352,36 +330,28 @@ def _segment_memo(make: Callable[[AnalogSegment], T]) -> Callable[[AnalogSegment
     return get
 
 
-def block_unitary(
-    schedule: Schedule,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def block_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
     """Dense unitary of one block (steps composed in application order)."""
-    _check_dense(schedule.n, dense_limit, "block_unitary")
+    _check_dense(schedule.n, DEFAULT_DENSE_LIMIT, "block_unitary")
 
     def segment_unitary(s: AnalogSegment) -> np.ndarray:
         if isinstance(s.analog, PauliSum):
-            return expm_hermitian(s.analog, s.duration, dense_limit)
-        return propagate_unitary(s.analog, s.duration, tol=tol, dense_limit=dense_limit)[0]
+            return expm_hermitian(s.analog, s.duration)
+        return propagate_unitary(s.analog, s.duration, tol=tol)[0]
 
     segment = _segment_memo(segment_unitary)
     u = np.eye(1 << schedule.n, dtype=complex)
     for step in schedule.steps:
         if isinstance(step, GateLayer):
-            u = layer_unitary(step, schedule.n, dense_limit) @ u
+            u = layer_unitary(step, schedule.n) @ u
         else:
             u = segment(step) @ u
     return u
 
 
-def schedule_unitary(
-    schedule: Schedule,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def schedule_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
     """Dense unitary of the full schedule (block repeated M times)."""
-    block = block_unitary(schedule, dense_limit, tol)
+    block = block_unitary(schedule, tol)
     return np.linalg.matrix_power(block, schedule.repetitions)
 
 
@@ -484,14 +454,10 @@ def simulate(
     return SimulationTrace(times, norms, expectations, names)
 
 
-def block_error(
-    m: TargetModel,
-    tau: float | None = None,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> float:
+def block_error(m: TargetModel, tau: float | None = None) -> float:
     """Phase-insensitive distance of one block from exp(-i H_target tau)."""
     model = m if tau is None else replace(m, tau=tau)
     schedule = compile_model(replace(model, repetitions=1))
-    u_block = block_unitary(schedule, dense_limit)
-    u_target = expm_hermitian(target_hamiltonian(model), model.tau, dense_limit)
+    u_block = block_unitary(schedule)
+    u_target = expm_hermitian(target_hamiltonian(model), model.tau)
     return phase_insensitive_distance(u_block, u_target)

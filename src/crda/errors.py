@@ -25,7 +25,9 @@ from .hamiltonians import (
     H_I_CELL_BONDS,
     H_II_CELL_BONDS,
     HamiltonianKind,
+    _CHAIN_BONDS,
     _chain_bond_family,
+    _tile_2d,
     build_canonical,
     build_delta,
     cell_terms,
@@ -282,21 +284,6 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
 # ----------------------------------------------------------------------
 
 
-def _letter_split(h: PauliSum) -> tuple[PauliSum, PauliSum]:
-    """Split a two-letter decomposition into its xx and yy parts."""
-    xx: dict[tuple[int, int], complex] = {}
-    yy: dict[tuple[int, int], complex] = {}
-    for t in h.terms():
-        letters = {c for c in t.pattern if c != "I"}
-        if letters == {"X"}:
-            xx[(t.x, t.z)] = t.coeff
-        elif letters == {"Y"}:
-            yy[(t.x, t.z)] = t.coeff
-        else:
-            raise ValueError(f"unexpected mixed-letter term {t.pattern}")
-    return PauliSum(h.n, xx), PauliSum(h.n, yy)
-
-
 def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
     """Structural audit of the commutators between the two 2D decompositions.
 
@@ -332,8 +319,11 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
             if not ok:
                 bad_pairs.append((ta.pattern, tb.pattern))
 
-    i_xx, i_yy = _letter_split(h_i)
-    ii_xx, ii_yy = _letter_split(h_ii)
+    i_xx, i_yy, ii_xx, ii_yy = (
+        _tile_2d(lat, tuple(b for b in cell if b[0] == letter), j)
+        for cell in (H_I_CELL_BONDS, H_II_CELL_BONDS)
+        for letter in "XY"
+    )
     a_block = commutator(i_yy, ii_xx)
     b_block = commutator(i_xx, ii_yy)
     full = commutator(h_i, h_ii)
@@ -415,16 +405,13 @@ def heisenberg_da_commutator_sum(n: int, j: float) -> PauliSum:
     return commutator(he, hep) + commutator(he, hepp) + commutator(hep, hepp)
 
 
-# One Heisenberg bond: XX + YY + ZZ.
-_HEIS_BOND = [(letter, letter, 1.0) for letter in "XYZ"]
-
-
 def _heisenberg_layer_commutator(n: int, j: float) -> PauliSum:
     """Commutator of the odd-bond and even-bond layers of the Heisenberg chain."""
     chain = Lattice.chain(n)
+    odd, even = _CHAIN_BONDS[HamiltonianKind.H_HEIS]
     return commutator(
-        _chain_bond_family(chain, _HEIS_BOND, [], j),
-        _chain_bond_family(chain, [], _HEIS_BOND, j),
+        _chain_bond_family(chain, odd, (), j),
+        _chain_bond_family(chain, (), even, j),
     )
 
 

@@ -181,10 +181,8 @@ def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def layer_unitary(
-    layer: GateLayer, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> np.ndarray:
-    _check_dense(n, dense_limit, "layer_unitary")
+def layer_unitary(layer: GateLayer, n: int) -> np.ndarray:
+    _check_dense(n, DEFAULT_DENSE_LIMIT, "layer_unitary")
     on = set(layer.sites(n))
     u = _KIND_MATS[layer.kind]
     return _kron_chain([u if k in on else _ID for k in range(n)])

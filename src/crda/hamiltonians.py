@@ -147,6 +147,10 @@ class TimeDependentHamiltonian:
 # ----------------------------------------------------------------------
 
 
+# Chain bond entries (letter_left, letter_right, weight).
+BondEntries = tuple[tuple[str, str, float], ...]
+
+
 def _two_site(n: int, s1: int, l1: str, s2: int, l2: str, coeff: float) -> PauliTerm:
     return PauliTerm.from_sites(n, {s1: l1, s2: l2}, coeff)
 
@@ -178,27 +182,42 @@ def _chain_bond_family(
     return PauliSum.from_terms(terms)
 
 
-def _control_chain(lat: Lattice, j: float, phi: float) -> PauliSum:
-    """Cross-resonance chain J * sum x_k (z cos(phi) - y sin(phi))_{k+1}."""
-    spec = []
-    if abs(math.cos(phi)) > 0:
-        spec.append(("X", "Z", math.cos(phi)))
-    if abs(math.sin(phi)) > 0:
-        spec.append(("X", "Y", -math.sin(phi)))
-    return _chain_bond_family(lat, spec, spec, j)
+# Drive-phase-sensitive chains J * sum x_k (a cos(phi) + s sin(phi) y)_{k+1}:
+# kind -> (letter a, sign s, on odd bonds, on even bonds).
+_PHASE_CHAINS: dict[HamiltonianKind, tuple[str, float, bool, bool]] = {
+    HamiltonianKind.CONTROL: ("Z", -1.0, True, True),
+    HamiltonianKind.QF_EFFECTIVE: ("Z", -1.0, True, True),
+    HamiltonianKind.QF_EFFECTIVE_ODD: ("X", 1.0, True, False),
+    HamiltonianKind.QF_EFFECTIVE_EVEN: ("X", 1.0, False, True),
+}
 
 
-def _qf_sublattice(lat: Lattice, j: float, phi: float, parity: int) -> PauliSum:
-    """x_k (x cos(phi) + y sin(phi))_{k+1} on bonds of the given parity."""
-    spec = []
-    if abs(math.cos(phi)) > 0:
-        spec.append(("X", "X", math.cos(phi)))
-    if abs(math.sin(phi)) > 0:
-        spec.append(("X", "Y", math.sin(phi)))
-    empty: list[tuple[str, str, float]] = []
-    if parity == 1:
-        return _chain_bond_family(lat, spec, empty, j)
-    return _chain_bond_family(lat, empty, spec, j)
+def _phase_chain(kind: HamiltonianKind, lat: Lattice, j: float, phi: float) -> PauliSum:
+    letter, sign, on_odd, on_even = _PHASE_CHAINS[kind]
+    weighted = ((letter, math.cos(phi)), ("Y", sign * math.sin(phi)))
+    spec = tuple(("X", b, w) for b, w in weighted if abs(w) > 0)
+    return _chain_bond_family(lat, spec if on_odd else (), spec if on_even else (), j)
+
+
+_XX: BondEntries = (("X", "X", 1.0),)
+_YY: BondEntries = (("Y", "Y", 1.0),)
+_ZZ: BondEntries = (("Z", "Z", 1.0),)
+
+# Phase-free chains: kind -> (odd-bond entries, even-bond entries).
+_CHAIN_BONDS: dict[HamiltonianKind, tuple[BondEntries, BondEntries]] = {
+    HamiltonianKind.H1: (_ZZ, ()),
+    HamiltonianKind.H2: ((), _ZZ),
+    HamiltonianKind.H_ZZ: (_ZZ, _ZZ),
+    HamiltonianKind.H_EVEN: (_XX, _ZZ),
+    HamiltonianKind.H_E: (_XX, _ZZ),
+    HamiltonianKind.H_ODD: (_ZZ, _XX),
+    HamiltonianKind.H_EVEN_PRIME: (_XX, _YY),
+    HamiltonianKind.H_ODD_PRIME: (_YY, _XX),
+    HamiltonianKind.H_E_DOUBLE_PRIME: (_YY, _XX),
+    HamiltonianKind.H_E_PRIME: (_ZZ, _YY),
+    HamiltonianKind.H_XY_1D: (_XX + _YY, _XX + _YY),
+    HamiltonianKind.H_HEIS: (_XX + _YY + _ZZ, _XX + _YY + _ZZ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +226,9 @@ def _qf_sublattice(lat: Lattice, j: float, phi: float, parity: int) -> PauliSum:
 
 # Unit-cell bond tables. Offsets are relative to the cell anchor
 # (2i - 1, 2j - 1); each entry is (letter, site_a_offset, site_b_offset).
-H_I_CELL_BONDS: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...] = (
+CellBonds = tuple[tuple[str, tuple[int, int], tuple[int, int]], ...]
+
+H_I_CELL_BONDS: CellBonds = (
     ("X", (0, 0), (1, 0)),
     ("Y", (1, 0), (2, 0)),
     ("Y", (0, 1), (1, 1)),
@@ -219,13 +240,13 @@ H_I_CELL_BONDS: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...] = (
 )
 
 # The companion decomposition swaps the Pauli letter on every bond.
-H_II_CELL_BONDS: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...] = tuple(
+H_II_CELL_BONDS: CellBonds = tuple(
     ({"X": "Y", "Y": "X"}[letter], a, b) for letter, a, b in H_I_CELL_BONDS
 )
 
 # Native 2D cross-resonance cell: z-stars on the (odd, odd) and
 # (even, even) sites, x-stars on the mixed-parity sites.
-H_2D_ODD_CELL_BONDS: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...] = (
+H_2D_ODD_CELL_BONDS: CellBonds = (
     ("Z", (0, 0), (0, 1)),
     ("Z", (0, 0), (1, 0)),
     ("Z", (1, 1), (1, 2)),
@@ -235,6 +256,15 @@ H_2D_ODD_CELL_BONDS: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...] = 
     ("X", (1, 0), (1, 1)),
     ("X", (1, 0), (2, 0)),
 )
+
+# 2D tilings: kind -> (cell bonds, letter map applied to every bond).
+_TILINGS: dict[HamiltonianKind, tuple[CellBonds, dict[str, str] | None]] = {
+    HamiltonianKind.H_2D_ODD: (H_2D_ODD_CELL_BONDS, None),
+    HamiltonianKind.H_2D_EVEN: (H_2D_ODD_CELL_BONDS, {"Z": "X", "X": "Z"}),
+    HamiltonianKind.H_I: (H_I_CELL_BONDS, None),
+    HamiltonianKind.H_II: (H_II_CELL_BONDS, None),
+    HamiltonianKind.H_XY_2D: (H_I_CELL_BONDS + H_II_CELL_BONDS, None),
+}
 
 
 def _cell_anchor_range(lat: Lattice) -> tuple[range, range]:
@@ -248,7 +278,7 @@ def cell_terms(
     lat: Lattice,
     i: int,
     j: int,
-    bonds: Sequence[tuple[str, tuple[int, int], tuple[int, int]]],
+    bonds: CellBonds,
     coupling: float,
     letter_map: dict[str, str] | None = None,
 ) -> list[PauliTerm]:
@@ -274,7 +304,7 @@ def cell_terms(
 
 def _tile_2d(
     lat: Lattice,
-    bonds: Sequence[tuple[str, tuple[int, int], tuple[int, int]]],
+    bonds: CellBonds,
     j: float,
     letter_map: dict[str, str] | None = None,
 ) -> PauliSum:
@@ -322,52 +352,19 @@ def build_canonical(
 ) -> PauliSum:
     """Construct a time-independent family member on the given lattice.
 
-    ``phi`` enters only the drive-phase-sensitive forms (the control
-    chain and the single-sublattice cross-resonance chains); everything
-    else fixes phi = 0.
+    The kind is looked up in the three kind tables: phase-sensitive
+    chains, phase-free chain bond families and 2D tilings. ``phi``
+    enters only the drive-phase-sensitive forms (the control chain and
+    the single-sublattice cross-resonance chains); everything else fixes
+    phi = 0.
     """
-    K = HamiltonianKind
-    b = _chain_bond_family
-    if kind in (K.CONTROL, K.QF_EFFECTIVE):
-        return _control_chain(lat, j, phi)
-    if kind is K.QF_EFFECTIVE_ODD:
-        return _qf_sublattice(lat, j, phi, parity=1)
-    if kind is K.QF_EFFECTIVE_EVEN:
-        return _qf_sublattice(lat, j, phi, parity=0)
-    zz = [("Z", "Z", 1.0)]
-    xx = [("X", "X", 1.0)]
-    yy = [("Y", "Y", 1.0)]
-    none: list[tuple[str, str, float]] = []
-    if kind is K.H1:
-        return b(lat, zz, none, j)
-    if kind is K.H2:
-        return b(lat, none, zz, j)
-    if kind is K.H_ZZ:
-        return b(lat, zz, zz, j)
-    if kind in (K.H_EVEN, K.H_E):
-        return b(lat, xx, zz, j)
-    if kind is K.H_ODD:
-        return b(lat, zz, xx, j)
-    if kind is K.H_EVEN_PRIME:
-        return b(lat, xx, yy, j)
-    if kind in (K.H_ODD_PRIME, K.H_E_DOUBLE_PRIME):
-        return b(lat, yy, xx, j)
-    if kind is K.H_E_PRIME:
-        return b(lat, zz, yy, j)
-    if kind is K.H_XY_1D:
-        return b(lat, xx + yy, xx + yy, j)
-    if kind is K.H_HEIS:
-        return b(lat, xx + yy + zz, xx + yy + zz, j)
-    if kind is K.H_2D_ODD:
-        return _tile_2d(lat, H_2D_ODD_CELL_BONDS, j)
-    if kind is K.H_2D_EVEN:
-        return _tile_2d(lat, H_2D_ODD_CELL_BONDS, j, letter_map={"Z": "X", "X": "Z"})
-    if kind is K.H_I:
-        return _tile_2d(lat, H_I_CELL_BONDS, j)
-    if kind is K.H_II:
-        return _tile_2d(lat, H_II_CELL_BONDS, j)
-    if kind is K.H_XY_2D:
-        return _tile_2d(lat, H_I_CELL_BONDS, j) + _tile_2d(lat, H_II_CELL_BONDS, j)
+    if kind in _PHASE_CHAINS:
+        return _phase_chain(kind, lat, j, phi)
+    if kind in _CHAIN_BONDS:
+        return _chain_bond_family(lat, *_CHAIN_BONDS[kind], j)
+    if kind in _TILINGS:
+        bonds, letter_map = _TILINGS[kind]
+        return _tile_2d(lat, bonds, j, letter_map)
     raise ValueError(f"{kind} is not a time-independent family member")
 
 

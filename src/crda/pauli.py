@@ -554,14 +554,11 @@ def spectral_norm(
     return float(np.sqrt(lam)) if gram else lam
 
 
-def expm_hermitian(
-    h: PauliSum, t: float, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> np.ndarray:
+def expm_hermitian(h: PauliSum, t: float) -> np.ndarray:
     """Unitary exp(-i h t) by dense eigendecomposition of a Hermitian sum."""
     if not h.is_hermitian():
         raise ValueError("expm_hermitian requires a Hermitian operator")
-    _check_dense(h.n, dense_limit, "expm_hermitian")
-    return _expm_eigh(h.to_dense(dense_limit), t)
+    return _expm_eigh(h.to_dense(), t)
 
 
 def _expm_eigh(m: np.ndarray, t: float) -> np.ndarray:

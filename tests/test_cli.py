@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from crda.cli import main
+from crda.hamiltonians import HamiltonianKind
 
 
 def run_cli(args, capsys):
@@ -50,6 +52,23 @@ class TestHamiltonianCommand:
         assert lines[0].startswith("# config:")
         assert lines[1] == "pattern,re,im"
         assert len(lines) == 4
+
+    def test_kind_sets(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["hamiltonian", "--help"])
+        offered = re.search(r"--kind \{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert set(offered.split(",")) == {k.value for k in HamiltonianKind} | {"qf_device"}
+        device = {"lab", "qf_device", "org", "org_xy", "org_zz", "delta", "delta_xy", "delta_zz"}
+        for kind in offered.split(","):
+            code, _, errtext = run_cli(["hamiltonian", "--kind", kind], capsys)
+            assert code == 2
+            message = json.loads(errtext)["error"]["message"]
+            assert ("device-based kinds need" in message) == (kind in device), kind
+        for kind in ("h_2d_odd", "h_2d_even", "h_i", "h_ii", "h_xy_2d"):
+            code, out, _ = run_cli(["hamiltonian", "--kind", kind, "--nx", "2"], capsys)
+            assert code == 0
+            lattice = json.loads(out)["config"]["lattice"]
+            assert lattice == {"nx": 2, "ny": 2, "boundary": "periodic"}, kind
 
 
 class TestErrorsCommand:
@@ -307,6 +326,20 @@ class TestFailureModes:
         error = json.loads(errtext)["error"]
         assert error["type"] == "usage"
         assert "--threads" in error["message"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "0"],
+            ["hamiltonian", "--kind", "h_i", "--nx", "4", "--ny", "0"],
+            ["hamiltonian", "--kind", "h_zz", "--n", "4", "--ny", "2"],
+        ],
+    )
+    def test_zero_or_stray_extent_rejected(self, capsys, args):
+        code, out, errtext = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(errtext)["error"]["type"] == "usage"
 
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(

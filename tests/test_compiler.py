@@ -94,6 +94,7 @@ class TestBlockStructure:
             (ModelKind.ISING_1D, (K.H1, K.H2)),
             (ModelKind.XY_1D, (K.H_EVEN_PRIME, K.H_ODD_PRIME)),
             (ModelKind.HEISENBERG_1D, (K.H_E_DOUBLE_PRIME, K.H_E_PRIME, K.H_E)),
+            (ModelKind.XY_2D, (K.H_II, K.H_I)),
         ):
             m = model(kind, n=6, tau=0.1)
             s = compile_model(m)
