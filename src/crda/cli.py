@@ -206,6 +206,13 @@ def _lattice_from_args(args, cfg=None, default_boundary_1d="open", default_bound
     return Lattice.chain(int(n), boundary=boundary or default_boundary_1d)
 
 
+def _reject_lattice_flags(args, what: str) -> None:
+    """Refuse lattice flags that ``what`` would ignore yet echo in its config."""
+    given = [f"--{k}" for k in ("nx", "ny", "boundary") if getattr(args, k) is not None]
+    if given:
+        raise ValueError(f"{what} takes no {'/'.join(given)}; use --n")
+
+
 def _uniform_device(
     args, n: int | None, g_fb=1.0, delta_fb=10.0, omega_fb=0.0
 ) -> DeviceParams:
@@ -307,6 +314,7 @@ def _cmd_hamiltonian(args) -> None:
         h = build_canonical(HamiltonianKind(kind), lat, j=args.j, phi=args.phi)
         resolved["lattice"] = {"nx": lat.nx, "ny": lat.ny, "boundary": lat.boundary}
     else:
+        _reject_lattice_flags(args, f"device kind {kind}")
         if args.n is None and not args.params:
             raise ValueError("device-based kinds need --n or --params")
         p = _uniform_device(args, args.n)
@@ -435,6 +443,7 @@ def _cmd_errors(args) -> None:
     which = args.which
     resolved: dict = {}
     if which in ("synthesis", "dyson"):
+        _reject_lattice_flags(args, f"errors --which {which}")
         p = _uniform_device(args, args.n)
         resolved["device"] = _device_echo(p)
         if which == "synthesis":
@@ -451,6 +460,7 @@ def _cmd_errors(args) -> None:
         if args.model.startswith("xy2d"):
             lat = _lattice_from_args(args, default_boundary_2d="periodic")
         else:
+            _reject_lattice_flags(args, f"trotter model {args.model}")
             lat = Lattice.chain(args.n if args.n is not None else 4)
         reports = [
             err.trotter_commutator(args.model, lat, j=args.j, seed=args.seed)

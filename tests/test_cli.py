@@ -237,16 +237,34 @@ class TestFilesAndDeterminism:
         ids=["heisenberg-n10", "xy2d-4x4"],
     )
     def test_simulate_stdout_independent_of_blas_threads(self, cmd):
-        outs = []
-        for threads in ("1", "2"):
-            ret = subprocess.run(
-                [sys.executable, "-m", "crda.cli", "simulate", *cmd],
-                capture_output=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-            )
-            assert ret.returncode == 0, ret.stderr
-            outs.append(ret.stdout)
+        outs = _stdout_per_blas_threads(["simulate", *cmd])
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            ["--which", "unitcell"],
+            ["--which", "trotter", "--model", "heis_digital", "--n", "10"],
+        ],
+        ids=["unitcell", "heis_digital-n10"],
+    )
+    def test_norm_stdout_independent_of_blas_threads(self, cmd):
+        outs = _stdout_per_blas_threads(["errors", *cmd])
+        assert outs[0] == outs[1]
+
+
+def _stdout_per_blas_threads(argv):
+    """Stdout of one CLI run under one and under two OpenBLAS threads."""
+    outs = []
+    for threads in ("1", "2"):
+        ret = subprocess.run(
+            [sys.executable, "-m", "crda.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert ret.returncode == 0, ret.stderr
+        outs.append(ret.stdout)
+    return outs
 
 
 class TestParamsFile:
@@ -340,6 +358,24 @@ class TestFailureModes:
         assert code == 2
         assert out == ""
         assert json.loads(errtext)["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["errors", "--which", "trotter", "--model", "heis_digital", "--nx", "6", "--ny", "2"],
+            ["errors", "--which", "trotter", "--model", "heis_da", "--n", "4", "--boundary", "open"],
+            ["hamiltonian", "--kind", "lab", "--n", "3", "--nx", "4", "--boundary", "periodic"],
+            ["errors", "--which", "dyson", "--n", "2", "--ny", "2"],
+        ],
+        ids=["heis_digital-nx", "heis_da-boundary", "lab-nx", "dyson-ny"],
+    )
+    def test_lattice_flags_rejected_on_chain_and_device_commands(self, capsys, args):
+        code, out, errtext = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "usage"
+        assert "--n" in error["message"]
 
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(

@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crda.pauli as pauli
 from conftest import dense_oracle, kron_pattern, random_pauli_sum
+from crda.device import Lattice
+from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
 from crda.pauli import (
     ConvergenceError,
     DenseLimitError,
@@ -213,6 +216,65 @@ class TestSpectralNorm:
 
     def test_zero_operator(self):
         assert spectral_norm(PauliSum.zero(3)) == 0.0
+
+
+def _heis_layer(n: int, first: int) -> PauliSum:
+    """Heisenberg bonds (k, k+1) for k = first, first + 2, ... (0-based)."""
+    return PauliSum.from_terms(
+        [PauliTerm.from_sites(n, {k: p, k + 1: p}) for k in range(first, n - 1, 2) for p in "XYZ"]
+    )
+
+
+def _split_commutator(model: str, size) -> PauliSum:
+    if model == "heis_digital":
+        return commutator(_heis_layer(size, 0), _heis_layer(size, 1))
+    if model == "heis_da":
+        return heisenberg_da_commutator_sum(size, 1.0)
+    return commutator(*xy2d_digital_hamiltonians(Lattice.square(*size), 1.0))
+
+
+class TestNormPath:
+    """Default ``spectral_norm``: dense up to 7 qubits, ARPACK above."""
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_matrix_free_above_seven_qubits(self, n, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("dense path taken")
+
+        monkeypatch.setattr(PauliSum, "to_dense", refuse)
+        assert spectral_norm(_split_commutator("heis_digital", n)) > 0.0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dense_up_to_seven_qubits(self, n, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Krylov path taken")
+
+        monkeypatch.setattr(pauli, "_krylov_extreme", refuse)
+        dense_calls = []
+        to_dense = PauliSum.to_dense
+
+        def counted(self, *args):
+            dense_calls.append(self.n)
+            return to_dense(self, *args)
+
+        monkeypatch.setattr(PauliSum, "to_dense", counted)
+        h = random_pauli_sum(rng, n, real=True)
+        assert spectral_norm(h) > 0.0
+        assert dense_calls == [n]
+
+    @pytest.mark.parametrize(
+        "model, size",
+        [
+            *[(m, n) for m in ("heis_digital", "heis_da") for n in range(7, 11)],
+            ("xy2d_digital", (2, 4)),
+            ("xy2d_digital", (3, 3)),
+            ("xy2d_digital", (2, 5)),
+        ],
+    )
+    def test_default_path_matches_dense_oracle(self, model, size):
+        c = _split_commutator(model, size)
+        ref = np.max(np.abs(np.linalg.eigvalsh(1j * dense_oracle(c))))
+        assert spectral_norm(c) == pytest.approx(ref, rel=1e-12)
 
 
 class TestMemoryGuard:
