@@ -206,11 +206,17 @@ def _lattice_from_args(args, cfg=None, default_boundary_1d="open", default_bound
     return Lattice.chain(int(n), boundary=boundary or default_boundary_1d)
 
 
-def _reject_lattice_flags(args, what: str) -> None:
-    """Refuse lattice flags that ``what`` would ignore yet echo in its config."""
-    given = [f"--{k}" for k in ("nx", "ny", "boundary") if getattr(args, k) is not None]
+_SIZE_FLAGS = ("n", "nx", "ny", "boundary")
+
+
+def _reject_lattice_flags(
+    args, what: str, flags: tuple[str, ...] = ("nx", "ny", "boundary"), use: str | None = "--n"
+) -> None:
+    """Refuse the size ``flags`` that ``what`` would ignore yet echo in its config."""
+    given = [f"--{k}" for k in flags if getattr(args, k) is not None]
     if given:
-        raise ValueError(f"{what} takes no {'/'.join(given)}; use --n")
+        hint = f"; use {use}" if use else ""
+        raise ValueError(f"{what} takes no {'/'.join(given)}{hint}")
 
 
 def _uniform_device(
@@ -466,10 +472,12 @@ def _cmd_errors(args) -> None:
             err.trotter_commutator(args.model, lat, j=args.j, seed=args.seed)
         ]
     elif which == "unitcell":
+        _reject_lattice_flags(args, "errors --which unitcell", _SIZE_FLAGS, use=None)
         reports = [err.unit_cell_report(j=args.j, seed=args.seed)]
     elif which == "bounds":
         if not args.model or args.size is None:
             raise ValueError("--model and --size required for bound tables")
+        _reject_lattice_flags(args, "errors --which bounds", _SIZE_FLAGS, use="--size")
         g = args.g if args.g is not None else 1.0
         reports = [err.bound_table(args.model, args.size, j=args.j, g=g)]
     else:  # pragma: no cover - argparse restricts choices

@@ -87,7 +87,8 @@ class _Protocol(NamedTuple):
     ``segments`` are ``(entry layers, analog kind, drive)`` triples in
     application order; a segment's exit layers are the inverses of its
     entry layers, in reverse order. ``original`` is the closed-form
-    original chain that realistic mode substitutes, if the model has one.
+    time-dependent chain that realistic mode runs in every segment, if the
+    model has one.
     """
 
     target: HamiltonianKind
@@ -106,7 +107,7 @@ _PROTOCOLS: dict[ModelKind, _Protocol] = {
         ((_H_ALL,), _K.QF_EFFECTIVE_ODD, "odd"),
         ((_H_ALL,), _K.QF_EFFECTIVE_EVEN, "even"),
     )),
-    ModelKind.XY_1D: _Protocol(target=_K.H_XY_1D, dim=1, original=_K.ORG_XY, segments=(
+    ModelKind.XY_1D: _Protocol(target=_K.H_XY_1D, dim=1, original=_K.ORG, segments=(
         ((_RX90_ALL, _H_EVEN), _K.CONTROL, "all"),
         ((_RX90_ALL, GateLayer(GateLayerKind.HADAMARD, "odd")), _K.CONTROL, "all"),
     )),
@@ -215,10 +216,10 @@ def compile_model(
     """Compile a target model into its digital-analog block schedule.
 
     The block is the model's ``_PROTOCOLS`` row, one framed segment after
-    another. With ``realistic=True`` the analog segments carry the
-    time-dependent original chain of the matching frame instead of the
-    effective one, exposing synthesis error end to end (supported for the
-    1D Ising and XY protocols, which have closed-form originals);
+    another. With ``realistic=True`` every analog segment carries the
+    protocol's time-dependent original chain instead of its effective one,
+    inside the same frames, exposing synthesis error end to end (supported
+    for the 1D Ising and XY protocols, which have closed-form originals);
     ``device`` must then supply the uniform drive parameters.
     """
     protocol = _PROTOCOLS[m.kind]
@@ -366,27 +367,25 @@ class SimulationTrace:
 
 
 # 2^n vectors a simulation holds besides its generators and observable
-# plans: the state and the expm_multiply workspace (Taylor term, partial
+# matrices: the state and the expm_multiply workspace (Taylor term, partial
 # sum, matvec output and temporaries).
 _SIMULATE_VECTORS = 8
-# 2^n vectors per distinct X mask of a segment: the CSR generator (data and
-# column index), its shifted copy inside expm_multiply, and the COO arrays
-# to_sparse builds it from.
-_GENERATOR_VECTORS_PER_MASK = 6
 
 
 def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
-    """Refuse, before allocating, a simulation whose vectors exceed memory."""
+    """Refuse, before allocating, a simulation whose arrays exceed memory."""
     generators: list[tuple[float, PauliSum]] = []  # as _segment_memo keys them
     for s in schedule.segments():
         if isinstance(s.analog, PauliSum) and (s.duration, s.analog) not in generators:
             generators.append((s.duration, s.analog))
-    vectors = (
-        _SIMULATE_VECTORS
-        + _GENERATOR_VECTORS_PER_MASK * sum(h._num_x_masks() for _, h in generators)
-        + sum(obs._num_x_masks() for obs in observables)
+    matrices = [h._matrix_bytes() for _, h in generators]
+    need = (
+        _SIMULATE_VECTORS * (16 << schedule.n)
+        + sum(matrices)
+        + 2 * max(matrices, default=0)  # expm_multiply's shifted and scaled copies
+        + sum(obs._matrix_bytes() for obs in observables)
     )
-    _check_memory(schedule.n, vectors, "simulate")
+    _check_memory(need, "simulate")
 
 
 def simulate(
@@ -400,15 +399,15 @@ def simulate(
     """Evolve a state through the schedule, recording one row per block.
 
     Every static (``PauliSum``) segment acts on the state, at every size,
-    by ``scipy.sparse.linalg.expm_multiply`` on its sparse generator
-    -i tau H: the scaled truncated-Taylor action of the exponential (Al-Mohy
-    & Higham, SIAM J. Sci. Comput. 33, 2011). Gate layers act matrix-free.
-    A time-dependent segment becomes a dense unitary from
-    :func:`~crda.frames.propagate_unitary` (to ``tol``); ``dense_limit``
-    bounds only those. Each operator is built once per distinct
-    ``(duration, analog)`` and shared by the segments equal to it. Raises
-    :class:`~crda.pauli.DenseLimitError` before allocating when the state,
-    the generators and the workspace would not fit in physical memory.
+    by ``scipy.sparse.linalg.expm_multiply`` on its generator -i tau H, the
+    sum's CSR matrix scaled in place: the scaled truncated-Taylor action of
+    the exponential (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011). Gate
+    layers act matrix-free. A time-dependent segment becomes a dense
+    unitary from :func:`~crda.frames.propagate_unitary` (to ``tol``);
+    ``dense_limit`` bounds only those. Each operator is built once per
+    distinct ``(duration, analog)`` and shared by the segments equal to it.
+    Raises :class:`~crda.pauli.DenseLimitError` before allocating when the
+    state, generators and workspace would not fit in physical memory.
     """
     n = schedule.n
     _check_simulation_memory(schedule, observables)
@@ -421,7 +420,9 @@ def simulate(
 
     def segment_applier(s: AnalogSegment) -> Callable[[np.ndarray], np.ndarray]:
         if isinstance(s.analog, PauliSum):
-            gen = (-1j * s.duration) * s.analog.to_sparse()
+            gen = s.analog.to_sparse()
+            gen.data *= -1j * s.duration
+            gen.sort_indices()  # canonical: expm_multiply's copies then skip a sort per call
             return lambda psi: scipy.sparse.linalg.expm_multiply(gen, psi)
         u, _ = propagate_unitary(s.analog, s.duration, tol=tol, dense_limit=dense_limit)
         return lambda psi: u @ psi

@@ -1,4 +1,4 @@
-"""N-qubit Pauli-string operator algebra with dense and matrix-free backends.
+"""N-qubit Pauli-string operator algebra with dense and sparse backends.
 
 Operators are complex-weighted sums of Pauli strings (tensor products of
 I, X, Y, Z). Strings are stored in the symplectic encoding: a pair of
@@ -52,7 +52,7 @@ __all__ = [
 # Coefficients below this magnitude are numerical noise at double precision.
 PRUNE_TOL = 1e-14
 
-# 2^12 dense eigensolves stay seconds-scale; larger sizes must go matrix-free.
+# 2^12 dense eigensolves stay seconds-scale; larger sizes must go sparse.
 DEFAULT_DENSE_LIMIT = 12
 
 # Largest size whose spectral norm is solved dense. Per Heisenberg commutator
@@ -66,7 +66,7 @@ _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
-# 2^n vectors the Krylov norm holds besides the apply plan: ARPACK's basis
+# 2^n vectors the Krylov norm holds besides the matrix: ARPACK's basis
 # (ncv = 20), work array (3), residual, start vector, matvec output, scratch.
 _KRYLOV_VECTORS = 27
 
@@ -76,7 +76,7 @@ class ConvergenceError(RuntimeError):
 
 
 class DenseLimitError(ValueError):
-    """A dense operation exceeds the qubit limit, or a matrix-free one memory."""
+    """A dense operation exceeds the qubit limit, or a sparse one memory."""
 
 
 def _check_dense(n: int, dense_limit: int, what: str) -> None:
@@ -87,15 +87,19 @@ def _check_dense(n: int, dense_limit: int, what: str) -> None:
         )
 
 
-def _check_memory(n: int, vectors: int, what: str) -> None:
-    """Refuse, before allocating, to hold ``vectors`` complex 2^n vectors."""
-    need = vectors * (16 << n)
+def _check_memory(need: int, what: str) -> None:
+    """Refuse, before allocating, to hold ``need`` bytes."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise DenseLimitError(
-            f"{what} needs about {need / 2**30:.3g} GiB ({vectors} vectors of "
-            f"2^{n} amplitudes); physical memory is {have / 2**30:.3g} GiB"
+            f"{what} needs about {need / 2**30:.3g} GiB; "
+            f"physical memory is {have / 2**30:.3g} GiB"
         )
+
+
+def _index_dtype(entries: int) -> type:
+    """CSR index type: int32 while every index and row offset fits it."""
+    return np.int32 if entries < 2**31 else np.int64
 
 
 def _product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -196,7 +200,7 @@ class PauliSum:
     magnitude below ``PRUNE_TOL``.
     """
 
-    __slots__ = ("n", "_terms", "_apply_plan")
+    __slots__ = ("n", "_terms", "_matrix")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, int], complex] | None = None):
         if n < 1:
@@ -211,7 +215,7 @@ class PauliSum:
                 if abs(c) > PRUNE_TOL:
                     clean[key] = c
         self._terms = clean
-        self._apply_plan: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._matrix: scipy.sparse.csr_matrix | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -350,71 +354,64 @@ class PauliSum:
         _check_dense(self.n, dense_limit, "to_dense")
         return self.to_sparse().toarray()
 
-    def _phase_groups(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``(x, phase)`` per distinct X mask, in sorted order.
+    def to_sparse(self) -> scipy.sparse.csr_matrix:
+        """A new CSR matrix of the sum, which the caller may scale in place."""
+        return self._build_csr()
 
-        String ``(x, z)`` sends basis state ``i`` to ``i ^ x`` with weight
-        ``c * i^|x&z| * (-1)^|i&z|``; ``phase[i]`` sums the strings sharing x.
+    def _phase_groups(self, idx: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """``(x, w)`` per distinct X mask, sorted: ``w[k] = <i|h|i ^ x>`` at ``i = idx[k]``.
+
+        String ``(x, z)`` sends basis state ``j`` to ``j ^ x`` with weight
+        ``c * i^|x&z| * (-1)^|j&z|``; at ``j = i ^ x`` that is ``c *
+        (-i)^|x&z| * (-1)^|i&z|``. ``w`` sums the strings sharing x.
         """
-        idx = np.arange(1 << self.n, dtype=np.int64)
         for x, group in itertools.groupby(self._terms.items(), key=lambda kv: kv[0][0]):
             yield x, sum(
-                c * _I_POW[(x & z).bit_count() % 4] * _parity_signs(idx, z)
+                c * _I_POW[-(x & z).bit_count() % 4] * _parity_signs(idx, z)
                 for (_, z), c in group
             )
-
-    def to_sparse(self) -> scipy.sparse.csr_matrix:
-        """CSR matrix; each distinct X mask contributes one permutation diagonal."""
-        dim = 1 << self.n
-        idx = np.arange(dim, dtype=np.int64)
-        rows, cols, data = [], [], []
-        for x, phase in self._phase_groups():
-            rows.append(idx ^ x)
-            cols.append(idx)
-            data.append(phase)
-        if not rows:
-            return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-        return scipy.sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
 
     def _num_x_masks(self) -> int:
         return len({x for x, _ in self._terms})
 
-    def _plan(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """Cached apply plan: ``(flip axes, phase)`` per distinct X mask.
+    def _matrix_bytes(self) -> int:
+        """Bytes of the CSR matrix: per row and X mask, 16 B of weight and an index."""
+        entries = self._num_x_masks() << self.n
+        return entries * (16 + np.dtype(_index_dtype(entries)).itemsize)
 
-        On the ``(2,)*n`` state tensor (axis ``n-1-k`` is site ``k``) a
-        group's X part flips the axes of its set bits. As ``out[j] =
-        phase[j ^ x] * state[j ^ x]``, the phase is stored flipped once here.
-        Raises :class:`DenseLimitError` before allocating when the plan and a
-        matvec's input, output and scratch exceed physical memory.
+    def _build_csr(self) -> scipy.sparse.csr_matrix:
+        """CSR matrix, built straight from :meth:`_phase_groups`.
+
+        Row ``i`` holds one entry per distinct X mask ``x``, in sorted mask
+        order: column ``i ^ x``, weight ``w[i]``. A row-major ``(2^n, masks)``
+        array is the CSR data, filled one mask column at a time. Raises
+        :class:`DenseLimitError` before allocating when the matrix and the
+        build's scratch vectors exceed physical memory.
         """
-        if self._apply_plan is None:
-            n = self.n
-            _check_memory(n, self._num_x_masks() + 3, "apply plan")
-            plan = []
-            for x, phase in self._phase_groups():
-                axes = tuple(n - 1 - k for k in range(n) if (x >> k) & 1)
-                plan.append((axes, np.flip(phase.reshape((2,) * n), axes).copy()))
-            self._apply_plan = plan
-        return self._apply_plan
+        n, dim, masks = self.n, 1 << self.n, self._num_x_masks()
+        _check_memory(self._matrix_bytes() + 4 * (16 << n), "sparse matrix")
+        itype = _index_dtype(masks << n)
+        idx = np.arange(dim, dtype=itype)
+        data = np.empty((dim, masks), dtype=complex)
+        indices = np.empty((dim, masks), dtype=itype)
+        for k, (x, w) in enumerate(self._phase_groups(idx)):
+            data[:, k] = w
+            np.bitwise_xor(idx, x, out=indices[:, k])
+        indptr = masks * np.arange(dim + 1, dtype=itype)
+        return scipy.sparse.csr_matrix(
+            (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
+        )
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Matrix-free matvec, one multiply and one state flip per X mask."""
+        """Matvec by the sum's CSR matrix, built at the first call and kept."""
         state = np.asarray(state, dtype=complex)
         if state.shape != (1 << self.n,):
             raise ValueError(
                 f"state has {state.shape} amplitudes; expected {(1 << self.n,)}"
             )
-        psi = state.reshape((2,) * self.n)
-        out = np.zeros_like(psi)
-        tmp = np.empty_like(psi)
-        for axes, phase in self._plan():
-            np.multiply(phase, np.flip(psi, axes), out=tmp)
-            out += tmp
-        return out.reshape(-1)
+        if self._matrix is None:
+            self._matrix = self._build_csr()
+        return self._matrix @ state
 
     def expectation(self, state: np.ndarray) -> complex:
         """<state|h|state>, summed by numpy rather than a BLAS dot product.
@@ -456,13 +453,7 @@ class PauliSum:
 
 def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:
     """(-1)^popcount(idx & z) for every basis index, as a float array."""
-    parity = np.zeros(idx.shape, dtype=np.int64)
-    zz = z
-    while zz:
-        b = (zz & -zz).bit_length() - 1
-        parity ^= (idx >> b) & 1
-        zz &= zz - 1
-    return 1.0 - 2.0 * parity
+    return 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +492,7 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
 
 def _krylov_extreme(h: PauliSum, gram: bool, tol: float, max_iter: int, seed: int) -> float:
     """Largest |eigenvalue| of Hermitian ``h`` (of ``h†h`` if ``gram``) by ARPACK."""
-    _check_memory(h.n, (1 + gram) * h._num_x_masks() + _KRYLOV_VECTORS, "Krylov norm")
+    _check_memory((1 + gram) * h._matrix_bytes() + _KRYLOV_VECTORS * (16 << h.n), "Krylov norm")
     hd = h.dagger() if gram else None
     dim = 1 << h.n
     matvecs = 0
@@ -541,11 +532,11 @@ def spectral_norm(
     of Hermitian sums), else ``h†h``. ``dense_limit`` is the largest size
     solved dense: up to it (and at one qubit, too small for ARPACK) the
     dense matrix goes to ``eigvalsh``. Above it, ARPACK ``eigsh`` (Lehoucq,
-    Sorensen & Yang, 1998) runs matrix-free from a seeded start vector on
-    ``PauliSum.apply``. ``max_iter`` budgets proxy
-    matvecs: overrunning it, or ARPACK not converging, raises
+    Sorensen & Yang, 1998) runs from a seeded start vector on
+    ``PauliSum.apply``, the sum's cached CSR matrix. ``max_iter`` budgets
+    proxy matvecs: overrunning it, or ARPACK not converging, raises
     :class:`ConvergenceError` (CLI exit 4). :class:`DenseLimitError` (CLI
-    exit 3) is raised before allocating when the apply plan and the ARPACK
+    exit 3) is raised before allocating when the matrix and the ARPACK
     workspace would not fit in physical memory.
     """
     if h.is_zero():

@@ -366,8 +366,12 @@ class TestFailureModes:
             ["errors", "--which", "trotter", "--model", "heis_da", "--n", "4", "--boundary", "open"],
             ["hamiltonian", "--kind", "lab", "--n", "3", "--nx", "4", "--boundary", "periodic"],
             ["errors", "--which", "dyson", "--n", "2", "--ny", "2"],
+            ["errors", "--which", "unitcell", "--n", "5", "--nx", "3"],
+            ["errors", "--which", "bounds", "--model", "heis_da", "--size", "4", "--nx", "3",
+             "--n", "9"],
         ],
-        ids=["heis_digital-nx", "heis_da-boundary", "lab-nx", "dyson-ny"],
+        ids=["heis_digital-nx", "heis_da-boundary", "lab-nx", "dyson-ny", "unitcell-n-nx",
+             "bounds-n-nx"],
     )
     def test_lattice_flags_rejected_on_chain_and_device_commands(self, capsys, args):
         code, out, errtext = run_cli(args, capsys)

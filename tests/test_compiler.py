@@ -266,6 +266,18 @@ class TestRealisticMode:
         u = block_unitary(s, tol=1e-9)
         assert unitarity_defect(u) <= 1e-8
 
+    def test_xy_block_close_to_ideal_block(self):
+        # Each XY segment drives the control chain, so realistic mode runs
+        # the control chain's original inside the frames. At g/Omega = 0.05
+        # and the matching j = -g Omega / (4 delta) the block lands about
+        # 0.03 from the ideal one; wrapping an already toggled original in
+        # the frames again puts it about 1.8 away.
+        n, delta, omega, g = 3, 40.0, 8.0, 0.4
+        p = DeviceParams.uniform_chain(n, g=g, delta=delta, Omega=omega)
+        m = model(ModelKind.XY_1D, n=n, j=-g * omega / (4 * delta), tau=20.0)
+        u = block_unitary(compile_model(m, realistic=True, device=p))
+        assert phase_insensitive_distance(u, block_unitary(compile_model(m))) < 0.05
+
     def test_unsupported_model_rejected(self):
         p = DeviceParams.uniform_chain(4, g=1.0, delta=10.0, Omega=0.4)
         with pytest.raises(ValueError):

@@ -285,11 +285,33 @@ class TestMemoryGuard:
             with pytest.raises(DenseLimitError, match="GiB"):
                 spectral_norm(h)
             with pytest.raises(DenseLimitError, match="GiB"):
-                h._plan()
+                h._build_csr()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestCachedMatrix:
+    def test_matrix_built_once_per_sum(self, rng, monkeypatch):
+        builds = []
+        phase_groups = PauliSum._phase_groups
+
+        def counted(self, idx):
+            builds.append(self.n)
+            return phase_groups(self, idx)
+
+        monkeypatch.setattr(PauliSum, "_phase_groups", counted)
+        n = 9
+        h = _heis_layer(n, 0) + _heis_layer(n, 1)
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        first = h.apply(psi)
+        for _ in range(3):
+            assert np.array_equal(h.apply(psi), first)
+            h.expectation(psi)
+        assert spectral_norm(h) > 0.0
+        assert builds == [n]
+        assert np.allclose(first, dense_oracle(h) @ psi, rtol=0.0, atol=1e-12)
 
 
 class TestExpm:

@@ -1,7 +1,7 @@
 """Property tests of the numerical backends against the dense oracle.
 
 Generated sums draw their X masks from a small pool, so several strings
-share one X mask (one group of the apply plan); the pool always offers
+share one X mask (one entry per row of the CSR matrix); the pool always offers
 ``x = 0``, and an identity term is optional.
 """
 
