@@ -207,12 +207,14 @@ def _lattice_from_args(args, cfg=None, default_boundary_1d="open", default_bound
 
 
 _SIZE_FLAGS = ("n", "nx", "ny", "boundary")
+# bounds' table size, and the time sweep, drive and device file of synthesis/dyson
+_DEVICE_MODE_FLAGS = ("size", "sweep", "g", "delta", "omega", "params")
 
 
-def _reject_lattice_flags(
+def _reject_flags(
     args, what: str, flags: tuple[str, ...] = ("nx", "ny", "boundary"), use: str | None = "--n"
 ) -> None:
-    """Refuse the size ``flags`` that ``what`` would ignore yet echo in its config."""
+    """Refuse the ``flags`` that ``what`` would ignore yet echo in its config."""
     given = [f"--{k}" for k in flags if getattr(args, k) is not None]
     if given:
         hint = f"; use {use}" if use else ""
@@ -315,12 +317,13 @@ def _cmd_hamiltonian(args) -> None:
     kind = args.kind
     resolved: dict = {}
     if kind in _CANONICAL_KINDS:
+        _reject_flags(args, f"canonical kind {kind}", ("g", "delta", "omega"), use=None)
         default_2d = "periodic" if kind in _2D_KINDS else "open"
         lat = _lattice_from_args(args, _file_config(args), default_boundary_2d=default_2d)
         h = build_canonical(HamiltonianKind(kind), lat, j=args.j, phi=args.phi)
         resolved["lattice"] = {"nx": lat.nx, "ny": lat.ny, "boundary": lat.boundary}
     else:
-        _reject_lattice_flags(args, f"device kind {kind}")
+        _reject_flags(args, f"device kind {kind}")
         if args.n is None and not args.params:
             raise ValueError("device-based kinds need --n or --params")
         p = _uniform_device(args, args.n)
@@ -449,7 +452,9 @@ def _cmd_errors(args) -> None:
     which = args.which
     resolved: dict = {}
     if which in ("synthesis", "dyson"):
-        _reject_lattice_flags(args, f"errors --which {which}")
+        _reject_flags(args, f"errors --which {which}")
+        unread = ("size",) if which == "synthesis" else ("model", "size")
+        _reject_flags(args, f"errors --which {which}", unread, use=None)
         p = _uniform_device(args, args.n)
         resolved["device"] = _device_echo(p)
         if which == "synthesis":
@@ -458,26 +463,31 @@ def _cmd_errors(args) -> None:
         else:
             reports = _run_time_sweep(args, lambda t: err.dyson_propagator_diff(p, t))
     elif which == "table1":
+        _reject_flags(args, "errors --which table1", ("model", *_DEVICE_MODE_FLAGS), use=None)
         lat = _lattice_from_args(args, default_boundary_2d="periodic")
         reports = [err.table1_check(lat, j=args.j)]
     elif which == "trotter":
         if not args.model:
             raise ValueError("--model required for trotter commutators")
+        _reject_flags(args, "errors --which trotter", _DEVICE_MODE_FLAGS, use=None)
         if args.model.startswith("xy2d"):
             lat = _lattice_from_args(args, default_boundary_2d="periodic")
         else:
-            _reject_lattice_flags(args, f"trotter model {args.model}")
+            _reject_flags(args, f"trotter model {args.model}")
             lat = Lattice.chain(args.n if args.n is not None else 4)
         reports = [
             err.trotter_commutator(args.model, lat, j=args.j, seed=args.seed)
         ]
     elif which == "unitcell":
-        _reject_lattice_flags(args, "errors --which unitcell", _SIZE_FLAGS, use=None)
+        unread = (*_SIZE_FLAGS, "model", *_DEVICE_MODE_FLAGS)
+        _reject_flags(args, "errors --which unitcell", unread, use=None)
         reports = [err.unit_cell_report(j=args.j, seed=args.seed)]
     elif which == "bounds":
         if not args.model or args.size is None:
             raise ValueError("--model and --size required for bound tables")
-        _reject_lattice_flags(args, "errors --which bounds", _SIZE_FLAGS, use="--size")
+        _reject_flags(args, "errors --which bounds", _SIZE_FLAGS, use="--size")
+        unread = ("sweep", "delta", "omega", "params")
+        _reject_flags(args, "errors --which bounds", unread, use=None)
         g = args.g if args.g is not None else 1.0
         reports = [err.bound_table(args.model, args.size, j=args.j, g=g)]
     else:  # pragma: no cover - argparse restricts choices

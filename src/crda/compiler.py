@@ -22,13 +22,17 @@ the original chain realistic mode substitutes, and the framed segments:
 Blocks are emitted in application order (first list entry acts first on
 the state). Optional peephole fusion cancels adjacent inverse layers and
 merges equal layers on disjoint supports without changing the unitary.
+
+:func:`simulate` (on a state) and :func:`block_unitary` (on the identity)
+apply one step list: gate layers act matrix-free, equal segments share one
+operator, and only a static segment's operator differs (sparse or dense).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse.linalg
@@ -39,7 +43,6 @@ from .frames import (
     GateLayerKind,
     apply_layer,
     compose_kinds,
-    layer_unitary,
     phase_insensitive_distance,
     propagate_unitary,
 )
@@ -70,9 +73,6 @@ __all__ = [
     "target_hamiltonian",
     "fuse",
 ]
-
-T = TypeVar("T")
-
 
 class ModelKind(Enum):
     ISING_1D = "ising"
@@ -311,42 +311,49 @@ def fuse(schedule: Schedule) -> Schedule:
 # synthesis and simulation
 # ----------------------------------------------------------------------
 
+_Op = Callable[[np.ndarray], np.ndarray]
 
-def _segment_memo(make: Callable[[AnalogSegment], T]) -> Callable[[AnalogSegment], T]:
-    """``make`` called once per distinct ``(duration, analog)``; equal segments share it.
 
-    ``PauliSum`` is not hashable, so a short list is searched with ``==``.
+def _step_operators(
+    schedule: Schedule, static: Callable[[AnalogSegment], _Op], tol: float, dense_limit: int
+) -> list[_Op]:
+    """One operator per step, on arrays whose first axis is the 2^n basis index.
+
+    Gate layers act by :func:`~crda.frames.apply_layer`, a time-dependent
+    segment by its :func:`~crda.frames.propagate_unitary` matrix and a static
+    one by what ``static`` makes of it; equal ``(duration, analog)`` share one.
     """
-    made: list[tuple[tuple, T]] = []
-
-    def get(s: AnalogSegment) -> T:
-        key = (s.duration, s.analog)
-        for seen, value in made:
-            if seen == key:
-                return value
-        value = make(s)
-        made.append((key, value))
-        return value
-
-    return get
+    made: dict[tuple[float, PauliSum | TimeDependentHamiltonian], _Op] = {}
+    for s in schedule.segments():
+        if (s.duration, s.analog) in made:
+            continue
+        if isinstance(s.analog, PauliSum):
+            made[s.duration, s.analog] = static(s)
+        else:
+            u, _ = propagate_unitary(s.analog, s.duration, tol=tol, dense_limit=dense_limit)
+            made[s.duration, s.analog] = u.__matmul__
+    n = schedule.n
+    return [
+        (lambda psi, layer=step: apply_layer(layer, psi, n))
+        if isinstance(step, GateLayer)
+        else made[step.duration, step.analog]
+        for step in schedule.steps
+    ]
 
 
 def block_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
-    """Dense unitary of one block (steps composed in application order)."""
+    """Dense unitary of one block: :func:`simulate`'s step list applied to the identity.
+
+    A static segment's operator here is its dense ``expm_hermitian`` exponential.
+    """
     _check_dense(schedule.n, DEFAULT_DENSE_LIMIT, "block_unitary")
 
-    def segment_unitary(s: AnalogSegment) -> np.ndarray:
-        if isinstance(s.analog, PauliSum):
-            return expm_hermitian(s.analog, s.duration)
-        return propagate_unitary(s.analog, s.duration, tol=tol)[0]
+    def dense(s: AnalogSegment) -> _Op:
+        return expm_hermitian(s.analog, s.duration).__matmul__
 
-    segment = _segment_memo(segment_unitary)
     u = np.eye(1 << schedule.n, dtype=complex)
-    for step in schedule.steps:
-        if isinstance(step, GateLayer):
-            u = layer_unitary(step, schedule.n) @ u
-        else:
-            u = segment(step) @ u
+    for op in _step_operators(schedule, dense, tol, DEFAULT_DENSE_LIMIT):
+        u = op(u)
     return u
 
 
@@ -374,10 +381,9 @@ _SIMULATE_VECTORS = 8
 
 def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
     """Refuse, before allocating, a simulation whose arrays exceed memory."""
-    generators: list[tuple[float, PauliSum]] = []  # as _segment_memo keys them
-    for s in schedule.segments():
-        if isinstance(s.analog, PauliSum) and (s.duration, s.analog) not in generators:
-            generators.append((s.duration, s.analog))
+    generators = {
+        (s.duration, s.analog) for s in schedule.segments() if isinstance(s.analog, PauliSum)
+    }
     matrices = [h._matrix_bytes() for _, h in generators]
     need = (
         _SIMULATE_VECTORS * (16 << schedule.n)
@@ -398,14 +404,14 @@ def simulate(
 ) -> SimulationTrace:
     """Evolve a state through the schedule, recording one row per block.
 
-    Every static (``PauliSum``) segment acts on the state, at every size,
-    by ``scipy.sparse.linalg.expm_multiply`` on its generator -i tau H, the
-    sum's CSR matrix scaled in place: the scaled truncated-Taylor action of
-    the exponential (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011). Gate
-    layers act matrix-free. A time-dependent segment becomes a dense
-    unitary from :func:`~crda.frames.propagate_unitary` (to ``tol``);
-    ``dense_limit`` bounds only those. Each operator is built once per
-    distinct ``(duration, analog)`` and shared by the segments equal to it.
+    The state passes through the step list :func:`block_unitary` applies to
+    the identity. A static (``PauliSum``) segment acts, at every size, by
+    ``scipy.sparse.linalg.expm_multiply`` on its generator -i tau H, the sum's
+    CSR matrix scaled in place (truncated Taylor; Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 2011). Gate layers act matrix-free. A time-dependent
+    segment becomes a dense unitary from :func:`~crda.frames.propagate_unitary`
+    (to ``tol``); ``dense_limit`` bounds only those. Equal ``(duration,
+    analog)`` segments share one operator.
     Raises :class:`~crda.pauli.DenseLimitError` before allocating when the
     state, generators and workspace would not fit in physical memory.
     """
@@ -418,30 +424,21 @@ def simulate(
         if obs.n != n:
             raise ValueError("observable size does not match the schedule")
 
-    def segment_applier(s: AnalogSegment) -> Callable[[np.ndarray], np.ndarray]:
-        if isinstance(s.analog, PauliSum):
-            gen = s.analog.to_sparse()
-            gen.data *= -1j * s.duration
-            gen.sort_indices()  # canonical: expm_multiply's copies then skip a sort per call
-            return lambda psi: scipy.sparse.linalg.expm_multiply(gen, psi)
-        u, _ = propagate_unitary(s.analog, s.duration, tol=tol, dense_limit=dense_limit)
-        return lambda psi: u @ psi
+    def generator(s: AnalogSegment) -> _Op:
+        gen = s.analog.to_sparse()
+        gen.data *= -1j * s.duration
+        gen.sort_indices()  # canonical: expm_multiply's copies then skip a sort per call
+        return lambda psi: scipy.sparse.linalg.expm_multiply(gen, psi)
 
-    segment = _segment_memo(segment_applier)
-    appliers = [
-        (lambda psi, layer=step: apply_layer(layer, psi, n))
-        if isinstance(step, GateLayer)
-        else segment(step)
-        for step in schedule.steps
-    ]
+    steps = _step_operators(schedule, generator, tol, dense_limit)
     tau_block = schedule.analog_time_per_block
     blocks = schedule.repetitions
     times = np.zeros(blocks)
     norms = np.zeros(blocks)
     expectations = np.zeros((blocks, len(observables)))
     for b in range(blocks):
-        for f in appliers:
-            psi = f(psi)
+        for op in steps:
+            psi = op(psi)
         times[b] = (b + 1) * tau_block
         # numpy's sum, not BLAS (see PauliSum.expectation): thread-independent
         norms[b] = float(np.sqrt(np.sum((psi.conj() * psi).real)))

@@ -189,18 +189,22 @@ def layer_unitary(layer: GateLayer, n: int) -> np.ndarray:
 
 
 def apply_layer(layer: GateLayer, state: np.ndarray, n: int) -> np.ndarray:
-    """Matrix-free application of a gate layer to a state vector."""
+    """Matrix-free application of a gate layer, one ``einsum`` per site.
+
+    ``state``'s first axis is the 2^n basis index: a state, or a unitary's columns.
+    """
     psi = np.asarray(state, dtype=complex)
-    if psi.shape != (1 << n,):
+    if psi.shape[:1] != (1 << n,):
         raise ValueError("state size mismatch")
     u = _KIND_MATS[layer.kind]
     sites = layer.sites(n)
     if layer.kind is GateLayerKind.IDENTITY:
         return psi.copy()
+    shape, columns = psi.shape, psi.size >> n
     for k in sites:
-        shaped = psi.reshape(1 << (n - k - 1), 2, 1 << k)
-        psi = np.einsum("ab,ibj->iaj", u, shaped).reshape(-1)
-    return psi
+        shaped = psi.reshape(1 << (n - k - 1), 2, columns << k)
+        psi = np.einsum("ab,ibj->iaj", u, shaped)
+    return psi.reshape(shape)
 
 
 def toggle(h: PauliSum, layer: GateLayer) -> PauliSum:

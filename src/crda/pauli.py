@@ -197,7 +197,8 @@ class PauliSum:
 
     Treat instances as immutable: every operation returns a new sum.
     Construction merges duplicate strings and prunes coefficients with
-    magnitude below ``PRUNE_TOL``.
+    magnitude below ``PRUNE_TOL``. Sums are hashable, and equal sums hash
+    equal, so a sum can key a dict.
     """
 
     __slots__ = ("n", "_terms", "_matrix")
@@ -293,6 +294,9 @@ class PauliSum:
         if not isinstance(other, PauliSum):
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self._terms.items())))  # keys sorted: equal sums, equal tuples
 
     def allclose(self, other: "PauliSum", tol: float = 1e-12) -> bool:
         if self.n != other.n:

@@ -381,6 +381,26 @@ class TestFailureModes:
         assert error["type"] == "usage"
         assert "--n" in error["message"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["hamiltonian", "--kind", "h_zz", "--n", "3", "--g", "5"],
+            ["errors", "--which", "dyson", "--n", "3", "--model", "xy", "--t", "0.2"],
+            ["errors", "--which", "table1", "--nx", "4", "--ny", "4", "--model", "foo",
+             "--size", "3"],
+            ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "4",
+             "--sweep", "t=0:1:3", "--size", "2"],
+        ],
+        ids=["canonical-g", "dyson-model", "table1-model-size", "trotter-sweep-size"],
+    )
+    def test_unread_flags_rejected(self, capsys, args):
+        code, out, errtext = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "usage"
+        assert "takes no --" in error["message"]
+
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(
             ["errors", "--which", "dyson", "--n", "2", "--sweep", "t=1:2"], capsys

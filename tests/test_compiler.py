@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from conftest import dense_oracle, layer_oracle
+from crda import compiler, frames
 from crda.compiler import (
     AnalogSegment,
     ModelKind,
@@ -74,6 +77,33 @@ class TestBlockStructure:
             m = model(kind, n=4, ny=2 if kind is ModelKind.XY_2D else None)
             u = block_unitary(compile_model(m))
             assert unitarity_defect(u) <= 1e-10
+
+    def test_block_unitary_applies_layers_matrix_free(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("block_unitary built a dense gate layer")
+
+        monkeypatch.setattr(frames, "layer_unitary", refuse)
+        monkeypatch.setattr(compiler, "layer_unitary", refuse, raising=False)
+        n = 5
+        sites = {"all": (1, 2, 3, 4, 5), "even": (2, 4), "odd": (1, 3, 5), (1, 4, 5): (1, 4, 5)}
+        layers = [GateLayer(kind, support) for kind in G for support in sites]
+        h = build_canonical(K.H_HEIS, Lattice.chain(n), 0.8)
+        half = len(layers) // 2
+        steps = (
+            AnalogSegment(0.3, "all", h),
+            *layers[:half],
+            AnalogSegment(0.45, "all", h),
+            *layers[half:],
+            AnalogSegment(0.3, "all", h),
+        )
+        want = np.eye(1 << n, dtype=complex)
+        for step in steps:
+            if isinstance(step, GateLayer):
+                want = layer_oracle(step.kind.value, sites[step.support], n) @ want
+            else:
+                want = scipy.linalg.expm(-1j * step.duration * dense_oracle(h)) @ want
+        got = block_unitary(Schedule(n, steps))
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

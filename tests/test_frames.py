@@ -87,6 +87,13 @@ class TestLayerUnitaries:
                 assert np.allclose(
                     apply_layer(lay, v, 3), layer_unitary(lay, 3) @ v, atol=1e-12
                 )
+                # a (2^n, m) array: the layer acts on each column
+                m = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+                out = apply_layer(lay, m, 3)
+                assert out.shape == (8, 5)
+                for col in range(5):
+                    assert np.allclose(out[:, col], apply_layer(lay, m[:, col], 3), atol=1e-12)
+                    assert np.allclose(out[:, col], layer_unitary(lay, 3) @ m[:, col], atol=1e-12)
 
     def test_compose_kinds_table(self):
         assert compose_kinds(G.HADAMARD, G.HADAMARD) is G.IDENTITY

@@ -9,6 +9,7 @@ import crda.pauli as pauli
 from conftest import dense_oracle, kron_pattern, random_pauli_sum
 from crda.device import Lattice
 from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
+from crda.hamiltonians import TimeDependentHamiltonian
 from crda.pauli import (
     ConvergenceError,
     DenseLimitError,
@@ -377,6 +378,29 @@ class TestPauliSumInvariants:
     def test_dagger_conjugates(self):
         h = PauliSum.from_pattern("XY", 1 + 2j)
         assert h.dagger().coefficient("XY") == 1 - 2j
+
+    def test_equal_sums_hash_equal(self, rng):
+        terms = random_pauli_sum(rng, 4, nterms=8).terms()
+        a = PauliSum.from_terms(terms)
+        b = PauliSum.from_terms(terms[::-1])
+        c = PauliSum.from_terms(terms[1:] + terms[:1])
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        made = {(0.2, a): "a"}
+        assert made[(0.2, b)] == "a"
+        assert (0.3, b) not in made
+        assert (0.2, a + PauliSum.from_pattern("ZZZZ", 0.5)) not in made
+
+    def test_time_dependent_hamiltonians_hash_equal(self):
+        def build():
+            zz = PauliSum.from_pattern("ZZI", 0.5) + PauliSum.from_pattern("IZZ", 0.5)
+            x = PauliSum.from_pattern("XII") + PauliSum.from_pattern("IIX")
+            return TimeDependentHamiltonian(3, ((zz, ()), (x, (("cos", 2.0, 0.1),))))
+
+        a, b = build(), build()
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {(0.2, a): 1}[(0.2, b)] == 1
 
 
 class TestJson:
