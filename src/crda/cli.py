@@ -198,6 +198,7 @@ def _lattice_from_args(args, cfg=None, default_boundary_1d="open", default_bound
     n = args.n if args.n is not None else cfg.get("n")
     boundary = args.boundary or cfg.get("boundary")
     if args.nx is not None:
+        _reject_flags(args, "an --nx lattice", ("n",), use="--nx/--ny")
         return Lattice.square(args.nx, args.ny, boundary=boundary or default_boundary_2d)
     if args.ny is not None:
         raise ValueError("--ny needs --nx")
@@ -418,6 +419,8 @@ def _resolved_model(model: TargetModel) -> dict:
 
 
 def _cmd_simulate(args) -> None:
+    if not args.realistic:
+        _reject_flags(args, "simulate without --realistic", ("g", "delta", "omega"), use=None)
     model = _target_model(args)
     device = None
     resolved = _resolved_model(model)

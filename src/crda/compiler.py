@@ -25,7 +25,8 @@ merges equal layers on disjoint supports without changing the unitary.
 
 :func:`simulate` (on a state) and :func:`block_unitary` (on the identity)
 apply one step list: gate layers act matrix-free, equal segments share one
-operator, and only a static segment's operator differs (sparse or dense).
+operator, and only a static segment's operator differs: a Chebyshev
+expansion run on the sum's cached CSR matrix, or a dense exponential.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy  # scipy.special loads lazily, at the first simulate
 
 from .device import Lattice
 from .frames import (
@@ -373,25 +374,79 @@ class SimulationTrace:
     observable_names: tuple[str, ...]
 
 
-# 2^n vectors a simulation holds besides its generators and observable
-# matrices: the state and the expm_multiply workspace (Taylor term, partial
-# sum, matvec output and temporaries).
-_SIMULATE_VECTORS = 8
+# 2^n vectors a simulation holds besides its matrices: the caller's initial
+# state, the current state, and the Chebyshev loop's accumulator, two
+# recurrence vectors and one matvec output or product temporary.
+_SIMULATE_VECTORS = 6
+
+# Chebyshev terms are kept up to the first order past R tau whose Bessel
+# coefficient falls below this; the tail beyond it is below double roundoff.
+_CHEBYSHEV_TOL = 1e-16
 
 
 def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
     """Refuse, before allocating, a simulation whose arrays exceed memory."""
-    generators = {
-        (s.duration, s.analog) for s in schedule.segments() if isinstance(s.analog, PauliSum)
-    }
-    matrices = [h._matrix_bytes() for _, h in generators]
+    generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
     need = (
         _SIMULATE_VECTORS * (16 << schedule.n)
-        + sum(matrices)
-        + 2 * max(matrices, default=0)  # expm_multiply's shifted and scaled copies
+        + sum(h._matrix_bytes() for h in generators)
         + sum(obs._matrix_bytes() for obs in observables)
     )
     _check_memory(need, "simulate")
+
+
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """``(2 - delta_k0) (-i)^k J_k(x)`` for k below the first k > |x| with |J_k| < tol.
+
+    Below |x| the Bessel functions have zeros, so a small value there is no
+    place to stop; past |x| they fall off super-exponentially.
+    """
+    kmax = int(abs(x) + 10.0 * abs(x) ** (1.0 / 3.0)) + 16
+    while True:
+        k = np.arange(kmax + 1)
+        j = scipy.special.jv(k, x)
+        small = np.flatnonzero((k > abs(x)) & (np.abs(j) < _CHEBYSHEV_TOL))
+        if small.size:
+            j = j[: small[0]]
+            break
+        kmax *= 2
+    coef = np.array([1, -1j, -1, 1j])[np.arange(j.size) % 4] * j
+    coef[1:] *= 2.0
+    return coef
+
+
+def _chebyshev_propagator(h: PauliSum, tau: float) -> _Op:
+    """exp(-i h tau) on a state, as a Chebyshev expansion run on ``h.apply``.
+
+    With R = sum |c|, an exact bound on ||h||, exp(-i h tau) = sum_k (2 -
+    delta_k0) (-i)^k J_k(R tau) T_k(h / R) (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967, 1984). The three-term recurrence phi_{k+1} = (2/R) h
+    phi_k - phi_{k-1} runs on the sum's cached CSR matrix and holds three
+    vectors and an accumulator; it never copies or rescales the matrix.
+    """
+    if not h.is_hermitian():
+        raise ValueError("a static segment needs a Hermitian operator")
+    r = sum(abs(c) for c in h._terms.values())
+    if r == 0.0:
+        return np.copy
+    coef = _chebyshev_coefficients(r * tau)
+
+    def op(psi: np.ndarray) -> np.ndarray:
+        acc = coef[0] * psi
+        if coef.size == 1:
+            return acc
+        prev, cur = psi, h.apply(psi)
+        cur /= r
+        acc += coef[1] * cur
+        for c in coef[2:]:
+            nxt = h.apply(cur)
+            nxt *= 2.0 / r
+            nxt -= prev
+            prev, cur = cur, nxt
+            acc += c * cur
+        return acc
+
+    return op
 
 
 def simulate(
@@ -405,15 +460,16 @@ def simulate(
     """Evolve a state through the schedule, recording one row per block.
 
     The state passes through the step list :func:`block_unitary` applies to
-    the identity. A static (``PauliSum``) segment acts, at every size, by
-    ``scipy.sparse.linalg.expm_multiply`` on its generator -i tau H, the sum's
-    CSR matrix scaled in place (truncated Taylor; Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 2011). Gate layers act matrix-free. A time-dependent
-    segment becomes a dense unitary from :func:`~crda.frames.propagate_unitary`
-    (to ``tol``); ``dense_limit`` bounds only those. Equal ``(duration,
-    analog)`` segments share one operator.
+    the identity. A static (``PauliSum``) segment acts, at every size, by a
+    Chebyshev expansion of exp(-i H tau) whose matvecs are ``H.apply``, the
+    sum's cached CSR matrix, so equal Hamiltonians share one matrix whatever
+    their durations. Gate layers act matrix-free, in blocks of adjacent
+    sites. A time-dependent segment becomes a dense unitary from
+    :func:`~crda.frames.propagate_unitary` (to ``tol``); ``dense_limit``
+    bounds only those. Equal ``(duration, analog)`` segments share one
+    operator.
     Raises :class:`~crda.pauli.DenseLimitError` before allocating when the
-    state, generators and workspace would not fit in physical memory.
+    state, matrices and workspace would not fit in physical memory.
     """
     n = schedule.n
     _check_simulation_memory(schedule, observables)
@@ -424,13 +480,10 @@ def simulate(
         if obs.n != n:
             raise ValueError("observable size does not match the schedule")
 
-    def generator(s: AnalogSegment) -> _Op:
-        gen = s.analog.to_sparse()
-        gen.data *= -1j * s.duration
-        gen.sort_indices()  # canonical: expm_multiply's copies then skip a sort per call
-        return lambda psi: scipy.sparse.linalg.expm_multiply(gen, psi)
+    def chebyshev(s: AnalogSegment) -> _Op:
+        return _chebyshev_propagator(s.analog, s.duration)
 
-    steps = _step_operators(schedule, generator, tol, dense_limit)
+    steps = _step_operators(schedule, chebyshev, tol, dense_limit)
     tau_block = schedule.analog_time_per_block
     blocks = schedule.repetitions
     times = np.zeros(blocks)

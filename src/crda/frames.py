@@ -17,6 +17,7 @@ dynamics match the first-order effective chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -188,22 +189,44 @@ def layer_unitary(layer: GateLayer, n: int) -> np.ndarray:
     return _kron_chain([u if k in on else _ID for k in range(n)])
 
 
-def apply_layer(layer: GateLayer, state: np.ndarray, n: int) -> np.ndarray:
-    """Matrix-free application of a gate layer, one ``einsum`` per site.
+# Sites per blocked pass of apply_layer: one 2^4 x 2^4 matmul per block.
+# Widths 4 and 5 measured fastest; a blocked einsum was 4-6x slower.
+_LAYER_BLOCK = 4
 
-    ``state``'s first axis is the 2^n basis index: a state, or a unitary's columns.
+
+@functools.lru_cache(maxsize=None)
+def _block_gate(kind: GateLayerKind, on: tuple[bool, ...]) -> np.ndarray:
+    """Kron of ``kind``'s gate over adjacent sites, identity where ``on`` is False.
+
+    Read-only: the cache hands the same array to every caller.
+    """
+    u = _KIND_MATS[kind]
+    g = _kron_chain([u if bit else _ID for bit in on])
+    g.flags.writeable = False
+    return g
+
+
+def apply_layer(layer: GateLayer, state: np.ndarray, n: int) -> np.ndarray:
+    """Matrix-free application of a gate layer, one ``matmul`` per block of sites.
+
+    ``state``'s first axis is the 2^n basis index: a state, or a unitary's
+    columns. Sites ``lo..hi-1`` of a block act through the kron of their
+    gates (site ``lo`` least significant) on the ``(2^(n-hi), 2^(hi-lo),
+    2^lo * columns)`` view; blocks that hold no layer site are skipped.
     """
     psi = np.asarray(state, dtype=complex)
     if psi.shape[:1] != (1 << n,):
         raise ValueError("state size mismatch")
-    u = _KIND_MATS[layer.kind]
-    sites = layer.sites(n)
+    sites = set(layer.sites(n))
     if layer.kind is GateLayerKind.IDENTITY:
         return psi.copy()
     shape, columns = psi.shape, psi.size >> n
-    for k in sites:
-        shaped = psi.reshape(1 << (n - k - 1), 2, columns << k)
-        psi = np.einsum("ab,ibj->iaj", u, shaped)
+    for lo in range(0, n, _LAYER_BLOCK):
+        hi = min(lo + _LAYER_BLOCK, n)
+        on = tuple(k in sites for k in range(lo, hi))
+        if any(on):
+            view = psi.reshape(1 << (n - hi), 1 << (hi - lo), columns << lo)
+            psi = np.matmul(_block_gate(layer.kind, on), view)
     return psi.reshape(shape)
 
 

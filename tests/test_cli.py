@@ -303,6 +303,19 @@ class TestParamsFile:
         assert len(rows) == 3
         assert rows[-1]["time"] == pytest.approx(3 * 2 * 0.4)
 
+    def test_file_n_beside_nx_allowed(self, tmp_path, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n = 5\ntau = 0.2\n")
+        code, out, _ = run_cli(
+            ["simulate", "--model", "xy2d", "--nx", "2", "--ny", "2", "--params", str(cfg)],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["config"]["resolved_model"]["nx"] == 2
+        assert data["config"]["resolved_model"]["tau"] == 0.2
+        assert "n" not in data["config"]
+
 
 class TestFailureModes:
     def test_usage_error_exit_code(self, capsys):
@@ -390,8 +403,9 @@ class TestFailureModes:
              "--size", "3"],
             ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "4",
              "--sweep", "t=0:1:3", "--size", "2"],
+            ["simulate", "--model", "heisenberg", "--n", "4", "--g", "5"],
         ],
-        ids=["canonical-g", "dyson-model", "table1-model-size", "trotter-sweep-size"],
+        ids=["canonical-g", "dyson-model", "table1-model-size", "trotter-sweep-size", "simulate-g"],
     )
     def test_unread_flags_rejected(self, capsys, args):
         code, out, errtext = run_cli(args, capsys)
@@ -400,6 +414,24 @@ class TestFailureModes:
         error = json.loads(errtext)["error"]
         assert error["type"] == "usage"
         assert "takes no --" in error["message"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["errors", "--which", "trotter", "--model", "xy2d_digital", "--nx", "4", "--ny", "2",
+             "--n", "9"],
+            ["errors", "--which", "table1", "--nx", "4", "--ny", "4", "--n", "7"],
+            ["simulate", "--model", "xy2d", "--nx", "2", "--ny", "2", "--n", "5"],
+        ],
+        ids=["trotter-xy2d", "table1", "simulate-xy2d"],
+    )
+    def test_n_beside_nx_rejected(self, capsys, args):
+        code, out, errtext = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "usage"
+        assert "use --nx/--ny" in error["message"]
 
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(

@@ -131,21 +131,24 @@ def test_batched_magnus_matches_sequential_steps(monkeypatch, chunk_bytes, mode)
 
 
 def test_equal_segments_share_one_generator(monkeypatch):
-    # to_dense goes through to_sparse, so the time-dependent case counts
-    # propagate_unitary calls instead.
-    calls = {"to_sparse": 0, "propagate_unitary": 0}
-    to_sparse = PauliSum.to_sparse
+    # A static segment runs on its sum's cached CSR matrix, so a new duration
+    # changes only the expansion coefficients: one build per distinct
+    # Hamiltonian. to_dense builds a matrix too, so the time-dependent case
+    # counts propagate_unitary calls instead.
+    built = []
+    calls = {"propagate_unitary": 0}
+    build_csr = PauliSum._build_csr
     propagate = compiler.propagate_unitary
 
-    def counted_to_sparse(self):
-        calls["to_sparse"] += 1
-        return to_sparse(self)
+    def counted_build_csr(self):
+        built.append(self)
+        return build_csr(self)
 
     def counted_propagate(*args, **kwargs):
         calls["propagate_unitary"] += 1
         return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(PauliSum, "to_sparse", counted_to_sparse)
+    monkeypatch.setattr(PauliSum, "_build_csr", counted_build_csr)
     monkeypatch.setattr(compiler, "propagate_unitary", counted_propagate)
     n = 4
     psi0 = np.zeros(1 << n, dtype=complex)
@@ -155,14 +158,15 @@ def test_equal_segments_share_one_generator(monkeypatch):
     schedule = compile_model(heisenberg)
     assert len(schedule.segments()) == 3
     simulate(schedule, psi0, obs)
-    assert calls == {"to_sparse": 1, "propagate_unitary": 0}
     h = schedule.segments()[0].analog
+    assert built.count(h) == 1 and len(built) == 2  # the generator and the observable
+    assert calls == {"propagate_unitary": 0}
     timed = Schedule(
         n, (AnalogSegment(0.2, "all", h), GateLayer(G.HADAMARD), AnalogSegment(0.3, "all", h),
             AnalogSegment(0.2, "all", h)), repetitions=2,
     )
     trace = simulate(timed, psi0, obs)
-    assert calls["to_sparse"] == 3  # one more per distinct duration
+    assert len(built) == 2  # no build for the new duration
     assert np.allclose(trace.expectations, _oracle_rows(timed, psi0, obs), rtol=0.0, atol=1e-12)
     device = DeviceParams.uniform_chain(n, g=1.0, delta=10.0, Omega=0.4)
     xy = TargetModel(ModelKind.XY_1D, Lattice.chain(n), tau=0.05, repetitions=2)
@@ -170,6 +174,39 @@ def test_equal_segments_share_one_generator(monkeypatch):
     assert len(realistic.segments()) == 2
     simulate(realistic, psi0, obs)
     assert calls["propagate_unitary"] == 1
+
+
+_CHAIN = PauliSum.from_pattern("XXII") + PauliSum.from_pattern("IYYI") + 0.5 * PauliSum.from_pattern(
+    "IIZZ"
+) + 0.25 * PauliSum.from_pattern("ZIII")
+
+
+@pytest.mark.parametrize(
+    "h, tau, terms",
+    [
+        (PauliSum.zero(3), 0.7, None),
+        (PauliSum.identity(3, -1.3), 0.7, None),
+        (_CHAIN, 1e-18, 1),  # R tau = 2.75e-18: J_1 is below the cut
+        (_CHAIN, 1e-10, 2),
+        (_CHAIN, 40.0, None),  # R tau = 110
+    ],
+    ids=["zero", "identity", "one-term", "two-terms", "long"],
+)
+def test_chebyshev_propagator_matches_expm(h, tau, terms):
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(1 << h.n) + 1j * rng.standard_normal(1 << h.n)
+    psi /= np.linalg.norm(psi)
+    if terms is not None:
+        assert compiler._chebyshev_coefficients(2.75 * tau).size == terms
+    got = compiler._chebyshev_propagator(h, tau)(psi)
+    want = scipy.linalg.expm(-1j * tau * dense_oracle(h)) @ psi
+    assert got is not psi
+    assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_chebyshev_propagator_refuses_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        compiler._chebyshev_propagator(PauliSum.from_pattern("XZ", 1j), 0.1)
 
 
 def test_forty_qubit_simulation_refused_before_allocating():

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import dense_oracle, layer_oracle
 from crda.compiler import AnalogSegment, Schedule, block_unitary, fuse
-from crda.frames import GateLayer, GateLayerKind as G, phase_insensitive_distance, toggle
+from crda.frames import (
+    GateLayer,
+    GateLayerKind as G,
+    apply_layer,
+    phase_insensitive_distance,
+    toggle,
+)
 from crda.pauli import PauliSum
 from test_pauli_properties import pauli_sums
 
@@ -29,6 +35,38 @@ def test_toggle_matches_conjugation(kind, case):
     want = u.conj().T @ dense_oracle(h) @ u
     got = dense_oracle(toggle(h, GateLayer(kind, support)))
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * (1 + len(h)))
+
+
+@st.composite
+def layers_on_states(draw):
+    """A layer on n = 1..10 sites, the 1-based sites it acts on, and a state shape."""
+    n = draw(st.integers(1, 10))
+    support = draw(
+        st.sampled_from(["all", "even", "odd"])
+        | st.lists(st.integers(1, n), unique=True, min_size=1, max_size=n).map(tuple)
+    )
+    if isinstance(support, tuple):
+        sites = set(support)
+    else:
+        parity = {"all": None, "even": 0, "odd": 1}[support]
+        sites = {k for k in range(1, n + 1) if parity is None or k % 2 == parity}
+    shape = draw(st.sampled_from([(1 << n,), (1 << n, 3)]))
+    return n, support, sites, shape
+
+
+@pytest.mark.parametrize("kind", list(G))
+@given(layers_on_states(), st.integers(0, 2**32 - 1))
+@example((10, "odd", {1, 3, 5, 7, 9}, (1 << 10, 3)), 0)
+@example((9, (4, 5, 9), {4, 5, 9}, (1 << 9,)), 1)
+def test_apply_layer_matches_oracle(kind, case, seed):
+    # n up to 10 crosses the 4-site blocks apply_layer works in.
+    n, support, sites, shape = case
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = apply_layer(GateLayer(kind, support), state, n)
+    want = layer_oracle(kind.value, sites, n) @ state
+    assert got.shape == shape
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 _N = 3
