@@ -176,9 +176,10 @@ def test_equal_segments_share_one_generator(monkeypatch):
     assert calls["propagate_unitary"] == 1
 
 
-_CHAIN = PauliSum.from_pattern("XXII") + PauliSum.from_pattern("IYYI") + 0.5 * PauliSum.from_pattern(
-    "IIZZ"
-) + 0.25 * PauliSum.from_pattern("ZIII")
+_CHAIN = (  # R = sum |c| = 2.75
+    PauliSum.from_pattern("XXII") + PauliSum.from_pattern("IYYI")
+    + 0.5 * PauliSum.from_pattern("IIZZ") + 0.25 * PauliSum.from_pattern("ZIII")
+)
 
 
 @pytest.mark.parametrize(
@@ -186,8 +187,8 @@ _CHAIN = PauliSum.from_pattern("XXII") + PauliSum.from_pattern("IYYI") + 0.5 * P
     [
         (PauliSum.zero(3), 0.7, None),
         (PauliSum.identity(3, -1.3), 0.7, None),
-        (_CHAIN, 1e-18, 1),  # R tau = 2.75e-18: J_1 is below the cut
-        (_CHAIN, 1e-10, 2),
+        (_CHAIN, 1e-18, 1),  # J_1(R tau) is below the cut
+        (_CHAIN, 1e-10, 2),  # J_2(R tau) is below the cut
         (_CHAIN, 40.0, None),  # R tau = 110
     ],
     ids=["zero", "identity", "one-term", "two-terms", "long"],
@@ -197,7 +198,8 @@ def test_chebyshev_propagator_matches_expm(h, tau, terms):
     psi = rng.standard_normal(1 << h.n) + 1j * rng.standard_normal(1 << h.n)
     psi /= np.linalg.norm(psi)
     if terms is not None:
-        assert compiler._chebyshev_coefficients(2.75 * tau).size == terms
+        r = sum(abs(t.coeff) for t in h.terms())
+        assert compiler._chebyshev_coefficients(r * tau).size == terms
     got = compiler._chebyshev_propagator(h, tau)(psi)
     want = scipy.linalg.expm(-1j * tau * dense_oracle(h)) @ psi
     assert got is not psi
