@@ -52,6 +52,8 @@ from .pauli import ConvergenceError, DenseLimitError, PauliSum
 _CANONICAL_KINDS = {k.value for k in (*_PHASE_CHAINS, *_CHAIN_BONDS, *_TILINGS)}
 _2D_KINDS = {k.value for k in _TILINGS}
 _DEVICE_KINDS = ({k.value for k in HamiltonianKind} - _CANONICAL_KINDS) | {"qf_device"}
+# verify-frames' ladder device when no --params file is given
+_LADDER = {"n": 2, "g": 0.1, "delta": 5.0, "omega": 0.25, "omega_base": 40.0}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -85,11 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(ham)
 
     ver = sub.add_parser("verify-frames", help="integrated dynamics vs effective chain")
-    ver.add_argument("--n", type=int, default=2)
-    ver.add_argument("--g", type=float, default=0.1)
-    ver.add_argument("--delta", type=float, default=5.0)
-    ver.add_argument("--omega", type=float, default=0.25, help="drive amplitude")
-    ver.add_argument("--omega-base", type=float, default=40.0, help="lowest qubit frequency")
+    ver.add_argument("--n", type=int)
+    ver.add_argument("--g", type=float)
+    ver.add_argument("--delta", type=float)
+    ver.add_argument("--omega", type=float, help="drive amplitude")
+    ver.add_argument("--omega-base", type=float, help="lowest qubit frequency")
     ver.add_argument("--t", type=float, required=True, help="final time")
     ver.add_argument("--mode", choices=("lab", "rotating"), default="lab")
     ver.add_argument("--tol", type=float, default=1e-8)
@@ -216,7 +218,7 @@ def _reject_flags(
     args, what: str, flags: tuple[str, ...] = ("nx", "ny", "boundary"), use: str | None = "--n"
 ) -> None:
     """Refuse the ``flags`` that ``what`` would ignore yet echo in its config."""
-    given = [f"--{k}" for k in flags if getattr(args, k) is not None]
+    given = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None]
     if given:
         hint = f"; use {use}" if use else ""
         raise ValueError(f"{what} takes no {'/'.join(given)}{hint}")
@@ -347,23 +349,28 @@ def _cmd_hamiltonian(args) -> None:
     _emit(args, payload, rows)
 
 
-def _ladder_device(args) -> DeviceParams:
+def _ladder_device(args) -> tuple[DeviceParams, dict]:
+    """The device verify-frames runs (a ``--params`` file, else the ladder flags), and its echo."""
     if args.params:
-        return DeviceParams.from_config(load_config(args.params))
-    n, delta = args.n, args.delta
-    omega_q = np.array([args.omega_base + (n - k) * delta for k in range(1, n + 1)])
-    return DeviceParams(
+        _reject_flags(args, "verify-frames --params", tuple(_LADDER), use=None)
+        p = DeviceParams.from_config(load_config(args.params))
+        return p, {"device": _device_echo(p)}
+    flags = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in _LADDER.items()}
+    n, delta = flags["n"], flags["delta"]
+    omega_q = np.array([flags["omega_base"] + (n - k) * delta for k in range(1, n + 1)])
+    p = DeviceParams(
         n=n,
         omega_q=omega_q,
         omega=omega_q - delta,  # each qubit sits at its right neighbour's resonance
-        Omega=np.full(n, args.omega),
+        Omega=np.full(n, flags["omega"]),
         phi=np.zeros(n),
-        g=np.full(n - 1, args.g),
+        g=np.full(n - 1, flags["g"]),
     )
+    return p, flags
 
 
 def _cmd_verify_frames(args) -> None:
-    base = _ladder_device(args)
+    base, resolved = _ladder_device(args)
 
     def run(scale: float) -> dict:
         p = replace(base, Omega=scale * base.Omega, g=scale * base.g)
@@ -383,7 +390,7 @@ def _cmd_verify_frames(args) -> None:
         results = _sweep_map(args, [float(v) for v in values], run)
     else:
         results = [run(1.0)]
-    payload = {"config": _config_echo(args), "results": results}
+    payload = {"config": _config_echo(args, resolved), "results": results}
     rows = [["scale", "distance", "distance_lab_mapping", "steps"]]
     for r in results:
         rows.append([r["scale"], r["distance"], r["distance_lab_mapping"], r["integrator"]["steps"]])

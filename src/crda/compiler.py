@@ -164,10 +164,6 @@ class Schedule:
     def analog_time_per_block(self) -> float:
         return sum(s.duration for s in self.steps if isinstance(s, AnalogSegment))
 
-    @property
-    def total_time(self) -> float:
-        return self.repetitions * self.analog_time_per_block
-
     def segments(self) -> list[AnalogSegment]:
         return [s for s in self.steps if isinstance(s, AnalogSegment)]
 

@@ -9,8 +9,8 @@ carrying a bound are marked passed only when value <= bound + 1e-9.
 
 The commutator norms exploit structure: commutators of Hermitian sums
 are anti-Hermitian, so the spectral norm is the extreme eigenvalue of
-the Hermitian operator i*C, which keeps the dense and ARPACK paths on
-Hermitian solvers.
+the Hermitian operator i*C, which keeps the Lanczos norm on a Hermitian
+proxy rather than the Gram operator C†C.
 """
 
 from __future__ import annotations

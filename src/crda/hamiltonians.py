@@ -125,9 +125,6 @@ class TimeDependentHamiltonian:
     def at(self, t: float) -> PauliSum:
         return self.weighted_sum(self.weights(t))
 
-    def __call__(self, t: float) -> PauliSum:
-        return self.at(t)
-
     @property
     def frequencies(self) -> tuple[float, ...]:
         """Top angular frequency of each non-constant weight, distinct, ascending.

@@ -1,4 +1,4 @@
-"""N-qubit Pauli-string operator algebra with dense and sparse backends.
+"""N-qubit Pauli-string operator algebra, its matrices and spectral norm.
 
 Operators are complex-weighted sums of Pauli strings (tensor products of
 I, X, Y, Z). Strings are stored in the symplectic encoding: a pair of
@@ -31,13 +31,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 __all__ = [
     "PRUNE_TOL",
     "DEFAULT_DENSE_LIMIT",
-    "NORM_DENSE_LIMIT",
     "ConvergenceError",
     "DenseLimitError",
     "PauliTerm",
@@ -55,20 +54,15 @@ PRUNE_TOL = 1e-14
 # 2^12 dense eigensolves stay seconds-scale; larger sizes must go sparse.
 DEFAULT_DENSE_LIMIT = 12
 
-# Largest size whose spectral norm is solved dense. Per Heisenberg commutator
-# norm on one BLAS thread, dense against ARPACK: 2.7 ms against 5.0 ms at
-# n=7, 13 ms against 5.6 ms at n=8, 480 ms against 11 ms at n=10.
-NORM_DENSE_LIMIT = 7
-
 # letter -> (x bit, z bit)
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
-# 2^n vectors the Krylov norm holds besides the matrix: ARPACK's basis
-# (ncv = 20), work array (3), residual, start vector, matvec output, scratch.
-_KRYLOV_VECTORS = 27
+# 2^n vectors the Lanczos norm holds besides the matrix: the current,
+# previous and work vectors, and the two temporaries of an inner product.
+_KRYLOV_VECTORS = 5
 
 
 class ConvergenceError(RuntimeError):
@@ -275,10 +269,8 @@ class PauliSum:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol <= 0.0:
-            return not self._terms
-        return all(abs(c) <= tol for c in self._terms.values())
+    def is_zero(self) -> bool:
+        return not self._terms
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         # Pure Pauli strings are Hermitian, so Hermiticity means real weights.
@@ -418,12 +410,8 @@ class PauliSum:
         return self._matrix @ state
 
     def expectation(self, state: np.ndarray) -> complex:
-        """<state|h|state>, summed by numpy rather than a BLAS dot product.
-
-        A threaded BLAS splits long dot products across threads, so the
-        rounding, and the last digits, would follow the thread count.
-        """
-        return complex(np.sum(np.conj(state) * self.apply(state)))
+        """<state|h|state>, by :func:`_vdot`."""
+        return _vdot(state, self.apply(state))
 
     def frobenius_norm(self, normalized: bool = True) -> float:
         """sqrt of the summed squared weights, via Pauli-string orthogonality."""
@@ -453,6 +441,11 @@ class PauliSum:
                 raise ValueError("pattern length inconsistent with n")
             acc[(t.x, t.z)] = acc.get((t.x, t.z), 0.0) + t.coeff
         return cls(n, acc)
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> as a numpy sum: a threaded BLAS dot's last digits follow the thread count."""
+    return complex(np.sum(np.conj(a) * b))
 
 
 def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:
@@ -494,66 +487,65 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum(a.n, acc)
 
 
-def _krylov_extreme(h: PauliSum, gram: bool, tol: float, max_iter: int, seed: int) -> float:
-    """Largest |eigenvalue| of Hermitian ``h`` (of ``h†h`` if ``gram``) by ARPACK."""
-    _check_memory((1 + gram) * h._matrix_bytes() + _KRYLOV_VECTORS * (16 << h.n), "Krylov norm")
-    hd = h.dagger() if gram else None
-    dim = 1 << h.n
-    matvecs = 0
-    failed = ConvergenceError(f"ARPACK did not converge in {max_iter} matvecs (tol={tol})")
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        if matvecs > max_iter:
-            raise failed
-        w = h.apply(v)
-        return hd.apply(w) if gram else w
-
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-    try:
-        (lam,) = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LM", v0=v0, tol=tol, maxiter=max(max_iter, 1),
-            return_eigenvectors=False,
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        raise failed from None
-    return float(abs(lam))
-
-
 def spectral_norm(
     h: PauliSum,
-    dense_limit: int = NORM_DENSE_LIMIT,
+    dense_limit: int = 0,
     tol: float = 1e-8,
     max_iter: int = 10_000,
     seed: int = 7,
 ) -> float:
     """Largest singular value, from the top |eigenvalue| of a Hermitian proxy.
 
-    The proxy is ``h`` if Hermitian, ``i*h`` if anti-Hermitian (commutators
-    of Hermitian sums), else ``h†h``. ``dense_limit`` is the largest size
-    solved dense: up to it (and at one qubit, too small for ARPACK) the
-    dense matrix goes to ``eigvalsh``. Above it, ARPACK ``eigsh`` (Lehoucq,
-    Sorensen & Yang, 1998) runs from a seeded start vector on
-    ``PauliSum.apply``, the sum's cached CSR matrix. ``max_iter`` budgets
-    proxy matvecs: overrunning it, or ARPACK not converging, raises
+    A sum of at most one string has norm |c|, exactly. Otherwise the proxy
+    is ``h`` if Hermitian, ``i*h`` if anti-Hermitian (commutators of
+    Hermitian sums), else ``h†h``, and a three-term Lanczos recurrence
+    (Lanczos, 1950) runs on it through ``PauliSum.apply`` from a seeded
+    complex start vector. It keeps three vectors and no basis: lost
+    orthogonality only adds copies of converged Ritz values, so the extreme
+    one is safe (Paige, 1980). Every 5 steps, when β drops below ``tol``
+    times the largest tridiagonal entry, and at step 2^n (exact), the
+    tridiagonal goes to ``eigh_tridiagonal``; the loop stops once the Ritz
+    value θ of largest magnitude has |β s| <= tol |θ|, s the last entry of
+    its vector. ``max_iter`` budgets proxy matvecs: overrunning it raises
     :class:`ConvergenceError` (CLI exit 4). :class:`DenseLimitError` (CLI
-    exit 3) is raised before allocating when the matrix and the ARPACK
-    workspace would not fit in physical memory.
+    exit 3) is raised before allocating what would not fit in physical
+    memory. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
     """
-    if h.is_zero():
-        return 0.0
+    if len(h) <= 1:
+        return max((abs(c) for c in h._terms.values()), default=0.0)
     if not h.is_hermitian() and (1j * h).is_hermitian():
         h = 1j * h
     gram = not h.is_hermitian()
-    if h.n <= max(dense_limit, 1):
-        m = h.to_dense(h.n)
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(m.conj().T @ m if gram else m))))
-    else:
-        lam = _krylov_extreme(h, gram, tol, max_iter, seed)
-    return float(np.sqrt(lam)) if gram else lam
+    _check_memory((1 + gram) * h._matrix_bytes() + _KRYLOV_VECTORS * (16 << h.n), "Lanczos norm")
+    hd = h.dagger() if gram else None
+    dim = 1 << h.n
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.sqrt(_vdot(v, v).real)
+    alpha: list[float] = []
+    beta: list[float] = []
+    scale = 0.0  # largest |alpha|, beta so far: b <= tol * scale bounds the residual
+    for k in range(1, max_iter + 1):
+        w = h.apply(v)
+        if gram:
+            w = hd.apply(w)
+        a = _vdot(v, w).real
+        w -= a * v
+        if beta:
+            w -= beta[-1] * v_prev
+        b = float(np.sqrt(_vdot(w, w).real))
+        alpha.append(a)
+        scale = max(scale, abs(a), b)
+        if k % 5 == 0 or k == dim or b <= tol * scale:
+            theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta)
+            i = np.argmax(np.abs(theta))
+            if k == dim or abs(b * s[-1, i]) <= tol * abs(theta[i]):
+                lam = float(abs(theta[i]))
+                return float(np.sqrt(lam)) if gram else lam
+        beta.append(b)
+        w /= b
+        v_prev, v = v, w
+    raise ConvergenceError(f"Lanczos did not converge in {max_iter} matvecs (tol={tol})")
 
 
 def expm_hermitian(h: PauliSum, t: float) -> np.ndarray:

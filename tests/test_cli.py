@@ -316,6 +316,16 @@ class TestParamsFile:
         assert data["config"]["resolved_model"]["tau"] == 0.2
         assert "n" not in data["config"]
 
+    def test_verify_frames_echoes_file_device(self, tmp_path, capsys):
+        cfg = tmp_path / "dev.cfg"
+        cfg.write_text("n = 3\ng = 0.1\nomega_q = 40.0\nomega.1 = 35.0\nOmega.1 = 0.25\n")
+        code, out, _ = run_cli(["verify-frames", "--params", str(cfg), "--t", "0.5"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["device"]["n"] == 3
+        assert config["device"]["g"] == [0.1, 0.1]
+        assert not {"n", "g", "delta", "omega", "omega_base"} & set(config)
+
 
 class TestFailureModes:
     def test_usage_error_exit_code(self, capsys):
@@ -432,6 +442,24 @@ class TestFailureModes:
         error = json.loads(errtext)["error"]
         assert error["type"] == "usage"
         assert "use --nx/--ny" in error["message"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n", "7", "--g", "0.5"], ["--delta", "4"], ["--omega", "0.3"], ["--omega-base", "41"]],
+        ids=["n-g", "delta", "omega", "omega-base"],
+    )
+    def test_ladder_flags_beside_params_rejected(self, tmp_path, capsys, flags):
+        # the file gives the whole device; a ladder flag beside it would be echoed unread
+        cfg = tmp_path / "dev.cfg"
+        cfg.write_text("n = 3\ng = 0.1\nomega_q = 40.0\nomega.1 = 35.0\nOmega.1 = 0.25\n")
+        code, out, errtext = run_cli(
+            ["verify-frames", "--params", str(cfg), "--t", "0.5", *flags], capsys
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "usage"
+        assert f"takes no {flags[0]}" in error["message"]
 
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import crda.pauli as pauli
 from conftest import dense_oracle, kron_pattern, random_pauli_sum
 from crda.device import Lattice
 from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
@@ -192,28 +191,47 @@ class TestSpectralNorm:
     def test_matrix_free_matches_dense(self, rng):
         for real in (True, False):
             h = random_pauli_sum(rng, 10, nterms=10, real=real)
-            dense = spectral_norm(h, dense_limit=12)
-            lanczos = spectral_norm(h, dense_limit=4)
-            assert abs(lanczos - dense) <= 1e-6 * dense
+            ref = float(np.linalg.norm(dense_oracle(h), 2))
+            assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
 
     def test_matrix_free_antihermitian(self, rng):
         a = random_pauli_sum(rng, 9, nterms=8, real=True)
         b = random_pauli_sum(rng, 9, nterms=8, real=True)
         c = commutator(a, b)
-        dense = spectral_norm(c, dense_limit=12)
-        lanczos = spectral_norm(c, dense_limit=4)
-        assert abs(lanczos - dense) <= 1e-6 * max(dense, 1e-12)
+        ref = np.max(np.abs(np.linalg.eigvalsh(1j * dense_oracle(c))))
+        assert spectral_norm(c) == pytest.approx(ref, rel=1e-12)
 
     def test_deterministic_given_seed(self, rng):
         h = random_pauli_sum(rng, 9, nterms=10, real=True)
-        a = spectral_norm(h, dense_limit=4, seed=11)
-        b = spectral_norm(h, dense_limit=4, seed=11)
+        a = spectral_norm(h, seed=11)
+        b = spectral_norm(h, seed=11)
         assert a == b
 
     def test_nonconvergence_is_distinct_error(self, rng):
         h = random_pauli_sum(rng, 5, nterms=10, real=True)
         with pytest.raises(ConvergenceError):
-            spectral_norm(h, dense_limit=2, max_iter=1)
+            spectral_norm(h, max_iter=1)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_one_string_is_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 9):
+            c = complex(*rng.standard_normal(2))
+            for coeff in (c, c.real, 1j * c.imag):
+                pattern = "".join("IXYZ"[i] for i in rng.integers(0, 4, n))
+                h = PauliSum.from_pattern(pattern, coeff)
+                assert spectral_norm(h, seed=seed) == abs(coeff)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["hermitian", "antihermitian", "complex"])
+    def test_exact_at_full_dimension(self, n, kind, rng):
+        # the recurrence ends at step 2^n, where its Ritz values are exact
+        h = random_pauli_sum(rng, n, real=kind != "complex")
+        if kind == "antihermitian":
+            h = 1j * h
+        assert len(h) > 1
+        ref = float(np.linalg.norm(dense_oracle(h), 2))
+        assert spectral_norm(h, max_iter=1 << n) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_operator(self):
         assert spectral_norm(PauliSum.zero(3)) == 0.0
@@ -235,33 +253,21 @@ def _split_commutator(model: str, size) -> PauliSum:
 
 
 class TestNormPath:
-    """Default ``spectral_norm``: dense up to 7 qubits, ARPACK above."""
+    """``spectral_norm`` runs one Lanczos path at every size, never dense."""
 
-    @pytest.mark.parametrize("n", range(8, 13))
-    def test_matrix_free_above_seven_qubits(self, n, monkeypatch):
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_one_path_at_every_size(self, n, rng, monkeypatch):
         def refuse(self, *args):
             raise AssertionError("dense path taken")
 
+        h = random_pauli_sum(rng, n, real=n % 2 == 0)
+        ref = float(np.linalg.norm(dense_oracle(h), 2)) if n <= 10 else None
         monkeypatch.setattr(PauliSum, "to_dense", refuse)
-        assert spectral_norm(_split_commutator("heis_digital", n)) > 0.0
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_dense_up_to_seven_qubits(self, n, rng, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Krylov path taken")
-
-        monkeypatch.setattr(pauli, "_krylov_extreme", refuse)
-        dense_calls = []
-        to_dense = PauliSum.to_dense
-
-        def counted(self, *args):
-            dense_calls.append(self.n)
-            return to_dense(self, *args)
-
-        monkeypatch.setattr(PauliSum, "to_dense", counted)
-        h = random_pauli_sum(rng, n, real=True)
-        assert spectral_norm(h) > 0.0
-        assert dense_calls == [n]
+        s = spectral_norm(h)
+        if ref is None:
+            assert h.frobenius_norm() - 1e-9 <= s <= sum(abs(t.coeff) for t in h.terms()) + 1e-9
+        else:
+            assert s == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize(
         "model, size",
