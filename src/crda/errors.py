@@ -37,9 +37,9 @@ from .pauli import (
     PRUNE_TOL,
     PauliSum,
     PauliTerm,
-    anticommutes,
+    _pair_terms,
+    _popcount,
     commutator,
-    multiply,
     spectral_norm,
 )
 
@@ -302,21 +302,15 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
     h_i = build_canonical(HamiltonianKind.H_I, lat, j)
     h_ii = build_canonical(HamiltonianKind.H_II, lat, j)
 
-    nonzero = 0
-    bad_pairs: list[tuple[str, str]] = []
-    terms_ii = h_ii.terms()
-    for ta in h_i.terms():
-        for tb in terms_ii:
-            # [P, Q] is 2PQ for anticommuting strings and 0 otherwise
-            if not anticommutes(ta, tb):
-                continue
-            product = multiply(ta, tb)
-            coeff = 2.0 * product.coeff
-            if abs(coeff) <= PRUNE_TOL:  # pruned, as a PauliSum would
-                continue
-            nonzero += 1
-            if product.weight != 3 or abs(abs(coeff) - 2.0 * j * j) >= 1e-12:
-                bad_pairs.append((ta.pattern, tb.pattern))
+    # [P, Q] is 2PQ for anticommuting strings and 0 otherwise; a pair counts
+    # when its commutator survives pruning, as in a PauliSum.
+    ia, ib, x, z, re, im = _pair_terms(h_i, h_ii, anticommuting_only=True)
+    size = np.hypot(2.0 * re, 2.0 * im)
+    counted = size > PRUNE_TOL
+    nonzero = int(np.count_nonzero(counted))
+    bad = counted & ((_popcount(x | z) != 3) | (np.abs(size - 2.0 * j * j) >= 1e-12))
+    terms_i, terms_ii = h_i.terms(), h_ii.terms()
+    bad_pairs = [(terms_i[a].pattern, terms_ii[b].pattern) for a, b in zip(ia[bad], ib[bad])]
 
     i_xx, i_yy, ii_xx, ii_yy = (
         _tile_2d(lat, tuple(b for b in cell if b[0] == letter), j)

@@ -3,8 +3,12 @@
 Operators are complex-weighted sums of Pauli strings (tensor products of
 I, X, Y, Z). Strings are stored in the symplectic encoding: a pair of
 N-bit masks ``(x, z)`` with bit ``k`` describing site ``k``, and an
-explicit power of ``i`` folded into the coefficient. Term products and
-commutators then cost O(N) per pair instead of O(4^N).
+explicit power of ``i`` folded into the coefficient (Aaronson & Gottesman,
+2004). Products and commutators of sums run as one vectorized kernel over
+all string pairs: the masks become ``(terms, ceil(N/64))`` arrays of uint64
+words, so a pair costs a few word operations instead of O(4^N), and the
+pair products are summed per string in sorted order, bit for bit as a
+left-to-right Python loop over the pairs would sum them.
 
 Conventions (fixed once, used everywhere):
 
@@ -59,6 +63,12 @@ _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+_I_POW_RE = np.array([p.real for p in _I_POW])
+_I_POW_IM = np.array([p.imag for p in _I_POW])
+
+# Result entries converted to Python objects at a time: bounds the
+# temporary lists beside the result dict.
+_BUILD_CHUNK = 4096
 
 # 2^n vectors the Lanczos norm holds besides the matrix: the current,
 # previous and work vectors, and the two temporaries of an inner product.
@@ -96,17 +106,26 @@ def _index_dtype(entries: int) -> type:
     return np.int32 if entries < 2**31 else np.int64
 
 
-def _product_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Power of i picked up when composing two symplectic-encoded strings."""
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of ``(..., W)`` mask words, as int64."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _product_phase_exp(x1, z1, x2, z2, popcount=int.bit_count):
+    """Power of i picked up when composing two symplectic-encoded strings.
+
+    On int masks by default; on ``(pairs, W)`` word arrays with
+    ``popcount=_popcount``, one exponent per pair.
+    """
     x3 = x1 ^ x2
     z3 = z1 ^ z2
-    exp = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        + 2 * (z1 & x2).bit_count()
-        - (x3 & z3).bit_count()
-    )
+    exp = popcount(x1 & z1) + popcount(x2 & z2) + 2 * popcount(z1 & x2) - popcount(x3 & z3)
     return exp % 4
+
+
+def _clash_parity(x1, z1, x2, z2, popcount=int.bit_count):
+    """1 when two strings anticommute (odd count of clashing sites), else 0."""
+    return (popcount(x1 & z2) + popcount(z1 & x2)) & 1
 
 
 @dataclass(frozen=True)
@@ -183,16 +202,16 @@ def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
 
 def anticommutes(a: PauliTerm, b: PauliTerm) -> bool:
     """True when the two strings anticommute (odd count of clashing sites)."""
-    return (((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2) == 1
+    return _clash_parity(a.x, a.z, b.x, b.z) == 1
 
 
 class PauliSum:
     """Canonical complex-weighted sum of Pauli strings on ``n`` sites.
 
     Treat instances as immutable: every operation returns a new sum.
-    Construction merges duplicate strings and prunes coefficients with
-    magnitude below ``PRUNE_TOL``. Sums are hashable, and equal sums hash
-    equal, so a sum can key a dict.
+    Construction rejects masks outside ``[0, 2^n)``, merges duplicate
+    strings and prunes coefficients with magnitude below ``PRUNE_TOL``.
+    Sums are hashable, and equal sums hash equal, so a sum can key a dict.
     """
 
     __slots__ = ("n", "_terms", "_matrix")
@@ -204,6 +223,8 @@ class PauliSum:
         clean: dict[tuple[int, int], complex] = {}
         if terms:
             for key in sorted(terms):
+                if (key[0] | key[1]) >> n:  # nonzero for negative masks too
+                    raise ValueError("mask bits outside the registered site range")
                 c = complex(terms[key])
                 if not cmath.isfinite(c):
                     raise ValueError("coefficient must be finite")
@@ -340,7 +361,7 @@ class PauliSum:
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         """Operator product, canonicalized."""
-        return PauliSum(self.n, _pair_products(self, other, anticommuting_only=False))
+        return _from_sorted(self.n, *_pair_sums(self, other, anticommuting_only=False))
 
     # ------------------------------------------------------------------
     # numerical backends
@@ -458,20 +479,100 @@ def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _pair_products(
-    a: PauliSum, b: PauliSum, anticommuting_only: bool
-) -> dict[tuple[int, int], complex]:
-    """Summed string products ``PQ`` over all pairs, keyed by the result string."""
+def _mask_words(masks: list[int], w: int) -> np.ndarray:
+    """``(len(masks), w)`` uint64 array; word ``k`` holds bits 64k to 64k + 63."""
+    raw = b"".join(m.to_bytes(8 * w, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), w)
+
+
+def _mask_ints(words: np.ndarray) -> list[int]:
+    """Inverse of :func:`_mask_words`."""
+    out = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        out = [lo | hi << 64 * k for lo, hi in zip(out, words[:, k].tolist())]
+    return out
+
+
+def _symplectic(s: PauliSum, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sum's x and z mask words and its complex weights, in key order."""
+    keys = s._terms.keys()
+    return (
+        _mask_words([x for x, _ in keys], w),
+        _mask_words([z for _, z in keys], w),
+        np.fromiter(s._terms.values(), complex, len(s)),
+    )
+
+
+def _pair_terms(a: PauliSum, b: PauliSum, anticommuting_only: bool):
+    """Unsummed string products ``PQ`` of every pair, in a-major pair order.
+
+    Returns ``(i, j, x, z, re, im)``: the pair's term indices in ``a`` and
+    ``b``, the product's ``(pairs, W)`` mask words and its coefficient
+    ``c1 * c2 * i^e``, formed in real arithmetic as CPython multiplies
+    complex numbers. With ``anticommuting_only`` commuting pairs are
+    dropped before any product is formed.
+    """
     a._require_same_size(b)
-    acc: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a._terms.items():
-        for (x2, z2), c2 in b._terms.items():
-            if anticommuting_only and not ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1:
-                continue
-            key = (x1 ^ x2, z1 ^ z2)
-            phase = _I_POW[_product_phase_exp(x1, z1, x2, z2)]
-            acc[key] = acc.get(key, 0.0) + c1 * c2 * phase
-    return acc
+    w = -(-a.n // 64)
+    xa, za, ca = _symplectic(a, w)
+    xb, zb, cb = _symplectic(b, w)
+    if anticommuting_only:
+        pairs = _clash_parity(xa[:, None], za[:, None], xb[None], zb[None], _popcount) == 1
+    else:
+        pairs = np.ones((len(a), len(b)), dtype=bool)
+    i, j = np.nonzero(pairs)
+    x1, z1, x2, z2 = xa[i], za[i], xb[j], zb[j]
+    e = _product_phase_exp(x1, z1, x2, z2, _popcount)
+    x, z = x1 ^ x2, z1 ^ z2
+    ar, ai, br, bi = ca.real[i], ca.imag[i], cb.real[j], cb.imag[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pr = ar * br - ai * bi
+        pi = ar * bi + ai * br
+        qr, qi = _I_POW_RE[e], _I_POW_IM[e]
+        return i, j, x, z, pr * qr - pi * qi, pr * qi + pi * qr
+
+
+def _pair_sums(a: PauliSum, b: PauliSum, anticommuting_only: bool):
+    """Pair products summed per string: ``(x, z, re, im)``, keys sorted and distinct.
+
+    A stable lexsort orders the keys as sorted ``(x, z)`` int tuples (high
+    word first, x before z) and keeps pairs of one key in a-major order;
+    ``np.add.at`` then adds them one by one onto 0.0, as ``acc[key] =
+    acc.get(key, 0.0) + c`` over the pairs would.
+    """
+    _, _, x, z, re, im = _pair_terms(a, b, anticommuting_only)
+    order = np.lexsort((*z.T, *x.T))
+    x, z = x[order], z[order]
+    re, im = re[order], im[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]).any(axis=1) | (z[1:] != z[:-1]).any(axis=1)
+    group = np.cumsum(first) - 1
+    sr = np.zeros(np.count_nonzero(first))
+    si = np.zeros_like(sr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(sr, group, re)
+        np.add.at(si, group, im)
+    return x[first], z[first], sr, si
+
+
+def _from_sorted(n: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray) -> PauliSum:
+    """Canonical sum of sorted distinct keys, built without a second sort.
+
+    Prunes and converts to Python objects one chunk at a time, so that
+    only the chunk's temporaries sit beside the growing dict.
+    """
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("coefficient must be finite")
+    out = PauliSum.__new__(PauliSum)
+    out.n, out._terms, out._matrix = n, {}, None
+    for lo in range(0, len(re), _BUILD_CHUNK):
+        part = slice(lo, lo + _BUILD_CHUNK)
+        keep = np.hypot(re[part], im[part]) > PRUNE_TOL
+        c = np.empty(np.count_nonzero(keep), dtype=complex)
+        c.real, c.imag = re[part][keep], im[part][keep]
+        keys = zip(_mask_ints(x[part][keep]), _mask_ints(z[part][keep]))
+        out._terms.update(zip(keys, c.tolist()))
+    return out
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -481,10 +582,11 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     pair contributes 2*PQ, otherwise nothing. The factor 2 is applied
     after summing; scaling by 2 is exact, so the order does not matter.
     """
-    acc = _pair_products(a, b, anticommuting_only=True)
-    for key in acc:
-        acc[key] *= 2.0
-    return PauliSum(a.n, acc)
+    x, z, re, im = _pair_sums(a, b, anticommuting_only=True)
+    with np.errstate(over="ignore"):
+        re *= 2.0
+        im *= 2.0
+    return _from_sorted(a.n, x, z, re, im)
 
 
 def spectral_norm(

@@ -1,8 +1,10 @@
-"""Shared dense oracles for the test suite.
+"""Shared dense oracles and reference loops for the test suite.
 
 The oracle path builds matrices straight from pattern strings with its
 own Kronecker loop, independent of the package's mask-based encoding,
 so dense comparisons actually cross-check the two representations.
+The pair-product reference is the plain Python loop over string pairs
+that the package's vectorized kernel must reproduce bit for bit.
 """
 
 import math
@@ -84,3 +86,37 @@ def random_pauli_sum(rng, n, nterms=6, real=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_pair_products(a, b, anticommuting_only: bool) -> dict:
+    """Summed string products ``PQ`` over all pairs, a-major, left to right."""
+    from crda.pauli import _I_POW, _product_phase_exp
+
+    if a.n != b.n:
+        raise ValueError(f"site count mismatch: {a.n} != {b.n}")
+    acc: dict[tuple[int, int], complex] = {}
+    for (x1, z1), c1 in a._terms.items():
+        for (x2, z2), c2 in b._terms.items():
+            if anticommuting_only and not ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1:
+                continue
+            key = (x1 ^ x2, z1 ^ z2)
+            phase = _I_POW[_product_phase_exp(x1, z1, x2, z2)]
+            acc[key] = acc.get(key, 0.0) + c1 * c2 * phase
+    return acc
+
+
+def reference_product(a, b):
+    """``a @ b`` by the reference loop, canonicalized by ``PauliSum``."""
+    from crda.pauli import PauliSum
+
+    return PauliSum(a.n, reference_pair_products(a, b, anticommuting_only=False))
+
+
+def reference_commutator(a, b):
+    """``[a, b]`` by the reference loop: 2PQ per anticommuting pair, doubled after summing."""
+    from crda.pauli import PauliSum
+
+    acc = reference_pair_products(a, b, anticommuting_only=True)
+    for key in acc:
+        acc[key] *= 2.0
+    return PauliSum(a.n, acc)

@@ -20,7 +20,8 @@ from crda.errors import (
     xy2d_digital_hamiltonians,
 )
 from crda.hamiltonians import HamiltonianKind as K, build_canonical
-from crda.pauli import PauliSum, PauliTerm, commutator
+from crda import errors
+from crda.pauli import PRUNE_TOL, PauliSum, PauliTerm, anticommutes, commutator, multiply
 
 
 def uniform(n, g=1.0, delta=10.0, ratio=0.0):
@@ -160,6 +161,44 @@ class TestTable1:
     def test_scaled_coupling(self):
         rep = table1_check(Lattice.square(4, 4), j=0.5)
         assert rep.passed
+
+    def test_malformed_pairs_match_term_by_term_audit(self, monkeypatch):
+        # Stray strings in H_II make malformed pair commutators; the
+        # vectorized audit must count and name them as a term loop does.
+        lat = Lattice.square(4, 4)
+        n = lat.n_sites
+        stray = PauliSum.from_terms(
+            [
+                PauliTerm.from_sites(n, {0: "Z"}, 0.3),
+                PauliTerm.from_sites(n, {1: "X", 5: "Z", 9: "Y"}),
+                PauliTerm.from_sites(n, {2: "Z", 7: "Z"}, 0.7),
+            ]
+        )
+
+        def doctored(kind, lattice, j=1.0):
+            h = build_canonical(kind, lattice, j)
+            return h + stray if kind is K.H_II else h
+
+        monkeypatch.setattr(errors, "build_canonical", doctored)
+        rep = table1_check(lat, j=1.0)
+        h_i, h_ii = doctored(K.H_I, lat), doctored(K.H_II, lat)
+        nonzero, bad = 0, []
+        for ta in h_i.terms():
+            for tb in h_ii.terms():
+                if not anticommutes(ta, tb):
+                    continue
+                product = multiply(ta, tb)
+                coeff = 2.0 * product.coeff
+                if abs(coeff) <= PRUNE_TOL:
+                    continue
+                nonzero += 1
+                if product.weight != 3 or abs(abs(coeff) - 2.0) >= 1e-12:
+                    bad.append((ta.pattern, tb.pattern))
+        assert len(bad) > 8 and nonzero > 16 * 4
+        assert rep.entry("noncommuting_pairs_per_cell").value == nonzero / 4
+        assert rep.entry("malformed_pair_commutators").value == len(bad)
+        assert rep.params["offending_pairs"] == bad[:8]
+        assert not rep.passed
 
 
 class TestTrotterCommutators:

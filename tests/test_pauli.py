@@ -299,6 +299,30 @@ class TestMemoryGuard:
         assert peak < 1 << 20
 
 
+class TestPairKernel:
+    def test_product_peak_memory_near_result_size(self):
+        # 90,000 pair products of two 300-term, 40-site sums: the kernel's
+        # arrays and the dict's growth stay within 40% of what the result
+        # keeps (the pair-by-pair reference loop peaks at 1.45 times).
+        rng = np.random.default_rng(300)
+
+        def random_sum():
+            xs, zs = rng.integers(0, 1 << 40, (2, 300))
+            cs = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+            return PauliSum(40, {(int(x), int(z)): complex(c) for x, z, c in zip(xs, zs, cs)})
+
+        a, b = random_sum(), random_sum()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = a @ b
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 89_000
+        assert peak - base <= 1.4 * (held - base)
+
+
 class TestCachedMatrix:
     def test_matrix_built_once_per_sum(self, rng, monkeypatch):
         builds = []
@@ -376,6 +400,11 @@ class TestPauliSumInvariants:
                 PauliTerm(1, 1, 0, bad)
             with pytest.raises(ValueError):
                 PauliSum(1, {(1, 0): bad})
+
+    def test_rejects_masks_outside_site_range(self):
+        for key in ((8, 0), (0, 4), (-1, 0), (0, -2)):
+            with pytest.raises(ValueError, match="outside the registered site range"):
+                PauliSum(2, {key: 1.0})
 
     def test_pattern_length_must_match_n(self):
         with pytest.raises(ValueError):
