@@ -8,6 +8,12 @@ deterministic: fixed seeds, fixed iteration orders, sorted keys, and
 shortest round-trip float formatting, so identical configurations
 reproduce byte-identical files.
 
+Flags are data: ``_FLAGS`` declares every flag once, and ``_SUBCOMMANDS``
+names each subcommand's flags. ``_mode`` states which flags each mode
+reads, and ``main`` refuses, before any work, every flag set off its
+default that the mode never reads, so the echoed configuration holds only
+what ran.
+
 Exit codes: 0 success, 2 usage error, 3 infeasible size, 4 numerical
 non-convergence, 1 anything else. Failures emit a JSON error object on
 stderr.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -49,122 +56,165 @@ from .hamiltonians import (
 )
 from .pauli import ConvergenceError, DenseLimitError, PauliSum
 
-_CANONICAL_KINDS = {k.value for k in (*_PHASE_CHAINS, *_CHAIN_BONDS, *_TILINGS)}
+_PHASE_KINDS = {k.value for k in _PHASE_CHAINS}
+_CANONICAL_KINDS = _PHASE_KINDS | {k.value for k in (*_CHAIN_BONDS, *_TILINGS)}
 _2D_KINDS = {k.value for k in _TILINGS}
 _DEVICE_KINDS = ({k.value for k in HamiltonianKind} - _CANONICAL_KINDS) | {"qf_device"}
 # verify-frames' ladder device when no --params file is given
 _LADDER = {"n": 2, "g": 0.1, "delta": 5.0, "omega": 0.25, "omega_base": 40.0}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--params", help="device/model configuration file (flat or JSON)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
-    p.add_argument("--seed", type=int, default=7, help="seed for iterative solvers")
+# Every flag of every subcommand, declared once: argparse keywords by flag name.
+_FLAGS: dict[str, dict] = {
+    "kind": {"required": True, "choices": sorted(_CANONICAL_KINDS | _DEVICE_KINDS)},
+    "which": {
+        "required": True,
+        "choices": ("synthesis", "dyson", "table1", "trotter", "unitcell", "bounds"),
+    },
+    "model": {"help": "model selector for synthesis/trotter/bounds"},
+    "n": {"type": int},
+    "nx": {"type": int},
+    "ny": {"type": int},
+    "boundary": {"choices": ("open", "periodic")},
+    "j": {"type": float, "default": 1.0},
+    "phi": {"type": float, "default": 0.0},
+    "t": {"type": float, "default": 0.0},
+    "g": {"type": float, "help": "bond coupling"},
+    "delta": {"type": float, "help": "drive detuning"},
+    "omega": {"type": float, "help": "drive amplitude"},
+    "omega-base": {"type": float, "help": "lowest qubit frequency"},
+    "drive": {"choices": ("all", "odd", "even"), "default": "all"},
+    "mode": {"choices": ("lab", "rotating"), "default": "lab"},
+    "tol": {"type": float, "default": 1e-8},
+    "tau": {"type": float},
+    "blocks": {"type": int},
+    "observable": {"action": "append", "help": "z<k>, sz-total, or pauli:<pattern>; repeatable"},
+    "initial": {"help": "initial bit string, site 1 leftmost"},
+    "realistic": {"action": "store_true"},
+    "fuse": {"action": "store_true"},
+    "size": {"type": int, "help": "bound-table size parameter"},
+    "sweep": {"help": "sweep spec name=start:stop:points[:geom]"},
+    "params": {"help": "device/model configuration file (flat or JSON)"},
+    "out": {"help": "output path (default: stdout)"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "threads": {"type": int, "default": 1, "help": "parallel sweep workers"},
+    "seed": {"type": int, "default": 7, "help": "seed for iterative solvers"},
+}
+_MODEL = {"required": True, "choices": [m.value for m in ModelKind], "help": None}
+# subcommand -> (help, its flags in parser order, per-subcommand overrides of _FLAGS);
+# simulate's and compile's --j default None means "take J from --params"
+_SUBCOMMANDS: dict[str, tuple[str, str, dict]] = {
+    "hamiltonian": (
+        "emit a named Hamiltonian as JSON/CSV",
+        "kind n nx ny boundary j phi t g delta omega drive",
+        {},
+    ),
+    "verify-frames": (
+        "integrated dynamics vs effective chain",
+        "n g delta omega omega-base t mode tol sweep",
+        {"t": {"required": True, "help": "final time"}},
+    ),
+    "simulate": (
+        "evolve a state through a compiled schedule",
+        "model n nx ny boundary j tau blocks observable initial realistic g delta omega fuse",
+        {"model": _MODEL, "j": {"default": None}},
+    ),
+    "errors": (
+        "error norms, bounds, and structural audits",
+        "which model n nx ny boundary g delta omega t j size sweep",
+        {},
+    ),
+    "compile": (
+        "export a digital-analog schedule",
+        "model n nx ny boundary j tau blocks fuse",
+        {"model": _MODEL, "j": {"default": None}},
+    ),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _flags(command: str) -> list[str]:
+    """The flags of ``command`` in parser order."""
+    return (_SUBCOMMANDS[command][1] + " params out format threads seed").split()
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``crda`` parser, and its subparsers by name."""
     parser = argparse.ArgumentParser(
         prog="crda",
         description="cross-resonance digital-analog simulation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, overrides) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in _flags(name):
+            p.add_argument(f"--{flag}", **{**_FLAGS[flag], **overrides.get(flag, {})})
+    return parser, sub.choices
 
-    ham = sub.add_parser("hamiltonian", help="emit a named Hamiltonian as JSON/CSV")
-    ham.add_argument("--kind", required=True, choices=sorted(_CANONICAL_KINDS | _DEVICE_KINDS))
-    ham.add_argument("--n", type=int)
-    ham.add_argument("--nx", type=int)
-    ham.add_argument("--ny", type=int)
-    ham.add_argument("--boundary", choices=("open", "periodic"))
-    ham.add_argument("--j", type=float, default=1.0)
-    ham.add_argument("--phi", type=float, default=0.0)
-    ham.add_argument("--t", type=float, default=0.0)
-    ham.add_argument("--g", type=float, help="bond coupling (overrides --params)")
-    ham.add_argument("--delta", type=float, help="drive detuning (overrides --params)")
-    ham.add_argument("--omega", type=float, help="drive amplitude (overrides --params)")
-    ham.add_argument("--drive", choices=("all", "odd", "even"), default="all")
-    _add_common(ham)
 
-    ver = sub.add_parser("verify-frames", help="integrated dynamics vs effective chain")
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--g", type=float)
-    ver.add_argument("--delta", type=float)
-    ver.add_argument("--omega", type=float, help="drive amplitude")
-    ver.add_argument("--omega-base", type=float, help="lowest qubit frequency")
-    ver.add_argument("--t", type=float, required=True, help="final time")
-    ver.add_argument("--mode", choices=("lab", "rotating"), default="lab")
-    ver.add_argument("--tol", type=float, default=1e-8)
-    ver.add_argument("--sweep", help="sweep spec name=start:stop:points[:geom]")
-    _add_common(ver)
+def _mode(args) -> tuple[str, set[str]]:
+    """The mode an invocation runs, and the flags that mode reads.
 
-    sim = sub.add_parser("simulate", help="evolve a state through a compiled schedule")
-    sim.add_argument("--model", required=True, choices=[m.value for m in ModelKind])
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--nx", type=int)
-    sim.add_argument("--ny", type=int)
-    sim.add_argument("--boundary", choices=("open", "periodic"))
-    sim.add_argument("--j", type=float)
-    sim.add_argument("--tau", type=float)
-    sim.add_argument("--blocks", type=int)
-    sim.add_argument(
-        "--observable",
-        action="append",
-        default=None,
-        help="z<k>, sz-total, or pauli:<pattern>; repeatable",
-    )
-    sim.add_argument("--initial", help="initial bit string, site 1 leftmost")
-    sim.add_argument("--realistic", action="store_true")
-    sim.add_argument("--g", type=float)
-    sim.add_argument("--delta", type=float)
-    sim.add_argument("--omega", type=float)
-    sim.add_argument("--fuse", action="store_true")
-    _add_common(sim)
+    A mode is a ``hamiltonian`` kind, an ``errors --which`` mode (for
+    ``trotter``, a chain or a 2D model), ``simulate`` with or without
+    ``--realistic``, ``verify-frames`` with or without ``--params``, or
+    ``compile``. A lattice reads ``--n`` only without ``--nx``.
+    """
+    lattice = {"nx", "ny", "boundary"} | ({"n"} if getattr(args, "nx", None) is None else set())
+    device = {"n", "g", "delta", "omega", "params"}
+    if args.command == "hamiltonian":
+        if args.kind in _CANONICAL_KINDS:
+            reads = lattice | {"j", "params"} | ({"phi"} if args.kind in _PHASE_KINDS else set())
+        else:
+            reads = device | ({"drive"} if args.kind == "qf_device" else {"t"})
+        return f"hamiltonian --kind {args.kind}", reads | {"kind"}
+    if args.command == "verify-frames":
+        if args.params:
+            return "verify-frames --params", {"t", "mode", "tol", "sweep", "params"}
+        return "verify-frames", {"t", "mode", "tol", "sweep", *_LADDER}
+    if args.command == "errors":
+        reads = {
+            "synthesis": device | {"model", "t", "sweep"},
+            "dyson": device | {"t", "sweep"},
+            "table1": lattice | {"j"},
+            "trotter": (lattice if (args.model or "").startswith("xy2d") else {"n"})
+            | {"model", "j", "seed"},
+            "unitcell": {"j", "seed"},
+            "bounds": {"model", "size", "j", "g"},
+        }[args.which]
+        return f"errors --which {args.which}", reads | {"which"}
+    reads = lattice | {"model", "j", "tau", "blocks", "fuse", "params"}
+    if args.command == "compile":
+        return "compile", reads
+    reads |= {"observable", "initial", "realistic"}
+    if args.realistic:
+        return "simulate --realistic", reads | {"g", "delta", "omega"}
+    return "simulate without --realistic", reads
 
-    erp = sub.add_parser("errors", help="error norms, bounds, and structural audits")
-    erp.add_argument(
-        "--which",
-        required=True,
-        choices=("synthesis", "dyson", "table1", "trotter", "unitcell", "bounds"),
-    )
-    erp.add_argument("--model", help="model selector for synthesis/trotter/bounds")
-    erp.add_argument("--n", type=int)
-    erp.add_argument("--nx", type=int)
-    erp.add_argument("--ny", type=int)
-    erp.add_argument("--boundary", choices=("open", "periodic"))
-    erp.add_argument("--g", type=float, help="bond coupling (overrides --params)")
-    erp.add_argument("--delta", type=float, help="drive detuning (overrides --params)")
-    erp.add_argument("--omega", type=float, help="drive amplitude (overrides --params)")
-    erp.add_argument("--t", type=float, default=0.0)
-    erp.add_argument("--j", type=float, default=1.0)
-    erp.add_argument("--size", type=int, help="bound-table size parameter")
-    erp.add_argument("--sweep", help="sweep spec t=start:stop:points")
-    _add_common(erp)
 
-    comp = sub.add_parser("compile", help="export a digital-analog schedule")
-    comp.add_argument("--model", required=True, choices=[m.value for m in ModelKind])
-    comp.add_argument("--n", type=int)
-    comp.add_argument("--nx", type=int)
-    comp.add_argument("--ny", type=int)
-    comp.add_argument("--boundary", choices=("open", "periodic"))
-    comp.add_argument("--j", type=float)
-    comp.add_argument("--tau", type=float)
-    comp.add_argument("--blocks", type=int)
-    comp.add_argument("--fuse", action="store_true")
-    _add_common(comp)
+def _refuse_unread(args, parser: argparse.ArgumentParser) -> None:
+    """Refuse every flag off its parser default that the mode never reads.
 
-    return parser
+    ``--out``, ``--format`` and ``--threads`` are read in every mode.
+    """
+    mode, reads = _mode(args)
+    reads |= {"out", "format", "threads"}
+    unread = [
+        f"--{flag}"
+        for flag in _flags(args.command)
+        if (dest := flag.replace("-", "_")) not in reads
+        and getattr(args, dest) != parser.get_default(dest)
+    ]
+    if unread:
+        hint = ""
+        if {"--n", "--nx", "--ny", "--boundary"} & set(unread):
+            uses = {"nx": "--nx/--ny", "n": "--n", "size": "--size"}
+            hint = next((f"; use {use}" for flag, use in uses.items() if flag in reads), "")
+        raise ValueError(f"{mode} takes no {'/'.join(unread)}{hint}")
 
 
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _emit(args, payload: dict, csv_rows: list[list] | None) -> None:
@@ -175,7 +225,7 @@ def _emit(args, payload: dict, csv_rows: list[list] | None) -> None:
         buf.write("# config: " + json.dumps(payload.get("config", {}), sort_keys=True) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows or []:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
         text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text)
@@ -184,7 +234,7 @@ def _emit(args, payload: dict, csv_rows: list[list] | None) -> None:
 
 
 def _config_echo(args, extra: dict | None = None) -> dict:
-    skip = {"command", "func", "out", "threads"}
+    skip = {"command", "out", "threads"}
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     if extra:
         cfg.update(extra)
@@ -195,38 +245,20 @@ def _file_config(args) -> dict:
     return load_config(args.params) if args.params else {}
 
 
-def _lattice_from_args(args, cfg=None, default_boundary_1d="open", default_boundary_2d="periodic") -> Lattice:
+def _lattice_from_args(args, cfg=None, default_boundary_2d="periodic") -> Lattice:
     cfg = cfg or {}
     n = args.n if args.n is not None else cfg.get("n")
     boundary = args.boundary or cfg.get("boundary")
     if args.nx is not None:
-        _reject_flags(args, "an --nx lattice", ("n",), use="--nx/--ny")
         return Lattice.square(args.nx, args.ny, boundary=boundary or default_boundary_2d)
     if args.ny is not None:
         raise ValueError("--ny needs --nx")
     if n is None:
         raise ValueError("specify --n for chains or --nx/--ny for lattices")
-    return Lattice.chain(int(n), boundary=boundary or default_boundary_1d)
+    return Lattice.chain(int(n), boundary=boundary or "open")
 
 
-_SIZE_FLAGS = ("n", "nx", "ny", "boundary")
-# bounds' table size, and the time sweep, drive and device file of synthesis/dyson
-_DEVICE_MODE_FLAGS = ("size", "sweep", "g", "delta", "omega", "params")
-
-
-def _reject_flags(
-    args, what: str, flags: tuple[str, ...] = ("nx", "ny", "boundary"), use: str | None = "--n"
-) -> None:
-    """Refuse the ``flags`` that ``what`` would ignore yet echo in its config."""
-    given = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is not None]
-    if given:
-        hint = f"; use {use}" if use else ""
-        raise ValueError(f"{what} takes no {'/'.join(given)}{hint}")
-
-
-def _uniform_device(
-    args, n: int | None, g_fb=1.0, delta_fb=10.0, omega_fb=0.0
-) -> DeviceParams:
+def _uniform_device(args, n: int | None, omega_fb: float = 0.0) -> DeviceParams:
     """Uniform-chain device with flag > file > fallback precedence."""
     cfg = _file_config(args)
     structured = any(k == "omega_q" or str(k).startswith("omega_q.") for k in cfg)
@@ -236,22 +268,16 @@ def _uniform_device(
         Omega = p.Omega if args.omega is None else np.full(p.n, args.omega)
         g = p.g if args.g is None else np.full(p.g.size, args.g)
         return replace(p, omega=omega, Omega=Omega, g=g)
-    g = args.g if args.g is not None else float(cfg.get("g", g_fb))
-    delta = args.delta if args.delta is not None else float(cfg.get("delta", delta_fb))
+    g = args.g if args.g is not None else float(cfg.get("g", 1.0))
+    delta = args.delta if args.delta is not None else float(cfg.get("delta", 10.0))
     omega = args.omega if args.omega is not None else float(cfg.get("Omega", omega_fb))
     nn = int(n if n is not None else cfg.get("n", 2))
     return DeviceParams.uniform_chain(nn, g=g, delta=delta, Omega=omega)
 
 
 def _device_echo(p: DeviceParams) -> dict:
-    return {
-        "n": p.n,
-        "omega_q": [float(v) for v in p.omega_q],
-        "omega": [float(v) for v in p.omega],
-        "Omega": [float(v) for v in p.Omega],
-        "phi": [float(v) for v in p.phi],
-        "g": [float(v) for v in p.g],
-    }
+    arrays = ("omega_q", "omega", "Omega", "phi", "g")
+    return {"n": p.n, **{k: [float(v) for v in getattr(p, k)] for k in arrays}}
 
 
 def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
@@ -269,11 +295,18 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     return name, values
 
 
-def _sweep_map(args, values, fn):
+def _sweep(args, run, default: float, names: tuple[str, ...], usage: str) -> list:
+    """``run`` at each point of ``--sweep`` over one of ``names``, else at ``default``."""
+    if not args.sweep:
+        return [run(default)]
+    name, values = _parse_sweep(args.sweep)
+    if name not in names:
+        raise ValueError(usage)
+    points = [float(v) for v in values]
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
+            return list(pool.map(run, points))
+    return [run(v) for v in points]
 
 
 def _parse_observables(specs: list[str] | None, n: int) -> tuple[list[PauliSum], list[str]]:
@@ -299,15 +332,10 @@ def _parse_observables(specs: list[str] | None, n: int) -> tuple[list[PauliSum],
 
 
 def _initial_state(bits: str | None, n: int) -> np.ndarray:
-    dim = 1 << n
-    psi = np.zeros(dim, dtype=complex)
-    if bits is None:
-        psi[0] = 1.0
-        return psi
-    if len(bits) != n or set(bits) - {"0", "1"}:
+    psi = np.zeros(1 << n, dtype=complex)
+    if bits is not None and (len(bits) != n or set(bits) - {"0", "1"}):
         raise ValueError("initial state must be a length-n bit string")
-    idx = sum(int(b) << k for k, b in enumerate(bits))
-    psi[idx] = 1.0
+    psi[sum(int(b) << k for k, b in enumerate(bits or ""))] = 1.0
     return psi
 
 
@@ -320,13 +348,11 @@ def _cmd_hamiltonian(args) -> None:
     kind = args.kind
     resolved: dict = {}
     if kind in _CANONICAL_KINDS:
-        _reject_flags(args, f"canonical kind {kind}", ("g", "delta", "omega"), use=None)
         default_2d = "periodic" if kind in _2D_KINDS else "open"
         lat = _lattice_from_args(args, _file_config(args), default_boundary_2d=default_2d)
         h = build_canonical(HamiltonianKind(kind), lat, j=args.j, phi=args.phi)
         resolved["lattice"] = {"nx": lat.nx, "ny": lat.ny, "boundary": lat.boundary}
     else:
-        _reject_flags(args, f"device kind {kind}")
         if args.n is None and not args.params:
             raise ValueError("device-based kinds need --n or --params")
         p = _uniform_device(args, args.n)
@@ -352,7 +378,6 @@ def _cmd_hamiltonian(args) -> None:
 def _ladder_device(args) -> tuple[DeviceParams, dict]:
     """The device verify-frames runs (a ``--params`` file, else the ladder flags), and its echo."""
     if args.params:
-        _reject_flags(args, "verify-frames --params", tuple(_LADDER), use=None)
         p = DeviceParams.from_config(load_config(args.params))
         return p, {"device": _device_echo(p)}
     flags = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in _LADDER.items()}
@@ -383,13 +408,8 @@ def _cmd_verify_frames(args) -> None:
             "ratios": rep.ratios,
         }
 
-    if args.sweep:
-        name, values = _parse_sweep(args.sweep)
-        if name not in ("scale", "omega-ratio"):
-            raise ValueError("verify-frames sweeps over scale (alias omega-ratio)")
-        results = _sweep_map(args, [float(v) for v in values], run)
-    else:
-        results = [run(1.0)]
+    usage = "verify-frames sweeps over scale (alias omega-ratio)"
+    results = _sweep(args, run, 1.0, ("scale", "omega-ratio"), usage)
     payload = {"config": _config_echo(args, resolved), "results": results}
     rows = [["scale", "distance", "distance_lab_mapping", "steps"]]
     for r in results:
@@ -426,8 +446,6 @@ def _resolved_model(model: TargetModel) -> dict:
 
 
 def _cmd_simulate(args) -> None:
-    if not args.realistic:
-        _reject_flags(args, "simulate without --realistic", ("g", "delta", "omega"), use=None)
     model = _target_model(args)
     device = None
     resolved = _resolved_model(model)
@@ -462,46 +480,32 @@ def _cmd_errors(args) -> None:
     which = args.which
     resolved: dict = {}
     if which in ("synthesis", "dyson"):
-        _reject_flags(args, f"errors --which {which}")
-        unread = ("size",) if which == "synthesis" else ("model", "size")
-        _reject_flags(args, f"errors --which {which}", unread, use=None)
         p = _uniform_device(args, args.n)
         resolved["device"] = _device_echo(p)
         if which == "synthesis":
-            model = args.model or "control"
-            reports = _run_time_sweep(args, lambda t: err.synthesis_norm(model, p, t))
+            run = functools.partial(err.synthesis_norm, args.model or "control", p)
         else:
-            reports = _run_time_sweep(args, lambda t: err.dyson_propagator_diff(p, t))
+            run = functools.partial(err.dyson_propagator_diff, p)
+        reports = _sweep(args, run, args.t, ("t",), "time sweeps use t=start:stop:points")
     elif which == "table1":
-        _reject_flags(args, "errors --which table1", ("model", *_DEVICE_MODE_FLAGS), use=None)
-        lat = _lattice_from_args(args, default_boundary_2d="periodic")
-        reports = [err.table1_check(lat, j=args.j)]
+        reports = [err.table1_check(_lattice_from_args(args), j=args.j)]
     elif which == "trotter":
         if not args.model:
             raise ValueError("--model required for trotter commutators")
-        _reject_flags(args, "errors --which trotter", _DEVICE_MODE_FLAGS, use=None)
         if args.model.startswith("xy2d"):
-            lat = _lattice_from_args(args, default_boundary_2d="periodic")
+            lat = _lattice_from_args(args)
         else:
-            _reject_flags(args, f"trotter model {args.model}")
             lat = Lattice.chain(args.n if args.n is not None else 4)
         reports = [
             err.trotter_commutator(args.model, lat, j=args.j, seed=args.seed)
         ]
     elif which == "unitcell":
-        unread = (*_SIZE_FLAGS, "model", *_DEVICE_MODE_FLAGS)
-        _reject_flags(args, "errors --which unitcell", unread, use=None)
         reports = [err.unit_cell_report(j=args.j, seed=args.seed)]
-    elif which == "bounds":
+    else:  # bounds
         if not args.model or args.size is None:
             raise ValueError("--model and --size required for bound tables")
-        _reject_flags(args, "errors --which bounds", _SIZE_FLAGS, use="--size")
-        unread = ("sweep", "delta", "omega", "params")
-        _reject_flags(args, "errors --which bounds", unread, use=None)
         g = args.g if args.g is not None else 1.0
         reports = [err.bound_table(args.model, args.size, j=args.j, g=g)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(which)
 
     payload = {
         "config": _config_echo(args, resolved),
@@ -511,15 +515,6 @@ def _cmd_errors(args) -> None:
     for rep in reports:
         rows += [[*row, rep.params.get("t", "")] for row in rep.to_csv_rows()[1:]]
     _emit(args, payload, rows)
-
-
-def _run_time_sweep(args, run) -> list:
-    if args.sweep:
-        name, values = _parse_sweep(args.sweep)
-        if name != "t":
-            raise ValueError("time sweeps use t=start:stop:points")
-        return _sweep_map(args, [float(v) for v in values], run)
-    return [run(args.t)]
 
 
 def _cmd_compile(args) -> None:
@@ -551,11 +546,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1 (got {args.threads})")
+        _refuse_unread(args, commands[args.command])
         _COMMANDS[args.command](args)
     except DenseLimitError as exc:
         _fail("resource", str(exc))
@@ -563,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         _fail("convergence", str(exc))
         return 4
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         _fail("usage", str(exc))
         return 2
     return 0

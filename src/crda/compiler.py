@@ -54,7 +54,6 @@ from .hamiltonians import (
     org_hamiltonian,
 )
 from .pauli import (
-    DEFAULT_DENSE_LIMIT,
     PauliSum,
     _check_dense,
     _check_memory,
@@ -261,13 +260,9 @@ def fuse(schedule: Schedule) -> Schedule:
         return frozenset(layer.sites(n))
 
     def layer_for(kind: GateLayerKind, sites: frozenset[int]) -> GateLayer:
-        every = frozenset(range(n))
-        if sites == every:
-            return GateLayer(kind, "all")
-        if sites == frozenset(k for k in range(n) if (k + 1) % 2 == 0):
-            return GateLayer(kind, "even")
-        if sites == frozenset(k for k in range(n) if (k + 1) % 2 == 1):
-            return GateLayer(kind, "odd")
+        for name in ("all", "even", "odd"):
+            if sites == support_of(layer := GateLayer(kind, name)):
+                return layer
         return GateLayer(kind, tuple(sorted(k + 1 for k in sites)))
 
     changed = True
@@ -312,7 +307,7 @@ _Op = Callable[[np.ndarray], np.ndarray]
 
 
 def _step_operators(
-    schedule: Schedule, static: Callable[[AnalogSegment], _Op], tol: float, dense_limit: int
+    schedule: Schedule, static: Callable[[AnalogSegment], _Op], tol: float
 ) -> list[_Op]:
     """One operator per step, on arrays whose first axis is the 2^n basis index.
 
@@ -327,7 +322,7 @@ def _step_operators(
         if isinstance(s.analog, PauliSum):
             made[s.duration, s.analog] = static(s)
         else:
-            u, _ = propagate_unitary(s.analog, s.duration, tol=tol, dense_limit=dense_limit)
+            u, _ = propagate_unitary(s.analog, s.duration, tol=tol)
             made[s.duration, s.analog] = u.__matmul__
     n = schedule.n
     return [
@@ -343,13 +338,13 @@ def block_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
 
     A static segment's operator here is its dense ``expm_hermitian`` exponential.
     """
-    _check_dense(schedule.n, DEFAULT_DENSE_LIMIT, "block_unitary")
+    _check_dense(schedule.n, "block_unitary")
 
     def dense(s: AnalogSegment) -> _Op:
         return expm_hermitian(s.analog, s.duration).__matmul__
 
     u = np.eye(1 << schedule.n, dtype=complex)
-    for op in _step_operators(schedule, dense, tol, DEFAULT_DENSE_LIMIT):
+    for op in _step_operators(schedule, dense, tol):
         u = op(u)
     return u
 
@@ -450,7 +445,7 @@ def simulate(
     psi0: np.ndarray,
     observables: Sequence[PauliSum],
     observable_names: Sequence[str] | None = None,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
+    dense_limit: int = 0,
     tol: float = 1e-10,
 ) -> SimulationTrace:
     """Evolve a state through the schedule, recording one row per block.
@@ -461,11 +456,12 @@ def simulate(
     sum's cached CSR matrix, so equal Hamiltonians share one matrix whatever
     their durations. Gate layers act matrix-free, in blocks of adjacent
     sites. A time-dependent segment becomes a dense unitary from
-    :func:`~crda.frames.propagate_unitary` (to ``tol``); ``dense_limit``
-    bounds only those. Equal ``(duration, analog)`` segments share one
-    operator.
+    :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises
+    :class:`~crda.pauli.DenseLimitError` above ``DEFAULT_DENSE_LIMIT``
+    qubits. Equal ``(duration, analog)`` segments share one operator.
     Raises :class:`~crda.pauli.DenseLimitError` before allocating when the
     state, matrices and workspace would not fit in physical memory.
+    ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
     """
     n = schedule.n
     _check_simulation_memory(schedule, observables)
@@ -479,7 +475,7 @@ def simulate(
     def chebyshev(s: AnalogSegment) -> _Op:
         return _chebyshev_propagator(s.analog, s.duration)
 
-    steps = _step_operators(schedule, chebyshev, tol, dense_limit)
+    steps = _step_operators(schedule, chebyshev, tol)
     tau_block = schedule.analog_time_per_block
     blocks = schedule.repetitions
     times = np.zeros(blocks)

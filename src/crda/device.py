@@ -329,11 +329,6 @@ class Lattice:
         if self.periodic and self.nx >= 2:
             yield self.nx, 1
 
-    @staticmethod
-    def is_even_site(k: int) -> bool:
-        """Parity in the 1-based chain convention (site 2 is even)."""
-        return k % 2 == 0
-
 
 def load_config(path: str | Path) -> dict:
     """Read a flat key-value or JSON configuration file.

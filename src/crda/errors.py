@@ -28,6 +28,7 @@ from .hamiltonians import (
     _CHAIN_BONDS,
     _chain_bond_family,
     _tile_2d,
+    _uniform_quantities,
     build_canonical,
     build_delta,
     cell_terms,
@@ -196,8 +197,10 @@ def synthesis_norm(model: str, p: DeviceParams, t: float) -> ErrorReport:
     :func:`~crda.hamiltonians.org_hamiltonian`), and the closed form is
     evaluated at that phase.
     """
-    kind = _SYNTH_KIND[model]
-    g, delta, Omega = p.uniform()
+    kind = _SYNTH_KIND.get(model)
+    if kind is None:
+        raise ValueError(f"unknown synthesis model {model!r}")
+    _, g, delta, Omega, _ = _uniform_quantities(p)
     r = Omega / delta
     dt = delta * t
     numeric = build_delta(kind, p, t).frobenius_norm(normalized=True)

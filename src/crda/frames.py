@@ -33,7 +33,6 @@ from .hamiltonians import (
     rotating_frame_hamiltonian,
 )
 from .pauli import (
-    DEFAULT_DENSE_LIMIT,
     ConvergenceError,
     PauliSum,
     expm_hermitian,
@@ -183,7 +182,7 @@ def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def layer_unitary(layer: GateLayer, n: int) -> np.ndarray:
-    _check_dense(n, DEFAULT_DENSE_LIMIT, "layer_unitary")
+    _check_dense(n, "layer_unitary")
     on = set(layer.sites(n))
     u = _KIND_MATS[layer.kind]
     return _kron_chain([u if k in on else _ID for k in range(n)])
@@ -367,7 +366,6 @@ def propagate_unitary(
     t_final: float,
     tol: float = 1e-8,
     max_halvings: int = 14,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> tuple[np.ndarray, dict]:
     """Time-ordered propagator U(t_final, 0) by fourth-order Gauss-Legendre Magnus steps.
 
@@ -383,9 +381,9 @@ def propagate_unitary(
     large ``dim`` means short chunks. The first step size resolves
     ``h.max_frequency``, which is read off the weight factors.
     """
-    _check_dense(h.n, dense_limit, "propagate_unitary")
+    _check_dense(h.n, "propagate_unitary")
     dim = 1 << h.n
-    mats = np.array([ps.to_dense(dense_limit) for ps, _ in h.pieces])
+    mats = np.array([ps.to_dense() for ps, _ in h.pieces])
     if t_final == 0.0 or not h.pieces:
         return np.eye(dim, dtype=complex), {"steps": 0, "step_size": 0.0, "residual": 0.0}
 

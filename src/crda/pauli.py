@@ -83,11 +83,11 @@ class DenseLimitError(ValueError):
     """A dense operation exceeds the qubit limit, or a sparse one memory."""
 
 
-def _check_dense(n: int, dense_limit: int, what: str) -> None:
-    if n > dense_limit:
+def _check_dense(n: int, what: str) -> None:
+    if n > DEFAULT_DENSE_LIMIT:
         raise DenseLimitError(
             f"{what} needs a dense {2**n} x {2**n} matrix; "
-            f"limit is {dense_limit} qubits (got {n})"
+            f"limit is {DEFAULT_DENSE_LIMIT} qubits (got {n})"
         )
 
 
@@ -367,8 +367,8 @@ class PauliSum:
     # numerical backends
     # ------------------------------------------------------------------
 
-    def to_dense(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-        _check_dense(self.n, dense_limit, "to_dense")
+    def to_dense(self) -> np.ndarray:
+        _check_dense(self.n, "to_dense")
         return self.to_sparse().toarray()
 
     def to_sparse(self) -> scipy.sparse.csr_matrix:

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,8 +416,20 @@ class TestFailureModes:
             ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "4",
              "--sweep", "t=0:1:3", "--size", "2"],
             ["simulate", "--model", "heisenberg", "--n", "4", "--g", "5"],
+            # flags with a non-None default are refused too once set off it
+            ["hamiltonian", "--kind", "lab", "--n", "3", "--j", "5", "--drive", "odd",
+             "--phi", "1"],
+            ["hamiltonian", "--kind", "h_zz", "--n", "3", "--t", "4", "--drive", "odd",
+             "--phi", "2"],
+            ["hamiltonian", "--kind", "h_zz", "--n", "3", "--phi", "1"],
+            ["errors", "--which", "table1", "--nx", "4", "--ny", "4", "--t", "3", "--seed", "9"],
+            ["errors", "--which", "synthesis", "--n", "3", "--j", "4", "--seed", "3"],
+            ["compile", "--model", "ising", "--n", "4", "--seed", "5"],
+            ["verify-frames", "--t", "1", "--seed", "4"],
         ],
-        ids=["canonical-g", "dyson-model", "table1-model-size", "trotter-sweep-size", "simulate-g"],
+        ids=["canonical-g", "dyson-model", "table1-model-size", "trotter-sweep-size", "simulate-g",
+             "lab-j-drive-phi", "h_zz-t-drive-phi", "h_zz-phi", "table1-t-seed",
+             "synthesis-j-seed", "compile-seed", "verify-frames-seed"],
     )
     def test_unread_flags_rejected(self, capsys, args):
         code, out, errtext = run_cli(args, capsys)
@@ -461,9 +475,59 @@ class TestFailureModes:
         assert error["type"] == "usage"
         assert f"takes no {flags[0]}" in error["message"]
 
+    def test_flag_at_its_default_accepted(self, capsys):
+        code, out, _ = run_cli(
+            ["hamiltonian", "--kind", "h_zz", "--n", "3", "--seed", "7", "--phi", "0"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["hamiltonian", "--kind", "delta_zz", "--n", "3", "--g", "1", "--delta", "0",
+              "--omega", "0.5"], "zero detuning"),
+            (["hamiltonian", "--kind", "qf_device", "--n", "3", "--delta", "0", "--omega", "0.5"],
+             "zero detuning"),
+            (["errors", "--which", "dyson", "--n", "3", "--delta", "0"], "zero detuning"),
+            (["errors", "--which", "synthesis", "--n", "3", "--delta", "0", "--omega", "0.5"],
+             "zero detuning"),
+            (["simulate", "--model", "ising", "--n", "4", "--realistic", "--delta", "0"],
+             "zero detuning"),
+            (["errors", "--which", "synthesis", "--model", "bogus"],
+             "unknown synthesis model 'bogus'"),
+        ],
+        ids=["delta_zz", "qf_device", "dyson", "synthesis", "simulate-realistic",
+             "synthesis-model"],
+    )
+    def test_bad_device_or_model_is_usage_error(self, capsys, args, message):
+        code, out, errtext = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "usage"
+        assert message in error["message"]
+
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(
             ["errors", "--which", "dyson", "--n", "2", "--sweep", "t=1:2"], capsys
         )
         assert code == 2
         assert "sweep" in json.loads(errtext)["error"]["message"]
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``crda ...`` line of README's command-line block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("crda ")]
+
+
+def test_readme_commands_run(capsys):
+    # the documented examples must never show a refused flag
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        code, _, errtext = run_cli(argv, capsys)
+        assert code == 0, (argv, errtext)

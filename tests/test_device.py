@@ -125,10 +125,6 @@ class TestLattice:
             Lattice.square(3, 4).require_even_extents()
         Lattice.square(4, 4).require_even_extents()
 
-    def test_parity_is_one_based(self):
-        assert not Lattice.is_even_site(1)
-        assert Lattice.is_even_site(2)
-
 
 class TestConfigFiles:
     def test_flat_file(self, tmp_path):
