@@ -157,13 +157,16 @@ def _mode(args) -> tuple[str, set[str]]:
     A mode is a ``hamiltonian`` kind, an ``errors --which`` mode (for
     ``trotter``, a chain or a 2D model), ``simulate`` with or without
     ``--realistic``, ``verify-frames`` with or without ``--params``, or
-    ``compile``. A lattice reads ``--n`` only without ``--nx``.
+    ``compile``. A lattice reads ``--n`` only without ``--nx``; a chain kind
+    reads only ``--n``, and a tiling kind only ``--nx/--ny``.
     """
     lattice = {"nx", "ny", "boundary"} | ({"n"} if getattr(args, "nx", None) is None else set())
     device = {"n", "g", "delta", "omega", "params"}
     if args.command == "hamiltonian":
         if args.kind in _CANONICAL_KINDS:
-            reads = lattice | {"j", "params"} | ({"phi"} if args.kind in _PHASE_KINDS else set())
+            extent = {"nx", "ny"} if args.kind in _2D_KINDS else {"n"}
+            reads = extent | {"boundary", "j", "params"}
+            reads |= {"phi"} if args.kind in _PHASE_KINDS else set()
         else:
             reads = device | ({"drive"} if args.kind == "qf_device" else {"t"})
         return f"hamiltonian --kind {args.kind}", reads | {"kind"}
@@ -245,12 +248,12 @@ def _file_config(args) -> dict:
     return load_config(args.params) if args.params else {}
 
 
-def _lattice_from_args(args, cfg=None, default_boundary_2d="periodic") -> Lattice:
+def _lattice_from_args(args, cfg=None) -> Lattice:
     cfg = cfg or {}
     n = args.n if args.n is not None else cfg.get("n")
     boundary = args.boundary or cfg.get("boundary")
     if args.nx is not None:
-        return Lattice.square(args.nx, args.ny, boundary=boundary or default_boundary_2d)
+        return Lattice.square(args.nx, args.ny, boundary=boundary or "periodic")
     if args.ny is not None:
         raise ValueError("--ny needs --nx")
     if n is None:
@@ -348,14 +351,18 @@ def _cmd_hamiltonian(args) -> None:
     kind = args.kind
     resolved: dict = {}
     if kind in _CANONICAL_KINDS:
-        default_2d = "periodic" if kind in _2D_KINDS else "open"
-        lat = _lattice_from_args(args, _file_config(args), default_boundary_2d=default_2d)
+        lat = _lattice_from_args(args, _file_config(args))
         h = build_canonical(HamiltonianKind(kind), lat, j=args.j, phi=args.phi)
         resolved["lattice"] = {"nx": lat.nx, "ny": lat.ny, "boundary": lat.boundary}
     else:
         if args.n is None and not args.params:
             raise ValueError("device-based kinds need --n or --params")
         p = _uniform_device(args, args.n)
+        if args.drive != "all":  # the other sublattice: targets, undriven at zero detuning
+            target = np.arange(p.n) % 2 == int(args.drive == "odd")  # 0-based parity
+            p = replace(
+                p, Omega=np.where(target, 0.0, p.Omega), omega=np.where(target, p.omega_q, p.omega)
+            )
         resolved["device"] = _device_echo(p)
         if kind == "lab":
             h = build_lab_frame(p, args.t)

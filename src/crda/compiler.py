@@ -46,6 +46,7 @@ from .frames import (
     compose_kinds,
     phase_insensitive_distance,
     propagate_unitary,
+    toggle_chain,
 )
 from .hamiltonians import (
     HamiltonianKind,
@@ -71,6 +72,7 @@ __all__ = [
     "SimulationTrace",
     "block_error",
     "target_hamiltonian",
+    "segment_hamiltonians",
     "fuse",
 ]
 
@@ -201,6 +203,17 @@ class Schedule:
 
 def target_hamiltonian(m: TargetModel) -> PauliSum:
     return build_canonical(_PROTOCOLS[m.kind].target, m.lattice, m.j)
+
+
+def segment_hamiltonians(m: TargetModel) -> list[PauliSum]:
+    """Each segment's analog chain toggled by its entry layers, in application order.
+
+    These are the block's product-formula parts; they sum to the target model.
+    """
+    return [
+        toggle_chain(build_canonical(kind, m.lattice, m.j), entry[::-1])
+        for entry, kind, _ in _PROTOCOLS[m.kind].segments
+    ]
 
 
 def compile_model(
@@ -349,10 +362,9 @@ def block_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
     return u
 
 
-def schedule_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
+def schedule_unitary(schedule: Schedule) -> np.ndarray:
     """Dense unitary of the full schedule (block repeated M times)."""
-    block = block_unitary(schedule, tol)
-    return np.linalg.matrix_power(block, schedule.repetitions)
+    return np.linalg.matrix_power(block_unitary(schedule), schedule.repetitions)
 
 
 @dataclass

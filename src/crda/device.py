@@ -117,23 +117,20 @@ class DeviceParams:
         omega_q: np.ndarray,
         g: float | np.ndarray,
         Omega: float | np.ndarray,
-        phi: float | np.ndarray = 0.0,
         drive: DriveConfig = DriveConfig.ALL,
     ) -> "DeviceParams":
         """Chain where each driven qubit is tuned to its right neighbour.
 
         Driven qubit k gets omega[k] = omega_q[k+1]; undriven qubits sit
-        at their own resonance (zero detuning, zero amplitude, zero phase),
-        the standard target-qubit parameter assignment. The last qubit is
-        never driven (it has no right neighbour).
+        at their own resonance (zero detuning, zero amplitude), the
+        standard target-qubit parameter assignment. Every drive phase is 0.
+        The last qubit is never driven (it has no right neighbour).
         """
         omega_q = np.asarray(omega_q, dtype=float)
         n = omega_q.size
         Omega_in = np.broadcast_to(np.asarray(Omega, dtype=float), (n,)).copy()
-        phi_in = np.broadcast_to(np.asarray(phi, dtype=float), (n,)).copy()
         omega = omega_q.copy()
         Om = np.zeros(n)
-        ph = np.zeros(n)
         for k in range(n - 1):
             site = k + 1  # 1-based
             if drive is DriveConfig.ODD and site % 2 == 0:
@@ -142,9 +139,8 @@ class DeviceParams:
                 continue
             omega[k] = omega_q[k + 1]
             Om[k] = Omega_in[k]
-            ph[k] = phi_in[k]
         g_arr = np.broadcast_to(np.asarray(g, dtype=float), (n - 1,)).copy()
-        return cls(n=n, omega_q=omega_q, omega=omega, Omega=Om, phi=ph, g=g_arr)
+        return cls(n=n, omega_q=omega_q, omega=omega, Omega=Om, phi=np.zeros(n), g=g_arr)
 
     @classmethod
     def from_config(cls, cfg: Mapping) -> "DeviceParams":
@@ -219,11 +215,15 @@ class RegimeReport:
         return not self.warnings and not self.errors
 
 
-def validate_regime(p: DeviceParams, threshold: float = 0.1) -> RegimeReport:
+_REGIME_THRESHOLD = 0.1
+
+
+def validate_regime(p: DeviceParams) -> RegimeReport:
     """Flag per-qubit Omega/delta and per-bond g/delta ratios.
 
-    Ratios above ``threshold`` produce warnings; a driven qubit with zero
-    detuning is a hard error (the perturbative coupling is undefined).
+    Ratios above ``_REGIME_THRESHOLD`` (0.1, the weak-driving limit) produce
+    warnings; a driven qubit with zero detuning is a hard error (the
+    perturbative coupling is undefined).
     """
     report = RegimeReport()
     for k in range(p.n):
@@ -236,9 +236,9 @@ def validate_regime(p: DeviceParams, threshold: float = 0.1) -> RegimeReport:
             continue
         r = abs(p.Omega[k] / d)
         report.ratios[f"Omega/delta.{site}"] = r
-        if r > threshold:
+        if r > _REGIME_THRESHOLD:
             report.warnings.append(
-                f"qubit {site}: Omega/delta = {r:.3g} above {threshold:g}"
+                f"qubit {site}: Omega/delta = {r:.3g} above {_REGIME_THRESHOLD:g}"
             )
     for k in range(p.g.size):
         bond = k + 1
@@ -247,9 +247,9 @@ def validate_regime(p: DeviceParams, threshold: float = 0.1) -> RegimeReport:
             continue
         r = abs(p.g[k] / d)
         report.ratios[f"g/delta.{bond}"] = r
-        if r > threshold:
+        if r > _REGIME_THRESHOLD:
             report.warnings.append(
-                f"bond {bond}: g/delta = {r:.3g} above {threshold:g}"
+                f"bond {bond}: g/delta = {r:.3g} above {_REGIME_THRESHOLD:g}"
             )
     return report
 

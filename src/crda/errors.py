@@ -16,10 +16,12 @@ proxy rather than the Gram operator C†C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .compiler import ModelKind, TargetModel, segment_hamiltonians
 from .device import DeviceParams, Lattice
 from .hamiltonians import (
     H_I_CELL_BONDS,
@@ -105,18 +107,7 @@ class ErrorReport:
             "which": self.which,
             "passed": self.passed,
             "params": self.params,
-            "entries": [
-                {
-                    "name": e.name,
-                    "value": e.value,
-                    "analytic": e.analytic,
-                    "bound": e.bound,
-                    "units": e.units,
-                    "provenance": e.provenance,
-                    "passed": e.passed,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
 
     def to_csv_rows(self) -> list[list]:
@@ -150,14 +141,14 @@ def synthesis_norm_formula(
     g: float,
     n: int,
     delta_t: float = 0.0,
-    varphi_val: float = 0.0,
     ratio: float = 0.0,
 ) -> float:
     """Closed-form normalized Frobenius norm of the synthesis defect.
 
     The control-chain and zz forms hold for every time; the xy closed
     form is exact only at odd quarter-periods of the detuning phase (the
-    two toggled images share a zz string that interferes elsewhere).
+    two toggled images share a zz string that interferes elsewhere). The
+    zz form has its target-qubit frame phase at ``delta_t``.
     """
     root = math.sqrt(max(n - 1, 0))
     if model == "control":
@@ -165,11 +156,7 @@ def synthesis_norm_formula(
     if model == "xy":
         return 0.5 * g * root
     if model == "zz":
-        inner = (
-            2.0
-            + math.cos(delta_t) * math.cos(varphi_val - delta_t)
-            + ratio * math.sin(delta_t) * math.sin(varphi_val)
-        )
+        inner = 2.0 + math.cos(delta_t) + ratio * math.sin(delta_t) * math.sin(delta_t)
         return g / (2.0 * math.sqrt(2.0)) * root * math.sqrt(inner)
     raise ValueError(f"unknown synthesis model {model!r}")
 
@@ -204,9 +191,7 @@ def synthesis_norm(model: str, p: DeviceParams, t: float) -> ErrorReport:
     r = Omega / delta
     dt = delta * t
     numeric = build_delta(kind, p, t).frobenius_norm(normalized=True)
-    analytic = synthesis_norm_formula(
-        model, g, p.n, delta_t=dt, varphi_val=dt if model == "zz" else 0.0, ratio=r
-    )
+    analytic = synthesis_norm_formula(model, g, p.n, delta_t=dt, ratio=r)
     report = ErrorReport(
         which=f"synthesis:{model}",
         params={"n": p.n, "g": g, "delta": delta, "Omega": Omega, "t": t},
@@ -376,59 +361,61 @@ def xy2d_digital_hamiltonians(lat: Lattice, j: float) -> tuple[PauliSum, PauliSu
     return PauliSum.from_terms(xs), PauliSum.from_terms(ys)
 
 
-def heisenberg_da_commutator_sum(n: int, j: float) -> PauliSum:
-    """Sum of the three cross commutators of the axis-cycled chain family."""
-    lat = Lattice.chain(n)
-    he = build_canonical(HamiltonianKind.H_E, lat, j)
-    hep = build_canonical(HamiltonianKind.H_E_PRIME, lat, j)
-    hepp = build_canonical(HamiltonianKind.H_E_DOUBLE_PRIME, lat, j)
-    return commutator(he, hep) + commutator(he, hepp) + commutator(hep, hepp)
-
-
-def _heisenberg_layer_commutator(n: int, j: float) -> PauliSum:
-    """Commutator of the odd-bond and even-bond layers of the Heisenberg chain."""
-    chain = Lattice.chain(n)
+def _heisenberg_layers(lat: Lattice, j: float) -> list[PauliSum]:
+    """Even-bond and odd-bond layers of the Heisenberg chain, in that order."""
     odd, even = _CHAIN_BONDS[HamiltonianKind.H_HEIS]
-    return commutator(
-        _chain_bond_family(chain, odd, (), j),
-        _chain_bond_family(chain, (), even, j),
-    )
+    return [_chain_bond_family(lat, (), even, j), _chain_bond_family(lat, odd, (), j)]
 
 
-# Analytic commutator bounds: the multiple of J^2 times the site count, and
-# the lattice dimension of the model.
-_COMMUTATOR_BOUND = {
-    "xy2d_da": (8.0, 2),
-    "xy2d_digital": (24.0, 2),
-    "heis_da": (6.0, 1),
-    "heis_digital": (12.0, 1),
+# Trotter splits: model -> (analytic commutator bound as a multiple of J^2 per
+# site, lattice dimension, the split's parts in application order on a lattice
+# at coupling J). The DA parts are the compiled block's toggled segments.
+_SPLITS: dict[str, tuple[float, int, Callable[[Lattice, float], Sequence[PauliSum]]]] = {
+    "xy2d_da": (8.0, 2, lambda lat, j: segment_hamiltonians(TargetModel(ModelKind.XY_2D, lat, j))),
+    "xy2d_digital": (24.0, 2, lambda lat, j: xy2d_digital_hamiltonians(lat, j)[::-1]),
+    "heis_da": (
+        6.0, 1, lambda lat, j: segment_hamiltonians(TargetModel(ModelKind.HEISENBERG_1D, lat, j))
+    ),
+    "heis_digital": (12.0, 1, _heisenberg_layers),
 }
+
+
+def _split_commutator(parts: Sequence[PauliSum]) -> PauliSum:
+    """Sum over a < b of [P_b, P_a], pairs taken left to right.
+
+    For parts applied in turn, exp(-i P_last t) ... exp(-i P_first t), this
+    is the operator of the leading t^2 / 2 error term (Childs, Su, Tran,
+    Wiebe & Zhu, PRX 11, 011020, 2021).
+    """
+    pairs = [commutator(pb, pa) for b, pb in enumerate(parts) for pa in parts[:b]]
+    return sum(pairs[1:], pairs[0])
+
+
+def heisenberg_da_commutator_sum(n: int, j: float) -> PauliSum:
+    """Leading Trotter commutator of the Heisenberg DA block on an open n-site chain."""
+    return _split_commutator(_SPLITS["heis_da"][2](Lattice.chain(n), j))
 
 
 def _commutator_bound(model: str, sites: int, j: float) -> float:
     # Each family keeps its own operand order, which fixes how the bound
     # rounds for a general j.
-    c, dim = _COMMUTATOR_BOUND[model]
+    c, dim, _ = _SPLITS[model]
     return c * sites * j * j if dim == 2 else c * j * j * sites
 
 
-def trotter_commutator(
-    model: str,
-    lat: Lattice,
-    j: float = 1.0,
-    seed: int = 7,
-    tol: float = 1e-8,
-) -> ErrorReport:
-    """Exact split commutator, its spectral norm, and the analytic bound.
+def trotter_commutator(model: str, lat: Lattice, j: float = 1.0, seed: int = 7) -> ErrorReport:
+    """Leading Trotter commutator of a split, its spectral norm, and the analytic bound.
 
-    Models: ``xy2d_da`` (the two toggled 2D decompositions),
-    ``xy2d_digital`` (all-xx vs all-yy edges), ``heis_da`` (three-way
-    axis-cycled chain splitting, commutators summed), ``heis_digital``
-    (even-bond vs odd-bond layers).
+    The commutator is the sum over a < b of [P_b, P_a] for the parts in
+    application order. Models: ``xy2d_da`` and ``heis_da`` take their parts
+    from the compiled DA block (:func:`~crda.compiler.segment_hamiltonians`:
+    the two toggled 2D decompositions, the three axis-cycled chains);
+    ``xy2d_digital`` applies all-yy then all-xx edges, ``heis_digital`` the
+    even-bond then the odd-bond layer.
     """
-    if model not in _COMMUTATOR_BOUND:
+    if model not in _SPLITS:
         raise ValueError(f"unknown model {model!r}")
-    dim = _COMMUTATOR_BOUND[model][1]
+    _, dim, parts = _SPLITS[model]
     if lat.dim != dim:
         raise ValueError(f"{model} needs a {dim}D lattice")
     params: dict = {"model": model, "j": j, "seed": seed}
@@ -436,24 +423,13 @@ def trotter_commutator(
         params.update({"nx": lat.nx, "ny": lat.ny, "boundary": lat.boundary})
     else:
         params["n"] = lat.nx
-    sites = lat.n_sites
-    if model == "xy2d_da":
-        a = build_canonical(HamiltonianKind.H_I, lat, j)
-        b = build_canonical(HamiltonianKind.H_II, lat, j)
-        comm = commutator(a, b)
-    elif model == "xy2d_digital":
-        comm = commutator(*xy2d_digital_hamiltonians(lat, j))
-    elif model == "heis_da":
-        comm = heisenberg_da_commutator_sum(sites, j)
-    else:
-        comm = _heisenberg_layer_commutator(sites, j)
-
-    norm = spectral_norm(comm, tol=tol, seed=seed)
+    comm = _split_commutator(parts(lat, j))
+    norm = spectral_norm(comm, seed=seed)
     report = ErrorReport(which=f"trotter:{model}", params=params)
     report.add(
         "commutator_spectral_norm",
         norm,
-        bound=_commutator_bound(model, sites, j),
+        bound=_commutator_bound(model, lat.n_sites, j),
         provenance="computed, bound analytic-formula",
     )
     report.add("commutator_terms", float(comm.num_terms()))
@@ -488,7 +464,7 @@ def trotter_commutator(
     if model == "heis_digital":
         report.add(
             "per_bond_pair_norm",
-            spectral_norm(_heisenberg_layer_commutator(3, j), seed=seed),
+            spectral_norm(_split_commutator(_heisenberg_layers(Lattice.chain(3), j)), seed=seed),
             analytic=4.0 * math.sqrt(3.0) * j * j,
             bound=_commutator_bound(model, 1, j),
             provenance="computed; bound analytic-formula",
@@ -578,8 +554,8 @@ def bound_table(model: str, size: int, j: float = 1.0, g: float = 1.0) -> ErrorR
     report = ErrorReport(
         which=f"bounds:{model}", params={"size": size, "j": j, "g": g}
     )
-    if model in _COMMUTATOR_BOUND:
-        sites = size ** _COMMUTATOR_BOUND[model][1]
+    if model in _SPLITS:
+        sites = size ** _SPLITS[model][1]
         report.add(
             "commutator_bound",
             _commutator_bound(model, sites, j),

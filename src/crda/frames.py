@@ -351,6 +351,9 @@ _GL_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 # chunk holds about eight such stacks at once.
 _MAGNUS_CHUNK_BYTES = 1 << 22
 
+# Step-count doublings propagate_unitary tries before giving up.
+_MAGNUS_HALVINGS = 14
+
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
     """``u[-1] @ ... @ u[0]`` of a ``(k, d, d)`` stack by a pairwise tree."""
@@ -365,12 +368,11 @@ def propagate_unitary(
     h: TimeDependentHamiltonian,
     t_final: float,
     tol: float = 1e-8,
-    max_halvings: int = 14,
 ) -> tuple[np.ndarray, dict]:
     """Time-ordered propagator U(t_final, 0) by fourth-order Gauss-Legendre Magnus steps.
 
     The step count doubles until two consecutive resolutions agree to
-    ``tol`` in spectral norm; non-convergence within ``max_halvings``
+    ``tol`` in spectral norm; non-convergence within ``_MAGNUS_HALVINGS``
     doublings raises :class:`~crda.pauli.ConvergenceError`. Steps are
     batched (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): one
     ``h.weights`` call gives the piece weights at both Gauss-Legendre nodes
@@ -415,7 +417,7 @@ def propagate_unitary(
         h0 = min(h0, (2.0 * math.pi / h.max_frequency) / 40.0)
     nsteps = max(1, math.ceil(abs(t_final) / h0))
     u_prev = run(nsteps)
-    for _ in range(max_halvings):
+    for _ in range(_MAGNUS_HALVINGS):
         nsteps *= 2
         u_next = run(nsteps)
         residual = float(np.linalg.norm(u_next - u_prev, 2))
@@ -427,7 +429,7 @@ def propagate_unitary(
             }
         u_prev = u_next
     raise ConvergenceError(
-        f"propagator did not converge to {tol} within {max_halvings} refinements"
+        f"propagator did not converge to {tol} within {_MAGNUS_HALVINGS} refinements"
     )
 
 
@@ -498,23 +500,16 @@ def verify_effective(
     )
 
 
-def frame_error_scaling(
-    p: DeviceParams,
-    t_final: float,
-    scales: Sequence[float] = (1.0, 0.5, 0.25),
-    mode: str = "lab",
-    tol: float = 1e-8,
-) -> tuple[list[float], float]:
-    """Distances when g and Omega shrink together, plus the fitted exponent.
+def frame_error_scaling(p: DeviceParams, t_final: float) -> tuple[list[float], float]:
+    """Lab-frame distances as g and Omega shrink by s = 1, 1/2, 1/4, and the fitted exponent.
 
     Scaling both couplings by s should shrink the residual roughly as s^2
     at a revival time of the detuning oscillation.
     """
-    distances = []
-    for s in scales:
-        ps = replace(p, Omega=s * p.Omega, g=s * p.g)
-        distances.append(verify_effective(ps, t_final, mode=mode, tol=tol).distance)
-    slope = float(
-        np.polyfit(np.log(np.asarray(scales)), np.log(np.asarray(distances)), 1)[0]
-    )
+    scales = (1.0, 0.5, 0.25)
+    distances = [
+        verify_effective(replace(p, Omega=s * p.Omega, g=s * p.g), t_final).distance
+        for s in scales
+    ]
+    slope = float(np.polyfit(np.log(scales), np.log(distances), 1)[0])
     return distances, slope

@@ -481,7 +481,7 @@ def build_qf_effective(
                 raise ValueError(
                     f"target qubit {site + 1} must be undriven with zero detuning"
                 )
-            jk = float(p.g[k] * p.Omega[k] / (4.0 * p.delta[k]))
+            jk = -effective_coupling(p, k + 1)
             ph = float(p.phi[k])
             c, s = math.cos(ph), math.sin(ph)
             if c != 0.0:
@@ -548,7 +548,7 @@ def org_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHami
         )
     elif kind is K.ORG_ZZ:
         pieces = (
-            (bonds([("Z", "Z", g * Omega / (4.0 * delta))]), ()),
+            (bonds([("Z", "Z", -j_signed)]), ()),
             (bonds([("X", "Z", -q), ("Y", "Y", q)]), (cos1,)),
             (bonds([("Y", "Z", q), ("X", "Y", q)]), (sin1,)),
             (bonds([("Z", "Z", q * r)]), (cos1,)),
@@ -567,10 +567,11 @@ def build_org(kind: HamiltonianKind, p: DeviceParams, t: float) -> PauliSum:
     return org_hamiltonian(kind, p).at(t)
 
 
+# Defect kind -> (original kind, effective kind, its coupling over J = -g Omega / (4 delta)).
 _DELTA_OF = {
-    HamiltonianKind.DELTA_H: (HamiltonianKind.ORG, HamiltonianKind.CONTROL, -1.0),
-    HamiltonianKind.DELTA_XY: (HamiltonianKind.ORG_XY, HamiltonianKind.H_XY_1D, -1.0),
-    HamiltonianKind.DELTA_ZZ: (HamiltonianKind.ORG_ZZ, HamiltonianKind.H_ZZ, +1.0),
+    HamiltonianKind.DELTA_H: (HamiltonianKind.ORG, HamiltonianKind.CONTROL, 1.0),
+    HamiltonianKind.DELTA_XY: (HamiltonianKind.ORG_XY, HamiltonianKind.H_XY_1D, 1.0),
+    HamiltonianKind.DELTA_ZZ: (HamiltonianKind.ORG_ZZ, HamiltonianKind.H_ZZ, -1.0),
 }
 
 
@@ -585,10 +586,9 @@ def delta_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHa
     if kind not in _DELTA_OF:
         raise ValueError(f"{kind} is not a synthesis-defect kind")
     org_kind, eff_kind, sign = _DELTA_OF[kind]
-    n, g, delta, Omega, _ = _uniform_quantities(p)
+    n, _, _, _, j_signed = _uniform_quantities(p)
     org = org_hamiltonian(org_kind, p)
-    j_eff = sign * (g * Omega / (4.0 * delta))
-    eff = build_canonical(eff_kind, Lattice.chain(n), j=j_eff)
+    eff = build_canonical(eff_kind, Lattice.chain(n), j=sign * j_signed)
     return TimeDependentHamiltonian(n, org.pieces + ((-eff, ()),))
 
 

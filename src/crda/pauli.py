@@ -74,6 +74,9 @@ _BUILD_CHUNK = 4096
 # previous and work vectors, and the two temporaries of an inner product.
 _KRYLOV_VECTORS = 5
 
+# Relative residual at which the Lanczos norm stops.
+_LANCZOS_TOL = 1e-8
+
 
 class ConvergenceError(RuntimeError):
     """Iterative norm estimation failed to converge within the budget."""
@@ -293,9 +296,9 @@ class PauliSum:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         # Pure Pauli strings are Hermitian, so Hermiticity means real weights.
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return all(abs(c.imag) <= 1e-12 for c in self._terms.values())
 
     def dagger(self) -> "PauliSum":
         return PauliSum(self.n, {k: c.conjugate() for k, c in self._terms.items()})
@@ -592,7 +595,6 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
 def spectral_norm(
     h: PauliSum,
     dense_limit: int = 0,
-    tol: float = 1e-8,
     max_iter: int = 10_000,
     seed: int = 7,
 ) -> float:
@@ -604,14 +606,14 @@ def spectral_norm(
     (Lanczos, 1950) runs on it through ``PauliSum.apply`` from a seeded
     complex start vector. It keeps three vectors and no basis: lost
     orthogonality only adds copies of converged Ritz values, so the extreme
-    one is safe (Paige, 1980). Every 5 steps, when β drops below ``tol``
-    times the largest tridiagonal entry, and at step 2^n (exact), the
-    tridiagonal goes to ``eigh_tridiagonal``; the loop stops once the Ritz
-    value θ of largest magnitude has |β s| <= tol |θ|, s the last entry of
-    its vector. ``max_iter`` budgets proxy matvecs: overrunning it raises
-    :class:`ConvergenceError` (CLI exit 4). :class:`DenseLimitError` (CLI
-    exit 3) is raised before allocating what would not fit in physical
-    memory. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
+    one is safe (Paige, 1980). Every 5 steps, when β drops below ε =
+    ``_LANCZOS_TOL`` times the largest tridiagonal entry, and at step 2^n
+    (exact), the tridiagonal goes to ``eigh_tridiagonal``; the loop stops
+    once the Ritz value θ of largest magnitude has |β s| <= ε |θ|, s the
+    last entry of its vector. ``max_iter`` budgets proxy matvecs:
+    overrunning it raises :class:`ConvergenceError` (CLI exit 4).
+    :class:`DenseLimitError` (CLI exit 3) is raised before allocating what
+    would not fit in physical memory. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
     """
     if len(h) <= 1:
         return max((abs(c) for c in h._terms.values()), default=0.0)
@@ -626,7 +628,7 @@ def spectral_norm(
     v /= np.sqrt(_vdot(v, v).real)
     alpha: list[float] = []
     beta: list[float] = []
-    scale = 0.0  # largest |alpha|, beta so far: b <= tol * scale bounds the residual
+    scale = 0.0  # largest |alpha|, beta so far: b <= ε * scale bounds the residual
     for k in range(1, max_iter + 1):
         w = h.apply(v)
         if gram:
@@ -638,16 +640,16 @@ def spectral_norm(
         b = float(np.sqrt(_vdot(w, w).real))
         alpha.append(a)
         scale = max(scale, abs(a), b)
-        if k % 5 == 0 or k == dim or b <= tol * scale:
+        if k % 5 == 0 or k == dim or b <= _LANCZOS_TOL * scale:
             theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta)
             i = np.argmax(np.abs(theta))
-            if k == dim or abs(b * s[-1, i]) <= tol * abs(theta[i]):
+            if k == dim or abs(b * s[-1, i]) <= _LANCZOS_TOL * abs(theta[i]):
                 lam = float(abs(theta[i]))
                 return float(np.sqrt(lam)) if gram else lam
         beta.append(b)
         w /= b
         v_prev, v = v, w
-    raise ConvergenceError(f"Lanczos did not converge in {max_iter} matvecs (tol={tol})")
+    raise ConvergenceError(f"Lanczos did not converge in {max_iter} matvecs (tol={_LANCZOS_TOL})")
 
 
 def expm_hermitian(h: PauliSum, t: float) -> np.ndarray:

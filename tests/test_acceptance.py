@@ -287,7 +287,7 @@ class TestCriterion9FrameVerification:
         )
         t_final = 20 * np.pi / delta
         rep = verify_effective(p, t_final, mode="lab")
-        dists, slope = frame_error_scaling(p, t_final, scales=(1.0, 0.5, 0.25))
+        dists, slope = frame_error_scaling(p, t_final)
         _criterion(
             "9",
             "lab-frame integration matches effective-chain evolution, "

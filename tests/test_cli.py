@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from crda.cli import main
-from crda.hamiltonians import HamiltonianKind
+from crda.device import DeviceParams, Lattice
+from crda.errors import table1_check
+from crda.hamiltonians import HamiltonianKind, build_lab_frame, build_org
 
 
 def run_cli(args, capsys):
@@ -44,6 +46,27 @@ class TestHamiltonianCommand:
         terms = json.loads(out)["hamiltonian"]["terms"]
         got = {row["p"]: row["re"] for row in terms}
         assert np.isclose(got["ZZ"], 0.25) and np.isclose(got["YY"], 0.25)
+
+    @pytest.mark.parametrize("kind", ["lab", "org", "org_xy", "org_zz"])
+    def test_time_dependent_kind_matches_builder(self, capsys, kind):
+        flags = ["--n", "3", "--g", "0.3", "--delta", "-7", "--omega", "0.9", "--t", "0.4"]
+        code, out, _ = run_cli(["hamiltonian", "--kind", kind, *flags], capsys)
+        assert code == 0
+        p = DeviceParams.uniform_chain(3, g=0.3, delta=-7.0, Omega=0.9)
+        h = build_lab_frame(p, 0.4) if kind == "lab" else build_org(HamiltonianKind(kind), p, 0.4)
+        assert json.loads(out)["hamiltonian"] == h.to_json_dict()
+
+    def test_sublattice_drive_leaves_targets_undriven(self, capsys):
+        code, out, _ = run_cli(
+            ["hamiltonian", "--kind", "qf_device", "--n", "4", "--drive", "odd", "--omega", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["config"]["device"]["Omega"] == [0.5, 0.0, 0.5, 0.0]
+        assert data["config"]["device"]["omega"] == [0.0, 10.0, 0.0, 10.0]
+        terms = {row["p"]: row["re"] for row in data["hamiltonian"]["terms"]}
+        assert terms == {"XXII": 0.0125, "IIXX": 0.0125}
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -109,6 +132,13 @@ class TestErrorsCommand:
         rep = json.loads(out)["reports"][0]
         assert rep["entries"][0]["value"] == 60.0
 
+    def test_table1_matches_library(self, capsys):
+        code, out, _ = run_cli(
+            ["errors", "--which", "table1", "--nx", "4", "--ny", "4", "--j", "0.37"], capsys
+        )
+        assert code == 0
+        want = table1_check(Lattice.square(4, 4), j=0.37).to_json_dict()
+        assert json.loads(out)["reports"] == [want]
 
     def test_two_site_heisenberg_digital_trotter(self, capsys):
         code, out, _ = run_cli(
@@ -426,10 +456,14 @@ class TestFailureModes:
             ["errors", "--which", "synthesis", "--n", "3", "--j", "4", "--seed", "3"],
             ["compile", "--model", "ising", "--n", "4", "--seed", "5"],
             ["verify-frames", "--t", "1", "--seed", "4"],
+            # a chain kind reads --n only, a tiling kind --nx/--ny only
+            ["hamiltonian", "--kind", "h_zz", "--nx", "2", "--ny", "2"],
+            ["hamiltonian", "--kind", "h_i", "--n", "4"],
         ],
         ids=["canonical-g", "dyson-model", "table1-model-size", "trotter-sweep-size", "simulate-g",
              "lab-j-drive-phi", "h_zz-t-drive-phi", "h_zz-phi", "table1-t-seed",
-             "synthesis-j-seed", "compile-seed", "verify-frames-seed"],
+             "synthesis-j-seed", "compile-seed", "verify-frames-seed", "chain-kind-nx-ny",
+             "tiling-kind-n"],
     )
     def test_unread_flags_rejected(self, capsys, args):
         code, out, errtext = run_cli(args, capsys)

@@ -16,6 +16,7 @@ from crda.compiler import (
     compile_model,
     fuse,
     schedule_unitary,
+    segment_hamiltonians,
     simulate,
     target_hamiltonian,
 )
@@ -27,7 +28,12 @@ from crda.frames import (
     toggle_chain,
     unitarity_defect,
 )
-from crda.hamiltonians import HamiltonianKind as K, TimeDependentHamiltonian, build_canonical
+from crda.hamiltonians import (
+    HamiltonianKind as K,
+    TimeDependentHamiltonian,
+    build_canonical,
+    org_hamiltonian,
+)
 from crda.pauli import PauliSum, expm_hermitian
 
 
@@ -136,13 +142,32 @@ class TestBlockStructure:
                 else:
                     prefix.append(step)
             want = [build_canonical(p, m.lattice, m.j) for p in pieces]
-            assert len(toggled) == len(want)
-            for got, ref in zip(toggled, want):
-                assert got.allclose(ref)
-            total = toggled[0]
-            for t in toggled[1:]:
-                total = total + t
-            assert total.allclose(target_hamiltonian(m))
+            for got in (toggled, segment_hamiltonians(m)):
+                assert len(got) == len(want)
+                for part, ref in zip(got, want):
+                    assert part.allclose(ref)
+                total = got[0]
+                for t in got[1:]:
+                    total = total + t
+                assert total.allclose(target_hamiltonian(m))
+
+    @pytest.mark.parametrize(
+        "n, g, delta, omega",
+        [(2, 1.0, 10.0, 0.5), (3, 0.3, -7.0, 0.9), (5, 0.7, 9.0, 1.3), (8, 1.1, 40.0, 8.0)],
+    )
+    def test_org_xy_is_org_toggled_by_the_xy_frames(self, n, g, delta, omega):
+        # the XY block runs ORG in its two frames; ORG_XY is their sum, weight by weight
+        p = DeviceParams.uniform_chain(n, g=g, delta=delta, Omega=omega)
+        frames_xy = [entry for entry, _, _ in compiler._PROTOCOLS[ModelKind.XY_1D].segments]
+        toggled: dict = {}
+        for ps, weight in org_hamiltonian(K.ORG, p).pieces:
+            for entry in frames_xy:
+                part = toggle_chain(ps, entry[::-1])
+                toggled[weight] = toggled[weight] + part if weight in toggled else part
+        org_xy = {w: ps for ps, w in org_hamiltonian(K.ORG_XY, p).pieces}
+        assert org_xy.keys() == toggled.keys()
+        for weight, ps in org_xy.items():
+            assert ps == toggled[weight]
 
 
 class TestExactSynthesis:
