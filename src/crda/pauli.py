@@ -55,7 +55,7 @@ __all__ = [
 # Coefficients below this magnitude are numerical noise at double precision.
 PRUNE_TOL = 1e-14
 
-# 2^12 dense eigensolves stay seconds-scale; larger sizes must go sparse.
+# Qubit limit of the dense routines (to_dense, expm_hermitian, the unitaries).
 DEFAULT_DENSE_LIMIT = 12
 
 # letter -> (x bit, z bit)
@@ -69,6 +69,9 @@ _I_POW_IM = np.array([p.imag for p in _I_POW])
 # Result entries converted to Python objects at a time: bounds the
 # temporary lists beside the result dict.
 _BUILD_CHUNK = 4096
+
+# Entries of the CSR matrix filled at a time: bounds the build's scratch.
+_BLOCK_ENTRIES = 1 << 20
 
 # 2^n vectors the Lanczos norm holds besides the matrix: the current,
 # previous and work vectors, and the two temporaries of an inner product.
@@ -378,45 +381,59 @@ class PauliSum:
         """A new CSR matrix of the sum, which the caller may scale in place."""
         return self._build_csr()
 
-    def _phase_groups(self, idx: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """``(x, w)`` per distinct X mask, sorted: ``w[k] = <i|h|i ^ x>`` at ``i = idx[k]``.
-
-        String ``(x, z)`` sends basis state ``j`` to ``j ^ x`` with weight
-        ``c * i^|x&z| * (-1)^|j&z|``; at ``j = i ^ x`` that is ``c *
-        (-i)^|x&z| * (-1)^|i&z|``. ``w`` sums the strings sharing x.
-        """
-        for x, group in itertools.groupby(self._terms.items(), key=lambda kv: kv[0][0]):
-            yield x, sum(
-                c * _I_POW[-(x & z).bit_count() % 4] * _parity_signs(idx, z)
-                for (_, z), c in group
-            )
-
     def _num_x_masks(self) -> int:
         return len({x for x, _ in self._terms})
 
-    def _matrix_bytes(self) -> int:
-        """Bytes of the CSR matrix: per row and X mask, 16 B of weight and an index."""
+    def _weights(self) -> Iterator[tuple[int, int, complex]]:
+        """``(x, z, a)`` per string, in key order: its matrix entry ``(i, i ^ x)`` is ``a (-1)^|i&z|``."""
+        return ((x, z, c * _I_POW[-(x & z).bit_count() % 4]) for (x, z), c in self._terms.items())
+
+    def _csr_dtype(self) -> type:
+        """``float`` when every weight ``a`` of :meth:`_weights` is exactly real, else ``complex``."""
+        return float if all(a.imag == 0.0 for _, _, a in self._weights()) else complex
+
+    def _matrix_bytes(self, dtype: type = complex) -> int:
+        """Bytes of the CSR matrix: per row and X mask, a weight (8 B real, 16 B complex) and an index."""
         entries = self._num_x_masks() << self.n
-        return entries * (16 + np.dtype(_index_dtype(entries)).itemsize)
+        return entries * (np.dtype(dtype).itemsize + np.dtype(_index_dtype(entries)).itemsize)
 
-    def _build_csr(self) -> scipy.sparse.csr_matrix:
-        """CSR matrix, built straight from :meth:`_phase_groups`.
+    def _build_csr(self, dtype: type = complex) -> scipy.sparse.csr_matrix:
+        """CSR matrix, filled by blocks of rows; ``dtype=float`` keeps real parts.
 
-        Row ``i`` holds one entry per distinct X mask ``x``, in sorted mask
-        order: column ``i ^ x``, weight ``w[i]``. A row-major ``(2^n, masks)``
-        array is the CSR data, filled one mask column at a time. Raises
-        :class:`DenseLimitError` before allocating when the matrix and the
-        build's scratch vectors exceed physical memory.
+        Row ``i`` holds one entry per distinct X mask ``x``, in sorted order:
+        column ``i ^ x``, and the sum from 0, in sorted z order, of ``a *
+        (-1)^|i&z|`` over the strings sharing ``x`` (:meth:`_weights`). With
+        ``i = hi * 2^h + lo``, ``h = n // 2``, that sign is ``(-1)^|hi & z >> h|
+        * (-1)^|lo & z|``: a block of about ``_BLOCK_ENTRIES`` entries sums outer
+        products of per-string vectors of ``2^(n-h)`` and ``2^h`` entries. Raises
+        :class:`DenseLimitError` first if the matrix exceeds physical memory.
         """
         n, dim, masks = self.n, 1 << self.n, self._num_x_masks()
-        _check_memory(self._matrix_bytes() + 4 * (16 << n), "sparse matrix")
+        _check_memory(self._matrix_bytes(dtype) + (8 << n), "sparse matrix")
         itype = _index_dtype(masks << n)
-        idx = np.arange(dim, dtype=itype)
-        data = np.empty((dim, masks), dtype=complex)
+        h = n // 2
+        his, los = np.arange(dim >> h, dtype=itype), np.arange(1 << h, dtype=itype)
+        xs = np.array(sorted({x for x, _ in self._terms}), dtype=itype)
+        groups = [
+            [
+                (_parity_signs(his, z >> h), (a.real if dtype is float else a) * _parity_signs(los, z))
+                for _, z, a in group
+            ]
+            for _, group in itertools.groupby(self._weights(), key=lambda w: w[0])
+        ]
+        data = np.empty((dim, masks), dtype=dtype)
         indices = np.empty((dim, masks), dtype=itype)
-        for k, (x, w) in enumerate(self._phase_groups(idx)):
-            data[:, k] = w
-            np.bitwise_xor(idx, x, out=indices[:, k])
+        step = min(dim >> h, max(1, _BLOCK_ENTRIES // (max(masks, 1) << h)))  # hi values per block
+        buffer = np.empty((masks, step, 1 << h), dtype=dtype)
+        for h0 in range(0, dim >> h, step):
+            block = buffer[:, : (dim >> h) - h0]
+            block[...] = 0.0
+            for w, terms in zip(block, groups):
+                for s_hi, a_lo in terms:
+                    w += np.multiply.outer(s_hi[h0 : h0 + step], a_lo)
+            rows = slice(h0 << h, (h0 + block.shape[1]) << h)
+            data[rows] = block.reshape(masks, rows.stop - rows.start).T
+            np.bitwise_xor(np.arange(rows.start, rows.stop, dtype=itype)[:, None], xs, out=indices[rows])
         indptr = masks * np.arange(dim + 1, dtype=itype)
         return scipy.sparse.csr_matrix(
             (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
@@ -598,45 +615,58 @@ def spectral_norm(
     max_iter: int = 10_000,
     seed: int = 7,
 ) -> float:
-    """Largest singular value, from the top |eigenvalue| of a Hermitian proxy.
+    """Largest singular value, by a three-term Lanczos recurrence on a Hermitian proxy.
 
-    A sum of at most one string has norm |c|, exactly. Otherwise the proxy
-    is ``h`` if Hermitian, ``i*h`` if anti-Hermitian (commutators of
-    Hermitian sums), else ``h†h``, and a three-term Lanczos recurrence
-    (Lanczos, 1950) runs on it through ``PauliSum.apply`` from a seeded
-    complex start vector. It keeps three vectors and no basis: lost
-    orthogonality only adds copies of converged Ritz values, so the extreme
-    one is safe (Paige, 1980). Every 5 steps, when β drops below ε =
-    ``_LANCZOS_TOL`` times the largest tridiagonal entry, and at step 2^n
-    (exact), the tridiagonal goes to ``eigh_tridiagonal``; the loop stops
-    once the Ritz value θ of largest magnitude has |β s| <= ε |θ|, s the
-    last entry of its vector. ``max_iter`` budgets proxy matvecs:
-    overrunning it raises :class:`ConvergenceError` (CLI exit 4).
-    :class:`DenseLimitError` (CLI exit 3) is raised before allocating what
-    would not fit in physical memory. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
+    A sum of at most one string has norm |c|, exactly. Otherwise the
+    recurrence (Lanczos, 1950) runs on the sum's CSR matrix ``m``, real when
+    :meth:`PauliSum._csr_dtype` is ``float``, from a seeded start vector of
+    its dtype. The proxy is ``m`` for a Hermitian ``h``; for a non-normal one
+    ``m^T m``, or ``m`` then the matrix of ``h.dagger()`` if complex, whose
+    top value is the squared norm; for an anti-Hermitian ``h`` (commutators
+    of Hermitian sums) ``i m``. A real ``m`` is then antisymmetric, and with
+    ``u_k = v_k / i^k`` from a real start every α is 0 and ``u_{k+1} β_k =
+    m u_k + β_{k-1} u_{k-1}``: one real matvec per step on the Krylov space
+    of ``i m`` (Golub & Kahan, 1965). A complex ``m`` becomes that of ``i*h``.
+    Three vectors and no basis are kept: lost orthogonality only adds copies
+    of converged Ritz values, so the extreme one is safe (Paige, 1980). Every
+    5 steps, when β drops below ε = ``_LANCZOS_TOL`` times the largest
+    tridiagonal entry, and at step 2^n (exact), the tridiagonal goes to
+    ``eigh_tridiagonal``; the loop stops once the Ritz value θ of largest
+    magnitude has |β s| <= ε |θ|, s the last entry of its vector. Inner
+    products are numpy sums (:func:`_vdot`). Overrunning ``max_iter`` steps
+    raises :class:`ConvergenceError` (CLI exit 4), and what would not fit in
+    physical memory :class:`DenseLimitError` (CLI exit 3) before allocating.
+    ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
     """
     if len(h) <= 1:
         return max((abs(c) for c in h._terms.values()), default=0.0)
-    if not h.is_hermitian() and (1j * h).is_hermitian():
-        h = 1j * h
-    gram = not h.is_hermitian()
-    _check_memory((1 + gram) * h._matrix_bytes() + _KRYLOV_VECTORS * (16 << h.n), "Lanczos norm")
-    hd = h.dagger() if gram else None
+    dtype = h._csr_dtype()
+    skew = not h.is_hermitian() and (1j * h).is_hermitian()
+    if skew and dtype is complex:
+        h, skew = 1j * h, False
+    gram = not skew and not h.is_hermitian()
+    need = (1 + (gram and dtype is complex)) * h._matrix_bytes(dtype)
+    _check_memory(need + _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n), "Lanczos norm")
+    m = h._build_csr(dtype)
+    mh = (m.T if dtype is float else h.dagger()._build_csr()) if gram else None
     dim = 1 << h.n
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = rng.standard_normal(dim)
+    if dtype is complex:
+        v = v + 1j * rng.standard_normal(dim)
     v /= np.sqrt(_vdot(v, v).real)
     alpha: list[float] = []
     beta: list[float] = []
     scale = 0.0  # largest |alpha|, beta so far: b <= ε * scale bounds the residual
     for k in range(1, max_iter + 1):
-        w = h.apply(v)
+        w = m @ v
         if gram:
-            w = hd.apply(w)
-        a = _vdot(v, w).real
-        w -= a * v
+            w = mh @ w
+        a = 0.0 if skew else _vdot(v, w).real  # u_k^T m u_k = 0 for antisymmetric m
+        if not skew:
+            w -= a * v
         if beta:
-            w -= beta[-1] * v_prev
+            w += (beta[-1] if skew else -beta[-1]) * v_prev
         b = float(np.sqrt(_vdot(w, w).real))
         alpha.append(a)
         scale = max(scale, abs(a), b)
@@ -649,7 +679,7 @@ def spectral_norm(
         beta.append(b)
         w /= b
         v_prev, v = v, w
-    raise ConvergenceError(f"Lanczos did not converge in {max_iter} matvecs (tol={_LANCZOS_TOL})")
+    raise ConvergenceError(f"Lanczos did not converge in {max_iter} steps (tol={_LANCZOS_TOL})")
 
 
 def expm_hermitian(h: PauliSum, t: float) -> np.ndarray:

@@ -4,14 +4,18 @@ The oracle path builds matrices straight from pattern strings with its
 own Kronecker loop, independent of the package's mask-based encoding,
 so dense comparisons actually cross-check the two representations.
 The pair-product reference is the plain Python loop over string pairs
-that the package's vectorized kernel must reproduce bit for bit.
+that the package's vectorized kernel must reproduce bit for bit, and the
+CSR reference fills the matrix one X-mask column at a time, as the
+package's row-block build must reproduce byte for byte.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import settings
 
 # Property tests replay the same examples on every run: no random seed, no
@@ -120,3 +124,30 @@ def reference_commutator(a, b):
     for key in acc:
         acc[key] *= 2.0
     return PauliSum(a.n, acc)
+
+
+def reference_csr(h) -> scipy.sparse.csr_matrix:
+    """Complex CSR matrix of a PauliSum, one full-height X-mask column at a time.
+
+    Row ``i`` holds one entry per distinct X mask ``x``, in sorted order:
+    column ``i ^ x`` and the sum over the strings sharing ``x``, in sorted z
+    order and starting from 0, of ``c * (-i)^|x&z| * (-1)^|i&z|``.
+    """
+    from crda.pauli import _I_POW, _index_dtype
+
+    n, dim = h.n, 1 << h.n
+    masks = len({x for x, _ in h._terms})
+    itype = _index_dtype(masks << n)
+    idx = np.arange(dim, dtype=itype)
+    data = np.empty((dim, masks), dtype=complex)
+    indices = np.empty((dim, masks), dtype=itype)
+    for k, (x, group) in enumerate(itertools.groupby(h._terms.items(), key=lambda kv: kv[0][0])):
+        data[:, k] = sum(
+            c * _I_POW[-(x & z).bit_count() % 4] * (1.0 - 2.0 * (np.bitwise_count(idx & z) & 1))
+            for (_, z), c in group
+        )
+        np.bitwise_xor(idx, x, out=indices[:, k])
+    indptr = masks * np.arange(dim + 1, dtype=itype)
+    return scipy.sparse.csr_matrix(
+        (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
+    )

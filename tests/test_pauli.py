@@ -1,11 +1,13 @@
 """Pauli-string algebra: products, commutators, norms, exponentials."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dense_oracle, kron_pattern, random_pauli_sum
+from crda import pauli
 from crda.device import Lattice
 from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
 from crda.hamiltonians import TimeDependentHamiltonian
@@ -284,6 +286,75 @@ class TestNormPath:
         assert spectral_norm(c) == pytest.approx(ref, rel=1e-12)
 
 
+def _real_sum(rng, n: int, nterms: int, symmetric: bool) -> PauliSum:
+    """A sum with a real matrix: strings with an even Y count and real weights
+    (symmetric), or an odd Y count and imaginary weights (antisymmetric)."""
+    terms = {}
+    for _ in range(50 * nterms):
+        x, z = (int(m) for m in rng.integers(0, 1 << n, 2))
+        if (x & z).bit_count() % 2 != symmetric and len(terms) < nterms:
+            terms[(x, z)] = rng.standard_normal() * (1.0 if symmetric else 1j)
+    return PauliSum(n, terms)
+
+
+def _kind_sum(rng, n: int, kind: str) -> PauliSum:
+    if kind == "symmetric":
+        return _real_sum(rng, n, 8, symmetric=True)
+    if kind == "antisymmetric":
+        return _real_sum(rng, n, 8, symmetric=False)
+    if kind == "nonnormal":
+        return _real_sum(rng, n, 5, symmetric=True) + _real_sum(rng, n, 5, symmetric=False)
+    return random_pauli_sum(rng, n, nterms=8)
+
+
+class TestNormKinds:
+    """The recurrence for each kind of matrix, against the dense oracle."""
+
+    @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "nonnormal", "complex"])
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_matches_dense_oracle(self, kind, n, rng):
+        h = _kind_sum(rng, n, kind)
+        oracle = dense_oracle(h)
+        assert (h._csr_dtype() is float) == (kind != "complex")
+        if kind == "symmetric":
+            assert np.array_equal(oracle, oracle.T)
+        if kind == "antisymmetric":
+            assert np.array_equal(oracle, -oracle.T)
+        ref = float(np.linalg.norm(oracle, 2))
+        assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
+
+    def test_real_non_normal_two_by_two(self):
+        h = PauliSum.from_pattern("X") + PauliSum.from_pattern("Y", 1j)
+        assert h._csr_dtype() is float
+        assert np.array_equal(dense_oracle(h), [[0, 2], [0, 0]])
+        assert spectral_norm(h) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "nonnormal"])
+    def test_exact_at_full_dimension(self, n, kind, rng):
+        h = _kind_sum(rng, n, kind)
+        assert h._csr_dtype() is float
+        ref = float(np.linalg.norm(dense_oracle(h), 2))
+        assert spectral_norm(h, max_iter=1 << n) == pytest.approx(ref, rel=1e-12)
+
+    def test_real_commutator_peak_memory(self):
+        # The 4x4 XY commutator: its real matrix, five real vectors, the
+        # build's block of rows and 1 MiB, which the complex matrix alone exceeds.
+        c = _split_commutator("xy2d_digital", (4, 4))
+        assert c._csr_dtype() is float
+        block = pauli._BLOCK_ENTRIES * 8
+        bound = c._matrix_bytes(float) + 5 * (8 << c.n) + block + (1 << 20)
+        assert c._matrix_bytes(complex) > bound
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert spectral_norm(c) == pytest.approx(126.80164143829568, rel=1e-12)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 class TestMemoryGuard:
     def test_forty_qubits_refused_before_allocating(self):
         h = PauliSum.from_pattern("XZ" * 20) + PauliSum.from_pattern("Y" * 40)
@@ -293,6 +364,27 @@ class TestMemoryGuard:
                 spectral_norm(h)
             with pytest.raises(DenseLimitError, match="GiB"):
                 h._build_csr()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_real_matrix_refused_at_its_real_size(self):
+        # two X masks on 40 sites, both with real weights: 2^41 entries of
+        # 8 B data and an 8 B index, where a complex matrix has 24 B each
+        h = PauliSum.from_pattern("XZ" * 20) + PauliSum.from_pattern("Y" * 40)
+        assert h._csr_dtype() is float
+
+        def gib(nbytes):
+            return re.escape(f"needs about {nbytes / 2**30:.3g} GiB")
+
+        entries = 2 << 40
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match=gib(16 * entries + 5 * (8 << 40))):
+                spectral_norm(h)
+            with pytest.raises(DenseLimitError, match=gib(16 * entries + (8 << 40))):
+                h._build_csr(float)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,23 +418,37 @@ class TestPairKernel:
 class TestCachedMatrix:
     def test_matrix_built_once_per_sum(self, rng, monkeypatch):
         builds = []
-        phase_groups = PauliSum._phase_groups
+        build_csr = PauliSum._build_csr
 
-        def counted(self, idx):
-            builds.append(self.n)
-            return phase_groups(self, idx)
+        def counted(self, dtype=complex):
+            builds.append((self.n, dtype))
+            return build_csr(self, dtype)
 
-        monkeypatch.setattr(PauliSum, "_phase_groups", counted)
+        monkeypatch.setattr(PauliSum, "_build_csr", counted)
         n = 9
         h = _heis_layer(n, 0) + _heis_layer(n, 1)
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         first = h.apply(psi)
+        cached = h._matrix
         for _ in range(3):
             assert np.array_equal(h.apply(psi), first)
             h.expectation(psi)
+        assert builds == [(n, complex)]
+        # the norm multiplies a real matrix of its own and keeps none
         assert spectral_norm(h) > 0.0
-        assert builds == [n]
+        assert builds == [(n, complex), (n, float)]
+        assert h._matrix is cached
         assert np.allclose(first, dense_oracle(h) @ psi, rtol=0.0, atol=1e-12)
+
+    def test_matrix_paths_stay_complex(self):
+        h = _heis_layer(6, 0) + _heis_layer(6, 1)
+        assert h._csr_dtype() is float
+        psi = np.zeros(1 << 6)
+        psi[5] = 1.0
+        assert h.to_sparse().dtype == np.complex128
+        assert h.to_dense().dtype == np.complex128
+        assert h.apply(psi).dtype == np.complex128
+        assert h._matrix.dtype == np.complex128
 
 
 class TestExpm:

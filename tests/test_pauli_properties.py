@@ -1,5 +1,6 @@
-"""Property tests of the numerical backends against the dense oracle, and
-of the vectorized pair kernel against the reference loop.
+"""Property tests of the numerical backends against the dense oracle, of
+the vectorized pair kernel against the reference loop, and of the
+row-block CSR build against the column-by-column reference build.
 
 Generated sums draw their X masks from a small pool, so several strings
 share one X mask (one entry per row of the CSR matrix); the pool always offers
@@ -8,14 +9,17 @@ share one X mask (one entry per row of the CSR matrix); the pool always offers
 
 import operator
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_oracle, reference_commutator, reference_product
+from conftest import dense_oracle, reference_commutator, reference_csr, reference_product
+from crda import pauli
 from crda.pauli import (
+    _I_POW,
     PauliSum,
     PauliTerm,
     _clash_parity,
@@ -217,3 +221,76 @@ def test_array_phase_rule_matches_scalar_rule():
     assert exps.tolist() == [_product_phase_exp(*q) for q in zip(*masks)]
     parity = _clash_parity(*words, popcount=_popcount)
     assert parity.tolist() == [_clash_parity(*q) for q in zip(*masks)]
+
+
+# ----------------------------------------------------------------------
+# the row-block CSR build against the column-by-column reference
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def csr_sums(draw, max_n=14):
+    """Sums on 1 to ``max_n`` sites over a pool of one to three X masks.
+
+    Weights carry signed zeros and cancel; in about half the sums every
+    matrix weight ``c (-i)^|x&z|`` is real, and the others may have a few
+    such weights real.
+    """
+    n = draw(st.integers(1, max_n))
+    masks = st.integers(0, (1 << n) - 1)
+    x_pool = draw(st.lists(masks, min_size=1, max_size=3))
+    parts = _COEFFS | _EDGE_COEFFS
+    real = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, z = draw(st.sampled_from(x_pool)), draw(masks)
+        if real:
+            c = draw(parts) * _I_POW[(x & z).bit_count() % 4]
+        else:
+            c = complex(draw(parts), draw(parts))
+        terms.append(PauliTerm(n, x, z, c))
+    return PauliSum.from_terms(terms)
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for field in ("data", "indices", "indptr"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def _block_builds(h, dtype=complex):
+    """``h._build_csr(dtype)`` with blocks of one, of a few and of the default entries."""
+    for entries in (1, 24, pauli._BLOCK_ENTRIES):
+        with mock.patch.object(pauli, "_BLOCK_ENTRIES", entries):
+            yield h._build_csr(dtype)
+
+
+@given(csr_sums())
+def test_row_block_build_equals_reference(h):
+    want = reference_csr(h)
+    for got in _block_builds(h):
+        _assert_same_csr(got, want)
+    real = h._csr_dtype() is float
+    assert real == (not want.data.imag.any())
+    if real:
+        real_part = want.copy()
+        real_part.data = want.data.real.copy()
+        for got in _block_builds(h, float):
+            _assert_same_csr(got, real_part)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 14])
+def test_row_block_build_single_term_and_single_mask(n):
+    rng = np.random.default_rng(n)
+    x, *zs = (int(m) for m in rng.integers(0, 1 << n, 5))
+    one_term = PauliSum(n, {(x, zs[0]): 0.3 - 1.7j})
+    one_mask = PauliSum(n, {(x, z): complex(*rng.standard_normal(2)) for z in zs})
+    for h in (one_term, one_mask):
+        for got in _block_builds(h):
+            _assert_same_csr(got, reference_csr(h))
+
+
+@given(csr_sums(max_n=6))
+def test_real_dtype_exactly_when_the_matrix_is_real(h):
+    assert (h._csr_dtype() is float) == (not dense_oracle(h).imag.any())
