@@ -429,7 +429,7 @@ def _chebyshev_propagator(h: PauliSum, tau: float) -> _Op:
     """
     if not h.is_hermitian():
         raise ValueError("a static segment needs a Hermitian operator")
-    r = sum(abs(c) for c in h._terms.values())
+    r = sum(abs(c) for c in h._c.tolist())
     if r == 0.0:
         return np.copy
     coef = _chebyshev_coefficients(r * tau)

@@ -9,8 +9,9 @@ carrying a bound are marked passed only when value <= bound + 1e-9.
 
 The commutator norms exploit structure: commutators of Hermitian sums
 are anti-Hermitian, so the spectral norm is the extreme eigenvalue of
-the Hermitian operator i*C, which keeps the Lanczos norm on a Hermitian
-proxy rather than the Gram operator C†C.
+i*C, never that of the Gram operator C†C. Every Trotter commutator crda
+prints has a real, antisymmetric matrix, on which the Lanczos norm runs
+in real arithmetic (see :func:`~crda.pauli.spectral_norm`).
 """
 
 from __future__ import annotations
@@ -292,8 +293,8 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
 
     # [P, Q] is 2PQ for anticommuting strings and 0 otherwise; a pair counts
     # when its commutator survives pruning, as in a PauliSum.
-    ia, ib, x, z, re, im = _pair_terms(h_i, h_ii, anticommuting_only=True)
-    size = np.hypot(2.0 * re, 2.0 * im)
+    ia, ib, x, z, c = _pair_terms(h_i, h_ii, anticommuting_only=True)
+    size = np.hypot(2.0 * c.real, 2.0 * c.imag)
     counted = size > PRUNE_TOL
     nonzero = int(np.count_nonzero(counted))
     bad = counted & ((_popcount(x | z) != 3) | (np.abs(size - 2.0 * j * j) >= 1e-12))

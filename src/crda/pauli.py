@@ -4,11 +4,13 @@ Operators are complex-weighted sums of Pauli strings (tensor products of
 I, X, Y, Z). Strings are stored in the symplectic encoding: a pair of
 N-bit masks ``(x, z)`` with bit ``k`` describing site ``k``, and an
 explicit power of ``i`` folded into the coefficient (Aaronson & Gottesman,
-2004). Products and commutators of sums run as one vectorized kernel over
-all string pairs: the masks become ``(terms, ceil(N/64))`` arrays of uint64
-words, so a pair costs a few word operations instead of O(4^N), and the
-pair products are summed per string in sorted order, bit for bit as a
-left-to-right Python loop over the pairs would sum them.
+2004). A sum holds its masks bit-packed, as ``(terms, ceil(N/64))`` uint64
+word arrays sorted as ``(x, z)`` int tuples (as in Stim; Gidney, 2021),
+beside a complex128 weight array; Python ints appear only where terms are
+read out. Products and commutators run as one vectorized kernel over all
+string pairs, so a pair costs a few word operations instead of O(4^N), and
+every result is summed per string in sorted order, bit for bit as a
+left-to-right Python loop over a dict of weights would sum it.
 
 Conventions (fixed once, used everywhere):
 
@@ -65,10 +67,6 @@ _LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _I_POW_RE = np.array([p.real for p in _I_POW])
 _I_POW_IM = np.array([p.imag for p in _I_POW])
-
-# Result entries converted to Python objects at a time: bounds the
-# temporary lists beside the result dict.
-_BUILD_CHUNK = 4096
 
 # Entries of the CSR matrix filled at a time: bounds the build's scratch.
 _BLOCK_ENTRIES = 1 << 20
@@ -220,24 +218,26 @@ class PauliSum:
     Sums are hashable, and equal sums hash equal, so a sum can key a dict.
     """
 
-    __slots__ = ("n", "_terms", "_matrix")
+    __slots__ = ("n", "_x", "_z", "_c", "_matrix")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, int], complex] | None = None):
         if n < 1:
             raise ValueError("need at least one site")
-        self.n = n
-        clean: dict[tuple[int, int], complex] = {}
-        if terms:
-            for key in sorted(terms):
-                if (key[0] | key[1]) >> n:  # nonzero for negative masks too
-                    raise ValueError("mask bits outside the registered site range")
-                c = complex(terms[key])
-                if not cmath.isfinite(c):
-                    raise ValueError("coefficient must be finite")
-                if abs(c) > PRUNE_TOL:
-                    clean[key] = c
-        self._terms = clean
-        self._matrix: scipy.sparse.csr_matrix | None = None
+        keys = sorted(terms) if terms else []
+        if any((x | z) >> n for x, z in keys):  # nonzero for negative masks too
+            raise ValueError("mask bits outside the registered site range")
+        w = -(-n // 64)
+        x, z = _mask_words([int(x) for x, _ in keys], w), _mask_words([int(z) for _, z in keys], w)
+        self._set(n, x, z, np.array([complex(terms[k]) for k in keys], dtype=complex))
+
+    def _set(self, n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> None:
+        """The one canonicalizer: hold sorted distinct keys, refuse non-finite weights, prune."""
+        if not np.isfinite(c).all():
+            raise ValueError("coefficient must be finite")
+        keep = np.hypot(c.real, c.imag) > PRUNE_TOL
+        if not keep.all():
+            x, z, c = x[keep], z[keep], c[keep]
+        self.n, self._x, self._z, self._c, self._matrix = n, x, z, c, None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -257,17 +257,16 @@ class PauliSum:
 
     @classmethod
     def from_terms(cls, terms: Iterable[PauliTerm]) -> "PauliSum":
+        """Sum of the terms; equal strings add up in list order, from 0.0."""
         terms = list(terms)
         if not terms:
             raise ValueError("empty term list; use PauliSum.zero(n)")
         n = terms[0].n
-        acc: dict[tuple[int, int], complex] = {}
-        for t in terms:
-            if t.n != n:
-                raise ValueError("mixed site counts in term list")
-            key = (t.x, t.z)
-            acc[key] = acc.get(key, 0.0) + t.coeff
-        return cls(n, acc)
+        if any(t.n != n for t in terms):
+            raise ValueError("mixed site counts in term list")
+        w = -(-n // 64)
+        x, z = _mask_words([t.x for t in terms], w), _mask_words([t.z for t in terms], w)
+        return _from_sorted(n, *_summed(x, z, np.array([t.coeff for t in terms], dtype=complex)))
 
     @classmethod
     def from_pattern(cls, pattern: str, coeff: complex = 1.0) -> "PauliSum":
@@ -283,55 +282,55 @@ class PauliSum:
     # basic queries
     # ------------------------------------------------------------------
 
+    def _keyed(self) -> Iterator[tuple[int, int, complex]]:
+        """``(x, z, c)`` per string, as Python ints and complex, in key order."""
+        return zip(_mask_ints(self._x), _mask_ints(self._z), self._c.tolist())
+
     def terms(self) -> list[PauliTerm]:
         """Terms in sorted mask order (deterministic)."""
-        return [PauliTerm(self.n, x, z, c) for (x, z), c in self._terms.items()]
+        return [PauliTerm(self.n, x, z, c) for x, z, c in self._keyed()]
 
     def coefficient(self, pattern: str) -> complex:
         t = PauliTerm.from_pattern(pattern)
         if t.n != self.n:
             raise ValueError("pattern length mismatch")
-        return self._terms.get((t.x, t.z), 0.0 + 0j)
+        return next((c for x, z, c in self._keyed() if (x, z) == (t.x, t.z)), 0.0 + 0j)
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._c)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self._c)
 
     def is_hermitian(self) -> bool:
         # Pure Pauli strings are Hermitian, so Hermiticity means real weights.
-        return all(abs(c.imag) <= 1e-12 for c in self._terms.values())
+        return bool((np.abs(self._c.imag) <= 1e-12).all())
 
     def dagger(self) -> "PauliSum":
-        return PauliSum(self.n, {k: c.conjugate() for k, c in self._terms.items()})
+        return _from_sorted(self.n, self._x, self._z, self._c.conj())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._c)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        pairs = zip((self._x, self._z, self._c), (other._x, other._z, other._c))
+        return self.n == other.n and all(np.array_equal(p, q) for p, q in pairs)
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self._terms.items())))  # keys sorted: equal sums, equal tuples
+        # + 0.0 turns -0.0 into 0.0, which == does not tell apart
+        return hash((self.n, self._x.tobytes(), self._z.tobytes(), (self._c + 0.0).tobytes()))
 
     def allclose(self, other: "PauliSum", tol: float = 1e-12) -> bool:
         if self.n != other.n:
             return False
-        keys = set(self._terms) | set(other._terms)
-        return all(
-            abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol
-            for k in keys
-        )
+        return bool((np.abs(_merged(self, other, -other._c)[2]) <= tol).all())
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"({c:.6g})*{PauliTerm(self.n, x, z, 1).pattern}"
-            for (x, z), c in list(self._terms.items())[:6]
-        )
-        more = "" if len(self._terms) <= 6 else f" + ... [{len(self._terms)} terms]"
+        head = itertools.islice(self._keyed(), 6)
+        body = " + ".join(f"({c:.6g})*{PauliTerm(self.n, x, z, 1).pattern}" for x, z, c in head)
+        more = "" if len(self) <= 6 else f" + ... [{len(self)} terms]"
         return f"PauliSum(n={self.n}: {body or '0'}{more})"
 
     # ------------------------------------------------------------------
@@ -343,31 +342,28 @@ class PauliSum:
             raise ValueError(f"site count mismatch: {self.n} != {other.n}")
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
-        self._require_same_size(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, 0.0) + c
-        return PauliSum(self.n, acc)
+        return _from_sorted(self.n, *_merged(self, other, other._c))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
-        self._require_same_size(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, 0.0) - c
-        return PauliSum(self.n, acc)
+        return _from_sorted(self.n, *_merged(self, other, -other._c))
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum(self.n, {k: -c for k, c in self._terms.items()})
+        return _from_sorted(self.n, self._x, self._z, -self._c)
 
     def __mul__(self, scalar: complex) -> "PauliSum":
+        """Each weight times ``scalar``, by :func:`_times`."""
         s = complex(scalar)
-        return PauliSum(self.n, {k: c * s for k, c in self._terms.items()})
+        c = np.empty_like(self._c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c.real, c.imag = _times(self._c.real, self._c.imag, s.real, s.imag)
+        return _from_sorted(self.n, self._x, self._z, c)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         """Operator product, canonicalized."""
-        return _from_sorted(self.n, *_pair_sums(self, other, anticommuting_only=False))
+        _, _, x, z, c = _pair_terms(self, other, anticommuting_only=False)
+        return _from_sorted(self.n, *_summed(x, z, c))
 
     # ------------------------------------------------------------------
     # numerical backends
@@ -382,11 +378,12 @@ class PauliSum:
         return self._build_csr()
 
     def _num_x_masks(self) -> int:
-        return len({x for x, _ in self._terms})
+        x = self._x
+        return int(len(x) and 1 + np.count_nonzero((x[1:] != x[:-1]).any(axis=1)))
 
     def _weights(self) -> Iterator[tuple[int, int, complex]]:
         """``(x, z, a)`` per string, in key order: its matrix entry ``(i, i ^ x)`` is ``a (-1)^|i&z|``."""
-        return ((x, z, c * _I_POW[-(x & z).bit_count() % 4]) for (x, z), c in self._terms.items())
+        return ((x, z, c * _I_POW[-(x & z).bit_count() % 4]) for x, z, c in self._keyed())
 
     def _csr_dtype(self) -> type:
         """``float`` when every weight ``a`` of :meth:`_weights` is exactly real, else ``complex``."""
@@ -413,14 +410,14 @@ class PauliSum:
         itype = _index_dtype(masks << n)
         h = n // 2
         his, los = np.arange(dim >> h, dtype=itype), np.arange(1 << h, dtype=itype)
-        xs = np.array(sorted({x for x, _ in self._terms}), dtype=itype)
         groups = [
-            [
+            (x, [
                 (_parity_signs(his, z >> h), (a.real if dtype is float else a) * _parity_signs(los, z))
                 for _, z, a in group
-            ]
-            for _, group in itertools.groupby(self._weights(), key=lambda w: w[0])
+            ])
+            for x, group in itertools.groupby(self._weights(), key=lambda w: w[0])
         ]
+        xs = np.array([x for x, _ in groups], dtype=itype)
         data = np.empty((dim, masks), dtype=dtype)
         indices = np.empty((dim, masks), dtype=itype)
         step = min(dim >> h, max(1, _BLOCK_ENTRIES // (max(masks, 1) << h)))  # hi values per block
@@ -428,7 +425,7 @@ class PauliSum:
         for h0 in range(0, dim >> h, step):
             block = buffer[:, : (dim >> h) - h0]
             block[...] = 0.0
-            for w, terms in zip(block, groups):
+            for w, (_, terms) in zip(block, groups):
                 for s_hi, a_lo in terms:
                     w += np.multiply.outer(s_hi[h0 : h0 + step], a_lo)
             rows = slice(h0 << h, (h0 + block.shape[1]) << h)
@@ -456,7 +453,7 @@ class PauliSum:
 
     def frobenius_norm(self, normalized: bool = True) -> float:
         """sqrt of the summed squared weights, via Pauli-string orthogonality."""
-        s = np.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))
+        s = np.sqrt(sum(abs(c) ** 2 for c in self._c.tolist()))
         return float(s if normalized else s * 2 ** (self.n / 2))
 
     # ------------------------------------------------------------------
@@ -475,13 +472,12 @@ class PauliSum:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PauliSum":
         n = int(data["n"])
-        acc: dict[tuple[int, int], complex] = {}
+        terms = []
         for row in data["terms"]:
-            t = PauliTerm.from_pattern(row["p"], complex(row["re"], row.get("im", 0.0)))
-            if t.n != n:
+            terms.append(PauliTerm.from_pattern(row["p"], complex(row["re"], row.get("im", 0.0))))
+            if terms[-1].n != n:
                 raise ValueError("pattern length inconsistent with n")
-            acc[(t.x, t.z)] = acc.get((t.x, t.z), 0.0) + t.coeff
-        return cls(n, acc)
+        return cls.from_terms(terms) if terms else cls.zero(n)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -513,85 +509,80 @@ def _mask_ints(words: np.ndarray) -> list[int]:
     return out
 
 
-def _symplectic(s: PauliSum, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sum's x and z mask words and its complex weights, in key order."""
-    keys = s._terms.keys()
-    return (
-        _mask_words([x for x, _ in keys], w),
-        _mask_words([z for _, z in keys], w),
-        np.fromiter(s._terms.values(), complex, len(s)),
-    )
+def _times(ar, ai, br, bi):
+    """Real and imaginary parts of ``(ar + i ai)(br + i bi)``, as CPython forms them."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _pair_terms(a: PauliSum, b: PauliSum, anticommuting_only: bool):
     """Unsummed string products ``PQ`` of every pair, in a-major pair order.
 
-    Returns ``(i, j, x, z, re, im)``: the pair's term indices in ``a`` and
-    ``b``, the product's ``(pairs, W)`` mask words and its coefficient
-    ``c1 * c2 * i^e``, formed in real arithmetic as CPython multiplies
-    complex numbers. With ``anticommuting_only`` commuting pairs are
+    Returns ``(i, j, x, z, c)``: the pair's term indices in ``a`` and ``b``,
+    the product's ``(pairs, W)`` mask words and its coefficient ``c1 * c2 *
+    i^e`` (:func:`_times`). With ``anticommuting_only`` commuting pairs are
     dropped before any product is formed.
     """
     a._require_same_size(b)
-    w = -(-a.n // 64)
-    xa, za, ca = _symplectic(a, w)
-    xb, zb, cb = _symplectic(b, w)
+    xa, za, ca, xb, zb, cb = a._x, a._z, a._c, b._x, b._z, b._c
     if anticommuting_only:
-        pairs = _clash_parity(xa[:, None], za[:, None], xb[None], zb[None], _popcount) == 1
+        i, j = np.nonzero(_clash_parity(xa[:, None], za[:, None], xb[None], zb[None], _popcount))
     else:
-        pairs = np.ones((len(a), len(b)), dtype=bool)
-    i, j = np.nonzero(pairs)
+        i, j = np.repeat(np.arange(len(ca)), len(cb)), np.tile(np.arange(len(cb)), len(ca))
     x1, z1, x2, z2 = xa[i], za[i], xb[j], zb[j]
     e = _product_phase_exp(x1, z1, x2, z2, _popcount)
-    x, z = x1 ^ x2, z1 ^ z2
-    ar, ai, br, bi = ca.real[i], ca.imag[i], cb.real[j], cb.imag[j]
+    c = np.empty(len(i), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        pr = ar * br - ai * bi
-        pi = ar * bi + ai * br
-        qr, qi = _I_POW_RE[e], _I_POW_IM[e]
-        return i, j, x, z, pr * qr - pi * qi, pr * qi + pi * qr
+        pr, pi = _times(ca.real[i], ca.imag[i], cb.real[j], cb.imag[j])
+        c.real, c.imag = _times(pr, pi, _I_POW_RE[e], _I_POW_IM[e])
+    return i, j, x1 ^ x2, z1 ^ z2, c
 
 
-def _pair_sums(a: PauliSum, b: PauliSum, anticommuting_only: bool):
-    """Pair products summed per string: ``(x, z, re, im)``, keys sorted and distinct.
+def _grouped(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one key-grouping step: ``(order, first, group)`` of ``(terms, W)`` keys.
 
-    A stable lexsort orders the keys as sorted ``(x, z)`` int tuples (high
-    word first, x before z) and keeps pairs of one key in a-major order;
-    ``np.add.at`` then adds them one by one onto 0.0, as ``acc[key] =
-    acc.get(key, 0.0) + c`` over the pairs would.
+    ``order`` sorts the keys as ``(x, z)`` int tuples, stably; ``first`` marks
+    the first of each run of equal keys in that order, ``group`` its run.
     """
-    _, _, x, z, re, im = _pair_terms(a, b, anticommuting_only)
-    order = np.lexsort((*z.T, *x.T))
-    x, z = x[order], z[order]
-    re, im = re[order], im[order]
-    first = np.ones(len(x), dtype=bool)
-    first[1:] = (x[1:] != x[:-1]).any(axis=1) | (z[1:] != z[:-1]).any(axis=1)
-    group = np.cumsum(first) - 1
-    sr = np.zeros(np.count_nonzero(first))
-    si = np.zeros_like(sr)
+    keys = np.concatenate((z, x), axis=1)  # lexsort's last key is its primary
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.logical_or.reduce(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    return order, first, np.add.accumulate(first, dtype=np.intp) - 1
+
+
+def _summed(x: np.ndarray, z: np.ndarray, c: np.ndarray, start: np.ndarray | None = None):
+    """Weights summed per distinct key, as ``(x, z, c)`` in key order.
+
+    ``np.add.at`` adds them one by one, in input order, onto 0.0, as
+    ``acc.get(key, 0.0) + c`` would; or onto ``start`` at each key's first input.
+    """
+    order, first, group = _grouped(x, z)
+    keys = order[first]
+    sums = np.zeros(len(keys), dtype=complex) if start is None else start[keys]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(sr, group, re)
-        np.add.at(si, group, im)
-    return x[first], z[first], sr, si
+        np.add.at(sums, group, c[order])
+    return x[keys], z[keys], sums
 
 
-def _from_sorted(n: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray) -> PauliSum:
-    """Canonical sum of sorted distinct keys, built without a second sort.
+def _merged(a: PauliSum, b: PauliSum, cb: np.ndarray):
+    """``a + b`` with ``cb`` for ``b``'s weights, as ``(x, z, c)``, key by key as a dict adds.
 
-    Prunes and converts to Python objects one chunk at a time, so that
-    only the chunk's temporaries sit beside the growing dict.
+    A key only in ``a`` keeps its weight: its sum starts from -0.0, the
+    additive identity. Any other gets ``(a's weight or 0.0) + cb``.
     """
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("coefficient must be finite")
+    a._require_same_size(b)
+    start = np.zeros(len(a) + len(b), dtype=complex)
+    start[: len(a)] = complex(-0.0, -0.0)
+    x, z = np.concatenate((a._x, b._x)), np.concatenate((a._z, b._z))
+    return _summed(x, z, np.concatenate((a._c, cb)), start)
+
+
+def _from_sorted(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:
+    """The canonical sum of sorted distinct keys and their weights, holding the arrays."""
     out = PauliSum.__new__(PauliSum)
-    out.n, out._terms, out._matrix = n, {}, None
-    for lo in range(0, len(re), _BUILD_CHUNK):
-        part = slice(lo, lo + _BUILD_CHUNK)
-        keep = np.hypot(re[part], im[part]) > PRUNE_TOL
-        c = np.empty(np.count_nonzero(keep), dtype=complex)
-        c.real, c.imag = re[part][keep], im[part][keep]
-        keys = zip(_mask_ints(x[part][keep]), _mask_ints(z[part][keep]))
-        out._terms.update(zip(keys, c.tolist()))
+    out._set(n, x, z, c)
     return out
 
 
@@ -602,11 +593,12 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     pair contributes 2*PQ, otherwise nothing. The factor 2 is applied
     after summing; scaling by 2 is exact, so the order does not matter.
     """
-    x, z, re, im = _pair_sums(a, b, anticommuting_only=True)
+    _, _, x, z, c = _pair_terms(a, b, anticommuting_only=True)
+    x, z, c = _summed(x, z, c)
     with np.errstate(over="ignore"):
-        re *= 2.0
-        im *= 2.0
-    return _from_sorted(a.n, x, z, re, im)
+        c.real *= 2.0
+        c.imag *= 2.0
+    return _from_sorted(a.n, x, z, c)
 
 
 def spectral_norm(
@@ -621,8 +613,8 @@ def spectral_norm(
     recurrence (Lanczos, 1950) runs on the sum's CSR matrix ``m``, real when
     :meth:`PauliSum._csr_dtype` is ``float``, from a seeded start vector of
     its dtype. The proxy is ``m`` for a Hermitian ``h``; for a non-normal one
-    ``m^T m``, or ``m`` then the matrix of ``h.dagger()`` if complex, whose
-    top value is the squared norm; for an anti-Hermitian ``h`` (commutators
+    ``m^H m``, ``m^H`` applied as ``m.T`` to the conjugated vector, whose top
+    value is the squared norm; for an anti-Hermitian ``h`` (commutators
     of Hermitian sums) ``i m``. A real ``m`` is then antisymmetric, and with
     ``u_k = v_k / i^k`` from a real start every α is 0 and ``u_{k+1} β_k =
     m u_k + β_{k-1} u_{k-1}``: one real matvec per step on the Krylov space
@@ -639,16 +631,15 @@ def spectral_norm(
     ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
     """
     if len(h) <= 1:
-        return max((abs(c) for c in h._terms.values()), default=0.0)
+        return max((abs(c) for c in h._c.tolist()), default=0.0)
     dtype = h._csr_dtype()
     skew = not h.is_hermitian() and (1j * h).is_hermitian()
     if skew and dtype is complex:
         h, skew = 1j * h, False
     gram = not skew and not h.is_hermitian()
-    need = (1 + (gram and dtype is complex)) * h._matrix_bytes(dtype)
-    _check_memory(need + _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n), "Lanczos norm")
+    need = h._matrix_bytes(dtype) + _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
+    _check_memory(need, "Lanczos norm")
     m = h._build_csr(dtype)
-    mh = (m.T if dtype is float else h.dagger()._build_csr()) if gram else None
     dim = 1 << h.n
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
@@ -661,7 +652,7 @@ def spectral_norm(
     for k in range(1, max_iter + 1):
         w = m @ v
         if gram:
-            w = mh @ w
+            w = (m.T @ w.conj()).conj()  # m^H w; conj() of a real vector is itself
         a = 0.0 if skew else _vdot(v, w).real  # u_k^T m u_k = 0 for antisymmetric m
         if not skew:
             w -= a * v

@@ -4,9 +4,12 @@ The oracle path builds matrices straight from pattern strings with its
 own Kronecker loop, independent of the package's mask-based encoding,
 so dense comparisons actually cross-check the two representations.
 The pair-product reference is the plain Python loop over string pairs
-that the package's vectorized kernel must reproduce bit for bit, and the
-CSR reference fills the matrix one X-mask column at a time, as the
-package's row-block build must reproduce byte for byte.
+that the package's vectorized kernel must reproduce bit for bit; the
+algebra references (sum, difference, negation, scaling, adjoint, toggle,
+and sums of term lists) are the same operations on a dict of weights by
+``(x, z)`` key, which the package's array algebra must reproduce bit for
+bit; and the CSR reference fills the matrix one X-mask column at a time,
+as the package's row-block build must reproduce byte for byte.
 """
 
 import itertools
@@ -92,6 +95,11 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def _weights(h) -> dict:
+    """The sum's weights by ``(x, z)`` key, in key order."""
+    return {(t.x, t.z): t.coeff for t in h.terms()}
+
+
 def reference_pair_products(a, b, anticommuting_only: bool) -> dict:
     """Summed string products ``PQ`` over all pairs, a-major, left to right."""
     from crda.pauli import _I_POW, _product_phase_exp
@@ -99,8 +107,9 @@ def reference_pair_products(a, b, anticommuting_only: bool) -> dict:
     if a.n != b.n:
         raise ValueError(f"site count mismatch: {a.n} != {b.n}")
     acc: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a._terms.items():
-        for (x2, z2), c2 in b._terms.items():
+    wb = _weights(b)
+    for (x1, z1), c1 in _weights(a).items():
+        for (x2, z2), c2 in wb.items():
             if anticommuting_only and not ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1:
                 continue
             key = (x1 ^ x2, z1 ^ z2)
@@ -126,6 +135,78 @@ def reference_commutator(a, b):
     return PauliSum(a.n, acc)
 
 
+def reference_add(a, b):
+    """``a + b`` key by key: a key only in ``a`` keeps its weight, others add onto 0.0."""
+    from crda.pauli import PauliSum
+
+    acc = _weights(a)
+    for k, c in _weights(b).items():
+        acc[k] = acc.get(k, 0.0) + c
+    return PauliSum(a.n, acc)
+
+
+def reference_sub(a, b):
+    """``a - b`` key by key, as :func:`reference_add`."""
+    from crda.pauli import PauliSum
+
+    acc = _weights(a)
+    for k, c in _weights(b).items():
+        acc[k] = acc.get(k, 0.0) - c
+    return PauliSum(a.n, acc)
+
+
+def reference_neg(h):
+    from crda.pauli import PauliSum
+
+    return PauliSum(h.n, {k: -c for k, c in _weights(h).items()})
+
+
+def reference_scale(h, scalar):
+    """Each weight times ``complex(scalar)``, by Python's complex product."""
+    from crda.pauli import PauliSum
+
+    s = complex(scalar)
+    return PauliSum(h.n, {k: c * s for k, c in _weights(h).items()})
+
+
+def reference_dagger(h):
+    from crda.pauli import PauliSum
+
+    return PauliSum(h.n, {k: c.conjugate() for k, c in _weights(h).items()})
+
+
+def reference_from_terms(n, terms):
+    """Equal strings' weights added in list order onto 0.0."""
+    from crda.pauli import PauliSum
+
+    acc: dict[tuple[int, int], complex] = {}
+    for t in terms:
+        acc[(t.x, t.z)] = acc.get((t.x, t.z), 0.0) + t.coeff
+    return PauliSum(n, acc)
+
+
+def reference_toggle(h, layer):
+    """U† h U string by string: each letter class of the layer's sites is one mask."""
+    from crda.frames import _IMAGES
+    from crda.pauli import PauliSum
+
+    images = _IMAGES[layer.kind]
+    on = sum(1 << k for k in layer.sites(h.n))
+    acc: dict[tuple[int, int], complex] = {}
+    for (x, z), c in _weights(h).items():
+        nx, nz, odd = x & ~on, z & ~on, 0
+        for m, (ix, iz, neg) in zip((x & ~z & on, x & z & on, ~x & z & on), images):
+            if ix:
+                nx |= m
+            if iz:
+                nz |= m
+            if neg:
+                odd ^= m.bit_count() & 1
+        key = (nx, nz)
+        acc[key] = acc.get(key, 0.0) + (-c if odd else c)
+    return PauliSum(h.n, acc)
+
+
 def reference_csr(h) -> scipy.sparse.csr_matrix:
     """Complex CSR matrix of a PauliSum, one full-height X-mask column at a time.
 
@@ -136,12 +217,13 @@ def reference_csr(h) -> scipy.sparse.csr_matrix:
     from crda.pauli import _I_POW, _index_dtype
 
     n, dim = h.n, 1 << h.n
-    masks = len({x for x, _ in h._terms})
+    weights = _weights(h)
+    masks = len({x for x, _ in weights})
     itype = _index_dtype(masks << n)
     idx = np.arange(dim, dtype=itype)
     data = np.empty((dim, masks), dtype=complex)
     indices = np.empty((dim, masks), dtype=itype)
-    for k, (x, group) in enumerate(itertools.groupby(h._terms.items(), key=lambda kv: kv[0][0])):
+    for k, (x, group) in enumerate(itertools.groupby(weights.items(), key=lambda kv: kv[0][0])):
         data[:, k] = sum(
             c * _I_POW[-(x & z).bit_count() % 4] * (1.0 - 2.0 * (np.bitwise_count(idx & z) & 1))
             for (_, z), c in group

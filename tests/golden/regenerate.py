@@ -1,0 +1,94 @@
+"""Regenerate ``cli.json``, the golden CLI corpus: argv -> exit code and stdout.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Each command runs in process through ``crda.cli.main``; ``--params`` paths
+are relative to the repository root. A change that moves a printed number
+regenerates the corpus and names each moved number and its cause.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+CORPUS = Path(__file__).with_name("cli.json")
+
+# One command per mode of ``cli._mode``, every Hamiltonian kind, and the
+# org*/delta* kinds at t != 0; then CSV, a sweep, realistic simulate and a
+# table-1 audit on more than 64 sites (two mask words); then the README
+# examples, the benchmark's commands and the runs CI compares across hash
+# seeds.
+_CHAIN_KINDS = (
+    "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
+).split()
+_PHASE_KINDS = "control qf qf_odd qf_even".split()
+_TILING_KINDS = "h_i h_ii h_2d_even h_2d_odd h_xy_2d".split()
+_DEVICE = "--n 3 --g 1 --delta 10 --omega 0.5"
+COMMANDS = [
+    *(f"hamiltonian --kind {k} --n 4 --j 0.7 --boundary periodic" for k in _CHAIN_KINDS),
+    *(f"hamiltonian --kind {k} --n 3 --phi 0.3" for k in _PHASE_KINDS),
+    *(f"hamiltonian --kind {k} --nx 4 --ny 2" for k in _TILING_KINDS),
+    f"hamiltonian --kind lab {_DEVICE} --t 0.2",
+    *(f"hamiltonian --kind {k} {_DEVICE} --t 0.1" for k in "org org_xy org_zz".split()),
+    *(f"hamiltonian --kind {k} {_DEVICE} --t 0.3" for k in "delta delta_xy delta_zz".split()),
+    "hamiltonian --kind qf_device --n 4 --drive odd --omega 0.5",
+    "hamiltonian --kind h_even --n 4 --j 1 --format csv",
+    "verify-frames --n 2 --delta 5 --g 0.1 --omega 0.25 --t 3",
+    "verify-frames --params tests/golden/ladder.cfg --t 0.5 --mode rotating",
+    "simulate --model ising --n 4 --j 1 --tau 0.3 --blocks 5 --observable sz-total --format csv",
+    "simulate --model heisenberg --n 6 --blocks 3 --observable z1 --observable pauli:XXIIII",
+    "simulate --model xy2d --nx 2 --ny 2 --blocks 2 --fuse",
+    "simulate --model xy1d --n 3 --realistic --blocks 2",
+    "errors --which synthesis --model control --n 2 --g 1 --omega 0",
+    "errors --which synthesis --model xy --n 3 --g 1 --omega 0.5 --t 0.2",
+    "errors --which synthesis --model control --n 2 --g 1 --omega 0.3 --sweep t=0:1:3",
+    "errors --which dyson --n 2 --g 1 --delta 10 --omega 0.5 --t 0.4",
+    "errors --which table1 --nx 4 --ny 4",
+    "errors --which table1 --nx 10 --ny 8",
+    "errors --which trotter --model heis_da --n 6",
+    "errors --which trotter --model heis_digital --n 5 --j 0.5",
+    "errors --which trotter --model xy2d_da --nx 2 --ny 4 --format csv",
+    "errors --which trotter --model xy2d_digital --nx 3 --ny 2",
+    "errors --which unitcell",
+    "errors --which bounds --model heis_da --size 10",
+    "compile --model heisenberg --n 4 --tau 0.2 --fuse",
+    "compile --model xy2d --nx 2 --ny 2 --format csv",
+    "compile --model ising --n 5 --blocks 2",
+    "hamiltonian --kind h_i --nx 4 --ny 4 --boundary periodic",
+    "hamiltonian --kind delta --n 3 --g 1 --delta 10 --omega 0.5 --t 0.1",
+    "verify-frames --n 2 --delta 5 --g 0.1 --omega 0.25 --t 12.566 --sweep scale=1:0.25:3:geom",
+    "errors --which trotter --model xy2d_da --nx 4 --ny 4 --format csv",
+    "hamiltonian --kind h_i --nx 8 --ny 8",
+    "compile --model heisenberg --n 12 --blocks 3 --fuse",
+    "errors --which synthesis --model control --n 6 --omega 0.1 --sweep t=0:5:24 --threads 2",
+    "simulate --model heisenberg --n 8 --blocks 3",
+    "compile --model xy2d --nx 4 --ny 4 --fuse",
+]
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``crda`` on ``argv``, run in process."""
+    from crda.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def main() -> None:
+    corpus = {}
+    for command in COMMANDS:
+        code, stdout = run(command.split())
+        corpus[command] = {"exit": code, "stdout": stdout}
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+    print(f"{len(corpus)} commands -> {CORPUS.relative_to(ROOT)}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """Property tests of the numerical backends against the dense oracle, of
-the vectorized pair kernel against the reference loop, and of the
-row-block CSR build against the column-by-column reference build.
+the vectorized pair kernel and the array algebra against the reference
+loops, and of the row-block CSR build against the column-by-column
+reference build.
 
 Generated sums draw their X masks from a small pool, so several strings
 share one X mask (one entry per row of the CSR matrix); the pool always offers
@@ -16,8 +17,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_oracle, reference_commutator, reference_csr, reference_product
+from conftest import (
+    dense_oracle,
+    reference_add,
+    reference_commutator,
+    reference_csr,
+    reference_dagger,
+    reference_from_terms,
+    reference_neg,
+    reference_product,
+    reference_scale,
+    reference_sub,
+    reference_toggle,
+)
 from crda import pauli
+from crda.frames import GateLayer, GateLayerKind, toggle
 from crda.pauli import (
     _I_POW,
     PauliSum,
@@ -143,7 +157,7 @@ def kernel_pairs(draw):
 
 def _bits(h):
     """Keys in order, each with its weight's exact bytes (signed zeros included)."""
-    return [(key, struct.pack("<dd", c.real, c.imag)) for key, c in h._terms.items()]
+    return [((t.x, t.z), struct.pack("<dd", t.coeff.real, t.coeff.imag)) for t in h.terms()]
 
 
 def _assert_matches_reference(op, reference, a, b):
@@ -164,6 +178,71 @@ def test_product_equals_reference_loop(pair):
 @given(kernel_pairs())
 def test_commutator_equals_reference_loop(pair):
     _assert_matches_reference(commutator, reference_commutator, *pair)
+
+
+@given(kernel_pairs())
+def test_sum_and_difference_equal_reference_loop(pair):
+    _assert_matches_reference(operator.add, reference_add, *pair)
+    _assert_matches_reference(operator.sub, reference_sub, *pair)
+
+
+@given(kernel_pairs(), _COEFFS | _EDGE_COEFFS, _COEFFS | _EDGE_COEFFS)
+def test_negation_scaling_and_adjoint_equal_reference(pair, re, im):
+    s = complex(re, im)
+    for h in pair:
+        assert _bits(-h) == _bits(reference_neg(h))
+        assert _bits(h.dagger()) == _bits(reference_dagger(h))
+        for scalar in (s, s.real):
+            _assert_matches_reference(operator.mul, reference_scale, h, scalar)
+            _assert_matches_reference(lambda h, s: s * h, reference_scale, h, scalar)
+
+
+_LAYERS = st.builds(
+    GateLayer,
+    st.sampled_from(list(GateLayerKind)),
+    st.sampled_from(["all", "even", "odd", (1,)]),
+)
+
+
+@given(kernel_pairs(), _LAYERS)
+def test_toggle_equals_reference_loop(pair, layer):
+    for h in pair:
+        assert _bits(toggle(h, layer)) == _bits(reference_toggle(h, layer))
+
+
+@given(kernel_pairs())
+def test_term_list_sum_equals_reference_loop(pair):
+    # both sums' terms in one list, so equal strings collide and add up
+    terms = pair[0].terms() + pair[1].terms() + pair[0].terms()[:3]
+    if terms:
+        _assert_matches_reference(
+            lambda n, ts: PauliSum.from_terms(ts), reference_from_terms, terms[0].n, terms
+        )
+
+
+@given(kernel_pairs())
+def test_equal_sums_hash_equal(pair):
+    a, b = pair
+    # one mapping inserted in two orders
+    weights = {(t.x, t.z): t.coeff for t in a.terms()}
+    shuffled = PauliSum(a.n, dict(reversed(list(weights.items()))))
+    assert shuffled == a and hash(shuffled) == hash(a)
+    # a key in one sum only keeps its weight in a + b but becomes 0.0 + c in
+    # b + a: the two differ at most in -0.0 against 0.0
+    try:
+        ab, ba = a + b, b + a
+    except ValueError:  # a non-finite coefficient
+        return
+    assert ab == ba and hash(ab) == hash(ba)
+
+
+def test_signed_zero_weights_equal_and_hash_equal():
+    plus = PauliSum(2, {(1, 0): complex(1.0, 0.0), (0, 3): complex(0.0, 2.0)})
+    minus = PauliSum(2, {(1, 0): complex(1.0, -0.0), (0, 3): complex(-0.0, 2.0)})
+    assert _bits(plus) != _bits(minus)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1
+    assert plus != PauliSum(2, {(1, 0): 1.0})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
