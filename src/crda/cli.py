@@ -44,9 +44,8 @@ from .compiler import (
 from .device import DeviceParams, DriveConfig, Lattice, load_config
 from .frames import verify_effective
 from .hamiltonians import (
-    _CHAIN_BONDS,
+    _BONDS,
     _PHASE_CHAINS,
-    _TILINGS,
     HamiltonianKind,
     build_canonical,
     build_delta,
@@ -57,8 +56,8 @@ from .hamiltonians import (
 from .pauli import ConvergenceError, DenseLimitError, PauliSum
 
 _PHASE_KINDS = {k.value for k in _PHASE_CHAINS}
-_CANONICAL_KINDS = _PHASE_KINDS | {k.value for k in (*_CHAIN_BONDS, *_TILINGS)}
-_2D_KINDS = {k.value for k in _TILINGS}
+_CANONICAL_KINDS = _PHASE_KINDS | {k.value for k in _BONDS}
+_2D_KINDS = {k.value for k, (dim, *_) in _BONDS.items() if dim == 2}
 _DEVICE_KINDS = ({k.value for k in HamiltonianKind} - _CANONICAL_KINDS) | {"qf_device"}
 # verify-frames' ladder device when no --params file is given
 _LADDER = {"n": 2, "g": 0.1, "delta": 5.0, "omega": 0.25, "omega_base": 40.0}
@@ -158,7 +157,7 @@ def _mode(args) -> tuple[str, set[str]]:
     ``trotter``, a chain or a 2D model), ``simulate`` with or without
     ``--realistic``, ``verify-frames`` with or without ``--params``, or
     ``compile``. A lattice reads ``--n`` only without ``--nx``; a chain kind
-    reads only ``--n``, and a tiling kind only ``--nx/--ny``.
+    reads only ``--n``, and a 2D kind only ``--nx/--ny``.
     """
     lattice = {"nx", "ny", "boundary"} | ({"n"} if getattr(args, "nx", None) is None else set())
     device = {"n", "g", "delta", "omega", "params"}

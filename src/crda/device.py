@@ -294,12 +294,12 @@ class Lattice:
         return self.boundary == "periodic"
 
     def require_even_extents(self) -> None:
-        # Sublattice-split families only tile a periodic lattice when the
-        # even/odd pattern closes around the boundary.
-        if self.dim == 1 and self.nx % 2:
-            raise ValueError("periodic sublattice pattern needs even length")
-        if self.dim == 2 and (self.nx % 2 or self.ny % 2):
-            raise ValueError("periodic 2D unit cells need even extents")
+        # The checkerboard sublattices close around a periodic boundary
+        # only on even extents.
+        if self.nx % 2 or (self.dim == 2 and self.ny % 2):
+            raise ValueError(
+                f"periodic sublattice pattern needs even extents (got {self.nx} x {self.ny})"
+            )
 
     def site_index(self, i: int, j: int = 1) -> int:
         """0-based linear index of 1-based coordinates, with periodic wrap."""
@@ -310,24 +310,24 @@ class Lattice:
             raise ValueError(f"site ({i}, {j}) outside open lattice")
         return (j - 1) * self.nx + (i - 1)
 
-    def in_range(self, i: int, j: int = 1) -> bool:
-        if self.periodic:
-            return True
-        return 1 <= i <= self.nx and 1 <= j <= self.ny
+    def bonds(self) -> Iterator[tuple[int, int, bool]]:
+        """Nearest-neighbour bonds as 0-based ``(first, second, odd)``.
 
-    def bonds_1d(self) -> Iterator[tuple[int, int]]:
-        """1-based (k, k+1) chain bonds, wrapping when periodic.
-
-        A periodic 2-site chain carries two bonds between the same pair
-        (ring multigraph), matching the extent-2 behaviour of the 2D
-        tilings.
+        Each site, in index order, bonds to its +x then its +y neighbour,
+        wrapping when periodic. ``odd`` is the checkerboard sublattice of
+        the first site, (i + j) even in 1-based coordinates: on a chain,
+        bond k (sites k, k+1) is odd for odd k. A periodic extent of 1
+        yields no self-bond; a periodic extent of 2 yields two bonds
+        between the same pair (ring multigraph).
         """
-        if self.dim != 1:
-            raise ValueError("1D bonds on a 2D lattice")
-        for k in range(1, self.nx):
-            yield k, k + 1
-        if self.periodic and self.nx >= 2:
-            yield self.nx, 1
+        nx, ny, wrap = self.nx, self.ny, self.periodic
+        for s in range(self.n_sites):
+            i, j = s % nx, s // nx
+            odd = (i + j) % 2 == 0
+            if i + 1 < nx or (wrap and nx > 1):
+                yield s, s + 1 if i + 1 < nx else s - i, odd
+            if j + 1 < ny or (wrap and ny > 1):
+                yield s, s + nx if j + 1 < ny else i, odd
 
 
 def load_config(path: str | Path) -> dict:

@@ -25,16 +25,14 @@ import numpy as np
 from .compiler import ModelKind, TargetModel, segment_hamiltonians
 from .device import DeviceParams, Lattice
 from .hamiltonians import (
-    H_I_CELL_BONDS,
-    H_II_CELL_BONDS,
+    _BONDS,
+    _XX,
+    _YY,
     HamiltonianKind,
-    _CHAIN_BONDS,
-    _chain_bond_family,
-    _tile_2d,
+    _bond_family,
     _uniform_quantities,
     build_canonical,
     build_delta,
-    cell_terms,
     delta_hamiltonian,
 )
 from .pauli import (
@@ -301,10 +299,11 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
     terms_i, terms_ii = h_i.terms(), h_ii.terms()
     bad_pairs = [(terms_i[a].pattern, terms_ii[b].pattern) for a, b in zip(ia[bad], ib[bad])]
 
+    # each decomposition's xx and yy bonds, from its odd and even entries
     i_xx, i_yy, ii_xx, ii_yy = (
-        _tile_2d(lat, tuple(b for b in cell if b[0] == letter), j)
-        for cell in (H_I_CELL_BONDS, H_II_CELL_BONDS)
-        for letter in "XY"
+        _bond_family(lat, *(e if e == pair else () for e in _BONDS[kind][1:]), j)
+        for kind in (HamiltonianKind.H_I, HamiltonianKind.H_II)
+        for pair in (_XX, _YY)
     )
     report = ErrorReport(
         which="table1",
@@ -341,31 +340,20 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
 
 
 def xy2d_digital_hamiltonians(lat: Lattice, j: float) -> tuple[PauliSum, PauliSum]:
-    """All-xx and all-yy edge sums of the 2D XY model (digital splitting).
+    """All-xx and all-yy bond sums of the 2D XY model (digital splitting).
 
-    The edges are walked directly rather than split out of the unit-cell
-    tiling, so periodic lattices with an odd extent are accepted.
+    Each sum carries one letter on every bond, so periodic lattices with
+    an odd extent are accepted.
     """
     if lat.dim != 2:
         raise ValueError("needs a 2D lattice")
-    n = lat.n_sites
-    xs, ys = [], []
-    for jj in range(1, lat.ny + 1):
-        for ii in range(1, lat.nx + 1):
-            for di, dj in ((1, 0), (0, 1)):
-                if not lat.in_range(ii + di, jj + dj):
-                    continue
-                s1 = lat.site_index(ii, jj)
-                s2 = lat.site_index(ii + di, jj + dj)
-                xs.append(PauliTerm.from_sites(n, {s1: "X", s2: "X"}, j))
-                ys.append(PauliTerm.from_sites(n, {s1: "Y", s2: "Y"}, j))
-    return PauliSum.from_terms(xs), PauliSum.from_terms(ys)
+    return _bond_family(lat, _XX, _XX, j), _bond_family(lat, _YY, _YY, j)
 
 
 def _heisenberg_layers(lat: Lattice, j: float) -> list[PauliSum]:
     """Even-bond and odd-bond layers of the Heisenberg chain, in that order."""
-    odd, even = _CHAIN_BONDS[HamiltonianKind.H_HEIS]
-    return [_chain_bond_family(lat, (), even, j), _chain_bond_family(lat, odd, (), j)]
+    _, odd, even = _BONDS[HamiltonianKind.H_HEIS]
+    return [_bond_family(lat, (), even, j), _bond_family(lat, odd, (), j)]
 
 
 # Trotter splits: model -> (analytic commutator bound as a multiple of J^2 per
@@ -483,11 +471,17 @@ _REF_RATIO = 2.19
 
 
 def _free_cell_pair() -> tuple[PauliSum, PauliSum]:
-    """One untruncated unit cell of each 2D decomposition on an open patch."""
+    """One untruncated unit cell of each 2D decomposition on an open patch.
+
+    The cell is the bonds of a 3 x 3 open patch whose first site lies in
+    its 2 x 2 corner.
+    """
     patch = Lattice.square(3, 3, boundary="open")
-    a = PauliSum.from_terms(cell_terms(patch, 1, 1, H_I_CELL_BONDS, 1.0))
-    b = PauliSum.from_terms(cell_terms(patch, 1, 1, H_II_CELL_BONDS, 1.0))
-    return a, b
+    cell = [b for b in patch.bonds() if b[0] in (0, 1, 3, 4)]
+    return tuple(
+        _bond_family(patch, *_BONDS[kind][1:], 1.0, cell)
+        for kind in (HamiltonianKind.H_I, HamiltonianKind.H_II)
+    )
 
 
 def _star(n: int, letter: str, j: float) -> PauliSum:

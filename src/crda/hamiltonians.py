@@ -10,15 +10,20 @@ The family tree, in physics terms:
   two-local cross-resonance chain H = J * sum_k x_k z_{k+1}.
 * Single-qubit gate layers toggle that chain into xx/zz, xx/yy, zz/yy
   sublattice forms, whose sums realize Ising (zz), XY (xx + yy) and
-  Heisenberg (xx + yy + zz) target models, plus 2D analogues built from
-  one unit cell tiled over a periodic square lattice.
+  Heisenberg (xx + yy + zz) target models.
+* The 2D analogues are the same sublattice patterns laid on the
+  checkerboard of a square lattice: every bond, along x or y, takes the
+  odd entries when its first site (i, j) has i + j even and the even
+  entries otherwise. A periodic lattice needs even extents whenever the
+  odd and even entries differ, for the checkerboard to close.
 * "Original" variants keep the oscillating terms the rotating-wave step
   discards; the difference against the effective form is the synthesis
   defect whose norm the error analysis quantifies.
 
 All builders return Hermitian :class:`~crda.pauli.PauliSum` objects.
-1-based chain/lattice coordinates are used at this layer; conversion to
-0-based mask bits happens through :class:`~crda.device.Lattice`.
+Physics descriptions use 1-based chain/lattice coordinates; every family
+walks its bonds as 0-based mask bits through
+:meth:`~crda.device.Lattice.bonds`.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ __all__ = [
     "build_delta",
     "delta_hamiltonian",
     "translate_2d",
-    "H_I_CELL_BONDS",
-    "H_II_CELL_BONDS",
-    "H_2D_ODD_CELL_BONDS",
 ]
 
 
@@ -140,11 +142,11 @@ class TimeDependentHamiltonian:
 
 
 # ----------------------------------------------------------------------
-# 1D families
+# bond families
 # ----------------------------------------------------------------------
 
 
-# Chain bond entries (letter_left, letter_right, weight).
+# Bond entries (letter on the first site, letter on the second, weight).
 BondEntries = tuple[tuple[str, str, float], ...]
 
 
@@ -152,31 +154,34 @@ def _two_site(n: int, s1: int, l1: str, s2: int, l2: str, coeff: float) -> Pauli
     return PauliTerm.from_sites(n, {s1: l1, s2: l2}, coeff)
 
 
-def _chain_bond_family(
-    lat: Lattice,
-    odd: Sequence[tuple[str, str, float]],
-    even: Sequence[tuple[str, str, float]],
-    j: float,
-) -> PauliSum:
-    """Sum over chain bonds with different letters on odd/even bonds.
+def _sum(n: int, terms: list[PauliTerm]) -> PauliSum:
+    return PauliSum.from_terms(terms) if terms else PauliSum.zero(n)
 
-    Bond k joins 1-based sites (k, k+1); its parity is the parity of k.
-    Entries are (letter_left, letter_right, weight).
+
+def _bond_family(
+    lat: Lattice,
+    odd: BondEntries,
+    even: BondEntries,
+    j: float,
+    bonds: Sequence[tuple[int, int, bool]] | None = None,
+) -> PauliSum:
+    """Sum over bonds with different letters on odd and even bonds.
+
+    A bond is odd when its first site is on the odd checkerboard sublattice
+    (see :meth:`~crda.device.Lattice.bonds`). The pattern closes around a
+    periodic boundary only on even extents, so a periodic lattice needs
+    them when the odd and even entries differ. ``bonds`` defaults to every
+    bond of ``lat``.
     """
-    if lat.dim != 1:
-        raise ValueError("chain family requires a 1D lattice")
-    if lat.periodic and (odd != even):
+    if lat.periodic and odd != even:
         lat.require_even_extents()
     n = lat.n_sites
-    terms = []
-    for k, kp in lat.bonds_1d():
-        for l1, l2, w in odd if k % 2 == 1 else even:
-            terms.append(
-                _two_site(n, lat.site_index(k), l1, lat.site_index(kp), l2, j * w)
-            )
-    if not terms:
-        return PauliSum.zero(n)
-    return PauliSum.from_terms(terms)
+    terms = [
+        _two_site(n, s, l1, t, l2, j * w)
+        for s, t, is_odd in (lat.bonds() if bonds is None else bonds)
+        for l1, l2, w in (odd if is_odd else even)
+    ]
+    return _sum(n, terms)
 
 
 # Drive-phase-sensitive chains J * sum x_k (a cos(phi) + s sin(phi) y)_{k+1}:
@@ -193,128 +198,39 @@ def _phase_chain(kind: HamiltonianKind, lat: Lattice, j: float, phi: float) -> P
     letter, sign, on_odd, on_even = _PHASE_CHAINS[kind]
     weighted = ((letter, math.cos(phi)), ("Y", sign * math.sin(phi)))
     spec = tuple(("X", b, w) for b, w in weighted if abs(w) > 0)
-    return _chain_bond_family(lat, spec if on_odd else (), spec if on_even else (), j)
+    return _bond_family(lat, spec if on_odd else (), spec if on_even else (), j)
 
 
 _XX: BondEntries = (("X", "X", 1.0),)
 _YY: BondEntries = (("Y", "Y", 1.0),)
 _ZZ: BondEntries = (("Z", "Z", 1.0),)
 
-# Phase-free chains: kind -> (odd-bond entries, even-bond entries).
-_CHAIN_BONDS: dict[HamiltonianKind, tuple[BondEntries, BondEntries]] = {
-    HamiltonianKind.H1: (_ZZ, ()),
-    HamiltonianKind.H2: ((), _ZZ),
-    HamiltonianKind.H_ZZ: (_ZZ, _ZZ),
-    HamiltonianKind.H_EVEN: (_XX, _ZZ),
-    HamiltonianKind.H_E: (_XX, _ZZ),
-    HamiltonianKind.H_ODD: (_ZZ, _XX),
-    HamiltonianKind.H_EVEN_PRIME: (_XX, _YY),
-    HamiltonianKind.H_ODD_PRIME: (_YY, _XX),
-    HamiltonianKind.H_E_DOUBLE_PRIME: (_YY, _XX),
-    HamiltonianKind.H_E_PRIME: (_ZZ, _YY),
-    HamiltonianKind.H_XY_1D: (_XX + _YY, _XX + _YY),
-    HamiltonianKind.H_HEIS: (_XX + _YY + _ZZ, _XX + _YY + _ZZ),
+# Phase-free families: kind -> (lattice dim, odd-bond entries, even-bond entries).
+# The 2D rows lay the chain sublattice patterns on the checkerboard.
+_BONDS: dict[HamiltonianKind, tuple[int, BondEntries, BondEntries]] = {
+    HamiltonianKind.H1: (1, _ZZ, ()),
+    HamiltonianKind.H2: (1, (), _ZZ),
+    HamiltonianKind.H_ZZ: (1, _ZZ, _ZZ),
+    HamiltonianKind.H_EVEN: (1, _XX, _ZZ),
+    HamiltonianKind.H_E: (1, _XX, _ZZ),
+    HamiltonianKind.H_ODD: (1, _ZZ, _XX),
+    HamiltonianKind.H_EVEN_PRIME: (1, _XX, _YY),
+    HamiltonianKind.H_ODD_PRIME: (1, _YY, _XX),
+    HamiltonianKind.H_E_DOUBLE_PRIME: (1, _YY, _XX),
+    HamiltonianKind.H_E_PRIME: (1, _ZZ, _YY),
+    HamiltonianKind.H_XY_1D: (1, _XX + _YY, _XX + _YY),
+    HamiltonianKind.H_HEIS: (1, _XX + _YY + _ZZ, _XX + _YY + _ZZ),
+    HamiltonianKind.H_2D_ODD: (2, _ZZ, _XX),
+    HamiltonianKind.H_2D_EVEN: (2, _XX, _ZZ),
+    HamiltonianKind.H_I: (2, _XX, _YY),
+    HamiltonianKind.H_II: (2, _YY, _XX),
+    HamiltonianKind.H_XY_2D: (2, _XX + _YY, _XX + _YY),
 }
 
 
 # ----------------------------------------------------------------------
-# 2D families
+# 2D translations
 # ----------------------------------------------------------------------
-
-# Unit-cell bond tables. Offsets are relative to the cell anchor
-# (2i - 1, 2j - 1); each entry is (letter, site_a_offset, site_b_offset).
-CellBonds = tuple[tuple[str, tuple[int, int], tuple[int, int]], ...]
-
-H_I_CELL_BONDS: CellBonds = (
-    ("X", (0, 0), (1, 0)),
-    ("Y", (1, 0), (2, 0)),
-    ("Y", (0, 1), (1, 1)),
-    ("X", (1, 1), (2, 1)),
-    ("X", (0, 0), (0, 1)),
-    ("Y", (1, 0), (1, 1)),
-    ("Y", (0, 1), (0, 2)),
-    ("X", (1, 1), (1, 2)),
-)
-
-# The companion decomposition swaps the Pauli letter on every bond.
-H_II_CELL_BONDS: CellBonds = tuple(
-    ({"X": "Y", "Y": "X"}[letter], a, b) for letter, a, b in H_I_CELL_BONDS
-)
-
-# Native 2D cross-resonance cell: z-stars on the (odd, odd) and
-# (even, even) sites, x-stars on the mixed-parity sites.
-H_2D_ODD_CELL_BONDS: CellBonds = (
-    ("Z", (0, 0), (0, 1)),
-    ("Z", (0, 0), (1, 0)),
-    ("Z", (1, 1), (1, 2)),
-    ("Z", (1, 1), (2, 1)),
-    ("X", (0, 1), (0, 2)),
-    ("X", (0, 1), (1, 1)),
-    ("X", (1, 0), (1, 1)),
-    ("X", (1, 0), (2, 0)),
-)
-
-# 2D tilings: kind -> (cell bonds, letter map applied to every bond).
-_TILINGS: dict[HamiltonianKind, tuple[CellBonds, dict[str, str] | None]] = {
-    HamiltonianKind.H_2D_ODD: (H_2D_ODD_CELL_BONDS, None),
-    HamiltonianKind.H_2D_EVEN: (H_2D_ODD_CELL_BONDS, {"Z": "X", "X": "Z"}),
-    HamiltonianKind.H_I: (H_I_CELL_BONDS, None),
-    HamiltonianKind.H_II: (H_II_CELL_BONDS, None),
-    HamiltonianKind.H_XY_2D: (H_I_CELL_BONDS + H_II_CELL_BONDS, None),
-}
-
-
-def _cell_anchor_range(lat: Lattice) -> tuple[range, range]:
-    if lat.periodic:
-        lat.require_even_extents()
-        return range(1, lat.nx // 2 + 1), range(1, lat.ny // 2 + 1)
-    return range(1, (lat.nx + 1) // 2 + 1), range(1, (lat.ny + 1) // 2 + 1)
-
-
-def cell_terms(
-    lat: Lattice,
-    i: int,
-    j: int,
-    bonds: CellBonds,
-    coupling: float,
-    letter_map: dict[str, str] | None = None,
-) -> list[PauliTerm]:
-    """Terms of one unit cell anchored at cell coordinates (i, j).
-
-    On open lattices, bonds reaching outside the lattice are dropped.
-    """
-    n = lat.n_sites
-    ai, aj = 2 * i - 1, 2 * j - 1
-    out = []
-    for letter, (d1i, d1j), (d2i, d2j) in bonds:
-        s1 = (ai + d1i, aj + d1j)
-        s2 = (ai + d2i, aj + d2j)
-        if not (lat.in_range(*s1) and lat.in_range(*s2)):
-            continue
-        if letter_map:
-            letter = letter_map[letter]
-        out.append(
-            _two_site(n, lat.site_index(*s1), letter, lat.site_index(*s2), letter, coupling)
-        )
-    return out
-
-
-def _tile_2d(
-    lat: Lattice,
-    bonds: CellBonds,
-    j: float,
-    letter_map: dict[str, str] | None = None,
-) -> PauliSum:
-    if lat.dim != 2:
-        raise ValueError("2D family requires a 2D lattice")
-    ri, rj = _cell_anchor_range(lat)
-    terms = []
-    for jj in rj:
-        for ii in ri:
-            terms.extend(cell_terms(lat, ii, jj, bonds, j, letter_map))
-    if not terms:
-        return PauliSum.zero(lat.n_sites)
-    return PauliSum.from_terms(terms)
 
 
 def translate_2d(h: PauliSum, lat: Lattice, di: int, dj: int) -> PauliSum:
@@ -349,20 +265,20 @@ def build_canonical(
 ) -> PauliSum:
     """Construct a time-independent family member on the given lattice.
 
-    The kind is looked up in the three kind tables: phase-sensitive
-    chains, phase-free chain bond families and 2D tilings. ``phi``
-    enters only the drive-phase-sensitive forms (the control chain and
-    the single-sublattice cross-resonance chains); everything else fixes
+    The kind is looked up in the two kind tables: phase-sensitive chains
+    and phase-free bond families. ``phi`` enters only the
+    drive-phase-sensitive forms (the control chain and the
+    single-sublattice cross-resonance chains); everything else fixes
     phi = 0.
     """
+    if kind not in _PHASE_CHAINS and kind not in _BONDS:
+        raise ValueError(f"{kind} is not a time-independent family member")
+    dim, *entries = _BONDS.get(kind, (1,))
+    if lat.dim != dim:
+        raise ValueError(f"{kind.value} needs a {dim}D lattice")
     if kind in _PHASE_CHAINS:
         return _phase_chain(kind, lat, j, phi)
-    if kind in _CHAIN_BONDS:
-        return _chain_bond_family(lat, *_CHAIN_BONDS[kind], j)
-    if kind in _TILINGS:
-        bonds, letter_map = _TILINGS[kind]
-        return _tile_2d(lat, bonds, j, letter_map)
-    raise ValueError(f"{kind} is not a time-independent family member")
+    return _bond_family(lat, *entries, j)
 
 
 # ----------------------------------------------------------------------
@@ -488,9 +404,7 @@ def build_qf_effective(
                 terms.append(_two_site(n, k, "X", k + 1, "X", jk * c))
             if s != 0.0:
                 terms.append(_two_site(n, k, "X", k + 1, "Y", jk * s))
-    if not terms:
-        return PauliSum.zero(n)
-    return PauliSum.from_terms(terms)
+    return _sum(n, terms)
 
 
 # ----------------------------------------------------------------------
@@ -522,7 +436,7 @@ def org_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHami
     chain = Lattice.chain(n)
 
     def bonds(pairs: Sequence[tuple[str, str, float]]) -> PauliSum:
-        return _chain_bond_family(chain, pairs, pairs, 1.0)
+        return _bond_family(chain, pairs, pairs, 1.0)
 
     cos1, sin1 = ("cos", delta, 0.0), ("sin", delta, 0.0)
     cos2, sin2 = ("cos", 2 * delta, 0.0), ("sin", 2 * delta, 0.0)

@@ -233,3 +233,63 @@ def reference_csr(h) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix(
         (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
     )
+
+
+# Unit-cell tables of the 2D decompositions, as the package listed them
+# before it walked the checkerboard: offsets are relative to the cell anchor
+# (2i - 1, 2j - 1), and each entry is (letter, first site, second site).
+_H_I_CELL = (
+    ("X", (0, 0), (1, 0)),
+    ("Y", (1, 0), (2, 0)),
+    ("Y", (0, 1), (1, 1)),
+    ("X", (1, 1), (2, 1)),
+    ("X", (0, 0), (0, 1)),
+    ("Y", (1, 0), (1, 1)),
+    ("Y", (0, 1), (0, 2)),
+    ("X", (1, 1), (1, 2)),
+)
+_H_II_CELL = tuple(({"X": "Y", "Y": "X"}[letter], a, b) for letter, a, b in _H_I_CELL)
+# z-stars on the (odd, odd) and (even, even) sites, x-stars on the others
+_H_2D_ODD_CELL = (
+    ("Z", (0, 0), (0, 1)),
+    ("Z", (0, 0), (1, 0)),
+    ("Z", (1, 1), (1, 2)),
+    ("Z", (1, 1), (2, 1)),
+    ("X", (0, 1), (0, 2)),
+    ("X", (0, 1), (1, 1)),
+    ("X", (1, 0), (1, 1)),
+    ("X", (1, 0), (2, 0)),
+)
+REFERENCE_CELLS = {
+    "h_2d_odd": _H_2D_ODD_CELL,
+    "h_2d_even": tuple(({"Z": "X", "X": "Z"}[letter], a, b) for letter, a, b in _H_2D_ODD_CELL),
+    "h_i": _H_I_CELL,
+    "h_ii": _H_II_CELL,
+    "h_xy_2d": _H_I_CELL + _H_II_CELL,
+}
+
+
+def reference_tiling(kind: str, lat, j: float = 1.0):
+    """A 2D family as its unit cell tiled over the anchors (2i - 1, 2j - 1).
+
+    Periodic lattices need even extents, for the cells to tile them; on
+    open ones, the cells cover every site and drop the bonds that leave
+    the lattice.
+    """
+    from crda.pauli import PauliTerm
+
+    if lat.periodic:
+        if lat.nx % 2 or lat.ny % 2:
+            raise ValueError("periodic unit cells need even extents")
+        anchors = itertools.product(range(1, lat.ny // 2 + 1), range(1, lat.nx // 2 + 1))
+    else:
+        anchors = itertools.product(range(1, (lat.ny + 1) // 2 + 1), range(1, (lat.nx + 1) // 2 + 1))
+    terms = []
+    for cj, ci in anchors:
+        for letter, (d1i, d1j), (d2i, d2j) in REFERENCE_CELLS[kind]:
+            ends = ((2 * ci - 1 + d1i, 2 * cj - 1 + d1j), (2 * ci - 1 + d2i, 2 * cj - 1 + d2j))
+            if not lat.periodic and any(i > lat.nx or jj > lat.ny for i, jj in ends):
+                continue
+            sites = {lat.site_index(*end): letter for end in ends}
+            terms.append(PauliTerm.from_sites(lat.n_sites, sites, j))
+    return reference_from_terms(lat.n_sites, terms)

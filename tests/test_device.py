@@ -94,13 +94,26 @@ class TestCrChain:
 
 class TestLattice:
     def test_chain_bonds_open_and_periodic(self):
-        assert list(Lattice.chain(4).bonds_1d()) == [(1, 2), (2, 3), (3, 4)]
-        assert list(Lattice.chain(4, "periodic").bonds_1d()) == [
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (4, 1),
+        # bond k joins 0-based sites (k - 1, k) and is odd for odd k
+        assert list(Lattice.chain(4).bonds()) == [(0, 1, True), (1, 2, False), (2, 3, True)]
+        assert list(Lattice.chain(4, "periodic").bonds()) == [
+            (0, 1, True),
+            (1, 2, False),
+            (2, 3, True),
+            (3, 0, False),
         ]
+
+    def test_square_bonds_walk_x_then_y_on_the_checkerboard(self):
+        assert list(Lattice.square(2, 2, boundary="open").bonds()) == [
+            (0, 1, True),
+            (0, 2, True),
+            (1, 3, False),
+            (2, 3, False),
+        ]
+        # a periodic extent of 2 doubles the wrap bond; a site is not its own neighbour
+        assert list(Lattice.square(2, 1).bonds()) == [(0, 1, True), (1, 0, False)]
+        assert list(Lattice.square(1, 1).bonds()) == []
+        assert list(Lattice.chain(1, "periodic").bonds()) == []
 
     def test_site_index_row_major(self):
         lat = Lattice.square(3, 2, boundary="open")
@@ -116,7 +129,6 @@ class TestLattice:
 
     def test_open_range_check(self):
         lat = Lattice.square(2, 2, boundary="open")
-        assert not lat.in_range(3, 1)
         with pytest.raises(ValueError):
             lat.site_index(3, 1)
 

@@ -272,6 +272,20 @@ class TestTrotterCommutators:
         assert small.num_terms() == 12
         assert small.coefficient("XXIIIIII") == 2.0
 
+    def test_xy2d_digital_periodic_extent_one_has_no_self_bond(self):
+        # a 1 x 3 ring: the +x neighbour of every site is itself, so only
+        # the three y bonds remain, each of weight 2
+        hxx, hyy = xy2d_digital_hamiltonians(Lattice.square(1, 3), 1.0)
+        assert {t.pattern: t.coeff for t in hxx.terms()} == {"XXI": 1.0, "XIX": 1.0, "IXX": 1.0}
+        assert {t.pattern: t.coeff for t in hyy.terms()} == {"YYI": 1.0, "YIY": 1.0, "IYY": 1.0}
+        rep = trotter_commutator("xy2d_digital", Lattice.square(1, 3))
+        assert rep.entry("all_terms_weight_3").value == 1.0
+
+    def test_xy2d_digital_single_site_is_zero(self):
+        for boundary in ("open", "periodic"):
+            hxx, hyy = xy2d_digital_hamiltonians(Lattice.square(1, 1, boundary=boundary), 1.0)
+            assert hxx.is_zero() and hyy.is_zero()
+
     @pytest.mark.parametrize(
         "nx, ny, norm", [(3, 3, 68.08776358574299), (3, 4, 91.70664985046636)]
     )

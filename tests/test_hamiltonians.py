@@ -1,12 +1,14 @@
 """Hamiltonian families: term content, decompositions, and defect forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import dense_oracle
+from conftest import REFERENCE_CELLS, dense_oracle, reference_tiling
 from crda.device import DeviceParams, DriveConfig, Lattice
+from crda.errors import xy2d_digital_hamiltonians
 from crda.hamiltonians import (
-    H_2D_ODD_CELL_BONDS,
     HamiltonianKind as K,
     build_canonical,
     build_delta,
@@ -254,7 +256,6 @@ class Test2DFamilies:
     def test_periodic_cell_count(self):
         lat = Lattice.square(4, 4)
         assert build_canonical(K.H_2D_ODD, lat).num_terms() == 32
-        assert len(H_2D_ODD_CELL_BONDS) == 8
 
     def test_periodic_requires_even_extents(self):
         with pytest.raises(ValueError):
@@ -265,6 +266,34 @@ class Test2DFamilies:
         assert build_canonical(K.H_XY_2D, lat) == build_canonical(
             K.H_I, lat
         ) + build_canonical(K.H_II, lat)
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_CELLS))
+    def test_checkerboard_walk_is_the_unit_cell_tiling(self, kind, boundary):
+        # bit for bit, wherever the tiling builds; where it refuses, so does
+        # the walk, but for h_xy_2d, whose odd and even bonds agree
+        for nx, ny in itertools.product(range(1, 9), repeat=2):
+            lat = Lattice.square(nx, ny, boundary=boundary)
+            try:
+                want = reference_tiling(kind, lat, 0.7)
+            except ValueError:
+                if kind != "h_xy_2d":
+                    with pytest.raises(ValueError):
+                        build_canonical(K(kind), lat, 0.7)
+                continue
+            got = build_canonical(K(kind), lat, 0.7)
+            assert got == want, (nx, ny)
+            assert got._c.tobytes() == want._c.tobytes(), (nx, ny)
+
+    @pytest.mark.parametrize("nx, ny", [(3, 3), (3, 4), (5, 2), (1, 3), (1, 1)])
+    def test_xy_2d_odd_periodic_extent_is_the_digital_sum(self, nx, ny):
+        # no unit cell tiles an odd periodic side, but the xx + yy bonds need none
+        lat = Lattice.square(nx, ny)
+        hxx, hyy = xy2d_digital_hamiltonians(lat, 0.7)
+        h = build_canonical(K.H_XY_2D, lat, 0.7)
+        assert h == hxx + hyy
+        assert h._c.tobytes() == (hxx + hyy)._c.tobytes()
+        assert {t.weight for t in h.terms()} <= {2}
 
 
 class TestOriginalAndDefect:
