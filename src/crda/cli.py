@@ -53,7 +53,7 @@ from .hamiltonians import (
     build_org,
     build_qf_effective,
 )
-from .pauli import ConvergenceError, DenseLimitError, PauliSum
+from .pauli import ConvergenceError, DenseLimitError, PauliSum, PauliTerm
 
 _PHASE_KINDS = {k.value for k in _PHASE_CHAINS}
 _CANONICAL_KINDS = _PHASE_KINDS | {k.value for k in _BONDS}
@@ -316,10 +316,7 @@ def _parse_observables(specs: list[str] | None, n: int) -> tuple[list[PauliSum],
     obs, names = [], []
     for spec in specs:
         if spec == "sz-total":
-            total = PauliSum.zero(n)
-            for k in range(n):
-                total = total + PauliSum.from_sites(n, {k: "Z"})
-            obs.append(total)
+            obs.append(PauliSum.from_terms(PauliTerm.from_sites(n, {k: "Z"}) for k in range(n)))
         elif spec.startswith("z") and spec[1:].isdigit():
             site = int(spec[1:])
             if not 1 <= site <= n:

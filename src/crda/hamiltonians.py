@@ -293,15 +293,11 @@ def lab_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
     + sum_k g_k x_k x_{k+1} / 2.
     """
     n = p.n
-    static: PauliSum = PauliSum.zero(n)
-    for k in range(n):
-        if p.omega_q[k] != 0.0:
-            static = static + PauliSum.from_sites(n, {k: "Z"}, 0.5 * p.omega_q[k])
-    for k in range(n - 1):
-        if p.g[k] != 0.0:
-            static = static + PauliSum.from_sites(
-                n, {k: "X", k + 1: "X"}, 0.5 * p.g[k]
-            )
+    static = _sum(
+        n,
+        [PauliTerm.from_sites(n, {k: "Z"}, 0.5 * p.omega_q[k]) for k in range(n) if p.omega_q[k]]
+        + [_two_site(n, k, "X", k + 1, "X", 0.5 * p.g[k]) for k in range(n - 1) if p.g[k]],
+    )
     pieces = [(static, ())] if not static.is_zero() else []
     for k in range(n):
         if p.Omega[k] == 0.0:
@@ -323,12 +319,15 @@ def rotating_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
     the counter-rotating double-frequency terms are discarded.
     """
     n = p.n
-    static = PauliSum.zero(n)
-    for k in range(n):
-        if p.delta[k] != 0.0:
-            static = static + PauliSum.from_sites(n, {k: "Z"}, 0.5 * p.delta[k])
-        if p.Omega[k] != 0.0:
-            static = static + PauliSum.from_sites(n, {k: "X"}, 0.5 * p.Omega[k])
+    static = _sum(
+        n,
+        [
+            PauliTerm.from_sites(n, {k: letter}, 0.5 * v[k])
+            for k in range(n)
+            for letter, v in (("Z", p.delta), ("X", p.Omega))
+            if v[k]
+        ],
+    )
     pieces = [(static, ())] if not static.is_zero() else []
     for k in range(n - 1):
         if p.g[k] == 0.0:
@@ -336,11 +335,11 @@ def rotating_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
         a = float(p.omega[k] - p.omega[k + 1])
         b = float(p.phi[k] - p.phi[k + 1])
         w = 0.25 * p.g[k]
-        sym = PauliSum.from_sites(n, {k: "X", k + 1: "X"}, w) + PauliSum.from_sites(
-            n, {k: "Y", k + 1: "Y"}, w
+        sym = PauliSum.from_terms(
+            [_two_site(n, k, "X", k + 1, "X", w), _two_site(n, k, "Y", k + 1, "Y", w)]
         )
-        asym = PauliSum.from_sites(n, {k: "X", k + 1: "Y"}, w) - PauliSum.from_sites(
-            n, {k: "Y", k + 1: "X"}, w
+        asym = PauliSum.from_terms(
+            [_two_site(n, k, "X", k + 1, "Y", w), _two_site(n, k, "Y", k + 1, "X", -w)]
         )
         pieces.append((sym, (("cos", a, b),)))
         pieces.append((asym, (("sin", a, b),)))

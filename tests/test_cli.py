@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crda.cli import main
+from crda.cli import _parse_observables, main
 from crda.device import DeviceParams, Lattice
 from crda.errors import table1_check
 from crda.hamiltonians import HamiltonianKind, build_lab_frame, build_org
+from crda.pauli import PauliSum
 
 
 def run_cli(args, capsys):
@@ -190,6 +191,16 @@ class TestSimulateCommand:
         assert code == 0
         rows = json.loads(out)["results"]
         assert all(abs(r["sz-total"] - 1.0) <= 1e-9 for r in rows)
+
+    def test_sz_total_equals_one_at_a_time_sum(self):
+        # one from_terms over distinct keys is bit for bit the sum built by +
+        n = 6
+        want = PauliSum.zero(n)
+        for k in range(n):
+            want = want + PauliSum.from_sites(n, {k: "Z"})
+        (got,), _ = _parse_observables(["sz-total"], n)
+        assert got == want
+        assert got._c.tobytes() == want._c.tobytes()
 
 
 class TestCompileCommand:

@@ -67,6 +67,44 @@ class TestLabFrame:
         t = 0.713
         assert gen.at(t).allclose(gen.at(t + 2 * np.pi / 4.0))
 
+    @staticmethod
+    def _one_at_a_time(n, terms):
+        out = PauliSum.zero(n)
+        for sites, c in terms:
+            out = out + PauliSum.from_sites(n, sites, c)
+        return out
+
+    def test_static_sums_equal_one_at_a_time_sums(self, rng):
+        # one from_terms over distinct keys is bit for bit the sum built by +
+        n = 5
+        v = lambda size: rng.standard_normal(size) * (rng.uniform(size=size) < 0.7)  # noqa: E731
+        p = DeviceParams(n=n, omega_q=v(n), omega=v(n), Omega=v(n), phi=v(n), g=v(n - 1))
+        lab = [({k: "Z"}, 0.5 * p.omega_q[k]) for k in range(n) if p.omega_q[k] != 0.0]
+        lab += [({k: "X", k + 1: "X"}, 0.5 * p.g[k]) for k in range(n - 1) if p.g[k] != 0.0]
+        rot = [
+            ({k: letter}, 0.5 * w[k])
+            for k in range(n)
+            for letter, w in (("Z", p.delta), ("X", p.Omega))
+            if w[k] != 0.0
+        ]
+        want = [self._one_at_a_time(n, lab), self._one_at_a_time(n, rot)]
+        for k in range(n - 1):
+            if p.g[k] != 0.0:
+                w = 0.25 * p.g[k]
+                xx, yy = PauliSum.from_sites(n, {k: "X", k + 1: "X"}, w), PauliSum.from_sites(
+                    n, {k: "Y", k + 1: "Y"}, w
+                )
+                xy, yx = PauliSum.from_sites(n, {k: "X", k + 1: "Y"}, w), PauliSum.from_sites(
+                    n, {k: "Y", k + 1: "X"}, w
+                )
+                want += [xx + yy, xy - yx]
+        lab_static = lab_frame_hamiltonian(p).pieces[0][0]
+        got = [lab_static] + [ps for ps, _ in rotating_frame_hamiltonian(p).pieces]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b
+            assert a._c.tobytes() == b._c.tobytes()
+
     def test_generator_hermitian(self, rng):
         p = DeviceParams.uniform_chain(3, g=0.3, delta=2.0, Omega=0.7, omega=9.0)
         for gen in (lab_frame_hamiltonian(p), rotating_frame_hamiltonian(p)):
