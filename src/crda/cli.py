@@ -236,8 +236,9 @@ def _emit(args, payload: dict, csv_rows: list[list] | None) -> None:
 
 
 def _config_echo(args, extra: dict | None = None) -> dict:
-    skip = {"command", "out", "threads"}
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    """The set flags the mode reads (see :func:`_mode`), ``--format``, and ``extra``."""
+    reads = _mode(args)[1] | {"format"}
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k in reads and v is not None}
     if extra:
         cfg.update(extra)
     return cfg

@@ -525,7 +525,26 @@ class TestFailureModes:
             ["hamiltonian", "--kind", "h_zz", "--n", "3", "--seed", "7", "--phi", "0"], capsys
         )
         assert code == 0
-        assert json.loads(out)["config"]["seed"] == 7
+        # accepted, and, as every flag the mode does not read, not echoed
+        assert not {"seed", "phi"} & set(json.loads(out)["config"])
+
+    @pytest.mark.parametrize(
+        "args, unread",
+        [
+            (["errors", "--which", "unitcell", "--format", "csv"], {"t", "n", "g"}),
+            (["hamiltonian", "--kind", "lab", "--n", "2"], {"j", "phi", "seed", "drive"}),
+        ],
+        ids=["unitcell", "lab"],
+    )
+    def test_config_echoes_only_what_the_mode_reads(self, capsys, args, unread):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        if "--format" in args:
+            config = json.loads(out.splitlines()[0].removeprefix("# config: "))
+        else:
+            config = json.loads(out)["config"]
+        assert not unread & set(config)
+        assert config["format"] == ("csv" if "--format" in args else "json")
 
     @pytest.mark.parametrize(
         "args, message",
