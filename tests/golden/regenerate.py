@@ -22,7 +22,7 @@ CORPUS = Path(__file__).with_name("cli.json")
 # org*/delta* kinds at t != 0; then CSV, a sweep, realistic simulate and a
 # table-1 audit on more than 64 sites (two mask words); then the README
 # examples, the benchmark's commands and the runs CI compares across hash
-# seeds.
+# seeds; last, the lattice edge cases of the checkerboard bond walk.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -68,6 +68,9 @@ COMMANDS = [
     "errors --which synthesis --model control --n 6 --omega 0.1 --sweep t=0:5:24 --threads 2",
     "simulate --model heisenberg --n 8 --blocks 3",
     "compile --model xy2d --nx 4 --ny 4 --fuse",
+    "hamiltonian --kind h_xy_2d --nx 3 --ny 3",
+    "errors --which trotter --model xy2d_digital --nx 1 --ny 3",
+    "hamiltonian --kind h_i --nx 3 --ny 4",
 ]
 
 
