@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crda.cli import _parse_observables, main
+from crda.cli import _FLAGS, _SUBCOMMANDS, _build_parser, _flags, _mode, _parse_observables, main
 from crda.device import DeviceParams, Lattice
 from crda.errors import table1_check
 from crda.hamiltonians import HamiltonianKind, build_lab_frame, build_org
@@ -370,6 +370,55 @@ class TestParamsFile:
         assert not {"n", "g", "delta", "omega", "omega_base"} & set(config)
 
 
+# A modest value off the default of each flag that takes a string.
+_STRING_VALUES = {"model": "heis_da", "sweep": "t=0:1:3", "initial": "0", "params": "x.cfg"}
+
+
+def _off_default(flag: str, spec: dict) -> list[str]:
+    """Argv setting ``flag`` to a modest value other than its default."""
+    if spec.get("action") == "store_true":
+        return [f"--{flag}"]
+    if "choices" in spec:
+        value = next(c for c in spec["choices"] if c != spec.get("default"))
+    elif spec.get("action") == "append":
+        value = "z1"
+    elif spec.get("type") is int:
+        value = "3"
+    elif spec.get("type") is float:
+        value = "0.5"
+    else:
+        value = _STRING_VALUES[flag]
+    return [f"--{flag}", value]
+
+
+def _unread_flag_cases() -> list:
+    """(argv, flag) for every flag each mode never reads, set off its default.
+
+    The modes are those of the accepted commands of the golden corpus. A
+    flag that selects another mode which reads it (``--params`` on
+    ``verify-frames``) is not an unread flag, and is left out.
+    """
+    corpus = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+    parser, commands = _build_parser()
+    cases, seen = [], set()
+    for command, recorded in corpus.items():
+        base = command.split()
+        args = parser.parse_args(base)
+        mode, reads = _mode(args)
+        if recorded["exit"] or (mode, frozenset(reads)) in seen:
+            continue
+        seen.add((mode, frozenset(reads)))
+        for flag in _flags(args.command):
+            if flag.replace("-", "_") in reads | {"out", "format", "threads"}:
+                continue
+            spec = {**_FLAGS[flag], **_SUBCOMMANDS[args.command][2].get(flag, {})}
+            argv = base + _off_default(flag, spec)
+            if flag.replace("-", "_") in _mode(parser.parse_args(argv))[1]:
+                continue
+            cases.append(pytest.param(argv, flag, id=f"{command}: --{flag}"))
+    return cases
+
+
 class TestFailureModes:
     def test_usage_error_exit_code(self, capsys):
         code, _, errtext = run_cli(["errors", "--which", "trotter"], capsys)
@@ -483,6 +532,16 @@ class TestFailureModes:
         error = json.loads(errtext)["error"]
         assert error["type"] == "usage"
         assert "takes no --" in error["message"]
+
+    @pytest.mark.parametrize("args, flag", _unread_flag_cases())
+    def test_every_unread_flag_rejected(self, capsys, args, flag):
+        code, out, errtext = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(errtext)["error"]
+        assert error["type"] == "usage"
+        refused = error["message"].split(" takes no ")[1].split(";")[0].split("/")
+        assert f"--{flag}" in refused
 
     @pytest.mark.parametrize(
         "args",
