@@ -16,6 +16,7 @@ in real arithmetic (see :func:`~crda.pauli.spectral_norm`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -227,19 +228,30 @@ def dyson_norm_formula(g: float, delta: float, n: int, t: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], kept for the last few counts."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     """Normalized Frobenius norm of the first-order propagator difference.
 
     Both propagators are expanded to first order in time, so the
     difference is -i times the time integral of the defect. Each piece's
-    scalar weight is integrated by Gauss-Legendre quadrature, dense enough
-    to be exact for the sinusoids involved, and the pieces are then summed
-    once with their integrals as coefficients.
+    scalar weight is integrated by Gauss-Legendre quadrature (Golub &
+    Welsch, 1969), with at least 64 nodes and 16 per half-period of the
+    detuning, dense enough to be exact for the sinusoids involved; the rule
+    of each node count is computed once and kept (:func:`_gauss_legendre`).
+    The pieces are then summed once, with their integrals as coefficients,
+    by :meth:`~crda.hamiltonians.TimeDependentHamiltonian.weighted_sum`.
     """
     g, delta, Omega = p.uniform()
     gen = delta_hamiltonian(HamiltonianKind.DELTA_H, p)
     nodes = max(64, int(16 * (abs(delta * t) / math.pi + 1)))
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = _gauss_legendre(nodes)
     # map [-1, 1] -> [0, t]
     ss = 0.5 * t * (xs + 1.0)
     ww = 0.5 * t * ws

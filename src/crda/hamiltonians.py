@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
-from .pauli import PauliSum, PauliTerm
+from .pauli import _BITS, PauliSum, _from_rows, _weighted
 
 __all__ = [
     "HamiltonianKind",
@@ -118,11 +118,17 @@ class TimeDependentHamiltonian:
         return out
 
     def weighted_sum(self, scalars: Sequence[float] | np.ndarray) -> PauliSum:
-        """The pieces' Pauli sums scaled by one scalar per piece, summed in order."""
-        out = PauliSum.zero(self.n)
-        for (ps, _), c in zip(self.pieces, scalars):
-            out = out + float(c) * ps
-        return out
+        """The pieces' Pauli sums scaled by one scalar per piece, summed in order.
+
+        Bit for bit the loop ``out = out + float(c) * ps`` from the zero sum,
+        run as one pass over all terms (:func:`~crda.pauli._weighted`).
+        Raises ``ValueError`` unless there is one scalar per piece, and on a
+        non-finite weight.
+        """
+        scalars = [float(c) for c in scalars]
+        if len(scalars) != len(self.pieces):
+            raise ValueError(f"{len(scalars)} scalars for {len(self.pieces)} pieces")
+        return _weighted(self.n, [ps for ps, _ in self.pieces], scalars)
 
     def at(self, t: float) -> PauliSum:
         return self.weighted_sum(self.weights(t))
@@ -150,12 +156,13 @@ class TimeDependentHamiltonian:
 BondEntries = tuple[tuple[str, str, float], ...]
 
 
-def _two_site(n: int, s1: int, l1: str, s2: int, l2: str, coeff: float) -> PauliTerm:
-    return PauliTerm.from_sites(n, {s1: l1, s2: l2}, coeff)
-
-
-def _sum(n: int, terms: list[PauliTerm]) -> PauliSum:
-    return PauliSum.from_terms(terms) if terms else PauliSum.zero(n)
+def _row(coeff: float, *letters: tuple[int, str]) -> tuple[int, int, float]:
+    """``(x, z, coeff)`` mask row of the string with each letter on its 0-based site."""
+    x = z = 0
+    for site, letter in letters:
+        bx, bz = _BITS[letter]
+        x, z = x | bx << site, z | bz << site
+    return x, z, coeff
 
 
 def _bond_family(
@@ -175,13 +182,12 @@ def _bond_family(
     """
     if lat.periodic and odd != even:
         lat.require_even_extents()
-    n = lat.n_sites
-    terms = [
-        _two_site(n, s, l1, t, l2, j * w)
+    rows = [
+        _row(j * w, (s, l1), (t, l2))
         for s, t, is_odd in (lat.bonds() if bonds is None else bonds)
         for l1, l2, w in (odd if is_odd else even)
     ]
-    return _sum(n, terms)
+    return _from_rows(lat.n_sites, rows)
 
 
 # Drive-phase-sensitive chains J * sum x_k (a cos(phi) + s sin(phi) y)_{k+1}:
@@ -293,10 +299,10 @@ def lab_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
     + sum_k g_k x_k x_{k+1} / 2.
     """
     n = p.n
-    static = _sum(
+    static = _from_rows(
         n,
-        [PauliTerm.from_sites(n, {k: "Z"}, 0.5 * p.omega_q[k]) for k in range(n) if p.omega_q[k]]
-        + [_two_site(n, k, "X", k + 1, "X", 0.5 * p.g[k]) for k in range(n - 1) if p.g[k]],
+        [_row(0.5 * p.omega_q[k], (k, "Z")) for k in range(n) if p.omega_q[k]]
+        + [_row(0.5 * p.g[k], (k, "X"), (k + 1, "X")) for k in range(n - 1) if p.g[k]],
     )
     pieces = [(static, ())] if not static.is_zero() else []
     for k in range(n):
@@ -319,10 +325,10 @@ def rotating_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
     the counter-rotating double-frequency terms are discarded.
     """
     n = p.n
-    static = _sum(
+    static = _from_rows(
         n,
         [
-            PauliTerm.from_sites(n, {k: letter}, 0.5 * v[k])
+            _row(0.5 * v[k], (k, letter))
             for k in range(n)
             for letter, v in (("Z", p.delta), ("X", p.Omega))
             if v[k]
@@ -335,12 +341,8 @@ def rotating_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
         a = float(p.omega[k] - p.omega[k + 1])
         b = float(p.phi[k] - p.phi[k + 1])
         w = 0.25 * p.g[k]
-        sym = PauliSum.from_terms(
-            [_two_site(n, k, "X", k + 1, "X", w), _two_site(n, k, "Y", k + 1, "Y", w)]
-        )
-        asym = PauliSum.from_terms(
-            [_two_site(n, k, "X", k + 1, "Y", w), _two_site(n, k, "Y", k + 1, "X", -w)]
-        )
+        sym = _from_rows(n, [_row(w, (k, "X"), (k + 1, "X")), _row(w, (k, "Y"), (k + 1, "Y"))])
+        asym = _from_rows(n, [_row(w, (k, "X"), (k + 1, "Y")), _row(-w, (k, "Y"), (k + 1, "X"))])
         pieces.append((sym, (("cos", a, b),)))
         pieces.append((asym, (("sin", a, b),)))
     return TimeDependentHamiltonian(n, tuple(pieces))
@@ -366,7 +368,7 @@ def build_qf_effective(
     Omega = 0 and zero detuning.
     """
     n = p.n
-    terms: list[PauliTerm] = []
+    rows: list[tuple[int, int, float]] = []
     if drive is DriveConfig.ALL:
         for k in range(n - 1):
             jk = effective_coupling(p, k + 1)
@@ -375,9 +377,9 @@ def build_qf_effective(
             dphi = float(p.phi[k] - p.phi[k + 1])
             c, s = math.cos(dphi), math.sin(dphi)
             if c != 0.0:
-                terms.append(_two_site(n, k, "X", k + 1, "Z", jk * c))
+                rows.append(_row(jk * c, (k, "X"), (k + 1, "Z")))
             if s != 0.0:
-                terms.append(_two_site(n, k, "X", k + 1, "Y", -jk * s))
+                rows.append(_row(-jk * s, (k, "X"), (k + 1, "Y")))
     else:
         control_parity = 1 if drive is DriveConfig.ODD else 0
         for k in range(n):
@@ -400,10 +402,10 @@ def build_qf_effective(
             ph = float(p.phi[k])
             c, s = math.cos(ph), math.sin(ph)
             if c != 0.0:
-                terms.append(_two_site(n, k, "X", k + 1, "X", jk * c))
+                rows.append(_row(jk * c, (k, "X"), (k + 1, "X")))
             if s != 0.0:
-                terms.append(_two_site(n, k, "X", k + 1, "Y", jk * s))
-    return _sum(n, terms)
+                rows.append(_row(jk * s, (k, "X"), (k + 1, "Y")))
+    return _from_rows(n, rows)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ import cmath
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -232,12 +232,7 @@ class PauliSum:
 
     def _set(self, n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> None:
         """The one canonicalizer: hold sorted distinct keys, refuse non-finite weights, prune."""
-        if not np.isfinite(c).all():
-            raise ValueError("coefficient must be finite")
-        keep = np.hypot(c.real, c.imag) > PRUNE_TOL
-        if not keep.all():
-            x, z, c = x[keep], z[keep], c[keep]
-        self.n, self._x, self._z, self._c, self._matrix = n, x, z, c, None
+        self.n, (self._x, self._z, self._c), self._matrix = n, _pruned(x, z, c), None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -264,9 +259,7 @@ class PauliSum:
         n = terms[0].n
         if any(t.n != n for t in terms):
             raise ValueError("mixed site counts in term list")
-        w = -(-n // 64)
-        x, z = _mask_words([t.x for t in terms], w), _mask_words([t.z for t in terms], w)
-        return _from_sorted(n, *_summed(x, z, np.array([t.coeff for t in terms], dtype=complex)))
+        return _from_rows(n, [(t.x, t.z, t.coeff) for t in terms])
 
     @classmethod
     def from_pattern(cls, pattern: str, coeff: complex = 1.0) -> "PauliSum":
@@ -495,7 +488,7 @@ def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _mask_words(masks: list[int], w: int) -> np.ndarray:
+def _mask_words(masks: Sequence[int], w: int) -> np.ndarray:
     """``(len(masks), w)`` uint64 array; word ``k`` holds bits 64k to 64k + 63."""
     raw = b"".join(m.to_bytes(8 * w, "little") for m in masks)
     return np.frombuffer(raw, dtype="<u8").reshape(len(masks), w)
@@ -577,6 +570,60 @@ def _merged(a: PauliSum, b: PauliSum, cb: np.ndarray):
     start[: len(a)] = complex(-0.0, -0.0)
     x, z = np.concatenate((a._x, b._x)), np.concatenate((a._z, b._z))
     return _summed(x, z, np.concatenate((a._c, cb)), start)
+
+
+def _weighted(n: int, sums: Sequence[PauliSum], scalars: Sequence[float]) -> PauliSum:
+    """``sums[0] * scalars[0] + sums[1] * scalars[1] + ...`` in one pass over all terms.
+
+    Bit for bit the loop ``out = out + scalar * h`` from the zero sum. Each
+    weight is scaled by :func:`_times`, as ``*`` scales it, and the scaled
+    sums are pruned; all keys are then grouped once, and each key's running
+    weight adds its scaled weights in sum order, one vector step per
+    position, onto 0.0 (``+`` keeps a weight only in ``out`` as it is). A
+    running weight that a step prunes restarts from 0.0, as ``+`` drops the
+    key. A non-finite scaled or running weight raises ``ValueError``: the
+    scaled weights are finite, so a running weight that overflows stays
+    non-finite to the end.
+    """
+    for h in sums:
+        if h.n != n:
+            raise ValueError(f"site count mismatch: {n} != {h.n}")
+    if not sums:
+        return PauliSum.zero(n)
+    x, z = np.concatenate([h._x for h in sums]), np.concatenate([h._z for h in sums])
+    c = np.concatenate([h._c for h in sums])
+    s = np.repeat(np.asarray(scalars, dtype=float), [len(h) for h in sums])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c.real, c.imag = _times(c.real, c.imag, s, 0.0)
+    x, z, c = _pruned(x, z, c)
+    order, first, group = _grouped(x, z)
+    c = c[order]
+    rank = np.arange(len(order)) - np.flatnonzero(first)[group]
+    acc = np.zeros(np.count_nonzero(first), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rank.max(initial=-1) + 1):
+            at = rank == k
+            g = group[at]
+            v = acc[g] + c[at]
+            v[np.hypot(v.real, v.imag) <= PRUNE_TOL] = 0.0
+            acc[g] = v
+    keys = order[first]
+    return _from_sorted(n, x[keys], z[keys], acc)
+
+
+def _from_rows(n: int, rows: Sequence[tuple[int, int, complex]]) -> PauliSum:
+    """Sum of ``(x, z, coeff)`` rows of int masks; equal strings add up in row order, from 0.0."""
+    w = -(-n // 64)
+    xs, zs, cs = zip(*rows) if rows else ((), (), ())
+    return _from_sorted(n, *_summed(_mask_words(xs, w), _mask_words(zs, w), np.array(cs, dtype=complex)))
+
+
+def _pruned(x: np.ndarray, z: np.ndarray, c: np.ndarray):
+    """``(x, z, c)`` without the weights below ``PRUNE_TOL``; refuses non-finite weights."""
+    if not np.isfinite(c).all():
+        raise ValueError("coefficient must be finite")
+    keep = np.hypot(c.real, c.imag) > PRUNE_TOL
+    return (x, z, c) if keep.all() else (x[keep], z[keep], c[keep])
 
 
 def _from_sorted(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:

@@ -6,14 +6,16 @@ so dense comparisons actually cross-check the two representations.
 The pair-product reference is the plain Python loop over string pairs
 that the package's vectorized kernel must reproduce bit for bit; the
 algebra references (sum, difference, negation, scaling, adjoint, toggle,
-and sums of term lists) are the same operations on a dict of weights by
-``(x, z)`` key, which the package's array algebra must reproduce bit for
-bit; and the CSR reference fills the matrix one X-mask column at a time,
-as the package's row-block build must reproduce byte for byte.
+sums of term lists, weighted sums of pieces and the canonical bond
+families) are the same operations on a dict of weights by ``(x, z)`` key,
+which the package's array algebra must reproduce bit for bit; and the CSR
+reference fills the matrix one X-mask column at a time, as the package's
+row-block build must reproduce byte for byte.
 """
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -155,6 +157,20 @@ def reference_sub(a, b):
     return PauliSum(a.n, acc)
 
 
+def reference_weighted_sum(n, pieces, scalars):
+    """``pieces[0] * scalars[0] + ...`` left to right from zero.
+
+    Each piece is scaled by :func:`reference_scale` and added by
+    :func:`reference_add`: the loop that ``weighted_sum`` reproduces in one pass.
+    """
+    from crda.pauli import PauliSum
+
+    out = PauliSum.zero(n)
+    for h, s in zip(pieces, scalars, strict=True):
+        out = reference_add(out, reference_scale(h, float(s)))
+    return out
+
+
 def reference_neg(h):
     from crda.pauli import PauliSum
 
@@ -183,6 +199,50 @@ def reference_from_terms(n, terms):
     for t in terms:
         acc[(t.x, t.z)] = acc.get((t.x, t.z), 0.0) + t.coeff
     return PauliSum(n, acc)
+
+
+def term_bits(h):
+    """Keys in order, each with its weight's exact bytes (signed zeros included)."""
+    return [((t.x, t.z), struct.pack("<dd", t.coeff.real, t.coeff.imag)) for t in h.terms()]
+
+
+# Drive-phase-sensitive chains J * sum x_k (a cos(phi) + s sin(phi) y)_{k+1}:
+# kind -> (letter a, sign s, on odd bonds, on even bonds).
+REFERENCE_PHASE_CHAINS = {
+    "control": ("Z", -1.0, True, True),
+    "qf": ("Z", -1.0, True, True),
+    "qf_odd": ("X", 1.0, True, False),
+    "qf_even": ("X", 1.0, False, True),
+}
+
+
+def reference_canonical(kind, lat, j=1.0, phi=0.0):
+    """A canonical family term by term: one ``PauliTerm.from_sites`` per bond entry.
+
+    Phase-free kinds take their entries from ``hamiltonians._BONDS``; the
+    phase chains build theirs from :data:`REFERENCE_PHASE_CHAINS`. The terms
+    add up by :func:`reference_from_terms`, in bond order.
+    """
+    from crda.hamiltonians import _BONDS
+    from crda.pauli import PauliTerm
+
+    if kind.value in REFERENCE_PHASE_CHAINS:
+        letter, sign, on_odd, on_even = REFERENCE_PHASE_CHAINS[kind.value]
+        weighted = ((letter, math.cos(phi)), ("Y", sign * math.sin(phi)))
+        spec = tuple(("X", b, w) for b, w in weighted if abs(w) > 0)
+        dim, odd, even = 1, spec if on_odd else (), spec if on_even else ()
+    else:
+        dim, odd, even = _BONDS[kind]
+    if lat.dim != dim:
+        raise ValueError(f"{kind.value} needs a {dim}D lattice")
+    if lat.periodic and odd != even:
+        lat.require_even_extents()
+    terms = [
+        PauliTerm.from_sites(lat.n_sites, {s: l1, t: l2}, j * w)
+        for s, t, is_odd in lat.bonds()
+        for l1, l2, w in (odd if is_odd else even)
+    ]
+    return reference_from_terms(lat.n_sites, terms)
 
 
 def reference_toggle(h, layer):

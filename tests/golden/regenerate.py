@@ -22,7 +22,9 @@ CORPUS = Path(__file__).with_name("cli.json")
 # org*/delta* kinds at t != 0; then CSV, a sweep, realistic simulate and a
 # table-1 audit on more than 64 sites (two mask words); then the README
 # examples, the benchmark's commands and the runs CI compares across hash
-# seeds; last, the lattice edge cases of the checkerboard bond walk.
+# seeds; then the lattice edge cases of the checkerboard bond walk; last,
+# synthesis and Dyson runs that CI also compares across hash seeds and
+# thread counts (the Dyson sweep takes 64 to 270 quadrature nodes).
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -71,6 +73,9 @@ COMMANDS = [
     "hamiltonian --kind h_xy_2d --nx 3 --ny 3",
     "errors --which trotter --model xy2d_digital --nx 1 --ny 3",
     "hamiltonian --kind h_i --nx 3 --ny 4",
+    "errors --which synthesis --model zz --n 5 --omega 0.4 --t 0.3",
+    "errors --which synthesis --model xy --n 8 --omega 3 --sweep t=0:0.6:12",
+    "errors --which dyson --n 6 --delta 10 --omega 0.5 --sweep t=0:5:12",
 ]
 
 

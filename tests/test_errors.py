@@ -1,5 +1,8 @@
 """Error reports: synthesis norms, propagator differences, commutator audits."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,32 @@ class TestDyson:
         assert np.isclose(
             dyson_norm_formula(1.0, 10.0, 2, np.pi / 10.0), 0.07071067811865475
         )
+
+    def test_quadrature_rule_is_kept_read_only(self):
+        xs, ws = errors._gauss_legendre(64)
+        assert errors._gauss_legendre(64)[0] is xs
+        with pytest.raises(ValueError, match="read-only"):
+            xs[0] = 0.0
+        want = np.polynomial.legendre.leggauss(64)
+        assert xs.tobytes() == want[0].tobytes() and ws.tobytes() == want[1].tobytes()
+
+    def test_threaded_sweep_equals_serial_sweep(self):
+        # the threads share the bounded rule cache; the 40 times take 32 node
+        # counts (64 to 219), more than it keeps, so rules are evicted mid-sweep
+        p = uniform(4, ratio=0.05)
+        times = [0.1 * k for k in range(1, 41)]
+        run = lambda t: dyson_propagator_diff(p, t).to_json_dict()  # noqa: E731
+        serial = [run(t) for t in times]
+        assert len({r["params"]["quadrature_nodes"] for r in serial}) > 8
+        errors._gauss_legendre.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, times, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestTable1:

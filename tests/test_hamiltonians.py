@@ -1,14 +1,24 @@
 """Hamiltonian families: term content, decompositions, and defect forms."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CELLS, dense_oracle, reference_tiling
+from conftest import (
+    REFERENCE_CELLS,
+    dense_oracle,
+    reference_canonical,
+    reference_tiling,
+    term_bits,
+)
 from crda.device import DeviceParams, DriveConfig, Lattice
 from crda.errors import xy2d_digital_hamiltonians
 from crda.hamiltonians import (
+    _BONDS,
+    _PHASE_CHAINS,
     HamiltonianKind as K,
     build_canonical,
     build_delta,
@@ -332,6 +342,32 @@ class Test2DFamilies:
         assert h == hxx + hyy
         assert h._c.tobytes() == (hxx + hyy)._c.tobytes()
         assert {t.weight for t in h.terms()} <= {2}
+
+
+class TestBondFamiliesAgainstReference:
+    """Every canonical kind, bit for bit, against one ``PauliTerm`` per bond entry."""
+
+    @staticmethod
+    def _lattices(dim, boundary):
+        if dim == 1:
+            return [Lattice.chain(n, boundary) for n in range(1, 12)]
+        return [Lattice.square(nx, ny, boundary) for nx, ny in itertools.product(range(1, 7), repeat=2)]
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_kind_equals_term_by_term_reference(self, dim, boundary):
+        kinds = [(kind, 0.0) for kind in _BONDS]
+        kinds += [(kind, phi) for kind in _PHASE_CHAINS for phi in (0.0, 0.3, math.pi / 2)]
+        for lat in self._lattices(dim, boundary):
+            for kind, phi in kinds:
+                try:
+                    want = reference_canonical(kind, lat, 0.7, phi)
+                except ValueError as refusal:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+                        build_canonical(kind, lat, 0.7, phi)
+                    continue
+                got = build_canonical(kind, lat, 0.7, phi)
+                assert term_bits(got) == term_bits(want), (kind, lat, phi)
 
 
 class TestOriginalAndDefect:

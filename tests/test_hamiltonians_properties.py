@@ -2,21 +2,30 @@
 
 Weights are checked against a per-time ``math`` evaluation
 (``conftest.sinusoid_product``), the derived frequencies against the
-frequencies each family is built from, and the piece-integrated Dyson
-integral against a quadrature sum of per-node snapshots.
+frequencies each family is built from, the piece-integrated Dyson
+integral against a quadrature sum of per-node snapshots, and the one-pass
+weighted sum against the left-to-right reference loop, bit for bit.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import sinusoid_product
+from conftest import (
+    reference_add,
+    reference_scale,
+    reference_weighted_sum,
+    sinusoid_product,
+    term_bits,
+)
 from crda.device import DeviceParams
 from crda.errors import dyson_propagator_diff
 from crda.hamiltonians import (
     HamiltonianKind as K,
+    TimeDependentHamiltonian,
     delta_hamiltonian,
     lab_frame_hamiltonian,
     org_hamiltonian,
@@ -131,3 +140,105 @@ def test_dyson_integral_matches_snapshot_quadrature(p, t):
     got = report.entry("propagator_diff_norm").value
     g = abs(p.uniform()[0])
     assert abs(got - want) <= 1e-13 * max(want, t * g)
+
+
+# ----------------------------------------------------------------------
+# the one-pass weighted sum against the reference loop, bit for bit
+# ----------------------------------------------------------------------
+
+# Weight parts and scalars that carry signed zeros, cancel a running sum
+# exactly or to below PRUNE_TOL (1.0 - 1.0 + 3e-15), scale a weight to below
+# PRUNE_TOL, or overflow to inf.
+_PARTS = _floats(-2.0, 2.0) | st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 0.0, -0.0, 1e-15])
+_SCALARS = _floats(-2.0, 2.0) | st.sampled_from(
+    [1.0, -1.0, 1.0 + 4e-15, -1.0 + 3e-15, 0.5, -0.5, 0.0, -0.0, 5e-15, 1e300, 1.7e308]
+)
+
+
+@st.composite
+def weighted_pieces(draw):
+    """Up to seven pieces over a pool of at most three strings, and one scalar per piece.
+
+    About half the pieces after the first cancel one weight of the running
+    reference sum to within PRUNE_TOL, so that a later piece on the same
+    string restarts it from 0.0.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 65]))
+    masks = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=3, unique=True))
+    pieces, scalars, running = [], [], PauliSum.zero(n)
+    for _ in range(draw(st.integers(0, 7))):
+        if running.terms() and draw(st.booleans()):
+            t = draw(st.sampled_from(running.terms()))
+            s = draw(st.sampled_from([1.0, -1.0, 0.5, 2.0]))
+            slip = draw(st.sampled_from([0.0, 3e-15, -4e-15j]))
+            piece = PauliSum(n, {(t.x, t.z): (slip - t.coeff) / s})
+        else:
+            keys = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+            piece = PauliSum(n, {k: complex(draw(_PARTS), draw(_PARTS)) for k in keys})
+            s = draw(_SCALARS)
+        pieces.append(piece)
+        scalars.append(s)
+        try:
+            running = reference_add(running, reference_scale(piece, s))
+        except ValueError:  # the case raises; later pieces are drawn all the same
+            pass
+    return TimeDependentHamiltonian(n, tuple((h, ()) for h in pieces)), scalars
+
+
+def _assert_weighted_sum_matches_reference(gen, scalars):
+    try:
+        want = reference_weighted_sum(gen.n, [h for h, _ in gen.pieces], scalars)
+    except ValueError:  # a non-finite scaled or running weight
+        with pytest.raises(ValueError, match="finite"):
+            gen.weighted_sum(scalars)
+        return
+    assert term_bits(gen.weighted_sum(scalars)) == term_bits(want)
+
+
+@given(weighted_pieces())
+def test_weighted_sum_equals_reference_loop(case):
+    _assert_weighted_sum_matches_reference(*case)
+
+
+_XX = (1, 0)
+
+
+@pytest.mark.parametrize(
+    "parts, scalars",
+    [
+        # the running sum cancels to 3e-15, is pruned and restarts from 0.0,
+        # so the last imaginary -0.0 comes out as 0.0
+        ([1.0, 1.0, complex(-2.0, -0.0)], [1.0, -1.0 + 3e-15, 1.0]),
+        # cancels exactly, then restarts
+        ([0.5, -0.5, complex(-1.0, -0.0), 1.0], [2.0, 2.0, 1.0, 1.0]),
+        # the second scaled weight is pruned before it can add 5e-15
+        ([1.0, 1.0], [1.0, 5e-15]),
+        # a key only in the running sum keeps its weight, -0.0 parts included
+        ([complex(-1.0, -0.0), 0.0, complex(-0.0, 3.0)], [1.0, 5.0, -1.0]),
+        # a scaled weight overflows
+        ([1.0, 2.0], [1.0, 1e308]),
+        # each scaled weight is finite, their running sum is not
+        ([1.0, 1.0], [1.7e308, 1.7e308]),
+    ],
+)
+def test_weighted_sum_restart_signed_zero_and_overflow(parts, scalars):
+    pieces = tuple((PauliSum(2, {_XX: complex(c)}), ()) for c in parts)
+    _assert_weighted_sum_matches_reference(TimeDependentHamiltonian(2, pieces), scalars)
+
+
+def test_weighted_sum_restarts_from_positive_zero():
+    pieces = tuple((PauliSum(1, {_XX: complex(c)}), ()) for c in (1.0, 1.0, complex(-2.0, -0.0)))
+    scalars = [1.0, -1.0 + 3e-15, 1.0]
+    assert TimeDependentHamiltonian(1, pieces[:2]).weighted_sum(scalars[:2]).is_zero()
+    got = TimeDependentHamiltonian(1, pieces).weighted_sum(scalars)
+    assert term_bits(got) == term_bits(PauliSum(1, {_XX: complex(-2.0, 0.0)}))
+
+
+def test_weighted_sum_needs_one_scalar_per_piece():
+    gen = delta_hamiltonian(K.DELTA_H, DeviceParams.uniform_chain(3, g=1.0, delta=10.0, Omega=0.5))
+    w = gen.weights(0.3)
+    for scalars in (w[:-1], np.append(w, 1.0), []):
+        with pytest.raises(ValueError, match=f"{len(scalars)} scalars for {len(gen.pieces)} pieces"):
+            gen.weighted_sum(scalars)
+    assert TimeDependentHamiltonian(2, ()).weighted_sum([]) == PauliSum.zero(2)

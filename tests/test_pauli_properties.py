@@ -9,7 +9,6 @@ share one X mask (one entry per row of the CSR matrix); the pool always offers
 """
 
 import operator
-import struct
 from unittest import mock
 
 import numpy as np
@@ -29,6 +28,7 @@ from conftest import (
     reference_scale,
     reference_sub,
     reference_toggle,
+    term_bits,
 )
 from crda import pauli
 from crda.frames import GateLayer, GateLayerKind, toggle
@@ -155,11 +155,6 @@ def kernel_pairs(draw):
     return one_sum(), one_sum()
 
 
-def _bits(h):
-    """Keys in order, each with its weight's exact bytes (signed zeros included)."""
-    return [((t.x, t.z), struct.pack("<dd", t.coeff.real, t.coeff.imag)) for t in h.terms()]
-
-
 def _assert_matches_reference(op, reference, a, b):
     try:
         want = reference(a, b)
@@ -167,7 +162,7 @@ def _assert_matches_reference(op, reference, a, b):
         with pytest.raises(ValueError, match="finite"):
             op(a, b)
         return
-    assert _bits(op(a, b)) == _bits(want)
+    assert term_bits(op(a, b)) == term_bits(want)
 
 
 @given(kernel_pairs())
@@ -190,8 +185,8 @@ def test_sum_and_difference_equal_reference_loop(pair):
 def test_negation_scaling_and_adjoint_equal_reference(pair, re, im):
     s = complex(re, im)
     for h in pair:
-        assert _bits(-h) == _bits(reference_neg(h))
-        assert _bits(h.dagger()) == _bits(reference_dagger(h))
+        assert term_bits(-h) == term_bits(reference_neg(h))
+        assert term_bits(h.dagger()) == term_bits(reference_dagger(h))
         for scalar in (s, s.real):
             _assert_matches_reference(operator.mul, reference_scale, h, scalar)
             _assert_matches_reference(lambda h, s: s * h, reference_scale, h, scalar)
@@ -207,7 +202,7 @@ _LAYERS = st.builds(
 @given(kernel_pairs(), _LAYERS)
 def test_toggle_equals_reference_loop(pair, layer):
     for h in pair:
-        assert _bits(toggle(h, layer)) == _bits(reference_toggle(h, layer))
+        assert term_bits(toggle(h, layer)) == term_bits(reference_toggle(h, layer))
 
 
 @given(kernel_pairs())
@@ -239,7 +234,7 @@ def test_equal_sums_hash_equal(pair):
 def test_signed_zero_weights_equal_and_hash_equal():
     plus = PauliSum(2, {(1, 0): complex(1.0, 0.0), (0, 3): complex(0.0, 2.0)})
     minus = PauliSum(2, {(1, 0): complex(1.0, -0.0), (0, 3): complex(-0.0, 2.0)})
-    assert _bits(plus) != _bits(minus)
+    assert term_bits(plus) != term_bits(minus)
     assert plus == minus and hash(plus) == hash(minus)
     assert len({plus, minus}) == 1
     assert plus != PauliSum(2, {(1, 0): 1.0})
@@ -252,15 +247,15 @@ def test_many_pairs_per_string_sum_left_to_right(n):
     rng = np.random.default_rng(n)
     full = [(x, z) for x in range(1 << n) for z in range(1 << n)]
     a, b = (PauliSum(n, {k: complex(*rng.standard_normal(2)) for k in full}) for _ in range(2))
-    assert _bits(a @ b) == _bits(reference_product(a, b))
-    assert _bits(commutator(a, b)) == _bits(reference_commutator(a, b))
+    assert term_bits(a @ b) == term_bits(reference_product(a, b))
+    assert term_bits(commutator(a, b)) == term_bits(reference_commutator(a, b))
 
 
 def test_cancellation_below_prune_tol_is_dropped():
     a = PauliSum.from_pattern("XI") + PauliSum.from_pattern("ZI")
     b = PauliSum.from_pattern("XI") + PauliSum.from_pattern("ZI", 1.0 + 1e-15)
     # XZ = -iY and ZX = iY cancel to 1e-15: the Y string is pruned.
-    assert _bits(a @ b) == _bits(reference_product(a, b))
+    assert term_bits(a @ b) == term_bits(reference_product(a, b))
     assert (a @ b).coefficient("YI") == 0.0 and len(a @ b) == 1
 
 
