@@ -31,10 +31,9 @@ from .hamiltonians import (
     _YY,
     HamiltonianKind,
     _bond_family,
+    _delta_chain,
     _uniform_quantities,
     build_canonical,
-    build_delta,
-    delta_hamiltonian,
 )
 from .pauli import (
     PRUNE_TOL,
@@ -187,14 +186,14 @@ def synthesis_norm(model: str, p: DeviceParams, t: float) -> ErrorReport:
     kind = _SYNTH_KIND.get(model)
     if kind is None:
         raise ValueError(f"unknown synthesis model {model!r}")
-    _, g, delta, Omega, _ = _uniform_quantities(p)
+    n, g, delta, Omega = _uniform_quantities(p)
     r = Omega / delta
     dt = delta * t
-    numeric = build_delta(kind, p, t).frobenius_norm(normalized=True)
-    analytic = synthesis_norm_formula(model, g, p.n, delta_t=dt, ratio=r)
+    numeric = _delta_chain(kind, n, g, delta, Omega).at(t).frobenius_norm(normalized=True)
+    analytic = synthesis_norm_formula(model, g, n, delta_t=dt, ratio=r)
     report = ErrorReport(
         which=f"synthesis:{model}",
-        params={"n": p.n, "g": g, "delta": delta, "Omega": Omega, "t": t},
+        params={"n": n, "g": g, "delta": delta, "Omega": Omega, "t": t},
     )
     report.add(
         "frobenius_norm",
@@ -207,7 +206,7 @@ def synthesis_norm(model: str, p: DeviceParams, t: float) -> ErrorReport:
     if model in ("control", "xy"):
         report.add(
             "closed_form_time_resolved",
-            _synthesis_exact_form(model, g, p.n, dt, r),
+            _synthesis_exact_form(model, g, n, dt, r),
             units="energy",
             provenance="analytic-formula",
         )
@@ -248,8 +247,8 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     The pieces are then summed once, with their integrals as coefficients,
     by :meth:`~crda.hamiltonians.TimeDependentHamiltonian.weighted_sum`.
     """
-    g, delta, Omega = p.uniform()
-    gen = delta_hamiltonian(HamiltonianKind.DELTA_H, p)
+    n, g, delta, Omega = _uniform_quantities(p)
+    gen = _delta_chain(HamiltonianKind.DELTA_H, n, g, delta, Omega)
     nodes = max(64, int(16 * (abs(delta * t) / math.pi + 1)))
     xs, ws = _gauss_legendre(nodes)
     # map [-1, 1] -> [0, t]
@@ -257,11 +256,11 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     ww = 0.5 * t * ws
     integral = gen.weighted_sum(gen.weights(ss) @ ww)
     numeric = integral.frobenius_norm(normalized=True)  # |-i| factor is 1
-    analytic = dyson_norm_formula(g, delta, p.n, t)
+    analytic = dyson_norm_formula(g, delta, n, t)
     report = ErrorReport(
         which="dyson",
         params={
-            "n": p.n,
+            "n": n,
             "g": g,
             "delta": delta,
             "Omega": Omega,
@@ -275,7 +274,7 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
         analytic=analytic,
         provenance="computed vs analytic-formula",
     )
-    small_time_scale = t * synthesis_norm_formula("control", g, p.n)
+    small_time_scale = t * synthesis_norm_formula("control", g, n)
     if small_time_scale > 0:
         report.add("ratio_to_t_times_defect_norm", numeric / small_time_scale)
     return report

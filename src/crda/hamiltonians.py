@@ -28,6 +28,7 @@ walks its bonds as 0-based mask bits through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -413,12 +414,25 @@ def build_qf_effective(
 # ----------------------------------------------------------------------
 
 
-def _uniform_quantities(p: DeviceParams) -> tuple[int, float, float, float, float]:
+def _uniform_quantities(p: DeviceParams) -> tuple[int, float, float, float]:
+    """``(n, g, delta, Omega)`` of a uniform chain; refuses a zero detuning."""
     g, delta, Omega = p.uniform()
     if delta == 0.0:
         raise ZeroDivisionError("uniform chain has zero detuning")
-    j_signed = -g * Omega / (4.0 * delta)
-    return p.n, g, delta, Omega, j_signed
+    return p.n, g, delta, Omega
+
+
+def _cr_coupling(g: float, delta: float, Omega: float) -> float:
+    """The uniform chain's cross-resonance coupling J = -g Omega / (4 delta)."""
+    return -g * Omega / (4.0 * delta)
+
+
+def _read_only(h: TimeDependentHamiltonian) -> TimeDependentHamiltonian:
+    """``h`` with every piece's arrays made read-only, so a kept result can be shared."""
+    for ps, _ in h.pieces:
+        for a in (ps._x, ps._z, ps._c):
+            a.flags.writeable = False
+    return h
 
 
 def org_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHamiltonian:
@@ -428,9 +442,18 @@ def org_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHami
     ZZ-protocol toggled counterparts. Every weight is a product of
     cos/sin(delta t) and cos/sin(2 delta t); the target-qubit frame phase
     of the ZZ form is fixed at delta * t, so its weights are products of
-    two delta-sinusoids.
+    two delta-sinusoids. The result is kept per ``(kind, n, g, delta,
+    Omega)`` (:func:`_org_chain`) and shared: its sums are read-only.
     """
-    n, g, delta, Omega, j_signed = _uniform_quantities(p)
+    return _org_chain(kind, *_uniform_quantities(p))
+
+
+@functools.lru_cache(maxsize=64)
+def _org_chain(
+    kind: HamiltonianKind, n: int, g: float, delta: float, Omega: float
+) -> TimeDependentHamiltonian:
+    """:func:`org_hamiltonian` of a uniform chain's quantities, built once per key."""
+    j_signed = _cr_coupling(g, delta, Omega)
     r = Omega / delta
     q = 0.25 * g
     K = HamiltonianKind
@@ -475,7 +498,7 @@ def org_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHami
         )
     else:
         raise ValueError(f"{kind} is not an original-Hamiltonian kind")
-    return TimeDependentHamiltonian(n, pieces)
+    return _read_only(TimeDependentHamiltonian(n, pieces))
 
 
 def build_org(kind: HamiltonianKind, p: DeviceParams, t: float) -> PauliSum:
@@ -496,15 +519,23 @@ def delta_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHa
     The subtracted effective model carries the frame-appropriate signed
     coupling: -g Omega / (4 delta) for the control and XY frames,
     +g Omega / (4 delta) for the ZZ frame. It enters as one constant
-    piece holding the negated sum.
+    piece holding the negated sum. Kept and shared as
+    :func:`org_hamiltonian` is (:func:`_delta_chain`).
     """
     if kind not in _DELTA_OF:
         raise ValueError(f"{kind} is not a synthesis-defect kind")
+    return _delta_chain(kind, *_uniform_quantities(p))
+
+
+@functools.lru_cache(maxsize=64)
+def _delta_chain(
+    kind: HamiltonianKind, n: int, g: float, delta: float, Omega: float
+) -> TimeDependentHamiltonian:
+    """:func:`delta_hamiltonian` of a uniform chain's quantities, built once per key."""
     org_kind, eff_kind, sign = _DELTA_OF[kind]
-    n, _, _, _, j_signed = _uniform_quantities(p)
-    org = org_hamiltonian(org_kind, p)
-    eff = build_canonical(eff_kind, Lattice.chain(n), j=sign * j_signed)
-    return TimeDependentHamiltonian(n, org.pieces + ((-eff, ()),))
+    org = _org_chain(org_kind, n, g, delta, Omega)
+    eff = build_canonical(eff_kind, Lattice.chain(n), j=sign * _cr_coupling(g, delta, Omega))
+    return _read_only(TimeDependentHamiltonian(n, org.pieces + ((-eff, ()),)))
 
 
 def build_delta(kind: HamiltonianKind, p: DeviceParams, t: float) -> PauliSum:

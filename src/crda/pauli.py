@@ -535,7 +535,15 @@ def _grouped(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
     ``order`` sorts the keys as ``(x, z)`` int tuples, stably; ``first`` marks
     the first of each run of equal keys in that order, ``group`` its run.
+    One sort of the most significant x word comes first. When no two keys
+    share that word, the order it gives is the only one, and every key is its
+    own run; otherwise a stable ``lexsort`` of every word sets the order.
     """
+    top = x[:, -1]
+    order = np.argsort(top)
+    top = top[order]
+    if (top[1:] != top[:-1]).all():
+        return order, np.ones(len(order), dtype=bool), np.arange(len(order), dtype=np.intp)
     keys = np.concatenate((z, x), axis=1)  # lexsort's last key is its primary
     order = np.lexsort(keys.T)
     keys = keys[order]

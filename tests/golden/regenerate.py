@@ -22,9 +22,11 @@ CORPUS = Path(__file__).with_name("cli.json")
 # org*/delta* kinds at t != 0; then CSV, a sweep, realistic simulate and a
 # table-1 audit on more than 64 sites (two mask words); then the README
 # examples, the benchmark's commands and the runs CI compares across hash
-# seeds; then the lattice edge cases of the checkerboard bond walk; last,
+# seeds; then the lattice edge cases of the checkerboard bond walk; then
 # synthesis and Dyson runs that CI also compares across hash seeds and
-# thread counts (the Dyson sweep takes 64 to 270 quadrature nodes).
+# thread counts (the Dyson sweep takes 64 to 270 quadrature nodes); last,
+# two runs of the nine-piece zz original chain: a synthesis sweep (also
+# compared in CI) and realistic Ising blocks.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -76,6 +78,8 @@ COMMANDS = [
     "errors --which synthesis --model zz --n 5 --omega 0.4 --t 0.3",
     "errors --which synthesis --model xy --n 8 --omega 3 --sweep t=0:0.6:12",
     "errors --which dyson --n 6 --delta 10 --omega 0.5 --sweep t=0:5:12",
+    "errors --which synthesis --model zz --n 6 --omega 0.4 --sweep t=0:1.2:16",
+    "simulate --model ising --n 4 --realistic --blocks 2",
 ]
 
 

@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from crda.errors import (
     xy2d_digital_hamiltonians,
 )
 from crda.hamiltonians import HamiltonianKind as K, build_canonical
-from crda import errors
+from crda import errors, hamiltonians
 from crda.pauli import PRUNE_TOL, PauliSum, PauliTerm, anticommutes, commutator, multiply
 
 
@@ -141,6 +142,39 @@ class TestDyson:
         serial = [run(t) for t in times]
         assert len({r["params"]["quadrature_nodes"] for r in serial}) > 8
         errors._gauss_legendre.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, times, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
+class TestKeptChains:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda p, m=m: synthesis_norm(m, p, 0.3) for m in ("control", "xy", "zz")]
+        + [lambda p: dyson_propagator_diff(p, 0.3)],
+    )
+    def test_each_call_reads_the_uniform_quantities_once(self, call):
+        p = uniform(5, ratio=0.05)
+        with mock.patch.object(
+            DeviceParams, "uniform", autospec=True, side_effect=DeviceParams.uniform
+        ) as read:
+            call(p)
+            call(p)
+        assert read.call_count == 2
+
+    def test_threads_building_one_chain_equal_the_serial_sweep(self):
+        # every thread may build the same missing chain; each build is the same
+        p = uniform(6, ratio=0.04)
+        times = [0.05 * k for k in range(24)]
+        run = lambda t: synthesis_norm("zz", p, t).to_json_dict()  # noqa: E731
+        serial = [run(t) for t in times]
+        hamiltonians._org_chain.cache_clear()
+        hamiltonians._delta_chain.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

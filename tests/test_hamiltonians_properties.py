@@ -4,7 +4,9 @@ Weights are checked against a per-time ``math`` evaluation
 (``conftest.sinusoid_product``), the derived frequencies against the
 frequencies each family is built from, the piece-integrated Dyson
 integral against a quadrature sum of per-node snapshots, and the one-pass
-weighted sum against the left-to-right reference loop, bit for bit.
+weighted sum against the left-to-right reference loop, bit for bit. The
+original and defect chains kept per uniform chain are checked against a
+fresh build, bit for bit, and for their refusals and read-only arrays.
 """
 
 import math
@@ -22,10 +24,13 @@ from conftest import (
     term_bits,
 )
 from crda.device import DeviceParams
-from crda.errors import dyson_propagator_diff
+from crda.errors import dyson_propagator_diff, synthesis_norm
 from crda.hamiltonians import (
     HamiltonianKind as K,
     TimeDependentHamiltonian,
+    _delta_chain,
+    _org_chain,
+    _uniform_quantities,
     delta_hamiltonian,
     lab_frame_hamiltonian,
     org_hamiltonian,
@@ -242,3 +247,91 @@ def test_weighted_sum_needs_one_scalar_per_piece():
         with pytest.raises(ValueError, match=f"{len(scalars)} scalars for {len(gen.pieces)} pieces"):
             gen.weighted_sum(scalars)
     assert TimeDependentHamiltonian(2, ()).weighted_sum([]) == PauliSum.zero(2)
+
+
+# ----------------------------------------------------------------------
+# original and defect chains, kept per (kind, n, g, delta, Omega)
+# ----------------------------------------------------------------------
+
+
+def _kept(kind: K, p: DeviceParams) -> TimeDependentHamiltonian:
+    return (org_hamiltonian if kind in _ORG_KINDS else delta_hamiltonian)(kind, p)
+
+
+def _fresh(kind: K, p: DeviceParams) -> TimeDependentHamiltonian:
+    """A build that reads nothing kept: both caches are emptied first."""
+    _org_chain.cache_clear()
+    _delta_chain.cache_clear()
+    chain = _org_chain if kind in _ORG_KINDS else _delta_chain
+    return chain.__wrapped__(kind, *_uniform_quantities(p))
+
+
+def _bits(gen: TimeDependentHamiltonian) -> list:
+    return [(weight, term_bits(ps)) for ps, weight in gen.pieces]
+
+
+@given(uniform_devices())
+def test_kept_chains_equal_a_fresh_build(p):
+    for kind in _ORG_KINDS + _DELTA_KINDS:
+        kept = _kept(kind, p)
+        assert _kept(kind, p) is kept
+        fresh = _fresh(kind, p)
+        assert fresh is not kept
+        assert fresh.n == kept.n == p.n
+        assert _bits(fresh) == _bits(kept)
+
+
+@pytest.mark.parametrize("change", [{"Omega": 0.7}, {"g": 0.3}, {"Omega": -0.5}, {"g": -1.0}])
+@pytest.mark.parametrize("kind", _ORG_KINDS + _DELTA_KINDS)
+def test_chains_that_differ_in_omega_or_g_are_kept_apart(kind, change):
+    base = {"n": 4, "g": 1.0, "delta": 10.0, "Omega": 0.5}
+    p, q = DeviceParams.uniform_chain(**base), DeviceParams.uniform_chain(**{**base, **change})
+    a, b = _kept(kind, p), _kept(kind, q)
+    assert a is not b
+    assert _bits(a) != _bits(b)
+    assert _bits(a) == _bits(_fresh(kind, p))
+    assert _bits(_kept(kind, q)) == _bits(_fresh(kind, q))
+
+
+def _near_uniform(**changes) -> DeviceParams:
+    """A 4-site uniform chain (g = 1, delta = 10, Omega = 0.5) with per-site changes."""
+    p = DeviceParams.uniform_chain(4, g=1.0, delta=10.0, Omega=0.5)
+    fields = {"omega_q": p.omega_q, "omega": p.omega, "Omega": p.Omega, "phi": p.phi, "g": p.g}
+    for name, (k, value) in changes.items():
+        fields[name] = fields[name].copy()
+        fields[name][k] = value
+    return DeviceParams(n=4, **fields)
+
+
+@pytest.mark.parametrize(
+    "bad, error, match",
+    [
+        # the same (g[0], delta, Omega) as the kept chain, non-uniform further on
+        (_near_uniform(g=(2, 0.5)), ValueError, "not uniform"),
+        (_near_uniform(Omega=(1, 0.9)), ValueError, "not uniform"),
+        (_near_uniform(omega_q=(2, 5.0)), ValueError, "not uniform"),
+        # the same g and Omega, zero detuning on every site
+        (DeviceParams.uniform_chain(4, g=1.0, delta=0.0, Omega=0.5), ZeroDivisionError, "zero"),
+    ],
+)
+def test_refusals_run_after_a_kept_success(bad, error, match):
+    good = DeviceParams.uniform_chain(4, g=1.0, delta=10.0, Omega=0.5)
+    calls = [
+        *(lambda p, k=k: _kept(k, p) for k in _ORG_KINDS + _DELTA_KINDS),
+        lambda p: synthesis_norm("zz", p, 0.3),
+        lambda p: dyson_propagator_diff(p, 0.3),
+    ]
+    for call in calls:
+        call(good)
+        with pytest.raises(error, match=match):
+            call(bad)
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.0])
+def test_kept_pieces_are_read_only(omega):
+    p = DeviceParams.uniform_chain(3, g=1.0, delta=10.0, Omega=omega)
+    for kind in _ORG_KINDS + _DELTA_KINDS:
+        for ps, _ in _kept(kind, p).pieces:
+            for words in (ps._x, ps._z, ps._c):
+                with pytest.raises(ValueError, match="read-only"):
+                    words[...] = 0

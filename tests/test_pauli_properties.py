@@ -37,6 +37,7 @@ from crda.pauli import (
     PauliSum,
     PauliTerm,
     _clash_parity,
+    _grouped,
     _mask_ints,
     _mask_words,
     _popcount,
@@ -238,6 +239,69 @@ def test_signed_zero_weights_equal_and_hash_equal():
     assert plus == minus and hash(plus) == hash(minus)
     assert len({plus, minus}) == 1
     assert plus != PauliSum(2, {(1, 0): 1.0})
+
+
+_WORD = st.integers(0, 2**64 - 1)
+_NARROW_WORD = st.sampled_from([0, 1, 2**63, 2**64 - 1])
+
+
+@st.composite
+def grouping_keys(draw):
+    """``(x, z)`` words of 0-40 keys, 1-3 words each, every word column wide or narrow.
+
+    A wide column almost never ties and a narrow one mostly does, so the
+    most significant x word is distinct or tied independently of the lower
+    words; whole keys are then optionally repeated.
+    """
+    w, m = draw(st.integers(1, 3)), draw(st.integers(0, 40))
+    column = st.sampled_from([_WORD, _NARROW_WORD])
+    columns = [draw(st.lists(draw(column), min_size=m, max_size=m)) for _ in range(2 * w)]
+    keys = np.array(columns, dtype=np.uint64).reshape(2 * w, m).T
+    if m and draw(st.booleans()):
+        keys = keys[draw(st.lists(st.integers(0, m - 1), max_size=40))]
+    return np.ascontiguousarray(keys[:, :w]), np.ascontiguousarray(keys[:, w:])
+
+
+def _assert_grouped_is_stable_sort(x, z):
+    keys = list(zip(_mask_ints(x), _mask_ints(z)))
+    want = sorted(range(len(keys)), key=keys.__getitem__)  # stable, as np.lexsort
+    first = [k == 0 or keys[want[k]] != keys[want[k - 1]] for k in range(len(want))]
+    order, got_first, group = _grouped(x, z)
+    assert order.tolist() == want
+    assert got_first.dtype == bool and got_first.tolist() == first
+    assert group.dtype == np.intp and group.tolist() == (np.cumsum(first, dtype=int) - 1).tolist()
+
+
+@given(grouping_keys())
+def test_grouping_equals_stable_sort(keys):
+    _assert_grouped_is_stable_sort(*keys)
+
+
+_TOP = 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "xs, zs",
+    [
+        ([], []),
+        ([[5]], [[7]]),
+        # distinct most significant words: the single sort
+        ([[1, 3], [2, 1], [0, 2]], [[0, 0], [9, 9], [1, 1]]),
+        # ties only in the most significant word
+        ([[2, _TOP], [1, _TOP], [0, _TOP]], [[0, 0], [0, 0], [0, 0]]),
+        # ties only in lower words, and in z
+        ([[7, 2], [7, 1], [7, 0]], [[3, 3], [3, 3], [3, 3]]),
+        # duplicate keys keep their input order
+        ([[4], [1], [4], [1], [4]], [[2], [0], [2], [0], [2]]),
+        # equal x, z decides
+        ([[0, 0, 1]] * 3, [[0, 0, 2], [0, 0, 1], [1, 0, 0]]),
+    ],
+)
+def test_grouping_edge_cases(xs, zs):
+    w = len(xs[0]) if xs else 1
+    x = np.array(xs, dtype=np.uint64).reshape(len(xs), w)
+    z = np.array(zs, dtype=np.uint64).reshape(len(zs), w)
+    _assert_grouped_is_stable_sort(x, z)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
