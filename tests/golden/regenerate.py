@@ -26,7 +26,8 @@ CORPUS = Path(__file__).with_name("cli.json")
 # synthesis and Dyson runs that CI also compares across hash seeds and
 # thread counts (the Dyson sweep takes 64 to 270 quadrature nodes); last,
 # two runs of the nine-piece zz original chain: a synthesis sweep (also
-# compared in CI) and realistic Ising blocks.
+# compared in CI) and realistic Ising blocks; last, the benchmark's Krylov
+# commutator norms.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -80,6 +81,9 @@ COMMANDS = [
     "errors --which dyson --n 6 --delta 10 --omega 0.5 --sweep t=0:5:12",
     "errors --which synthesis --model zz --n 6 --omega 0.4 --sweep t=0:1.2:16",
     "simulate --model ising --n 4 --realistic --blocks 2",
+    "errors --which trotter --model heis_da --n 14",
+    "errors --which trotter --model heis_digital --n 14",
+    "errors --which trotter --model xy2d_digital --nx 4 --ny 4",
 ]
 
 
