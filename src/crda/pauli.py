@@ -12,6 +12,12 @@ string pairs, so a pair costs a few word operations instead of O(4^N), and
 every result is summed per string in sorted order, bit for bit as a
 left-to-right Python loop over a dict of weights would sum it.
 
+A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X
+mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
+column ``i ^ x``, unless that sum is exactly zero: the stored entries are
+the nonzero ones, and the memory guards count the upper bound of one
+entry per row and X mask.
+
 Conventions (fixed once, used everywhere):
 
 * Site indices are 0-based internally; chain site ``k`` of a 1-based
@@ -68,7 +74,8 @@ _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _I_POW_RE = np.array([p.real for p in _I_POW])
 _I_POW_IM = np.array([p.imag for p in _I_POW])
 
-# Entries of the CSR matrix filled at a time: bounds the build's scratch.
+# Bounds the CSR build's scratch: entries of its table of sums at a time,
+# and sixteen times the matrix entries it lays out at a time.
 _BLOCK_ENTRIES = 1 << 20
 
 # 2^n vectors the Lanczos norm holds besides the matrix: the current,
@@ -383,51 +390,79 @@ class PauliSum:
         return float if all(a.imag == 0.0 for _, _, a in self._weights()) else complex
 
     def _matrix_bytes(self, dtype: type = complex) -> int:
-        """Bytes of the CSR matrix: per row and X mask, a weight (8 B real, 16 B complex) and an index."""
+        """Bytes of the CSR matrix at most: per row and X mask, a weight (8 B real, 16 B complex) and an index.
+
+        The matrix stores only its nonzero entries, so it may hold fewer.
+        """
         entries = self._num_x_masks() << self.n
         return entries * (np.dtype(dtype).itemsize + np.dtype(_index_dtype(entries)).itemsize)
 
     def _build_csr(self, dtype: type = complex) -> scipy.sparse.csr_matrix:
-        """CSR matrix, filled by blocks of rows; ``dtype=float`` keeps real parts.
+        """CSR matrix of the nonzero entries, filled by blocks of rows; ``dtype=float`` keeps real parts.
 
-        Row ``i`` holds one entry per distinct X mask ``x``, in sorted order:
-        column ``i ^ x``, and the sum from 0, in sorted z order, of ``a *
-        (-1)^|i&z|`` over the strings sharing ``x`` (:meth:`_weights`). With
-        ``i = hi * 2^h + lo``, ``h = n // 2``, that sign is ``(-1)^|hi & z >> h|
-        * (-1)^|lo & z|``: a block of about ``_BLOCK_ENTRIES`` entries sums outer
-        products of per-string vectors of ``2^(n-h)`` and ``2^h`` entries. Raises
-        :class:`DenseLimitError` first if the matrix exceeds physical memory.
+        For each distinct X mask ``x``, in sorted order, row ``i`` sums from 0,
+        in sorted z order, ``a * (-1)^|i&z|`` over the strings sharing ``x``
+        (:meth:`_weights`), and stores the sum at column ``i ^ x`` unless it
+        is exactly zero: a ±0 term never changes a sum, so a matvec or
+        ``toarray`` gives the same bits as with every mask stored.
+
+        With ``i = hi * 2^h + lo``, ``h = n // 2``, that sign is ``(-1)^|hi &
+        z >> h| * (-1)^|lo & z|``, and the low factor depends on ``lo`` only
+        through its key ``lo & u``, ``u`` the union of the z masks sharing
+        ``x``. A table with one column per X mask and distinct key holds each
+        sum once, for about ``_BLOCK_ENTRIES`` entries' worth of ``hi`` values
+        at a time, as outer products of per-string vectors. One ``take`` by
+        key lays a few rows of it out in row order; their nonzero entries go
+        to arrays sized for every mask, trimmed at the end. Raises
+        :class:`DenseLimitError` first if that upper bound,
+        :meth:`_matrix_bytes`, exceeds physical memory.
         """
         n, dim, masks = self.n, 1 << self.n, self._num_x_masks()
         _check_memory(self._matrix_bytes(dtype) + (8 << n), "sparse matrix")
         itype = _index_dtype(masks << n)
         h = n // 2
         his, los = np.arange(dim >> h, dtype=itype), np.arange(1 << h, dtype=itype)
-        groups = [
-            (x, [
-                (_parity_signs(his, z >> h), (a.real if dtype is float else a) * _parity_signs(los, z))
+        # per X mask: x and each lo's table column; per string: its columns,
+        # its signs over hi and its weights over the keys
+        xs, columns, terms, width = [], np.empty((1 << h, masks), dtype=np.intp), [], 0
+        for k, (x, group) in enumerate(itertools.groupby(self._weights(), key=lambda w: w[0])):
+            group = list(group)
+            key = los & np.bitwise_or.reduce([z for _, z, _ in group])
+            keys = los[key == los]  # the distinct keys, ascending
+            columns[:, k] = width + np.searchsorted(keys, key)
+            part = slice(width, width + len(keys))
+            terms += [
+                (part, _parity_signs(his, z >> h), (a.real if dtype is float else a) * _parity_signs(keys, z))
                 for _, z, a in group
-            ])
-            for x, group in itertools.groupby(self._weights(), key=lambda w: w[0])
-        ]
-        xs = np.array([x for x, _ in groups], dtype=itype)
-        data = np.empty((dim, masks), dtype=dtype)
-        indices = np.empty((dim, masks), dtype=itype)
-        step = min(dim >> h, max(1, _BLOCK_ENTRIES // (max(masks, 1) << h)))  # hi values per block
-        buffer = np.empty((masks, step, 1 << h), dtype=dtype)
+            ]
+            xs.append(x)
+            width += len(keys)
+        xs = np.array(xs, dtype=itype)
+        data, indices = np.empty(masks << n, dtype=dtype), np.empty(masks << n, dtype=itype)
+        indptr = np.zeros(dim + 1, dtype=itype)  # entries per row, summed at the end
+        step = min(dim >> h, max(1, _BLOCK_ENTRIES // max(width, 1)))  # hi values per table
+        rows = max(1, (_BLOCK_ENTRIES >> 4) // (max(masks, 1) << h))  # hi values laid out at a time
+        buffer = np.empty((step, width), dtype=dtype)
+        end = 0
         for h0 in range(0, dim >> h, step):
-            block = buffer[:, : (dim >> h) - h0]
-            block[...] = 0.0
-            for w, (_, terms) in zip(block, groups):
-                for s_hi, a_lo in terms:
-                    w += np.multiply.outer(s_hi[h0 : h0 + step], a_lo)
-            rows = slice(h0 << h, (h0 + block.shape[1]) << h)
-            data[rows] = block.reshape(masks, rows.stop - rows.start).T
-            np.bitwise_xor(np.arange(rows.start, rows.stop, dtype=itype)[:, None], xs, out=indices[rows])
-        indptr = masks * np.arange(dim + 1, dtype=itype)
-        return scipy.sparse.csr_matrix(
-            (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
-        )
+            table = buffer[: (dim >> h) - h0]
+            table[...] = 0.0
+            for part, s_hi, a_key in terms:
+                table[:, part] += np.multiply.outer(s_hi[h0 : h0 + step], a_key)
+            for r0 in range(0, len(table), rows):
+                vals = np.take(table[r0 : r0 + rows], columns, axis=1)  # (hi, lo, mask)
+                kept = np.flatnonzero(vals != 0)
+                i0, count, stop = (h0 + r0) << h, len(vals) << h, end + len(kept)
+                cols = np.arange(i0, i0 + count, dtype=itype)[:, None] ^ xs
+                # mode="clip" takes straight into ``out``; every index is in range
+                np.take(vals, kept, out=data[end:stop], mode="clip")
+                np.take(cols, kept, out=indices[end:stop], mode="clip")
+                indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
+                end = stop
+        data.resize(end, refcheck=False)
+        indices.resize(end, refcheck=False)
+        np.cumsum(indptr, out=indptr)
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Matvec by the sum's CSR matrix, built at the first call and kept."""

@@ -272,7 +272,8 @@ def reference_csr(h) -> scipy.sparse.csr_matrix:
 
     Row ``i`` holds one entry per distinct X mask ``x``, in sorted order:
     column ``i ^ x`` and the sum over the strings sharing ``x``, in sorted z
-    order and starting from 0, of ``c * (-i)^|x&z| * (-1)^|i&z|``.
+    order and starting from 0, of ``c * (-i)^|x&z| * (-1)^|i&z|``. Exact
+    zeros are stored too; ``PauliSum._build_csr`` leaves them out.
     """
     from crda.pauli import _I_POW, _index_dtype
 

@@ -373,6 +373,21 @@ class TestNormKinds:
         assert peak < bound
 
 
+class TestStoredEntries:
+    @pytest.mark.parametrize(
+        ("model", "size", "stored", "upper"),
+        [("xy2d_digital", (4, 4), 786_432, 3_145_728), ("heis_digital", 14, 159_744, 409_600)],
+    )
+    def test_commutator_matrix_stores_only_nonzero_entries(self, model, size, stored, upper):
+        # the memory guard still counts one entry per row and X mask
+        c = _split_commutator(model, size)
+        assert c._num_x_masks() << c.n == upper
+        assert c._matrix_bytes(float) == upper * (8 + 4)
+        m = c._build_csr(float)
+        assert m.nnz == stored
+        assert np.count_nonzero(m.data) == stored
+
+
 class TestMemoryGuard:
     def test_forty_qubits_refused_before_allocating(self):
         h = PauliSum.from_pattern("XZ" * 20) + PauliSum.from_pattern("Y" * 40)

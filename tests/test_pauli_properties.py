@@ -4,7 +4,7 @@ loops, and of the row-block CSR build against the column-by-column
 reference build.
 
 Generated sums draw their X masks from a small pool, so several strings
-share one X mask (one entry per row of the CSR matrix); the pool always offers
+share one X mask (at most one entry per row of the CSR matrix); the pool always offers
 ``x = 0``, and an identity term is optional.
 """
 
@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -372,7 +373,9 @@ def csr_sums(draw, max_n=14):
 
     Weights carry signed zeros and cancel; in about half the sums every
     matrix weight ``c (-i)^|x&z|`` is real, and the others may have a few
-    such weights real.
+    such weights real. About half the strings come with a partner on the
+    same X mask whose matrix weight is the same up to sign: the pair sums
+    to an exact zero in half the rows.
     """
     n = draw(st.integers(1, max_n))
     masks = st.integers(0, (1 << n) - 1)
@@ -387,6 +390,10 @@ def csr_sums(draw, max_n=14):
         else:
             c = complex(draw(parts), draw(parts))
         terms.append(PauliTerm(n, x, z, c))
+        if draw(st.booleans()):
+            z2, sign = draw(masks), draw(st.sampled_from([1.0, -1.0]))
+            phase = _I_POW[((x & z2).bit_count() - (x & z).bit_count()) % 4]
+            terms.append(PauliTerm(n, x, z2, sign * c * phase))
     return PauliSum.from_terms(terms)
 
 
@@ -395,6 +402,27 @@ def _assert_same_csr(got, want):
     for field in ("data", "indices", "indptr"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def _without_zeros(m):
+    """``m`` with its exactly zero entries dropped by a plain mask; the rest in order."""
+    keep = m.data != 0
+    before = np.concatenate(([0], np.cumsum(keep)))  # kept entries ahead of each position
+    return scipy.sparse.csr_matrix(
+        (m.data[keep], m.indices[keep], before[m.indptr].astype(m.indptr.dtype)), shape=m.shape
+    )
+
+
+def _assert_same_products(got, full):
+    """Byte-equal matvecs by ``m`` and ``m.T``, and up to 2^8 rows a byte-equal
+    dense matrix, as the matrix with its zeros stored gives."""
+    if got.shape[0] <= 1 << 8:
+        assert got.toarray().tobytes() == full.toarray().tobytes()
+    rng = np.random.default_rng(got.shape[0])
+    real = rng.standard_normal(got.shape[0])
+    for v in (real, real + 1j * rng.standard_normal(got.shape[0])):
+        assert (got @ v).tobytes() == (full @ v).tobytes()
+        assert (got.T @ v).tobytes() == (full.T @ v).tobytes()
 
 
 def _block_builds(h, dtype=complex):
@@ -406,16 +434,22 @@ def _block_builds(h, dtype=complex):
 
 @given(csr_sums())
 def test_row_block_build_equals_reference(h):
-    want = reference_csr(h)
+    # the reference stores every X mask; the build leaves out its exact zeros
+    full = reference_csr(h)
+    want = _without_zeros(full)
     for got in _block_builds(h):
         _assert_same_csr(got, want)
+        assert got.nnz == np.count_nonzero(full.data)
+        _assert_same_products(got, full)
     real = h._csr_dtype() is float
-    assert real == (not want.data.imag.any())
+    assert real == (not full.data.imag.any())
     if real:
-        real_part = want.copy()
-        real_part.data = want.data.real.copy()
+        real_full = full.copy()
+        real_full.data = full.data.real.copy()
         for got in _block_builds(h, float):
-            _assert_same_csr(got, real_part)
+            _assert_same_csr(got, _without_zeros(real_full))
+            assert got.nnz == np.count_nonzero(real_full.data)
+            _assert_same_products(got, real_full)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 13, 14])
