@@ -26,7 +26,9 @@ merges equal layers on disjoint supports without changing the unitary.
 :func:`simulate` (on a state) and :func:`block_unitary` (on the identity)
 apply one step list: gate layers act matrix-free, equal segments share one
 operator, and only a static segment's operator differs: a Chebyshev
-expansion run on the sum's cached CSR matrix, or a dense exponential.
+expansion run on the matrix the sum keeps, or a dense exponential. Every
+generator :func:`compile_model` emits has real matrix weights, so the
+expansion runs on the state's real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ from .pauli import (
     PauliSum,
     _check_dense,
     _check_memory,
+    _joined,
+    _split,
     expm_hermitian,
 )
 
@@ -377,10 +381,11 @@ class SimulationTrace:
     observable_names: tuple[str, ...]
 
 
-# 2^n vectors a simulation holds besides its matrices: the caller's initial
-# state, the current state, and the Chebyshev loop's accumulator, two
-# recurrence vectors and one matvec output or product temporary.
-_SIMULATE_VECTORS = 6
+# 2^n-entry float64 planes a simulation holds besides its matrices, two per
+# complex vector: the caller's initial state, the current state, and the
+# Chebyshev loop's accumulator, two recurrence vectors and the next one or
+# the current term.
+_SIMULATE_PLANES = 12
 
 # Chebyshev terms are kept up to the first order past R tau whose Bessel
 # coefficient falls below this; the tail beyond it is below double roundoff.
@@ -391,9 +396,9 @@ def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]
     """Refuse, before allocating, a simulation whose arrays exceed memory."""
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
     need = (
-        _SIMULATE_VECTORS * (16 << schedule.n)
-        + sum(h._matrix_bytes() for h in generators)
-        + sum(obs._matrix_bytes() for obs in observables)
+        _SIMULATE_PLANES * (8 << schedule.n)
+        + sum(h._operator_bytes() for h in generators)
+        + sum(obs._operator_bytes() for obs in observables)
     )
     _check_memory(need, "simulate")
 
@@ -419,13 +424,19 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
 
 
 def _chebyshev_propagator(h: PauliSum, tau: float) -> _Op:
-    """exp(-i h tau) on a state, as a Chebyshev expansion run on ``h.apply``.
+    """exp(-i h tau) on a state, as a Chebyshev expansion run on the matrix ``h`` keeps.
 
     With R = sum |c|, an exact bound on ||h||, exp(-i h tau) = sum_k (2 -
     delta_k0) (-i)^k J_k(R tau) T_k(h / R) (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967, 1984). The three-term recurrence phi_{k+1} = (2/R) h
-    phi_k - phi_{k-1} runs on the sum's cached CSR matrix and holds three
-    vectors and an accumulator; it never copies or rescales the matrix.
+    phi_k - phi_{k-1} runs on :meth:`~crda.pauli.PauliSum._operator`; it
+    never copies or rescales the matrix. A real matrix runs it on the
+    state's real and imaginary parts apart, with the bits of the complex
+    recurrence: a complex vector scaled by a real s has parts scaled by s
+    (by 1/R, not divided by R, as numpy divides by a complex R + 0j), and
+    each term c_k phi_k joins the parts into one complex vector for numpy's
+    complex product and sum, as the complex recurrence forms them. It
+    holds three vectors and an accumulator.
     """
     if not h.is_hermitian():
         raise ValueError("a static segment needs a Hermitian operator")
@@ -438,18 +449,24 @@ def _chebyshev_propagator(h: PauliSum, tau: float) -> _Op:
         acc = coef[0] * psi
         if coef.size == 1:
             return acc
-        prev, cur = psi, h.apply(psi)
-        cur /= r
-        acc += coef[1] * cur
+        m = h._operator()
+        prev = _split(m, psi)
+        cur = [(m @ v) * (1.0 / r) for v in prev]
+        acc += _product(coef[1], cur)
         for c in coef[2:]:
-            nxt = h.apply(cur)
-            nxt *= 2.0 / r
-            nxt -= prev
-            prev, cur = cur, nxt
-            acc += c * cur
+            prev, cur = cur, [(m @ v) * (2.0 / r) - p for v, p in zip(cur, prev)]
+            acc += _product(c, cur)
         return acc
 
     return op
+
+
+def _product(c: complex, v: list[np.ndarray]) -> np.ndarray:
+    """``c`` times the complex vector :func:`~crda.pauli._split` gave as ``v``, a new array."""
+    if len(v) == 1:
+        return c * v[0]
+    z = _joined(v)
+    return np.multiply(c, z, out=z)
 
 
 def simulate(
@@ -464,9 +481,10 @@ def simulate(
 
     The state passes through the step list :func:`block_unitary` applies to
     the identity. A static (``PauliSum``) segment acts, at every size, by a
-    Chebyshev expansion of exp(-i H tau) whose matvecs are ``H.apply``, the
-    sum's cached CSR matrix, so equal Hamiltonians share one matrix whatever
-    their durations. Gate layers act matrix-free, in blocks of adjacent
+    Chebyshev expansion of exp(-i H tau) on the matrix the sum keeps (real
+    where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
+    one matrix whatever their durations. An observable of Z strings keeps
+    only its diagonal. Gate layers act matrix-free, in blocks of adjacent
     sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises
     :class:`~crda.pauli.DenseLimitError` above ``DEFAULT_DENSE_LIMIT``

@@ -349,9 +349,13 @@ def phase_insensitive_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 _GL_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 
-# Bytes of one (steps, dim, dim) complex stack in a batched Magnus chunk; a
-# chunk holds about eight such stacks at once.
+# Bytes of one (steps, dim, dim) complex stack in a batched Magnus chunk: the
+# steps that share one product tree.
 _MAGNUS_CHUNK_BYTES = 1 << 22
+
+# Slices a chunk's node Hamiltonians, Magnus exponents and exponentials are
+# formed in; each slice holds about eight stacks of its steps at once.
+_MAGNUS_SLICES = 16
 
 # Step-count doublings propagate_unitary tries before giving up.
 _MAGNUS_HALVINGS = 14
@@ -382,8 +386,12 @@ def propagate_unitary(
     step's Magnus exponent exp(Omega) comes from one batched ``eigh``, and
     a pairwise tree multiplies the chunk's step unitaries, later steps on
     the left. Chunks hold as many steps as fit a fixed byte budget, so a
-    large ``dim`` means short chunks. The first step size resolves
-    ``h.max_frequency``, which is read off the weight factors.
+    large ``dim`` means short chunks. The weights, exponents and step
+    unitaries are formed in ``_MAGNUS_SLICES`` slices of a chunk, into one
+    stack of its step unitaries that every chunk reuses; each step's
+    unitary is the same whatever slice forms it, so only the chunks decide
+    the bits. The first step size resolves ``h.max_frequency``, which is
+    read off the weight factors.
     """
     _check_dense(h.n, "propagate_unitary")
     dim = 1 << h.n
@@ -397,16 +405,21 @@ def propagate_unitary(
         return np.einsum("pk,pij->kij", w, mats).reshape(*times.shape, dim, dim)
 
     chunk = max(1, _MAGNUS_CHUNK_BYTES // (16 * dim * dim))
+    part = -(-chunk // _MAGNUS_SLICES)
+    steps = np.empty((chunk, dim, dim), dtype=complex)
 
     def run(nsteps: int) -> np.ndarray:
         hstep = t_final / nsteps
         w = math.sqrt(3.0) * hstep * hstep / 12.0
         u = np.eye(dim, dtype=complex)
         for first in range(0, nsteps, chunk):
-            starts = np.arange(first, min(first + chunk, nsteps)) * hstep
-            a1, a2 = -1j * ham(starts + _GL_NODES[:, None] * hstep)
-            om = 0.5 * hstep * (a1 + a2) + w * (a2 @ a1 - a1 @ a2)
-            u = _ordered_product(_expm_eigh(1j * om, 1.0)) @ u  # i*om is Hermitian
+            k = min(chunk, nsteps - first)
+            for lo in range(0, k, part):
+                starts = np.arange(first + lo, first + min(lo + part, k)) * hstep
+                a1, a2 = -1j * ham(starts + _GL_NODES[:, None] * hstep)
+                om = 0.5 * hstep * (a1 + a2) + w * (a2 @ a1 - a1 @ a2)
+                steps[lo : lo + len(starts)] = _expm_eigh(1j * om, 1.0)  # i*om is Hermitian
+            u = _ordered_product(steps[:k]) @ u
         return u
 
     # initial resolution: resolve the fastest drive and the local norm scale

@@ -16,7 +16,9 @@ A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X
 mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
 column ``i ^ x``, unless that sum is exactly zero: the stored entries are
 the nonzero ones, and the memory guards count the upper bound of one
-entry per row and X mask.
+entry per row and X mask. The matrix ``PauliSum.apply`` keeps is real where
+every weight is (:meth:`PauliSum._csr_dtype`), and a sum of Z strings keeps
+only its diagonal; both act as the complex matrix would, bit for bit.
 
 Conventions (fixed once, used everywhere):
 
@@ -464,16 +466,52 @@ class PauliSum:
         np.cumsum(indptr, out=indptr)
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
+    def _operator(self) -> scipy.sparse.csr_matrix | scipy.sparse.dia_matrix:
+        """The matrix :meth:`apply` multiplies by, built at the first call and kept.
+
+        Its dtype is :meth:`_csr_dtype`. A sum of Z strings (every X mask 0)
+        keeps its diagonal as a DIA matrix, one weight per row: each weight
+        sums from 0, in key order, the terms ``±a`` that :meth:`_build_csr`
+        sums, and a DIA matvec adds ``d_i x_i`` to 0 as a CSR row does.
+        """
+        if self._matrix is None:
+            dim, dtype = 1 << self.n, self._csr_dtype()
+            if self._x.any():
+                self._matrix = self._build_csr(dtype)
+            else:
+                idx = np.arange(dim, dtype=_index_dtype(dim))
+                diagonal = np.zeros(dim, dtype=dtype)
+                for _, z, a in self._weights():
+                    diagonal += (a.real if dtype is float else a) * _parity_signs(idx, z)
+                self._matrix = scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
+        return self._matrix
+
+    def _operator_bytes(self) -> int:
+        """Bytes of :meth:`_operator` at most.
+
+        A weight per row for a diagonal; else :meth:`_matrix_bytes` and the
+        row pointers.
+        """
+        dtype = self._csr_dtype()
+        if not self._x.any():
+            return np.dtype(dtype).itemsize << self.n
+        pointer = np.dtype(_index_dtype(self._num_x_masks() << self.n)).itemsize
+        return self._matrix_bytes(dtype) + pointer * ((1 << self.n) + 1)
+
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Matvec by the sum's CSR matrix, built at the first call and kept."""
+        """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state.
+
+        A real matrix multiplies the state's real and imaginary parts apart
+        (:func:`_split`): the complex matvec adds ``a x_re - 0 x_im`` and
+        ``a x_im + 0 x_re`` to 0, the same bits.
+        """
         state = np.asarray(state, dtype=complex)
         if state.shape != (1 << self.n,):
             raise ValueError(
                 f"state has {state.shape} amplitudes; expected {(1 << self.n,)}"
             )
-        if self._matrix is None:
-            self._matrix = self._build_csr()
-        return self._matrix @ state
+        m = self._operator()
+        return _joined([m @ v for v in _split(m, state)])
 
     def expectation(self, state: np.ndarray) -> complex:
         """<state|h|state>, by :func:`_vdot`."""
@@ -511,6 +549,20 @@ class PauliSum:
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b> as a numpy sum: a threaded BLAS dot's last digits follow the thread count."""
     return complex(np.sum(np.conj(a) * b))
+
+
+def _split(m, v: np.ndarray) -> list[np.ndarray]:
+    """What a kept matrix ``m`` multiplies for a complex ``v``: ``v``, or its parts if ``m`` is real."""
+    return [v] if m.dtype == complex else [v.real.copy(), v.imag.copy()]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The complex vector of :func:`_split` ``parts``."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty(len(parts[0]), dtype=complex)
+    out.real, out.imag = parts
+    return out
 
 
 def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:

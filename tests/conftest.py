@@ -8,9 +8,11 @@ that the package's vectorized kernel must reproduce bit for bit; the
 algebra references (sum, difference, negation, scaling, adjoint, toggle,
 sums of term lists, weighted sums of pieces and the canonical bond
 families) are the same operations on a dict of weights by ``(x, z)`` key,
-which the package's array algebra must reproduce bit for bit; and the CSR
+which the package's array algebra must reproduce bit for bit; the CSR
 reference fills the matrix one X-mask column at a time, as the package's
-row-block build must reproduce byte for byte.
+row-block build must reproduce byte for byte; and the Chebyshev reference
+runs the complex recurrence on that matrix, whose bits the package's
+propagator must give on the state's real and imaginary parts.
 """
 
 import itertools
@@ -294,6 +296,32 @@ def reference_csr(h) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix(
         (data.reshape(-1), indices.reshape(-1), indptr), shape=(dim, dim)
     )
+
+
+def reference_chebyshev(h, tau, psi):
+    """exp(-i h tau) psi by the complex Chebyshev recurrence on :func:`reference_csr`.
+
+    Terms up to the package's ``_chebyshev_coefficients(R tau)``, R = sum |c|;
+    the first recurrence vector is divided by R in complex arithmetic.
+    """
+    from crda.compiler import _chebyshev_coefficients
+
+    m = reference_csr(h)
+    r = sum(abs(c) for c in h._c.tolist())
+    coef = _chebyshev_coefficients(r * tau)
+    acc = coef[0] * psi
+    if coef.size == 1:
+        return acc
+    prev, cur = psi, m @ psi
+    cur /= r
+    acc += coef[1] * cur
+    for c in coef[2:]:
+        nxt = m @ cur
+        nxt *= 2.0 / r
+        nxt -= prev
+        prev, cur = cur, nxt
+        acc += c * cur
+    return acc
 
 
 # Unit-cell tables of the 2D decompositions, as the package listed them

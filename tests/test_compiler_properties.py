@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import dense_oracle, layer_oracle, sinusoid_product
+from conftest import dense_oracle, layer_oracle, reference_chebyshev, sinusoid_product
 from crda import compiler, frames
 from crda.compiler import (
     AnalogSegment,
@@ -130,19 +130,166 @@ def test_batched_magnus_matches_sequential_steps(monkeypatch, chunk_bytes, mode)
     assert np.abs(u - want).max() <= 1e-12
 
 
+def _criterion9_device():
+    """Criterion 9's two-qubit device: g/delta = 0.02, Omega/delta = 0.05, delta = 5."""
+    n, delta, base = 2, 5.0, 40.0
+    omega_q = np.array([base + (n - k) * delta for k in range(1, n + 1)])
+    return DeviceParams(
+        n=n,
+        omega_q=omega_q,
+        omega=omega_q - delta,
+        Omega=np.full(n, 0.05 * delta),
+        phi=np.zeros(n),
+        g=np.full(n - 1, 0.02 * delta),
+    )
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 16 * 4 * 4 * 7, 16 * 4 * 4 * 40])
+@pytest.mark.parametrize("mode", ["lab", "rotating"])
+def test_sliced_magnus_chunks_equal_whole_chunks(monkeypatch, chunk_bytes, mode):
+    # The chunks alone decide the product tree, so forming a chunk's step
+    # unitaries in slices moves no bit. The criterion-9 run's default chunks
+    # hold 16,384 steps in slices of 1,024 (the last chunk a partial one);
+    # 7-step chunks take one step a slice, 40-step chunks slices of 3 and 1.
+    if chunk_bytes is None:
+        p, t_final = _criterion9_device(), 20 * math.pi / 5.0
+    else:
+        monkeypatch.setattr(frames, "_MAGNUS_CHUNK_BYTES", chunk_bytes)
+        p, t_final = DeviceParams.cr_chain(np.array([45.0, 40.0]), g=0.1, Omega=0.25), 0.4
+    h = lab_frame_hamiltonian(p) if mode == "lab" else rotating_frame_hamiltonian(p)
+    sliced, info = propagate_unitary(h, t_final)
+    monkeypatch.setattr(frames, "_MAGNUS_SLICES", 1)
+    whole, whole_info = propagate_unitary(h, t_final)
+    assert info == whole_info
+    assert sliced.tobytes() == whole.tobytes()
+
+
+def test_magnus_peak_memory():
+    # The criterion-9 lab run: 21,366 steps, 4x4 propagators. Its chunks of
+    # 16,384 steps held about eight 4 MiB stacks at once (32.6 MiB traced);
+    # in slices, the stack of step unitaries and its product tree dominate.
+    h = lab_frame_hamiltonian(_criterion9_device())
+    tracemalloc.start()
+    try:
+        _, info = propagate_unitary(h, 20 * math.pi / 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info["steps"] == 21366
+    assert peak <= 12e6
+
+
+def test_simulation_guard_bounds_the_traced_peak(monkeypatch):
+    # What the guard counts (states, Chebyshev planes, the generator's CSR
+    # bound, one weight per row of each Z observable) bounds what a 4x4 XY
+    # simulation allocates, and the 17 observables keep their diagonals
+    # (8.5 MiB) where they kept complex CSR matrices (25.5 MiB).
+    import scipy.special  # noqa: F401  (simulate loads it lazily; module memory is not counted)
+
+    counted = []
+    check = compiler._check_memory
+
+    def counted_check(need, what):
+        counted.append(need)
+        check(need, what)
+
+    monkeypatch.setattr(compiler, "_check_memory", counted_check)
+    n = 16
+    tracemalloc.start()
+    try:
+        schedule = compile_model(
+            TargetModel(ModelKind.XY_2D, Lattice.square(4, 4), tau=0.1, repetitions=3)
+        )
+        obs = [PauliSum.from_sites(n, {k: "Z"}) for k in range(n)]
+        obs.append(PauliSum.from_pattern("Z" * n))
+        psi0 = np.zeros(1 << n, dtype=complex)
+        psi0[0b0110_1001_1001_0110] = 1.0
+        simulate(schedule, psi0, obs)
+        held, peak = tracemalloc.get_traced_memory()
+        del obs
+        observables = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
+    assert observables <= 12e6
+
+
+@st.composite
+def hermitian_sums(draw):
+    """Hermitian sums on 1 to 8 sites whose R = sum |c| is not a power of two.
+
+    In about half of them every matrix weight c (-i)^|x&z| is real: a drawn
+    string with an odd number of Y letters has one of them made an X. The
+    others carry a lone Y on site 0, whose weight is imaginary.
+    """
+    n = draw(st.integers(1, 8))
+    masks = st.integers(0, (1 << n) - 1)
+    real = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        x, z = draw(masks), draw(masks)
+        y = x & z
+        if real and y.bit_count() % 2:
+            z ^= y & -y
+        terms[x, z] = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if not real:
+        terms[1, 1] = draw(st.floats(0.1, 2.0))
+    h = PauliSum(n, terms)
+    assert (h._csr_dtype() is float) == real
+    # 1/R rounds, so the parts must be scaled by it where complex divides by R
+    assume(math.frexp(sum(abs(c) for c in h._c.tolist()))[0] != 0.5)
+    return h
+
+
+def _states(seed, n):
+    """A random state with zeros of both signs in its parts, and a basis state
+    and i times it, whose other amplitudes are -0 - 0j: a zero no term of the
+    expansion reaches keeps the sign the complex recurrence gives it."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi.real[rng.random(dim) < 0.3] = 0.0
+    psi.imag[rng.random(dim) < 0.3] = -0.0
+    basis = np.full(dim, complex(-0.0, -0.0))
+    basis[seed % dim] = 1.0
+    return psi, basis, 1j * basis
+
+
+@given(hermitian_sums(), st.floats(1e-7, 3.0), st.integers(0, 2**32 - 1))
+def test_chebyshev_propagator_equals_complex_recurrence(h, tau, seed):
+    op = compiler._chebyshev_propagator(h, tau)
+    for psi in _states(seed, h.n):
+        assert op(psi).tobytes() == reference_chebyshev(h, tau, psi).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_compiled_generators_are_real_and_propagate_as_complex(kind):
+    # Heisenberg and XY chains on 10 sites have R = 9, whose reciprocal rounds.
+    lattice = Lattice.square(2, 4) if kind is ModelKind.XY_2D else Lattice.chain(10)
+    schedule = compile_model(TargetModel(kind, lattice, tau=0.3))
+    for h in {s.analog for s in schedule.segments()}:
+        assert h._csr_dtype() is float
+        op = compiler._chebyshev_propagator(h, 0.3)
+        for psi in _states(7, h.n):
+            assert op(psi).tobytes() == reference_chebyshev(h, 0.3, psi).tobytes()
+        assert h._matrix.dtype == np.float64
+
+
 def test_equal_segments_share_one_generator(monkeypatch):
-    # A static segment runs on its sum's cached CSR matrix, so a new duration
+    # A static segment runs on the matrix its sum keeps, so a new duration
     # changes only the expansion coefficients: one build per distinct
-    # Hamiltonian. to_dense builds a matrix too, so the time-dependent case
-    # counts propagate_unitary calls instead.
+    # Hamiltonian, at its real dtype. The Z observable keeps its diagonal and
+    # builds no CSR matrix. to_dense builds a matrix too, so the
+    # time-dependent case counts propagate_unitary calls instead.
     built = []
     calls = {"propagate_unitary": 0}
     build_csr = PauliSum._build_csr
     propagate = compiler.propagate_unitary
 
-    def counted_build_csr(self):
-        built.append(self)
-        return build_csr(self)
+    def counted_build_csr(self, dtype=complex):
+        built.append((self, dtype))
+        return build_csr(self, dtype)
 
     def counted_propagate(*args, **kwargs):
         calls["propagate_unitary"] += 1
@@ -159,14 +306,17 @@ def test_equal_segments_share_one_generator(monkeypatch):
     assert len(schedule.segments()) == 3
     simulate(schedule, psi0, obs)
     h = schedule.segments()[0].analog
-    assert built.count(h) == 1 and len(built) == 2  # the generator and the observable
+    assert built == [(h, float)]
+    diagonal = obs[0]._matrix
+    assert diagonal.format == "dia" and diagonal.dtype == np.float64
     assert calls == {"propagate_unitary": 0}
     timed = Schedule(
         n, (AnalogSegment(0.2, "all", h), GateLayer(G.HADAMARD), AnalogSegment(0.3, "all", h),
             AnalogSegment(0.2, "all", h)), repetitions=2,
     )
     trace = simulate(timed, psi0, obs)
-    assert len(built) == 2  # no build for the new duration
+    assert built == [(h, float)]  # no build for the new duration
+    assert obs[0]._matrix is diagonal
     assert np.allclose(trace.expectations, _oracle_rows(timed, psi0, obs), rtol=0.0, atol=1e-12)
     device = DeviceParams.uniform_chain(n, g=1.0, delta=10.0, Omega=0.4)
     xy = TargetModel(ModelKind.XY_1D, Lattice.chain(n), tau=0.05, repetitions=2)

@@ -468,10 +468,10 @@ class TestCachedMatrix:
         for _ in range(3):
             assert np.array_equal(h.apply(psi), first)
             h.expectation(psi)
-        assert builds == [(n, complex)]
+        assert builds == [(n, float)]  # kept at _csr_dtype()
         # the norm multiplies a real matrix of its own and keeps none
         assert spectral_norm(h) > 0.0
-        assert builds == [(n, complex), (n, float)]
+        assert builds == [(n, float), (n, float)]
         assert h._matrix is cached
         assert np.allclose(first, dense_oracle(h) @ psi, rtol=0.0, atol=1e-12)
 
@@ -483,7 +483,19 @@ class TestCachedMatrix:
         assert h.to_sparse().dtype == np.complex128
         assert h.to_dense().dtype == np.complex128
         assert h.apply(psi).dtype == np.complex128
-        assert h._matrix.dtype == np.complex128
+        assert h._matrix.dtype == np.float64  # the kept matrix is real; what apply returns is not
+        assert h._matrix.format == "csr"
+
+    def test_z_strings_keep_only_their_diagonal(self, monkeypatch):
+        monkeypatch.setattr(PauliSum, "_build_csr", None)  # no CSR build
+        n = 12
+        for h in (PauliSum.from_sites(n, {3: "Z"}), PauliSum.from_sites(n, {0: "Z", 5: "Z"}, 0.5j)):
+            psi = np.ones(1 << n, dtype=complex)
+            assert h.apply(psi).dtype == np.complex128
+            m = h._matrix
+            assert m.format == "dia" and m.data.shape == (1, 1 << n)
+            assert m.dtype == np.dtype(h._csr_dtype())
+            assert h._operator_bytes() == m.data.nbytes
 
 
 class TestExpm:

@@ -368,8 +368,8 @@ def test_array_phase_rule_matches_scalar_rule():
 
 
 @st.composite
-def csr_sums(draw, max_n=14):
-    """Sums on 1 to ``max_n`` sites over a pool of one to three X masks.
+def csr_sums(draw, max_n=14, diagonal=False):
+    """Sums on 1 to ``max_n`` sites over a pool of one to three X masks, or of Z strings alone.
 
     Weights carry signed zeros and cancel; in about half the sums every
     matrix weight ``c (-i)^|x&z|`` is real, and the others may have a few
@@ -379,7 +379,7 @@ def csr_sums(draw, max_n=14):
     """
     n = draw(st.integers(1, max_n))
     masks = st.integers(0, (1 << n) - 1)
-    x_pool = draw(st.lists(masks, min_size=1, max_size=3))
+    x_pool = [0] if diagonal else draw(st.lists(masks, min_size=1, max_size=3))
     parts = _COEFFS | _EDGE_COEFFS
     real = draw(st.booleans())
     terms = []
@@ -461,6 +461,22 @@ def test_row_block_build_single_term_and_single_mask(n):
     for h in (one_term, one_mask):
         for got in _block_builds(h):
             _assert_same_csr(got, reference_csr(h))
+
+
+@given(csr_sums(max_n=10) | csr_sums(max_n=10, diagonal=True), st.integers(0, 2**32 - 1))
+def test_apply_and_expectation_equal_reference_matvec(h, seed):
+    # apply keeps a real matrix where every weight is real, and only the
+    # diagonal of Z strings; both give the complex matvec's bits
+    v = _state(seed, h.n)
+    rng = np.random.default_rng(seed)
+    v.real[rng.random(len(v)) < 0.3] = 0.0
+    v.imag[rng.random(len(v)) < 0.3] = -0.0
+    want = reference_csr(h) @ v
+    assert h.apply(v).tobytes() == want.tobytes()
+    expectation = complex(np.sum(np.conj(v) * want))
+    assert np.array(h.expectation(v)).tobytes() == np.array(expectation).tobytes()
+    assert h._matrix.dtype == np.dtype(h._csr_dtype())
+    assert h._matrix.format == ("csr" if h._x.any() else "dia")
 
 
 @given(csr_sums(max_n=6))
