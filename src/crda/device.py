@@ -174,6 +174,8 @@ class DeviceParams:
         Only driven qubits are required to agree; undriven targets are
         allowed to carry the (0, 0) assignment.
         """
+        if not self.g.size:
+            raise ValueError("a uniform chain needs at least one bond (two sites)")
         driven = [k for k in range(self.n) if self.is_driven(k)]
         if not driven:
             return float(self.g[0]), float(self.delta[0]), 0.0

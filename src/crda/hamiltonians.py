@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
-from .pauli import _BITS, PauliSum, _from_rows, _weighted
+from .pauli import _BITS, PauliSum, _from_rows, _from_sorted, _summed, _weighted
 
 __all__ = [
     "HamiltonianKind",
@@ -244,19 +244,15 @@ def translate_2d(h: PauliSum, lat: Lattice, di: int, dj: int) -> PauliSum:
     """Rigid translation of an operator on a periodic 2D lattice."""
     if lat.dim != 2 or not lat.periodic:
         raise ValueError("translation requires a periodic 2D lattice")
-    perm = {}
-    for idx in range(lat.n_sites):
-        i = idx % lat.nx + 1
-        j = idx // lat.nx + 1
-        perm[idx] = lat.site_index(i + di, j + dj)
-    acc: dict[tuple[int, int], complex] = {}
-    for t in h.terms():
-        x = z = 0
-        for k in range(h.n):
-            x |= ((t.x >> k) & 1) << perm[k]
-            z |= ((t.z >> k) & 1) << perm[k]
-        acc[(x, z)] = acc.get((x, z), 0.0) + t.coeff
-    return PauliSum(h.n, acc)
+    if h.n != lat.n_sites:
+        raise ValueError(f"a {h.n}-site operator on a {lat.n_sites}-site lattice")
+    # bit src[b] of each x and z mask row moves to bit b; the padding bits stay put
+    src = np.arange(64 * h._x.shape[1])
+    src[[lat.site_index(k % lat.nx + 1 + di, k // lat.nx + 1 + dj) for k in range(h.n)]] = range(h.n)
+    words = np.concatenate((h._x, h._z)).view(np.uint8)
+    bits = np.unpackbits(words, axis=1, bitorder="little").take(src, axis=1)
+    x, z = np.split(np.packbits(bits, axis=1, bitorder="little").view(h._x.dtype), 2)
+    return _from_sorted(h.n, *_summed(x, z, h._c))
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,12 @@ N-bit masks ``(x, z)`` with bit ``k`` describing site ``k``, and an
 explicit power of ``i`` folded into the coefficient (Aaronson & Gottesman,
 2004). A sum holds its masks bit-packed, as ``(terms, ceil(N/64))`` uint64
 word arrays sorted as ``(x, z)`` int tuples (as in Stim; Gidney, 2021),
-beside a complex128 weight array; Python ints appear only where terms are
-read out. Products and commutators run as one vectorized kernel over all
-string pairs, so a pair costs a few word operations instead of O(4^N), and
-every result is summed per string in sorted order, bit for bit as a
+beside a complex128 weight array. Every consumer computes on these arrays;
+Python ints appear only where terms are read out, and only the CSR and
+diagonal builds walk terms, for per-string sign vectors and weight types.
+Products and commutators run as one vectorized kernel over all string
+pairs, so a pair costs a few word operations instead of O(4^N), and every
+result is summed per string in sorted order, bit for bit as a
 left-to-right Python loop over a dict of weights would sum it.
 
 A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X

@@ -10,9 +10,11 @@ sums of term lists, weighted sums of pieces and the canonical bond
 families) are the same operations on a dict of weights by ``(x, z)`` key,
 which the package's array algebra must reproduce bit for bit; the CSR
 reference fills the matrix one X-mask column at a time, as the package's
-row-block build must reproduce byte for byte; and the Chebyshev reference
+row-block build must reproduce byte for byte; the Chebyshev reference
 runs the complex recurrence on that matrix, whose bits the package's
-propagator must give on the state's real and imaginary parts.
+propagator must give on the state's real and imaginary parts; and the 2D
+translation and Trotter-audit references read every string out as a
+``PauliTerm``, as the package's mask-word versions must match bit for bit.
 """
 
 import itertools
@@ -201,6 +203,45 @@ def reference_from_terms(n, terms):
     for t in terms:
         acc[(t.x, t.z)] = acc.get((t.x, t.z), 0.0) + t.coeff
     return PauliSum(n, acc)
+
+
+def reference_translate_2d(h, lat, di, dj):
+    """``translate_2d`` bit by bit: each string's site bits move one at a time.
+
+    The translated strings' weights add onto 0.0 in a dict, in key order.
+    """
+    from crda.pauli import PauliSum
+
+    perm = [lat.site_index(k % lat.nx + 1 + di, k // lat.nx + 1 + dj) for k in range(lat.n_sites)]
+    acc: dict[tuple[int, int], complex] = {}
+    for t in h.terms():
+        x = z = 0
+        for k in range(h.n):
+            x |= ((t.x >> k) & 1) << perm[k]
+            z |= ((t.z >> k) & 1) << perm[k]
+        acc[(x, z)] = acc.get((x, z), 0.0) + t.coeff
+    return PauliSum(h.n, acc)
+
+
+def reference_trotter_checks(model, comm, j):
+    """The structural entries of ``trotter_commutator`` as ``(name, value, passed)``.
+
+    Weights, magnitudes and letters are read string by string from
+    ``comm.terms()``; the DA splits also check magnitudes 2 J^2, and the 2D
+    DA split one X, one Y and one Z per string.
+    """
+    weights = {t.weight for t in comm.terms()}
+    out = [("all_terms_weight_3", 1.0 if weights <= {3} else 0.0, weights <= {3})]
+    if model in ("heis_da", "xy2d_da"):
+        mags = {round(abs(t.coeff), 12) for t in comm.terms()}
+        ok = mags == {round(2.0 * j * j, 12)}
+        out.append(("coefficient_magnitudes_2j2", 1.0 if ok else 0.0, ok))
+    if model == "xy2d_da":
+        ok = all(
+            sorted(c for c in t.pattern if c != "I") == ["X", "Y", "Z"] for t in comm.terms()
+        )
+        out.append(("one_of_each_letter_structure", 1.0 if ok else 0.0, ok))
+    return out
 
 
 def term_bits(h):

@@ -619,9 +619,18 @@ class TestFailureModes:
              "zero detuning"),
             (["errors", "--which", "synthesis", "--model", "bogus"],
              "unknown synthesis model 'bogus'"),
+            # a 1-site chain has no bond to read a uniform coupling from
+            *(
+                (["hamiltonian", "--kind", kind, "--n", "1"], "at least one bond")
+                for kind in ("org", "org_xy", "org_zz", "delta", "delta_xy", "delta_zz")
+            ),
+            (["errors", "--which", "synthesis", "--n", "1"], "at least one bond"),
+            (["errors", "--which", "dyson", "--n", "1"], "at least one bond"),
+            (["simulate", "--model", "xy1d", "--n", "1", "--realistic"], "at least one bond"),
         ],
         ids=["delta_zz", "qf_device", "dyson", "synthesis", "simulate-realistic",
-             "synthesis-model"],
+             "synthesis-model", "org-n1", "org_xy-n1", "org_zz-n1", "delta-n1", "delta_xy-n1",
+             "delta_zz-n1", "synthesis-n1", "dyson-n1", "simulate-realistic-n1"],
     )
     def test_bad_device_or_model_is_usage_error(self, capsys, args, message):
         code, out, errtext = run_cli(args, capsys)

@@ -1,5 +1,6 @@
 """Error reports: synthesis norms, propagator differences, commutator audits."""
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import dense_oracle
+from conftest import dense_oracle, reference_trotter_checks
 from crda.device import DeviceParams, Lattice
 from crda.errors import (
     ErrorReport,
@@ -23,7 +24,7 @@ from crda.errors import (
     unit_cell_report,
     xy2d_digital_hamiltonians,
 )
-from crda.hamiltonians import HamiltonianKind as K, build_canonical
+from crda.hamiltonians import HamiltonianKind as K, build_canonical, translate_2d
 from crda import errors, hamiltonians
 from crda.pauli import PRUNE_TOL, PauliSum, PauliTerm, anticommutes, commutator, multiply
 
@@ -264,7 +265,92 @@ class TestTable1:
         assert not rep.passed
 
 
+_TROTTER_LATTICES = {
+    "xy2d_da": (Lattice.square(2, 4), Lattice.square(4, 2, boundary="open")),
+    "xy2d_digital": (Lattice.square(2, 4),),
+    "heis_da": (Lattice.chain(9),),
+    "heis_digital": (Lattice.chain(5),),
+}
+
+_STRUCTURE = ("all_terms_weight_3", "coefficient_magnitudes_2j2", "one_of_each_letter_structure")
+
+
+def _structure(model, rep):
+    """The structural entries as ``(name, value, passed)``, checking the report's layout."""
+    checks = [e for e in rep.entries if e.name in _STRUCTURE]
+    tail = ["per_bond_pair_norm"] if model == "heis_digital" else []
+    names = ["commutator_spectral_norm", "commutator_terms", *(e.name for e in checks), *tail]
+    assert [e.name for e in rep.entries] == names
+    assert all(type(e.passed) is bool and e.analytic == 1.0 for e in checks)
+    json.dumps(rep.to_json_dict())
+    return [(e.name, e.value, e.passed) for e in checks]
+
+
+def _audit_sum(rng, n, j, defect):
+    """Strings of one X, one Y and one Z with magnitude 2 J^2, and a ``defect`` string.
+
+    ``defect`` is ``(letters, magnitude)`` or None; each string sits on
+    random sites, its weight at a quarter-turn or a random phase.
+    """
+    m = 2.0 * j * j
+    strings = [("XYZ", m)] * 10 + ([defect] if defect else [])
+    terms = []
+    for letters, size in strings:
+        sites = rng.choice(n, len(letters), replace=False).tolist()
+        phase = (1.0, -1.0, 1j, -1j, np.exp(1j * rng.uniform(0, 2 * np.pi)))[rng.integers(5)]
+        terms.append(PauliTerm.from_sites(n, dict(zip(sites, letters)), size * phase))
+    return PauliSum.from_terms(terms)
+
+
 class TestTrotterCommutators:
+    @pytest.mark.parametrize("j", [1.0, 0.3, -0.45, 1.7, 0.0])
+    @pytest.mark.parametrize("model", sorted(_TROTTER_LATTICES))
+    def test_structure_entries_match_reference_loop(self, model, j):
+        for lat in _TROTTER_LATTICES[model]:
+            comm = errors._split_commutator(errors._SPLITS[model][2](lat, j))
+            assert comm.is_zero() == (j == 0.0)
+            rep = trotter_commutator(model, lat, j=j)
+            assert _structure(model, rep) == reference_trotter_checks(model, comm, j)
+
+    @pytest.mark.parametrize("n", [6, 70])
+    @pytest.mark.parametrize("model", sorted(_TROTTER_LATTICES))
+    def test_structure_entries_on_generated_sums(self, monkeypatch, rng, model, n):
+        # the audit reads only the commutator, so any sum can stand in for it
+        lat = _TROTTER_LATTICES[model][0]
+        monkeypatch.setattr(errors, "spectral_norm", lambda h, seed=7: 0.0)
+        seen = set()
+        for j in (1.0, 0.3, -0.45, 1.7, 0.0):
+            m = 2.0 * j * j
+            defects = [None, ("XY", m), ("Z", m), ("XXZ", m), ("XYZX", m), ("YYYY", m)]
+            defects += [("XYZ", m + d) for d in (4e-13, -4e-13, 1e-11, -1e-11)]
+            for defect in defects:
+                comm = _audit_sum(rng, n, j, defect)
+                monkeypatch.setattr(errors, "_split_commutator", lambda parts: comm)
+                got = _structure(model, trotter_commutator(model, lat, j=j))
+                assert got == reference_trotter_checks(model, comm, j)
+                seen.update((name, ok) for name, _, ok in got)
+        # every check both passes and fails somewhere in the sweep
+        assert {name for name, _ in seen} == {name for name, ok in seen if ok}
+        assert {name for name, _ in seen} == {name for name, ok in seen if not ok}
+
+    def test_audits_build_no_term(self, monkeypatch):
+        lat = Lattice.square(4, 4)
+        h_i, h_ii = build_canonical(K.H_I, lat), build_canonical(K.H_II, lat)
+
+        def refuse(self):
+            raise AssertionError("a PauliTerm was built")
+
+        monkeypatch.setattr(PauliTerm, "__post_init__", refuse)
+        reports = [
+            trotter_commutator(model, each)
+            for model, lats in _TROTTER_LATTICES.items()
+            for each in lats
+        ]
+        moved = translate_2d(h_i, lat, 1, 0)
+        monkeypatch.undo()
+        assert moved == h_ii
+        assert all(rep.passed for rep in reports)
+
     def test_heisenberg_da_matches_dense_oracle(self):
         for n in (4, 5):
             c = heisenberg_da_commutator_sum(n, 1.0)

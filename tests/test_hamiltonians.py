@@ -12,6 +12,7 @@ from conftest import (
     dense_oracle,
     reference_canonical,
     reference_tiling,
+    reference_translate_2d,
     term_bits,
 )
 from crda.device import DeviceParams, DriveConfig, Lattice
@@ -342,6 +343,47 @@ class Test2DFamilies:
         assert h == hxx + hyy
         assert h._c.tobytes() == (hxx + hyy)._c.tobytes()
         assert {t.weight for t in h.terms()} <= {2}
+
+
+def _random_masked_sum(rng, n, nterms=40):
+    """Random strings on ``n`` sites; weights mix -0.0, 0.0 and nonzero parts."""
+    parts = (-0.0, 0.0, -1.25, 0.5, 3.0)
+    terms = {}
+    for _ in range(nterms):
+        x, z = (int("".join(map(str, rng.integers(0, 2, n))), 2) for _ in "xz")
+        terms[(x, z)] = complex(*rng.choice(parts, 2))
+    terms[(0, 0)] = complex(-0.0, 2.0)
+    return PauliSum(n, terms)
+
+
+def _array_bytes(h):
+    """Keys and weights as exact bytes, signed zeros included."""
+    return h._x.shape, h._x.tobytes(), h._z.tobytes(), h._c.tobytes()
+
+
+class TestTranslate2D:
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 4), (8, 9), (10, 7)])
+    def test_bitwise_against_reference_loop(self, rng, nx, ny):
+        lat = Lattice.square(nx, ny)
+        shifts = [(0, 0), (1, 0), (0, -1), (-1, 2), (nx + 1, -ny - 2), (-2 * nx - 3, 3 * ny + 1)]
+        sums = [PauliSum.zero(lat.n_sites)] + [_random_masked_sum(rng, lat.n_sites) for _ in range(3)]
+        for h in sums:
+            for di, dj in shifts:
+                out, ref = translate_2d(h, lat, di, dj), reference_translate_2d(h, lat, di, dj)
+                assert _array_bytes(out) == _array_bytes(ref)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build_canonical(K.H_I, Lattice.square(2, 2)),
+            PauliSum.from_pattern("XY"),
+            PauliSum.from_pattern("Z" * 20),
+        ],
+        ids=["h_i-2x2", "2-site", "20-site"],
+    )
+    def test_size_mismatch_rejected(self, h):
+        with pytest.raises(ValueError, match=f"{h.n}-site operator on a 16-site lattice"):
+            translate_2d(h, Lattice.square(4, 4), 1, 0)
 
 
 class TestBondFamiliesAgainstReference:

@@ -312,6 +312,8 @@ def _near_uniform(**changes) -> DeviceParams:
         (_near_uniform(omega_q=(2, 5.0)), ValueError, "not uniform"),
         # the same g and Omega, zero detuning on every site
         (DeviceParams.uniform_chain(4, g=1.0, delta=0.0, Omega=0.5), ZeroDivisionError, "zero"),
+        # a single site, with no bond
+        (DeviceParams.uniform_chain(1, g=1.0, delta=10.0, Omega=0.5), ValueError, "one bond"),
     ],
 )
 def test_refusals_run_after_a_kept_success(bad, error, match):
