@@ -18,16 +18,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).with_name("cli.json")
 
-# One command per mode of ``cli._mode``, every Hamiltonian kind, and the
-# org*/delta* kinds at t != 0; then CSV, a sweep, realistic simulate and a
-# table-1 audit on more than 64 sites (two mask words); then the README
-# examples, the benchmark's commands and the runs CI compares across hash
-# seeds; then the lattice edge cases of the checkerboard bond walk; then
-# synthesis and Dyson runs that CI also compares across hash seeds and
-# thread counts (the Dyson sweep takes 64 to 270 quadrature nodes); last,
-# two runs of the nine-piece zz original chain: a synthesis sweep (also
-# compared in CI) and realistic Ising blocks; last, the benchmark's Krylov
-# commutator norms.
+# One command per mode of ``cli._mode``, every Hamiltonian kind, the device
+# chain under each drive layout, and the org*/delta* kinds at t != 0; then
+# CSV, a sweep, realistic simulate and a table-1 audit on more than 64 sites
+# (two mask words); then the README examples, the benchmark's commands and
+# the runs CI compares across hash seeds; then the lattice edge cases of the
+# checkerboard bond walk; then synthesis and Dyson runs that CI also
+# compares across hash seeds and thread counts (the Dyson sweep takes 64 to
+# 270 quadrature nodes); then two runs of the nine-piece zz original chain:
+# a synthesis sweep (also compared in CI) and realistic Ising blocks; then
+# the benchmark's Krylov commutator norms; last, a Trotter audit of the
+# empty commutator (J = 0).
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -42,6 +43,8 @@ COMMANDS = [
     *(f"hamiltonian --kind {k} {_DEVICE} --t 0.1" for k in "org org_xy org_zz".split()),
     *(f"hamiltonian --kind {k} {_DEVICE} --t 0.3" for k in "delta delta_xy delta_zz".split()),
     "hamiltonian --kind qf_device --n 4 --drive odd --omega 0.5",
+    "hamiltonian --kind qf_device --n 5 --drive all --omega 0.5",
+    "hamiltonian --kind qf_device --n 5 --drive even --omega 0.5",
     "hamiltonian --kind h_even --n 4 --j 1 --format csv",
     "verify-frames --n 2 --delta 5 --g 0.1 --omega 0.25 --t 3",
     "verify-frames --params tests/golden/ladder.cfg --t 0.5 --mode rotating",
@@ -84,6 +87,7 @@ COMMANDS = [
     "errors --which trotter --model heis_da --n 14",
     "errors --which trotter --model heis_digital --n 14",
     "errors --which trotter --model xy2d_digital --nx 4 --ny 4",
+    "errors --which trotter --model heis_da --n 4 --j 0",
 ]
 
 
