@@ -36,6 +36,7 @@ from .pauli import (
     ConvergenceError,
     PauliSum,
     expm_hermitian,
+    _BITS,
     _check_dense,
     _expm_eigh,
     _from_sorted,
@@ -98,7 +99,7 @@ _KIND_MATS = {
 }
 
 # (x bit, z bit) of the letters X, Y, Z.
-_LETTER_BITS = ((1, 0), (1, 1), (0, 1))
+_LETTER_BITS = tuple(_BITS[p] for p in "XYZ")
 
 
 def _derive_tables() -> tuple[dict, dict]:

@@ -7,7 +7,9 @@ The family tree, in physics terms:
 * In the "quad frame" (drive rotation, then drive-axis rotation, then
   generalized-Rabi rotation) the chain reduces, to first order in
   Omega/delta and after a rotating-wave approximation, to the purely
-  two-local cross-resonance chain H = J * sum_k x_k z_{k+1}.
+  two-local cross-resonance chain H = J * sum_k x_k z_{k+1}. The lattice
+  kinds and the device chain (:func:`build_qf_effective`) alike take
+  their cross-resonance bonds from the one ``_PHASE_CHAINS`` row rule.
 * Single-qubit gate layers toggle that chain into xx/zz, xx/yy, zz/yy
   sublattice forms, whose sums realize Ising (zz), XY (xx + yy) and
   Heisenberg (xx + yy + zz) target models.
@@ -37,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
-from .pauli import _BITS, PauliSum, _from_rows, _from_sorted, _summed, _weighted
+from .pauli import PauliSum, _from_rows, _from_sorted, _masks, _summed, _weighted
 
 __all__ = [
     "HamiltonianKind",
@@ -159,11 +161,7 @@ BondEntries = tuple[tuple[str, str, float], ...]
 
 def _row(coeff: float, *letters: tuple[int, str]) -> tuple[int, int, float]:
     """``(x, z, coeff)`` mask row of the string with each letter on its 0-based site."""
-    x = z = 0
-    for site, letter in letters:
-        bx, bz = _BITS[letter]
-        x, z = x | bx << site, z | bz << site
-    return x, z, coeff
+    return (*_masks(letters), coeff)
 
 
 def _bond_family(
@@ -201,11 +199,18 @@ _PHASE_CHAINS: dict[HamiltonianKind, tuple[str, float, bool, bool]] = {
 }
 
 
-def _phase_chain(kind: HamiltonianKind, lat: Lattice, j: float, phi: float) -> PauliSum:
-    letter, sign, on_odd, on_even = _PHASE_CHAINS[kind]
-    weighted = ((letter, math.cos(phi)), ("Y", sign * math.sin(phi)))
-    spec = tuple(("X", b, w) for b, w in weighted if abs(w) > 0)
-    return _bond_family(lat, spec if on_odd else (), spec if on_even else (), j)
+def _phase_rows(
+    kind: HamiltonianKind, bonds: Sequence[tuple[int, int, float, float]], n: int
+) -> PauliSum:
+    """``kind``'s J x_a (a cos(phi) + s sin(phi) y)_b on ``(a, b, J, phi)`` bonds; no row for a 0.0 factor."""
+    letter, sign, _, _ = _PHASE_CHAINS[kind]
+    rows = [
+        _row(j * w, (a, "X"), (b, second))
+        for a, b, j, phi in bonds
+        for second, w in ((letter, math.cos(phi)), ("Y", sign * math.sin(phi)))
+        if w != 0.0
+    ]
+    return _from_rows(n, rows)
 
 
 _XX: BondEntries = (("X", "X", 1.0),)
@@ -271,8 +276,8 @@ def build_canonical(
     The kind is looked up in the two kind tables: phase-sensitive chains
     and phase-free bond families. ``phi`` enters only the
     drive-phase-sensitive forms (the control chain and the
-    single-sublattice cross-resonance chains); everything else fixes
-    phi = 0.
+    single-sublattice cross-resonance chains), which refuse a non-finite
+    one; everything else fixes phi = 0.
     """
     if kind not in _PHASE_CHAINS and kind not in _BONDS:
         raise ValueError(f"{kind} is not a time-independent family member")
@@ -280,7 +285,13 @@ def build_canonical(
     if lat.dim != dim:
         raise ValueError(f"{kind.value} needs a {dim}D lattice")
     if kind in _PHASE_CHAINS:
-        return _phase_chain(kind, lat, j, phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite (got {phi})")
+        _, _, on_odd, on_even = _PHASE_CHAINS[kind]
+        if lat.periodic and on_odd != on_even:
+            lat.require_even_extents()
+        bonds = [(s, t, j, phi) for s, t, odd in lat.bonds() if (on_odd if odd else on_even)]
+        return _phase_rows(kind, bonds, lat.n_sites)
     return _bond_family(lat, *entries, j)
 
 
@@ -306,7 +317,7 @@ def lab_frame_hamiltonian(p: DeviceParams) -> TimeDependentHamiltonian:
         if p.Omega[k] == 0.0:
             continue
         drive = ("cos", float(p.omega[k]), float(p.phi[k]))
-        pieces.append((PauliSum.from_sites(n, {k: "X"}, float(p.Omega[k])), (drive,)))
+        pieces.append((_from_rows(n, [_row(float(p.Omega[k]), (k, "X"))]), (drive,)))
     return TimeDependentHamiltonian(n, tuple(pieces))
 
 
@@ -364,45 +375,23 @@ def build_qf_effective(
     convention relative to the all-driven case. Targets must carry
     Omega = 0 and zero detuning.
     """
-    n = p.n
-    rows: list[tuple[int, int, float]] = []
     if drive is DriveConfig.ALL:
-        for k in range(n - 1):
-            jk = effective_coupling(p, k + 1)
-            if jk == 0.0:
-                continue
-            dphi = float(p.phi[k] - p.phi[k + 1])
-            c, s = math.cos(dphi), math.sin(dphi)
-            if c != 0.0:
-                rows.append(_row(jk * c, (k, "X"), (k + 1, "Z")))
-            if s != 0.0:
-                rows.append(_row(-jk * s, (k, "X"), (k + 1, "Y")))
-    else:
-        control_parity = 1 if drive is DriveConfig.ODD else 0
-        for k in range(n):
-            site = k + 1
-            if site % 2 != control_parity % 2 and p.is_driven(k):
-                raise ValueError(
-                    f"qubit {site} is driven but assigned a target role"
-                )
-        for k in range(n - 1):
-            site = k + 1
-            if site % 2 != control_parity % 2:
-                continue
-            if not p.is_driven(k):
-                continue
-            if p.delta[k + 1] != 0.0 or p.Omega[k + 1] != 0.0:
-                raise ValueError(
-                    f"target qubit {site + 1} must be undriven with zero detuning"
-                )
-            jk = -effective_coupling(p, k + 1)
-            ph = float(p.phi[k])
-            c, s = math.cos(ph), math.sin(ph)
-            if c != 0.0:
-                rows.append(_row(jk * c, (k, "X"), (k + 1, "X")))
-            if s != 0.0:
-                rows.append(_row(jk * s, (k, "X"), (k + 1, "Y")))
-    return _from_rows(n, rows)
+        bonds = [
+            (k, k + 1, effective_coupling(p, k + 1), float(p.phi[k] - p.phi[k + 1]))
+            for k in range(p.n - 1)
+        ]
+        return _phase_rows(HamiltonianKind.QF_EFFECTIVE, bonds, p.n)
+    first = int(drive is DriveConfig.EVEN)  # 0-based index of the first control
+    for k in range(1 - first, p.n, 2):
+        if p.is_driven(k):
+            raise ValueError(f"qubit {k + 1} is driven but assigned a target role")
+    bonds = []
+    for k in filter(p.is_driven, range(first, p.n - 1, 2)):
+        if p.delta[k + 1] != 0.0 or p.Omega[k + 1] != 0.0:
+            raise ValueError(f"target qubit {k + 2} must be undriven with zero detuning")
+        bonds.append((k, k + 1, -effective_coupling(p, k + 1), float(p.phi[k])))
+    kind = HamiltonianKind.QF_EFFECTIVE_ODD if first == 0 else HamiltonianKind.QF_EFFECTIVE_EVEN
+    return _phase_rows(kind, bonds, p.n)
 
 
 # ----------------------------------------------------------------------

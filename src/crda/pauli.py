@@ -4,15 +4,18 @@ Operators are complex-weighted sums of Pauli strings (tensor products of
 I, X, Y, Z). Strings are stored in the symplectic encoding: a pair of
 N-bit masks ``(x, z)`` with bit ``k`` describing site ``k``, and an
 explicit power of ``i`` folded into the coefficient (Aaronson & Gottesman,
-2004). A sum holds its masks bit-packed, as ``(terms, ceil(N/64))`` uint64
-word arrays sorted as ``(x, z)`` int tuples (as in Stim; Gidney, 2021),
-beside a complex128 weight array. Every consumer computes on these arrays;
-Python ints appear only where terms are read out, and only the CSR and
-diagonal builds walk terms, for per-string sign vectors and weight types.
-Products and commutators run as one vectorized kernel over all string
-pairs, so a pair costs a few word operations instead of O(4^N), and every
-result is summed per string in sorted order, bit for bit as a
-left-to-right Python loop over a dict of weights would sum it.
+2004). Letters and masks convert in one place: :func:`_masks` encodes
+``(site, letter)`` pairs and :func:`_pattern` decodes masks to a pattern
+string, for every term, builder and printout. A sum holds its masks
+bit-packed, as ``(terms, ceil(N/64))`` uint64 word arrays sorted as
+``(x, z)`` int tuples (as in Stim; Gidney, 2021), beside a complex128 weight
+array. Every consumer computes on these arrays; Python ints appear only
+where terms are read out, and only the CSR and diagonal builds walk terms,
+for per-string sign vectors and weight types. Products and commutators run
+as one vectorized kernel over all string pairs, so a pair costs a few word
+operations instead of O(4^N), and every result is summed per string in
+sorted order, bit for bit as a left-to-right Python loop over a dict of
+weights would sum it.
 
 A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X
 mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
@@ -70,9 +73,9 @@ PRUNE_TOL = 1e-14
 # Qubit limit of the dense routines (to_dense, expm_hermitian, the unitaries).
 DEFAULT_DENSE_LIMIT = 12
 
-# letter -> (x bit, z bit)
+# letter -> (x bit, z bit), and back
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_LETTER_OF = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_LETTER_OF = {bits: letter for letter, bits in _BITS.items()}
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _I_POW_RE = np.array([p.real for p in _I_POW])
@@ -126,6 +129,21 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
+def _masks(pairs: Iterable[tuple[int, str]]) -> tuple[int, int]:
+    """The one encoder: ``(x, z)`` masks with each ``(site, letter)`` pair's letter on its 0-based site."""
+    x = z = 0
+    for site, letter in pairs:
+        if letter not in _BITS:
+            raise ValueError(f"invalid Pauli letter {letter!r}")
+        x, z = x | _BITS[letter][0] << site, z | _BITS[letter][1] << site
+    return x, z
+
+
+def _pattern(n: int, x: int, z: int) -> str:
+    """The one decoder: the letters of masks ``(x, z)`` on ``n`` sites, site 0 leftmost."""
+    return "".join(_LETTER_OF[(x >> k) & 1, (z >> k) & 1] for k in range(n))
+
+
 def _product_phase_exp(x1, z1, x2, z2, popcount=int.bit_count):
     """Power of i picked up when composing two symplectic-encoded strings.
 
@@ -167,39 +185,21 @@ class PauliTerm:
 
     @classmethod
     def from_pattern(cls, pattern: str, coeff: complex = 1.0) -> "PauliTerm":
-        x = z = 0
-        for k, letter in enumerate(pattern):
-            try:
-                bx, bz = _BITS[letter]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {letter!r}") from None
-            x |= bx << k
-            z |= bz << k
-        return cls(len(pattern), x, z, complex(coeff))
+        return cls(len(pattern), *_masks(enumerate(pattern)), complex(coeff))
 
     @classmethod
     def from_sites(
         cls, n: int, sites: Mapping[int, str], coeff: complex = 1.0
     ) -> "PauliTerm":
         """Build a string that is identity except at the given 0-based sites."""
-        x = z = 0
-        for k, letter in sites.items():
+        for k in sites:
             if not 0 <= k < n:
                 raise ValueError(f"site {k} outside range 0..{n - 1}")
-            bx, bz = _BITS[letter]
-            if bx == bz == 0:
-                continue
-            if (x >> k) & 1 or (z >> k) & 1:
-                raise ValueError(f"site {k} assigned twice")
-            x |= bx << k
-            z |= bz << k
-        return cls(n, x, z, complex(coeff))
+        return cls(n, *_masks(sites.items()), complex(coeff))
 
     @property
     def pattern(self) -> str:
-        return "".join(
-            _LETTER_OF[((self.x >> k) & 1, (self.z >> k) & 1)] for k in range(self.n)
-        )
+        return _pattern(self.n, self.x, self.z)
 
     @property
     def weight(self) -> int:
@@ -333,7 +333,7 @@ class PauliSum:
 
     def __repr__(self) -> str:
         head = itertools.islice(self._keyed(), 6)
-        body = " + ".join(f"({c:.6g})*{PauliTerm(self.n, x, z, 1).pattern}" for x, z, c in head)
+        body = " + ".join(f"({c:.6g})*{_pattern(self.n, x, z)}" for x, z, c in head)
         more = "" if len(self) <= 6 else f" + ... [{len(self)} terms]"
         return f"PauliSum(n={self.n}: {body or '0'}{more})"
 
@@ -529,9 +529,7 @@ class PauliSum:
     # ------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        rows = sorted(
-            (t.pattern, t.coeff.real, t.coeff.imag) for t in self.terms()
-        )
+        rows = sorted((_pattern(self.n, x, z), c.real, c.imag) for x, z, c in self._keyed())
         return {
             "n": self.n,
             "terms": [{"p": p, "re": re, "im": im} for p, re, im in rows],

@@ -15,6 +15,10 @@ runs the complex recurrence on that matrix, whose bits the package's
 propagator must give on the state's real and imaginary parts; and the 2D
 translation and Trotter-audit references read every string out as a
 ``PauliTerm``, as the package's mask-word versions must match bit for bit.
+The letter loops encode and decode one letter at a time, as the package's
+one letter codec must reproduce; the device-chain reference writes out
+every bond row of ``build_qf_effective`` by hand, which the package
+derives from its phase-chain table bit for bit.
 """
 
 import itertools
@@ -234,7 +238,7 @@ def reference_trotter_checks(model, comm, j):
     out = [("all_terms_weight_3", 1.0 if weights <= {3} else 0.0, weights <= {3})]
     if model in ("heis_da", "xy2d_da"):
         mags = {round(abs(t.coeff), 12) for t in comm.terms()}
-        ok = mags == {round(2.0 * j * j, 12)}
+        ok = mags <= {round(2.0 * j * j, 12)}
         out.append(("coefficient_magnitudes_2j2", 1.0 if ok else 0.0, ok))
     if model == "xy2d_da":
         ok = all(
@@ -247,6 +251,108 @@ def reference_trotter_checks(model, comm, j):
 def term_bits(h):
     """Keys in order, each with its weight's exact bytes (signed zeros included)."""
     return [((t.x, t.z), struct.pack("<dd", t.coeff.real, t.coeff.imag)) for t in h.terms()]
+
+
+# letter -> (x bit, z bit), and back, written out for the letter loops below
+_REFERENCE_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_REFERENCE_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+
+def reference_from_pattern(pattern):
+    """``(x, z)`` of a pattern string, one letter at a time; refuses a letter outside IXYZ."""
+    x = z = 0
+    for k, letter in enumerate(pattern):
+        try:
+            bx, bz = _REFERENCE_BITS[letter]
+        except KeyError:
+            raise ValueError(f"invalid Pauli letter {letter!r}") from None
+        x |= bx << k
+        z |= bz << k
+    return x, z
+
+
+def reference_from_sites(n, sites):
+    """``(x, z)`` of letters on 0-based sites, one site at a time.
+
+    Refuses a site outside ``0..n-1`` before it reads any letter, then a
+    letter outside IXYZ.
+    """
+    for k in sites:
+        if not 0 <= k < n:
+            raise ValueError(f"site {k} outside range 0..{n - 1}")
+    x = z = 0
+    for k, letter in sites.items():
+        if letter not in _REFERENCE_BITS:
+            raise ValueError(f"invalid Pauli letter {letter!r}")
+        bx, bz = _REFERENCE_BITS[letter]
+        x |= bx << k
+        z |= bz << k
+    return x, z
+
+
+def reference_pattern(n, x, z):
+    """The letters of masks ``(x, z)``, site 0 leftmost, one site at a time."""
+    return "".join(_REFERENCE_LETTERS[((x >> k) & 1, (z >> k) & 1)] for k in range(n))
+
+
+def reference_qf_effective(p, drive):
+    """The device chain of ``hamiltonians.build_qf_effective``, bond by bond, with its refusals.
+
+    All-driven: per bond with J_k != 0, J_k cos(dphi) on XZ and -J_k
+    sin(dphi) on XY, dphi = phi_k - phi_{k+1}. Sublattice-driven: a driven
+    target is refused first; then per driven control, a target that is
+    driven or detuned is refused, and -J_k cos(phi_k) on XX and -J_k
+    sin(phi_k) on XY. A zero cos or sin gives no row; rows add up on 0.0
+    in a dict, in bond order.
+    """
+    from crda.device import DriveConfig, effective_coupling
+    from crda.pauli import PauliSum
+
+    def row(coeff, *letters):
+        x = z = 0
+        for site, letter in letters:
+            bx, bz = _REFERENCE_BITS[letter]
+            x, z = x | bx << site, z | bz << site
+        return x, z, coeff
+
+    n = p.n
+    rows = []
+    if drive is DriveConfig.ALL:
+        for k in range(n - 1):
+            jk = effective_coupling(p, k + 1)
+            if jk == 0.0:
+                continue
+            dphi = float(p.phi[k] - p.phi[k + 1])
+            c, s = math.cos(dphi), math.sin(dphi)
+            if c != 0.0:
+                rows.append(row(jk * c, (k, "X"), (k + 1, "Z")))
+            if s != 0.0:
+                rows.append(row(-jk * s, (k, "X"), (k + 1, "Y")))
+    else:
+        control_parity = 1 if drive is DriveConfig.ODD else 0
+        for k in range(n):
+            site = k + 1
+            if site % 2 != control_parity % 2 and p.is_driven(k):
+                raise ValueError(f"qubit {site} is driven but assigned a target role")
+        for k in range(n - 1):
+            site = k + 1
+            if site % 2 != control_parity % 2:
+                continue
+            if not p.is_driven(k):
+                continue
+            if p.delta[k + 1] != 0.0 or p.Omega[k + 1] != 0.0:
+                raise ValueError(f"target qubit {site + 1} must be undriven with zero detuning")
+            jk = -effective_coupling(p, k + 1)
+            ph = float(p.phi[k])
+            c, s = math.cos(ph), math.sin(ph)
+            if c != 0.0:
+                rows.append(row(jk * c, (k, "X"), (k + 1, "X")))
+            if s != 0.0:
+                rows.append(row(jk * s, (k, "X"), (k + 1, "Y")))
+    acc: dict[tuple[int, int], complex] = {}
+    for x, z, c in rows:
+        acc[(x, z)] = acc.get((x, z), 0.0) + c
+    return PauliSum(n, acc)
 
 
 # Drive-phase-sensitive chains J * sum x_k (a cos(phi) + s sin(phi) y)_{k+1}:

@@ -346,10 +346,20 @@ class TestTrotterCommutators:
             for model, lats in _TROTTER_LATTICES.items()
             for each in lats
         ]
+        reports += [unit_cell_report(), table1_check(lat)]
         moved = translate_2d(h_i, lat, 1, 0)
+        printed = (h_i.to_json_dict(), repr(h_i))
         monkeypatch.undo()
         assert moved == h_ii
         assert all(rep.passed for rep in reports)
+        assert printed[0]["terms"][0] == {"p": "IIIIIIIIIIIIIIYY", "re": 1.0, "im": 0.0}
+        assert printed[1].startswith("PauliSum(n=16: (1+0j)*XXIIIIIIIIIIIIII + ")
+
+    @pytest.mark.parametrize("model", sorted(_TROTTER_LATTICES))
+    def test_empty_commutator_passes_every_check(self, model):
+        rep = trotter_commutator(model, _TROTTER_LATTICES[model][0], j=0.0)
+        assert rep.entry("commutator_terms").value == 0.0
+        assert rep.passed, [(e.name, e.value) for e in rep.entries if e.passed is False]
 
     def test_heisenberg_da_matches_dense_oracle(self):
         for n in (4, 5):

@@ -11,6 +11,7 @@ from conftest import (
     REFERENCE_CELLS,
     dense_oracle,
     reference_canonical,
+    reference_qf_effective,
     reference_tiling,
     reference_translate_2d,
     term_bits,
@@ -36,6 +37,26 @@ from crda.pauli import PauliSum, PauliTerm, commutator
 
 def chain(n, boundary="open"):
     return Lattice.chain(n, boundary)
+
+
+def random_device(rng, n, drive):
+    """A device for a drive layout, which the layout may refuse.
+
+    g and Omega are random or exactly zero per bond and site (a qubit with
+    Omega = 0 is undriven, a control among them), a detuning is sometimes
+    exactly zero, and each phase is 0, +-pi/2 or random. A sublattice
+    layout's targets are mostly made undriven at zero detuning.
+    """
+    omega_q = rng.uniform(5.0, 10.0, n)
+    delta = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(-3.0, 3.0, n))
+    Omega = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-2.0, 2.0, n))
+    g = np.where(rng.random(n - 1) < 0.2, 0.0, rng.uniform(-1.0, 1.0, n - 1))
+    special = rng.choice([0.0, math.pi / 2, -math.pi / 2], n)
+    phi = np.where(rng.random(n) < 0.5, special, rng.uniform(-math.pi, math.pi, n))
+    if drive is not DriveConfig.ALL and rng.random() < 0.8:
+        target = np.arange(n) % 2 == int(drive is DriveConfig.ODD)  # 0-based parity
+        Omega[target], delta[target] = 0.0, 0.0
+    return DeviceParams(n=n, omega_q=omega_q, omega=omega_q - delta, Omega=Omega, phi=phi, g=g)
 
 
 class TestLabFrame:
@@ -159,8 +180,59 @@ class TestQfEffective:
         with pytest.raises(ValueError):
             build_qf_effective(p, DriveConfig.ODD)
 
+    @pytest.mark.parametrize("drive", list(DriveConfig))
+    def test_equals_reference_bond_rows(self, drive):
+        """Bit for bit, or the same refusal, on generated devices of 2 to 9 qubits."""
+        rng = np.random.default_rng(2024 + len(drive.value))
+        seen = set()
+        for n in range(2, 10):
+            for _ in range(80):
+                p = random_device(rng, n, drive)
+                try:
+                    want = reference_qf_effective(p, drive)
+                except (ValueError, ZeroDivisionError) as refusal:
+                    with pytest.raises(Exception) as got:
+                        build_qf_effective(p, drive)
+                    assert (type(got.value), str(got.value)) == (type(refusal), str(refusal))
+                    seen.add(re.sub(r"\d+", "k", str(refusal)))
+                    continue
+                got = build_qf_effective(p, drive)
+                assert term_bits(got) == term_bits(want)
+                pairs = zip((got._x, got._z, got._c), (want._x, want._z, want._c))
+                assert all(np.array_equal(a, b) for a, b in pairs)
+                seen.add("empty" if got.is_zero() else "built")
+        refusals = {"zero detuning on driven qubit k"}
+        if drive is not DriveConfig.ALL:
+            refusals |= {
+                "qubit k is driven but assigned a target role",
+                "target qubit k must be undriven with zero detuning",
+            }
+        assert seen == {"empty", "built"} | refusals
+
+    def test_builders_build_no_term(self, monkeypatch):
+        p = DeviceParams.uniform_chain(4, g=0.3, delta=2.0, Omega=0.7, phi=0.2, omega=9.0)
+        omega_q = np.array([50.0, 40.0, 30.0, 20.0])
+        sub = DeviceParams.cr_chain(omega_q, g=1.0, Omega=4.0, drive=DriveConfig.ODD)
+
+        def refuse(self):
+            raise AssertionError("a PauliTerm was built")
+
+        monkeypatch.setattr(PauliTerm, "__post_init__", refuse)
+        built = [build_qf_effective(p), build_qf_effective(sub, DriveConfig.ODD)]
+        built += [lab_frame_hamiltonian(p).at(0.3), rotating_frame_hamiltonian(p).at(0.3)]
+        built += [build_canonical(kind, chain(4), 0.7, 0.3) for kind in _PHASE_CHAINS]
+        monkeypatch.undo()
+        assert all(not h.is_zero() for h in built)
+
 
 class TestCanonicalChains:
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_refused(self, phi):
+        for kind in _PHASE_CHAINS:
+            for lat in (chain(1), chain(3, "periodic"), chain(4)):
+                with pytest.raises(ValueError, match="phi must be finite"):
+                    build_canonical(kind, lat, 0.7, phi)
+
     def test_h_even_reference(self):
         h = build_canonical(K.H_EVEN, chain(4), 1.0)
         want = (
@@ -399,7 +471,8 @@ class TestBondFamiliesAgainstReference:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_every_kind_equals_term_by_term_reference(self, dim, boundary):
         kinds = [(kind, 0.0) for kind in _BONDS]
-        kinds += [(kind, phi) for kind in _PHASE_CHAINS for phi in (0.0, 0.3, math.pi / 2)]
+        phases = (0.0, 0.3, math.pi / 2, -math.pi / 2, math.pi, -2.1)
+        kinds += [(kind, phi) for kind in _PHASE_CHAINS for phi in phases]
         for lat in self._lattices(dim, boundary):
             for kind, phi in kinds:
                 try:

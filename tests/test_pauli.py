@@ -591,6 +591,24 @@ class TestPauliSumInvariants:
         assert {(0.2, a): 1}[(0.2, b)] == 1
 
 
+class TestLetterCodec:
+    def test_bad_letter_is_a_value_error(self):
+        builds = (
+            lambda: PauliTerm.from_pattern("XQ"),
+            lambda: PauliSum.from_pattern("XQ"),
+            lambda: PauliTerm.from_sites(2, {0: "Q"}),
+            lambda: PauliSum.from_sites(2, {0: "Q"}),
+            lambda: PauliSum.from_sites(2, {1: "X", 0: "x"}),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match="^invalid Pauli letter '[Qx]'$"):
+                build()
+
+    def test_site_range_checked_before_letters(self):
+        with pytest.raises(ValueError, match=re.escape("site 5 outside range 0..1")):
+            PauliTerm.from_sites(2, {0: "Q", 5: "X"})
+
+
 class TestJson:
     def test_roundtrip_and_ordering(self, rng):
         h = random_pauli_sum(rng, 3, nterms=8)

@@ -8,6 +8,7 @@ share one X mask (at most one entry per row of the CSR matrix); the pool always 
 ``x = 0``, and an identity term is optional.
 """
 
+import json
 import operator
 from unittest import mock
 
@@ -23,8 +24,11 @@ from conftest import (
     reference_commutator,
     reference_csr,
     reference_dagger,
+    reference_from_pattern,
+    reference_from_sites,
     reference_from_terms,
     reference_neg,
+    reference_pattern,
     reference_product,
     reference_scale,
     reference_sub,
@@ -41,6 +45,8 @@ from crda.pauli import (
     _grouped,
     _mask_ints,
     _mask_words,
+    _masks,
+    _pattern,
     _popcount,
     _product_phase_exp,
     commutator,
@@ -482,3 +488,78 @@ def test_apply_and_expectation_equal_reference_matvec(h, seed):
 @given(csr_sums(max_n=6))
 def test_real_dtype_exactly_when_the_matrix_is_real(h):
     assert (h._csr_dtype() is float) == (not dense_oracle(h).imag.any())
+
+
+# ----------------------------------------------------------------------
+# the letter codec against the letter-by-letter reference loops
+# ----------------------------------------------------------------------
+
+_LETTERS = "IXYZ"
+# site counts: none, a few, and 63 to 70 (one and two mask words)
+_SIZES = st.integers(0, 8) | st.integers(63, 70)
+
+
+def _strings(n):
+    return st.text(_LETTERS, min_size=n, max_size=n)
+
+
+def letter_strings():
+    return _SIZES.flatmap(_strings)
+
+
+@given(letter_strings(), st.data())
+def test_letter_codec_equals_reference_loops(pattern, data):
+    n = len(pattern)
+    x, z = reference_from_pattern(pattern)
+    assert _masks(enumerate(pattern)) == (x, z)
+    assert _pattern(n, x, z) == reference_pattern(n, x, z) == pattern
+    if n == 0:
+        for build in (lambda: PauliTerm.from_pattern(pattern), lambda: PauliTerm.from_sites(0, {})):
+            with pytest.raises(ValueError, match="need at least one site"):
+                build()
+        return
+    t = PauliTerm.from_pattern(pattern, 0.5)
+    assert (t.n, t.x, t.z, t.coeff, t.pattern) == (n, x, z, 0.5 + 0j, pattern)
+    sites = data.draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(_LETTERS)))
+    s = PauliTerm.from_sites(n, sites)
+    assert (s.x, s.z) == reference_from_sites(n, sites)
+    assert s.pattern == reference_pattern(n, s.x, s.z)
+
+
+@given(letter_strings(), st.characters().filter(lambda c: c not in _LETTERS), st.integers(0, 70))
+def test_bad_letters_raise_the_reference_refusal(pattern, letter, at):
+    bad = pattern[:at] + letter + pattern[at:]
+    site = min(at, len(bad) - 1)
+    cases = (
+        (lambda: PauliTerm.from_pattern(bad), lambda: reference_from_pattern(bad)),
+        (lambda: _masks(enumerate(bad)), lambda: reference_from_pattern(bad)),
+        (
+            lambda: PauliSum.from_sites(len(bad), {site: letter}),
+            lambda: reference_from_sites(len(bad), {site: letter}),
+        ),
+    )
+    for build, reference in cases:
+        with pytest.raises(ValueError) as want:
+            reference()
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == str(want.value)
+
+
+@st.composite
+def wide_sums(draw):
+    """Sums of up to 9 strings, or the zero sum, on one or more of ``_SIZES`` sites."""
+    n = draw(_SIZES.filter(bool))
+    strings = draw(st.lists(_strings(n), max_size=9))
+    terms = [PauliTerm.from_pattern(p, complex(draw(_COEFFS), draw(_COEFFS))) for p in strings]
+    return PauliSum.from_terms(terms) if terms else PauliSum.zero(n)
+
+
+@given(wide_sums())
+def test_json_and_repr_decode_as_the_reference(h):
+    rows = sorted((reference_pattern(h.n, t.x, t.z), t.coeff.real, t.coeff.imag) for t in h.terms())
+    want = {"n": h.n, "terms": [{"p": p, "re": re, "im": im} for p, re, im in rows]}
+    assert json.dumps(h.to_json_dict()) == json.dumps(want)
+    head = " + ".join(f"({t.coeff:.6g})*{reference_pattern(h.n, t.x, t.z)}" for t in h.terms()[:6])
+    more = "" if len(h) <= 6 else f" + ... [{len(h)} terms]"
+    assert repr(h) == f"PauliSum(n={h.n}: {head or '0'}{more})"
