@@ -375,10 +375,10 @@ def build_qf_effective(
     convention relative to the all-driven case. Targets must carry
     Omega = 0 and zero detuning.
     """
-    if drive is DriveConfig.ALL:
+    if drive is DriveConfig.ALL:  # an uncoupled bond's phases are never read
+        couplings = (effective_coupling(p, bond) for bond in range(1, p.n))
         bonds = [
-            (k, k + 1, effective_coupling(p, k + 1), float(p.phi[k] - p.phi[k + 1]))
-            for k in range(p.n - 1)
+            (k, k + 1, j, p.phi[k] - p.phi[k + 1]) for k, j in enumerate(couplings) if j != 0.0
         ]
         return _phase_rows(HamiltonianKind.QF_EFFECTIVE, bonds, p.n)
     first = int(drive is DriveConfig.EVEN)  # 0-based index of the first control
@@ -389,7 +389,7 @@ def build_qf_effective(
     for k in filter(p.is_driven, range(first, p.n - 1, 2)):
         if p.delta[k + 1] != 0.0 or p.Omega[k + 1] != 0.0:
             raise ValueError(f"target qubit {k + 2} must be undriven with zero detuning")
-        bonds.append((k, k + 1, -effective_coupling(p, k + 1), float(p.phi[k])))
+        bonds.append((k, k + 1, -effective_coupling(p, k + 1), p.phi[k]))
     kind = HamiltonianKind.QF_EFFECTIVE_ODD if first == 0 else HamiltonianKind.QF_EFFECTIVE_EVEN
     return _phase_rows(kind, bonds, p.n)
 

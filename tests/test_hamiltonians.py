@@ -209,6 +209,20 @@ class TestQfEffective:
             }
         assert seen == {"empty", "built"} | refusals
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_uncoupled_bond_phase_is_not_read(self, bad):
+        p = DeviceParams(
+            n=3,
+            omega_q=np.full(3, 10.0),
+            omega=np.array([0.0, 10.0, 10.0]),
+            Omega=np.array([0.5, 0.0, 0.0]),
+            phi=np.array([0.3, 0.0, bad]),
+            g=np.ones(2),
+        )
+        got = build_qf_effective(p)
+        assert term_bits(got) == term_bits(reference_qf_effective(p, DriveConfig.ALL))
+        assert got.num_terms() == 2
+
     def test_builders_build_no_term(self, monkeypatch):
         p = DeviceParams.uniform_chain(4, g=0.3, delta=2.0, Omega=0.7, phi=0.2, omega=9.0)
         omega_q = np.array([50.0, 40.0, 30.0, 20.0])

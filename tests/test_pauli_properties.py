@@ -1,7 +1,8 @@
 """Property tests of the numerical backends against the dense oracle, of
 the vectorized pair kernel and the array algebra against the reference
-loops, and of the row-block CSR build against the column-by-column
-reference build.
+loops, of the row-block CSR build against the column-by-column
+reference build, and of the letter codec, the JSON rows and the repr
+against the letter-by-letter reference loops.
 
 Generated sums draw their X masks from a small pool, so several strings
 share one X mask (at most one entry per row of the CSR matrix); the pool always offers
