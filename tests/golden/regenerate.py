@@ -27,8 +27,10 @@ CORPUS = Path(__file__).with_name("cli.json")
 # compares across hash seeds and thread counts (the Dyson sweep takes 64 to
 # 270 quadrature nodes); then two runs of the nine-piece zz original chain:
 # a synthesis sweep (also compared in CI) and realistic Ising blocks; then
-# the benchmark's Krylov commutator norms; last, a Trotter audit of the
-# empty commutator (J = 0).
+# the benchmark's Krylov commutator norms; a Trotter audit of the empty
+# commutator (J = 0); last, fused compiles of the 1D protocols (xy1d merges
+# h even + h odd into h all) and the structured branch of a --params device
+# (a file holding omega_q), each with one flag override.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -88,6 +90,10 @@ COMMANDS = [
     "errors --which trotter --model heis_digital --n 14",
     "errors --which trotter --model xy2d_digital --nx 4 --ny 4",
     "errors --which trotter --model heis_da --n 4 --j 0",
+    "compile --model ising --n 5 --tau 0.3 --fuse",
+    "compile --model xy1d --n 6 --fuse",
+    "hamiltonian --kind qf_device --params tests/golden/device.cfg --g 0.7",
+    "errors --which synthesis --model control --params tests/golden/device.cfg --g 0.5 --t 0.2",
 ]
 
 
