@@ -259,61 +259,53 @@ def compile_model(
     return fuse(schedule) if fuse_layers else schedule
 
 
+def _fused(a, b, n: int) -> tuple[GateLayer, ...] | None:
+    """The layers that adjacent steps ``a`` then ``b`` reduce to, or None.
+
+    An inverse pair reduces to no layer. A same-support pair whose product
+    is a catalogued kind, or equal kinds on disjoint supports, reduce to one
+    layer, on ``all``, ``even`` or ``odd`` when one names its sites.
+    """
+    if not (isinstance(a, GateLayer) and isinstance(b, GateLayer)):
+        return None
+    sa, sb = frozenset(a.sites(n)), frozenset(b.sites(n))
+    if sa == sb:
+        kind = compose_kinds(a.kind, b.kind)
+    else:
+        kind = a.kind if a.kind is b.kind and not sa & sb else None
+    if kind is None:
+        return None
+    if kind is GateLayerKind.IDENTITY:
+        return ()
+    for name in ("all", "even", "odd"):
+        if sa | sb == frozenset(GateLayer(kind, name).sites(n)):
+            return (GateLayer(kind, name),)
+    return (GateLayer(kind, tuple(sorted(k + 1 for k in sa | sb))),)
+
+
 def fuse(schedule: Schedule) -> Schedule:
     """Peephole reduction of adjacent gate layers; the unitary is unchanged.
 
-    Cancels exact inverse pairs, replaces a same-support pair by one layer
-    when their product is again a catalogued kind, and merges equal-kind
-    layers on disjoint supports into one layer.
+    Drops identity layers, then reduces adjacent pairs by :func:`_fused`
+    left to right, each step at most once a pass, until a pass leaves the
+    length unchanged (every reduction shortens it).
     """
-    n = schedule.n
-    steps = [
-        s
-        for s in schedule.steps
-        if not (isinstance(s, GateLayer) and s.kind is GateLayerKind.IDENTITY)
-    ]
-
-    def support_of(layer: GateLayer) -> frozenset[int]:
-        return frozenset(layer.sites(n))
-
-    def layer_for(kind: GateLayerKind, sites: frozenset[int]) -> GateLayer:
-        for name in ("all", "even", "odd"):
-            if sites == support_of(layer := GateLayer(kind, name)):
-                return layer
-        return GateLayer(kind, tuple(sorted(k + 1 for k in sites)))
-
-    changed = True
-    while changed:
-        changed = False
-        out: list[GateLayer | AnalogSegment] = []
-        i = 0
-        while i < len(steps):
-            a = steps[i]
-            b = steps[i + 1] if i + 1 < len(steps) else None
-            if isinstance(a, GateLayer) and isinstance(b, GateLayer):
-                sa, sb = support_of(a), support_of(b)
-                if sa == sb:
-                    k = compose_kinds(a.kind, b.kind)
-                    if k is GateLayerKind.IDENTITY:
-                        i += 2
-                        changed = True
-                        continue
-                    if k is not None:
-                        out.append(layer_for(k, sa))
-                        i += 2
-                        changed = True
-                        continue
-                elif a.kind is b.kind and not (sa & sb):
-                    out.append(layer_for(a.kind, sa | sb))
-                    i += 2
-                    changed = True
-                    continue
-            out.append(a)
-            i += 1
+    identity = GateLayerKind.IDENTITY
+    steps = [s for s in schedule.steps if not (isinstance(s, GateLayer) and s.kind is identity)]
+    length = None
+    while len(steps) != length:
+        length = len(steps)
+        out, i = [], 0
+        while i < length:
+            fused = _fused(steps[i], steps[i + 1], schedule.n) if i + 1 < length else None
+            if fused is None:
+                out.append(steps[i])
+                i += 1
+            else:
+                out += fused
+                i += 2
         steps = out
-    return Schedule(
-        n=n, steps=tuple(steps), repetitions=schedule.repetitions, model=schedule.model
-    )
+    return replace(schedule, steps=tuple(steps))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,9 @@ translation and Trotter-audit references read every string out as a
 The letter loops encode and decode one letter at a time, as the package's
 one letter codec must reproduce; the device-chain reference writes out
 every bond row of ``build_qf_effective`` by hand, which the package
-derives from its phase-chain table bit for bit.
+derives from its phase-chain table bit for bit. The fusion reference is
+the peephole pass loop with its ``changed`` flag, whose steps the
+package's pair-rule loop must give on every schedule.
 """
 
 import itertools
@@ -529,3 +531,64 @@ def reference_tiling(kind: str, lat, j: float = 1.0):
             sites = {lat.site_index(*end): letter for end in ends}
             terms.append(PauliTerm.from_sites(lat.n_sites, sites, j))
     return reference_from_terms(lat.n_sites, terms)
+
+
+def reference_fuse(schedule):
+    """The peephole fusion as first written: a ``changed`` flag repeats passes.
+
+    Each pass walks the steps left to right and, at each gate-layer pair,
+    cancels an inverse pair, composes a same-support pair into a catalogued
+    kind, or merges equal kinds on disjoint supports, then skips past both.
+    The package's pair-rule fusion must give the same steps.
+    """
+    from crda.compiler import AnalogSegment, Schedule
+    from crda.frames import GateLayer, GateLayerKind, compose_kinds
+
+    n = schedule.n
+    steps = [
+        s
+        for s in schedule.steps
+        if not (isinstance(s, GateLayer) and s.kind is GateLayerKind.IDENTITY)
+    ]
+
+    def support_of(layer: GateLayer) -> frozenset[int]:
+        return frozenset(layer.sites(n))
+
+    def layer_for(kind: GateLayerKind, sites: frozenset[int]) -> GateLayer:
+        for name in ("all", "even", "odd"):
+            if sites == support_of(layer := GateLayer(kind, name)):
+                return layer
+        return GateLayer(kind, tuple(sorted(k + 1 for k in sites)))
+
+    changed = True
+    while changed:
+        changed = False
+        out: list[GateLayer | AnalogSegment] = []
+        i = 0
+        while i < len(steps):
+            a = steps[i]
+            b = steps[i + 1] if i + 1 < len(steps) else None
+            if isinstance(a, GateLayer) and isinstance(b, GateLayer):
+                sa, sb = support_of(a), support_of(b)
+                if sa == sb:
+                    k = compose_kinds(a.kind, b.kind)
+                    if k is GateLayerKind.IDENTITY:
+                        i += 2
+                        changed = True
+                        continue
+                    if k is not None:
+                        out.append(layer_for(k, sa))
+                        i += 2
+                        changed = True
+                        continue
+                elif a.kind is b.kind and not (sa & sb):
+                    out.append(layer_for(a.kind, sa | sb))
+                    i += 2
+                    changed = True
+                    continue
+            out.append(a)
+            i += 1
+        steps = out
+    return Schedule(
+        n=n, steps=tuple(steps), repetitions=schedule.repetitions, model=schedule.model
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import dense_oracle, layer_oracle
+from conftest import dense_oracle, layer_oracle, reference_fuse
 from crda import compiler, frames
 from crda.compiler import (
     AnalogSegment,
@@ -251,6 +251,20 @@ class TestFusion:
         sf = fuse(s)
         assert len(sf.steps) == 1
         assert sf.steps[0].support == "all"
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_compiled_schedules_fuse_as_reference(self, kind, reps):
+        if kind is ModelKind.XY_2D:
+            lattices = [
+                Lattice.square(nx, ny, boundary=b)
+                for nx in (2, 4, 6) for ny in (2, 4) for b in ("open", "periodic")
+            ]
+        else:
+            lattices = [Lattice.chain(n) for n in range(2, 13)]
+        for lat in lattices:
+            s = compile_model(TargetModel(kind, lat, repetitions=reps))
+            assert fuse(s).steps == reference_fuse(s).steps
 
 
 class TestSimulate:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_oracle, layer_oracle
+from conftest import dense_oracle, layer_oracle, reference_fuse
 from crda.compiler import AnalogSegment, Schedule, block_unitary, fuse
 from crda.frames import (
     GateLayer,
@@ -96,6 +96,19 @@ def test_fuse_preserves_block_unitary(parts):
     fused = fuse(s)
     assert len(fused.steps) <= len(s.steps)
     assert np.allclose(block_unitary(fused), block_unitary(s), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=1000)
+@given(st.lists(chunks(), min_size=1, max_size=9))
+@example([[GateLayer(G.HADAMARD, "even")], [GateLayer(G.HADAMARD, "odd")]])
+@example([[GateLayer(G.SPHASE, (1,))], [GateLayer(G.SPHASE, (2,))], [_SEGMENT]])
+@example([[GateLayer(G.IDENTITY, (2, 3))], [GateLayer(G.RX90, (1,))], [GateLayer(G.RX90, (3,))]])
+def test_fuse_matches_reference(parts):
+    # Same-support pairs, lone layers of every kind (identity included) on
+    # named or tuple supports, and analog segments; the examples merge
+    # disjoint supports into "all", a site tuple and "odd".
+    s = Schedule(n=_N, steps=tuple(step for part in parts for step in part))
+    assert fuse(s).steps == reference_fuse(s).steps
 
 
 def _haar_unitary(rng, dim):
