@@ -260,18 +260,13 @@ def compile_model(
 
 
 def _fused(a, b, n: int) -> tuple[GateLayer, ...] | None:
-    """The layers that adjacent steps ``a`` then ``b`` reduce to, or None.
-
-    An inverse pair reduces to no layer. A same-support pair whose product
-    is a catalogued kind, or equal kinds on disjoint supports, reduce to one
-    layer, on ``all``, ``even`` or ``odd`` when one names its sites.
-    """
+    """The layers adjacent steps ``a`` then ``b`` reduce to; None if no rule applies."""
     if not (isinstance(a, GateLayer) and isinstance(b, GateLayer)):
         return None
     sa, sb = frozenset(a.sites(n)), frozenset(b.sites(n))
-    if sa == sb:
+    if sa == sb:  # an inverse pair cancels; a catalogued product replaces the pair
         kind = compose_kinds(a.kind, b.kind)
-    else:
+    else:  # equal kinds on disjoint supports merge
         kind = a.kind if a.kind is b.kind and not sa & sb else None
     if kind is None:
         return None
@@ -287,11 +282,16 @@ def fuse(schedule: Schedule) -> Schedule:
     """Peephole reduction of adjacent gate layers; the unitary is unchanged.
 
     Drops identity layers, then reduces adjacent pairs by :func:`_fused`
-    left to right, each step at most once a pass, until a pass leaves the
-    length unchanged (every reduction shortens it).
+    left to right, each step in at most one reduction per pass. Every
+    reduction shortens the steps, so passes repeat until one leaves their
+    number unchanged. A merged support is named ``all``, ``even`` or
+    ``odd`` when one names its sites, else a sorted site tuple.
     """
-    identity = GateLayerKind.IDENTITY
-    steps = [s for s in schedule.steps if not (isinstance(s, GateLayer) and s.kind is identity)]
+    steps = [
+        s
+        for s in schedule.steps
+        if not (isinstance(s, GateLayer) and s.kind is GateLayerKind.IDENTITY)
+    ]
     length = None
     while len(steps) != length:
         length = len(steps)

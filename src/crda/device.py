@@ -43,7 +43,7 @@ class DeviceParams:
     """Per-qubit drive settings and per-bond static couplings.
 
     Arrays are length ``n`` for per-qubit fields and length ``n - 1`` for
-    the bond couplings ``g`` (open-chain convention).
+    the bond couplings ``g`` (open-chain convention); every entry is finite.
     """
 
     n: int
@@ -63,6 +63,9 @@ class DeviceParams:
         object.__setattr__(self, "g", g)
         if g.shape not in {(self.n - 1,), (self.n,)}:
             raise ValueError("g must have length n-1 (open) or n (periodic)")
+        for name in ("omega_q", "omega", "Omega", "phi", "g"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def delta(self) -> np.ndarray:

@@ -779,7 +779,8 @@ def spectral_norm(
     if skew and dtype is complex:
         h, skew = 1j * h, False
     gram = not skew and not h.is_hermitian()
-    need = h._matrix_bytes(dtype) + _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
+    # the matrix with its row pointers, as _build_csr counts it, and the vectors
+    need = h._matrix_bytes(dtype) + (8 << h.n) + _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
     _check_memory(need, "Lanczos norm")
     m = h._build_csr(dtype)
     dim = 1 << h.n

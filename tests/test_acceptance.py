@@ -9,7 +9,8 @@ coherently by both of its toggled images, so its norm is time dependent,
 (g/4) sqrt((N-1) (4 + 2 cos^2(delta t))), and touches the quoted
 (g/2) sqrt(N-1) only at odd quarter periods. The second half of the
 criterion asserts the quoted constant at all sampled times and therefore
-fails; the numerics above it document exactly why.
+fails; the numerics above it document exactly why. Criterion 1c asserts
+the time-resolved law on the same grid.
 """
 
 import subprocess
@@ -108,6 +109,29 @@ class TestCriterion1Synthesis:
             f"{match_at_quarter:.2e}; measured norm follows "
             "(g/4)sqrt((N-1)(4+2cos^2(dt)))",
         )
+
+    def test_1c_xy_time_resolved_defect_norm(self):
+        started = time.time()
+        worst = worst_closed = 0.0
+        for n in self.N_RANGE:
+            p = DeviceParams.uniform_chain(
+                n, g=1.0, delta=self.DELTA, Omega=self.RATIO * self.DELTA
+            )
+            for t in self._times():
+                report = synthesis_norm("xy", p, t)
+                value = report.entry("frobenius_norm").value
+                law = 0.25 * np.sqrt((n - 1) * (4 + 2 * np.cos(self.DELTA * t) ** 2))
+                closed = report.entry("closed_form_time_resolved").value
+                worst = max(worst, abs(value - law))
+                worst_closed = max(worst_closed, abs(value - closed) / closed)
+        _criterion(
+            "1c",
+            f"xy defect norm follows (g/4)sqrt((N-1)(4+2cos^2(dt))) to {self.TOL}",
+            worst <= self.TOL and worst_closed <= 1e-12,
+            f"worst |dev| = {worst:.2e} over N=2..8 x 20 times; "
+            f"closed_form_time_resolved agrees to {worst_closed:.1e} relative",
+        )
+        _runtime("1c", started, 10.0)
 
 
 class TestCriterion2Dyson:

@@ -359,6 +359,22 @@ class TestParamsFile:
         assert data["config"]["resolved_model"]["tau"] == 0.2
         assert "n" not in data["config"]
 
+    @pytest.mark.parametrize("phi", ["phi.1 = inf", "phi.2 = nan", "phi.3 = nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "hamiltonian --kind qf_device",
+            "errors --which synthesis --model control",
+            "verify-frames --t 0.5",
+        ],
+    )
+    def test_non_finite_phase_in_file_refused(self, tmp_path, capsys, command, phi):
+        cfg = tmp_path / "dev.cfg"
+        cfg.write_text(f"n = 3\ng = 1\nomega_q = 10\nOmega.1 = 0.5\nomega.1 = 0\n{phi}\n")
+        code, out, err = run_cli([*command.split(), "--params", str(cfg)], capsys)
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["message"] == "phi must be finite"
+
     def test_verify_frames_echoes_file_device(self, tmp_path, capsys):
         cfg = tmp_path / "dev.cfg"
         cfg.write_text("n = 3\ng = 0.1\nomega_q = 40.0\nomega.1 = 35.0\nOmega.1 = 0.25\n")

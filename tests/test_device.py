@@ -1,6 +1,7 @@
 """Device parameters, lattices, regime checks, and configuration files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,23 @@ class TestEffectiveCoupling:
         assert len(js) == 1
         g, d, om = p.uniform()
         assert (g, d, om) == (1.0, 10.0, 0.4)
+
+
+class TestDeviceFields:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["omega_q", "omega", "Omega", "phi", "g"])
+    def test_non_finite_field_refused(self, field, bad):
+        # even a phase no bond reads (qubit 3 is an undriven target)
+        fields = {
+            "omega_q": np.full(3, 10.0),
+            "omega": np.array([0.0, 10.0, 10.0]),
+            "Omega": np.array([0.5, 0.0, 0.0]),
+            "phi": np.array([0.3, 0.0, 0.0]),
+            "g": np.ones(2),
+        }
+        fields[field][-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DeviceParams(n=3, **fields)
 
 
 class TestRegime:

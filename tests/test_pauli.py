@@ -404,7 +404,8 @@ class TestMemoryGuard:
 
     def test_real_matrix_refused_at_its_real_size(self):
         # two X masks on 40 sites, both with real weights: 2^41 entries of
-        # 8 B data and an 8 B index, where a complex matrix has 24 B each
+        # 8 B data and an 8 B index, where a complex matrix has 24 B each;
+        # 2^40 row pointers of 8 B, and the norm's five 8 B Lanczos vectors
         h = PauliSum.from_pattern("XZ" * 20) + PauliSum.from_pattern("Y" * 40)
         assert h._csr_dtype() is float
 
@@ -414,7 +415,7 @@ class TestMemoryGuard:
         entries = 2 << 40
         tracemalloc.start()
         try:
-            with pytest.raises(DenseLimitError, match=gib(16 * entries + 5 * (8 << 40))):
+            with pytest.raises(DenseLimitError, match=gib(16 * entries + (8 << 40) + 5 * (8 << 40))):
                 spectral_norm(h)
             with pytest.raises(DenseLimitError, match=gib(16 * entries + (8 << 40))):
                 h._build_csr(float)
