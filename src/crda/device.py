@@ -179,15 +179,14 @@ class DeviceParams:
         """
         if not self.g.size:
             raise ValueError("a uniform chain needs at least one bond (two sites)")
-        driven = [k for k in range(self.n) if self.is_driven(k)]
+        delta, Omega, g = self.delta.tolist(), self.Omega.tolist(), self.g.tolist()
+        driven = [k for k in range(self.n) if Omega[k] != 0.0]
         if not driven:
-            return float(self.g[0]), float(self.delta[0]), 0.0
-        ds = {round(float(self.delta[k]), 12) for k in driven}
-        oms = {round(float(self.Omega[k]), 12) for k in driven}
-        gs = {round(float(v), 12) for v in self.g}
-        if len(ds) > 1 or len(oms) > 1 or len(gs) > 1:
-            raise ValueError("device parameters are not uniform")
-        return float(self.g[0]), float(self.delta[driven[0]]), float(self.Omega[driven[0]])
+            return g[0], delta[0], 0.0
+        for values in ([delta[k] for k in driven], [Omega[k] for k in driven], g):
+            if len({round(v, 12) for v in set(values)}) > 1:  # each distinct value rounded once
+                raise ValueError("device parameters are not uniform")
+        return g[0], delta[driven[0]], Omega[driven[0]]
 
 
 def effective_coupling(p: DeviceParams, k: int) -> float:

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
-from .pauli import PauliSum, _from_rows, _from_sorted, _masks, _summed, _weighted
+from .pauli import PauliSum, _FoldPlan, _from_rows, _from_sorted, _masks, _summed
 
 __all__ = [
     "HamiltonianKind",
@@ -106,6 +106,13 @@ class TimeDependentHamiltonian:
     :data:`Sinusoid` factors whose product multiplies the sum; the empty
     tuple is the constant 1. Weights are data, so ``frequencies`` (and the
     fastest one, which integrators resolve) are read off the factors.
+
+    The pieces' strings never change, so their keys are grouped once, at
+    the first :meth:`weighted_sum`, into a fold plan
+    (:class:`~crda.pauli._FoldPlan`) that every later call reuses. The plan
+    is kept outside the fields, so ``==``, ``hash`` and ``repr`` do not see
+    it; it is read-only and stored in one assignment, so threads may share
+    a chain.
     """
 
     n: int
@@ -120,18 +127,23 @@ class TimeDependentHamiltonian:
                 out[i] *= _TRIG[fn](omega * times + phase)
         return out
 
+    @functools.cached_property
+    def _plan(self) -> _FoldPlan:
+        return _FoldPlan(self.n, [ps for ps, _ in self.pieces])
+
     def weighted_sum(self, scalars: Sequence[float] | np.ndarray) -> PauliSum:
         """The pieces' Pauli sums scaled by one scalar per piece, summed in order.
 
         Bit for bit the loop ``out = out + float(c) * ps`` from the zero sum,
-        run as one pass over all terms (:func:`~crda.pauli._weighted`).
-        Raises ``ValueError`` unless there is one scalar per piece, and on a
-        non-finite weight.
+        folded through the chain's plan: one scaling of every term, then one
+        vector step per bucket of terms that share a key, with no regrouping
+        (:class:`~crda.pauli._FoldPlan`). Raises ``ValueError`` unless there
+        is one scalar per piece, and on a non-finite weight.
         """
         scalars = [float(c) for c in scalars]
         if len(scalars) != len(self.pieces):
             raise ValueError(f"{len(scalars)} scalars for {len(self.pieces)} pieces")
-        return _weighted(self.n, [ps for ps, _ in self.pieces], scalars)
+        return self._plan(scalars)
 
     def at(self, t: float) -> PauliSum:
         return self.weighted_sum(self.weights(t))

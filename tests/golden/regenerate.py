@@ -4,14 +4,16 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Each command runs in process through ``crda.cli.main``; ``--params`` paths
-are relative to the repository root. A change that moves a printed number
-regenerates the corpus and names each moved number and its cause.
+Each command runs in process through ``crda.cli.main``, from the
+repository root, so ``--params`` paths resolve there wherever the script
+is started. A change that moves a printed number regenerates the corpus
+and names each moved number and its cause.
 """
 
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -97,12 +99,23 @@ COMMANDS = [
 ]
 
 
+@contextlib.contextmanager
+def _at_root():
+    """Work in ``ROOT`` for the block (``contextlib.chdir`` from Python 3.11 on)."""
+    before = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
 def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``crda`` on ``argv``, run in process."""
+    """Exit code and stdout of ``crda`` on ``argv``, run in process from ``ROOT``."""
     from crda.cli import main
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with _at_root(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     return code, out.getvalue()
 

@@ -16,7 +16,7 @@ import pytest
 
 GOLDEN = Path(__file__).with_name("golden")
 sys.path.insert(0, str(GOLDEN))
-from regenerate import COMMANDS, ROOT, run  # noqa: E402
+from regenerate import COMMANDS, run  # noqa: E402
 
 CORPUS = json.loads((GOLDEN / "cli.json").read_text())
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
@@ -32,8 +32,7 @@ def test_corpus_holds_every_command():
 
 
 @pytest.mark.parametrize("command", list(CORPUS))
-def test_stdout_matches_corpus(command, monkeypatch):
-    monkeypatch.chdir(ROOT)  # --params paths are relative to the repository root
+def test_stdout_matches_corpus(command):
     want = CORPUS[command]
     code, stdout = run(command.split())
     assert code == want["exit"]
@@ -47,3 +46,11 @@ def test_stdout_matches_corpus(command, monkeypatch):
         if not math.isclose(got, ref, rel_tol=1e-12)
     ]
     assert not moved, f"numbers moved (index, got, recorded): {moved[:5]}"
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--params" in c])
+def test_params_paths_resolve_from_any_working_directory(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # --params paths name files under the repository root
+    code, _ = run(command.split())
+    assert code == 0
+    assert Path.cwd() == tmp_path

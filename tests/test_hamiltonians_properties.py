@@ -3,13 +3,18 @@
 Weights are checked against a per-time ``math`` evaluation
 (``conftest.sinusoid_product``), the derived frequencies against the
 frequencies each family is built from, the piece-integrated Dyson
-integral against a quadrature sum of per-node snapshots, and the one-pass
-weighted sum against the left-to-right reference loop, bit for bit. The
+integral against a quadrature sum of per-node snapshots, and the folded
+weighted sum against the left-to-right reference loop, bit for bit: on a
+fresh chain per case, and on one kept chain whose fold plan serves many
+scalar vectors, from one thread or four, without grouping keys again. The
 original and defect chains kept per uniform chain are checked against a
 fresh build, bit for bit, and for their refusals and read-only arrays.
 """
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from conftest import (
     sinusoid_product,
     term_bits,
 )
+from crda import pauli
 from crda.device import DeviceParams
 from crda.errors import dyson_propagator_diff, synthesis_norm
 from crda.hamiltonians import (
@@ -148,7 +154,7 @@ def test_dyson_integral_matches_snapshot_quadrature(p, t):
 
 
 # ----------------------------------------------------------------------
-# the one-pass weighted sum against the reference loop, bit for bit
+# the folded weighted sum against the reference loop, bit for bit
 # ----------------------------------------------------------------------
 
 # Weight parts and scalars that carry signed zeros, cancel a running sum
@@ -247,6 +253,82 @@ def test_weighted_sum_needs_one_scalar_per_piece():
         with pytest.raises(ValueError, match=f"{len(scalars)} scalars for {len(gen.pieces)} pieces"):
             gen.weighted_sum(scalars)
     assert TimeDependentHamiltonian(2, ()).weighted_sum([]) == PauliSum.zero(2)
+
+
+# ----------------------------------------------------------------------
+# the fold plan of a kept chain, built once and reused
+# ----------------------------------------------------------------------
+
+# Scalars that a kept plan must not carry from one call to the next: an
+# exact zero of either sign, one that scales every weight below PRUNE_TOL,
+# and one that overflows a scaled or a running weight.
+_SPECIAL = (0.0, -0.0, 5e-15, 1.7e308)
+
+
+def _scalar_vectors(gen: TimeDependentHamiltonian) -> list[np.ndarray]:
+    """``weights(t)`` on a grid, then copies with special scalars laid over them."""
+    grid = [gen.weights(t) for t in np.linspace(0.0, 2.5, 11)]
+    vectors = list(grid)
+    for k, w in enumerate(grid):
+        for j, s in enumerate(_SPECIAL):
+            v = w.copy()
+            v[(k + j) % len(v) :: len(_SPECIAL)] = s
+            vectors.append(v)
+    vectors += [np.full(len(gen.pieces), s) for s in _SPECIAL]
+    return vectors + grid  # the grid again, after every special vector
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", _ORG_KINDS + _DELTA_KINDS)
+def test_one_kept_chain_folds_every_vector_as_the_reference_loop(kind, n):
+    # g = 3 puts weights above 1, so 1.7e308 overflows some scaled weights
+    gen = _kept(kind, DeviceParams.uniform_chain(n, g=3.0, delta=-7.0, Omega=0.8))
+    for scalars in _scalar_vectors(gen):
+        _assert_weighted_sum_matches_reference(gen, scalars)
+
+
+def test_a_fresh_chain_folds_from_four_threads_as_in_series():
+    p = DeviceParams.uniform_chain(6, g=1.0, delta=10.0, Omega=0.5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the plan build too
+    try:
+        for kind in _ORG_KINDS + _DELTA_KINDS:
+            vectors = [v for v in _scalar_vectors(_fresh(kind, p)) if np.abs(v).max() < 1e300]
+            serial = _fresh(kind, p)
+            want = [term_bits(serial.weighted_sum(v)) for v in vectors]
+            shared = _fresh(kind, p)  # no plan yet: the threads race to build it
+            start = threading.Barrier(4, timeout=30)
+
+            def fold(_):
+                start.wait()
+                return [term_bits(shared.weighted_sum(v)) for v in vectors]
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(fold, k) for k in range(4)]
+                assert [f.result(timeout=60) for f in futures] == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", _ORG_KINDS + _DELTA_KINDS)
+def test_a_kept_chain_groups_its_keys_once(kind, monkeypatch):
+    p = DeviceParams.uniform_chain(5, g=1.0, delta=10.0, Omega=0.5)
+    gen = _fresh(kind, p)
+    gen.at(0.1)
+
+    def regroup(*args):
+        raise AssertionError("keys grouped again")
+
+    monkeypatch.setattr(pauli, "_grouped", regroup)
+    pieces = [h for h, _ in gen.pieces]
+    for t in np.linspace(0.0, 3.0, 50):
+        want = reference_weighted_sum(p.n, pieces, gen.weights(t))
+        assert term_bits(gen.at(t)) == term_bits(want)
+    # the plan is no field: a chain that holds one equals, hashes and prints as one that does not
+    monkeypatch.undo()
+    fresh = _fresh(kind, p)
+    assert gen == fresh and hash(gen) == hash(fresh) and repr(gen) == repr(fresh)
+    assert {gen: 1}[fresh] == 1
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from conftest import dense_oracle, kron_pattern, random_pauli_sum
 from crda import pauli
 from crda.device import Lattice
 from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
-from crda.hamiltonians import TimeDependentHamiltonian
+from crda.hamiltonians import HamiltonianKind, TimeDependentHamiltonian, build_canonical
 from crda.pauli import (
     ConvergenceError,
     DenseLimitError,
@@ -237,6 +237,45 @@ class TestSpectralNorm:
 
     def test_zero_operator(self):
         assert spectral_norm(PauliSum.zero(3)) == 0.0
+
+
+def _no_csr(*args, **kwargs):
+    raise AssertionError("a sum of Z strings built a CSR matrix")
+
+
+class TestDiagonalNorm:
+    """A sum of Z strings: the largest |entry| of its diagonal, with no CSR build or Lanczos."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_zz_chain_norm_is_its_bond_count(self, n, monkeypatch):
+        monkeypatch.setattr(PauliSum, "_build_csr", _no_csr)
+        for boundary in ("open", "periodic"):
+            lat = Lattice.chain(n, boundary)
+            # every bond is +1 on the all-zeros basis state
+            bonds = len(list(lat.bonds()))
+            assert spectral_norm(build_canonical(HamiltonianKind.H_ZZ, lat)) == float(bonds)
+
+    def test_memory_guard_counts_one_weight_per_row(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(pauli, "_check_memory", lambda need, what: asked.append((need, what)))
+        h = build_canonical(HamiltonianKind.H_ZZ, Lattice.chain(20))
+        assert spectral_norm(h) == 19.0
+        assert asked == [(8 << 20, "diagonal norm")]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_dense_oracle(self, n, rng, monkeypatch):
+        monkeypatch.setattr(PauliSum, "_build_csr", _no_csr)
+        for real in (True, False):
+            terms = [
+                PauliTerm.from_pattern(
+                    "".join("IZ"[b] for b in rng.integers(0, 2, n)),
+                    rng.standard_normal() + (0.0 if real else 1j * rng.standard_normal()),
+                )
+                for _ in range(6)
+            ]
+            h = PauliSum.from_terms(terms)
+            ref = float(np.linalg.norm(dense_oracle(h), 2))
+            assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
 
 
 def _heis_layer(n: int, first: int) -> PauliSum:
