@@ -61,6 +61,7 @@ from .pauli import (
     _check_dense,
     _check_memory,
     _joined,
+    _left_sum,
     _split,
     expm_hermitian,
 )
@@ -167,7 +168,7 @@ class Schedule:
 
     @property
     def analog_time_per_block(self) -> float:
-        return sum(s.duration for s in self.steps if isinstance(s, AnalogSegment))
+        return _left_sum(s.duration for s in self.steps if isinstance(s, AnalogSegment))
 
     def segments(self) -> list[AnalogSegment]:
         return [s for s in self.steps if isinstance(s, AnalogSegment)]
@@ -432,7 +433,7 @@ def _chebyshev_propagator(h: PauliSum, tau: float) -> _Op:
     """
     if not h.is_hermitian():
         raise ValueError("a static segment needs a Hermitian operator")
-    r = sum(abs(c) for c in h._c.tolist())
+    r = _left_sum(abs(c) for c in h._c.tolist())
     if r == 0.0:
         return np.copy
     coef = _chebyshev_coefficients(r * tau)

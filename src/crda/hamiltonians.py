@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
-from .pauli import PauliSum, _FoldPlan, _from_rows, _from_sorted, _masks, _summed
+from .pauli import PauliSum, _FoldPlan, _from_rows, _from_sorted, _left_sum, _masks, _summed
 
 __all__ = [
     "HamiltonianKind",
@@ -155,7 +155,7 @@ class TimeDependentHamiltonian:
         A product of sinusoids at omega_1 .. omega_m holds no frequency above
         |omega_1| + ... + |omega_m|, so that sum stands for the weight.
         """
-        return tuple(sorted({sum(abs(om) for _, om, _ in w) for _, w in self.pieces if w}))
+        return tuple(sorted({_left_sum(abs(om) for _, om, _ in w) for _, w in self.pieces if w}))
 
     @property
     def max_frequency(self) -> float:

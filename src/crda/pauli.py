@@ -10,10 +10,10 @@ string, for every term, builder and printout. A sum holds its masks
 bit-packed, as ``(terms, ceil(N/64))`` uint64 word arrays sorted as
 ``(x, z)`` int tuples (as in Stim; Gidney, 2021), beside a complex128 weight
 array. Every consumer computes on these arrays; Python ints appear only
-where terms are read out, and only the CSR and diagonal builds walk terms,
-for per-string sign vectors and weight types. Products and commutators run
-as one vectorized kernel over all string pairs, so a pair costs a few word
-operations instead of O(4^N), and every result is summed per string in
+where terms are read out, and only the matrix builds walk terms, for
+per-string sign vectors. Products and commutators run as one vectorized
+kernel over all string pairs, so a pair costs a few word operations
+instead of O(4^N), and every result is summed per string in
 sorted order, bit for bit as a left-to-right Python loop over a dict of
 weights would sum it.
 
@@ -21,9 +21,10 @@ A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X
 mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
 column ``i ^ x``, unless that sum is exactly zero: the stored entries are
 the nonzero ones, and the memory guards count the upper bound of one
-entry per row and X mask. The matrix ``PauliSum.apply`` keeps is real where
-every weight is (:meth:`PauliSum._csr_dtype`), and a sum of Z strings keeps
-only its diagonal; both act as the complex matrix would, bit for bit.
+entry per row and X mask. A sum keeps one matrix (:meth:`PauliSum._operator`)
+for ``apply``, ``simulate`` and :func:`spectral_norm`, real where every
+weight is (:meth:`PauliSum._csr_dtype`), and a sum of Z strings keeps only
+its diagonal; both act as the complex matrix would, bit for bit.
 
 Conventions (fixed once, used everywhere):
 
@@ -44,7 +45,9 @@ sorted mask order so repeated runs are bitwise deterministic.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -390,16 +393,20 @@ class PauliSum:
         return ((x, z, c * _I_POW[-(x & z).bit_count() % 4]) for x, z, c in self._keyed())
 
     def _csr_dtype(self) -> type:
-        """``float`` when every weight ``a`` of :meth:`_weights` is exactly real, else ``complex``."""
-        return float if all(a.imag == 0.0 for _, _, a in self._weights()) else complex
+        """``float`` when each string's weight ``a = c i^-|x&z|`` is exactly real, else ``complex``."""
+        odd = _popcount(self._x & self._z) & 1  # a is ±c for an even Y count, ±i c for an odd one
+        return float if (np.where(odd, self._c.real, self._c.imag) == 0.0).all() else complex
 
     def _matrix_bytes(self, dtype: type = complex) -> int:
-        """Bytes of the CSR matrix at most: per row and X mask, a weight (8 B real, 16 B complex) and an index.
+        """Bytes of the CSR matrix at most, as :meth:`_build_csr` lays it out.
 
-        The matrix stores only its nonzero entries, so it may hold fewer.
+        Per row and X mask a weight (8 B real, 16 B complex) and an index, and
+        ``2^n + 1`` row pointers, both at :func:`_index_dtype`. The matrix
+        stores only its nonzero entries, so it may hold fewer.
         """
         entries = self._num_x_masks() << self.n
-        return entries * (np.dtype(dtype).itemsize + np.dtype(_index_dtype(entries)).itemsize)
+        index = np.dtype(_index_dtype(entries)).itemsize
+        return entries * (np.dtype(dtype).itemsize + index) + index * ((1 << self.n) + 1)
 
     def _build_csr(self, dtype: type = complex) -> scipy.sparse.csr_matrix:
         """CSR matrix of the nonzero entries, filled by blocks of rows; ``dtype=float`` keeps real parts.
@@ -422,7 +429,7 @@ class PauliSum:
         :meth:`_matrix_bytes`, exceeds physical memory.
         """
         n, dim, masks = self.n, 1 << self.n, self._num_x_masks()
-        _check_memory(self._matrix_bytes(dtype) + (8 << n), "sparse matrix")
+        _check_memory(self._matrix_bytes(dtype), "sparse matrix")
         itype = _index_dtype(masks << n)
         h = n // 2
         his, los = np.arange(dim >> h, dtype=itype), np.arange(1 << h, dtype=itype)
@@ -469,7 +476,7 @@ class PauliSum:
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
     def _operator(self) -> scipy.sparse.csr_matrix | scipy.sparse.dia_matrix:
-        """The matrix :meth:`apply` multiplies by, built at the first call and kept.
+        """The sum's one matrix, for :meth:`apply` and :func:`spectral_norm`, built at the first call and kept.
 
         Its dtype is :meth:`_csr_dtype`. A sum of Z strings (every X mask 0)
         keeps its diagonal as a DIA matrix, one weight per row: each weight
@@ -481,29 +488,17 @@ class PauliSum:
             if self._x.any():
                 self._matrix = self._build_csr(dtype)
             else:
-                self._matrix = scipy.sparse.dia_matrix((self._diagonal(dtype)[None], [0]), shape=(dim, dim))
+                idx = np.arange(dim, dtype=_index_dtype(dim))
+                diagonal = np.zeros(dim, dtype=dtype)
+                for _, z, a in self._weights():
+                    diagonal += (a.real if dtype is float else a) * _parity_signs(idx, z)
+                self._matrix = scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
         return self._matrix
 
-    def _diagonal(self, dtype: type) -> np.ndarray:
-        """The matrix diagonal of a sum of Z strings: per row, ``a (-1)^|i&z|`` summed from 0 in key order."""
-        dim = 1 << self.n
-        idx = np.arange(dim, dtype=_index_dtype(dim))
-        diagonal = np.zeros(dim, dtype=dtype)
-        for _, z, a in self._weights():
-            diagonal += (a.real if dtype is float else a) * _parity_signs(idx, z)
-        return diagonal
-
     def _operator_bytes(self) -> int:
-        """Bytes of :meth:`_operator` at most.
-
-        A weight per row for a diagonal; else :meth:`_matrix_bytes` and the
-        row pointers.
-        """
+        """Bytes of :meth:`_operator` at most: a weight per row for a diagonal, else :meth:`_matrix_bytes`."""
         dtype = self._csr_dtype()
-        if not self._x.any():
-            return np.dtype(dtype).itemsize << self.n
-        pointer = np.dtype(_index_dtype(self._num_x_masks() << self.n)).itemsize
-        return self._matrix_bytes(dtype) + pointer * ((1 << self.n) + 1)
+        return self._matrix_bytes(dtype) if self._x.any() else np.dtype(dtype).itemsize << self.n
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state.
@@ -526,7 +521,7 @@ class PauliSum:
 
     def frobenius_norm(self, normalized: bool = True) -> float:
         """sqrt of the summed squared weights, via Pauli-string orthogonality."""
-        s = np.sqrt(sum(abs(c) ** 2 for c in self._c.tolist()))
+        s = np.sqrt(_left_sum(abs(c) ** 2 for c in self._c.tolist()))
         return float(s if normalized else s * 2 ** (self.n / 2))
 
     # ------------------------------------------------------------------
@@ -549,6 +544,11 @@ class PauliSum:
             if terms[-1].n != n:
                 raise ValueError("pattern length inconsistent with n")
         return cls.from_terms(terms) if terms else cls.zero(n)
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """Floats added left to right from 0.0: the builtin ``sum`` before Python 3.12 (which compensates)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -784,10 +784,10 @@ def spectral_norm(
 ) -> float:
     """Largest singular value, by a three-term Lanczos recurrence on a Hermitian proxy.
 
-    A sum of at most one string has norm |c|, exactly, and a sum of Z
-    strings the largest |entry| of its diagonal (:meth:`PauliSum._diagonal`,
-    8 B a row for real weights), with no CSR build and no Lanczos. Otherwise
-    the recurrence (Lanczos, 1950) runs on the sum's CSR matrix ``m``, real when
+    A sum of at most one string has norm |c|, exactly. Any other sum reads
+    its kept matrix ``m`` (:meth:`PauliSum._operator`): for a sum of Z
+    strings the largest |entry| of its diagonal, with no Lanczos run.
+    Otherwise the recurrence (Lanczos, 1950) runs on ``m``, real when
     :meth:`PauliSum._csr_dtype` is ``float``, from a seeded start vector of
     its dtype. The proxy is ``m`` for a Hermitian ``h``; for a non-normal one
     ``m^H m``, ``m^H`` applied as ``m.T`` to the conjugated vector, whose top
@@ -795,7 +795,7 @@ def spectral_norm(
     of Hermitian sums) ``i m``. A real ``m`` is then antisymmetric, and with
     ``u_k = v_k / i^k`` from a real start every α is 0 and ``u_{k+1} β_k =
     m u_k + β_{k-1} u_{k-1}``: one real matvec per step on the Krylov space
-    of ``i m`` (Golub & Kahan, 1965). A complex ``m`` becomes that of ``i*h``.
+    of ``i m`` (Golub & Kahan, 1965). A complex ``m`` gives way to ``i*h``'s.
     Three vectors and no basis are kept: lost orthogonality only adds copies
     of converged Ritz values, so the extreme one is safe (Paige, 1980). Every
     5 steps, when β drops below ε = ``_LANCZOS_TOL`` times the largest
@@ -803,24 +803,22 @@ def spectral_norm(
     ``eigh_tridiagonal``; the loop stops once the Ritz value θ of largest
     magnitude has |β s| <= ε |θ|, s the last entry of its vector. Inner
     products are numpy sums (:func:`_vdot`). Overrunning ``max_iter`` steps
-    raises :class:`ConvergenceError` (CLI exit 4), and what would not fit in
-    physical memory :class:`DenseLimitError` (CLI exit 3) before allocating.
-    ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
+    raises :class:`ConvergenceError` (CLI exit 4), and a matrix and vectors
+    that would not fit in physical memory :class:`DenseLimitError` (CLI exit
+    3) before allocating. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
     """
     if len(h) <= 1:
         return max((abs(c) for c in h._c.tolist()), default=0.0)
-    dtype = h._csr_dtype()
-    if not h._x.any():  # a diagonal matrix: its largest |entry|
-        _check_memory(h._operator_bytes(), "diagonal norm")
-        return float(np.abs(h._diagonal(dtype)).max())
     skew = not h.is_hermitian() and (1j * h).is_hermitian()
-    if skew and dtype is complex:
+    if skew and h._csr_dtype() is complex:
         h, skew = 1j * h, False
+    dtype, diagonal = h._csr_dtype(), not h._x.any()
+    vectors = 0 if diagonal else _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
+    _check_memory(h._operator_bytes() + vectors, "diagonal norm" if diagonal else "Lanczos norm")
+    m = h._operator()
+    if diagonal:
+        return float(np.abs(m.data).max())
     gram = not skew and not h.is_hermitian()
-    # the matrix with its row pointers, as _build_csr counts it, and the vectors
-    need = h._matrix_bytes(dtype) + (8 << h.n) + _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
-    _check_memory(need, "Lanczos norm")
-    m = h._build_csr(dtype)
     dim = 1 << h.n
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)

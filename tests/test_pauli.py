@@ -380,6 +380,24 @@ class TestNormKinds:
         assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
         assert builds == [complex]
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_complex_skew_sum_runs_on_a_real_proxy(self, n, rng, monkeypatch):
+        # imaginary weights on strings with an even Y count: a complex
+        # matrix, whose proxy i*h has a real symmetric one
+        h = 1j * _real_sum(rng, n, 8, symmetric=True)
+        assert h._csr_dtype() is complex and (1j * h)._csr_dtype() is float
+        builds = []
+        build_csr = PauliSum._build_csr
+
+        def counted(self, dtype=complex):
+            builds.append(dtype)
+            return build_csr(self, dtype)
+
+        monkeypatch.setattr(PauliSum, "_build_csr", counted)
+        ref = float(np.linalg.norm(dense_oracle(h), 2))
+        assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
+        assert builds == [float]
+
     def test_real_non_normal_two_by_two(self):
         h = PauliSum.from_pattern("X") + PauliSum.from_pattern("Y", 1j)
         assert h._csr_dtype() is float
@@ -418,10 +436,11 @@ class TestStoredEntries:
         [("xy2d_digital", (4, 4), 786_432, 3_145_728), ("heis_digital", 14, 159_744, 409_600)],
     )
     def test_commutator_matrix_stores_only_nonzero_entries(self, model, size, stored, upper):
-        # the memory guard still counts one entry per row and X mask
+        # the memory guard still counts one entry per row and X mask, and
+        # one int32 row pointer per row and one more
         c = _split_commutator(model, size)
         assert c._num_x_masks() << c.n == upper
-        assert c._matrix_bytes(float) == upper * (8 + 4)
+        assert c._matrix_bytes(float) == upper * (8 + 4) + 4 * ((1 << c.n) + 1)
         m = c._build_csr(float)
         assert m.nnz == stored
         assert np.count_nonzero(m.data) == stored
@@ -509,9 +528,9 @@ class TestCachedMatrix:
             assert np.array_equal(h.apply(psi), first)
             h.expectation(psi)
         assert builds == [(n, float)]  # kept at _csr_dtype()
-        # the norm multiplies a real matrix of its own and keeps none
+        # the norm multiplies the kept matrix and builds none of its own
         assert spectral_norm(h) > 0.0
-        assert builds == [(n, float), (n, float)]
+        assert builds == [(n, float)]
         assert h._matrix is cached
         assert np.allclose(first, dense_oracle(h) @ psi, rtol=0.0, atol=1e-12)
 

@@ -491,6 +491,40 @@ def test_real_dtype_exactly_when_the_matrix_is_real(h):
     assert (h._csr_dtype() is float) == (not dense_oracle(h).imag.any())
 
 
+@st.composite
+def y_heavy_sums(draw):
+    """Sums whose strings hold Y on a drawn mask ``y`` (``x & z == y``), with
+    weight parts from the edge values, signed zeros among them, about half the time."""
+    n = draw(st.integers(1, 10))
+    masks = st.integers(0, (1 << n) - 1)
+    parts = _COEFFS | _EDGE_COEFFS
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        y, r, xs = draw(masks), draw(masks), draw(masks)
+        x, z = y | (r & xs), y | (r & ~xs & ((1 << n) - 1))
+        terms.append(PauliTerm(n, x, z, complex(draw(parts), draw(parts))))
+    return PauliSum.from_terms(terms)
+
+
+@given(csr_sums() | y_heavy_sums())
+def test_csr_dtype_equals_per_term_rule(h):
+    # the reference walks the strings: each matrix weight c i^-|x&z| real
+    real = all((t.coeff * _I_POW[-(t.x & t.z).bit_count() % 4]).imag == 0.0 for t in h.terms())
+    assert h._csr_dtype() is (float if real else complex)
+
+
+@given(csr_sums(max_n=10) | csr_sums(max_n=10, diagonal=True))
+def test_operator_bytes_bound_the_kept_matrix(h):
+    m, need = h._operator(), h._operator_bytes()
+    if m.format == "dia":
+        assert need == m.data.nbytes
+        return
+    held = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    assert need >= held
+    if m.nnz == h._num_x_masks() << h.n:  # no exact zero left out
+        assert need == held
+
+
 # ----------------------------------------------------------------------
 # the letter codec against the letter-by-letter reference loops
 # ----------------------------------------------------------------------
