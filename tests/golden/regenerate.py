@@ -32,7 +32,9 @@ CORPUS = Path(__file__).with_name("cli.json")
 # the benchmark's Krylov commutator norms; a Trotter audit of the empty
 # commutator (J = 0); last, fused compiles of the 1D protocols (xy1d merges
 # h even + h odd into h all) and the structured branch of a --params device
-# (a file holding omega_q), each with one flag override.
+# (a file holding omega_q), each with one flag override; a Trotter norm
+# near the top of the float range (weights of 2e152), and one whose Lanczos
+# recurrence would overflow (weights of 2e154), which is refused.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -96,6 +98,8 @@ COMMANDS = [
     "compile --model xy1d --n 6 --fuse",
     "hamiltonian --kind qf_device --params tests/golden/device.cfg --g 0.7",
     "errors --which synthesis --model control --params tests/golden/device.cfg --g 0.5 --t 0.2",
+    "errors --which trotter --model heis_da --n 4 --j 1e76",
+    "errors --which trotter --model heis_da --n 4 --j 1e77",
 ]
 
 
