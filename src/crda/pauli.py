@@ -40,6 +40,9 @@ Conventions (fixed once, used everywhere):
 Sums are canonical: one entry per string, coefficients below
 ``PRUNE_TOL`` (absolute) are dropped. All reductions iterate terms in
 sorted mask order so repeated runs are bitwise deterministic.
+
+From scipy the module imports only ``scipy.sparse``: the Lanczos Ritz step
+runs on numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 __all__ = [
@@ -552,8 +555,8 @@ def _left_sum(values: Iterable[float]) -> float:
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> as a numpy sum: a threaded BLAS dot's last digits follow the thread count."""
-    return complex(np.sum(np.conj(a) * b))
+    """<a|b> as a numpy sum (a threaded BLAS dot's last digits follow the thread count); a real ``a`` is not copied."""
+    return complex(np.sum(a.conj() * b))
 
 
 def _split(m, v: np.ndarray) -> list[np.ndarray]:
@@ -799,13 +802,15 @@ def spectral_norm(
     Three vectors and no basis are kept: lost orthogonality only adds copies
     of converged Ritz values, so the extreme one is safe (Paige, 1980). Every
     5 steps, when β drops below ε = ``_LANCZOS_TOL`` times the largest
-    tridiagonal entry, and at step 2^n (exact), the tridiagonal goes to
-    ``eigh_tridiagonal``; the loop stops once the Ritz value θ of largest
+    tridiagonal entry, and at step 2^n (exact), the k×k tridiagonal goes to
+    :func:`_top_ritz`; the loop stops once the Ritz value θ of largest
     magnitude has |β s| <= ε |θ|, s the last entry of its vector. Inner
-    products are numpy sums (:func:`_vdot`). Overrunning ``max_iter`` steps
-    raises :class:`ConvergenceError` (CLI exit 4), and a matrix and vectors
-    that would not fit in physical memory :class:`DenseLimitError` (CLI exit
-    3) before allocating. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
+    products are numpy sums (:func:`_vdot`). An α or β that overflows
+    float64 raises ``ValueError`` (CLI exit 2) before its Ritz step,
+    overrunning ``max_iter`` steps :class:`ConvergenceError` (CLI exit 4),
+    and a matrix and vectors that would not fit in physical memory
+    :class:`DenseLimitError` (CLI exit 3) before allocating. ``dense_limit``
+    is not read; ``perfbench/tracing.py`` binds it.
     """
     if len(h) <= 1:
         return max((abs(c) for c in h._c.tolist()), default=0.0)
@@ -828,28 +833,44 @@ def spectral_norm(
     alpha: list[float] = []
     beta: list[float] = []
     scale = 0.0  # largest |alpha|, beta so far: b <= ε * scale bounds the residual
-    for k in range(1, max_iter + 1):
-        w = m @ v
-        if gram:
-            w = (m.T @ w.conj()).conj()  # m^H w; conj() of a real vector is itself
-        a = 0.0 if skew else _vdot(v, w).real  # u_k^T m u_k = 0 for antisymmetric m
-        if not skew:
-            w -= a * v
-        if beta:
-            w += (beta[-1] if skew else -beta[-1]) * v_prev
-        b = float(np.sqrt(_vdot(w, w).real))
-        alpha.append(a)
-        scale = max(scale, abs(a), b)
-        if k % 5 == 0 or k == dim or b <= _LANCZOS_TOL * scale:
-            theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta)
-            i = np.argmax(np.abs(theta))
-            if k == dim or abs(b * s[-1, i]) <= _LANCZOS_TOL * abs(theta[i]):
-                lam = float(abs(theta[i]))
-                return float(np.sqrt(lam)) if gram else lam
-        beta.append(b)
-        w /= b
-        v_prev, v = v, w
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for k in range(1, max_iter + 1):
+            w = m @ v
+            if gram:
+                w = (m.T @ w.conj()).conj()  # m^H w; conj() of a real vector is itself
+            a = 0.0 if skew else _vdot(v, w).real  # u_k^T m u_k = 0 for antisymmetric m
+            if not skew:
+                w -= a * v
+            if beta:
+                w += (beta[-1] if skew else -beta[-1]) * v_prev
+            b = float(np.sqrt(_vdot(w, w).real))
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"Lanczos norm overflowed float64 at step {k} (alpha={a}, beta={b})")
+            alpha.append(a)
+            scale = max(scale, abs(a), b)
+            if k % 5 == 0 or k == dim or b <= _LANCZOS_TOL * scale:
+                theta, s = _top_ritz(alpha, beta)
+                if k == dim or abs(b * s) <= _LANCZOS_TOL * abs(theta):
+                    lam = abs(theta)
+                    return math.sqrt(lam) if gram else lam
+            beta.append(b)
+            w /= b
+            v_prev, v = v, w
     raise ConvergenceError(f"Lanczos did not converge in {max_iter} steps (tol={_LANCZOS_TOL})")
+
+
+def _top_ritz(alpha: Sequence[float], beta: Sequence[float]) -> tuple[float, float]:
+    """Ritz value θ of largest |θ| of the k×k Lanczos tridiagonal, and the last entry of its vector.
+
+    The matrix ``t`` holds ``alpha`` on its diagonal and ``beta`` on its
+    superdiagonal, and numpy's dense ``eigh`` reads its upper triangle: O(k³)
+    time and 8k² bytes for ``t``. The first of equal |θ| wins.
+    """
+    t = np.diag(alpha)
+    t.flat[1 :: len(alpha) + 1] = beta
+    theta, s = np.linalg.eigh(t, UPLO="U")
+    i = np.argmax(np.abs(theta))
+    return float(theta[i]), float(s[-1, i])
 
 
 def expm_hermitian(h: PauliSum, t: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,24 @@ class TestSpectralNorm:
 
     def test_zero_operator(self):
         assert spectral_norm(PauliSum.zero(3)) == 0.0
+
+    @pytest.mark.parametrize("kind", ["hermitian", "commutator", "complex"])
+    def test_overflow_is_refused_without_warnings(self, kind, rng):
+        # weights of 1e160: each proxy's squared vector norms overflow float64
+        if kind == "commutator":
+            h = commutator(random_pauli_sum(rng, 5, real=True), random_pauli_sum(rng, 5, real=True))
+        else:
+            h = random_pauli_sum(rng, 5, real=kind == "hermitian")
+        assert len(h) > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflowed float64"):
+                spectral_norm(1e160 * h)
+
+    def test_largest_finite_trotter_norm(self):
+        # weights of 2e152 keep the squares finite: the norm is 4√3 j² for j = 1e76
+        h = heisenberg_da_commutator_sum(4, 1e76)
+        assert spectral_norm(h) == pytest.approx(4 * np.sqrt(3) * 1e152, rel=1e-12)
 
 
 def _no_csr(*args, **kwargs):

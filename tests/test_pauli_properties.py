@@ -15,8 +15,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -110,6 +111,64 @@ def test_commutator_norm_matrix_free_matches_dense(c):
 def test_complex_sum_norm_matrix_free_matches_dense(h):
     # general complex weights: the h^dagger h proxy unless h is (anti-)Hermitian
     _assert_norms_agree(h)
+
+
+def _lanczos_ghosts(rng, k):
+    """``alpha, beta`` of ``k`` Lanczos steps, not reorthogonalized, on a diagonal with clustered top values.
+
+    Lost orthogonality repeats converged Ritz values (Paige, 1980), so the
+    tridiagonal holds near-duplicate Ritz values at its top.
+    """
+    spread = 10.0 ** rng.uniform(-12, -3)
+    d = np.concatenate([rng.uniform(-1, 1, rng.integers(20, 200)), 2 + spread * rng.standard_normal(3)])
+    v, v_prev = rng.standard_normal(d.size), np.zeros(d.size)
+    v /= np.linalg.norm(v)
+    alpha, beta = [], [0.0]
+    for _ in range(k):
+        w = d * v - beta[-1] * v_prev
+        alpha.append(v @ w)
+        w -= alpha[-1] * v
+        beta.append(np.linalg.norm(w))
+        v_prev, v = v, w / beta[-1]
+    return alpha, beta[1:k]
+
+
+@st.composite
+def tridiagonals(draw):
+    k = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["skew", "general", "decades", "ghosts"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ghosts":
+        return _lanczos_ghosts(rng, k)
+    alpha = np.zeros(k) if kind == "skew" else rng.standard_normal(k)
+    beta = 10.0 ** rng.uniform(-12, 3, k - 1) if kind == "decades" else rng.uniform(0.01, 2, k - 1)
+    return alpha.tolist(), beta.tolist()
+
+
+def _reference_ritz(alpha, beta):
+    """The Ritz value of largest magnitude and its vector's last entry, by scipy's tridiagonal solver.
+
+    Divide and conquer, the algorithm numpy's ``eigh`` runs on a matrix
+    that is already tridiagonal: near-duplicate Ritz values leave their
+    vectors free within their span, so only the same algorithm pins them.
+    """
+    try:
+        theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, lapack_driver="stevd")
+    except ValueError:
+        pytest.skip("this scipy has no stevd driver for eigh_tridiagonal")
+    i = np.argmax(np.abs(theta))
+    return theta[i], s[-1, i]
+
+
+@given(tridiagonals())
+@example(([0.0], []))
+@example(([-0.75], []))
+def test_top_ritz_matches_scipy_tridiagonal(ab):
+    alpha, beta = ab
+    theta, s = pauli._top_ritz(alpha, beta)
+    want_theta, want_s = _reference_ritz(alpha, beta)
+    assert abs(abs(theta) - abs(want_theta)) <= 1e-14 * abs(want_theta)
+    assert abs(abs(s) - abs(want_s)) <= 1e-12
 
 
 @st.composite
