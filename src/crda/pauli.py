@@ -555,7 +555,10 @@ def _left_sum(values: Iterable[float]) -> float:
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> as a numpy sum (a threaded BLAS dot's last digits follow the thread count); a real ``a`` is not copied."""
+    """<a|b> as a numpy sum: a threaded BLAS dot's last digits follow the thread count.
+
+    A real ``a`` is used as it is (its ``conj()`` returns it), with no copy.
+    """
     return complex(np.sum(a.conj() * b))
 
 

@@ -1,5 +1,6 @@
 """Property tests of the numerical backends against the dense oracle, of
-the vectorized pair kernel and the array algebra against the reference
+the Lanczos Ritz step against scipy's tridiagonal solver, of the
+vectorized pair kernel and the array algebra against the reference
 loops, of the row-block CSR build against the column-by-column
 reference build, and of the letter codec, the JSON rows and the repr
 against the letter-by-letter reference loops.
