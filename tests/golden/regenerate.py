@@ -34,7 +34,9 @@ CORPUS = Path(__file__).with_name("cli.json")
 # h even + h odd into h all) and the structured branch of a --params device
 # (a file holding omega_q), each with one flag override; a Trotter norm
 # near the top of the float range (weights of 2e152), and one whose Lanczos
-# recurrence would overflow (weights of 2e154), which is refused.
+# recurrence would overflow (weights of 2e154), which is refused; a table-1
+# audit on 144 sites (three mask words); a synthesis run whose squared
+# weights overflow float64, and a table-1 audit whose pair weights do.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -100,6 +102,9 @@ COMMANDS = [
     "errors --which synthesis --model control --params tests/golden/device.cfg --g 0.5 --t 0.2",
     "errors --which trotter --model heis_da --n 4 --j 1e76",
     "errors --which trotter --model heis_da --n 4 --j 1e77",
+    "errors --which table1 --nx 12 --ny 12",
+    "errors --which synthesis --model xy --n 4 --g 1e160",
+    "errors --which table1 --nx 4 --ny 4 --j 1e160",
 ]
 
 
@@ -115,12 +120,19 @@ def _at_root():
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``crda`` on ``argv``, run in process from ``ROOT``."""
+    """Exit code and stdout of ``crda`` on ``argv``, run in process from ``ROOT``.
+
+    An exception that ``main`` lets through exits 1, as ``python -m crda.cli``
+    does on an uncaught exception.
+    """
     from crda.cli import main
 
     out = io.StringIO()
     with _at_root(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception:
+            code = 1
     return code, out.getvalue()
 
 
