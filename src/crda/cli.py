@@ -136,8 +136,13 @@ def _flags(command: str) -> list[str]:
     return (_SUBCOMMANDS[command][1] + " params out format threads seed").split()
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ``crda`` parser, and its subparsers by name."""
+    """The ``crda`` parser, and its subparsers by name, built once per process.
+
+    Parsing leaves them as they are, and argparse finds ``sys.stderr`` and
+    the terminal width when it prints, so every call may share them.
+    """
     parser = argparse.ArgumentParser(
         prog="crda",
         description="cross-resonance digital-analog simulation toolkit",

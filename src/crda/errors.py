@@ -38,6 +38,7 @@ from .hamiltonians import (
 from .pauli import (
     PRUNE_TOL,
     PauliSum,
+    _anticommuting_pairs,
     _pair_terms,
     _pattern,
     _popcount,
@@ -301,9 +302,14 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
     h_ii = build_canonical(HamiltonianKind.H_II, lat, j)
 
     # [P, Q] is 2PQ for anticommuting strings and 0 otherwise; a pair counts
-    # when its commutator survives pruning, as in a PauliSum.
-    ia, ib, x, z, c = _pair_terms(h_i, h_ii, anticommuting_only=True)
-    size = np.hypot(2.0 * c.real, 2.0 * c.imag)
+    # when its commutator survives pruning, as in a PauliSum, which also
+    # refuses a commutator whose size overflows float64.
+    ia, ib = _anticommuting_pairs(h_i, h_ii)
+    x, z, c = _pair_terms(h_i, h_ii, (ia, ib))
+    with np.errstate(over="ignore"):
+        size = np.hypot(2.0 * c.real, 2.0 * c.imag)
+    if not np.isfinite(size).all():
+        raise ValueError("coefficient must be finite")
     counted = size > PRUNE_TOL
     nonzero = int(np.count_nonzero(counted))
     bad = counted & ((_popcount(x | z) != 3) | (np.abs(size - 2.0 * j * j) >= 1e-12))

@@ -12,8 +12,10 @@ bit-packed, as ``(terms, ceil(N/64))`` uint64 word arrays sorted as
 array. Every consumer computes on these arrays; Python ints appear only
 where terms are read out, and only the matrix builds walk terms, for
 per-string sign vectors. Products and commutators run as one vectorized
-kernel over all string pairs, so a pair costs a few word operations
-instead of O(4^N), and every result is summed per string in
+kernel over all string pairs (:func:`_pair_terms`): a product broadcasts
+one sum's term arrays against the other's, a commutator gathers the
+anticommuting pairs of a boolean parity table, and a pair costs a few
+word operations instead of O(4^N). Every result is summed per string in
 sorted order, bit for bit as a left-to-right Python loop over a dict of
 weights would sum it.
 
@@ -91,6 +93,10 @@ _I_POW_IM = np.array([p.imag for p in _I_POW])
 # and sixteen times the matrix entries it lays out at a time.
 _BLOCK_ENTRIES = 1 << 20
 
+# Weights from which pruning tests max(|re|, |im|) before hypot: about where
+# hypot's per-weight cost outgrows the fixed cost of the test's numpy calls.
+_MAX_FIRST_WEIGHTS = 1024
+
 # 2^n vectors the Lanczos norm holds besides the matrix: the current,
 # previous and work vectors, and the two temporaries of an inner product.
 _KRYLOV_VECTORS = 5
@@ -131,8 +137,16 @@ def _index_dtype(entries: int) -> type:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of ``(..., W)`` mask words, as int64."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    """Set bits of each row of ``(..., W)`` mask words, as int64.
+
+    The uint8 word counts are added one word at a time onto an int64 total,
+    which a reduction over the short last axis does several times slower.
+    """
+    counts = np.bitwise_count(words)
+    total = counts[..., 0].astype(np.int64)
+    for k in range(1, counts.shape[-1]):
+        total += counts[..., k]
+    return total
 
 
 def _masks(pairs: Iterable[tuple[int, str]]) -> tuple[int, int]:
@@ -163,8 +177,12 @@ def _product_phase_exp(x1, z1, x2, z2, popcount=int.bit_count, ys=None):
 
 
 def _clash_parity(x1, z1, x2, z2, popcount=int.bit_count):
-    """1 when two strings anticommute (odd count of clashing sites), else 0."""
-    return (popcount(x1 & z2) + popcount(z1 & x2)) & 1
+    """1 when two strings anticommute (odd count of clashing sites), else 0.
+
+    The clashes are the sites of ``x1 & z2`` and of ``z1 & x2``; the parity
+    of their total count is that of the one popcount of their XOR.
+    """
+    return popcount((x1 & z2) ^ (z1 & x2)) & 1
 
 
 @dataclass(frozen=True)
@@ -372,8 +390,7 @@ class PauliSum:
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         """Operator product, canonicalized."""
-        _, _, x, z, c = _pair_terms(self, other, anticommuting_only=False)
-        return _from_sorted(self.n, *_summed(x, z, c))
+        return _from_sorted(self.n, *_summed(*_pair_terms(self, other)))
 
     # ------------------------------------------------------------------
     # numerical backends
@@ -523,9 +540,22 @@ class PauliSum:
         return _vdot(state, self.apply(state))
 
     def frobenius_norm(self, normalized: bool = True) -> float:
-        """sqrt of the summed squared weights, via Pauli-string orthogonality."""
-        s = np.sqrt(_left_sum(abs(c) ** 2 for c in self._c.tolist()))
-        return float(s if normalized else s * 2 ** (self.n / 2))
+        """sqrt of the summed squared weights, via Pauli-string orthogonality.
+
+        The zero sum has norm 0.0 on any number of sites. A squared weight,
+        their sum or the unnormalized scale ``2^(n/2)`` that overflows float64
+        raises ``ValueError``.
+        """
+        if self.is_zero():
+            return 0.0
+        try:
+            s = math.sqrt(_left_sum(abs(c) ** 2 for c in self._c.tolist()))
+            s = s if normalized else s * 2 ** (self.n / 2)
+        except OverflowError:
+            s = math.inf
+        if not math.isfinite(s):
+            raise ValueError(f"Frobenius norm overflows float64 on {self.n} sites")
+        return s
 
     # ------------------------------------------------------------------
     # serialization
@@ -605,29 +635,44 @@ def _times(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _pair_terms(a: PauliSum, b: PauliSum, anticommuting_only: bool):
-    """Unsummed string products ``PQ`` of every pair, in a-major pair order.
+def _anticommuting_pairs(a: PauliSum, b: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Term indices ``(i, j)`` in ``a`` and ``b`` of the anticommuting string pairs, in a-major order.
 
-    Returns ``(i, j, x, z, c)``: the pair's term indices in ``a`` and ``b``,
-    the product's ``(pairs, W)`` mask words and its coefficient ``c1 * c2 *
-    i^e`` (:func:`_times`). With ``anticommuting_only`` commuting pairs are
-    dropped before any product is formed.
+    The ``(len(a), len(b))`` parity table is the XOR of each mask word's
+    clash parities, so its scratch holds one word per pair at a time.
     """
     a._require_same_size(b)
-    xa, za, ca, xb, zb, cb = a._x, a._z, a._c, b._x, b._z, b._c
-    if anticommuting_only:
-        i, j = np.nonzero(_clash_parity(xa[:, None], za[:, None], xb[None], zb[None], _popcount))
-    else:
-        i, j = np.repeat(np.arange(len(ca)), len(cb)), np.tile(np.arange(len(cb)), len(ca))
-    # np.take gathers rows several times faster than fancy indexing does
-    x1, z1, x2, z2 = (np.take(w, k, axis=0) for w, k in ((xa, i), (za, i), (xb, j), (zb, j)))
-    # each term's Y count once, gathered per pair
-    e = _product_phase_exp(x1, z1, x2, z2, _popcount, (_popcount(xa & za)[i], _popcount(xb & zb)[j]))
-    c = np.empty(len(i), dtype=complex)
+    odd = np.zeros((len(a), len(b)), dtype=bool)
+    for k in range(a._x.shape[1]):
+        xa, za, xb, zb = a._x[:, k, None], a._z[:, k, None], b._x[:, k], b._z[:, k]
+        odd ^= _clash_parity(xa, za, xb, zb, np.bitwise_count).view(bool)
+    return np.divmod(np.flatnonzero(odd), len(b))
+
+
+def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] | None = None):
+    """Unsummed string products ``PQ``, in a-major pair order, as ``(x, z, c)``.
+
+    Of every pair, as a ``(len(a), len(b))`` table that broadcasts ``a``'s
+    term arrays against ``b``'s; or of the ``pairs`` ``(i, j)`` of term
+    indices in ``a`` and ``b`` (:func:`_anticommuting_pairs`), gathered.
+    Each product has its ``(pairs, W)`` mask words and its coefficient ``c1 *
+    c2 * i^e`` (:func:`_times`, :func:`_product_phase_exp`), with each
+    term's Y count taken once.
+    """
+    a._require_same_size(b)
+    if pairs is None:
+        pick_a, pick_b = (lambda v: v[:, None]), (lambda v: v[None])
+    else:  # np.take gathers rows several times faster than fancy indexing does
+        pick_a, pick_b = (lambda v: np.take(v, pairs[0], axis=0)), (lambda v: np.take(v, pairs[1], axis=0))
+    x1, z1, y1, c1 = (pick_a(v) for v in (a._x, a._z, _popcount(a._x & a._z), a._c))
+    x2, z2, y2, c2 = (pick_b(v) for v in (b._x, b._z, _popcount(b._x & b._z), b._c))
+    e = _product_phase_exp(x1, z1, x2, z2, _popcount, (y1, y2))
+    c = np.empty(e.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        pr, pi = _times(ca.real[i], ca.imag[i], cb.real[j], cb.imag[j])
+        pr, pi = _times(c1.real, c1.imag, c2.real, c2.imag)
         c.real, c.imag = _times(pr, pi, _I_POW_RE[e], _I_POW_IM[e])
-    return i, j, x1 ^ x2, z1 ^ z2, c
+    w = a._x.shape[1]
+    return (x1 ^ x2).reshape(-1, w), (z1 ^ z2).reshape(-1, w), c.reshape(-1)
 
 
 def _grouped(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -753,10 +798,22 @@ def _from_rows(n: int, rows: Sequence[tuple[int, int, complex]]) -> PauliSum:
 
 
 def _pruned(x: np.ndarray, z: np.ndarray, c: np.ndarray):
-    """``(x, z, c)`` without the weights below ``PRUNE_TOL``; refuses non-finite weights."""
+    """``(x, z, c)`` without the weights of ``hypot(re, im) <= PRUNE_TOL``; refuses non-finite weights.
+
+    ``hypot(re, im) >= max(|re|, |im|)``, so from ``_MAX_FIRST_WEIGHTS``
+    weights on, a weight with either part above ``PRUNE_TOL`` is kept at
+    once and ``hypot`` decides only the rest. Fewer weights go to ``hypot``
+    at once: there its one call costs less than the test's extra calls.
+    """
     if not np.isfinite(c).all():
         raise ValueError("coefficient must be finite")
-    keep = np.hypot(c.real, c.imag) > PRUNE_TOL
+    if len(c) < _MAX_FIRST_WEIGHTS:
+        keep = np.hypot(c.real, c.imag) > PRUNE_TOL
+    else:
+        keep = (np.abs(c.real) > PRUNE_TOL) | (np.abs(c.imag) > PRUNE_TOL)
+        if not keep.all():
+            low = np.flatnonzero(~keep)
+            keep[low] = np.hypot(c.real[low], c.imag[low]) > PRUNE_TOL
     return (x, z, c) if keep.all() else (x[keep], z[keep], c[keep])
 
 
@@ -774,8 +831,7 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     pair contributes 2*PQ, otherwise nothing. The factor 2 is applied
     after summing; scaling by 2 is exact, so the order does not matter.
     """
-    _, _, x, z, c = _pair_terms(a, b, anticommuting_only=True)
-    x, z, c = _summed(x, z, c)
+    x, z, c = _summed(*_pair_terms(a, b, _anticommuting_pairs(a, b)))
     with np.errstate(over="ignore"):
         c.real *= 2.0
         c.imag *= 2.0

@@ -35,7 +35,10 @@ from hypothesis import settings
 
 # Property tests replay the same examples on every run: no random seed, no
 # example database, and no per-example deadline (a loaded host is slow).
+# The soak profile (``--hypothesis-profile soak``) replays 2,000 examples
+# per test the same way.
 settings.register_profile("crda", derandomize=True, database=None, deadline=None)
+settings.register_profile("soak", settings.get_profile("crda"), max_examples=2000)
 settings.load_profile("crda")
 
 I2 = np.eye(2, dtype=complex)

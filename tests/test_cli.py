@@ -446,6 +446,18 @@ class TestFailureModes:
             main(["simulate", "--model", "ising", "--n", "4", "--nope"])
         assert exc.value.code == 2
 
+    def test_one_parser_serves_runs_after_refusals(self, capsys):
+        assert _build_parser() is _build_parser()
+        argv = ["hamiltonian", "--kind", "h_xy", "--n", "4", "--j", "0.7"]
+        first = run_cli(argv, capsys)
+        assert first[0] == 0 and first[1]
+        with pytest.raises(SystemExit) as exc:  # refused by the parser
+            main(["hamiltonian", "--kind", "nope", "--n", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err  # the stderr of this call
+        assert run_cli(["errors", "--which", "trotter"], capsys)[0] == 2  # refused by main
+        assert run_cli(argv, capsys) == first
+
     def test_oversize_trotter_norm_is_resource_error(self, capsys):
         code, out, errtext = run_cli(
             ["errors", "--which", "trotter", "--model", "heis_digital", "--n", "40"], capsys

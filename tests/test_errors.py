@@ -97,6 +97,11 @@ class TestSynthesisNorm:
             rep = synthesis_norm("control", p, float(t))
             assert rep.entry("abs_deviation").value <= g * ratio
 
+    @pytest.mark.parametrize("model", ["control", "xy", "zz"])
+    def test_overflowing_norm_refused(self, model):
+        with pytest.raises(ValueError, match="overflows float64"):
+            synthesis_norm(model, uniform(4, g=1e160), 0.0)
+
     def test_zz_formula_consistent(self):
         p = uniform(5, ratio=0.1)
         rel_devs = []
@@ -225,6 +230,13 @@ class TestTable1:
     def test_scaled_coupling(self):
         rep = table1_check(Lattice.square(4, 4), j=0.5)
         assert rep.passed
+
+    @pytest.mark.parametrize("j", [1e154, 1e160])
+    def test_overflowing_pair_commutators_refused(self, j):
+        # 2 J^2 overflows float64: the pair weights are refused before the
+        # audit compares them with 2 J^2, which is inf as well
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            table1_check(Lattice.square(4, 4), j=j)
 
     def test_malformed_pairs_match_term_by_term_audit(self, monkeypatch):
         # Stray strings in H_II make malformed pair commutators; the

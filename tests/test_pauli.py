@@ -160,6 +160,34 @@ class TestFrobenius:
             ref = np.sqrt(np.trace(m.conj().T @ m).real / 2**n)
             assert np.isclose(h.frobenius_norm(normalized=True), ref, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 64, 2048, 5000])
+    def test_zero_sum_is_zero_on_any_size(self, n):
+        # 2^(n/2) alone overflows float64 from 2048 sites on
+        for normalized in (True, False):
+            assert PauliSum.zero(n).frobenius_norm(normalized) == 0.0
+
+    @pytest.mark.parametrize(
+        "h, normalized",
+        [
+            (PauliSum.from_pattern("XX", 1e160), True),  # its square overflows
+            (PauliSum.from_pattern("XI", 1e154) + PauliSum.from_pattern("IX", 1e154), True),  # their sum does
+            (PauliSum.identity(2048), False),  # the scale does
+        ],
+    )
+    def test_overflow_raises(self, h, normalized):
+        with pytest.raises(ValueError, match="overflows float64"):
+            h.frobenius_norm(normalized)
+
+    def test_finite_norms_keep_their_bits(self, rng):
+        # each weight squared by ** and summed left to right, as a loop would
+        h = random_pauli_sum(rng, 5, nterms=20) + PauliSum.from_pattern("XXIII", 1.3e154)
+        total = 0.0
+        for t in h.terms():
+            total += abs(t.coeff) ** 2
+        assert h.frobenius_norm() == float(np.sqrt(total))
+        assert h.frobenius_norm(False) == float(np.sqrt(total) * 2 ** 2.5)
+        assert PauliSum.identity(2046).frobenius_norm(False) == 2.0**1023
+
 
 class TestSpectralNorm:
     def test_single_string(self):

@@ -1,7 +1,8 @@
 """Property tests of the numerical backends against the dense oracle, of
 the Lanczos Ritz step against scipy's tridiagonal solver, of the
-vectorized pair kernel and the array algebra against the reference
-loops, of the row-block CSR build against the column-by-column
+vectorized pair kernel, its pieces (popcount, pruning, pair selection)
+and the array algebra against the reference loops, ``int.bit_count``
+and ``np.hypot``, of the row-block CSR build against the column-by-column
 reference build, and of the letter codec, the JSON rows and the repr
 against the letter-by-letter reference loops.
 
@@ -427,6 +428,84 @@ def test_array_phase_rule_matches_scalar_rule():
     assert exps.tolist() == [_product_phase_exp(*q) for q in zip(*masks)]
     parity = _clash_parity(*words, popcount=_popcount)
     assert parity.tolist() == [_clash_parity(*q) for q in zip(*masks)]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+def test_popcount_equals_int_bit_count(w):
+    # all-ones words among random ones: five of them count 320, past uint8
+    rng = np.random.default_rng(w)
+    ones = (1 << 64 * w) - 1
+    masks = [0, ones, ones ^ 1, 1 << 64 * w - 1] + [int.from_bytes(rng.bytes(8 * w), "little") for _ in range(60)]
+    words = _mask_words(masks, w)
+    counts = _popcount(words)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [m.bit_count() for m in masks]
+    assert _popcount(words.reshape(8, 8, w)).tolist() == counts.reshape(8, 8).tolist()
+
+
+_TOL = pauli.PRUNE_TOL
+_HALF_TOL = _TOL / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [
+        (_TOL, 0.0),
+        (np.nextafter(_TOL, np.inf), 0.0),
+        (0.0, -np.nextafter(_TOL, np.inf)),
+        (0.8 * _TOL, 0.8 * _TOL),  # only hypot keeps it
+        (_HALF_TOL, _HALF_TOL),
+        (np.nextafter(_HALF_TOL, 0.0), np.nextafter(_HALF_TOL, 0.0)),
+        (np.nextafter(_HALF_TOL, np.inf), -np.nextafter(_HALF_TOL, np.inf)),
+        (5e-324, 5e-324),
+        (2.2e-308, -1e-310),
+        (0.0, 0.0),
+        (-0.0, -0.0),
+        (1e308, 1e308),
+        (-1.0, 0.5),
+    ],
+)
+def test_pruned_keeps_what_hypot_keeps(re, im):
+    # one weight alone, and among weights either part of which decides,
+    # below and above the count from which the max-first test runs
+    mixed = [1.0, complex(re, im), 1e-15, 0.0, -3j]
+    for c in ([complex(re, im)], mixed, mixed * (pauli._MAX_FIRST_WEIGHTS // 5 + 1)):
+        c = np.array(c, dtype=complex)
+        keys = np.arange(len(c), dtype=np.uint64)[:, None]
+        x, z, kept = pauli._pruned(keys, keys, c)
+        want = np.hypot(c.real, c.imag) > _TOL
+        assert x[:, 0].tolist() == np.flatnonzero(want).tolist()
+        assert z.tolist() == x.tolist() and kept.tobytes() == c[want].tobytes()
+
+
+def _random_sum(rng, n, size):
+    """``size`` random strings on ``n`` sites, with complex normal weights."""
+    masks = [[int.from_bytes(rng.bytes(-(-n // 8)), "little") % (1 << n) for _ in range(2)] for _ in range(size)]
+    weights = rng.standard_normal((size, 2))
+    return PauliSum(n, {(x, z): complex(*c) for (x, z), c in zip(masks, weights)})
+
+
+@pytest.mark.parametrize("n, w", [(40, 1), (130, 3)])
+def test_anticommuting_pairs_in_row_major_order(n, w):
+    rng = np.random.default_rng(n)
+    a, b = (_random_sum(rng, n, size) for size in (37, 53))
+    i, j = pauli._anticommuting_pairs(a, b)
+    # the clash count's parity, from the two counts the reference loop adds
+    parity = [[((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1 for q in b.terms()] for p in a.terms()]
+    want_i, want_j = np.nonzero(np.array(parity))
+    assert a._x.shape[1] == w
+    assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_large_pair_equals_reference_loop(n):
+    # 300 x 300 terms: the full product table and the selected pairs at a
+    # size the generated pairs never reach, on one mask word and on three
+    rng = np.random.default_rng(300 + n)
+    a, b = _random_sum(rng, n, 300), _random_sum(rng, n, 300)
+    assert len(a) == len(b) == 300 and a._x.shape[1] == -(-n // 64)
+    assert term_bits(a @ b) == term_bits(reference_product(a, b))
+    assert term_bits(commutator(a, b)) == term_bits(reference_commutator(a, b))
 
 
 # ----------------------------------------------------------------------
