@@ -660,12 +660,12 @@ def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] |
     term's Y count taken once.
     """
     a._require_same_size(b)
-    if pairs is None:
-        pick_a, pick_b = (lambda v: v[:, None]), (lambda v: v[None])
+    if pairs is None:  # a's arrays down the table's rows, b's across its columns
+        pick, (i, j) = operator.getitem, (np.s_[:, None], np.s_[None])
     else:  # np.take gathers rows several times faster than fancy indexing does
-        pick_a, pick_b = (lambda v: np.take(v, pairs[0], axis=0)), (lambda v: np.take(v, pairs[1], axis=0))
-    x1, z1, y1, c1 = (pick_a(v) for v in (a._x, a._z, _popcount(a._x & a._z), a._c))
-    x2, z2, y2, c2 = (pick_b(v) for v in (b._x, b._z, _popcount(b._x & b._z), b._c))
+        pick, (i, j) = functools.partial(np.take, axis=0), pairs
+    x1, z1, y1, c1 = (pick(v, i) for v in (a._x, a._z, _popcount(a._x & a._z), a._c))
+    x2, z2, y2, c2 = (pick(v, j) for v in (b._x, b._z, _popcount(b._x & b._z), b._c))
     e = _product_phase_exp(x1, z1, x2, z2, _popcount, (y1, y2))
     c = np.empty(e.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
