@@ -36,7 +36,11 @@ CORPUS = Path(__file__).with_name("cli.json")
 # near the top of the float range (weights of 2e152), and one whose Lanczos
 # recurrence would overflow (weights of 2e154), which is refused; a table-1
 # audit on 144 sites (three mask words); a synthesis run whose squared
-# weights overflow float64, and a table-1 audit whose pair weights do.
+# weights overflow float64, and a table-1 audit whose pair weights do;
+# last, the runs of the determinism checks that had no entry: a 16-site
+# DA Trotter norm (its Ritz step solves a 125x125 tridiagonal), a sparse
+# 4x4 simulate, the frame integrator, a 10-site simulate from a product
+# state, a 10-site digital norm, three sweeps and two short simulations.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -105,6 +109,16 @@ COMMANDS = [
     "errors --which table1 --nx 12 --ny 12",
     "errors --which synthesis --model xy --n 4 --g 1e160",
     "errors --which table1 --nx 4 --ny 4 --j 1e160",
+    "errors --which trotter --model heis_da --n 16",
+    "simulate --model xy2d --nx 4 --ny 4 --blocks 2",
+    "verify-frames --n 3 --t 2",
+    "simulate --model heisenberg --n 10 --blocks 3 --initial 1010011001",
+    "errors --which trotter --model heis_digital --n 10",
+    "errors --which synthesis --model xy --n 4 --omega 1.0 --sweep t=0:0.6:8 --threads 2 --format csv",
+    "simulate --model heisenberg --n 4 --tau 0.1 --blocks 3 --observable z2",
+    "errors --which dyson --n 2 --omega 1 --sweep t=0:0.6:4",
+    "errors --which synthesis --model control --n 5 --omega 1.0 --sweep t=0:0.6:6 --threads 2 --format csv",
+    "simulate --model xy1d --n 4 --tau 0.2 --blocks 4 --observable sz-total --initial 1000",
 ]
 
 
