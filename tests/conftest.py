@@ -20,12 +20,20 @@ one letter codec must reproduce; the device-chain reference writes out
 every bond row of ``build_qf_effective`` by hand, which the package
 derives from its phase-chain table bit for bit. The fusion reference is
 the peephole pass loop with its ``changed`` flag, whose steps the
-package's pair-rule loop must give on every schedule.
+package's pair-rule loop must give on every schedule. Last, the
+golden-corpus harness runs every recorded CLI command under two process
+configurations, whose outputs must agree byte for byte.
 """
 
 import itertools
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +116,75 @@ def random_pauli_sum(rng, n, nterms=6, real=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+# One pass over the golden corpus: argv[1] is the order ("forward" or
+# "reverse"), the rest is appended to every command. It prints each command's
+# [exit, stdout, stderr] from ``regenerate.run`` as JSON, keyed by command.
+_CORPUS_PASS = """
+import json, sys
+from regenerate import COMMANDS, run
+commands = COMMANDS if sys.argv[1] == "forward" else COMMANDS[::-1]
+json.dump({c: run(c.split() + sys.argv[2:]) for c in commands}, sys.stdout)
+"""
+_CORPUS_PASS_TIMEOUT = 300.0
+
+
+@pytest.fixture(scope="session")
+def corpus_runs():
+    """Every golden-corpus command run in two fresh interpreters: ``(a, b, seconds)``.
+
+    What crda prints must not depend on the process it runs in. Pauli sums
+    hash the bytes of their arrays, and Python salts bytes hashes per
+    process. The synthesis and Dyson sweeps share the cached quadrature
+    rules and the original and defect chains kept per uniform chain between
+    their ``--threads`` workers. The dense and Krylov norms, the sparse
+    simulations and the frame integrator call BLAS and LAPACK, which may
+    thread: the 16-site heis_da norm takes 125 Lanczos steps, so its Ritz
+    step solves a 125x125 tridiagonal by LAPACK.
+
+    Pass ``a`` runs the corpus in its order under ``PYTHONHASHSEED=0`` and
+    one OpenBLAS thread. Pass ``b`` runs it in reverse order under
+    ``PYTHONHASHSEED=1`` and two OpenBLAS threads, with ``--threads 2``
+    appended to every command; the reverse order also shows a value that one
+    of crda's caches carries from one command to the next. Both passes start
+    at once and turn a RuntimeWarning into an error, as the tier-1 CI step
+    does; one that outlives ``_CORPUS_PASS_TIMEOUT`` is killed. ``a`` and
+    ``b`` map each command to its ``[exit, stdout, stderr]``; ``seconds`` is
+    the wall time of the two passes.
+    """
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "tests" / "golden")]),
+        "PYTHONWARNINGS": "error::RuntimeWarning",
+    }
+    configs = (("0", "1", "forward", ()), ("1", "2", "reverse", ("--threads", "2")))
+    started = time.perf_counter()
+    passes = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CORPUS_PASS, order, *extra],
+            cwd=_ROOT,
+            env={**env, "PYTHONHASHSEED": seed, "OPENBLAS_NUM_THREADS": blas},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed, blas, order, extra in configs
+    ]
+    try:
+        outputs = [p.communicate(timeout=_CORPUS_PASS_TIMEOUT) for p in passes]
+    finally:
+        for p in passes:
+            if p.poll() is None:
+                p.kill()
+                p.communicate()
+    seconds = time.perf_counter() - started
+    for p, (_, err) in zip(passes, outputs):
+        assert p.returncode == 0, err
+    a, b = (json.loads(out) for out, _ in outputs)
+    return a, b, seconds
 
 
 def _weights(h) -> dict:

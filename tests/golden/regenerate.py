@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -133,27 +134,28 @@ def _at_root():
         os.chdir(before)
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``crda`` on ``argv``, run in process from ``ROOT``.
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``crda`` on ``argv``, run in process from ``ROOT``.
 
-    An exception that ``main`` lets through exits 1, as ``python -m crda.cli``
-    does on an uncaught exception.
+    An exception that ``main`` lets through exits 1 and writes its traceback
+    to stderr, as ``python -m crda.cli`` does on an uncaught exception.
     """
     from crda.cli import main
 
-    out = io.StringIO()
-    with _at_root(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with _at_root(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except Exception:
+            traceback.print_exc()
             code = 1
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def main() -> None:
     corpus = {}
     for command in COMMANDS:
-        code, stdout = run(command.split())
+        code, stdout, _ = run(command.split())
         corpus[command] = {"exit": code, "stdout": stdout}
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
     print(f"{len(corpus)} commands -> {CORPUS.relative_to(ROOT)}", file=sys.stderr)

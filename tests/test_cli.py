@@ -1,11 +1,8 @@
 """Command-line interface: outputs, schemas, determinism, exit codes."""
 
 import json
-import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,80 +231,6 @@ class TestFilesAndDeterminism:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["hamiltonian"]["n"] == 3
-
-    def test_repeat_runs_byte_identical(self, tmp_path):
-        cmds = [
-            [
-                "errors", "--which", "synthesis", "--model", "xy", "--n", "4",
-                "--omega", "1.0", "--sweep", "t=0:0.6:8", "--threads", "2",
-                "--format", "csv",
-            ],
-            [
-                "simulate", "--model", "heisenberg", "--n", "4", "--tau", "0.1",
-                "--blocks", "3", "--observable", "z2",
-            ],
-            ["errors", "--which", "trotter", "--model", "heis_da", "--n", "6"],
-        ]
-        for i, cmd in enumerate(cmds):
-            outs = []
-            for run in range(2):
-                path = tmp_path / f"out_{i}_{run}"
-                ret = subprocess.run(
-                    [sys.executable, "-m", "crda.cli", *cmd, "--out", str(path)],
-                    capture_output=True,
-                )
-                assert ret.returncode == 0, ret.stderr
-                outs.append(path.read_bytes())
-            assert outs[0] == outs[1]
-
-
-    def test_stdout_independent_of_threads(self, capsys):
-        cmd = ["errors", "--which", "dyson", "--n", "2", "--omega", "1", "--sweep", "t=0:0.6:4"]
-        outs = []
-        for threads in ("1", "4"):
-            code, out, _ = run_cli([*cmd, "--threads", threads], capsys)
-            assert code == 0
-            outs.append(out.encode())
-        assert outs[0] == outs[1]
-
-
-    @pytest.mark.parametrize(
-        "cmd",
-        [
-            ["--model", "heisenberg", "--n", "10", "--blocks", "3", "--initial", "1010011001"],
-            ["--model", "xy2d", "--nx", "4", "--ny", "4", "--blocks", "2"],
-        ],
-        ids=["heisenberg-n10", "xy2d-4x4"],
-    )
-    def test_simulate_stdout_independent_of_blas_threads(self, cmd):
-        outs = _stdout_per_blas_threads(["simulate", *cmd])
-        assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize(
-        "cmd",
-        [
-            ["--which", "unitcell"],
-            ["--which", "trotter", "--model", "heis_digital", "--n", "10"],
-        ],
-        ids=["unitcell", "heis_digital-n10"],
-    )
-    def test_norm_stdout_independent_of_blas_threads(self, cmd):
-        outs = _stdout_per_blas_threads(["errors", *cmd])
-        assert outs[0] == outs[1]
-
-
-def _stdout_per_blas_threads(argv):
-    """Stdout of one CLI run under one and under two OpenBLAS threads."""
-    outs = []
-    for threads in ("1", "2"):
-        ret = subprocess.run(
-            [sys.executable, "-m", "crda.cli", *argv],
-            capture_output=True,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-        )
-        assert ret.returncode == 0, ret.stderr
-        outs.append(ret.stdout)
-    return outs
 
 
 class TestParamsFile:

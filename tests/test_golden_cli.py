@@ -3,7 +3,10 @@
 ``tests/golden/cli.json`` maps each argv to its exit code and stdout;
 ``tests/golden/regenerate.py`` rewrites it. Text compares exactly and
 numbers to a relative 1e-12, so the last digits may move with the numpy
-and BLAS build but no printed value may.
+and BLAS build but no printed value may. Within one build, every
+command's exit code, stdout and stderr are byte-identical across hash
+seeds, BLAS thread counts, ``--threads`` values and the order the
+commands run in, and stderr is empty on exit 0.
 """
 
 import builtins
@@ -35,7 +38,7 @@ def test_corpus_holds_every_command():
 @pytest.mark.parametrize("command", list(CORPUS))
 def test_stdout_matches_corpus(command):
     want = CORPUS[command]
-    code, stdout = run(command.split())
+    code, stdout, _ = run(command.split())
     assert code == want["exit"]
     text, numbers = _split(stdout)
     want_text, want_numbers = _split(want["stdout"])
@@ -49,10 +52,21 @@ def test_stdout_matches_corpus(command):
     assert not moved, f"numbers moved (index, got, recorded): {moved[:5]}"
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_bytes_independent_of_process(command, corpus_runs):
+    # ``corpus_runs`` (conftest) ran the command under two hash seeds, BLAS
+    # thread counts, --threads values and corpus orders.
+    a, b, _ = corpus_runs
+    assert a[command] == b[command]
+    code, _, stderr = a[command]
+    assert code == CORPUS[command]["exit"]
+    assert code != 0 or stderr == ""
+
+
 @pytest.mark.parametrize("command", [c for c in COMMANDS if "--params" in c])
 def test_params_paths_resolve_from_any_working_directory(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # --params paths name files under the repository root
-    code, _ = run(command.split())
+    code, _, _ = run(command.split())
     assert code == 0
     assert Path.cwd() == tmp_path
 
@@ -87,4 +101,4 @@ def test_stdout_bytes_independent_of_builtin_sum(command, monkeypatch):
             for f in vars(module).values():
                 if hasattr(f, "cache_clear"):
                     f.cache_clear()
-    assert run(command.split()) == (CORPUS[command]["exit"], CORPUS[command]["stdout"])
+    assert run(command.split())[:2] == (CORPUS[command]["exit"], CORPUS[command]["stdout"])
