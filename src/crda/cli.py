@@ -534,7 +534,7 @@ def _cmd_compile(args) -> None:
         "schedule": schedule.to_json_dict(),
     }
     rows = [["step", "type", "kind_or_drive", "support_or_duration"]]
-    for i, step in enumerate(schedule.to_json_dict()["steps"]):
+    for i, step in enumerate(payload["schedule"]["steps"]):
         if step["type"] == "gate":
             support = step["support"]
             if isinstance(support, list):

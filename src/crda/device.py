@@ -149,26 +149,21 @@ class DeviceParams:
     def from_config(cls, cfg: Mapping) -> "DeviceParams":
         n = int(cfg["n"])
 
-        def per_site(name: str, default: float = 0.0) -> np.ndarray:
-            arr = np.full(n, float(cfg.get(name, default)))
-            for k in range(1, n + 1):
+        def per_site(name: str, count: int = n) -> np.ndarray:
+            arr = np.full(count, float(cfg.get(name, 0.0)))
+            for k in range(1, count + 1):
                 key = f"{name}.{k}"
                 if key in cfg:
                     arr[k - 1] = float(cfg[key])
             return arr
 
-        g = np.full(n - 1, float(cfg.get("g", 0.0)))
-        for k in range(1, n):
-            key = f"g.{k}"
-            if key in cfg:
-                g[k - 1] = float(cfg[key])
         return cls(
             n=n,
             omega_q=per_site("omega_q"),
             omega=per_site("omega"),
             Omega=per_site("Omega"),
             phi=per_site("phi"),
-            g=g,
+            g=per_site("g", n - 1),
         )
 
     def uniform(self) -> tuple[float, float, float]:

@@ -39,6 +39,7 @@ from .pauli import (
     PRUNE_TOL,
     PauliSum,
     _anticommuting_pairs,
+    _doubled_sum,
     _pair_terms,
     _pattern,
     _popcount,
@@ -303,7 +304,8 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
 
     # [P, Q] is 2PQ for anticommuting strings and 0 otherwise; a pair counts
     # when its commutator survives pruning, as in a PauliSum, which also
-    # refuses a commutator whose size overflows float64.
+    # refuses a commutator whose size overflows float64. The residual below
+    # sums these products for [h_i, h_ii] instead of forming them again.
     ia, ib = _anticommuting_pairs(h_i, h_ii)
     x, z, c = _pair_terms(h_i, h_ii, (ia, ib))
     with np.errstate(over="ignore"):
@@ -339,7 +341,7 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
         analytic=0.0,
         passed=not bad_pairs,
     )
-    residual = commutator(h_i, h_ii) - (commutator(i_yy, ii_xx) + commutator(i_xx, ii_yy))
+    residual = _doubled_sum(h_i.n, x, z, c) - (commutator(i_yy, ii_xx) + commutator(i_xx, ii_yy))
     for name, zero in (
         ("xx_xx_block_norm", commutator(i_xx, ii_xx)),
         ("yy_yy_block_norm", commutator(i_yy, ii_yy)),

@@ -389,7 +389,8 @@ class PauliSum:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        """Operator product, canonicalized."""
+        """Operator product, canonicalized; refused before its table (48 (W + 1) B a pair) outgrows memory."""
+        _check_memory(48 * (self._x.shape[1] + 1) * len(self) * len(other), "Pauli product")
         return _from_sorted(self.n, *_summed(*_pair_terms(self, other)))
 
     # ------------------------------------------------------------------
@@ -825,17 +826,17 @@ def _from_sorted(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSu
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Exact ``ab - ba`` in canonical pruned form.
+    """Exact ``ab - ba`` in canonical pruned form: :func:`_doubled_sum` of the anticommuting pairs."""
+    return _doubled_sum(a.n, *_pair_terms(a, b, _anticommuting_pairs(a, b)))
 
-    Commuting string pairs are skipped: for anticommuting strings P, Q the
-    pair contributes 2*PQ, otherwise nothing. The factor 2 is applied
-    after summing; scaling by 2 is exact, so the order does not matter.
-    """
-    x, z, c = _summed(*_pair_terms(a, b, _anticommuting_pairs(a, b)))
+
+def _doubled_sum(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:
+    """``[P, Q] = 2PQ`` summed over anticommuting pairs' products ``(x, z, c)``, doubled (exactly) last."""
+    x, z, c = _summed(x, z, c)
     with np.errstate(over="ignore"):
         c.real *= 2.0
         c.imag *= 2.0
-    return _from_sorted(a.n, x, z, c)
+    return _from_sorted(n, x, z, c)
 
 
 def spectral_norm(

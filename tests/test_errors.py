@@ -25,7 +25,7 @@ from crda.errors import (
     xy2d_digital_hamiltonians,
 )
 from crda.hamiltonians import HamiltonianKind as K, build_canonical, translate_2d
-from crda import errors, hamiltonians
+from crda import errors, hamiltonians, pauli
 from crda.pauli import PRUNE_TOL, PauliSum, PauliTerm, anticommutes, commutator, multiply
 
 
@@ -230,6 +230,22 @@ class TestTable1:
     def test_scaled_coupling(self):
         rep = table1_check(Lattice.square(4, 4), j=0.5)
         assert rep.passed
+
+    def test_pair_products_formed_once(self, monkeypatch):
+        # The audited anticommuting pair products of h_i and h_ii also give
+        # [h_i, h_ii] for the block residual; they are not formed again.
+        lat = Lattice.square(4, 4)
+        h_i, h_ii = build_canonical(K.H_I, lat), build_canonical(K.H_II, lat)
+        pair_terms, calls = pauli._pair_terms, []
+
+        def counted(a, b, pairs=None):
+            calls.append(a == h_i and b == h_ii)
+            return pair_terms(a, b, pairs)
+
+        monkeypatch.setattr(pauli, "_pair_terms", counted)
+        monkeypatch.setattr(errors, "_pair_terms", counted)
+        assert table1_check(lat).passed
+        assert calls.count(True) == 1
 
     @pytest.mark.parametrize("j", [1e154, 1e160])
     def test_overflowing_pair_commutators_refused(self, j):

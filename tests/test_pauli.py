@@ -507,6 +507,19 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_product_refused_before_allocating(self):
+        # 2^17 strings on 17 sites times themselves: 2^34 pairs of one mask
+        # word, whose product table would take about 1.5 TiB
+        h = PauliSum(17, {(x, 0): 1.0 for x in range(1 << 17)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match="GiB"):
+                h @ h
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_real_matrix_refused_at_its_real_size(self):
         # two X masks on 40 sites, both with real weights: 2^41 entries of
         # 8 B data and an 8 B index, where a complex matrix has 24 B each;
