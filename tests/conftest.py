@@ -119,15 +119,13 @@ def rng():
 
 
 _ROOT = Path(__file__).resolve().parents[1]
-
-# One pass over the golden corpus: argv[1] is the order ("forward" or
-# "reverse"), the rest is appended to every command. It prints each command's
-# [exit, stdout, stderr] from ``regenerate.run`` as JSON, keyed by command.
+# One pass over the golden corpus, in the order of step argv[1] ("1" or "-1")
+# with argv[2:] appended to every command: each command's [exit, stdout,
+# stderr] from ``regenerate.run``, printed as JSON.
 _CORPUS_PASS = """
 import json, sys
 from regenerate import COMMANDS, run
-commands = COMMANDS if sys.argv[1] == "forward" else COMMANDS[::-1]
-json.dump({c: run(c.split() + sys.argv[2:]) for c in commands}, sys.stdout)
+json.dump({c: run(c.split() + sys.argv[2:]) for c in COMMANDS[:: int(sys.argv[1])]}, sys.stdout)
 """
 _CORPUS_PASS_TIMEOUT = 300.0
 
@@ -138,40 +136,35 @@ def corpus_runs():
 
     What crda prints must not depend on the process it runs in. Pauli sums
     hash the bytes of their arrays, and Python salts bytes hashes per
-    process. The synthesis and Dyson sweeps share the cached quadrature
-    rules and the original and defect chains kept per uniform chain between
-    their ``--threads`` workers. The dense and Krylov norms, the sparse
-    simulations and the frame integrator call BLAS and LAPACK, which may
-    thread: the 16-site heis_da norm takes 125 Lanczos steps, so its Ritz
-    step solves a 125x125 tridiagonal by LAPACK.
+    process. The synthesis and Dyson sweeps' ``--threads`` workers share the
+    cached quadrature rules and the original and defect chains kept per
+    uniform chain. The dense and Krylov norms, the sparse simulations and the
+    frame integrator call BLAS or LAPACK, which may thread: the 16-site
+    heis_da norm's Ritz step solves a 125x125 tridiagonal by LAPACK.
 
-    Pass ``a`` runs the corpus in its order under ``PYTHONHASHSEED=0`` and
-    one OpenBLAS thread. Pass ``b`` runs it in reverse order under
-    ``PYTHONHASHSEED=1`` and two OpenBLAS threads, with ``--threads 2``
-    appended to every command; the reverse order also shows a value that one
-    of crda's caches carries from one command to the next. Both passes start
-    at once and turn a RuntimeWarning into an error, as the tier-1 CI step
-    does; one that outlives ``_CORPUS_PASS_TIMEOUT`` is killed. ``a`` and
-    ``b`` map each command to its ``[exit, stdout, stderr]``; ``seconds`` is
-    the wall time of the two passes.
+    Pass ``a`` runs the corpus in order under ``PYTHONHASHSEED=0`` and one
+    OpenBLAS thread, with ``--threads 1`` appended, so every sweep runs
+    serially; pass ``b`` in reverse order, which shows a value that a cache
+    carries from one command to the next, under ``PYTHONHASHSEED=1`` and two
+    OpenBLAS threads, with ``--threads 2`` appended. Both start at once,
+    turn a RuntimeWarning into an error, as the tier-1 CI step does, and are
+    killed after ``_CORPUS_PASS_TIMEOUT`` seconds. ``a`` and ``b`` map each
+    command to its ``[exit, stdout, stderr]``; ``seconds`` is the wall time
+    of both passes.
     """
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "tests" / "golden")]),
-        "PYTHONWARNINGS": "error::RuntimeWarning",
-    }
-    configs = (("0", "1", "forward", ()), ("1", "2", "reverse", ("--threads", "2")))
+    path = os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "tests" / "golden")])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    configs = (("0", "1", "1", "1"), ("1", "2", "-1", "2"))
     started = time.perf_counter()
     passes = [
         subprocess.Popen(
-            [sys.executable, "-c", _CORPUS_PASS, order, *extra],
-            cwd=_ROOT,
+            [sys.executable, "-c", _CORPUS_PASS, step, "--threads", threads],
             env={**env, "PYTHONHASHSEED": seed, "OPENBLAS_NUM_THREADS": blas},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
-        for seed, blas, order, extra in configs
+        for seed, blas, step, threads in configs
     ]
     try:
         outputs = [p.communicate(timeout=_CORPUS_PASS_TIMEOUT) for p in passes]

@@ -7,7 +7,9 @@ Run from the repository root:
 Each command runs in process through ``crda.cli.main``, from the
 repository root, so ``--params`` paths resolve there wherever the script
 is started. A change that moves a printed number regenerates the corpus
-and names each moved number and its cause.
+and names each moved number and its cause. The tests run every command in
+two processes whose outputs must agree byte for byte (``corpus_runs`` in
+``tests/conftest.py``).
 """
 
 import contextlib
@@ -24,24 +26,24 @@ CORPUS = Path(__file__).with_name("cli.json")
 # One command per mode of ``cli._mode``, every Hamiltonian kind, the device
 # chain under each drive layout, and the org*/delta* kinds at t != 0; then
 # CSV, a sweep, realistic simulate and a table-1 audit on more than 64 sites
-# (two mask words); then the README examples, the benchmark's commands and
-# the runs CI compares across hash seeds; then the lattice edge cases of the
-# checkerboard bond walk; then synthesis and Dyson runs that CI also
-# compares across hash seeds and thread counts (the Dyson sweep takes 64 to
+# (two mask words); then the README examples, the benchmark's commands, a
+# dense simulate and a fused 2D compile; then the lattice edge cases of the
+# checkerboard bond walk; then synthesis and Dyson sweeps whose threads
+# share the cached quadrature rules and chains (the Dyson sweep takes 64 to
 # 270 quadrature nodes); then two runs of the nine-piece zz original chain:
-# a synthesis sweep (also compared in CI) and realistic Ising blocks; then
-# the benchmark's Krylov commutator norms; a Trotter audit of the empty
-# commutator (J = 0); last, fused compiles of the 1D protocols (xy1d merges
-# h even + h odd into h all) and the structured branch of a --params device
-# (a file holding omega_q), each with one flag override; a Trotter norm
-# near the top of the float range (weights of 2e152), and one whose Lanczos
-# recurrence would overflow (weights of 2e154), which is refused; a table-1
-# audit on 144 sites (three mask words); a synthesis run whose squared
-# weights overflow float64, and a table-1 audit whose pair weights do;
-# last, the runs of the determinism checks that had no entry: a 16-site
-# DA Trotter norm (its Ritz step solves a 125x125 tridiagonal), a sparse
-# 4x4 simulate, the frame integrator, a 10-site simulate from a product
-# state, a 10-site digital norm, three sweeps and two short simulations.
+# a synthesis sweep and realistic Ising blocks; then the benchmark's Krylov
+# commutator norms; a Trotter audit of the empty commutator (J = 0); then
+# fused compiles of the 1D protocols (xy1d merges h even + h odd into h all)
+# and the structured branch of a --params device (a file holding omega_q),
+# each with one flag override; a Trotter norm near the top of the float
+# range (weights of 2e152), and one whose Lanczos recurrence would overflow
+# (weights of 2e154), which is refused; a table-1 audit on 144 sites (three
+# mask words); a synthesis run whose squared weights overflow float64, and a
+# table-1 audit whose pair weights do; last, a 16-site DA Trotter norm (its
+# Ritz step solves a 125x125 tridiagonal by LAPACK, which may thread), a
+# sparse 4x4 simulate, the frame integrator, a 10-site simulate from a
+# product state, a 10-site digital norm, three sweeps (two on two threads)
+# and two short simulations.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()

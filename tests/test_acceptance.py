@@ -347,9 +347,7 @@ class TestCriterion10ApproxEntryUnitary:
 
 class TestCriterion11Determinism:
     def test_cli_reruns_are_byte_identical(self, corpus_runs):
-        # ``corpus_runs`` (conftest) reran the golden corpus under another
-        # hash seed, BLAS thread count, --threads value and command order.
-        a, b, seconds = corpus_runs
+        a, b, seconds = corpus_runs  # the golden corpus in two processes (conftest)
         _criterion(
             "11",
             "repeated CLI runs produce byte-identical outputs",

@@ -54,9 +54,7 @@ def test_stdout_matches_corpus(command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_bytes_independent_of_process(command, corpus_runs):
-    # ``corpus_runs`` (conftest) ran the command under two hash seeds, BLAS
-    # thread counts, --threads values and corpus orders.
-    a, b, _ = corpus_runs
+    a, b, _ = corpus_runs  # see conftest
     assert a[command] == b[command]
     code, _, stderr = a[command]
     assert code == CORPUS[command]["exit"]
