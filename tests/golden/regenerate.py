@@ -43,7 +43,7 @@ CORPUS = Path(__file__).with_name("cli.json")
 # Ritz step solves a 125x125 tridiagonal by LAPACK, which may thread), a
 # sparse 4x4 simulate, the frame integrator, a 10-site simulate from a
 # product state, a 10-site digital norm, three sweeps (two on two threads)
-# and two short simulations.
+# and two short simulations; last, non-finite flag values.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -122,6 +122,9 @@ COMMANDS = [
     "errors --which dyson --n 2 --omega 1 --sweep t=0:0.6:4",
     "errors --which synthesis --model control --n 5 --omega 1.0 --sweep t=0:0.6:6 --threads 2 --format csv",
     "simulate --model xy1d --n 4 --tau 0.2 --blocks 4 --observable sz-total --initial 1000",
+    "errors --which dyson --g -1 --t inf",
+    "errors --which synthesis --model xy --n 3 --t inf",
+    "verify-frames --n 2 --t nan",
 ]
 
 
