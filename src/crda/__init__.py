@@ -24,10 +24,8 @@ from .device import (
     DeviceParams,
     DriveConfig,
     Lattice,
-    RegimeReport,
     effective_coupling,
     load_config,
-    validate_regime,
 )
 from .errors import (
     ErrorReport,

@@ -12,7 +12,7 @@ where delta_k = omega_q[k] - omega[k] is the drive detuning.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -23,9 +23,7 @@ __all__ = [
     "DeviceParams",
     "DriveConfig",
     "Lattice",
-    "RegimeReport",
     "effective_coupling",
-    "validate_regime",
     "load_config",
 ]
 
@@ -199,58 +197,6 @@ def effective_coupling(p: DeviceParams, k: int) -> float:
     if d == 0.0:
         raise ZeroDivisionError(f"zero detuning on driven qubit {k}")
     return float(-p.g[i] * p.Omega[i] / (4.0 * d))
-
-
-@dataclass
-class RegimeReport:
-    """Weak-driving and dispersive-regime diagnostics for a device."""
-
-    ratios: dict[str, float] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.warnings and not self.errors
-
-
-_REGIME_THRESHOLD = 0.1
-
-
-def validate_regime(p: DeviceParams) -> RegimeReport:
-    """Flag per-qubit Omega/delta and per-bond g/delta ratios.
-
-    Ratios above ``_REGIME_THRESHOLD`` (0.1, the weak-driving limit) produce
-    warnings; a driven qubit with zero detuning is a hard error (the
-    perturbative coupling is undefined).
-    """
-    report = RegimeReport()
-    for k in range(p.n):
-        site = k + 1
-        if not p.is_driven(k):
-            continue
-        d = p.delta[k]
-        if d == 0.0:
-            report.errors.append(f"qubit {site}: driven with zero detuning")
-            continue
-        r = abs(p.Omega[k] / d)
-        report.ratios[f"Omega/delta.{site}"] = r
-        if r > _REGIME_THRESHOLD:
-            report.warnings.append(
-                f"qubit {site}: Omega/delta = {r:.3g} above {_REGIME_THRESHOLD:g}"
-            )
-    for k in range(p.g.size):
-        bond = k + 1
-        d = p.delta[k]
-        if d == 0.0:
-            continue
-        r = abs(p.g[k] / d)
-        report.ratios[f"g/delta.{bond}"] = r
-        if r > _REGIME_THRESHOLD:
-            report.warnings.append(
-                f"bond {bond}: g/delta = {r:.3g} above {_REGIME_THRESHOLD:g}"
-            )
-    return report
 
 
 @dataclass(frozen=True)

@@ -569,16 +569,6 @@ class PauliSum:
             "terms": [{"p": p, "re": re, "im": im} for p, re, im in rows],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "PauliSum":
-        n = int(data["n"])
-        terms = []
-        for row in data["terms"]:
-            terms.append(PauliTerm.from_pattern(row["p"], complex(row["re"], row.get("im", 0.0))))
-            if terms[-1].n != n:
-                raise ValueError("pattern length inconsistent with n")
-        return cls.from_terms(terms) if terms else cls.zero(n)
-
 
 def _left_sum(values: Iterable[float]) -> float:
     """Floats added left to right from 0.0: the builtin ``sum`` before Python 3.12 (which compensates)."""

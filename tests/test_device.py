@@ -1,4 +1,4 @@
-"""Device parameters, lattices, regime checks, and configuration files."""
+"""Device parameters, lattices, and configuration files."""
 
 import json
 import math
@@ -12,7 +12,6 @@ from crda.device import (
     Lattice,
     effective_coupling,
     load_config,
-    validate_regime,
 )
 
 
@@ -72,21 +71,6 @@ class TestDeviceFields:
         fields[field][-1] = bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             DeviceParams(n=3, **fields)
-
-
-class TestRegime:
-    def test_weak_driving_passes(self):
-        rep = validate_regime(uniform(Omega=0.5, g=0.2, delta=10.0))
-        assert rep.ok
-        assert rep.ratios["Omega/delta.1"] == 0.05
-
-    def test_strong_driving_warns(self):
-        rep = validate_regime(uniform(Omega=5.0, delta=10.0))
-        assert not rep.ok and rep.warnings and not rep.errors
-
-    def test_zero_detuning_on_driven_qubit_is_hard_error(self):
-        rep = validate_regime(uniform(delta=0.0))
-        assert rep.errors
 
     def test_xi_regular_in_undriven_limit(self):
         p = DeviceParams.uniform_chain(1, g=0.0, delta=3.0, Omega=0.0)

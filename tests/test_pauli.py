@@ -729,12 +729,10 @@ class TestLetterCodec:
 
 
 class TestJson:
-    def test_roundtrip_and_ordering(self, rng):
-        h = random_pauli_sum(rng, 3, nterms=8)
-        d = h.to_json_dict()
+    def test_patterns_sorted(self, rng):
+        d = random_pauli_sum(rng, 3, nterms=8).to_json_dict()
         patterns = [row["p"] for row in d["terms"]]
         assert patterns == sorted(patterns)
-        assert PauliSum.from_json_dict(d).allclose(h)
 
     def test_schema_fields(self):
         d = PauliSum.from_pattern("XZ", 0.25).to_json_dict()
