@@ -43,7 +43,7 @@ CORPUS = Path(__file__).with_name("cli.json")
 # Ritz step solves a 125x125 tridiagonal by LAPACK, which may thread), a
 # sparse 4x4 simulate, the frame integrator, a 10-site simulate from a
 # product state, a 10-site digital norm, three sweeps (two on two threads)
-# and two short simulations; last, non-finite flag values.
+# and two short simulations; last, non-finite flag values and sweep bounds.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -125,6 +125,7 @@ COMMANDS = [
     "errors --which dyson --g -1 --t inf",
     "errors --which synthesis --model xy --n 3 --t inf",
     "verify-frames --n 2 --t nan",
+    "errors --which dyson --n 2 --sweep t=0:inf:3",
 ]
 
 
