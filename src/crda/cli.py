@@ -12,7 +12,8 @@ Flags are data: ``_FLAGS`` declares every flag once, and ``_SUBCOMMANDS``
 names each subcommand's flags. ``_mode`` states which flags each mode
 reads, and ``main`` refuses, before any work, every flag set off its
 default that the mode never reads, so the echoed configuration holds only
-what ran.
+what ran. It refuses as well a non-finite value of any ``float`` flag or
+sweep bound, and a ``--tol`` <= 0, which no run could meet.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible size, 4 numerical
 non-convergence, 1 anything else. Failures emit a JSON error object on
@@ -26,6 +27,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -294,6 +296,8 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     if len(parts) not in (3, 4):
         raise ValueError("sweep spec must be name=start:stop:points[:geom]")
     start, stop, npts = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep start and stop must be finite (got {start}, {stop})")
     if npts < 1:
         raise ValueError("sweep needs at least one point")
     if len(parts) == 4 and parts[3] == "geom":
@@ -560,6 +564,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1 (got {args.threads})")
+        for flag in _flags(args.command):
+            value = getattr(args, flag.replace("-", "_"))
+            if _FLAGS[flag].get("type") is float and value is not None and not math.isfinite(value):
+                raise ValueError(f"--{flag} must be finite (got {value})")
+        if getattr(args, "tol", 1.0) <= 0:
+            raise ValueError(f"--tol must be positive (got {args.tol})")
         _refuse_unread(args, commands[args.command])
         _COMMANDS[args.command](args)
     except DenseLimitError as exc:

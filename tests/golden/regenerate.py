@@ -43,7 +43,8 @@ CORPUS = Path(__file__).with_name("cli.json")
 # Ritz step solves a 125x125 tridiagonal by LAPACK, which may thread), a
 # sparse 4x4 simulate, the frame integrator, a 10-site simulate from a
 # product state, a 10-site digital norm, three sweeps (two on two threads)
-# and two short simulations; last, non-finite flag values and sweep bounds.
+# and two short simulations; last, refusals of flag values out of their
+# domain: non-finite values and sweep bounds, and tolerances <= 0.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -126,6 +127,8 @@ COMMANDS = [
     "errors --which synthesis --model xy --n 3 --t inf",
     "verify-frames --n 2 --t nan",
     "errors --which dyson --n 2 --sweep t=0:inf:3",
+    "verify-frames --n 3 --t 1 --tol -1",
+    "verify-frames --n 3 --t 1 --tol 0",
 ]
 
 

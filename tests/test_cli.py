@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +359,62 @@ def _unread_flag_cases() -> list:
     return cases
 
 
+def _base_argv(command: str) -> list[str]:
+    """``command`` with each flag it requires at its first choice, or at 1."""
+    argv = [command]
+    for flag in _flags(command):
+        spec = {**_FLAGS[flag], **_SUBCOMMANDS[command][2].get(flag, {})}
+        if spec.get("required"):
+            argv += [f"--{flag}", spec["choices"][0] if "choices" in spec else "1"]
+    return argv
+
+
+def _out_of_domain_cases() -> list:
+    """(argv, message start) for every value out of its flag's domain.
+
+    A non-finite value of each ``float`` flag of each subcommand, a
+    ``--tol`` <= 0, and a non-finite sweep bound.
+    """
+    cases = []
+    for command in _SUBCOMMANDS:
+        for flag in _flags(command):
+            if _FLAGS[flag].get("type") is float:
+                for value in ("inf", "-inf", "nan"):
+                    argv = _base_argv(command) + [f"--{flag}={value}"]
+                    cases.append(pytest.param(argv, f"--{flag} must be finite", id=shlex.join(argv)))
+    more = [
+        ("verify-frames --t 1 --tol 0", "--tol must be positive"),
+        ("verify-frames --t 1 --tol -1", "--tol must be positive"),
+        ("verify-frames --t 1 --sweep scale=1:inf:2", "sweep start and stop must be finite"),
+        ("errors --which dyson --n 2 --sweep t=nan:1:3", "sweep start and stop must be finite"),
+    ]
+    return cases + [pytest.param(argv.split(), start, id=argv) for argv, start in more]
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test still running after 5 s, so a run that hangs cannot stall the suite."""
+
+    def expire(signum, frame):
+        pytest.fail("still running after 5 s")  # not an error type that main catches
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestFailureModes:
+    @pytest.mark.parametrize(("argv", "start"), _out_of_domain_cases())
+    def test_value_out_of_domain_refused(self, capsys, alarm, argv, start):
+        code, out, errtext = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        (line,) = errtext.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "usage"
+        assert error["message"].startswith(start)
+
     def test_usage_error_exit_code(self, capsys):
         code, _, errtext = run_cli(["errors", "--which", "trotter"], capsys)
         assert code == 2

@@ -6,7 +6,8 @@ numbers to a relative 1e-12, so the last digits may move with the numpy
 and BLAS build but no printed value may. Within one build, every
 command's exit code, stdout and stderr are byte-identical across hash
 seeds, BLAS thread counts, ``--threads`` values and the order the
-commands run in, and stderr is empty on exit 0.
+commands run in; stderr is empty on exit 0, and otherwise one JSON error
+line.
 """
 
 import builtins
@@ -58,7 +59,11 @@ def test_output_bytes_independent_of_process(command, corpus_runs):
     assert a[command] == b[command]
     code, _, stderr = a[command]
     assert code == CORPUS[command]["exit"]
-    assert code != 0 or stderr == ""
+    if code == 0:
+        assert stderr == ""
+    else:  # a refusal: one JSON error object
+        (line,) = stderr.splitlines()
+        assert list(json.loads(line)) == ["error"]
 
 
 @pytest.mark.parametrize("command", [c for c in COMMANDS if "--params" in c])
