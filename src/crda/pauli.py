@@ -914,8 +914,11 @@ def _top_ritz(alpha: Sequence[float], beta: Sequence[float]) -> tuple[float, flo
 
     The matrix ``t`` holds ``alpha`` on its diagonal and ``beta`` on its
     superdiagonal, and numpy's dense ``eigh`` reads its upper triangle: O(k³)
-    time and 8k² bytes for ``t``. The first of equal |θ| wins.
+    time, and 8k² bytes each for ``t`` and its eigenvectors, which over
+    physical memory raise :class:`DenseLimitError` (CLI exit 3) before
+    allocating. The first of equal |θ| wins.
     """
+    _check_memory(16 * len(alpha) ** 2, "Lanczos Ritz step")
     t = np.diag(alpha)
     t.flat[1 :: len(alpha) + 1] = beta
     theta, s = np.linalg.eigh(t, UPLO="U")

@@ -1,5 +1,7 @@
 """Pauli-string algebra: products, commutators, norms, exponentials."""
 
+import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -541,6 +543,24 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_ritz_step_refused_before_allocating(self, monkeypatch):
+        # physical memory reads 64 MiB; a 4096-step tridiagonal and its
+        # eigenvectors would take 2 * 8 * 4096^2 B = 0.25 GiB, 500 steps 4 MB
+        page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        phys = (64 << 20) // page
+        monkeypatch.setattr(os, "sysconf", lambda name: phys if name == "SC_PHYS_PAGES" else sysconf(name))
+        alpha, beta = [1.0] * 4096, [0.5] * 4095
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match=re.escape("Lanczos Ritz step needs about 0.25 GiB")):
+                pauli._top_ritz(alpha, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        theta, _ = pauli._top_ritz(alpha[:500], beta[:499])  # eigenvalues 1 + cos(jπ/501)
+        assert theta == pytest.approx(1 + math.cos(math.pi / 501), rel=1e-12)
 
 
 class TestPairKernel:
