@@ -6,7 +6,9 @@ Run from the repository root:
 
 Each command runs in process through ``crda.cli.main``, from the
 repository root, so ``--params`` paths resolve there wherever the script
-is started. A change that moves a printed number regenerates the corpus
+is started, and with a RuntimeWarning raised as an error, as the tests run
+it, so a recorded exit code does not depend on the filter the script was
+started with. A change that moves a printed number regenerates the corpus
 and names each moved number and its cause. The tests run every command in
 two processes whose outputs must agree byte for byte (``corpus_runs`` in
 ``tests/conftest.py``).
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -44,7 +47,9 @@ CORPUS = Path(__file__).with_name("cli.json")
 # sparse 4x4 simulate, the frame integrator, a 10-site simulate from a
 # product state, a 10-site digital norm, three sweeps (two on two threads)
 # and two short simulations; last, refusals of flag values out of their
-# domain: non-finite values and sweep bounds, and tolerances <= 0.
+# domain: non-finite values and sweep bounds, and tolerances <= 0; then
+# work too large for memory: a simulation whose per-block trace arrays
+# would not fit, and Dyson quadratures whose node tables would not.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -129,6 +134,9 @@ COMMANDS = [
     "errors --which dyson --n 2 --sweep t=0:inf:3",
     "verify-frames --n 3 --t 1 --tol -1",
     "verify-frames --n 3 --t 1 --tol 0",
+    "simulate --model heisenberg --n 4 --blocks 10000000000",
+    "errors --which dyson --n 2 --t 1e300",
+    "errors --which dyson --n 2 --t 1e5",
 ]
 
 
@@ -146,13 +154,15 @@ def _at_root():
 def run(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``crda`` on ``argv``, run in process from ``ROOT``.
 
-    An exception that ``main`` lets through exits 1 and writes its traceback
-    to stderr, as ``python -m crda.cli`` does on an uncaught exception.
+    A RuntimeWarning is an error, as under ``-W error::RuntimeWarning``. An
+    exception that ``main`` lets through exits 1 and writes its traceback to
+    stderr, as ``python -m crda.cli`` does on an uncaught exception.
     """
     from crda.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with _at_root(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with _at_root(), warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main(argv)
         except Exception:
