@@ -386,12 +386,18 @@ _CHEBYSHEV_TOL = 1e-16
 
 
 def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
-    """Refuse, before allocating, a simulation whose arrays exceed memory."""
+    """Refuse, before allocating, a simulation whose arrays exceed memory.
+
+    It counts the state planes, each generator's kept matrix, the largest
+    observable matrix (one is built at a time and dropped) and the trace's
+    times, norms and expectations, 8 bytes per block for each.
+    """
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
     need = (
         _SIMULATE_PLANES * (8 << schedule.n)
         + sum(h._operator_bytes() for h in generators)
-        + sum(obs._operator_bytes() for obs in observables)
+        + max((obs._operator_bytes() for obs in observables), default=0)
+        + 8 * schedule.repetitions * (2 + len(observables))
     )
     _check_memory(need, "simulate")
 
@@ -476,8 +482,9 @@ def simulate(
     the identity. A static (``PauliSum``) segment acts, at every size, by a
     Chebyshev expansion of exp(-i H tau) on the matrix the sum keeps (real
     where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
-    one matrix whatever their durations. An observable of Z strings keeps
-    only its diagonal. Gate layers act matrix-free, in blocks of adjacent
+    one matrix whatever their durations. An observable keeps nothing: its
+    expectation multiplies a matrix built for it and dropped
+    (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act matrix-free, in blocks of adjacent
     sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises
     :class:`~crda.pauli.DenseLimitError` above ``DEFAULT_DENSE_LIMIT``

@@ -39,6 +39,7 @@ from .pauli import (
     PRUNE_TOL,
     PauliSum,
     _anticommuting_pairs,
+    _check_memory,
     _doubled_sum,
     _pair_terms,
     _pattern,
@@ -246,12 +247,17 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     Welsch, 1969), with at least 64 nodes and 16 per half-period of the
     detuning, dense enough to be exact for the sinusoids involved; the rule
     of each node count is computed once and kept (:func:`_gauss_legendre`).
-    The pieces are then summed once, with their integrals as coefficients,
-    by :meth:`~crda.hamiltonians.TimeDependentHamiltonian.weighted_sum`.
+    Its eigensolve holds a nodes x nodes matrix and a copy, which over
+    physical memory raise :class:`~crda.pauli.DenseLimitError` (CLI exit 3)
+    first. The pieces are then summed once, with their integrals as
+    coefficients, by
+    :meth:`~crda.hamiltonians.TimeDependentHamiltonian.weighted_sum`.
     """
     n, g, delta, Omega = _uniform_quantities(p)
     gen = _delta_chain(HamiltonianKind.DELTA_H, n, g, delta, Omega)
-    nodes = max(64, int(16 * (abs(delta * t) / math.pi + 1)))
+    count = max(64.0, 16 * (abs(delta * t) / math.pi + 1))  # inf where delta t overflows
+    _check_memory(16 * count * count, "Dyson quadrature")
+    nodes = int(count)
     xs, ws = _gauss_legendre(nodes)
     # map [-1, 1] -> [0, t]
     ss = 0.5 * t * (xs + 1.0)

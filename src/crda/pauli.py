@@ -24,9 +24,11 @@ mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
 column ``i ^ x``, unless that sum is exactly zero: the stored entries are
 the nonzero ones, and the memory guards count the upper bound of one
 entry per row and X mask. A sum keeps one matrix (:meth:`PauliSum._operator`)
-for ``apply``, ``simulate`` and :func:`spectral_norm`, real where every
-weight is (:meth:`PauliSum._csr_dtype`), and a sum of Z strings keeps only
-its diagonal; both act as the complex matrix would, bit for bit.
+for ``apply``, ``simulate``'s generators and :func:`spectral_norm`, real
+where every weight is (:meth:`PauliSum._csr_dtype`), and a sum of Z strings
+only its diagonal; both act as the complex matrix would, bit for bit. An
+expectation value reads the kept matrix if there is one, else builds one
+and drops it.
 
 Conventions (fixed once, used everywhere):
 
@@ -445,7 +447,9 @@ class PauliSum:
         sum once, for about ``_BLOCK_ENTRIES`` entries' worth of ``hi`` values
         at a time, as outer products of per-string vectors. One ``take`` by
         key lays a few rows of it out in row order; their nonzero entries go
-        to arrays sized for every mask, trimmed at the end. Raises
+        to arrays sized for every mask, trimmed at the end. A table with no
+        exact zero skips that selection: its rows go straight to the arrays,
+        with every mask stored. Raises
         :class:`DenseLimitError` first if that upper bound,
         :meth:`_matrix_bytes`, exceeds physical memory.
         """
@@ -481,15 +485,24 @@ class PauliSum:
             table[...] = 0.0
             for part, s_hi, a_key in terms:
                 table[:, part] += np.multiply.outer(s_hi[h0 : h0 + step], a_key)
+            full = table.all()  # no exact zero: every entry of these rows is stored
             for r0 in range(0, len(table), rows):
-                vals = np.take(table[r0 : r0 + rows], columns, axis=1)  # (hi, lo, mask)
-                kept = np.flatnonzero(vals != 0)
-                i0, count, stop = (h0 + r0) << h, len(vals) << h, end + len(kept)
-                cols = np.arange(i0, i0 + count, dtype=itype)[:, None] ^ xs
+                block = table[r0 : r0 + rows]
+                i0, count = (h0 + r0) << h, len(block) << h
+                ids = np.arange(i0, i0 + count, dtype=itype)[:, None]
                 # mode="clip" takes straight into ``out``; every index is in range
-                np.take(vals, kept, out=data[end:stop], mode="clip")
-                np.take(cols, kept, out=indices[end:stop], mode="clip")
-                indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
+                if full:  # laid out in place, row by row
+                    stop = end + count * masks
+                    np.take(block, columns, axis=1, out=data[end:stop].reshape(len(block), 1 << h, masks), mode="clip")
+                    np.bitwise_xor(ids, xs, out=indices[end:stop].reshape(count, masks))
+                    indptr[i0 + 1 : i0 + 1 + count] = masks
+                else:
+                    vals = np.take(block, columns, axis=1)  # (hi, lo, mask)
+                    kept = np.flatnonzero(vals != 0)
+                    stop = end + len(kept)
+                    np.take(vals, kept, out=data[end:stop], mode="clip")
+                    np.take(ids ^ xs, kept, out=indices[end:stop], mode="clip")
+                    indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
                 end = stop
         data.resize(end, refcheck=False)
         indices.resize(end, refcheck=False)
@@ -497,24 +510,31 @@ class PauliSum:
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
     def _operator(self) -> scipy.sparse.csr_matrix | scipy.sparse.dia_matrix:
-        """The sum's one matrix, for :meth:`apply` and :func:`spectral_norm`, built at the first call and kept.
+        """The sum's one matrix, :meth:`_build_operator`, built at the first call and kept.
 
-        Its dtype is :meth:`_csr_dtype`. A sum of Z strings (every X mask 0)
-        keeps its diagonal as a DIA matrix, one weight per row: each weight
-        sums from 0, in key order, the terms ``±a`` that :meth:`_build_csr`
-        sums, and a DIA matvec adds ``d_i x_i`` to 0 as a CSR row does.
+        :meth:`apply` and :func:`spectral_norm` read it; :meth:`expectation`
+        reads it only once it is kept.
         """
         if self._matrix is None:
-            dim, dtype = 1 << self.n, self._csr_dtype()
-            if self._x.any():
-                self._matrix = self._build_csr(dtype)
-            else:
-                idx = np.arange(dim, dtype=_index_dtype(dim))
-                diagonal = np.zeros(dim, dtype=dtype)
-                for _, z, a in self._weights():
-                    diagonal += (a.real if dtype is float else a) * _parity_signs(idx, z)
-                self._matrix = scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
+            self._matrix = self._build_operator()
         return self._matrix
+
+    def _build_operator(self) -> scipy.sparse.csr_matrix | scipy.sparse.dia_matrix:
+        """A new matrix of the sum at :meth:`_csr_dtype`: :meth:`_build_csr`, or a diagonal.
+
+        A sum of Z strings (every X mask 0) gets its diagonal as a DIA
+        matrix, one weight per row: each weight sums from 0, in key order,
+        the terms ``±a`` that :meth:`_build_csr` sums, and a DIA matvec adds
+        ``d_i x_i`` to 0 as a CSR row does.
+        """
+        dim, dtype = 1 << self.n, self._csr_dtype()
+        if self._x.any():
+            return self._build_csr(dtype)
+        idx = np.arange(dim, dtype=_index_dtype(dim))
+        diagonal = np.zeros(dim, dtype=dtype)
+        for _, z, a in self._weights():
+            diagonal += (a.real if dtype is float else a) * _parity_signs(idx, z)
+        return scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
 
     def _operator_bytes(self) -> int:
         """Bytes of :meth:`_operator` at most: a weight per row for a diagonal, else :meth:`_matrix_bytes`."""
@@ -522,7 +542,21 @@ class PauliSum:
         return self._matrix_bytes(dtype) if self._x.any() else np.dtype(dtype).itemsize << self.n
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state.
+        """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state."""
+        return self._times(self._operator(), state)
+
+    def expectation(self, state: np.ndarray) -> complex:
+        """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``.
+
+        It multiplies the kept matrix if :meth:`apply` or a norm built one,
+        else a new one from :meth:`_build_operator`, which it drops: an
+        expectation keeps no matrix.
+        """
+        m = self._matrix if self._matrix is not None else self._build_operator()
+        return _vdot(state, self._times(m, state))
+
+    def _times(self, m, state: np.ndarray) -> np.ndarray:
+        """``m @ state`` for a matrix ``m`` of the sum, as a complex128 state.
 
         A real matrix multiplies the state's real and imaginary parts apart
         (:func:`_split`): the complex matvec adds ``a x_re - 0 x_im`` and
@@ -533,12 +567,7 @@ class PauliSum:
             raise ValueError(
                 f"state has {state.shape} amplitudes; expected {(1 << self.n,)}"
             )
-        m = self._operator()
         return _joined([m @ v for v in _split(m, state)])
-
-    def expectation(self, state: np.ndarray) -> complex:
-        """<state|h|state>, by :func:`_vdot`."""
-        return _vdot(state, self.apply(state))
 
     def frobenius_norm(self, normalized: bool = True) -> float:
         """sqrt of the summed squared weights, via Pauli-string orthogonality.

@@ -455,6 +455,14 @@ class TestFailureModes:
         assert error["type"] == "resource"
         assert "GiB" in error["message"]
 
+    def test_block_count_too_large_to_simulate_compiles(self, capsys):
+        # simulate refuses the trace arrays of 10^10 blocks with exit 3 (see
+        # the golden corpus); the schedule itself costs nothing per block
+        argv = ["compile", "--model", "heisenberg", "--n", "4", "--blocks", "10000000000"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["blocks"] == 10**10
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, capsys, threads):
         code, out, errtext = run_cli(

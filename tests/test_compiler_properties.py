@@ -181,9 +181,10 @@ def test_magnus_peak_memory():
 
 def test_simulation_guard_bounds_the_traced_peak(monkeypatch):
     # What the guard counts (states, Chebyshev planes, the generator's CSR
-    # bound, one weight per row of each Z observable) bounds what a 4x4 XY
-    # simulation allocates, and the 17 observables keep their diagonals
-    # (8.5 MiB) where they kept complex CSR matrices (25.5 MiB).
+    # bound, one weight per row of the largest observable, the trace arrays)
+    # bounds what a 4x4 XY simulation allocates, and the 17 Z observables
+    # keep nothing, where they kept their diagonals (8.5 MiB) and before
+    # that complex CSR matrices (25.5 MiB).
     import scipy.special  # noqa: F401  (simulate loads it lazily; module memory is not counted)
 
     counted = []
@@ -212,7 +213,50 @@ def test_simulation_guard_bounds_the_traced_peak(monkeypatch):
         tracemalloc.stop()
     assert len(counted) == 1
     assert peak <= counted[0]
-    assert observables <= 12e6
+    assert observables <= 1 << 16  # their term arrays
+
+
+def test_observables_keep_no_matrix():
+    # An expectation multiplies a diagonal built for it and dropped, so a
+    # simulation with a Z observable on each of 12 sites peaks within one
+    # diagonal plane of the same run with one, where the kept diagonals
+    # added 11 planes.
+    n = 12
+    schedule = compile_model(
+        TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(n), tau=0.2, repetitions=3)
+    )
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[0b0110_1001_0110] = 1.0
+
+    def peak(obs):
+        tracemalloc.start()
+        try:
+            simulate(schedule, psi0, obs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = [PauliSum.from_sites(n, {0: "Z"})]
+    every = [PauliSum.from_sites(n, {k: "Z"}) for k in range(n)]
+    simulate(schedule, psi0, one)  # builds the generator's kept matrix and loads scipy.special
+    assert peak(every) - peak(one) <= 8 << n
+    assert all(obs._matrix is None for obs in one + every)
+
+
+def test_trace_arrays_refused_before_allocating():
+    # 10^10 blocks need 8 bytes per block for the time, the norm and each
+    # observable: 240 GB, refused before any array is made.
+    schedule = compile_model(
+        TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(4), repetitions=10**10)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseLimitError, match="simulate"):
+            simulate(schedule, np.eye(16, 1, dtype=complex).ravel(), [PauliSum.from_sites(4, {0: "Z"})])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @st.composite
@@ -279,8 +323,8 @@ def test_compiled_generators_are_real_and_propagate_as_complex(kind):
 def test_equal_segments_share_one_generator(monkeypatch):
     # A static segment runs on the matrix its sum keeps, so a new duration
     # changes only the expansion coefficients: one build per distinct
-    # Hamiltonian, at its real dtype. The Z observable keeps its diagonal and
-    # builds no CSR matrix. to_dense builds a matrix too, so the
+    # Hamiltonian, at its real dtype. The Z observable builds no CSR matrix
+    # and keeps nothing. to_dense builds a matrix too, so the
     # time-dependent case counts propagate_unitary calls instead.
     built = []
     calls = {"propagate_unitary": 0}
@@ -307,8 +351,7 @@ def test_equal_segments_share_one_generator(monkeypatch):
     simulate(schedule, psi0, obs)
     h = schedule.segments()[0].analog
     assert built == [(h, float)]
-    diagonal = obs[0]._matrix
-    assert diagonal.format == "dia" and diagonal.dtype == np.float64
+    assert obs[0]._matrix is None
     assert calls == {"propagate_unitary": 0}
     timed = Schedule(
         n, (AnalogSegment(0.2, "all", h), GateLayer(G.HADAMARD), AnalogSegment(0.3, "all", h),
@@ -316,7 +359,7 @@ def test_equal_segments_share_one_generator(monkeypatch):
     )
     trace = simulate(timed, psi0, obs)
     assert built == [(h, float)]  # no build for the new duration
-    assert obs[0]._matrix is diagonal
+    assert obs[0]._matrix is None
     assert np.allclose(trace.expectations, _oracle_rows(timed, psi0, obs), rtol=0.0, atol=1e-12)
     device = DeviceParams.uniform_chain(n, g=1.0, delta=10.0, Omega=0.4)
     xy = TargetModel(ModelKind.XY_1D, Lattice.chain(n), tau=0.05, repetitions=2)

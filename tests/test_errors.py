@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -26,7 +27,7 @@ from crda.errors import (
 )
 from crda.hamiltonians import HamiltonianKind as K, build_canonical, translate_2d
 from crda import errors, hamiltonians, pauli
-from crda.pauli import PRUNE_TOL, PauliSum, PauliTerm, anticommutes, commutator, multiply
+from crda.pauli import PRUNE_TOL, DenseLimitError, PauliSum, PauliTerm, anticommutes, commutator, multiply
 
 
 def uniform(n, g=1.0, delta=10.0, ratio=0.0):
@@ -138,6 +139,21 @@ class TestDyson:
             xs[0] = 0.0
         want = np.polynomial.legendre.leggauss(64)
         assert xs.tobytes() == want[0].tobytes() and ws.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("t", [1e5, 1e300, -1e308])
+    def test_oversize_quadrature_refused_before_allocating(self, t):
+        # 16 nodes per half-period make a nodes x nodes companion matrix (189
+        # TiB at t = 1e5); delta t overflows to inf at 1e308
+        errors._gauss_legendre.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match="Dyson quadrature"):
+                dyson_propagator_diff(uniform(2, ratio=0.05), t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert errors._gauss_legendre.cache_info().currsize == 0
 
     def test_threaded_sweep_equals_serial_sweep(self):
         # the threads share the bounded rule cache; the 40 times take 32 node

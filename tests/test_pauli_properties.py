@@ -612,15 +612,18 @@ def test_row_block_build_single_term_and_single_mask(n):
 @given(csr_sums(max_n=10) | csr_sums(max_n=10, diagonal=True), st.integers(0, 2**32 - 1))
 def test_apply_and_expectation_equal_reference_matvec(h, seed):
     # apply keeps a real matrix where every weight is real, and only the
-    # diagonal of Z strings; both give the complex matvec's bits
+    # diagonal of Z strings; both give the complex matvec's bits. An
+    # expectation before any apply builds the same matrix and keeps nothing.
     v = _state(seed, h.n)
     rng = np.random.default_rng(seed)
     v.real[rng.random(len(v)) < 0.3] = 0.0
     v.imag[rng.random(len(v)) < 0.3] = -0.0
     want = reference_csr(h) @ v
+    expectation = np.array(complex(np.sum(np.conj(v) * want))).tobytes()
+    assert np.array(h.expectation(v)).tobytes() == expectation
+    assert h._matrix is None
     assert h.apply(v).tobytes() == want.tobytes()
-    expectation = complex(np.sum(np.conj(v) * want))
-    assert np.array(h.expectation(v)).tobytes() == np.array(expectation).tobytes()
+    assert np.array(h.expectation(v)).tobytes() == expectation
     assert h._matrix.dtype == np.dtype(h._csr_dtype())
     assert h._matrix.format == ("csr" if h._x.any() else "dia")
 
