@@ -484,8 +484,8 @@ def simulate(
     where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
     one matrix whatever their durations. An observable keeps nothing: its
     expectation multiplies a matrix built for it and dropped
-    (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act matrix-free, in blocks of adjacent
-    sites. A time-dependent segment becomes a dense unitary from
+    (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
+    matrix-free, in blocks of adjacent sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises
     :class:`~crda.pauli.DenseLimitError` above ``DEFAULT_DENSE_LIMIT``
     qubits. Equal ``(duration, analog)`` segments share one operator.

@@ -493,7 +493,8 @@ class PauliSum:
                 # mode="clip" takes straight into ``out``; every index is in range
                 if full:  # laid out in place, row by row
                     stop = end + count * masks
-                    np.take(block, columns, axis=1, out=data[end:stop].reshape(len(block), 1 << h, masks), mode="clip")
+                    out = data[end:stop].reshape(len(block), 1 << h, masks)
+                    np.take(block, columns, axis=1, out=out, mode="clip")
                     np.bitwise_xor(ids, xs, out=indices[end:stop].reshape(count, masks))
                     indptr[i0 + 1 : i0 + 1 + count] = masks
                 else:
@@ -543,7 +544,7 @@ class PauliSum:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state."""
-        return self._times(self._operator(), state)
+        return self._matvec(self._operator(), state)
 
     def expectation(self, state: np.ndarray) -> complex:
         """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``.
@@ -553,9 +554,9 @@ class PauliSum:
         expectation keeps no matrix.
         """
         m = self._matrix if self._matrix is not None else self._build_operator()
-        return _vdot(state, self._times(m, state))
+        return _vdot(state, self._matvec(m, state))
 
-    def _times(self, m, state: np.ndarray) -> np.ndarray:
+    def _matvec(self, m, state: np.ndarray) -> np.ndarray:
         """``m @ state`` for a matrix ``m`` of the sum, as a complex128 state.
 
         A real matrix multiplies the state's real and imaginary parts apart
