@@ -255,7 +255,8 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     """
     n, g, delta, Omega = _uniform_quantities(p)
     gen = _delta_chain(HamiltonianKind.DELTA_H, n, g, delta, Omega)
-    count = max(64.0, 16 * (abs(delta * t) / math.pi + 1))  # inf where delta t overflows
+    # inf where delta t overflows; NaN passes the guard and fails at int()
+    count = max(16 * (abs(delta * t) / math.pi + 1), 64.0)
     _check_memory(16 * count * count, "Dyson quadrature")
     nodes = int(count)
     xs, ws = _gauss_legendre(nodes)

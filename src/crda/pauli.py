@@ -447,9 +447,7 @@ class PauliSum:
         sum once, for about ``_BLOCK_ENTRIES`` entries' worth of ``hi`` values
         at a time, as outer products of per-string vectors. One ``take`` by
         key lays a few rows of it out in row order; their nonzero entries go
-        to arrays sized for every mask, trimmed at the end. A table with no
-        exact zero skips that selection: its rows go straight to the arrays,
-        with every mask stored. Raises
+        to arrays sized for every mask, trimmed at the end. Raises
         :class:`DenseLimitError` first if that upper bound,
         :meth:`_matrix_bytes`, exceeds physical memory.
         """
@@ -485,25 +483,15 @@ class PauliSum:
             table[...] = 0.0
             for part, s_hi, a_key in terms:
                 table[:, part] += np.multiply.outer(s_hi[h0 : h0 + step], a_key)
-            full = table.all()  # no exact zero: every entry of these rows is stored
             for r0 in range(0, len(table), rows):
-                block = table[r0 : r0 + rows]
-                i0, count = (h0 + r0) << h, len(block) << h
-                ids = np.arange(i0, i0 + count, dtype=itype)[:, None]
+                vals = np.take(table[r0 : r0 + rows], columns, axis=1)  # (hi, lo, mask)
+                kept = np.flatnonzero(vals != 0)
+                i0, count, stop = (h0 + r0) << h, len(vals) << h, end + len(kept)
+                cols = np.arange(i0, i0 + count, dtype=itype)[:, None] ^ xs
                 # mode="clip" takes straight into ``out``; every index is in range
-                if full:  # laid out in place, row by row
-                    stop = end + count * masks
-                    out = data[end:stop].reshape(len(block), 1 << h, masks)
-                    np.take(block, columns, axis=1, out=out, mode="clip")
-                    np.bitwise_xor(ids, xs, out=indices[end:stop].reshape(count, masks))
-                    indptr[i0 + 1 : i0 + 1 + count] = masks
-                else:
-                    vals = np.take(block, columns, axis=1)  # (hi, lo, mask)
-                    kept = np.flatnonzero(vals != 0)
-                    stop = end + len(kept)
-                    np.take(vals, kept, out=data[end:stop], mode="clip")
-                    np.take(ids ^ xs, kept, out=indices[end:stop], mode="clip")
-                    indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
+                np.take(vals, kept, out=data[end:stop], mode="clip")
+                np.take(cols, kept, out=indices[end:stop], mode="clip")
+                indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
                 end = stop
         data.resize(end, refcheck=False)
         indices.resize(end, refcheck=False)
@@ -544,7 +532,8 @@ class PauliSum:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state."""
-        return self._matvec(self._operator(), state)
+        v = self._checked_state(state)
+        return _matvec(self._operator(), v)
 
     def expectation(self, state: np.ndarray) -> complex:
         """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``.
@@ -553,22 +542,18 @@ class PauliSum:
         else a new one from :meth:`_build_operator`, which it drops: an
         expectation keeps no matrix.
         """
+        v = self._checked_state(state)
         m = self._matrix if self._matrix is not None else self._build_operator()
-        return _vdot(state, self._matvec(m, state))
+        return _vdot(state, _matvec(m, v))
 
-    def _matvec(self, m, state: np.ndarray) -> np.ndarray:
-        """``m @ state`` for a matrix ``m`` of the sum, as a complex128 state.
-
-        A real matrix multiplies the state's real and imaginary parts apart
-        (:func:`_split`): the complex matvec adds ``a x_re - 0 x_im`` and
-        ``a x_im + 0 x_re`` to 0, the same bits.
-        """
+    def _checked_state(self, state: np.ndarray) -> np.ndarray:
+        """``state`` as complex128; ``ValueError``, before any matrix is built, unless it has 2^n amplitudes."""
         state = np.asarray(state, dtype=complex)
         if state.shape != (1 << self.n,):
             raise ValueError(
                 f"state has {state.shape} amplitudes; expected {(1 << self.n,)}"
             )
-        return _joined([m @ v for v in _split(m, state)])
+        return state
 
     def frobenius_norm(self, normalized: bool = True) -> float:
         """sqrt of the summed squared weights, via Pauli-string orthogonality.
@@ -611,6 +596,16 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     A real ``a`` is used as it is (its ``conj()`` returns it), with no copy.
     """
     return complex(np.sum(a.conj() * b))
+
+
+def _matvec(m, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for a matrix ``m`` of a sum and a complex128 ``v``, as complex128.
+
+    A real matrix multiplies the state's real and imaginary parts apart
+    (:func:`_split`): the complex matvec adds ``a x_re - 0 x_im`` and
+    ``a x_im + 0 x_re`` to 0, the same bits.
+    """
+    return _joined([m @ u for u in _split(m, v)])
 
 
 def _split(m, v: np.ndarray) -> list[np.ndarray]:

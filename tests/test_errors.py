@@ -1,6 +1,7 @@
 """Error reports: synthesis norms, propagator differences, commutator audits."""
 
 import json
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -154,6 +155,11 @@ class TestDyson:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert errors._gauss_legendre.cache_info().currsize == 0
+
+    def test_nan_time_raises_before_quadrature(self):
+        # a NaN node count passes the memory guard and fails at int()
+        with pytest.raises(ValueError, match="NaN"):
+            dyson_propagator_diff(uniform(2, ratio=0.05), math.nan)
 
     def test_threaded_sweep_equals_serial_sweep(self):
         # the threads share the bounded rule cache; the 40 times take 32 node

@@ -509,6 +509,15 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("method", ["apply", "expectation"])
+    def test_wrong_state_shape_checked_before_the_matrix(self, method):
+        # the 40-qubit matrix would be refused; a wrong-size state is a
+        # ValueError first, and nothing is built or kept
+        h = PauliSum.from_pattern("XZ" * 20) + PauliSum.from_pattern("Y" * 40)
+        with pytest.raises(ValueError, match="amplitudes"):
+            getattr(h, method)(np.ones(4, dtype=complex))
+        assert h._matrix is None
+
     def test_product_refused_before_allocating(self):
         # 2^17 strings on 17 sites times themselves: 2^34 pairs of one mask
         # word, whose product table would take about 1.5 TiB
