@@ -49,7 +49,9 @@ CORPUS = Path(__file__).with_name("cli.json")
 # and two short simulations; last, refusals of flag values out of their
 # domain: non-finite values and sweep bounds, and tolerances <= 0; then
 # work too large for memory: a simulation whose per-block trace arrays
-# would not fit, and Dyson quadratures whose node tables would not.
+# would not fit, and Dyson quadratures whose node tables would not; last, a
+# Chebyshev expansion whose order would not fit (tau = 1e300), and a frame
+# integration whose couplings (g = 1e300) overflow the Magnus exponent.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -137,6 +139,8 @@ COMMANDS = [
     "simulate --model heisenberg --n 4 --blocks 10000000000",
     "errors --which dyson --n 2 --t 1e300",
     "errors --which dyson --n 2 --t 1e5",
+    "simulate --model heisenberg --n 4 --tau 1e300 --blocks 1",
+    "verify-frames --n 2 --g 1e300 --t 1",
 ]
 
 
