@@ -408,9 +408,12 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     Below |x| the Bessel functions have zeros, so a small value there is no
     place to stop; past |x| they fall off super-exponentially.
     """
-    kmax = int(abs(x) + 10.0 * abs(x) ** (1.0 / 3.0)) + 16
+    kmax = abs(x) + 10.0 * abs(x) ** (1.0 / 3.0) + 16.0
     while True:
-        k = np.arange(kmax + 1)
+        # at the peak an order holds int64 and float64 values, an int64 index, its
+        # residues and two complex numbers; in float, an overflowed order is refused
+        _check_memory(64 * (kmax + 1.0), "Chebyshev expansion")
+        k = np.arange(int(kmax) + 1)
         j = scipy.special.jv(k, x)
         small = np.flatnonzero((k > abs(x)) & (np.abs(j) < _CHEBYSHEV_TOL))
         if small.size:

@@ -16,7 +16,6 @@ in real arithmetic (see :func:`~crda.pauli.spectral_norm`).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -39,7 +38,6 @@ from .pauli import (
     PRUNE_TOL,
     PauliSum,
     _anticommuting_pairs,
-    _check_memory,
     _doubled_sum,
     _pair_terms,
     _pattern,
@@ -230,53 +228,19 @@ def dyson_norm_formula(g: float, delta: float, n: int, t: float) -> float:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], kept for the last few counts."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
-
-
 def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     """Normalized Frobenius norm of the first-order propagator difference.
 
     Both propagators are expanded to first order in time, so the
-    difference is -i times the time integral of the defect. Each piece's
-    scalar weight is integrated by Gauss-Legendre quadrature (Golub &
-    Welsch, 1969), with at least 64 nodes and 16 per half-period of the
-    detuning, dense enough to be exact for the sinusoids involved; the rule
-    of each node count is computed once and kept (:func:`_gauss_legendre`).
-    Its eigensolve holds a nodes x nodes matrix and a copy, which over
-    physical memory raise :class:`~crda.pauli.DenseLimitError` (CLI exit 3)
-    first. The pieces are then summed once, with their integrals as
-    coefficients, by
-    :meth:`~crda.hamiltonians.TimeDependentHamiltonian.weighted_sum`.
+    difference is -i times the time integral of the defect, taken in closed
+    form (:meth:`~crda.hamiltonians.TimeDependentHamiltonian.integral`). A
+    time whose detuning phase is not a finite float64 raises ``ValueError``.
     """
     n, g, delta, Omega = _uniform_quantities(p)
-    gen = _delta_chain(HamiltonianKind.DELTA_H, n, g, delta, Omega)
-    # inf where delta t overflows; NaN passes the guard and fails at int()
-    count = max(16 * (abs(delta * t) / math.pi + 1), 64.0)
-    _check_memory(16 * count * count, "Dyson quadrature")
-    nodes = int(count)
-    xs, ws = _gauss_legendre(nodes)
-    # map [-1, 1] -> [0, t]
-    ss = 0.5 * t * (xs + 1.0)
-    ww = 0.5 * t * ws
-    integral = gen.weighted_sum(gen.weights(ss) @ ww)
+    integral = _delta_chain(HamiltonianKind.DELTA_H, n, g, delta, Omega).integral(t)
     numeric = integral.frobenius_norm(normalized=True)  # |-i| factor is 1
     analytic = dyson_norm_formula(g, delta, n, t)
-    report = ErrorReport(
-        which="dyson",
-        params={
-            "n": n,
-            "g": g,
-            "delta": delta,
-            "Omega": Omega,
-            "t": t,
-            "quadrature_nodes": nodes,
-        },
-    )
+    report = ErrorReport("dyson", params={"n": n, "g": g, "delta": delta, "Omega": Omega, "t": t})
     report.add(
         "propagator_diff_norm",
         numeric,

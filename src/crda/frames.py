@@ -41,6 +41,7 @@ from .pauli import (
     _expm_eigh,
     _from_sorted,
     _grouped,
+    _left_sum,
     _mask_words,
     _popcount,
 )
@@ -380,7 +381,8 @@ def propagate_unitary(
 
     The step count doubles until two consecutive resolutions agree to
     ``tol`` in spectral norm; non-convergence within ``_MAGNUS_HALVINGS``
-    doublings raises :class:`~crda.pauli.ConvergenceError`. Steps are
+    doublings raises :class:`~crda.pauli.ConvergenceError`; a norm bound that
+    would overflow a Magnus exponent raises ``ValueError`` first. Steps are
     batched (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): one
     ``h.weights`` call gives the piece weights at both Gauss-Legendre nodes
     of a chunk of steps, one ``einsum`` forms the node Hamiltonians, each
@@ -399,6 +401,9 @@ def propagate_unitary(
     mats = np.array([ps.to_dense() for ps, _ in h.pieces])
     if t_final == 0.0 or not h.pieces:
         return np.eye(dim, dtype=complex), {"steps": 0, "step_size": 0.0, "residual": 0.0}
+    bound = _left_sum(abs(c) for ps, _ in h.pieces for c in ps._c.tolist())  # |weights| <= 1
+    if not math.isfinite(bound * bound):  # an exponent multiplies two node Hamiltonians
+        raise ValueError(f"the Magnus exponent overflows float64 (norm bound {bound:.3g})")
 
     def ham(times: np.ndarray) -> np.ndarray:
         """Dense H(t) for every entry of ``times``, shape ``times.shape + (dim, dim)``."""

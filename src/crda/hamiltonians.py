@@ -30,6 +30,7 @@ walks its bonds as 0-based mask bits through
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -147,6 +148,32 @@ class TimeDependentHamiltonian:
 
     def at(self, t: float) -> PauliSum:
         return self.weighted_sum(self.weights(t))
+
+    def integral(self, t: float) -> PauliSum:
+        """The exact integral from 0 to ``t``, the pieces summed by :meth:`weighted_sum`.
+
+        A weight expands, factor by factor (cos x = (e^ix + e^-ix) / 2 and
+        sin x = (e^ix - e^-ix) / 2i), into terms c e^(i (Omega s + Phi)) at
+        the sums and differences of its frequencies. A term integrates to
+        c t e^(i Phi) at Omega = 0, else to c e^(i (Omega t / 2 + Phi)) 2
+        sin(Omega t / 2) / Omega, which keeps its digits for small Omega t;
+        the weight's integral is the real part of the sum. Raises
+        ``ValueError`` when ``max_frequency * t`` (>= every |Omega t|) is not finite.
+        """
+        if not math.isfinite(self.max_frequency * t):
+            raise ValueError(f"the phase {self.max_frequency} * {t} is not finite")
+        scalars = []
+        for _, weight in self.pieces:
+            terms = [(1.0 + 0j, 0.0, 0.0)]  # (c, Omega, Phi)
+            for fn, omega, phase in weight:
+                terms = [(c * (0.5 if fn == "cos" else -0.5j * s), w + s * omega, p + s * phase)
+                         for c, w, p in terms for s in (1.0, -1.0)]
+            total = 0j
+            for c, omega, phase in terms:
+                size = t if omega == 0.0 else 2.0 * math.sin(0.5 * omega * t) / omega
+                total += c * cmath.exp(1j * (0.5 * omega * t + phase)) * size
+            scalars.append(total.real)
+        return self.weighted_sum(scalars)
 
     @property
     def frequencies(self) -> tuple[float, ...]:

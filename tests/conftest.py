@@ -15,6 +15,9 @@ runs the complex recurrence on that matrix, whose bits the package's
 propagator must give on the state's real and imaginary parts; and the 2D
 translation and Trotter-audit references read every string out as a
 ``PauliTerm``, as the package's mask-word versions must match bit for bit.
+The time integral of a sinusoid product is summed by composite
+Gauss-Legendre quadrature, which the package's closed form must match to
+roundoff.
 The letter loops encode and decode one letter at a time, as the package's
 one letter codec must reproduce; the device-chain reference writes out
 every bond row of ``build_qf_effective`` by hand, which the package
@@ -101,6 +104,33 @@ def sinusoid_product(weight, t: float) -> float:
     return math.prod(getattr(math, fn)(omega * t + phase) for fn, omega, phase in weight)
 
 
+# Gauss-Legendre rule of the quadrature reference below, on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gauss_legendre_integral(weight, t: float) -> float:
+    """Integral from 0 to ``t`` of a product of sinusoids, by composite Gauss-Legendre quadrature.
+
+    Each panel spans at most four radians of the sum of the factors' |omega|,
+    which bounds every phase's change across it, and takes a 16-node rule,
+    whose error there is below 1e-25 of the panel's width; the weight is
+    evaluated at each node as the product of its factors. Each phase omega s
+    + phi is rounded to float64, so the result errs by up to a few
+    roundoffs of ``|t|`` times the phase span ``|t| sum |omega|``. Panels are
+    summed in chunks of 2^14, so a million radians holds a few MB.
+    """
+    panels = int(abs(t) * sum(abs(omega) for _, omega, _ in weight) / 4.0) + 1
+    total = 0.0
+    for first in range(0, panels, 1 << 14):
+        left = np.arange(first, min(first + (1 << 14), panels), dtype=float)
+        s = (left[:, None] + 0.5 * (_GL_NODES + 1.0)) * (t / panels)
+        w = np.ones_like(s)
+        for fn, omega, phase in weight:
+            w *= getattr(np, fn)(omega * s + phase)
+        total += float((w @ _GL_WEIGHTS).sum())
+    return 0.5 * (t / panels) * total
+
+
 def random_pauli_sum(rng, n, nterms=6, real=False):
     from crda.pauli import PauliSum, PauliTerm
 
@@ -137,8 +167,7 @@ def corpus_runs():
     What crda prints must not depend on the process it runs in. Pauli sums
     hash the bytes of their arrays, and Python salts bytes hashes per
     process. The synthesis and Dyson sweeps' ``--threads`` workers share the
-    cached quadrature rules and the original and defect chains kept per
-    uniform chain. The dense and Krylov norms, the sparse simulations and the
+    original and defect chains kept per uniform chain. The dense and Krylov norms, the sparse simulations and the
     frame integrator call BLAS or LAPACK, which may thread: the 16-site
     heis_da norm's Ritz step solves a 125x125 tridiagonal by LAPACK.
 

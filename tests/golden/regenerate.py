@@ -32,8 +32,7 @@ CORPUS = Path(__file__).with_name("cli.json")
 # (two mask words); then the README examples, the benchmark's commands, a
 # dense simulate and a fused 2D compile; then the lattice edge cases of the
 # checkerboard bond walk; then synthesis and Dyson sweeps whose threads
-# share the cached quadrature rules and chains (the Dyson sweep takes 64 to
-# 270 quadrature nodes); then two runs of the nine-piece zz original chain:
+# share the kept chains; then two runs of the nine-piece zz original chain:
 # a synthesis sweep and realistic Ising blocks; then the benchmark's Krylov
 # commutator norms; a Trotter audit of the empty commutator (J = 0); then
 # fused compiles of the 1D protocols (xy1d merges h even + h odd into h all)
@@ -49,7 +48,8 @@ CORPUS = Path(__file__).with_name("cli.json")
 # and two short simulations; last, refusals of flag values out of their
 # domain: non-finite values and sweep bounds, and tolerances <= 0; then
 # work too large for memory: a simulation whose per-block trace arrays
-# would not fit, and Dyson quadratures whose node tables would not; last, a
+# would not fit; then Dyson integrals at t = 1e300 and 1e5, millions of
+# detuning periods and more; last, a
 # Chebyshev expansion whose order would not fit (tau = 1e300), and a frame
 # integration whose couplings (g = 1e300) overflow the Magnus exponent.
 _CHAIN_KINDS = (

@@ -1,5 +1,7 @@
 """Schedule compilation, synthesis exactness, fusion, and simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,7 +36,7 @@ from crda.hamiltonians import (
     build_canonical,
     org_hamiltonian,
 )
-from crda.pauli import PauliSum, expm_hermitian
+from crda.pauli import DenseLimitError, PauliSum, expm_hermitian
 
 
 def model(kind, n=4, j=1.0, tau=0.3, reps=1, boundary="open", ny=None):
@@ -322,6 +324,22 @@ class TestSimulate:
         s = compile_model(model(ModelKind.ISING_1D, n=3))
         with pytest.raises(ValueError):
             simulate(s, np.zeros(4, dtype=complex), [])
+
+    @pytest.mark.parametrize("tau", [1e300, 1e308])
+    def test_chebyshev_order_refused_before_allocating(self, tau):
+        # R tau = 9e300 asks for about 10^301 Bessel orders; at tau = 1e308
+        # R tau overflows to inf
+        s = compile_model(model(ModelKind.HEISENBERG_1D, n=4, tau=tau))
+        psi0 = np.zeros(16, dtype=complex)
+        psi0[0] = 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match="Chebyshev expansion"):
+                simulate(s, psi0, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRealisticMode:

@@ -191,7 +191,8 @@ def test_simulation_guard_bounds_the_traced_peak(monkeypatch):
     check = compiler._check_memory
 
     def counted_check(need, what):
-        counted.append(need)
+        if what == "simulate":  # the Chebyshev orders are checked apart
+            counted.append(need)
         check(need, what)
 
     monkeypatch.setattr(compiler, "_check_memory", counted_check)

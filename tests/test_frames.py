@@ -309,6 +309,22 @@ class TestPropagator:
         u, _ = propagate_unitary(gen, 0.0)
         assert np.allclose(u, np.eye(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            ((1e300, ()),),
+            # each piece's square fits float64; the norm bound 2e154's does not
+            ((1e154, ()), (1e154, (("cos", 3.0, 0.0),))),
+        ],
+    )
+    def test_overflowing_magnus_exponent_refused(self, pieces):
+        gen = TimeDependentHamiltonian(
+            1, tuple((c * PauliSum.from_pattern(s), w) for s, (c, w) in zip("ZX", pieces))
+        )
+        with pytest.raises(ValueError, match="Magnus exponent overflows"):
+            propagate_unitary(gen, 1.0)
+
 
 class TestVerifyEffective:
     def test_decoupled_rotating_frame_is_exact(self):

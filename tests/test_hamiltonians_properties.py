@@ -2,8 +2,9 @@
 
 Weights are checked against a per-time ``math`` evaluation
 (``conftest.sinusoid_product``), the derived frequencies against the
-frequencies each family is built from, the piece-integrated Dyson
-integral against a quadrature sum of per-node snapshots, and the folded
+frequencies each family is built from, the closed-form time integral of
+generated sinusoid products and of the Dyson defect against composite
+Gauss-Legendre quadrature (``conftest.gauss_legendre_integral``), and the folded
 weighted sum against the left-to-right reference loop, bit for bit: on a
 fresh chain per case, and on one kept chain whose fold plan serves many
 scalar vectors, from one thread or four, without grouping keys again. The
@@ -18,10 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    gauss_legendre_integral,
     reference_add,
     reference_scale,
     reference_weighted_sum,
@@ -62,8 +64,8 @@ _TIMES = st.lists(_floats(0.0, 3.0), min_size=1, max_size=6)
 @st.composite
 def uniform_devices(draw):
     """Detuning of either sign; coupling bounded away from zero, as the
-    snapshot reference of the Dyson test prunes each node's coefficients
-    below PRUNE_TOL and so loses digits for couplings near 1e-7."""
+    Dyson test's reference sum prunes coefficients below PRUNE_TOL and so
+    loses digits for couplings near 1e-7."""
     return DeviceParams.uniform_chain(
         draw(st.integers(2, 5)),
         g=draw(_signed(0.05, 2.0)),
@@ -134,21 +136,48 @@ def test_lab_and_rotating_weights_and_frequencies(p, times):
     assert rot.frequencies == tuple(sorted(bonds))
 
 
+@st.composite
+def sinusoid_products(draw):
+    """0 to 3 factors, each at a frequency of 0, +-1e-12, +-1e5/3, +- an
+    earlier factor's (so sums and differences of 0 and 1e-12 occur), or
+    +-1e-3 to +-1e5/3 spread evenly over the decades."""
+    weight = []
+    for _ in range(draw(st.integers(0, 3))):
+        earlier = [s * om for _, om, _ in weight for s in (1.0, -1.0)]
+        special = st.sampled_from([0.0, 1e-12, -1e-12, 1e5 / 3, -1e5 / 3, *earlier])
+        decades = _floats(-3.0, math.log10(1e5 / 3)).map(lambda e: 10.0**e)
+        omega = draw(special | decades.flatmap(lambda v: st.sampled_from([v, -v])))
+        weight.append((draw(st.sampled_from(["cos", "sin"])), omega, draw(_floats(-math.pi, math.pi))))
+    return tuple(weight)
+
+
+@given(st.lists(sinusoid_products(), min_size=1, max_size=3), _signed(0.0, 10.0))
+@example([(("cos", 1e5 / 3, 0.3), ("sin", 1e5 / 3, -1.1), ("cos", -1e5 / 3, 2.0)), ()], 10.0)
+@example([(("cos", 1e-12, 0.3),), (("cos", 2.5, 0.1), ("sin", 2.5 + 1e-12, -0.7))], -10.0)
+def test_integral_matches_gauss_legendre(weights, t):
+    # |Omega t| reaches 1e6. The closed form keeps each phase's sum exact to
+    # a roundoff; the reference rounds every node's phase, which moves its
+    # integral by up to a few roundoffs of |t| per radian of phase span.
+    n = len(weights)
+    pieces = tuple(
+        (PauliSum.from_pattern("I" * k + "Z" + "I" * (n - 1 - k)), w) for k, w in enumerate(weights)
+    )
+    got = {term.pattern: term.coeff for term in TimeDependentHamiltonian(n, pieces).integral(t).terms()}
+    for ps, w in pieces:
+        (term,) = ps.terms()
+        span = abs(t) * sum(abs(om) for _, om, _ in w)
+        tol = abs(t) * (1e-13 + 4 * np.finfo(float).eps * span) + pauli.PRUNE_TOL  # a weight <= PRUNE_TOL reads 0
+        assert abs(got.get(term.pattern, 0.0) - gauss_legendre_integral(w, t)) <= tol
+
+
 @given(uniform_devices(), _floats(0.01, 2.0))
-def test_dyson_integral_matches_snapshot_quadrature(p, t):
-    report = dyson_propagator_diff(p, t)
-    nodes = report.params["quadrature_nodes"]
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+def test_dyson_integral_matches_gauss_legendre(p, t):
     gen = delta_hamiltonian(K.DELTA_H, p)
     integral = PauliSum.zero(p.n)
-    for x, w in zip(xs, ws):
-        s = 0.5 * t * (x + 1.0)
-        snapshot = PauliSum.zero(p.n)
-        for ps, weight in gen.pieces:
-            snapshot = snapshot + sinusoid_product(weight, s) * ps
-        integral = integral + float(0.5 * t * w) * snapshot
+    for ps, weight in gen.pieces:
+        integral = integral + gauss_legendre_integral(weight, t) * ps
     want = integral.frobenius_norm(normalized=True)
-    got = report.entry("propagator_diff_norm").value
+    got = dyson_propagator_diff(p, t).entry("propagator_diff_norm").value
     g = abs(p.uniform()[0])
     assert abs(got - want) <= 1e-13 * max(want, t * g)
 
