@@ -51,7 +51,8 @@ CORPUS = Path(__file__).with_name("cli.json")
 # would not fit; then Dyson integrals at t = 1e300 and 1e5, millions of
 # detuning periods and more; last, a
 # Chebyshev expansion whose order would not fit (tau = 1e300), and a frame
-# integration whose couplings (g = 1e300) overflow the Magnus exponent.
+# integration whose couplings (g = 1e300) overflow the Magnus exponent;
+# last, a geometric sweep whose bounds lie on both sides of zero.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -141,6 +142,7 @@ COMMANDS = [
     "errors --which dyson --n 2 --t 1e5",
     "simulate --model heisenberg --n 4 --tau 1e300 --blocks 1",
     "verify-frames --n 2 --g 1e300 --t 1",
+    "verify-frames --n 2 --t 0.5 --sweep scale=-1:5:3:geom",
 ]
 
 
