@@ -70,8 +70,6 @@ from .pauli import (
     ConvergenceError,
     DenseLimitError,
     PauliSum,
-    PauliTerm,
-    anticommutes,
     commutator,
     expm_hermitian,
     multiply,

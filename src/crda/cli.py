@@ -13,11 +13,12 @@ names each subcommand's flags. ``_mode`` states which flags each mode
 reads, and ``main`` refuses, before any work, every flag set off its
 default that the mode never reads, so the echoed configuration holds only
 what ran. It refuses as well a non-finite value of any ``float`` flag or
-sweep bound, and a ``--tol`` <= 0, which no run could meet.
+sweep bound, geometric sweep bounds on both sides of zero, and a
+``--tol`` <= 0, which no run could meet.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible size, 4 numerical
-non-convergence, 1 anything else. Failures emit a JSON error object on
-stderr.
+non-convergence (a Lanczos run or a LAPACK eigensolver), 1 anything else.
+Failures emit a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .hamiltonians import (
     build_org,
     build_qf_effective,
 )
-from .pauli import ConvergenceError, DenseLimitError, PauliSum, PauliTerm
+from .pauli import ConvergenceError, DenseLimitError, PauliSum, _masks
 
 _PHASE_KINDS = {k.value for k in _PHASE_CHAINS}
 _CANONICAL_KINDS = _PHASE_KINDS | {k.value for k in _BONDS}
@@ -301,6 +302,8 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     if npts < 1:
         raise ValueError("sweep needs at least one point")
     if len(parts) == 4 and parts[3] == "geom":
+        if start < 0 < stop or stop < 0 < start:
+            raise ValueError(f"geometric sweep bounds must have one sign (got {start}, {stop})")
         values = np.geomspace(start, stop, npts)
     else:
         values = np.linspace(start, stop, npts)
@@ -326,7 +329,7 @@ def _parse_observables(specs: list[str] | None, n: int) -> tuple[list[PauliSum],
     obs, names = [], []
     for spec in specs:
         if spec == "sz-total":
-            obs.append(PauliSum.from_terms(PauliTerm.from_sites(n, {k: "Z"}) for k in range(n)))
+            obs.append(PauliSum(n, {_masks([(k, "Z")]): 1.0 for k in range(n)}))
         elif spec.startswith("z") and spec[1:].isdigit():
             site = int(spec[1:])
             if not 1 <= site <= n:
@@ -575,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     except DenseLimitError as exc:
         _fail("resource", str(exc))
         return 3
-    except ConvergenceError as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         _fail("convergence", str(exc))
         return 4
     except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:

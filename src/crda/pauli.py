@@ -6,18 +6,21 @@ N-bit masks ``(x, z)`` with bit ``k`` describing site ``k``, and an
 explicit power of ``i`` folded into the coefficient (Aaronson & Gottesman,
 2004). Letters and masks convert in one place: :func:`_masks` encodes
 ``(site, letter)`` pairs and :func:`_pattern` decodes masks to a pattern
-string, for every term, builder and printout. A sum holds its masks
-bit-packed, as ``(terms, ceil(N/64))`` uint64 word arrays sorted as
-``(x, z)`` int tuples (as in Stim; Gidney, 2021), beside a complex128 weight
-array. Every consumer computes on these arrays; Python ints appear only
-where terms are read out, and only the matrix builds walk terms, for
+string, for every builder, lookup and printout. A string exists only as a
+row of a sum: a sum holds its masks bit-packed, as ``(terms, ceil(N/64))``
+uint64 word arrays sorted as ``(x, z)`` int tuples (as in Stim; Gidney,
+2021), beside a complex128 weight array, and a single string is a sum of
+one. Every consumer computes on these arrays; Python ints appear only
+where strings are read out, and only the matrix builds walk strings, for
 per-string sign vectors. Products and commutators run as one vectorized
-kernel over all string pairs (:func:`_pair_terms`): a product broadcasts
-one sum's term arrays against the other's, a commutator gathers the
-anticommuting pairs of a boolean parity table, and a pair costs a few
-word operations instead of O(4^N). Every result is summed per string in
-sorted order, bit for bit as a left-to-right Python loop over a dict of
-weights would sum it.
+kernel over all string pairs (:func:`_pair_terms`), which holds the one
+product phase rule (:func:`_product_phase_exp`); :func:`multiply` ``(a,
+b)`` is ``a @ b``. A product broadcasts one sum's term arrays against the
+other's, a commutator gathers the anticommuting pairs of a boolean parity
+table, and a pair costs a few word operations instead of O(4^N). Every
+result is summed per string in sorted order, bit for bit as a
+left-to-right Python loop over a dict of weights would sum it: the tests'
+pair-product reference is such a loop, with a phase rule of its own.
 
 A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X
 mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
@@ -51,13 +54,11 @@ runs on numpy's ``eigh``.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -68,11 +69,9 @@ __all__ = [
     "DEFAULT_DENSE_LIMIT",
     "ConvergenceError",
     "DenseLimitError",
-    "PauliTerm",
     "PauliSum",
     "multiply",
     "commutator",
-    "anticommutes",
     "spectral_norm",
     "expm_hermitian",
 ]
@@ -166,84 +165,25 @@ def _pattern(n: int, x: int, z: int) -> str:
     return "".join(_LETTER_OF[(x >> k) & 1, (z >> k) & 1] for k in range(n))
 
 
-def _product_phase_exp(x1, z1, x2, z2, popcount=int.bit_count, ys=None):
-    """Power of i picked up when composing two symplectic-encoded strings.
+def _product_phase_exp(x1, z1, x2, z2, ys=None):
+    """Power of i picked up when composing two symplectic-encoded strings: the one phase rule.
 
-    On int masks by default; on ``(pairs, W)`` word arrays with
-    ``popcount=_popcount``, one exponent per pair. ``ys`` gives the two
-    strings' Y counts ``popcount(x & z)`` where the caller has them.
+    On ``(pairs, W)`` mask-word arrays, one exponent per pair. ``ys`` gives
+    the two strings' Y counts ``_popcount(x & z)`` where the caller has them.
     """
-    y1, y2 = (popcount(x1 & z1), popcount(x2 & z2)) if ys is None else ys
-    exp = y1 + y2 + 2 * popcount(z1 & x2) - popcount((x1 ^ x2) & (z1 ^ z2))
+    y1, y2 = (_popcount(x1 & z1), _popcount(x2 & z2)) if ys is None else ys
+    exp = y1 + y2 + 2 * _popcount(z1 & x2) - _popcount((x1 ^ x2) & (z1 ^ z2))
     return exp % 4
 
 
-def _clash_parity(x1, z1, x2, z2, popcount=int.bit_count):
-    """1 when two strings anticommute (odd count of clashing sites), else 0.
+def _clash_parity(x1, z1, x2, z2):
+    """Per mask word, 1 where two strings clash at an odd count of its sites, else 0.
 
     The clashes are the sites of ``x1 & z2`` and of ``z1 & x2``; the parity
-    of their total count is that of the one popcount of their XOR.
+    of their total count is that of the one popcount of their XOR. Two
+    strings anticommute when the XOR of their words' parities is 1.
     """
-    return popcount((x1 & z2) ^ (z1 & x2)) & 1
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """A single Pauli string with a complex coefficient.
-
-    ``x`` and ``z`` are bit masks over the ``n`` sites; bit ``k`` set in
-    ``x`` (``z``) means the site-``k`` factor contains an X (Z) component,
-    with both set meaning Y.
-    """
-
-    n: int
-    x: int
-    z: int
-    coeff: complex
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one site")
-        if self.x >> self.n or self.z >> self.n:
-            raise ValueError("mask bits outside the registered site range")
-        if not cmath.isfinite(complex(self.coeff)):
-            raise ValueError("coefficient must be finite")
-
-    @classmethod
-    def from_pattern(cls, pattern: str, coeff: complex = 1.0) -> "PauliTerm":
-        return cls(len(pattern), *_masks(enumerate(pattern)), complex(coeff))
-
-    @classmethod
-    def from_sites(
-        cls, n: int, sites: Mapping[int, str], coeff: complex = 1.0
-    ) -> "PauliTerm":
-        """Build a string that is identity except at the given 0-based sites."""
-        for k in sites:
-            if not 0 <= k < n:
-                raise ValueError(f"site {k} outside range 0..{n - 1}")
-        return cls(n, *_masks(sites.items()), complex(coeff))
-
-    @property
-    def pattern(self) -> str:
-        return _pattern(self.n, self.x, self.z)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity sites."""
-        return (self.x | self.z).bit_count()
-
-
-def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Matrix product of two Pauli terms, phase folded into the coefficient."""
-    if a.n != b.n:
-        raise ValueError(f"pattern length mismatch: {a.n} != {b.n}")
-    phase = _I_POW[_product_phase_exp(a.x, a.z, b.x, b.z)]
-    return PauliTerm(a.n, a.x ^ b.x, a.z ^ b.z, a.coeff * b.coeff * phase)
-
-
-def anticommutes(a: PauliTerm, b: PauliTerm) -> bool:
-    """True when the two strings anticommute (odd count of clashing sites)."""
-    return _clash_parity(a.x, a.z, b.x, b.z) == 1
+    return np.bitwise_count((x1 & z2) ^ (z1 & x2)) & 1
 
 
 class PauliSum:
@@ -284,29 +224,19 @@ class PauliSum:
         return cls(n, {(0, 0): complex(coeff)})
 
     @classmethod
-    def from_term(cls, term: PauliTerm) -> "PauliSum":
-        return cls(term.n, {(term.x, term.z): term.coeff})
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[PauliTerm]) -> "PauliSum":
-        """Sum of the terms; equal strings add up in list order, from 0.0."""
-        terms = list(terms)
-        if not terms:
-            raise ValueError("empty term list; use PauliSum.zero(n)")
-        n = terms[0].n
-        if any(t.n != n for t in terms):
-            raise ValueError("mixed site counts in term list")
-        return _from_rows(n, [(t.x, t.z, t.coeff) for t in terms])
-
-    @classmethod
     def from_pattern(cls, pattern: str, coeff: complex = 1.0) -> "PauliSum":
-        return cls.from_term(PauliTerm.from_pattern(pattern, coeff))
+        """One string, the letters of ``pattern`` with site 0 leftmost."""
+        return cls(len(pattern), {_masks(enumerate(pattern)): coeff})
 
     @classmethod
     def from_sites(
         cls, n: int, sites: Mapping[int, str], coeff: complex = 1.0
     ) -> "PauliSum":
-        return cls.from_term(PauliTerm.from_sites(n, sites, coeff))
+        """One string, identity except at the given 0-based sites; the site range is checked first."""
+        for k in sites:
+            if not 0 <= k < n:
+                raise ValueError(f"site {k} outside range 0..{n - 1}")
+        return cls(n, {_masks(sites.items()): coeff})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -316,15 +246,11 @@ class PauliSum:
         """``(x, z, c)`` per string, as Python ints and complex, in key order."""
         return zip(_mask_ints(self._x), _mask_ints(self._z), self._c.tolist())
 
-    def terms(self) -> list[PauliTerm]:
-        """Terms in sorted mask order (deterministic)."""
-        return [PauliTerm(self.n, x, z, c) for x, z, c in self._keyed()]
-
     def coefficient(self, pattern: str) -> complex:
-        t = PauliTerm.from_pattern(pattern)
-        if t.n != self.n:
+        key = _masks(enumerate(pattern))
+        if len(pattern) != self.n:
             raise ValueError("pattern length mismatch")
-        return next((c for x, z, c in self._keyed() if (x, z) == (t.x, t.z)), 0.0 + 0j)
+        return next((c for x, z, c in self._keyed() if (x, z) == key), 0.0 + 0j)
 
     def num_terms(self) -> int:
         return len(self._c)
@@ -661,7 +587,7 @@ def _anticommuting_pairs(a: PauliSum, b: PauliSum) -> tuple[np.ndarray, np.ndarr
     odd = np.zeros((len(a), len(b)), dtype=bool)
     for k in range(a._x.shape[1]):
         xa, za, xb, zb = a._x[:, k, None], a._z[:, k, None], b._x[:, k], b._z[:, k]
-        odd ^= _clash_parity(xa, za, xb, zb, np.bitwise_count).view(bool)
+        odd ^= _clash_parity(xa, za, xb, zb).view(bool)
     return np.divmod(np.flatnonzero(odd), len(b))
 
 
@@ -682,7 +608,7 @@ def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] |
         pick, (i, j) = functools.partial(np.take, axis=0), pairs
     x1, z1, y1, c1 = (pick(v, i) for v in (a._x, a._z, _popcount(a._x & a._z), a._c))
     x2, z2, y2, c2 = (pick(v, j) for v in (b._x, b._z, _popcount(b._x & b._z), b._c))
-    e = _product_phase_exp(x1, z1, x2, z2, _popcount, (y1, y2))
+    e = _product_phase_exp(x1, z1, x2, z2, (y1, y2))
     c = np.empty(e.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         pr, pi = _times(c1.real, c1.imag, c2.real, c2.imag)
@@ -838,6 +764,11 @@ def _from_sorted(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSu
     out = PauliSum.__new__(PauliSum)
     out._set(n, x, z, c)
     return out
+
+
+def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
+    """The operator product ``a @ b``, by its one pair kernel; ``perfbench/tracing.py`` wraps it by name."""
+    return a @ b
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:

@@ -3,18 +3,24 @@
 The oracle path builds matrices straight from pattern strings with its
 own Kronecker loop, independent of the package's mask-based encoding,
 so dense comparisons actually cross-check the two representations.
+crda holds a string only as a row of a sum, and its ``multiply(a, b)`` is
+``a @ b``; here strings are read out of a sum as :class:`Term` records
+(:func:`terms`), and the references build sums from such records or from
+dicts of weights.
 The pair-product reference is the plain Python loop over string pairs
-that the package's vectorized kernel must reproduce bit for bit; the
+that the package's vectorized kernel must reproduce bit for bit, with its
+own phase rule: a one-site letter product table read off the 2x2 Pauli
+matrices (:data:`LETTER_PRODUCTS`), applied at every site; the
 algebra references (sum, difference, negation, scaling, adjoint, toggle,
-sums of term lists, weighted sums of pieces and the canonical bond
-families) are the same operations on a dict of weights by ``(x, z)`` key,
-which the package's array algebra must reproduce bit for bit; the CSR
+weighted sums of pieces and the canonical bond families) are the same
+operations on a dict of weights by ``(x, z)`` key, which the package's
+array algebra must reproduce bit for bit; the CSR
 reference fills the matrix one X-mask column at a time, as the package's
 row-block build must reproduce byte for byte; the Chebyshev reference
 runs the complex recurrence on that matrix, whose bits the package's
 propagator must give on the state's real and imaginary parts; and the 2D
 translation and Trotter-audit references read every string out as a
-``PauliTerm``, as the package's mask-word versions must match bit for bit.
+:class:`Term`, as the package's mask-word versions must match bit for bit.
 The time integral of a sinusoid product is summed by composite
 Gauss-Legendre quadrature, which the package's closed form must match to
 roundoff.
@@ -36,6 +42,7 @@ import struct
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +64,9 @@ X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 MATS = {"I": I2, "X": X2, "Y": Y2, "Z": Z2}
+
+# Powers of i, as the references' weights take them: i^e is I_POWERS[e].
+I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 # Single-qubit gate of each layer kind (keyed by its CLI spelling), built
 # by matrix exponentials of the rotation generators.
@@ -90,11 +100,58 @@ def layer_oracle(kind: str, sites, n: int) -> np.ndarray:
     return out
 
 
+def _letter_products() -> dict:
+    """``(a, b) -> (c, e)`` with ``MATS[a] @ MATS[b] == i^e MATS[c]``, read off the 2x2 matrices."""
+    table = {}
+    for a, b in itertools.product(MATS, repeat=2):
+        m = MATS[a] @ MATS[b]
+        table[a, b] = next(
+            (c, e) for c in MATS for e in range(4) if np.array_equal(m, I_POWERS[e] * MATS[c])
+        )
+    return table
+
+
+# The reference phase rule, one site at a time: letter pair -> (letter, power of i).
+LETTER_PRODUCTS = _letter_products()
+
+
+@dataclass(frozen=True)
+class Term:
+    """One string of a sum, read out: masks ``(x, z)`` on ``n`` sites and its weight."""
+
+    n: int
+    x: int
+    z: int
+    coeff: complex
+
+    @classmethod
+    def from_pattern(cls, pattern: str, coeff: complex = 1.0) -> "Term":
+        return cls(len(pattern), *reference_from_pattern(pattern), complex(coeff))
+
+    @classmethod
+    def from_sites(cls, n: int, sites, coeff: complex = 1.0) -> "Term":
+        return cls(n, *reference_from_sites(n, sites), complex(coeff))
+
+    @property
+    def pattern(self) -> str:
+        return reference_pattern(self.n, self.x, self.z)
+
+    @property
+    def weight(self) -> int:
+        """Number of non-identity sites."""
+        return (self.x | self.z).bit_count()
+
+
+def terms(h) -> list[Term]:
+    """The strings of a sum in key order, read out of its arrays."""
+    return [Term(h.n, x, z, c) for x, z, c in h._keyed()]
+
+
 def dense_oracle(h) -> np.ndarray:
     """Dense matrix of a PauliSum via the independent pattern route."""
     dim = 1 << h.n
     out = np.zeros((dim, dim), dtype=complex)
-    for t in h.terms():
+    for t in terms(h):
         out += t.coeff * kron_pattern(t.pattern)
     return out
 
@@ -132,15 +189,13 @@ def gauss_legendre_integral(weight, t: float) -> float:
 
 
 def random_pauli_sum(rng, n, nterms=6, real=False):
-    from crda.pauli import PauliSum, PauliTerm
-
     letters = "IXYZ"
-    terms = []
+    rows = []
     for _ in range(nterms):
         pattern = "".join(letters[i] for i in rng.integers(0, 4, n))
         c = rng.standard_normal() + (0.0 if real else 1j * rng.standard_normal())
-        terms.append(PauliTerm.from_pattern(pattern, c))
-    return PauliSum.from_terms(terms)
+        rows.append(Term.from_pattern(pattern, c))
+    return reference_from_terms(n, rows)
 
 
 @pytest.fixture
@@ -211,24 +266,55 @@ def corpus_runs():
 
 def _weights(h) -> dict:
     """The sum's weights by ``(x, z)`` key, in key order."""
-    return {(t.x, t.z): t.coeff for t in h.terms()}
+    return {(x, z): c for x, z, c in h._keyed()}
+
+
+def _letter_sites(n, x, z) -> dict:
+    """The sites of each letter of the string ``(x, z)``, one mask per letter."""
+    full = (1 << n) - 1
+    return {
+        letter: (x if bx else ~x & full) & (z if bz else ~z & full)
+        for letter, (bx, bz) in _REFERENCE_BITS.items()
+    }
+
+
+def _letter_product(sites1: dict, sites2: dict) -> tuple[int, int, int]:
+    """``(x, z, e)`` of the product of two strings given by :func:`_letter_sites`; ``i^e`` its phase.
+
+    Each site's letter pair picks the product's letter there and a power of
+    i from :data:`LETTER_PRODUCTS`. The sites of one letter pair are taken
+    together, as one mask: sixteen mask ANDs a pair, not a lookup per site.
+    """
+    x = z = e = 0
+    for (a, b), (c, k) in LETTER_PRODUCTS.items():
+        both = sites1[a] & sites2[b]
+        bx, bz = _REFERENCE_BITS[c]
+        x, z, e = x | (both if bx else 0), z | (both if bz else 0), e + k * both.bit_count()
+    return x, z, e % 4
+
+
+def reference_string_product(n, x1, z1, x2, z2) -> tuple[int, int, int]:
+    """``(x, z, e)`` of the string ``(x1, z1)`` times ``(x2, z2)``, by the reference phase rule."""
+    return _letter_product(_letter_sites(n, x1, z1), _letter_sites(n, x2, z2))
 
 
 def reference_pair_products(a, b, anticommuting_only: bool) -> dict:
-    """Summed string products ``PQ`` over all pairs, a-major, left to right."""
-    from crda.pauli import _I_POW, _product_phase_exp
+    """Summed string products ``PQ`` over all pairs, a-major, left to right.
 
+    ``PQ = i^e R`` and ``QP = i^-e R`` for Hermitian strings, so a pair
+    anticommutes exactly when ``e`` is odd.
+    """
     if a.n != b.n:
         raise ValueError(f"site count mismatch: {a.n} != {b.n}")
     acc: dict[tuple[int, int], complex] = {}
-    wb = _weights(b)
+    wb = [(_letter_sites(b.n, x, z), c) for (x, z), c in _weights(b).items()]
     for (x1, z1), c1 in _weights(a).items():
-        for (x2, z2), c2 in wb.items():
-            if anticommuting_only and not ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1:
+        sites1 = _letter_sites(a.n, x1, z1)
+        for sites2, c2 in wb:
+            x, z, e = _letter_product(sites1, sites2)
+            if anticommuting_only and not e & 1:
                 continue
-            key = (x1 ^ x2, z1 ^ z2)
-            phase = _I_POW[_product_phase_exp(x1, z1, x2, z2)]
-            acc[key] = acc.get(key, 0.0) + c1 * c2 * phase
+            acc[(x, z)] = acc.get((x, z), 0.0) + c1 * c2 * I_POWERS[e]
     return acc
 
 
@@ -303,12 +389,12 @@ def reference_dagger(h):
     return PauliSum(h.n, {k: c.conjugate() for k, c in _weights(h).items()})
 
 
-def reference_from_terms(n, terms):
-    """Equal strings' weights added in list order onto 0.0."""
+def reference_from_terms(n, rows):
+    """The sum of :class:`Term` records: equal strings' weights added in list order onto 0.0."""
     from crda.pauli import PauliSum
 
     acc: dict[tuple[int, int], complex] = {}
-    for t in terms:
+    for t in rows:
         acc[(t.x, t.z)] = acc.get((t.x, t.z), 0.0) + t.coeff
     return PauliSum(n, acc)
 
@@ -322,7 +408,7 @@ def reference_translate_2d(h, lat, di, dj):
 
     perm = [lat.site_index(k % lat.nx + 1 + di, k // lat.nx + 1 + dj) for k in range(lat.n_sites)]
     acc: dict[tuple[int, int], complex] = {}
-    for t in h.terms():
+    for t in terms(h):
         x = z = 0
         for k in range(h.n):
             x |= ((t.x >> k) & 1) << perm[k]
@@ -335,18 +421,19 @@ def reference_trotter_checks(model, comm, j):
     """The structural entries of ``trotter_commutator`` as ``(name, value, passed)``.
 
     Weights, magnitudes and letters are read string by string from
-    ``comm.terms()``; the DA splits also check magnitudes 2 J^2, and the 2D
+    ``terms(comm)``; the DA splits also check magnitudes 2 J^2, and the 2D
     DA split one X, one Y and one Z per string.
     """
-    weights = {t.weight for t in comm.terms()}
+    strings = terms(comm)
+    weights = {t.weight for t in strings}
     out = [("all_terms_weight_3", 1.0 if weights <= {3} else 0.0, weights <= {3})]
     if model in ("heis_da", "xy2d_da"):
-        mags = {round(abs(t.coeff), 12) for t in comm.terms()}
+        mags = {round(abs(t.coeff), 12) for t in strings}
         ok = mags <= {round(2.0 * j * j, 12)}
         out.append(("coefficient_magnitudes_2j2", 1.0 if ok else 0.0, ok))
     if model == "xy2d_da":
         ok = all(
-            sorted(c for c in t.pattern if c != "I") == ["X", "Y", "Z"] for t in comm.terms()
+            sorted(c for c in t.pattern if c != "I") == ["X", "Y", "Z"] for t in strings
         )
         out.append(("one_of_each_letter_structure", 1.0 if ok else 0.0, ok))
     return out
@@ -354,7 +441,7 @@ def reference_trotter_checks(model, comm, j):
 
 def term_bits(h):
     """Keys in order, each with its weight's exact bytes (signed zeros included)."""
-    return [((t.x, t.z), struct.pack("<dd", t.coeff.real, t.coeff.imag)) for t in h.terms()]
+    return [((x, z), struct.pack("<dd", c.real, c.imag)) for x, z, c in h._keyed()]
 
 
 # letter -> (x bit, z bit), and back, written out for the letter loops below
@@ -470,14 +557,13 @@ REFERENCE_PHASE_CHAINS = {
 
 
 def reference_canonical(kind, lat, j=1.0, phi=0.0):
-    """A canonical family term by term: one ``PauliTerm.from_sites`` per bond entry.
+    """A canonical family term by term: one :meth:`Term.from_sites` per bond entry.
 
     Phase-free kinds take their entries from ``hamiltonians._BONDS``; the
     phase chains build theirs from :data:`REFERENCE_PHASE_CHAINS`. The terms
     add up by :func:`reference_from_terms`, in bond order.
     """
     from crda.hamiltonians import _BONDS
-    from crda.pauli import PauliTerm
 
     if kind.value in REFERENCE_PHASE_CHAINS:
         letter, sign, on_odd, on_even = REFERENCE_PHASE_CHAINS[kind.value]
@@ -490,12 +576,12 @@ def reference_canonical(kind, lat, j=1.0, phi=0.0):
         raise ValueError(f"{kind.value} needs a {dim}D lattice")
     if lat.periodic and odd != even:
         lat.require_even_extents()
-    terms = [
-        PauliTerm.from_sites(lat.n_sites, {s: l1, t: l2}, j * w)
+    rows = [
+        Term.from_sites(lat.n_sites, {s: l1, t: l2}, j * w)
         for s, t, is_odd in lat.bonds()
         for l1, l2, w in (odd if is_odd else even)
     ]
-    return reference_from_terms(lat.n_sites, terms)
+    return reference_from_terms(lat.n_sites, rows)
 
 
 def reference_toggle(h, layer):
@@ -528,7 +614,7 @@ def reference_csr(h) -> scipy.sparse.csr_matrix:
     order and starting from 0, of ``c * (-i)^|x&z| * (-1)^|i&z|``. Exact
     zeros are stored too; ``PauliSum._build_csr`` leaves them out.
     """
-    from crda.pauli import _I_POW, _index_dtype
+    from crda.pauli import _index_dtype
 
     n, dim = h.n, 1 << h.n
     weights = _weights(h)
@@ -539,7 +625,7 @@ def reference_csr(h) -> scipy.sparse.csr_matrix:
     indices = np.empty((dim, masks), dtype=itype)
     for k, (x, group) in enumerate(itertools.groupby(weights.items(), key=lambda kv: kv[0][0])):
         data[:, k] = sum(
-            c * _I_POW[-(x & z).bit_count() % 4] * (1.0 - 2.0 * (np.bitwise_count(idx & z) & 1))
+            c * I_POWERS[-(x & z).bit_count() % 4] * (1.0 - 2.0 * (np.bitwise_count(idx & z) & 1))
             for (_, z), c in group
         )
         np.bitwise_xor(idx, x, out=indices[:, k])
@@ -616,23 +702,21 @@ def reference_tiling(kind: str, lat, j: float = 1.0):
     open ones, the cells cover every site and drop the bonds that leave
     the lattice.
     """
-    from crda.pauli import PauliTerm
-
     if lat.periodic:
         if lat.nx % 2 or lat.ny % 2:
             raise ValueError("periodic unit cells need even extents")
         anchors = itertools.product(range(1, lat.ny // 2 + 1), range(1, lat.nx // 2 + 1))
     else:
         anchors = itertools.product(range(1, (lat.ny + 1) // 2 + 1), range(1, (lat.nx + 1) // 2 + 1))
-    terms = []
+    rows = []
     for cj, ci in anchors:
         for letter, (d1i, d1j), (d2i, d2j) in REFERENCE_CELLS[kind]:
             ends = ((2 * ci - 1 + d1i, 2 * cj - 1 + d1j), (2 * ci - 1 + d2i, 2 * cj - 1 + d2j))
             if not lat.periodic and any(i > lat.nx or jj > lat.ny for i, jj in ends):
                 continue
             sites = {lat.site_index(*end): letter for end in ends}
-            terms.append(PauliTerm.from_sites(lat.n_sites, sites, j))
-    return reference_from_terms(lat.n_sites, terms)
+            rows.append(Term.from_sites(lat.n_sites, sites, j))
+    return reference_from_terms(lat.n_sites, rows)
 
 
 def reference_fuse(schedule):

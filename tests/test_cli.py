@@ -191,7 +191,7 @@ class TestSimulateCommand:
         assert all(abs(r["sz-total"] - 1.0) <= 1e-9 for r in rows)
 
     def test_sz_total_equals_one_at_a_time_sum(self):
-        # one from_terms over distinct keys is bit for bit the sum built by +
+        # one build over distinct keys is bit for bit the sum built by +
         n = 6
         want = PauliSum.zero(n)
         for k in range(n):
@@ -373,7 +373,8 @@ def _out_of_domain_cases() -> list:
     """(argv, message start) for every value out of its flag's domain.
 
     A non-finite value of each ``float`` flag of each subcommand, a
-    ``--tol`` <= 0, and a non-finite sweep bound.
+    ``--tol`` <= 0, a non-finite sweep bound, and geometric sweep bounds on
+    both sides of zero (whose log warned before any refusal).
     """
     cases = []
     for command in _SUBCOMMANDS:
@@ -387,6 +388,8 @@ def _out_of_domain_cases() -> list:
         ("verify-frames --t 1 --tol -1", "--tol must be positive"),
         ("verify-frames --t 1 --sweep scale=1:inf:2", "sweep start and stop must be finite"),
         ("errors --which dyson --n 2 --sweep t=nan:1:3", "sweep start and stop must be finite"),
+        ("verify-frames --n 2 --t 0.5 --sweep scale=-1:5:3:geom", "geometric sweep bounds must have one sign"),
+        ("errors --which synthesis --n 3 --sweep t=5:-1:3:geom", "geometric sweep bounds must have one sign"),
     ]
     return cases + [pytest.param(argv.split(), start, id=argv) for argv, start in more]
 
@@ -654,6 +657,26 @@ class TestFailureModes:
         error = json.loads(errtext)["error"]
         assert error["type"] == "usage"
         assert message in error["message"]
+
+    def test_geometric_sweep_of_negative_bounds_runs(self, capsys):
+        # bounds of one sign span a geometric sweep, negative ones too
+        argv = "errors --which synthesis --model control --n 3 --sweep t=-1:-5:3:geom".split()
+        code, out, errtext = run_cli(argv, capsys)
+        assert (code, errtext) == (0, "")
+        ts = [r["params"]["t"] for r in json.loads(out)["reports"]]
+        assert ts == [-1.0, -2.23606797749979, -5.0]
+
+    def test_eigensolver_failure_is_convergence_error(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, but a LAPACK failure is numerical, not usage
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        argv = "errors --which trotter --model heis_digital --n 6".split()
+        code, out, errtext = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"] == {"type": "convergence", "message": "Eigenvalues did not converge"}
 
     def test_bad_sweep_spec(self, capsys):
         code, _, errtext = run_cli(

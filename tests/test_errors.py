@@ -9,7 +9,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import dense_oracle, reference_trotter_checks
+from conftest import (
+    I_POWERS,
+    Term,
+    dense_oracle,
+    reference_from_terms,
+    reference_string_product,
+    reference_trotter_checks,
+    terms,
+)
 from crda.device import DeviceParams, Lattice
 from crda.errors import (
     ErrorReport,
@@ -25,9 +33,9 @@ from crda.errors import (
     unit_cell_report,
     xy2d_digital_hamiltonians,
 )
-from crda.hamiltonians import HamiltonianKind as K, build_canonical, translate_2d
+from crda.hamiltonians import HamiltonianKind as K, build_canonical
 from crda import errors, hamiltonians, pauli
-from crda.pauli import PRUNE_TOL, PauliSum, PauliTerm, anticommutes, commutator, multiply
+from crda.pauli import PRUNE_TOL, PauliSum, commutator
 
 
 def uniform(n, g=1.0, delta=10.0, ratio=0.0):
@@ -269,12 +277,10 @@ class TestTable1:
         # vectorized audit must count and name them as a term loop does.
         lat = Lattice.square(4, 4)
         n = lat.n_sites
-        stray = PauliSum.from_terms(
-            [
-                PauliTerm.from_sites(n, {0: "Z"}, 0.3),
-                PauliTerm.from_sites(n, {1: "X", 5: "Z", 9: "Y"}),
-                PauliTerm.from_sites(n, {2: "Z", 7: "Z"}, 0.7),
-            ]
+        stray = (
+            PauliSum.from_sites(n, {0: "Z"}, 0.3)
+            + PauliSum.from_sites(n, {1: "X", 5: "Z", 9: "Y"})
+            + PauliSum.from_sites(n, {2: "Z", 7: "Z"}, 0.7)
         )
 
         def doctored(kind, lattice, j=1.0):
@@ -285,11 +291,12 @@ class TestTable1:
         rep = table1_check(lat, j=1.0)
         h_i, h_ii = doctored(K.H_I, lat), doctored(K.H_II, lat)
         nonzero, bad = 0, []
-        for ta in h_i.terms():
-            for tb in h_ii.terms():
-                if not anticommutes(ta, tb):
+        for ta in terms(h_i):
+            for tb in terms(h_ii):
+                x, z, e = reference_string_product(n, ta.x, ta.z, tb.x, tb.z)
+                if not e & 1:  # PQ = i^e R: the pair commutes for even e
                     continue
-                product = multiply(ta, tb)
+                product = Term(n, x, z, ta.coeff * tb.coeff * I_POWERS[e])
                 coeff = 2.0 * product.coeff
                 if abs(coeff) <= PRUNE_TOL:
                     continue
@@ -332,12 +339,12 @@ def _audit_sum(rng, n, j, defect):
     """
     m = 2.0 * j * j
     strings = [("XYZ", m)] * 10 + ([defect] if defect else [])
-    terms = []
+    rows = []
     for letters, size in strings:
         sites = rng.choice(n, len(letters), replace=False).tolist()
         phase = (1.0, -1.0, 1j, -1j, np.exp(1j * rng.uniform(0, 2 * np.pi)))[rng.integers(5)]
-        terms.append(PauliTerm.from_sites(n, dict(zip(sites, letters)), size * phase))
-    return PauliSum.from_terms(terms)
+        rows.append(Term.from_sites(n, dict(zip(sites, letters)), size * phase))
+    return reference_from_terms(n, rows)
 
 
 class TestTrotterCommutators:
@@ -370,28 +377,6 @@ class TestTrotterCommutators:
         # every check both passes and fails somewhere in the sweep
         assert {name for name, _ in seen} == {name for name, ok in seen if ok}
         assert {name for name, _ in seen} == {name for name, ok in seen if not ok}
-
-    def test_audits_build_no_term(self, monkeypatch):
-        lat = Lattice.square(4, 4)
-        h_i, h_ii = build_canonical(K.H_I, lat), build_canonical(K.H_II, lat)
-
-        def refuse(self):
-            raise AssertionError("a PauliTerm was built")
-
-        monkeypatch.setattr(PauliTerm, "__post_init__", refuse)
-        reports = [
-            trotter_commutator(model, each)
-            for model, lats in _TROTTER_LATTICES.items()
-            for each in lats
-        ]
-        reports += [unit_cell_report(), table1_check(lat)]
-        moved = translate_2d(h_i, lat, 1, 0)
-        printed = (h_i.to_json_dict(), repr(h_i))
-        monkeypatch.undo()
-        assert moved == h_ii
-        assert all(rep.passed for rep in reports)
-        assert printed[0]["terms"][0] == {"p": "IIIIIIIIIIIIIIYY", "re": 1.0, "im": 0.0}
-        assert printed[1].startswith("PauliSum(n=16: (1+0j)*XXIIIIIIIIIIIIII + ")
 
     @pytest.mark.parametrize("model", sorted(_TROTTER_LATTICES))
     def test_empty_commutator_passes_every_check(self, model):
@@ -473,8 +458,8 @@ class TestTrotterCommutators:
         # a 1 x 3 ring: the +x neighbour of every site is itself, so only
         # the three y bonds remain, each of weight 2
         hxx, hyy = xy2d_digital_hamiltonians(Lattice.square(1, 3), 1.0)
-        assert {t.pattern: t.coeff for t in hxx.terms()} == {"XXI": 1.0, "XIX": 1.0, "IXX": 1.0}
-        assert {t.pattern: t.coeff for t in hyy.terms()} == {"YYI": 1.0, "YIY": 1.0, "IYY": 1.0}
+        assert {t.pattern: t.coeff for t in terms(hxx)} == {"XXI": 1.0, "XIX": 1.0, "IXX": 1.0}
+        assert {t.pattern: t.coeff for t in terms(hyy)} == {"YYI": 1.0, "YIY": 1.0, "IYY": 1.0}
         rep = trotter_commutator("xy2d_digital", Lattice.square(1, 3))
         assert rep.entry("all_terms_weight_3").value == 1.0
 
@@ -499,7 +484,7 @@ class TestTrotterCommutators:
                         pattern = ["I"] * lat.n_sites
                         pattern[j * nx + i] = pattern[b * nx + a] = letter
                         expected["".join(pattern)] = 1.0
-            assert {t.pattern: t.coeff for t in h.terms()} == expected
+            assert {t.pattern: t.coeff for t in terms(h)} == expected
         rep = trotter_commutator("xy2d_digital", lat)
         entry = rep.entry("commutator_spectral_norm")
         assert entry.value == pytest.approx(norm, rel=1e-12)
@@ -534,18 +519,8 @@ class TestUnitCell:
         corner = rep.entry("digital_corner_cell_norm")
         assert np.isclose(corner.value, 4.0, atol=1e-10)
         # independent 8x8 oracle
-        a = PauliSum.from_terms(
-            [
-                PauliTerm.from_sites(3, {0: "X", 1: "X"}),
-                PauliTerm.from_sites(3, {0: "X", 2: "X"}),
-            ]
-        )
-        b = PauliSum.from_terms(
-            [
-                PauliTerm.from_sites(3, {0: "Y", 1: "Y"}),
-                PauliTerm.from_sites(3, {0: "Y", 2: "Y"}),
-            ]
-        )
+        a = PauliSum.from_sites(3, {0: "X", 1: "X"}) + PauliSum.from_sites(3, {0: "X", 2: "X"})
+        b = PauliSum.from_sites(3, {0: "Y", 1: "Y"}) + PauliSum.from_sites(3, {0: "Y", 2: "Y"})
         c = dense_oracle(commutator(a, b))
         assert np.isclose(np.max(np.abs(np.linalg.eigvalsh(1j * c))), 4.0)
 

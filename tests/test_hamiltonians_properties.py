@@ -29,6 +29,7 @@ from conftest import (
     reference_weighted_sum,
     sinusoid_product,
     term_bits,
+    terms,
 )
 from crda import pauli
 from crda.device import DeviceParams
@@ -162,9 +163,9 @@ def test_integral_matches_gauss_legendre(weights, t):
     pieces = tuple(
         (PauliSum.from_pattern("I" * k + "Z" + "I" * (n - 1 - k)), w) for k, w in enumerate(weights)
     )
-    got = {term.pattern: term.coeff for term in TimeDependentHamiltonian(n, pieces).integral(t).terms()}
+    got = {term.pattern: term.coeff for term in terms(TimeDependentHamiltonian(n, pieces).integral(t))}
     for ps, w in pieces:
-        (term,) = ps.terms()
+        (term,) = terms(ps)
         span = abs(t) * sum(abs(om) for _, om, _ in w)
         tol = abs(t) * (1e-13 + 4 * np.finfo(float).eps * span) + pauli.PRUNE_TOL  # a weight <= PRUNE_TOL reads 0
         assert abs(got.get(term.pattern, 0.0) - gauss_legendre_integral(w, t)) <= tol
@@ -208,8 +209,8 @@ def weighted_pieces(draw):
     pool = draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=3, unique=True))
     pieces, scalars, running = [], [], PauliSum.zero(n)
     for _ in range(draw(st.integers(0, 7))):
-        if running.terms() and draw(st.booleans()):
-            t = draw(st.sampled_from(running.terms()))
+        if not running.is_zero() and draw(st.booleans()):
+            t = draw(st.sampled_from(terms(running)))
             s = draw(st.sampled_from([1.0, -1.0, 0.5, 2.0]))
             slip = draw(st.sampled_from([0.0, 3e-15, -4e-15j]))
             piece = PauliSum(n, {(t.x, t.z): (slip - t.coeff) / s})

@@ -1,5 +1,6 @@
 """Pauli-string algebra: products, commutators, norms, exponentials."""
 
+import itertools
 import math
 import os
 import re
@@ -9,7 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_oracle, kron_pattern, random_pauli_sum
+from conftest import (
+    Term,
+    dense_oracle,
+    kron_pattern,
+    random_pauli_sum,
+    reference_from_terms,
+    reference_product,
+    terms,
+)
 from crda import pauli
 from crda.device import Lattice
 from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
@@ -18,8 +27,6 @@ from crda.pauli import (
     ConvergenceError,
     DenseLimitError,
     PauliSum,
-    PauliTerm,
-    anticommutes,
     commutator,
     expm_hermitian,
     multiply,
@@ -27,35 +34,53 @@ from crda.pauli import (
 )
 
 
+def _one_string(p: PauliSum) -> tuple[str, complex]:
+    """The pattern and weight of a sum of one string."""
+    (t,) = terms(p)
+    return t.pattern, t.coeff
+
+
 class TestTermProduct:
+    """Products of one-string sums through ``multiply``, which is ``a @ b``."""
+
     def test_xy_gives_iz(self):
-        p = multiply(PauliTerm.from_pattern("XI"), PauliTerm.from_pattern("YI"))
-        assert p.pattern == "ZI"
-        assert p.coeff == 1j
+        p = multiply(PauliSum.from_pattern("XI"), PauliSum.from_pattern("YI"))
+        assert _one_string(p) == ("ZI", 1j)
 
     def test_xx_times_zz_gives_minus_yy(self):
-        p = multiply(PauliTerm.from_pattern("XX"), PauliTerm.from_pattern("ZZ"))
-        assert p.pattern == "YY"
-        assert p.coeff == -1
+        p = multiply(PauliSum.from_pattern("XX"), PauliSum.from_pattern("ZZ"))
+        assert _one_string(p) == ("YY", -1)
 
     def test_identity_absorbs_coefficient(self):
         for pat in ("XZ", "YY", "IZ"):
-            p = multiply(PauliTerm.from_pattern("II"), PauliTerm.from_pattern(pat, 2.5j))
-            assert p.pattern == pat
-            assert p.coeff == 2.5j
+            p = multiply(PauliSum.from_pattern("II"), PauliSum.from_pattern(pat, 2.5j))
+            assert _one_string(p) == (pat, 2.5j)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            multiply(PauliTerm.from_pattern("X"), PauliTerm.from_pattern("XX"))
+        with pytest.raises(ValueError, match="site count mismatch"):
+            multiply(PauliSum.from_pattern("X"), PauliSum.from_pattern("XX"))
 
     def test_random_products_match_dense(self, rng):
         for n in (1, 2, 4):
             for _ in range(20):
                 a = "".join("IXYZ"[i] for i in rng.integers(0, 4, n))
                 b = "".join("IXYZ"[i] for i in rng.integers(0, 4, n))
-                p = multiply(PauliTerm.from_pattern(a), PauliTerm.from_pattern(b))
+                p = multiply(PauliSum.from_pattern(a), PauliSum.from_pattern(b))
                 ref = kron_pattern(a) @ kron_pattern(b)
-                assert np.allclose(p.coeff * kron_pattern(p.pattern), ref)
+                assert np.allclose(dense_oracle(p), ref)
+
+    def test_multiply_is_matmul(self, rng):
+        for n in (1, 3, 5):
+            a, b = random_pauli_sum(rng, n), random_pauli_sum(rng, n)
+            assert multiply(a, b) == a @ b
+
+    def test_reference_phase_rule_matches_dense_oracle(self):
+        # the test references' own rule, a letter table read off the 2x2
+        # matrices, against Kronecker products: every pair of two-site strings
+        patterns = ["".join(p) for p in itertools.product("IXYZ", repeat=2)]
+        for a, b in itertools.product(patterns, repeat=2):
+            p = reference_product(PauliSum.from_pattern(a), PauliSum.from_pattern(b))
+            assert np.array_equal(dense_oracle(p), kron_pattern(a) @ kron_pattern(b))
 
 
 class TestCommutator:
@@ -92,9 +117,10 @@ class TestCommutator:
         with pytest.raises(ValueError):
             commutator(PauliSum.from_pattern("X"), PauliSum.from_pattern("XX"))
 
-    def test_anticommutes_predicate(self):
-        assert anticommutes(PauliTerm.from_pattern("XY"), PauliTerm.from_pattern("YY"))
-        assert not anticommutes(PauliTerm.from_pattern("XX"), PauliTerm.from_pattern("YY"))
+    def test_anticommuting_strings_commutator_is_twice_their_product(self):
+        a, b = PauliSum.from_pattern("XY"), PauliSum.from_pattern("YY")
+        assert commutator(a, b) == 2.0 * (a @ b)
+        assert commutator(PauliSum.from_pattern("XX"), b).is_zero()
 
 
 class TestDense:
@@ -184,7 +210,7 @@ class TestFrobenius:
         # each weight squared by ** and summed left to right, as a loop would
         h = random_pauli_sum(rng, 5, nterms=20) + PauliSum.from_pattern("XXIII", 1.3e154)
         total = 0.0
-        for t in h.terms():
+        for t in terms(h):
             total += abs(t.coeff) ** 2
         assert h.frobenius_norm() == float(np.sqrt(total))
         assert h.frobenius_norm(False) == float(np.sqrt(total) * 2 ** 2.5)
@@ -315,22 +341,22 @@ class TestDiagonalNorm:
     def test_matches_dense_oracle(self, n, rng, monkeypatch):
         monkeypatch.setattr(PauliSum, "_build_csr", _no_csr)
         for real in (True, False):
-            terms = [
-                PauliTerm.from_pattern(
+            rows = [
+                Term.from_pattern(
                     "".join("IZ"[b] for b in rng.integers(0, 2, n)),
                     rng.standard_normal() + (0.0 if real else 1j * rng.standard_normal()),
                 )
                 for _ in range(6)
             ]
-            h = PauliSum.from_terms(terms)
+            h = reference_from_terms(n, rows)
             ref = float(np.linalg.norm(dense_oracle(h), 2))
             assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
 
 
 def _heis_layer(n: int, first: int) -> PauliSum:
     """Heisenberg bonds (k, k+1) for k = first, first + 2, ... (0-based)."""
-    return PauliSum.from_terms(
-        [PauliTerm.from_sites(n, {k: p, k + 1: p}) for k in range(first, n - 1, 2) for p in "XYZ"]
+    return reference_from_terms(
+        n, [Term.from_sites(n, {k: p, k + 1: p}) for k in range(first, n - 1, 2) for p in "XYZ"]
     )
 
 
@@ -355,7 +381,7 @@ class TestNormPath:
         monkeypatch.setattr(PauliSum, "to_dense", refuse)
         s = spectral_norm(h)
         if ref is None:
-            assert h.frobenius_norm() - 1e-9 <= s <= sum(abs(t.coeff) for t in h.terms()) + 1e-9
+            assert h.frobenius_norm() - 1e-9 <= s <= sum(abs(t.coeff) for t in terms(h)) + 1e-9
         else:
             assert s == pytest.approx(ref, rel=1e-12)
 
@@ -683,9 +709,7 @@ class TestPauliSumInvariants:
         assert (PauliSum.from_pattern("Z", 1e-16)).is_zero()
 
     def test_canonical_merge(self):
-        h = PauliSum.from_terms(
-            [PauliTerm.from_pattern("XY", 1.0), PauliTerm.from_pattern("XY", 0.5j)]
-        )
+        h = PauliSum.from_pattern("XY", 1.0) + PauliSum.from_pattern("XY", 0.5j)
         assert h.num_terms() == 1
         assert h.coefficient("XY") == 1.0 + 0.5j
 
@@ -697,10 +721,9 @@ class TestPauliSumInvariants:
         with pytest.raises(ValueError):
             PauliSum.from_pattern("X", np.nan)
         for bad in (np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, -np.inf)):
-            with pytest.raises(ValueError):
-                PauliTerm(1, 1, 0, bad)
-            with pytest.raises(ValueError):
-                PauliSum(1, {(1, 0): bad})
+            for build in (lambda: PauliSum.from_pattern("X", bad), lambda: PauliSum(1, {(1, 0): bad})):
+                with pytest.raises(ValueError, match="coefficient must be finite"):
+                    build()
 
     def test_rejects_masks_outside_site_range(self):
         for key in ((8, 0), (0, 4), (-1, 0), (0, -2)):
@@ -708,18 +731,18 @@ class TestPauliSumInvariants:
                 PauliSum(2, {key: 1.0})
 
     def test_pattern_length_must_match_n(self):
-        with pytest.raises(ValueError):
-            PauliTerm(2, 0b100, 0, 1.0)
+        with pytest.raises(ValueError, match="pattern length mismatch"):
+            PauliSum.identity(2).coefficient("XYZ")
 
     def test_dagger_conjugates(self):
         h = PauliSum.from_pattern("XY", 1 + 2j)
         assert h.dagger().coefficient("XY") == 1 - 2j
 
     def test_equal_sums_hash_equal(self, rng):
-        terms = random_pauli_sum(rng, 4, nterms=8).terms()
-        a = PauliSum.from_terms(terms)
-        b = PauliSum.from_terms(terms[::-1])
-        c = PauliSum.from_terms(terms[1:] + terms[:1])
+        rows = terms(random_pauli_sum(rng, 4, nterms=8))
+        a = reference_from_terms(4, rows)
+        b = reference_from_terms(4, rows[::-1])
+        c = reference_from_terms(4, rows[1:] + rows[:1])
         assert a == b == c
         assert hash(a) == hash(b) == hash(c)
         made = {(0.2, a): "a"}
@@ -742,11 +765,11 @@ class TestPauliSumInvariants:
 class TestLetterCodec:
     def test_bad_letter_is_a_value_error(self):
         builds = (
-            lambda: PauliTerm.from_pattern("XQ"),
             lambda: PauliSum.from_pattern("XQ"),
-            lambda: PauliTerm.from_sites(2, {0: "Q"}),
             lambda: PauliSum.from_sites(2, {0: "Q"}),
             lambda: PauliSum.from_sites(2, {1: "X", 0: "x"}),
+            lambda: PauliSum.identity(2).coefficient("XQ"),
+            lambda: PauliSum.identity(3).coefficient("XQ"),  # the letter before the length
         )
         for build in builds:
             with pytest.raises(ValueError, match="^invalid Pauli letter '[Qx]'$"):
@@ -754,7 +777,15 @@ class TestLetterCodec:
 
     def test_site_range_checked_before_letters(self):
         with pytest.raises(ValueError, match=re.escape("site 5 outside range 0..1")):
-            PauliTerm.from_sites(2, {0: "Q", 5: "X"})
+            PauliSum.from_sites(2, {0: "Q", 5: "X"})
+
+    def test_one_string_builders_read_back(self):
+        for pattern in ("X", "IYZ", "ZIXY"):
+            assert _one_string(PauliSum.from_pattern(pattern, 0.5j)) == (pattern, 0.5j)
+        assert _one_string(PauliSum.from_sites(4, {3: "Y", 0: "X"}, -2.0)) == ("XIIY", -2.0)
+        for build in (lambda: PauliSum.from_pattern(""), lambda: PauliSum.from_sites(0, {})):
+            with pytest.raises(ValueError, match="need at least one site"):
+                build()
 
 
 class TestJson:

@@ -1,8 +1,8 @@
 """Property tests of the numerical backends against the dense oracle, of
 the Lanczos Ritz step against scipy's tridiagonal solver, of the
-vectorized pair kernel, its pieces (popcount, pruning, pair selection)
-and the array algebra against the reference loops, ``int.bit_count``
-and ``np.hypot``, of the row-block CSR build against the column-by-column
+vectorized pair kernel, its pieces (phase rule, popcount, pruning, pair
+selection) and the array algebra against the reference loops and their
+letter-table phase rule, ``int.bit_count`` and ``np.hypot``, of the row-block CSR build against the column-by-column
 reference build, and of the letter codec, the JSON rows and the repr
 against the letter-by-letter reference loops.
 
@@ -23,6 +23,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    I_POWERS,
+    Term,
     dense_oracle,
     reference_add,
     reference_commutator,
@@ -35,16 +37,16 @@ from conftest import (
     reference_pattern,
     reference_product,
     reference_scale,
+    reference_string_product,
     reference_sub,
     reference_toggle,
     term_bits,
+    terms,
 )
 from crda import pauli
 from crda.frames import GateLayer, GateLayerKind, toggle
 from crda.pauli import (
-    _I_POW,
     PauliSum,
-    PauliTerm,
     _clash_parity,
     _grouped,
     _mask_ints,
@@ -65,13 +67,13 @@ def pauli_sums(draw, n=None, real=False, min_n=1):
     n = draw(st.integers(min_n, 6)) if n is None else n
     masks = st.integers(0, (1 << n) - 1)
     x_pool = [0] + draw(st.lists(masks, min_size=1, max_size=3))
-    terms = []
+    rows = []
     for _ in range(draw(st.integers(1, 8))):
         c = draw(_COEFFS) + (0.0 if real else 1j * draw(_COEFFS))
-        terms.append(PauliTerm(n, draw(st.sampled_from(x_pool)), draw(masks), c))
+        rows.append(Term(n, draw(st.sampled_from(x_pool)), draw(masks), c))
     if draw(st.booleans()):
-        terms.append(PauliTerm(n, 0, 0, draw(_COEFFS)))
-    return PauliSum.from_terms(terms)
+        rows.append(Term(n, 0, 0, draw(_COEFFS)))
+    return reference_from_terms(n, rows)
 
 
 @st.composite
@@ -276,20 +278,10 @@ def test_toggle_equals_reference_loop(pair, layer):
 
 
 @given(kernel_pairs())
-def test_term_list_sum_equals_reference_loop(pair):
-    # both sums' terms in one list, so equal strings collide and add up
-    terms = pair[0].terms() + pair[1].terms() + pair[0].terms()[:3]
-    if terms:
-        _assert_matches_reference(
-            lambda n, ts: PauliSum.from_terms(ts), reference_from_terms, terms[0].n, terms
-        )
-
-
-@given(kernel_pairs())
 def test_equal_sums_hash_equal(pair):
     a, b = pair
     # one mapping inserted in two orders
-    weights = {(t.x, t.z): t.coeff for t in a.terms()}
+    weights = {(x, z): c for x, z, c in a._keyed()}
     shuffled = PauliSum(a.n, dict(reversed(list(weights.items()))))
     assert shuffled == a and hash(shuffled) == hash(a)
     # a key in one sum only keeps its weight in a + b but becomes 0.0 + c in
@@ -417,17 +409,20 @@ def test_mismatched_site_counts_raise(op):
         op(PauliSum.from_pattern("XY"), PauliSum.from_pattern("XYZ"))
 
 
-def test_array_phase_rule_matches_scalar_rule():
+def test_array_phase_rule_matches_reference_rule():
+    # the kernel's rule on three mask words against the letter table, site
+    # by site; an odd power of i is an anticommuting pair
     rng = np.random.default_rng(130)
     n, w = 130, 3
     masks = [[int.from_bytes(rng.bytes(17), "little") >> 6 for _ in range(500)] for _ in range(4)]
     assert max(map(max, masks)).bit_length() == n
     words = [_mask_words(m, w) for m in masks]
     assert _mask_ints(words[0]) == masks[0]
-    exps = _product_phase_exp(*words, popcount=_popcount)
-    assert exps.tolist() == [_product_phase_exp(*q) for q in zip(*masks)]
-    parity = _clash_parity(*words, popcount=_popcount)
-    assert parity.tolist() == [_clash_parity(*q) for q in zip(*masks)]
+    want = [reference_string_product(n, *q) for q in zip(*masks)]
+    assert [(x1 ^ x2, z1 ^ z2) for x1, z1, x2, z2 in zip(*masks)] == [(x, z) for x, z, _ in want]
+    assert _product_phase_exp(*words).tolist() == [e for _, _, e in want]
+    parity = np.bitwise_xor.reduce(_clash_parity(*words), axis=1)  # the words' parities, as the kernel XORs them
+    assert parity.tolist() == [e & 1 for _, _, e in want]
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
@@ -490,8 +485,8 @@ def test_anticommuting_pairs_in_row_major_order(n, w):
     rng = np.random.default_rng(n)
     a, b = (_random_sum(rng, n, size) for size in (37, 53))
     i, j = pauli._anticommuting_pairs(a, b)
-    # the clash count's parity, from the two counts the reference loop adds
-    parity = [[((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1 for q in b.terms()] for p in a.terms()]
+    # an odd power of i in the reference product
+    parity = [[reference_string_product(n, p.x, p.z, q.x, q.z)[2] & 1 for q in terms(b)] for p in terms(a)]
     want_i, want_j = np.nonzero(np.array(parity))
     assert a._x.shape[1] == w
     assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
@@ -528,19 +523,19 @@ def csr_sums(draw, max_n=14, diagonal=False):
     x_pool = [0] if diagonal else draw(st.lists(masks, min_size=1, max_size=3))
     parts = _COEFFS | _EDGE_COEFFS
     real = draw(st.booleans())
-    terms = []
+    rows = []
     for _ in range(draw(st.integers(1, 6))):
         x, z = draw(st.sampled_from(x_pool)), draw(masks)
         if real:
-            c = draw(parts) * _I_POW[(x & z).bit_count() % 4]
+            c = draw(parts) * I_POWERS[(x & z).bit_count() % 4]
         else:
             c = complex(draw(parts), draw(parts))
-        terms.append(PauliTerm(n, x, z, c))
+        rows.append(Term(n, x, z, c))
         if draw(st.booleans()):
             z2, sign = draw(masks), draw(st.sampled_from([1.0, -1.0]))
-            phase = _I_POW[((x & z2).bit_count() - (x & z).bit_count()) % 4]
-            terms.append(PauliTerm(n, x, z2, sign * c * phase))
-    return PauliSum.from_terms(terms)
+            phase = I_POWERS[((x & z2).bit_count() - (x & z).bit_count()) % 4]
+            rows.append(Term(n, x, z2, sign * c * phase))
+    return reference_from_terms(n, rows)
 
 
 def _assert_same_csr(got, want):
@@ -640,18 +635,18 @@ def y_heavy_sums(draw):
     n = draw(st.integers(1, 10))
     masks = st.integers(0, (1 << n) - 1)
     parts = _COEFFS | _EDGE_COEFFS
-    terms = []
+    rows = []
     for _ in range(draw(st.integers(1, 8))):
         y, r, xs = draw(masks), draw(masks), draw(masks)
         x, z = y | (r & xs), y | (r & ~xs & ((1 << n) - 1))
-        terms.append(PauliTerm(n, x, z, complex(draw(parts), draw(parts))))
-    return PauliSum.from_terms(terms)
+        rows.append(Term(n, x, z, complex(draw(parts), draw(parts))))
+    return reference_from_terms(n, rows)
 
 
 @given(csr_sums() | y_heavy_sums())
 def test_csr_dtype_equals_per_term_rule(h):
     # the reference walks the strings: each matrix weight c i^-|x&z| real
-    real = all((t.coeff * _I_POW[-(t.x & t.z).bit_count() % 4]).imag == 0.0 for t in h.terms())
+    real = all((t.coeff * I_POWERS[-(t.x & t.z).bit_count() % 4]).imag == 0.0 for t in terms(h))
     assert h._csr_dtype() is (float if real else complex)
 
 
@@ -691,16 +686,16 @@ def test_letter_codec_equals_reference_loops(pattern, data):
     assert _masks(enumerate(pattern)) == (x, z)
     assert _pattern(n, x, z) == reference_pattern(n, x, z) == pattern
     if n == 0:
-        for build in (lambda: PauliTerm.from_pattern(pattern), lambda: PauliTerm.from_sites(0, {})):
+        for build in (lambda: PauliSum.from_pattern(pattern), lambda: PauliSum.from_sites(0, {})):
             with pytest.raises(ValueError, match="need at least one site"):
                 build()
         return
-    t = PauliTerm.from_pattern(pattern, 0.5)
-    assert (t.n, t.x, t.z, t.coeff, t.pattern) == (n, x, z, 0.5 + 0j, pattern)
+    assert terms(PauliSum.from_pattern(pattern, 0.5)) == [Term(n, x, z, 0.5 + 0j)]
+    assert PauliSum(n, {(x, z): 1.0}).coefficient(pattern) == 1.0
     sites = data.draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(_LETTERS)))
-    s = PauliTerm.from_sites(n, sites)
+    (s,) = terms(PauliSum.from_sites(n, sites))
     assert (s.x, s.z) == reference_from_sites(n, sites)
-    assert s.pattern == reference_pattern(n, s.x, s.z)
+    assert _pattern(n, s.x, s.z) == reference_pattern(n, s.x, s.z)
 
 
 @given(letter_strings(), st.characters().filter(lambda c: c not in _LETTERS), st.integers(0, 70))
@@ -708,7 +703,8 @@ def test_bad_letters_raise_the_reference_refusal(pattern, letter, at):
     bad = pattern[:at] + letter + pattern[at:]
     site = min(at, len(bad) - 1)
     cases = (
-        (lambda: PauliTerm.from_pattern(bad), lambda: reference_from_pattern(bad)),
+        (lambda: PauliSum.from_pattern(bad), lambda: reference_from_pattern(bad)),
+        (lambda: PauliSum.identity(len(bad)).coefficient(bad), lambda: reference_from_pattern(bad)),
         (lambda: _masks(enumerate(bad)), lambda: reference_from_pattern(bad)),
         (
             lambda: PauliSum.from_sites(len(bad), {site: letter}),
@@ -728,15 +724,15 @@ def wide_sums(draw):
     """Sums of up to 9 strings, or the zero sum, on one or more of ``_SIZES`` sites."""
     n = draw(_SIZES.filter(bool))
     strings = draw(st.lists(_strings(n), max_size=9))
-    terms = [PauliTerm.from_pattern(p, complex(draw(_COEFFS), draw(_COEFFS))) for p in strings]
-    return PauliSum.from_terms(terms) if terms else PauliSum.zero(n)
+    rows = [Term.from_pattern(p, complex(draw(_COEFFS), draw(_COEFFS))) for p in strings]
+    return reference_from_terms(n, rows)
 
 
 @given(wide_sums())
 def test_json_and_repr_decode_as_the_reference(h):
-    rows = sorted((reference_pattern(h.n, t.x, t.z), t.coeff.real, t.coeff.imag) for t in h.terms())
+    rows = sorted((reference_pattern(h.n, t.x, t.z), t.coeff.real, t.coeff.imag) for t in terms(h))
     want = {"n": h.n, "terms": [{"p": p, "re": re, "im": im} for p, re, im in rows]}
     assert json.dumps(h.to_json_dict()) == json.dumps(want)
-    head = " + ".join(f"({t.coeff:.6g})*{reference_pattern(h.n, t.x, t.z)}" for t in h.terms()[:6])
+    head = " + ".join(f"({t.coeff:.6g})*{reference_pattern(h.n, t.x, t.z)}" for t in terms(h)[:6])
     more = "" if len(h) <= 6 else f" + ... [{len(h)} terms]"
     assert repr(h) == f"PauliSum(n={h.n}: {head or '0'}{more})"
