@@ -56,7 +56,7 @@ from .hamiltonians import (
     build_org,
     build_qf_effective,
 )
-from .pauli import ConvergenceError, DenseLimitError, PauliSum, _masks
+from .pauli import ConvergenceError, DenseLimitError, PauliSum, _check_dense, _masks
 
 _PHASE_KINDS = {k.value for k in _PHASE_CHAINS}
 _CANONICAL_KINDS = _PHASE_KINDS | {k.value for k in _BONDS}
@@ -398,6 +398,7 @@ def _ladder_device(args) -> tuple[DeviceParams, dict]:
         return p, {"device": _device_echo(p)}
     flags = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in _LADDER.items()}
     n, delta = flags["n"], flags["delta"]
+    _check_dense(n, "verify-frames")
     omega_q = np.array([flags["omega_base"] + (n - k) * delta for k in range(1, n + 1)])
     p = DeviceParams(
         n=n,

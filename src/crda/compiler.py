@@ -58,8 +58,10 @@ from .hamiltonians import (
 )
 from .pauli import (
     PauliSum,
+    _basis,
     _check_dense,
     _check_memory,
+    _index_dtype,
     _joined,
     _left_sum,
     _split,
@@ -389,17 +391,25 @@ def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]
     """Refuse, before allocating, a simulation whose arrays exceed memory.
 
     It counts the state planes, each generator's kept matrix, the largest
-    observable matrix (one is built at a time and dropped) and the trace's
-    times, norms and expectations, 8 bytes per block for each.
+    observable matrix (one is built at a time and dropped), the basis
+    indices that sums of Z strings read their diagonals over, and the
+    trace's times, norms and expectations, 8 bytes per block for each.
     """
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
     need = (
         _SIMULATE_PLANES * (8 << schedule.n)
         + sum(h._operator_bytes() for h in generators)
         + max((obs._operator_bytes() for obs in observables), default=0)
+        + _basis_bytes(schedule.n, observables)
         + 8 * schedule.repetitions * (2 + len(observables))
     )
     _check_memory(need, "simulate")
+
+
+def _basis_bytes(n: int, observables: Sequence[PauliSum]) -> int:
+    """Bytes of the basis indices :func:`simulate` makes once if an observable is a sum of Z strings."""
+    diagonal = any(not obs._x.any() for obs in observables)
+    return np.dtype(_index_dtype(1 << n)).itemsize << n if diagonal else 0
 
 
 def _chebyshev_coefficients(x: float) -> np.ndarray:
@@ -486,8 +496,9 @@ def simulate(
     Chebyshev expansion of exp(-i H tau) on the matrix the sum keeps (real
     where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
     one matrix whatever their durations. An observable keeps nothing: its
-    expectation multiplies a matrix built for it and dropped
-    (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
+    expectation multiplies a matrix built for it and dropped, or for a sum
+    of Z strings with real weights its diagonal, over basis indices made
+    once per call (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
     matrix-free, in blocks of adjacent sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises
     :class:`~crda.pauli.DenseLimitError` above ``DEFAULT_DENSE_LIMIT``
@@ -509,6 +520,7 @@ def simulate(
         return _chebyshev_propagator(s.analog, s.duration)
 
     steps = _step_operators(schedule, chebyshev, tol)
+    basis = _basis(n) if _basis_bytes(n, observables) else None
     tau_block = schedule.analog_time_per_block
     blocks = schedule.repetitions
     times = np.zeros(blocks)
@@ -521,7 +533,7 @@ def simulate(
         # numpy's sum, not BLAS (see PauliSum.expectation): thread-independent
         norms[b] = float(np.sqrt(np.sum((psi.conj() * psi).real)))
         for i, obs in enumerate(observables):
-            expectations[b, i] = float(obs.expectation(psi).real)
+            expectations[b, i] = float(obs.expectation(psi, basis).real)
     names = tuple(
         observable_names
         if observable_names is not None

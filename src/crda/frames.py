@@ -34,6 +34,7 @@ from .hamiltonians import (
 )
 from .pauli import (
     ConvergenceError,
+    DenseLimitError,
     PauliSum,
     expm_hermitian,
     _BITS,
@@ -362,6 +363,66 @@ _MAGNUS_SLICES = 16
 # Step-count doublings propagate_unitary tries before giving up.
 _MAGNUS_HALVINGS = 14
 
+# Work, in steps x dim^3 summed over every rung of the ladder (the order of
+# each step's eigensolve), above which a Magnus ladder is refused unrun. It
+# admits the 13-step first rung of a default realistic CLI segment at the
+# dense limit, 12 qubits: 2.9e16 of its 3.6e16.
+_MAGNUS_WORK_BUDGET = 2**55
+
+# Smallest tol a ladder accepts: about 45 ulps of 1.0, near where rounding
+# in a float64 unitary's entries meets the doubling test.
+_MAGNUS_TOL_FLOOR = 1e-14
+
+
+@dataclass(frozen=True)
+class _MagnusPlan:
+    """The step ladder of one :func:`propagate_unitary` run, priced before any work.
+
+    Rung ``k`` takes ``steps * 2^k`` steps; ``work[k]`` is that count times
+    dim^3. ``step_size`` is the first rung's, and ``rule`` names the bound
+    that set it: ``"norm"``, ``"frequency"`` or ``"span"``.
+    """
+
+    steps: int
+    step_size: float
+    rule: str
+    work: tuple[int, ...]
+
+
+def _magnus_plan(h: TimeDependentHamiltonian, t_final: float, tol: float) -> _MagnusPlan:
+    """The ladder for ``h`` over ``t_final``, read off its weights and frequencies alone.
+
+    The first step is the smallest of the span, 0.2 over the norm bound R =
+    sum |c| (every weight is at most 1 in size), and a 40th of the fastest
+    period 2 pi / ``h.max_frequency``. Raises ``ValueError`` for a ``tol``
+    below ``_MAGNUS_TOL_FLOOR`` or an R whose square (an exponent multiplies
+    two node Hamiltonians) overflows float64, and
+    :class:`~crda.pauli.DenseLimitError` when the work of all
+    ``_MAGNUS_HALVINGS + 1`` rungs would pass ``_MAGNUS_WORK_BUDGET``.
+    """
+    if not tol >= _MAGNUS_TOL_FLOOR:
+        raise ValueError(f"tol {tol:.3g} is below the Magnus floor {_MAGNUS_TOL_FLOOR:.3g}")
+    bound = _left_sum(abs(c) for ps, _ in h.pieces for c in ps._c.tolist())
+    if not math.isfinite(bound * bound):
+        raise ValueError(f"the Magnus exponent overflows float64 (norm bound {bound:.3g})")
+    limits = {"span": abs(t_final)}
+    if bound > 0:
+        limits["norm"] = 0.2 / bound
+    if h.max_frequency > 0:
+        limits["frequency"] = 2.0 * math.pi / (40.0 * h.max_frequency)
+    rule = min(limits, key=limits.__getitem__)
+    steps = abs(t_final) / limits[rule]
+    if steps <= _MAGNUS_WORK_BUDGET:  # else a float, maybe inf, that the budget refuses
+        steps = max(1, math.ceil(steps))
+    work = tuple(steps * 2**k * 8**h.n for k in range(_MAGNUS_HALVINGS + 1))
+    if not sum(work) <= _MAGNUS_WORK_BUDGET:
+        raise DenseLimitError(
+            f"a Magnus ladder from {float(steps):.3g} steps on {h.n} qubits needs "
+            f"{float(sum(work)):.3g} steps x dim^3 over {len(work)} rungs; "
+            f"the budget is {float(_MAGNUS_WORK_BUDGET):.3g}"
+        )
+    return _MagnusPlan(steps, abs(t_final) / steps, rule, work)
+
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
     """``u[-1] @ ... @ u[0]`` of a ``(k, d, d)`` stack by a pairwise tree."""
@@ -379,11 +440,18 @@ def propagate_unitary(
 ) -> tuple[np.ndarray, dict]:
     """Time-ordered propagator U(t_final, 0) by fourth-order Gauss-Legendre Magnus steps.
 
-    The step count doubles until two consecutive resolutions agree to
-    ``tol`` in spectral norm; non-convergence within ``_MAGNUS_HALVINGS``
-    doublings raises :class:`~crda.pauli.ConvergenceError`; a norm bound that
-    would overflow a Magnus exponent raises ``ValueError`` first. Steps are
-    batched (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): one
+    The run follows one :class:`_MagnusPlan`, made and priced before any
+    matrix is formed (:func:`_magnus_plan`): its first step is the smallest
+    of the span, 0.2 over the norm bound sum |c| and a 40th of the fastest
+    period, and the step count then doubles until two consecutive rungs
+    agree to ``tol`` in spectral norm, for at most ``_MAGNUS_HALVINGS``
+    doublings. Before any work, a ``tol`` below ``_MAGNUS_TOL_FLOOR`` (1e-14)
+    or a norm bound whose square overflows float64 raises ``ValueError``
+    (CLI exit 2), and a ladder whose steps x dim^3, summed over all its
+    rungs, would pass ``_MAGNUS_WORK_BUDGET`` (2^55) raises
+    :class:`~crda.pauli.DenseLimitError` (CLI exit 3); a ladder that runs
+    out of rungs raises :class:`~crda.pauli.ConvergenceError` (CLI exit 4).
+    Steps are batched (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): one
     ``h.weights`` call gives the piece weights at both Gauss-Legendre nodes
     of a chunk of steps, one ``einsum`` forms the node Hamiltonians, each
     step's Magnus exponent exp(Omega) comes from one batched ``eigh``, and
@@ -393,17 +461,14 @@ def propagate_unitary(
     unitaries are formed in ``_MAGNUS_SLICES`` slices of a chunk, into one
     stack of its step unitaries that every chunk reuses; each step's
     unitary is the same whatever slice forms it, so only the chunks decide
-    the bits. The first step size resolves ``h.max_frequency``, which is
-    read off the weight factors.
+    the bits.
     """
     _check_dense(h.n, "propagate_unitary")
     dim = 1 << h.n
-    mats = np.array([ps.to_dense() for ps, _ in h.pieces])
     if t_final == 0.0 or not h.pieces:
         return np.eye(dim, dtype=complex), {"steps": 0, "step_size": 0.0, "residual": 0.0}
-    bound = _left_sum(abs(c) for ps, _ in h.pieces for c in ps._c.tolist())  # |weights| <= 1
-    if not math.isfinite(bound * bound):  # an exponent multiplies two node Hamiltonians
-        raise ValueError(f"the Magnus exponent overflows float64 (norm bound {bound:.3g})")
+    plan = _magnus_plan(h, t_final, tol)
+    mats = np.array([ps.to_dense() for ps, _ in h.pieces])
 
     def ham(times: np.ndarray) -> np.ndarray:
         """Dense H(t) for every entry of ``times``, shape ``times.shape + (dim, dim)``."""
@@ -428,18 +493,9 @@ def propagate_unitary(
             u = _ordered_product(steps[:k]) @ u
         return u
 
-    # initial resolution: resolve the fastest drive and the local norm scale
-    probes = np.array([0.0, 0.37, 0.74]) * t_final
-    scale = float(np.linalg.norm(ham(probes), 2, axis=(-2, -1)).max())
-    h0 = abs(t_final)
-    if scale > 0:
-        h0 = min(h0, 0.05 / scale)
-    if h.max_frequency > 0:
-        h0 = min(h0, (2.0 * math.pi / h.max_frequency) / 40.0)
-    nsteps = max(1, math.ceil(abs(t_final) / h0))
-    u_prev = run(nsteps)
-    for _ in range(_MAGNUS_HALVINGS):
-        nsteps *= 2
+    u_prev = run(plan.steps)
+    for k in range(1, len(plan.work)):
+        nsteps = plan.steps << k
         u_next = run(nsteps)
         residual = float(np.linalg.norm(u_next - u_prev, 2))
         if residual < tol:

@@ -40,7 +40,16 @@ from typing import Sequence
 import numpy as np
 
 from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
-from .pauli import PauliSum, _FoldPlan, _from_rows, _from_sorted, _left_sum, _masks, _summed
+from .pauli import (
+    PauliSum,
+    _FoldPlan,
+    _check_memory,
+    _from_rows,
+    _from_sorted,
+    _left_sum,
+    _masks,
+    _summed,
+)
 
 __all__ = [
     "HamiltonianKind",
@@ -198,6 +207,15 @@ class TimeDependentHamiltonian:
 BondEntries = tuple[tuple[str, str, float], ...]
 
 
+def _check_rows(n: int, rows: int, what: str) -> None:
+    """Refuse, before building, ``rows`` strings on ``n`` sites.
+
+    A row holds two n-bit Python-int masks and then two rows of
+    ``ceil(n / 64)`` mask words: 32 bytes per word of a mask, counted once.
+    """
+    _check_memory(32 * -(-n // 64) * rows, what)
+
+
 def _row(coeff: float, *letters: tuple[int, str]) -> tuple[int, int, float]:
     """``(x, z, coeff)`` mask row of the string with each letter on its 0-based site."""
     return (*_masks(letters), coeff)
@@ -216,10 +234,13 @@ def _bond_family(
     (see :meth:`~crda.device.Lattice.bonds`). The pattern closes around a
     periodic boundary only on even extents, so a periodic lattice needs
     them when the odd and even entries differ. ``bonds`` defaults to every
-    bond of ``lat``.
+    bond of ``lat``, at most ``lat.dim`` a site, whose masks are refused
+    for memory (:class:`~crda.pauli.DenseLimitError`) before any is built.
     """
     if lat.periodic and odd != even:
         lat.require_even_extents()
+    if bonds is None:
+        _check_rows(lat.n_sites, lat.n_sites * lat.dim * max(len(odd), len(even)), "bond family")
     rows = [
         _row(j * w, (s, l1), (t, l2))
         for s, t, is_odd in (lat.bonds() if bonds is None else bonds)
@@ -316,7 +337,8 @@ def build_canonical(
     and phase-free bond families. ``phi`` enters only the
     drive-phase-sensitive forms (the control chain and the
     single-sublattice cross-resonance chains), which refuse a non-finite
-    one; everything else fixes phi = 0.
+    one; everything else fixes phi = 0. Strings whose masks would not fit
+    in memory raise :class:`~crda.pauli.DenseLimitError` before any is built.
     """
     if kind not in _PHASE_CHAINS and kind not in _BONDS:
         raise ValueError(f"{kind} is not a time-independent family member")
@@ -329,6 +351,7 @@ def build_canonical(
         _, _, on_odd, on_even = _PHASE_CHAINS[kind]
         if lat.periodic and on_odd != on_even:
             lat.require_even_extents()
+        _check_rows(lat.n_sites, lat.n_sites * 2, "cross-resonance chain")  # two strings a bond
         bonds = [(s, t, j, phi) for s, t, odd in lat.bonds() if (on_odd if odd else on_even)]
         return _phase_rows(kind, bonds, lat.n_sites)
     return _bond_family(lat, *entries, j)

@@ -105,6 +105,11 @@ _KRYLOV_VECTORS = 5
 # Relative residual at which the Lanczos norm stops.
 _LANCZOS_TOL = 1e-8
 
+# β, relative to the largest tridiagonal entry, at which the Krylov space is
+# taken as invariant (a breakdown) and the Ritz step runs at once. A β only
+# below _LANCZOS_TOL may still leave a near-degenerate top value out.
+_LANCZOS_BREAKDOWN = 1e-12
+
 
 class ConvergenceError(RuntimeError):
     """Iterative norm estimation failed to converge within the budget."""
@@ -117,7 +122,7 @@ class DenseLimitError(ValueError):
 def _check_dense(n: int, what: str) -> None:
     if n > DEFAULT_DENSE_LIMIT:
         raise DenseLimitError(
-            f"{what} needs a dense {2**n} x {2**n} matrix; "
+            f"{what} needs a dense 2^{n} x 2^{n} matrix; "
             f"limit is {DEFAULT_DENSE_LIMIT} qubits (got {n})"
         )
 
@@ -442,14 +447,23 @@ class PauliSum:
         the terms ``±a`` that :meth:`_build_csr` sums, and a DIA matvec adds
         ``d_i x_i`` to 0 as a CSR row does.
         """
-        dim, dtype = 1 << self.n, self._csr_dtype()
+        dim = 1 << self.n
         if self._x.any():
-            return self._build_csr(dtype)
-        idx = np.arange(dim, dtype=_index_dtype(dim))
-        diagonal = np.zeros(dim, dtype=dtype)
+            return self._build_csr(self._csr_dtype())
+        diagonal = self._diagonal(_basis(self.n))
+        return scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
+
+    def _diagonal(self, idx: np.ndarray) -> np.ndarray:
+        """A Z-string sum's diagonal at the basis indices ``idx``, at :meth:`_csr_dtype`.
+
+        Each entry sums from 0, in key order, the terms ``±a`` that
+        :meth:`_build_csr` sums.
+        """
+        dtype = self._csr_dtype()
+        diagonal = np.zeros(len(idx), dtype=dtype)
         for _, z, a in self._weights():
             diagonal += (a.real if dtype is float else a) * _parity_signs(idx, z)
-        return scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
+        return diagonal
 
     def _operator_bytes(self) -> int:
         """Bytes of :meth:`_operator` at most: a weight per row for a diagonal, else :meth:`_matrix_bytes`."""
@@ -461,14 +475,25 @@ class PauliSum:
         v = self._checked_state(state)
         return _matvec(self._operator(), v)
 
-    def expectation(self, state: np.ndarray) -> complex:
+    def expectation(self, state: np.ndarray, basis: np.ndarray | None = None) -> complex:
         """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``.
 
         It multiplies the kept matrix if :meth:`apply` or a norm built one,
         else a new one from :meth:`_build_operator`, which it drops: an
-        expectation keeps no matrix.
+        expectation keeps no matrix. Given ``basis``, the indices
+        :func:`_basis` makes, a sum of Z strings with real matrix weights and
+        no kept matrix builds no matrix either: the state's real and
+        imaginary parts are multiplied by its diagonal over ``basis`` and
+        added to 0.0, as the DIA matvec adds them, so no -0.0 appears.
         """
         v = self._checked_state(state)
+        unkept_diagonal = basis is not None and self._matrix is None and not self._x.any()
+        if unkept_diagonal and self._csr_dtype() is float:
+            d, w = self._diagonal(basis), np.empty_like(v)
+            for part, x in ((w.real, v.real), (w.imag, v.imag)):
+                np.multiply(d, x, out=part)
+                part += 0.0
+            return _vdot(state, w)
         m = self._matrix if self._matrix is not None else self._build_operator()
         return _vdot(state, _matvec(m, v))
 
@@ -548,9 +573,14 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _basis(n: int) -> np.ndarray:
+    """The basis indices ``0 .. 2^n - 1`` at :func:`_index_dtype`."""
+    return np.arange(1 << n, dtype=_index_dtype(1 << n))
+
+
 def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:
     """(-1)^popcount(idx & z) for every basis index, as a float array."""
-    return 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+    return np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -807,10 +837,11 @@ def spectral_norm(
     of ``i m`` (Golub & Kahan, 1965). A complex ``m`` gives way to ``i*h``'s.
     Three vectors and no basis are kept: lost orthogonality only adds copies
     of converged Ritz values, so the extreme one is safe (Paige, 1980). Every
-    5 steps, when β drops below ε = ``_LANCZOS_TOL`` times the largest
+    5 steps, when β drops below ``_LANCZOS_BREAKDOWN`` times the largest
     tridiagonal entry, and at step 2^n (exact), the k×k tridiagonal goes to
     :func:`_top_ritz`; the loop stops once the Ritz value θ of largest
-    magnitude has |β s| <= ε |θ|, s the last entry of its vector. Inner
+    magnitude has |β s| <= ε |θ|, ε = ``_LANCZOS_TOL``, s the last entry of
+    its vector. Inner
     products are numpy sums (:func:`_vdot`). An α or β that overflows
     float64 raises ``ValueError`` (CLI exit 2) before its Ritz step,
     overrunning ``max_iter`` steps :class:`ConvergenceError` (CLI exit 4),
@@ -854,7 +885,7 @@ def spectral_norm(
                 raise ValueError(f"Lanczos norm overflowed float64 at step {k} (alpha={a}, beta={b})")
             alpha.append(a)
             scale = max(scale, abs(a), b)
-            if k % 5 == 0 or k == dim or b <= _LANCZOS_TOL * scale:
+            if k % 5 == 0 or k == dim or b <= _LANCZOS_BREAKDOWN * scale:
                 theta, s = _top_ritz(alpha, beta)
                 if k == dim or abs(b * s) <= _LANCZOS_TOL * abs(theta):
                     lam = abs(theta)
@@ -883,10 +914,16 @@ def _top_ritz(alpha: Sequence[float], beta: Sequence[float]) -> tuple[float, flo
 
 
 def expm_hermitian(h: PauliSum, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) by dense eigendecomposition of a Hermitian sum."""
+    """Unitary exp(-i h t) by dense eigendecomposition of a Hermitian sum.
+
+    The dense matrix comes from :meth:`PauliSum._build_operator`, in the
+    sum's own dtype, so a sum with real matrix weights gets numpy's real
+    symmetric ``eigh``.
+    """
     if not h.is_hermitian():
         raise ValueError("expm_hermitian requires a Hermitian operator")
-    return _expm_eigh(h.to_dense(), t)
+    _check_dense(h.n, "expm_hermitian")
+    return _expm_eigh(h._build_operator().toarray(), t)
 
 
 def _expm_eigh(m: np.ndarray, t: float) -> np.ndarray:

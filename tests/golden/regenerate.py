@@ -52,7 +52,10 @@ CORPUS = Path(__file__).with_name("cli.json")
 # detuning periods and more; last, a
 # Chebyshev expansion whose order would not fit (tau = 1e300), and a frame
 # integration whose couplings (g = 1e300) overflow the Magnus exponent;
-# last, a geometric sweep whose bounds lie on both sides of zero.
+# last, a geometric sweep whose bounds lie on both sides of zero; then
+# frame integrations whose Magnus ladder passes its work budget (a huge
+# span, coupling or qubit frequency) or whose tolerance is below its float64
+# floor, and sizes whose device arrays or masks would not fit in memory.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -143,6 +146,12 @@ COMMANDS = [
     "simulate --model heisenberg --n 4 --tau 1e300 --blocks 1",
     "verify-frames --n 2 --g 1e300 --t 1",
     "verify-frames --n 2 --t 0.5 --sweep scale=-1:5:3:geom",
+    "verify-frames --n 2 --t 1e300",
+    "verify-frames --n 2 --g 1e150 --t 1",
+    "verify-frames --delta 0 --omega-base 1e150 --t 3",
+    "verify-frames --n 3 --delta 3 --omega 0 --t 3 --tol 1e-300",
+    "verify-frames --n 1000000000 --t 1",
+    "compile --model xy2d --nx 1000000000",
 ]
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: outputs, schemas, determinism, exit codes."""
 
+import contextlib
 import json
 import re
 import shlex
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,18 +396,40 @@ def _out_of_domain_cases() -> list:
     return cases + [pytest.param(argv.split(), start, id=argv) for argv, start in more]
 
 
-@pytest.fixture
-def alarm():
-    """Fail a test still running after 5 s, so a run that hangs cannot stall the suite."""
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail a run still going after ``seconds``, so a run that hangs cannot stall the suite."""
 
     def expire(signum, frame):
-        pytest.fail("still running after 5 s")  # not an error type that main catches
+        pytest.fail(f"still running after {seconds} s")  # not an error type that main catches
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(5)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def alarm():
+    with _deadline(5):
+        yield
+
+
+# Runs that went on unbounded, or exhausted memory: a Magnus ladder of a huge
+# span, coupling or frequency, a tolerance below the float64 floor, and sizes
+# whose device arrays or masks would not fit. Each is refused before its
+# arrays are allocated.
+_RUNAWAYS = [
+    ("verify-frames --n 2 --t 1e300", 3),
+    ("verify-frames --n 2 --g 1e150 --t 1", 3),
+    ("verify-frames --delta 0 --omega-base 1e150 --t 3", 3),
+    ("verify-frames --n 3 --delta 3 --omega 0 --t 3 --tol 1e-300", 2),
+    ("verify-frames --n 1000000000 --t 1", 3),
+    ("compile --model xy2d --nx 1000000000", 3),
+]
 
 
 class TestFailureModes:
@@ -417,6 +441,23 @@ class TestFailureModes:
         error = json.loads(line)["error"]
         assert error["type"] == "usage"
         assert error["message"].startswith(start)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(("command", "code"), _RUNAWAYS)
+    def test_runaway_refused_before_allocating(self, capsys, command, code):
+        main(["compile", "--model", "ising", "--n", "2"])  # the parser, built once, is not counted
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            with _deadline(2):
+                got = run_cli(command.split(), capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[:2] == (code, "")
+        (line,) = got[2].splitlines()
+        assert json.loads(line)["error"]["type"] == {2: "usage", 3: "resource"}[code]
+        assert peak < 1 << 16  # a Magnus step stack takes 4 MiB, a device of 10^9 qubits GiBs
 
     def test_usage_error_exit_code(self, capsys):
         code, _, errtext = run_cli(["errors", "--which", "trotter"], capsys)

@@ -21,7 +21,7 @@ from crda.compiler import (
 )
 from crda.device import DeviceParams, Lattice
 from crda.frames import GateLayer, GateLayerKind as G, propagate_unitary
-from crda.hamiltonians import lab_frame_hamiltonian, rotating_frame_hamiltonian
+from crda.hamiltonians import TimeDependentHamiltonian, lab_frame_hamiltonian, rotating_frame_hamiltonian
 from crda.pauli import DenseLimitError, PauliSum
 
 
@@ -82,38 +82,69 @@ def test_simulate_matches_dense_oracle(model, fused, seed):
     assert np.allclose(trace.norms, 1.0, rtol=0.0, atol=1e-10)
 
 
-def _sequential_propagator(h, t_final, tol, max_halvings=14):
-    """The step-by-step Magnus loop: one 4x4 expm and one product per step."""
+def _sequential_run(h, t_final, nsteps):
+    """``nsteps`` Magnus steps one at a time: one ``scipy.linalg.expm`` and one product per step."""
     mats = [(dense_oracle(ps), w) for ps, w in h.pieces]
-    dim = 1 << h.n
     c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 
     def ham(t):
         return sum(sinusoid_product(w, t) * m for m, w in mats)
 
-    def run(nsteps):
-        hstep = t_final / nsteps
-        w = math.sqrt(3.0) * hstep * hstep / 12.0
-        u = np.eye(dim, dtype=complex)
-        for i in range(nsteps):
-            a1 = -1j * ham(i * hstep + c1 * hstep)
-            a2 = -1j * ham(i * hstep + c2 * hstep)
-            u = scipy.linalg.expm(0.5 * hstep * (a1 + a2) + w * (a2 @ a1 - a1 @ a2)) @ u
-        return u
+    hstep = t_final / nsteps
+    w = math.sqrt(3.0) * hstep * hstep / 12.0
+    u = np.eye(1 << h.n, dtype=complex)
+    for i in range(nsteps):
+        a1 = -1j * ham(i * hstep + c1 * hstep)
+        a2 = -1j * ham(i * hstep + c2 * hstep)
+        u = scipy.linalg.expm(0.5 * hstep * (a1 + a2) + w * (a2 @ a1 - a1 @ a2)) @ u
+    return u
 
-    scale = max(np.linalg.norm(ham(f * t_final), 2) for f in (0.0, 0.37, 0.74))
-    h0 = min(abs(t_final), 0.05 / scale)
-    if h.max_frequency > 0:
-        h0 = min(h0, (2.0 * math.pi / h.max_frequency) / 40.0)
-    nsteps = max(1, math.ceil(abs(t_final) / h0))
-    u_prev = run(nsteps)
+
+def _sequential_propagator(h, t_final, tol, max_halvings=14):
+    """The step-doubling loop over :func:`_sequential_run`, and its final step count.
+
+    It starts from the plan's first step count (``frames._magnus_plan``);
+    the integration shares no code with crda's.
+    """
+    nsteps = frames._magnus_plan(h, t_final, tol).steps
+    u_prev = _sequential_run(h, t_final, nsteps)
     for _ in range(max_halvings):
         nsteps *= 2
-        u_next = run(nsteps)
+        u_next = _sequential_run(h, t_final, nsteps)
         if np.linalg.norm(u_next - u_prev, 2) < tol:
             return u_next, nsteps
         u_prev = u_next
     raise AssertionError("reference did not converge")
+
+
+@st.composite
+def generators(draw):
+    """1-2 qubit generators: 1-3 pieces of 1-2 real-weighted strings, each under 1-3 sinusoids."""
+    n = draw(st.integers(1, 2))
+    strings = st.builds(
+        PauliSum.from_pattern,
+        st.text("IXYZ", min_size=n, max_size=n),
+        st.floats(-2.0, 2.0, allow_subnormal=False),
+    )
+    factor = st.tuples(
+        st.sampled_from(["cos", "sin"]), st.floats(-4.0, 4.0), st.floats(-math.pi, math.pi)
+    )
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(strings, min_size=1, max_size=2))
+        weight = tuple(draw(st.lists(factor, min_size=1, max_size=3)))
+        pieces.append((sum(terms[1:], terms[0]), weight))
+    return TimeDependentHamiltonian(n, tuple(pieces))
+
+
+@given(generators(), st.floats(0.1, 1.0), st.sampled_from([1e-6, 1e-8]))
+def test_magnus_ladder_meets_tol_against_a_finer_reference(h, t_final, tol):
+    # fourth order: at 4x the returned steps the error is 256 times smaller,
+    # and the returned rung is within about residual / 15 of the exact one
+    u, info = propagate_unitary(h, t_final, tol=tol)
+    assert info["residual"] < tol
+    want = _sequential_run(h, t_final, 4 * info["steps"])
+    assert np.linalg.norm(u - want, 2) <= 2 * tol
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 16 * 4 * 4 * 7])
@@ -148,9 +179,10 @@ def _criterion9_device():
 @pytest.mark.parametrize("mode", ["lab", "rotating"])
 def test_sliced_magnus_chunks_equal_whole_chunks(monkeypatch, chunk_bytes, mode):
     # The chunks alone decide the product tree, so forming a chunk's step
-    # unitaries in slices moves no bit. The criterion-9 run's default chunks
-    # hold 16,384 steps in slices of 1,024 (the last chunk a partial one);
-    # 7-step chunks take one step a slice, 40-step chunks slices of 3 and 1.
+    # unitaries in slices moves no bit. Each rung of the criterion-9 run
+    # (3,200 to 12,800 steps) fits one partial default chunk of 16,384 steps,
+    # in slices of 1,024; 7-step chunks take one step a slice, 40-step
+    # chunks slices of 3 and 1.
     if chunk_bytes is None:
         p, t_final = _criterion9_device(), 20 * math.pi / 5.0
     else:
@@ -165,7 +197,7 @@ def test_sliced_magnus_chunks_equal_whole_chunks(monkeypatch, chunk_bytes, mode)
 
 
 def test_magnus_peak_memory():
-    # The criterion-9 lab run: 21,366 steps, 4x4 propagators. Its chunks of
+    # The criterion-9 lab run: 12,800 steps, 4x4 propagators. Whole chunks of
     # 16,384 steps held about eight 4 MiB stacks at once (32.6 MiB traced);
     # in slices, the stack of step unitaries and its product tree dominate.
     h = lab_frame_hamiltonian(_criterion9_device())
@@ -175,7 +207,7 @@ def test_magnus_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert info["steps"] == 21366
+    assert info["steps"] == 12800
     assert peak <= 12e6
 
 

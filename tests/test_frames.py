@@ -1,10 +1,14 @@
 """Gate layers, symbolic toggling, frame pipeline, and integrator checks."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import GATES, dense_oracle, kron_pattern, random_pauli_sum
 from crda.device import DeviceParams, Lattice
+from crda import frames
 from crda.frames import (
     GateLayer,
     GateLayerKind as G,
@@ -28,8 +32,9 @@ from crda.hamiltonians import (
     HamiltonianKind as K,
     TimeDependentHamiltonian,
     build_canonical,
+    org_hamiltonian,
 )
-from crda.pauli import PauliSum, expm_hermitian
+from crda.pauli import DenseLimitError, PauliSum, expm_hermitian
 
 
 class TestLayerUnitaries:
@@ -324,6 +329,65 @@ class TestPropagator:
         )
         with pytest.raises(ValueError, match="Magnus exponent overflows"):
             propagate_unitary(gen, 1.0)
+
+
+class TestMagnusPlan:
+    @pytest.mark.parametrize(
+        ("weight", "t_final", "rule", "steps"),
+        [
+            ((), 3.0, "norm", 30),  # 0.2 / R with R = 2
+            ((("cos", 50.0, 0.0),), 3.0, "frequency", 955),  # 40 steps a period
+            ((("cos", 50.0, 0.0),), 1e-3, "span", 1),
+            ((("cos", 50.0, 0.0),), -3.0, "frequency", 955),
+        ],
+    )
+    def test_first_rung(self, weight, t_final, rule, steps):
+        h = PauliSum.from_pattern("XZ", 1.5) + PauliSum.from_pattern("ZI", -0.5)
+        plan = frames._magnus_plan(TimeDependentHamiltonian(2, ((h, weight),)), t_final, 1e-8)
+        assert (plan.rule, plan.steps) == (rule, steps)
+        assert plan.step_size == abs(t_final) / steps
+        assert plan.work == tuple(steps * 2**k * 64 for k in range(frames._MAGNUS_HALVINGS + 1))
+
+    def test_propagator_starts_at_the_plan(self):
+        z = PauliSum.from_pattern("Z")
+        gen = TimeDependentHamiltonian(1, ((z, (("cos", 3.0, 0.0),)),))
+        plan = frames._magnus_plan(gen, 2.2, 1e-8)
+        _, info = propagate_unitary(gen, 2.2)
+        assert info["steps"] in {plan.steps << k for k in range(1, len(plan.work))}
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-300, math.nan])
+    def test_tolerance_below_floor_refused(self, tol):
+        gen = TimeDependentHamiltonian(1, ((PauliSum.from_pattern("Z"), ()),))
+        with pytest.raises(ValueError, match="below the Magnus floor"):
+            propagate_unitary(gen, 1.0, tol=tol)
+        u, _ = propagate_unitary(gen, 1.0, tol=frames._MAGNUS_TOL_FLOOR)
+        assert np.allclose(u, np.diag(np.exp([-1j, 1j])), atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        ("coeff", "omega", "t_final"),
+        [(1.0, 40.0, 1e300), (1e150, 0.0, 1.0), (1.0, 1e300, 1e10), (1.0, 0.0, math.inf)],
+        ids=["span", "norm", "frequency", "infinite-span"],
+    )
+    def test_ladder_over_budget_refused_before_allocating(self, coeff, omega, t_final):
+        # on 8 qubits one dense piece takes 1 MiB and one step stack 4 MiB
+        weight = (("cos", omega, 0.0),) if omega else ()
+        gen = TimeDependentHamiltonian(8, ((PauliSum.from_pattern("XZIIIIII", coeff), weight),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match="budget"):
+                propagate_unitary(gen, t_final)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_budget_admits_a_default_realistic_segment_at_the_dense_limit(self):
+        # simulate --realistic's default device and tau on 12 qubits; no matrix is built
+        p = DeviceParams.uniform_chain(12, g=1.0, delta=10.0, Omega=0.4)
+        plan = frames._magnus_plan(org_hamiltonian(K.ORG, p), 0.1, 1e-10)
+        assert (plan.steps, plan.rule) == (13, "frequency")
+        assert frames._MAGNUS_WORK_BUDGET / 2 < sum(plan.work) <= frames._MAGNUS_WORK_BUDGET
 
 
 class TestVerifyEffective:

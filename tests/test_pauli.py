@@ -308,6 +308,12 @@ class TestSpectralNorm:
             with pytest.raises(ValueError, match="overflowed float64"):
                 spectral_norm(1e160 * h)
 
+    def test_small_first_beta_is_no_breakdown(self):
+        # i (II + 1e-8 XI): the first β is about 1e-8 and left out the top
+        # eigenvalue 1 + 1e-8, returning 1 + 5.1e-9; the second spans it
+        h = PauliSum.from_pattern("II", 1j) + PauliSum.from_pattern("XI", 1e-8j)
+        assert spectral_norm(h) == pytest.approx(1.0 + 1e-8, rel=1e-15)
+
     def test_largest_finite_trotter_norm(self):
         # weights of 2e152 keep the squares finite: the norm is 4√3 j² for j = 1e76
         h = heisenberg_da_commutator_sum(4, 1e76)
@@ -660,6 +666,28 @@ class TestCachedMatrix:
         assert h._matrix.dtype == np.float64  # the kept matrix is real; what apply returns is not
         assert h._matrix.format == "csr"
 
+    def test_z_sum_expectation_over_basis_builds_nothing(self, rng, monkeypatch):
+        n = 8
+        states = [
+            rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n),
+            np.full(1 << n, complex(-0.0, -0.0)),
+        ]
+        sums = [
+            PauliSum.from_sites(n, {2: "Z"}),
+            PauliSum.from_pattern("Z" * n, -0.5) + PauliSum.from_sites(n, {0: "Z", 7: "Z"}, 1.5),
+            PauliSum.from_sites(n, {1: "Z"}, 0.5j),  # a complex diagonal keeps the matrix path
+        ]
+        want = [h.expectation(psi) for psi in states for h in sums]
+        built = []
+        build = PauliSum._build_operator
+        monkeypatch.setattr(PauliSum, "_build_operator", lambda h: built.append(h) or build(h))
+        got = [h.expectation(psi, pauli._basis(n)) for psi in states for h in sums]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want
+        ]
+        assert built == sums[2:] * 2
+        assert all(h._matrix is None for h in sums)
+
     def test_z_strings_keep_only_their_diagonal(self, monkeypatch):
         monkeypatch.setattr(PauliSum, "_build_csr", None)  # no CSR build
         n = 12
@@ -700,6 +728,18 @@ class TestExpm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             expm_hermitian(PauliSum.from_pattern("X", 1j), 1.0)
+
+    def test_real_sum_takes_the_real_eigensolve(self, rng):
+        # strings with an even Y count and real weights have a real matrix
+        h = PauliSum.from_pattern("YYXZ", 0.7)
+        for _ in range(6):
+            h = h + PauliSum.from_pattern("".join(rng.choice(list("IXZ"), 4)), rng.standard_normal())
+        assert h._csr_dtype() is float
+        assert h._build_operator().toarray().dtype == np.float64
+        u = expm_hermitian(h, 1.3)
+        assert u.dtype == np.complex128
+        assert np.linalg.norm(u @ u.conj().T - np.eye(16), 2) <= 1e-12
+        assert np.abs(u - pauli._expm_eigh(h.to_dense(), 1.3)).max() <= 1e-12
 
 
 class TestPauliSumInvariants:
