@@ -363,10 +363,12 @@ _MAGNUS_SLICES = 16
 # Step-count doublings propagate_unitary tries before giving up.
 _MAGNUS_HALVINGS = 14
 
-# Work, in steps x dim^3 summed over every rung of the ladder (the order of
-# each step's eigensolve), above which a Magnus ladder is refused unrun. It
-# admits the 13-step first rung of a default realistic CLI segment at the
-# dense limit, 12 qubits: 2.9e16 of its 3.6e16.
+# Work, in steps x dim^3 summed over the rungs of the ladder run so far (the
+# order of each step's eigensolve), above which a Magnus ladder stops: the
+# first two rungs, which every run takes, are priced before any work, and
+# each later rung before it runs. At the dense limit, 12 qubits, it admits a
+# first rung of up to 174,762 steps; a default realistic CLI segment starts
+# at 13 steps (xy1d) or 17 (ising), whose first two rungs take 3.5e12.
 _MAGNUS_WORK_BUDGET = 2**55
 
 # Smallest tol a ladder accepts: about 45 ulps of 1.0, near where rounding
@@ -388,6 +390,16 @@ class _MagnusPlan:
     rule: str
     work: tuple[int, ...]
 
+    def check_budget(self, rungs: int) -> None:
+        """:class:`~crda.pauli.DenseLimitError` if the first ``rungs`` rungs pass ``_MAGNUS_WORK_BUDGET``."""
+        need = sum(self.work[:rungs])
+        if not need <= _MAGNUS_WORK_BUDGET:
+            raise DenseLimitError(
+                f"a Magnus ladder from {float(self.steps):.3g} steps needs "
+                f"{float(need):.3g} steps x dim^3 over {rungs} rungs; "
+                f"the budget is {float(_MAGNUS_WORK_BUDGET):.3g}"
+            )
+
 
 def _magnus_plan(h: TimeDependentHamiltonian, t_final: float, tol: float) -> _MagnusPlan:
     """The ladder for ``h`` over ``t_final``, read off its weights and frequencies alone.
@@ -397,8 +409,8 @@ def _magnus_plan(h: TimeDependentHamiltonian, t_final: float, tol: float) -> _Ma
     period 2 pi / ``h.max_frequency``. Raises ``ValueError`` for a ``tol``
     below ``_MAGNUS_TOL_FLOOR`` or an R whose square (an exponent multiplies
     two node Hamiltonians) overflows float64, and
-    :class:`~crda.pauli.DenseLimitError` when the work of all
-    ``_MAGNUS_HALVINGS + 1`` rungs would pass ``_MAGNUS_WORK_BUDGET``.
+    :class:`~crda.pauli.DenseLimitError` when the work of the first two
+    rungs, which every run takes, would pass ``_MAGNUS_WORK_BUDGET``.
     """
     if not tol >= _MAGNUS_TOL_FLOOR:
         raise ValueError(f"tol {tol:.3g} is below the Magnus floor {_MAGNUS_TOL_FLOOR:.3g}")
@@ -415,13 +427,9 @@ def _magnus_plan(h: TimeDependentHamiltonian, t_final: float, tol: float) -> _Ma
     if steps <= _MAGNUS_WORK_BUDGET:  # else a float, maybe inf, that the budget refuses
         steps = max(1, math.ceil(steps))
     work = tuple(steps * 2**k * 8**h.n for k in range(_MAGNUS_HALVINGS + 1))
-    if not sum(work) <= _MAGNUS_WORK_BUDGET:
-        raise DenseLimitError(
-            f"a Magnus ladder from {float(steps):.3g} steps on {h.n} qubits needs "
-            f"{float(sum(work)):.3g} steps x dim^3 over {len(work)} rungs; "
-            f"the budget is {float(_MAGNUS_WORK_BUDGET):.3g}"
-        )
-    return _MagnusPlan(steps, abs(t_final) / steps, rule, work)
+    plan = _MagnusPlan(steps, abs(t_final) / steps, rule, work)
+    plan.check_budget(2)
+    return plan
 
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
@@ -447,10 +455,12 @@ def propagate_unitary(
     agree to ``tol`` in spectral norm, for at most ``_MAGNUS_HALVINGS``
     doublings. Before any work, a ``tol`` below ``_MAGNUS_TOL_FLOOR`` (1e-14)
     or a norm bound whose square overflows float64 raises ``ValueError``
-    (CLI exit 2), and a ladder whose steps x dim^3, summed over all its
-    rungs, would pass ``_MAGNUS_WORK_BUDGET`` (2^55) raises
-    :class:`~crda.pauli.DenseLimitError` (CLI exit 3); a ladder that runs
-    out of rungs raises :class:`~crda.pauli.ConvergenceError` (CLI exit 4).
+    (CLI exit 2), and a ladder whose steps x dim^3, summed over its first
+    two rungs, would pass ``_MAGNUS_WORK_BUDGET`` (2^55) raises
+    :class:`~crda.pauli.DenseLimitError` (CLI exit 3). Each later rung is
+    priced the same way, with the rungs before it, before it runs; a ladder
+    that runs out of rungs raises :class:`~crda.pauli.ConvergenceError`
+    (CLI exit 4).
     Steps are batched (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): one
     ``h.weights`` call gives the piece weights at both Gauss-Legendre nodes
     of a chunk of steps, one ``einsum`` forms the node Hamiltonians, each
@@ -494,7 +504,8 @@ def propagate_unitary(
         return u
 
     u_prev = run(plan.steps)
-    for k in range(1, len(plan.work)):
+    for k in range(1, _MAGNUS_HALVINGS + 1):
+        plan.check_budget(k + 1)
         nsteps = plan.steps << k
         u_next = run(nsteps)
         residual = float(np.linalg.norm(u_next - u_prev, 2))

@@ -480,16 +480,16 @@ class PauliSum:
 
         It multiplies the kept matrix if :meth:`apply` or a norm built one,
         else a new one from :meth:`_build_operator`, which it drops: an
-        expectation keeps no matrix. Given ``basis``, the indices
-        :func:`_basis` makes, a sum of Z strings with real matrix weights and
-        no kept matrix builds no matrix either: the state's real and
-        imaginary parts are multiplied by its diagonal over ``basis`` and
-        added to 0.0, as the DIA matvec adds them, so no -0.0 appears.
+        expectation keeps no matrix. A sum of Z strings with real matrix
+        weights and no kept matrix builds no matrix either: the state's real
+        and imaginary parts are multiplied by its diagonal over ``basis``
+        (the indices :func:`_basis` makes, made here if not given) and added
+        to 0.0, as the DIA matvec adds them, so no -0.0 appears.
         """
         v = self._checked_state(state)
-        unkept_diagonal = basis is not None and self._matrix is None and not self._x.any()
-        if unkept_diagonal and self._csr_dtype() is float:
-            d, w = self._diagonal(basis), np.empty_like(v)
+        if self._matrix is None and not self._x.any() and self._csr_dtype() is float:
+            d = self._diagonal(basis if basis is not None else _basis(self.n))
+            w = np.empty_like(v)
             for part, x in ((w.real, v.real), (w.imag, v.imag)):
                 np.multiply(d, x, out=part)
                 part += 0.0

@@ -382,12 +382,31 @@ class TestMagnusPlan:
             tracemalloc.stop()
         assert peak < 1 << 16
 
-    def test_budget_admits_a_default_realistic_segment_at_the_dense_limit(self):
-        # simulate --realistic's default device and tau on 12 qubits; no matrix is built
+    @pytest.mark.parametrize(
+        ("kind", "steps", "rule"), [(K.ORG, 13, "frequency"), (K.ORG_ZZ, 17, "norm")]
+    )
+    def test_budget_admits_a_default_realistic_segment_at_the_dense_limit(
+        self, kind, steps, rule
+    ):
+        # simulate --realistic's default device and tau on 12 qubits (xy1d, ising);
+        # no matrix is built
         p = DeviceParams.uniform_chain(12, g=1.0, delta=10.0, Omega=0.4)
-        plan = frames._magnus_plan(org_hamiltonian(K.ORG, p), 0.1, 1e-10)
-        assert (plan.steps, plan.rule) == (13, "frequency")
-        assert frames._MAGNUS_WORK_BUDGET / 2 < sum(plan.work) <= frames._MAGNUS_WORK_BUDGET
+        plan = frames._magnus_plan(org_hamiltonian(kind, p), 0.1, 1e-10)
+        assert (plan.steps, plan.rule) == (steps, rule)
+        plan.check_budget(6)  # five doublings, where the corpus runs stop at one
+
+    def test_later_rung_over_budget_stops_the_ladder(self, monkeypatch):
+        # a budget of the first two rungs and no more: the third is refused before it runs
+        z = PauliSum.from_pattern("Z")
+        gen = TimeDependentHamiltonian(1, ((z, (("cos", 3.0, 0.0),)),))
+        plan = frames._magnus_plan(gen, 2.2, 1e-8)
+        monkeypatch.setattr(frames, "_MAGNUS_WORK_BUDGET", sum(plan.work[:2]))
+        runs = []
+        run = frames._ordered_product
+        monkeypatch.setattr(frames, "_ordered_product", lambda u: runs.append(len(u)) or run(u))
+        with pytest.raises(DenseLimitError, match="over 3 rungs"):
+            propagate_unitary(gen, 2.2, tol=1e-14)
+        assert runs == [plan.steps, 2 * plan.steps]
 
 
 class TestVerifyEffective:

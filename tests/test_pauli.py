@@ -666,7 +666,7 @@ class TestCachedMatrix:
         assert h._matrix.dtype == np.float64  # the kept matrix is real; what apply returns is not
         assert h._matrix.format == "csr"
 
-    def test_z_sum_expectation_over_basis_builds_nothing(self, rng, monkeypatch):
+    def test_z_sum_expectation_builds_nothing(self, rng, monkeypatch):
         n = 8
         states = [
             rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n),
@@ -677,15 +677,22 @@ class TestCachedMatrix:
             PauliSum.from_pattern("Z" * n, -0.5) + PauliSum.from_sites(n, {0: "Z", 7: "Z"}, 1.5),
             PauliSum.from_sites(n, {1: "Z"}, 0.5j),  # a complex diagonal keeps the matrix path
         ]
-        want = [h.expectation(psi) for psi in states for h in sums]
+        # the DIA matvec's bits, -0.0 included
+        want = [
+            pauli._vdot(psi, pauli._matvec(h._build_operator(), psi))
+            for psi in states
+            for h in sums
+        ]
         built = []
         build = PauliSum._build_operator
         monkeypatch.setattr(PauliSum, "_build_operator", lambda h: built.append(h) or build(h))
-        got = [h.expectation(psi, pauli._basis(n)) for psi in states for h in sums]
-        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
-            (z.real.hex(), z.imag.hex()) for z in want
-        ]
-        assert built == sums[2:] * 2
+        for basis in (pauli._basis(n), None):
+            built.clear()
+            got = [h.expectation(psi, basis) for psi in states for h in sums]
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                (z.real.hex(), z.imag.hex()) for z in want
+            ]
+            assert built == sums[2:] * 2
         assert all(h._matrix is None for h in sums)
 
     def test_z_strings_keep_only_their_diagonal(self, monkeypatch):
