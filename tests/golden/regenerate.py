@@ -55,7 +55,9 @@ CORPUS = Path(__file__).with_name("cli.json")
 # last, a geometric sweep whose bounds lie on both sides of zero; then
 # frame integrations whose Magnus ladder passes its work budget (a huge
 # span, coupling or qubit frequency) or whose tolerance is below its float64
-# floor, and sizes whose device arrays or masks would not fit in memory.
+# floor, and sizes whose device arrays or masks would not fit in memory;
+# last, a simulate whose observables have X parts, one of them (XY) an
+# imaginary matrix weight.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -152,6 +154,7 @@ COMMANDS = [
     "verify-frames --n 3 --delta 3 --omega 0 --t 3 --tol 1e-300",
     "verify-frames --n 1000000000 --t 1",
     "compile --model xy2d --nx 1000000000",
+    "simulate --model xy1d --n 4 --blocks 3 --observable pauli:XYII --observable pauli:YZZY --observable z2",
 ]
 
 
