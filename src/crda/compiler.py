@@ -57,6 +57,7 @@ from .hamiltonians import (
     org_hamiltonian,
 )
 from .pauli import (
+    _EXPECTATION_PLANES,
     PauliSum,
     _basis,
     _check_dense,
@@ -390,26 +391,22 @@ _CHEBYSHEV_TOL = 1e-16
 def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
     """Refuse, before allocating, a simulation whose arrays exceed memory.
 
-    It counts the state planes, each generator's kept matrix, the largest
-    observable matrix (one is built at a time and dropped), the basis
-    indices that sums of Z strings read their diagonals over, and the
-    trace's times, norms and expectations, 8 bytes per block for each.
+    It counts the state planes, each generator's kept matrix, with
+    observables the planes of one expectation value
+    (:data:`~crda.pauli._EXPECTATION_PLANES`) and the basis indices it reads
+    its weights over, and the trace's times, norms and expectations, 8
+    bytes per block for each.
     """
+    n = schedule.n
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
+    observing = (8 * _EXPECTATION_PLANES + np.dtype(_index_dtype(1 << n)).itemsize) << n
     need = (
-        _SIMULATE_PLANES * (8 << schedule.n)
+        _SIMULATE_PLANES * (8 << n)
         + sum(h._operator_bytes() for h in generators)
-        + max((obs._operator_bytes() for obs in observables), default=0)
-        + _basis_bytes(schedule.n, observables)
+        + (observing if observables else 0)
         + 8 * schedule.repetitions * (2 + len(observables))
     )
     _check_memory(need, "simulate")
-
-
-def _basis_bytes(n: int, observables: Sequence[PauliSum]) -> int:
-    """Bytes of the basis indices :func:`simulate` makes once if an observable is a sum of Z strings."""
-    diagonal = any(not obs._x.any() for obs in observables)
-    return np.dtype(_index_dtype(1 << n)).itemsize << n if diagonal else 0
 
 
 def _chebyshev_coefficients(x: float) -> np.ndarray:
@@ -495,10 +492,10 @@ def simulate(
     the identity. A static (``PauliSum``) segment acts, at every size, by a
     Chebyshev expansion of exp(-i H tau) on the matrix the sum keeps (real
     where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
-    one matrix whatever their durations. An observable keeps nothing: its
-    expectation multiplies a matrix built for it and dropped, or for a sum
-    of Z strings with real weights its diagonal, over basis indices made
-    once per call (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
+    one matrix whatever their durations. An observable builds and keeps no
+    matrix: its expectation adds its weights per X mask times the gathered
+    state, over basis indices made once per call
+    (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
     matrix-free, in blocks of adjacent sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises
     :class:`~crda.pauli.DenseLimitError` above ``DEFAULT_DENSE_LIMIT``
@@ -520,7 +517,7 @@ def simulate(
         return _chebyshev_propagator(s.analog, s.duration)
 
     steps = _step_operators(schedule, chebyshev, tol)
-    basis = _basis(n) if _basis_bytes(n, observables) else None
+    basis = _basis(n) if observables else None
     tau_block = schedule.analog_time_per_block
     blocks = schedule.repetitions
     times = np.zeros(blocks)

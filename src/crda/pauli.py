@@ -30,8 +30,9 @@ entry per row and X mask. A sum keeps one matrix (:meth:`PauliSum._operator`)
 for ``apply``, ``simulate``'s generators and :func:`spectral_norm`, real
 where every weight is (:meth:`PauliSum._csr_dtype`), and a sum of Z strings
 only its diagonal; both act as the complex matrix would, bit for bit. An
-expectation value reads the kept matrix if there is one, else builds one
-and drops it.
+expectation value builds and reads no matrix: per X mask it adds the row
+weights (:meth:`PauliSum._mask_weights`) times the state's entries ``i ^
+x``, with the bits of the matvec.
 
 Conventions (fixed once, used everywhere):
 
@@ -101,6 +102,10 @@ _MAX_FIRST_WEIGHTS = 1024
 # 2^n vectors the Lanczos norm holds besides the matrix: the current,
 # previous and work vectors, and the two temporaries of an inner product.
 _KRYLOV_VECTORS = 5
+
+# 2^n float64 planes an expectation holds at most: an accumulator and one X
+# mask's weights (4), and the gathered state and products or the next weights (6).
+_EXPECTATION_PLANES = 10
 
 # Relative residual at which the Lanczos norm stops.
 _LANCZOS_TOL = 1e-8
@@ -430,11 +435,7 @@ class PauliSum:
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
     def _operator(self) -> scipy.sparse.csr_matrix | scipy.sparse.dia_matrix:
-        """The sum's one matrix, :meth:`_build_operator`, built at the first call and kept.
-
-        :meth:`apply` and :func:`spectral_norm` read it; :meth:`expectation`
-        reads it only once it is kept.
-        """
+        """The sum's one matrix for :meth:`apply` and norms, :meth:`_build_operator`, kept once built."""
         if self._matrix is None:
             self._matrix = self._build_operator()
         return self._matrix
@@ -443,27 +444,28 @@ class PauliSum:
         """A new matrix of the sum at :meth:`_csr_dtype`: :meth:`_build_csr`, or a diagonal.
 
         A sum of Z strings (every X mask 0) gets its diagonal as a DIA
-        matrix, one weight per row: each weight sums from 0, in key order,
-        the terms ``±a`` that :meth:`_build_csr` sums, and a DIA matvec adds
-        ``d_i x_i`` to 0 as a CSR row does.
+        matrix, the weights :meth:`_mask_weights` gives for ``x = 0`` (zeros
+        for the zero sum): a DIA matvec adds ``d_i x_i`` to 0 as a CSR row does.
         """
         dim = 1 << self.n
         if self._x.any():
             return self._build_csr(self._csr_dtype())
-        diagonal = self._diagonal(_basis(self.n))
+        weights = [w for _, w in self._mask_weights(_basis(self.n))]
+        diagonal = weights[0] if weights else np.zeros(dim, dtype=self._csr_dtype())
         return scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
 
-    def _diagonal(self, idx: np.ndarray) -> np.ndarray:
-        """A Z-string sum's diagonal at the basis indices ``idx``, at :meth:`_csr_dtype`.
+    def _mask_weights(self, idx: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """``(x, w)`` per distinct X mask in sorted order, ``w`` the matrix entries ``(i, i ^ x)`` at ``idx``.
 
         Each entry sums from 0, in key order, the terms ``±a`` that
-        :meth:`_build_csr` sums.
+        :meth:`_build_csr` sums, at :meth:`_csr_dtype`.
         """
         dtype = self._csr_dtype()
-        diagonal = np.zeros(len(idx), dtype=dtype)
-        for _, z, a in self._weights():
-            diagonal += (a.real if dtype is float else a) * _parity_signs(idx, z)
-        return diagonal
+        for x, group in itertools.groupby(self._weights(), key=operator.itemgetter(0)):
+            w = np.zeros(len(idx), dtype=dtype)
+            for _, z, a in group:
+                w += (a.real if dtype is float else a) * _parity_signs(idx, z)
+            yield x, w
 
     def _operator_bytes(self) -> int:
         """Bytes of :meth:`_operator` at most: a weight per row for a diagonal, else :meth:`_matrix_bytes`."""
@@ -476,26 +478,19 @@ class PauliSum:
         return _matvec(self._operator(), v)
 
     def expectation(self, state: np.ndarray, basis: np.ndarray | None = None) -> complex:
-        """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``.
+        """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``; it builds and reads no matrix.
 
-        It multiplies the kept matrix if :meth:`apply` or a norm built one,
-        else a new one from :meth:`_build_operator`, which it drops: an
-        expectation keeps no matrix. A sum of Z strings with real matrix
-        weights and no kept matrix builds no matrix either: the state's real
-        and imaginary parts are multiplied by its diagonal over ``basis``
-        (the indices :func:`_basis` makes, made here if not given) and added
-        to 0.0, as the DIA matvec adds them, so no -0.0 appears.
+        Per X mask ``x``, in sorted order, :meth:`_mask_weights` over ``basis``
+        (:func:`_basis`, made here if not given) multiply the state's entries
+        ``i ^ x``, gathered unless ``x = 0``, and the products add to 0.0 per
+        part (:func:`_add_products`), as a CSR row adds its entries.
         """
         v = self._checked_state(state)
-        if self._matrix is None and not self._x.any() and self._csr_dtype() is float:
-            d = self._diagonal(basis if basis is not None else _basis(self.n))
-            w = np.empty_like(v)
-            for part, x in ((w.real, v.real), (w.imag, v.imag)):
-                np.multiply(d, x, out=part)
-                part += 0.0
-            return _vdot(state, w)
-        m = self._matrix if self._matrix is not None else self._build_operator()
-        return _vdot(state, _matvec(m, v))
+        idx = basis if basis is not None else _basis(self.n)
+        acc = np.zeros_like(v)
+        for x, w in self._mask_weights(idx):
+            _add_products(acc, w, v if x == 0 else np.take(v, idx ^ x))
+        return _vdot(state, acc)
 
     def _checked_state(self, state: np.ndarray) -> np.ndarray:
         """``state`` as complex128; ``ValueError``, before any matrix is built, unless it has 2^n amplitudes."""
@@ -571,6 +566,13 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     out = np.empty(len(parts[0]), dtype=complex)
     out.real, out.imag = parts
     return out
+
+
+def _add_products(acc: np.ndarray, w: np.ndarray, u: np.ndarray) -> None:
+    """``acc += w u`` per part; complex ``w`` by :func:`_times`, as scipy's CSR complex product rounds."""
+    re, im = _times(w.real, w.imag, u.real, u.imag) if w.dtype == complex else (w * u.real, w * u.imag)
+    acc.real += re
+    acc.imag += im
 
 
 def _basis(n: int) -> np.ndarray:

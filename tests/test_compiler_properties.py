@@ -356,8 +356,9 @@ def test_compiled_generators_are_real_and_propagate_as_complex(kind):
 def test_equal_segments_share_one_generator(monkeypatch):
     # A static segment runs on the matrix its sum keeps, so a new duration
     # changes only the expansion coefficients: one build per distinct
-    # Hamiltonian, at its real dtype. The Z observable builds no CSR matrix
-    # and keeps nothing. to_dense builds a matrix too, so the
+    # Hamiltonian, at its real dtype. The observables, a Z string and two
+    # with X parts (XY with an imaginary matrix weight), build no CSR
+    # matrix and keep nothing. to_dense builds a matrix too, so the
     # time-dependent case counts propagate_unitary calls instead.
     built = []
     calls = {"propagate_unitary": 0}
@@ -377,14 +378,14 @@ def test_equal_segments_share_one_generator(monkeypatch):
     n = 4
     psi0 = np.zeros(1 << n, dtype=complex)
     psi0[0b0110] = 1.0
-    obs = [PauliSum.from_sites(n, {0: "Z"})]
+    obs = [PauliSum.from_sites(n, {0: "Z"}), PauliSum.from_pattern("XXII"), PauliSum.from_pattern("XYII")]
     heisenberg = TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(n), tau=0.2, repetitions=3)
     schedule = compile_model(heisenberg)
     assert len(schedule.segments()) == 3
     simulate(schedule, psi0, obs)
     h = schedule.segments()[0].analog
     assert built == [(h, float)]
-    assert obs[0]._matrix is None
+    assert all(o._matrix is None for o in obs)
     assert calls == {"propagate_unitary": 0}
     timed = Schedule(
         n, (AnalogSegment(0.2, "all", h), GateLayer(G.HADAMARD), AnalogSegment(0.3, "all", h),
@@ -392,7 +393,7 @@ def test_equal_segments_share_one_generator(monkeypatch):
     )
     trace = simulate(timed, psi0, obs)
     assert built == [(h, float)]  # no build for the new duration
-    assert obs[0]._matrix is None
+    assert all(o._matrix is None for o in obs)
     assert np.allclose(trace.expectations, _oracle_rows(timed, psi0, obs), rtol=0.0, atol=1e-12)
     device = DeviceParams.uniform_chain(n, g=1.0, delta=10.0, Omega=0.4)
     xy = TargetModel(ModelKind.XY_1D, Lattice.chain(n), tau=0.05, repetitions=2)

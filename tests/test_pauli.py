@@ -675,7 +675,7 @@ class TestCachedMatrix:
         sums = [
             PauliSum.from_sites(n, {2: "Z"}),
             PauliSum.from_pattern("Z" * n, -0.5) + PauliSum.from_sites(n, {0: "Z", 7: "Z"}, 1.5),
-            PauliSum.from_sites(n, {1: "Z"}, 0.5j),  # a complex diagonal keeps the matrix path
+            PauliSum.from_sites(n, {1: "Z"}, 0.5j),  # a complex diagonal builds nothing either
         ]
         # the DIA matvec's bits, -0.0 included
         want = [
@@ -692,8 +692,27 @@ class TestCachedMatrix:
             assert [(z.real.hex(), z.imag.hex()) for z in got] == [
                 (z.real.hex(), z.imag.hex()) for z in want
             ]
-            assert built == sums[2:] * 2
+            assert built == []
         assert all(h._matrix is None for h in sums)
+
+    def test_expectation_builds_and_reads_no_matrix(self, rng, monkeypatch):
+        # Sums with X parts, real and complex matrix weights: an expectation
+        # gathers the state per X mask with the bits of apply's matvec, and
+        # a kept matrix is not read (a zero matrix stands in for it here).
+        n = 7
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        sums = [
+            PauliSum.from_sites(n, {0: "X", 1: "X"}),
+            PauliSum.from_sites(n, {0: "X", 1: "Y"}, 0.7),
+            _heis_layer(n, 0) + PauliSum.from_sites(n, {2: "Y", 5: "Z"}, 0.5 - 0.25j),
+        ]
+        want = [pauli._vdot(psi, h.apply(psi)) for h in sums]
+        for h in sums:
+            h._matrix = h._matrix * 0.0
+        monkeypatch.setattr(PauliSum, "_build_operator", None)
+        monkeypatch.setattr(PauliSum, "_build_csr", None)
+        got = [h.expectation(psi) for h in sums]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
 
     def test_z_strings_keep_only_their_diagonal(self, monkeypatch):
         monkeypatch.setattr(PauliSum, "_build_csr", None)  # no CSR build
