@@ -57,12 +57,10 @@ from .hamiltonians import (
     org_hamiltonian,
 )
 from .pauli import (
-    _EXPECTATION_PLANES,
     PauliSum,
-    _basis,
     _check_dense,
     _check_memory,
-    _index_dtype,
+    _expectation_bytes,
     _joined,
     _left_sum,
     _split,
@@ -391,19 +389,17 @@ _CHEBYSHEV_TOL = 1e-16
 def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
     """Refuse, before allocating, a simulation whose arrays exceed memory.
 
-    It counts the state planes, each generator's kept matrix, with
-    observables the planes of one expectation value
-    (:data:`~crda.pauli._EXPECTATION_PLANES`) and the basis indices it reads
-    its weights over, and the trace's times, norms and expectations, 8
-    bytes per block for each.
+    It counts each generator's kept matrix, the trace's times, norms and
+    expectations (8 bytes per block each), and the larger of the Chebyshev
+    loop's state planes and, with observables, two states and an expectation
+    value's bytes (:func:`~crda.pauli._expectation_bytes`).
     """
     n = schedule.n
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
-    observing = (8 * _EXPECTATION_PLANES + np.dtype(_index_dtype(1 << n)).itemsize) << n
+    observing = 4 * (8 << n) + _expectation_bytes(n) if observables else 0
     need = (
-        _SIMULATE_PLANES * (8 << n)
+        max(_SIMULATE_PLANES * (8 << n), observing)
         + sum(h._operator_bytes() for h in generators)
-        + (observing if observables else 0)
         + 8 * schedule.repetitions * (2 + len(observables))
     )
     _check_memory(need, "simulate")
@@ -494,7 +490,7 @@ def simulate(
     where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
     one matrix whatever their durations. An observable builds and keeps no
     matrix: its expectation adds its weights per X mask times the gathered
-    state, over basis indices made once per call
+    state, a block of rows at a time
     (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
     matrix-free, in blocks of adjacent sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises
@@ -517,7 +513,6 @@ def simulate(
         return _chebyshev_propagator(s.analog, s.duration)
 
     steps = _step_operators(schedule, chebyshev, tol)
-    basis = _basis(n) if observables else None
     tau_block = schedule.analog_time_per_block
     blocks = schedule.repetitions
     times = np.zeros(blocks)
@@ -530,7 +525,7 @@ def simulate(
         # numpy's sum, not BLAS (see PauliSum.expectation): thread-independent
         norms[b] = float(np.sqrt(np.sum((psi.conj() * psi).real)))
         for i, obs in enumerate(observables):
-            expectations[b, i] = float(obs.expectation(psi, basis).real)
+            expectations[b, i] = float(obs.expectation(psi).real)
     names = tuple(
         observable_names
         if observable_names is not None

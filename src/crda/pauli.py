@@ -103,9 +103,8 @@ _MAX_FIRST_WEIGHTS = 1024
 # previous and work vectors, and the two temporaries of an inner product.
 _KRYLOV_VECTORS = 5
 
-# 2^n float64 planes an expectation holds at most: an accumulator and one X
-# mask's weights (4), and the gathered state and products or the next weights (6).
-_EXPECTATION_PLANES = 10
+# Rows an expectation forms at a time: their weights and products stay in cache.
+_EXPECTATION_ROWS = 1 << 14
 
 # Relative residual at which the Lanczos norm stops.
 _LANCZOS_TOL = 1e-8
@@ -444,14 +443,13 @@ class PauliSum:
         """A new matrix of the sum at :meth:`_csr_dtype`: :meth:`_build_csr`, or a diagonal.
 
         A sum of Z strings (every X mask 0) gets its diagonal as a DIA
-        matrix, the weights :meth:`_mask_weights` gives for ``x = 0`` (zeros
-        for the zero sum): a DIA matvec adds ``d_i x_i`` to 0 as a CSR row does.
+        matrix, the weights :meth:`_mask_weights` gives for ``x = 0`` (real
+        zeros for the zero sum): a DIA matvec adds ``d_i x_i`` to 0 as a CSR row does.
         """
         dim = 1 << self.n
         if self._x.any():
             return self._build_csr(self._csr_dtype())
-        weights = [w for _, w in self._mask_weights(_basis(self.n))]
-        diagonal = weights[0] if weights else np.zeros(dim, dtype=self._csr_dtype())
+        diagonal = next((w for _, w in self._mask_weights(_basis(self.n))), np.zeros(dim))
         return scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
 
     def _mask_weights(self, idx: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -477,20 +475,26 @@ class PauliSum:
         v = self._checked_state(state)
         return _matvec(self._operator(), v)
 
-    def expectation(self, state: np.ndarray, basis: np.ndarray | None = None) -> complex:
+    def expectation(self, state: np.ndarray) -> complex:
         """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``; it builds and reads no matrix.
 
-        Per X mask ``x``, in sorted order, :meth:`_mask_weights` over ``basis``
-        (:func:`_basis`, made here if not given) multiply the state's entries
-        ``i ^ x``, gathered unless ``x = 0``, and the products add to 0.0 per
-        part (:func:`_add_products`), as a CSR row adds its entries.
+        Per block of ``_EXPECTATION_ROWS`` rows ``i`` and per X mask ``x`` in
+        sorted order, :meth:`_mask_weights` multiply the state's entries ``i ^
+        x`` (gathered unless ``x = 0``; complex weights by :func:`_times`, as
+        scipy's CSR product rounds); the products add to 0.0 per part, as in a CSR row.
         """
         v = self._checked_state(state)
-        idx = basis if basis is not None else _basis(self.n)
-        acc = np.zeros_like(v)
-        for x, w in self._mask_weights(idx):
-            _add_products(acc, w, v if x == 0 else np.take(v, idx ^ x))
-        return _vdot(state, acc)
+        dim, hv = len(v), np.zeros_like(v)
+        for k in range(0, dim, _EXPECTATION_ROWS):
+            idx = np.arange(k, min(k + _EXPECTATION_ROWS, dim), dtype=_index_dtype(dim))
+            rows = slice(k, k + len(idx))
+            for x, w in self._mask_weights(idx):
+                u = v[rows] if x == 0 else np.take(v, idx ^ x)
+                real = w.dtype == float
+                re, im = (w * u.real, w * u.imag) if real else _times(w.real, w.imag, u.real, u.imag)
+                hv.real[rows] += re
+                hv.imag[rows] += im
+        return _vdot(state, hv)
 
     def _checked_state(self, state: np.ndarray) -> np.ndarray:
         """``state`` as complex128; ``ValueError``, before any matrix is built, unless it has 2^n amplitudes."""
@@ -568,11 +572,13 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _add_products(acc: np.ndarray, w: np.ndarray, u: np.ndarray) -> None:
-    """``acc += w u`` per part; complex ``w`` by :func:`_times`, as scipy's CSR complex product rounds."""
-    re, im = _times(w.real, w.imag, u.real, u.imag) if w.dtype == complex else (w * u.real, w * u.imag)
-    acc.real += re
-    acc.imag += im
+def _expectation_bytes(n: int) -> int:
+    """Bytes :meth:`PauliSum.expectation` holds at most, in float64 planes.
+
+    Six of 2^n rows: h|state> and the inner product's two temporaries;
+    twelve of a block's rows: its indices, weights, gathered state and products.
+    """
+    return 8 * (6 * (1 << n) + 12 * min(1 << n, _EXPECTATION_ROWS))
 
 
 def _basis(n: int) -> np.ndarray:

@@ -213,10 +213,9 @@ def test_magnus_peak_memory():
 
 def test_simulation_guard_bounds_the_traced_peak(monkeypatch):
     # What the guard counts (states, Chebyshev planes, the generator's CSR
-    # bound, one weight per row of the largest observable, the trace arrays)
-    # bounds what a 4x4 XY simulation allocates, and the 17 Z observables
-    # keep nothing, where they kept their diagonals (8.5 MiB) and before
-    # that complex CSR matrices (25.5 MiB).
+    # bound, the trace arrays) bounds what a 4x4 XY simulation allocates,
+    # and the 17 Z observables keep nothing, where they kept their
+    # diagonals (8.5 MiB) and before that complex CSR matrices (25.5 MiB).
     import scipy.special  # noqa: F401  (simulate loads it lazily; module memory is not counted)
 
     counted = []
@@ -249,10 +248,43 @@ def test_simulation_guard_bounds_the_traced_peak(monkeypatch):
     assert observables <= 1 << 16  # their term arrays
 
 
+def test_simulation_guard_counts_near_the_traced_peak(monkeypatch):
+    # With observables that have X parts, the guard counts the Chebyshev
+    # loop's planes or an expectation's over the two states, whichever is
+    # larger, not their sum: a 16-site Heisenberg chain allocates at least
+    # 0.8 of what it counts.
+    import scipy.special  # noqa: F401  (simulate loads it lazily; module memory is not counted)
+
+    counted = []
+    check = compiler._check_memory
+
+    def counted_check(need, what):
+        if what == "simulate":  # the Chebyshev orders are checked apart
+            counted.append(need)
+        check(need, what)
+
+    monkeypatch.setattr(compiler, "_check_memory", counted_check)
+    n = 16
+    schedule = compile_model(
+        TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(n), tau=0.1, repetitions=2)
+    )
+    obs = [PauliSum.from_sites(n, {0: "X", 1: p}) for p in "XYZ"]
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[0b0110_1001_1001_0110] = 1.0
+    tracemalloc.start()
+    try:
+        simulate(schedule, psi0, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0] <= 1.25 * peak
+
+
 def test_observables_keep_no_matrix():
-    # An expectation multiplies a diagonal built for it and dropped, so a
-    # simulation with a Z observable on each of 12 sites peaks within one
-    # diagonal plane of the same run with one, where the kept diagonals
+    # An expectation builds no matrix and forms its weights a block of rows
+    # at a time, so a simulation with a Z observable on each of 12 sites
+    # peaks within one plane of the same run with one, where kept diagonals
     # added 11 planes.
     n = 12
     schedule = compile_model(

@@ -686,19 +686,16 @@ class TestCachedMatrix:
         built = []
         build = PauliSum._build_operator
         monkeypatch.setattr(PauliSum, "_build_operator", lambda h: built.append(h) or build(h))
-        for basis in (pauli._basis(n), None):
-            built.clear()
-            got = [h.expectation(psi, basis) for psi in states for h in sums]
-            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
-                (z.real.hex(), z.imag.hex()) for z in want
-            ]
-            assert built == []
+        got = [h.expectation(psi) for psi in states for h in sums]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+        assert built == []
         assert all(h._matrix is None for h in sums)
 
     def test_expectation_builds_and_reads_no_matrix(self, rng, monkeypatch):
         # Sums with X parts, real and complex matrix weights: an expectation
         # gathers the state per X mask with the bits of apply's matvec, and
-        # a kept matrix is not read (a zero matrix stands in for it here).
+        # a kept matrix is not read (a zero matrix stands in for it here),
+        # whether it takes the rows in one block or in blocks of 5.
         n = 7
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         sums = [
@@ -711,8 +708,10 @@ class TestCachedMatrix:
             h._matrix = h._matrix * 0.0
         monkeypatch.setattr(PauliSum, "_build_operator", None)
         monkeypatch.setattr(PauliSum, "_build_csr", None)
-        got = [h.expectation(psi) for h in sums]
-        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+        for rows in (pauli._EXPECTATION_ROWS, 5):
+            monkeypatch.setattr(pauli, "_EXPECTATION_ROWS", rows)
+            got = [h.expectation(psi) for h in sums]
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
 
     def test_z_strings_keep_only_their_diagonal(self, monkeypatch):
         monkeypatch.setattr(PauliSum, "_build_csr", None)  # no CSR build

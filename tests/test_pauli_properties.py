@@ -104,17 +104,23 @@ def test_dense_and_sparse_match_oracle(h):
 def _assert_norms_agree(h):
     # The norm stops once its proxy's Ritz value θ has a residual r <=
     # _LANCZOS_TOL |θ|, so θ lies within min(r, r² / gap) of the proxy's top
-    # eigenvalue λ (Kato-Temple), gap the distance from λ to the rest of the
-    # oracle's spectrum: a clustered top allows about r. The proxy is h, i h
-    # or h^† h, whose θ is the squared norm; 1e-12 max(λ, 1) allows rounding.
+    # eigenvalue λ (Kato-Temple), gap the distance from λ to the nearest
+    # distinct eigenvalue of the oracle's spectrum: only a clustered top
+    # allows about r, not a degenerate one. The proxy is h, i h or h^† h,
+    # whose θ is the squared norm; eigenvalues within tie = 1e-12 max(λ, 1)
+    # of λ are λ, and tie allows rounding.
     dense = dense_oracle(h)
     hermitian = h.is_hermitian()
     gram = not hermitian and not (1j * h).is_hermitian()
     mu = np.linalg.eigvalsh(dense.conj().T @ dense if gram else dense if hermitian else 1j * dense)
     theta = spectral_norm(h) ** (2 if gram else 1)
     lam, r = max(-mu[0], mu[-1]), _LANCZOS_TOL * theta
-    gap = min(g for end, g in ((mu[-1], mu[-1] - mu[-2]), (-mu[0], mu[1] - mu[0])) if end >= lam - r)
-    assert abs(theta - lam) <= min(r, r * r / gap if gap > 0 else r) + 1e-12 * max(lam, 1.0)
+    tie = 1e-12 * max(lam, 1.0)
+    # per end of the spectrum within r of λ, seen as a top: its gap to the next distinct eigenvalue
+    gap = min(
+        end[-1] - np.max(end[end < end[-1] - tie], initial=-np.inf) for end in (mu, -mu[::-1]) if end[-1] >= lam - r
+    )
+    assert abs(theta - lam) <= min(r, r * r / gap) + tie
 
 
 @given(commutators())
@@ -127,6 +133,9 @@ def test_commutator_norm_matrix_free_matches_dense(c):
 @example(  # top eigenvalues 3.0001 ± 1e-8: an error of -2.7e-9 relative, within r
     PauliSum.from_pattern("III") + 1e-8 * PauliSum.from_pattern("XZZ")
     + 1e-4 * PauliSum.from_pattern("ZXZ") + 2.0 * PauliSum.from_pattern("IYX")
+)
+@example(  # each of ±1.118 four times over: the top is degenerate, not clustered, so r² / gap binds
+    PauliSum.from_pattern("ZII") + 0.5 * PauliSum.from_pattern("XII")
 )
 def test_complex_sum_norm_matrix_free_matches_dense(h):
     # general complex weights: the h^dagger h proxy unless h is (anti-)Hermitian
@@ -624,7 +633,7 @@ def test_row_block_build_single_term_and_single_mask(n):
 def test_apply_and_expectation_equal_reference_matvec(h, seed):
     # apply keeps a real matrix where every weight is real, and only the
     # diagonal of Z strings; both give the complex matvec's bits. An
-    # expectation before any apply builds the same matrix and keeps nothing.
+    # expectation builds and reads no matrix and gives the matvec's bits.
     v = _state(seed, h.n)
     rng = np.random.default_rng(seed)
     v.real[rng.random(len(v)) < 0.3] = 0.0
