@@ -63,6 +63,7 @@ from .pauli import (
     _expectation_bytes,
     _joined,
     _left_sum,
+    _on_parts,
     _split,
     expm_hermitian,
 )
@@ -378,8 +379,9 @@ class SimulationTrace:
 # 2^n-entry float64 planes a simulation holds besides its matrices, two per
 # complex vector: the caller's initial state, the current state, and the
 # Chebyshev loop's accumulator, two recurrence vectors and the next one or
-# the current term.
+# the current term. A generator's first matrix build sees the first three.
 _SIMULATE_PLANES = 12
+_FIRST_BUILD_PLANES = 6
 
 # Chebyshev terms are kept up to the first order past R tau whose Bessel
 # coefficient falls below this; the tail beyond it is below double roundoff.
@@ -390,15 +392,21 @@ def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]
     """Refuse, before allocating, a simulation whose arrays exceed memory.
 
     It counts each generator's kept matrix, the trace's times, norms and
-    expectations (8 bytes per block each), and the larger of the Chebyshev
-    loop's state planes and, with observables, two states and an expectation
-    value's bytes (:func:`~crda.pauli._expectation_bytes`).
+    expectations (8 bytes per block each), and the largest of the Chebyshev
+    loop's state planes; with observables, two states and an expectation
+    value's bytes (:func:`~crda.pauli._expectation_bytes`); and, while a
+    generator's matrix is not yet built, three states and the build's
+    scratch (:meth:`~crda.pauli.PauliSum._build_scratch_bytes`).
     """
     n = schedule.n
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
     observing = 4 * (8 << n) + _expectation_bytes(n) if observables else 0
+    building = max(
+        (_FIRST_BUILD_PLANES * (8 << n) + h._build_scratch_bytes() for h in generators if h._matrix is None),
+        default=0,
+    )
     need = (
-        max(_SIMULATE_PLANES * (8 << n), observing)
+        max(_SIMULATE_PLANES * (8 << n), observing, building)
         + sum(h._operator_bytes() for h in generators)
         + 8 * schedule.repetitions * (2 + len(observables))
     )
@@ -440,7 +448,10 @@ def _chebyshev_propagator(h: PauliSum, tau: float) -> _Op:
     recurrence: a complex vector scaled by a real s has parts scaled by s
     (by 1/R, not divided by R, as numpy divides by a complex R + 0j), and
     each term c_k phi_k joins the parts into one complex vector for numpy's
-    complex product and sum, as the complex recurrence forms them. It
+    complex product and sum, as the complex recurrence forms them. Each
+    step is written in place, ``y = m @ v; y *= 2/R; y -= p``, with the
+    bits of ``(m @ v) * (2/R) - p``, and the two parts run at once from
+    ``_THREAD_ENTRIES`` entries on (:func:`~crda.pauli._on_parts`). It
     holds three vectors and an accumulator.
     """
     if not h.is_hermitian():
@@ -455,11 +466,23 @@ def _chebyshev_propagator(h: PauliSum, tau: float) -> _Op:
         if coef.size == 1:
             return acc
         m = h._operator()
+
+        def first(v: np.ndarray) -> np.ndarray:
+            y = m @ v
+            y *= 1.0 / r
+            return y
+
+        def step(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+            y = m @ v
+            y *= 2.0 / r
+            y -= p
+            return y
+
         prev = _split(m, psi)
-        cur = [(m @ v) * (1.0 / r) for v in prev]
+        cur = _on_parts(first, prev)
         acc += _product(coef[1], cur)
         for c in coef[2:]:
-            prev, cur = cur, [(m @ v) * (2.0 / r) - p for v, p in zip(cur, prev)]
+            prev, cur = cur, _on_parts(step, cur, prev)
             acc += _product(c, cur)
         return acc
 

@@ -1,16 +1,21 @@
 """Property tests of schedule simulation and Magnus propagation against dense oracles."""
 
+import contextlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_oracle, layer_oracle, reference_chebyshev, sinusoid_product
-from crda import compiler, frames
+from crda import compiler, frames, pauli
 from crda.compiler import (
     AnalogSegment,
     ModelKind,
@@ -279,6 +284,183 @@ def test_simulation_guard_counts_near_the_traced_peak(monkeypatch):
         tracemalloc.stop()
     assert len(counted) == 1
     assert peak <= counted[0] <= 1.25 * peak
+
+
+def test_simulation_guard_counts_the_first_matrix_build(monkeypatch):
+    # A generator's first matrix build holds its table and laid-out blocks
+    # beside three states: on a 12-site chain they outweigh the loop's
+    # planes, and the guard counted 1.28 MB against a 2.01 MB traced peak
+    # while it left the build out.
+    import scipy.special  # noqa: F401  (simulate loads it lazily; module memory is not counted)
+
+    counted = []
+    check = compiler._check_memory
+
+    def counted_check(need, what):
+        if what == "simulate":  # the Chebyshev orders are checked apart
+            counted.append(need)
+        check(need, what)
+
+    monkeypatch.setattr(compiler, "_check_memory", counted_check)
+    n = 12
+    schedule = compile_model(
+        TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(n), tau=0.1, repetitions=2)
+    )
+    assert all(s.analog._matrix is None for s in schedule.segments())
+    obs = [PauliSum.from_sites(n, {0: "X", 1: p}) for p in "XYZ"]
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[0b0110_1001_1001] = 1.0
+    tracemalloc.start()
+    try:
+        simulate(schedule, psi0, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
+
+
+@contextlib.contextmanager
+def _overlap(on):
+    """Split states' parts run at once, on a worker thread of the caller's
+    whatever the host's CPUs, or one after the other; yields the list of
+    the worker's tasks."""
+    tasks = []
+    with ThreadPoolExecutor(max_workers=1) as worker, pytest.MonkeyPatch.context() as mp:
+        submit = worker.submit
+
+        def counted_submit(*args):
+            tasks.append(args[0])
+            return submit(*args)
+
+        worker.submit = counted_submit
+        mp.setattr(pauli, "_THREAD_ENTRIES", 0 if on else 1 << 63)
+        mp.setattr(pauli, "_WORKER", worker)
+        mp.setattr(pauli, "_two_cpus", lambda: True)
+        yield tasks
+
+
+@st.composite
+def large_models(draw):
+    kind = draw(st.sampled_from(list(ModelKind)))
+    if kind is ModelKind.XY_2D:
+        nx, ny = draw(st.sampled_from([(4, 4), (2, 8), (2, 7)]))
+        lattice = Lattice.square(nx, ny, boundary="open")
+    else:
+        lattice = Lattice.chain(draw(st.integers(14, 16)))
+    return TargetModel(kind, lattice, tau=draw(st.floats(0.05, 0.5)), repetitions=draw(st.integers(1, 2)))
+
+
+@settings(max_examples=4, phases=[Phase.explicit, Phase.generate])  # shrinking 16-qubit runs takes minutes
+@given(large_models(), st.integers(0, 2**16 - 1))
+def test_overlapped_parts_give_the_same_bits(model, seed):
+    # The real and imaginary parts of a state run the same arithmetic on one
+    # thread or on two: simulate's expectations and norms, and apply on
+    # each compiled generator's real matrix, are identical to the last bit.
+    schedule = compile_model(model)
+    n = schedule.n
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[seed % (1 << n)] = 1.0
+    obs = [PauliSum.from_sites(n, {0: "Z"}), PauliSum.from_sites(n, {0: "X", 1: "Y"})]
+    psi = _states(seed, n)[0]
+
+    def run(on):
+        with _overlap(on) as tasks:
+            trace = simulate(schedule, psi0, obs)
+            applied = [h.apply(psi) for h in {s.analog for s in schedule.segments()}]
+        values = [trace.norms, trace.expectations, *applied]
+        return [[float(x).hex() for x in np.ravel(v).view(float)] for v in values], len(tasks)
+
+    (serial, none), (overlapped, some) = run(False), run(True)
+    assert none == 0 and some > 0
+    assert overlapped == serial
+
+
+def test_callers_on_many_threads_share_the_worker():
+    # Sweep workers may apply a sum at once: their parts queue on the one
+    # worker thread, and each caller gets its own back, with the serial bits.
+    rng = np.random.default_rng(3)
+    h = compile_model(TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(8))).segments()[0].analog
+    states = [rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(16)]
+    with _overlap(False):
+        want = [[h.apply(s).tobytes()] * 20 for s in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _overlap(True) as tasks, ThreadPoolExecutor(max_workers=8) as callers:
+            got = list(callers.map(lambda s: [h.apply(s).tobytes() for _ in range(20)], states, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(tasks) == 16 * 20
+
+
+_THREAD_COUNTS = """
+import os, threading
+import numpy as np
+from crda import pauli
+from crda.compiler import ModelKind, TargetModel, compile_model, simulate
+from crda.device import Lattice
+
+def run():
+    schedule = compile_model(TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(8), repetitions=2))
+    simulate(schedule, np.eye(256, 1, dtype=complex).ravel(), [])
+
+for _ in range(10):
+    run()
+print(threading.active_count())
+pauli._THREAD_ENTRIES = 1 << 8
+for _ in range(10):
+    run()
+print(threading.active_count(), len(os.sched_getaffinity(0)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="counts usable CPUs by affinity")
+def test_parts_overlap_on_at_most_one_thread():
+    # In a fresh process: below the gate (2^8 amplitudes against 2^14)
+    # simulate starts no thread; at the gate, many calls start one worker,
+    # and only when two CPUs are usable.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pauli.__file__))}
+    ret = subprocess.run(
+        [sys.executable, "-c", _THREAD_COUNTS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert ret.returncode == 0, ret.stderr
+    below, (above, cpus) = [list(map(int, line.split())) for line in ret.stdout.splitlines()]
+    assert below == [1]
+    assert above == 1 + (cpus >= 2)
+
+
+_FORKED_CHILD = """
+import os, signal
+import numpy as np
+from crda import pauli
+from crda.pauli import PauliSum
+
+pauli._THREAD_ENTRIES = 1
+h = PauliSum.from_pattern("XX") + PauliSum.from_pattern("ZZ")
+v = np.ones(4, dtype=complex)
+h.apply(v)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child left waiting ends itself
+    h.apply(v)
+    os._exit(0)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_runs_parts_on_its_own_worker():
+    # A forked child inherits the parent's executor but not its thread; on
+    # the inherited one its first overlapped apply would wait forever (the
+    # child's alarm ends it, and the exit code shows SIGALRM).
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pauli.__file__))}
+    ret = subprocess.run(
+        [sys.executable, "-c", _FORKED_CHILD], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert ret.returncode == 0, ret.stderr
+    assert ret.stdout.split() == ["0"]
 
 
 def test_observables_keep_no_matrix():

@@ -13,6 +13,7 @@ share one X mask (at most one entry per row of the CSR matrix); the pool always 
 
 import json
 import operator
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -86,6 +87,46 @@ def commutators(draw):
 def _state(seed, n):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+
+
+@st.composite
+def built_sums(draw):
+    """Sums on 4 to 12 sites of up to 40 strings, with few or many X masks
+    (many lay a CSR matrix out in several blocks), or none (a diagonal)."""
+    n = draw(st.integers(4, 12))
+    masks = st.integers(0, (1 << n) - 1)
+    x_pool = draw(st.sampled_from([[0], draw(st.lists(masks, min_size=1, max_size=3)), None]))
+    rows = [
+        Term(n, draw(masks if x_pool is None else st.sampled_from(x_pool)), draw(masks), draw(_COEFFS) + 1j * draw(_COEFFS))
+        for _ in range(draw(st.integers(1, 40)))
+    ]
+    return reference_from_terms(n, rows)
+
+
+def _many_mask_sum(n=12, terms=40, seed=12):
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 1 << n, size=(terms, 2)).tolist()
+    return reference_from_terms(n, [Term(n, x, z, complex(*rng.standard_normal(2))) for x, z in masks])
+
+
+@given(built_sums(), st.booleans())
+@example(_many_mask_sum(), False)  # a 40-mask matrix laid out in 3 blocks
+def test_build_scratch_bounds_the_traced_build(h, hermitian):
+    # The simulation guard counts a generator's first build as its matrix
+    # bound and _build_scratch_bytes; together they bound the traced peak
+    # of the build, diagonal or CSR, real or complex.
+    if hermitian:
+        h = h + h.dagger()
+    for warm in (PauliSum.from_pattern("XZ"), PauliSum.from_pattern("ZZ"), PauliSum(2, {})):
+        warm._build_operator()  # numpy's and scipy's one-time caches are not the build's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h._build_operator()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= h._operator_bytes() + h._build_scratch_bytes()
 
 
 @given(pauli_sums(), st.integers(0, 2**32 - 1))
