@@ -60,7 +60,6 @@ from .pauli import (
     PauliSum,
     _check_dense,
     _check_memory,
-    _expectation_bytes,
     _joined,
     _left_sum,
     _on_parts,
@@ -393,21 +392,21 @@ def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]
 
     It counts each generator's kept matrix, the trace's times, norms and
     expectations (8 bytes per block each), and the largest of the Chebyshev
-    loop's state planes; with observables, two states and an expectation
-    value's bytes (:func:`~crda.pauli._expectation_bytes`); and, while a
-    generator's matrix is not yet built, three states and the build's
-    scratch (:meth:`~crda.pauli.PauliSum._build_scratch_bytes`).
+    loop's state planes; with observables, two states and the largest
+    expectation value's bytes (:meth:`~crda.pauli.PauliSum._expectation_bytes`);
+    and, while a generator's matrix is not yet built, three states and the
+    build's scratch (:meth:`~crda.pauli.PauliSum._build_scratch_bytes`).
     """
     n = schedule.n
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
-    observing = 4 * (8 << n) + _expectation_bytes(n) if observables else 0
+    observing = max((4 * (8 << n) + obs._expectation_bytes() for obs in observables), default=0)
     building = max(
         (_FIRST_BUILD_PLANES * (8 << n) + h._build_scratch_bytes() for h in generators if h._matrix is None),
         default=0,
     )
     need = (
         max(_SIMULATE_PLANES * (8 << n), observing, building)
-        + sum(h._operator_bytes() for h in generators)
+        + sum(h._matrix_bytes(h._csr_dtype()) for h in generators)
         + 8 * schedule.repetitions * (2 + len(observables))
     )
     _check_memory(need, "simulate")
@@ -512,8 +511,8 @@ def simulate(
     Chebyshev expansion of exp(-i H tau) on the matrix the sum keeps (real
     where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
     one matrix whatever their durations. An observable builds and keeps no
-    matrix: its expectation adds its weights per X mask times the gathered
-    state, a block of rows at a time
+    matrix: its expectation adds its matrix entries, a block of rows at a
+    time, per X mask times the gathered state
     (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
     matrix-free, in blocks of adjacent sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises

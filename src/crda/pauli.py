@@ -26,12 +26,12 @@ A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X
 mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
 column ``i ^ x``, unless that sum is exactly zero: the stored entries are
 the nonzero ones, and the memory guards count the upper bound of one
-entry per row and X mask. A sum keeps one matrix (:meth:`PauliSum._operator`)
-for ``apply``, ``simulate``'s generators and :func:`spectral_norm`, real
-where every weight is (:meth:`PauliSum._csr_dtype`), and a sum of Z strings
-only its diagonal; both act as the complex matrix would, bit for bit. An
-expectation value builds and reads no matrix: per X mask it adds the row
-weights (:meth:`PauliSum._mask_weights`) times the state's entries ``i ^
+entry per row and X mask. One kernel forms those sums, a block of rows at
+a time (:meth:`PauliSum._row_blocks`). A sum keeps one matrix
+(:meth:`PauliSum._operator`) for ``apply``, ``simulate``'s generators and
+:func:`spectral_norm`, real where every weight is, with the complex
+matrix's bits (:meth:`PauliSum._csr_dtype`). An expectation value builds
+no matrix: it adds each block's entries times the state's entries ``i ^
 x``, with the bits of the matvec. A real matrix multiplies a complex
 state's real and imaginary parts apart (:func:`_split`), and from
 ``_THREAD_ENTRIES`` entries on, with two usable CPUs, the two parts run at
@@ -95,8 +95,8 @@ _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _I_POW_RE = np.array([p.real for p in _I_POW])
 _I_POW_IM = np.array([p.imag for p in _I_POW])
 
-# Bounds the CSR build's scratch: entries of its table of sums at a time,
-# and sixteen times the matrix entries it lays out at a time.
+# Bounds the row blocks' scratch: entries of their table of sums at a time, 16
+# times a block's entries and 64 times its rows (an expectation's stay in cache).
 _BLOCK_ENTRIES = 1 << 20
 
 # Bytes of Python and array objects a matrix build holds per string at most;
@@ -110,9 +110,6 @@ _MAX_FIRST_WEIGHTS = 1024
 # 2^n vectors the Lanczos norm holds besides the matrix: the current,
 # previous and work vectors, and the two temporaries of an inner product.
 _KRYLOV_VECTORS = 5
-
-# Rows an expectation forms at a time: their weights and products stay in cache.
-_EXPECTATION_ROWS = 1 << 14
 
 # Entries per part from which a split state's two parts run at once
 # (:func:`_on_parts`); below it the handoff to the worker costs more than
@@ -382,51 +379,53 @@ class PauliSum:
         return entries * (np.dtype(dtype).itemsize + index) + index * ((1 << self.n) + 1)
 
     def _build_scratch_bytes(self) -> int:
-        """Bytes :meth:`_build_operator` holds at most besides the matrix it returns.
+        """Bytes :meth:`_build_csr` holds at most at :meth:`_csr_dtype`, besides the matrix it returns.
 
-        For :meth:`_build_csr`: per string its sign and weight vectors; per
-        row of the table's low half, its column per X mask; the table of sums
-        and one outer product into it; per laid-out entry its value, nonzero
-        flag, position, row and column, and per laid-out row its index and
-        count. For a diagonal, per row: the basis, :meth:`_build_operator`'s
-        default zeros, and what :meth:`_mask_weights` holds besides the
-        weights, a masked index, parity counts and flags, a sign, and a term
-        and its sign's cast to the weights' dtype.
-        Python and array objects take ``_OBJECT_BYTES`` per string, and 16
-        times that for the build's own.
+        :meth:`_row_block_bytes`, and per laid-out entry its nonzero flag,
+        position, row and column, and per laid-out row its index and count.
+        """
+        index = np.dtype(_index_dtype(self._num_x_masks() << self.n)).itemsize
+        return self._row_block_bytes(1 + 16 + index, index + 8)
+
+    def _expectation_bytes(self) -> int:
+        """Bytes :meth:`expectation` holds at most: h|state>, :func:`_vdot`'s two temporaries, the row blocks."""
+        return (48 << self.n) + self._row_block_bytes(0, 64)  # a block row: two indices, an amplitude, products
+
+    def _row_block_bytes(self, entry: int, row: int) -> int:
+        """Bytes :meth:`_row_blocks` holds at most, and ``entry`` and ``row`` more per entry and row of a block.
+
+        Per string its sign and weight vectors; per row of the table's low
+        half, its column per X mask; the table of sums and one outer product
+        into it; a block's entries, at :meth:`_csr_dtype`. The caller adds
+        what it makes of a block. Python and array objects take
+        ``_OBJECT_BYTES`` per string, and 16 times that for the generator's own.
         """
         n, h, dim = self.n, self.n // 2, 1 << self.n
         item = np.dtype(self._csr_dtype()).itemsize
-        masks = self._num_x_masks()
-        index = np.dtype(_index_dtype(masks << n)).itemsize
-        objects = _OBJECT_BYTES * (len(self) + 16)
-        if not self._x.any():
-            return objects + ((2 * index + 19 + 2 * item) << n)
-        low = (1 << h) - 1
-        keys = [  # the table's width per X mask, as _build_csr counts its keys
+        masks, low = max(1, self._num_x_masks()), (1 << h) - 1
+        keys = [  # the table's width per X mask, as _row_blocks counts its keys
             1 << (functools.reduce(operator.or_, (z for _, z, _ in group)) & low).bit_count()
             for _, group in itertools.groupby(self._weights(), key=operator.itemgetter(0))
         ]
         width = sum(keys)
-        step = min(dim >> h, max(1, _BLOCK_ENTRIES // width))
-        laid = min(step, max(1, (_BLOCK_ENTRIES >> 4) // (masks << h))) * (masks << h)
+        step = min(dim >> h, max(1, _BLOCK_ENTRIES // max(width, 1)))
+        laid = min(step, max(1, (_BLOCK_ENTRIES >> 4) // (max(masks, 4) << h))) * (masks << h)
         return (
-            objects
-            + len(self) * (8 * (dim >> h) + item * max(keys))
+            _OBJECT_BYTES * (len(self) + 16)
+            + len(self) * (8 * (dim >> h) + item * max(keys, default=0))
             + (8 * masks << h)
-            + item * step * (width + max(keys))
-            + (item + 1 + 16 + index) * laid
-            + (index + 8) * (laid // masks)
+            + item * step * (width + max(keys, default=0))
+            + (item + entry) * laid
+            + row * (laid // masks)
         )
 
-    def _build_csr(self, dtype: type = complex) -> scipy.sparse.csr_matrix:
-        """CSR matrix of the nonzero entries, filled by blocks of rows; ``dtype=float`` keeps real parts.
+    def _row_blocks(self, dtype: type) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+        """The sorted X masks ``xs``, and the matrix entries by blocks of rows ``(i0, vals)``.
 
-        For each distinct X mask ``x``, in sorted order, row ``i`` sums from 0,
-        in sorted z order, ``a * (-1)^|i&z|`` over the strings sharing ``x``
-        (:meth:`_weights`), and stores the sum at column ``i ^ x`` unless it
-        is exactly zero: a ±0 term never changes a sum, so a matvec or
-        ``toarray`` gives the same bits as with every mask stored.
+        ``vals[r, m]`` is the entry at ``(i0 + r, (i0 + r) ^ xs[m])``: for X
+        mask ``x``, row ``i`` sums from 0, in sorted z order, ``a *
+        (-1)^|i&z|`` over the strings sharing ``x`` (:meth:`_weights`), at
+        ``dtype``; ``dtype=float`` keeps real parts.
 
         With ``i = hi * 2^h + lo``, ``h = n // 2``, that sign is ``(-1)^|hi &
         z >> h| * (-1)^|lo & z|``, and the low factor depends on ``lo`` only
@@ -434,95 +433,77 @@ class PauliSum:
         ``x``. A table with one column per X mask and distinct key holds each
         sum once, for about ``_BLOCK_ENTRIES`` entries' worth of ``hi`` values
         at a time, as outer products of per-string vectors. One ``take`` by
-        key lays a few rows of it out in row order; their nonzero entries go
-        to arrays sized for every mask, trimmed at the end. Raises
-        :class:`DenseLimitError` first if that upper bound,
-        :meth:`_matrix_bytes`, exceeds physical memory.
+        key lays a block of rows of it out: about a 16th of that many entries,
+        and at most a 64th as many rows. No block is kept once yielded.
         """
-        n, dim, masks = self.n, 1 << self.n, self._num_x_masks()
-        _check_memory(self._matrix_bytes(dtype), "sparse matrix")
+        groups = [(x, list(group)) for x, group in itertools.groupby(self._weights(), key=operator.itemgetter(0))]
+        n, dim, h, masks = self.n, 1 << self.n, self.n // 2, len(groups)
         itype = _index_dtype(masks << n)
-        h = n // 2
         his, los = np.arange(dim >> h, dtype=itype), np.arange(1 << h, dtype=itype)
         # per X mask: x and each lo's table column; per string: its columns,
         # its signs over hi and its weights over the keys
         xs, columns, terms, width = [], np.empty((1 << h, masks), dtype=np.intp), [], 0
-        for k, (x, group) in enumerate(itertools.groupby(self._weights(), key=lambda w: w[0])):
-            group = list(group)
-            key = los & np.bitwise_or.reduce([z for _, z, _ in group])
+        for k, (x, group) in enumerate(groups):
+            _, zs, a = (np.array(v) for v in zip(*group))
+            key = los & np.bitwise_or.reduce(zs)
             keys = los[key == los]  # the distinct keys, ascending
             columns[:, k] = width + np.searchsorted(keys, key)
             part = slice(width, width + len(keys))
-            terms += [
-                (part, _parity_signs(his, z >> h), (a.real if dtype is float else a) * _parity_signs(keys, z))
-                for _, z, a in group
-            ]
+            a_keys = (a.real if dtype is float else a)[:, None] * _parity_signs(keys, zs[:, None])
+            terms += [(part, s_hi, a_key) for s_hi, a_key in zip(_parity_signs(his, zs[:, None] >> h), a_keys)]
             xs.append(x)
             width += len(keys)
-        xs = np.array(xs, dtype=itype)
-        data, indices = np.empty(masks << n, dtype=dtype), np.empty(masks << n, dtype=itype)
-        indptr = np.zeros(dim + 1, dtype=itype)  # entries per row, summed at the end
         step = min(dim >> h, max(1, _BLOCK_ENTRIES // max(width, 1)))  # hi values per table
-        rows = max(1, (_BLOCK_ENTRIES >> 4) // (max(masks, 1) << h))  # hi values laid out at a time
-        buffer = np.empty((step, width), dtype=dtype)
+        rows = max(1, (_BLOCK_ENTRIES >> 4) // (max(masks, 4) << h))  # hi values per block
+
+        def blocks() -> Iterator[tuple[int, np.ndarray]]:
+            buffer = np.empty((step, width), dtype=dtype)
+            for h0 in range(0, dim >> h, step):
+                table = buffer[: (dim >> h) - h0]
+                table[...] = 0.0
+                for part, s_hi, a_key in terms:
+                    table[:, part] += np.multiply.outer(s_hi[h0 : h0 + step], a_key)
+                for r0 in range(0, len(table), rows):
+                    count = min(rows, len(table) - r0) << h
+                    yield (h0 + r0) << h, np.take(table[r0 : r0 + rows], columns, axis=1).reshape(count, masks)
+
+        return np.array(xs, dtype=itype), blocks()
+
+    def _build_csr(self, dtype: type = complex) -> scipy.sparse.csr_matrix:
+        """CSR matrix of the nonzero entries of :meth:`_row_blocks`; ``dtype=float`` keeps real parts.
+
+        Each block's entries go in row order to arrays sized for every X
+        mask, trimmed at the end, unless exactly zero: a ±0 term never
+        changes a sum, so a matvec or ``toarray`` gives the same bits as with
+        every mask stored. Raises :class:`DenseLimitError` first if that
+        upper bound, :meth:`_matrix_bytes`, exceeds physical memory.
+        """
+        _check_memory(self._matrix_bytes(dtype), "sparse matrix")
+        xs, blocks = self._row_blocks(dtype)
+        n, dim, masks = self.n, 1 << self.n, len(xs)
+        data, indices = np.empty(masks << n, dtype=dtype), np.empty(masks << n, dtype=xs.dtype)
+        indptr = np.zeros(dim + 1, dtype=xs.dtype)  # entries per row, summed at the end
         end = 0
-        for h0 in range(0, dim >> h, step):
-            table = buffer[: (dim >> h) - h0]
-            table[...] = 0.0
-            for part, s_hi, a_key in terms:
-                table[:, part] += np.multiply.outer(s_hi[h0 : h0 + step], a_key)
-            for r0 in range(0, len(table), rows):
-                vals = np.take(table[r0 : r0 + rows], columns, axis=1)  # (hi, lo, mask)
-                kept = np.flatnonzero(vals != 0)
-                i0, count, stop = (h0 + r0) << h, len(vals) << h, end + len(kept)
-                cols = np.arange(i0, i0 + count, dtype=itype)[:, None] ^ xs
-                # mode="clip" takes straight into ``out``; every index is in range
-                np.take(vals, kept, out=data[end:stop], mode="clip")
-                np.take(cols, kept, out=indices[end:stop], mode="clip")
-                indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
-                end = stop
-                del vals, kept, cols  # before the next block's are made
+        for i0, vals in blocks:
+            kept = np.flatnonzero(vals != 0)
+            count, stop = len(vals), end + len(kept)
+            cols = np.arange(i0, i0 + count, dtype=xs.dtype)[:, None] ^ xs
+            # mode="clip" takes straight into ``out``; every index is in range
+            np.take(vals, kept, out=data[end:stop], mode="clip")
+            np.take(cols, kept, out=indices[end:stop], mode="clip")
+            indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
+            end = stop
+            del vals, kept, cols  # before the next block's are made
         data.resize(end, refcheck=False)
         indices.resize(end, refcheck=False)
         np.cumsum(indptr, out=indptr)
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
-    def _operator(self) -> scipy.sparse.csr_matrix | scipy.sparse.dia_matrix:
-        """The sum's one matrix for :meth:`apply` and norms, :meth:`_build_operator`, kept once built."""
+    def _operator(self) -> scipy.sparse.csr_matrix:
+        """The sum's one matrix for :meth:`apply` and norms, kept once :meth:`_build_csr` builds it."""
         if self._matrix is None:
-            self._matrix = self._build_operator()
+            self._matrix = self._build_csr(self._csr_dtype())
         return self._matrix
-
-    def _build_operator(self) -> scipy.sparse.csr_matrix | scipy.sparse.dia_matrix:
-        """A new matrix of the sum at :meth:`_csr_dtype`: :meth:`_build_csr`, or a diagonal.
-
-        A sum of Z strings (every X mask 0) gets its diagonal as a DIA
-        matrix, the weights :meth:`_mask_weights` gives for ``x = 0`` (real
-        zeros for the zero sum): a DIA matvec adds ``d_i x_i`` to 0 as a CSR row does.
-        """
-        dim = 1 << self.n
-        if self._x.any():
-            return self._build_csr(self._csr_dtype())
-        diagonal = next((w for _, w in self._mask_weights(_basis(self.n))), np.zeros(dim))
-        return scipy.sparse.dia_matrix((diagonal[None], [0]), shape=(dim, dim))
-
-    def _mask_weights(self, idx: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """``(x, w)`` per distinct X mask in sorted order, ``w`` the matrix entries ``(i, i ^ x)`` at ``idx``.
-
-        Each entry sums from 0, in key order, the terms ``±a`` that
-        :meth:`_build_csr` sums, at :meth:`_csr_dtype`.
-        """
-        dtype = self._csr_dtype()
-        for x, group in itertools.groupby(self._weights(), key=operator.itemgetter(0)):
-            w = np.zeros(len(idx), dtype=dtype)
-            for _, z, a in group:
-                w += (a.real if dtype is float else a) * _parity_signs(idx, z)
-            yield x, w
-
-    def _operator_bytes(self) -> int:
-        """Bytes of :meth:`_operator` at most: a weight per row for a diagonal, else :meth:`_matrix_bytes`."""
-        dtype = self._csr_dtype()
-        return self._matrix_bytes(dtype) if self._x.any() else np.dtype(dtype).itemsize << self.n
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state."""
@@ -532,22 +513,22 @@ class PauliSum:
     def expectation(self, state: np.ndarray) -> complex:
         """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``; it builds and reads no matrix.
 
-        Per block of ``_EXPECTATION_ROWS`` rows ``i`` and per X mask ``x`` in
-        sorted order, :meth:`_mask_weights` multiply the state's entries ``i ^
-        x`` (gathered unless ``x = 0``; complex weights by :func:`_times`, as
-        scipy's CSR product rounds); the products add to 0.0 per part, as in a CSR row.
+        Per block of :meth:`_row_blocks` at :meth:`_csr_dtype` and per X mask
+        ``x`` in sorted order, the block's entries multiply the state's
+        entries ``i ^ x`` (gathered unless ``x = 0``; complex entries by
+        :func:`_times`, as scipy's CSR product rounds); the products add to
+        0.0 per part, as in a CSR row.
         """
         v = self._checked_state(state)
-        dim, hv = len(v), np.zeros_like(v)
-        for k in range(0, dim, _EXPECTATION_ROWS):
-            idx = np.arange(k, min(k + _EXPECTATION_ROWS, dim), dtype=_index_dtype(dim))
-            rows = slice(k, k + len(idx))
-            for x, w in self._mask_weights(idx):
+        hv, (xs, blocks) = np.zeros_like(v), self._row_blocks(self._csr_dtype())
+        for i0, vals in blocks:
+            rows, idx = slice(i0, i0 + len(vals)), np.arange(i0, i0 + len(vals))
+            for x, w in zip(xs.tolist(), vals.T):
                 u = v[rows] if x == 0 else np.take(v, idx ^ x)
-                real = w.dtype == float
-                re, im = (w * u.real, w * u.imag) if real else _times(w.real, w.imag, u.real, u.imag)
+                re, im = (w * u.real, w * u.imag) if w.dtype == float else _times(w.real, w.imag, u.real, u.imag)
                 hv.real[rows] += re
                 hv.imag[rows] += im
+            vals = w = None  # the block and a view of it go before the next block is made
         return _vdot(state, hv)
 
     def _checked_state(self, state: np.ndarray) -> np.ndarray:
@@ -668,22 +649,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_make_worker)
 
 
-def _expectation_bytes(n: int) -> int:
-    """Bytes :meth:`PauliSum.expectation` holds at most, in float64 planes.
-
-    Six of 2^n rows: h|state> and the inner product's two temporaries;
-    twelve of a block's rows: its indices, weights, gathered state and products.
-    """
-    return 8 * (6 * (1 << n) + 12 * min(1 << n, _EXPECTATION_ROWS))
-
-
-def _basis(n: int) -> np.ndarray:
-    """The basis indices ``0 .. 2^n - 1`` at :func:`_index_dtype`."""
-    return np.arange(1 << n, dtype=_index_dtype(1 << n))
-
-
-def _parity_signs(idx: np.ndarray, z: int) -> np.ndarray:
-    """(-1)^popcount(idx & z) for every basis index, as a float array."""
+def _parity_signs(idx: np.ndarray, z: int | np.ndarray) -> np.ndarray:
+    """(-1)^popcount(idx & z) as a float array, broadcast over indices and z masks."""
     return np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
 
 
@@ -929,7 +896,7 @@ def spectral_norm(
 
     A sum of at most one string has norm |c|, exactly. Any other sum reads
     its kept matrix ``m`` (:meth:`PauliSum._operator`): for a sum of Z
-    strings the largest |entry| of its diagonal, with no Lanczos run.
+    strings the largest |entry| it stores, with no Lanczos run.
     Otherwise the recurrence (Lanczos, 1950) runs on ``m``, real when
     :meth:`PauliSum._csr_dtype` is ``float``, from a seeded start vector of
     its dtype. The proxy is ``m`` for a Hermitian ``h``; for a non-normal one
@@ -949,8 +916,9 @@ def spectral_norm(
     products are numpy sums (:func:`_vdot`). An α or β that overflows
     float64 raises ``ValueError`` (CLI exit 2) before its Ritz step,
     overrunning ``max_iter`` steps :class:`ConvergenceError` (CLI exit 4),
-    and a matrix and vectors that would not fit in physical memory
-    :class:`DenseLimitError` (CLI exit 3) before allocating. ``dense_limit``
+    and a matrix, its build's scratch while it is not yet built, and vectors
+    that would not fit in physical memory :class:`DenseLimitError` (CLI
+    exit 3) before allocating. ``dense_limit``
     is not read; ``perfbench/tracing.py`` binds it.
     """
     if len(h) <= 1:
@@ -960,7 +928,8 @@ def spectral_norm(
         h, skew = 1j * h, False
     dtype, diagonal = h._csr_dtype(), not h._x.any()
     vectors = 0 if diagonal else _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
-    _check_memory(h._operator_bytes() + vectors, "diagonal norm" if diagonal else "Lanczos norm")
+    building = h._build_scratch_bytes() if h._matrix is None else 0
+    _check_memory(h._matrix_bytes(dtype) + building + vectors, "diagonal norm" if diagonal else "Lanczos norm")
     m = h._operator()
     if diagonal:
         return float(np.abs(m.data).max())
@@ -1020,14 +989,14 @@ def _top_ritz(alpha: Sequence[float], beta: Sequence[float]) -> tuple[float, flo
 def expm_hermitian(h: PauliSum, t: float) -> np.ndarray:
     """Unitary exp(-i h t) by dense eigendecomposition of a Hermitian sum.
 
-    The dense matrix comes from :meth:`PauliSum._build_operator`, in the
+    The dense matrix comes from :meth:`PauliSum._build_csr`, in the
     sum's own dtype, so a sum with real matrix weights gets numpy's real
     symmetric ``eigh``.
     """
     if not h.is_hermitian():
         raise ValueError("expm_hermitian requires a Hermitian operator")
     _check_dense(h.n, "expm_hermitian")
-    return _expm_eigh(h._build_operator().toarray(), t)
+    return _expm_eigh(h._build_csr(h._csr_dtype()).toarray(), t)
 
 
 def _expm_eigh(m: np.ndarray, t: float) -> np.ndarray:

@@ -320,32 +320,37 @@ class TestSpectralNorm:
         assert spectral_norm(h) == pytest.approx(4 * np.sqrt(3) * 1e152, rel=1e-12)
 
 
-def _no_csr(*args, **kwargs):
-    raise AssertionError("a sum of Z strings built a CSR matrix")
+def _no_lanczos(*args, **kwargs):
+    raise AssertionError("a sum of Z strings ran a Lanczos step")
 
 
 class TestDiagonalNorm:
-    """A sum of Z strings: the largest |entry| of its diagonal, with no CSR build or Lanczos."""
+    """A sum of Z strings: the largest |entry| of its CSR matrix, with no Lanczos step."""
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_zz_chain_norm_is_its_bond_count(self, n, monkeypatch):
-        monkeypatch.setattr(PauliSum, "_build_csr", _no_csr)
+        monkeypatch.setattr(pauli, "_top_ritz", _no_lanczos)
         for boundary in ("open", "periodic"):
             lat = Lattice.chain(n, boundary)
             # every bond is +1 on the all-zeros basis state
             bonds = len(list(lat.bonds()))
             assert spectral_norm(build_canonical(HamiltonianKind.H_ZZ, lat)) == float(bonds)
 
-    def test_memory_guard_counts_one_weight_per_row(self, monkeypatch):
+    def test_memory_guard_counts_the_csr_build(self, monkeypatch):
+        # one real entry and int32 index per row, the row pointers, and the
+        # build's scratch; no Krylov vectors
         asked = []
         monkeypatch.setattr(pauli, "_check_memory", lambda need, what: asked.append((need, what)))
         h = build_canonical(HamiltonianKind.H_ZZ, Lattice.chain(20))
+        matrix = (12 << 20) + 4 * ((1 << 20) + 1)
+        assert h._matrix_bytes(float) == matrix
         assert spectral_norm(h) == 19.0
-        assert asked == [(8 << 20, "diagonal norm")]
+        assert asked == [(matrix + h._build_scratch_bytes(), "diagonal norm"), (matrix, "sparse matrix")]
+        assert h._matrix.nnz == 1 << 20
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_dense_oracle(self, n, rng, monkeypatch):
-        monkeypatch.setattr(PauliSum, "_build_csr", _no_csr)
+        monkeypatch.setattr(pauli, "_top_ritz", _no_lanczos)
         for real in (True, False):
             rows = [
                 Term.from_pattern(
@@ -585,6 +590,27 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    def test_first_norm_counts_the_build(self, n, monkeypatch):
+        # A norm whose matrix is not yet built counts the build's scratch
+        # beside the matrix and the Krylov vectors: the Heisenberg chain's
+        # first norm traced 0.40 MB against 0.16 MB counted at n=10 without it.
+        asked = []
+        check = pauli._check_memory
+        monkeypatch.setattr(pauli, "_check_memory", lambda need, what: asked.append((need, what)) or check(need, what))
+        spectral_norm(_heis_layer(4, 0) + _heis_layer(4, 1))  # numpy's and scipy's one-time caches
+        h = build_canonical(HamiltonianKind.H_HEIS, Lattice.chain(n))
+        asked.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spectral_norm(h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert asked[0][1] == "Lanczos norm"
+        assert peak <= asked[0][0]
+
     def test_ritz_step_refused_before_allocating(self, monkeypatch):
         # physical memory reads 64 MiB; a 4096-step tridiagonal and its
         # eigenvectors would take 2 * 8 * 4096^2 B = 0.25 GiB, 500 steps 4 MB
@@ -677,15 +703,15 @@ class TestCachedMatrix:
             PauliSum.from_pattern("Z" * n, -0.5) + PauliSum.from_sites(n, {0: "Z", 7: "Z"}, 1.5),
             PauliSum.from_sites(n, {1: "Z"}, 0.5j),  # a complex diagonal builds nothing either
         ]
-        # the DIA matvec's bits, -0.0 included
+        # the kept matrix's matvec bits, -0.0 included
         want = [
-            pauli._vdot(psi, pauli._matvec(h._build_operator(), psi))
+            pauli._vdot(psi, pauli._matvec(h._build_csr(h._csr_dtype()), psi))
             for psi in states
             for h in sums
         ]
         built = []
-        build = PauliSum._build_operator
-        monkeypatch.setattr(PauliSum, "_build_operator", lambda h: built.append(h) or build(h))
+        build = PauliSum._build_csr
+        monkeypatch.setattr(PauliSum, "_build_csr", lambda h, dtype: built.append(h) or build(h, dtype))
         got = [h.expectation(psi) for psi in states for h in sums]
         assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
         assert built == []
@@ -695,7 +721,7 @@ class TestCachedMatrix:
         # Sums with X parts, real and complex matrix weights: an expectation
         # gathers the state per X mask with the bits of apply's matvec, and
         # a kept matrix is not read (a zero matrix stands in for it here),
-        # whether it takes the rows in one block or in blocks of 5.
+        # whether it takes the rows in one block or in several.
         n = 7
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         sums = [
@@ -706,23 +732,29 @@ class TestCachedMatrix:
         want = [pauli._vdot(psi, h.apply(psi)) for h in sums]
         for h in sums:
             h._matrix = h._matrix * 0.0
-        monkeypatch.setattr(PauliSum, "_build_operator", None)
         monkeypatch.setattr(PauliSum, "_build_csr", None)
-        for rows in (pauli._EXPECTATION_ROWS, 5):
-            monkeypatch.setattr(pauli, "_EXPECTATION_ROWS", rows)
+        for entries in (pauli._BLOCK_ENTRIES, 1 << 4):  # one block, or 16 of 8 rows
+            monkeypatch.setattr(pauli, "_BLOCK_ENTRIES", entries)
             got = [h.expectation(psi) for h in sums]
             assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
 
-    def test_z_strings_keep_only_their_diagonal(self, monkeypatch):
-        monkeypatch.setattr(PauliSum, "_build_csr", None)  # no CSR build
+    def test_z_strings_keep_only_their_diagonal(self):
+        # one entry per nonzero row, on the diagonal; Z0 + Z0 Z5 is zero on
+        # the rows with bit 5 set
         n = 12
-        for h in (PauliSum.from_sites(n, {3: "Z"}), PauliSum.from_sites(n, {0: "Z", 5: "Z"}, 0.5j)):
+        rows = np.arange(1 << n)
+        for h, nonzero in (
+            (PauliSum.from_sites(n, {3: "Z"}), rows >= 0),
+            (PauliSum.from_sites(n, {0: "Z"}) + PauliSum.from_sites(n, {0: "Z", 5: "Z"}, 0.5j), rows >= 0),
+            (PauliSum.from_sites(n, {0: "Z"}) + PauliSum.from_sites(n, {0: "Z", 5: "Z"}), (rows >> 5) & 1 == 0),
+        ):
             psi = np.ones(1 << n, dtype=complex)
             assert h.apply(psi).dtype == np.complex128
             m = h._matrix
-            assert m.format == "dia" and m.data.shape == (1, 1 << n)
-            assert m.dtype == np.dtype(h._csr_dtype())
-            assert h._operator_bytes() == m.data.nbytes
+            assert m.format == "csr" and m.dtype == np.dtype(h._csr_dtype())
+            assert np.array_equal(np.diff(m.indptr), nonzero)
+            assert np.array_equal(m.indices, rows[nonzero])
+            assert np.count_nonzero(m.data) == m.nnz
 
 
 class TestExpm:
@@ -760,7 +792,7 @@ class TestExpm:
         for _ in range(6):
             h = h + PauliSum.from_pattern("".join(rng.choice(list("IXZ"), 4)), rng.standard_normal())
         assert h._csr_dtype() is float
-        assert h._build_operator().toarray().dtype == np.float64
+        assert h._build_csr(h._csr_dtype()).toarray().dtype == np.float64
         u = expm_hermitian(h, 1.3)
         assert u.dtype == np.complex128
         assert np.linalg.norm(u @ u.conj().T - np.eye(16), 2) <= 1e-12

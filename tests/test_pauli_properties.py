@@ -92,7 +92,7 @@ def _state(seed, n):
 @st.composite
 def built_sums(draw):
     """Sums on 4 to 12 sites of up to 40 strings, with few or many X masks
-    (many lay a CSR matrix out in several blocks), or none (a diagonal)."""
+    (many lay a CSR matrix out in several blocks), or only ``x = 0``."""
     n = draw(st.integers(4, 12))
     masks = st.integers(0, (1 << n) - 1)
     x_pool = draw(st.sampled_from([[0], draw(st.lists(masks, min_size=1, max_size=3)), None]))
@@ -114,19 +114,39 @@ def _many_mask_sum(n=12, terms=40, seed=12):
 def test_build_scratch_bounds_the_traced_build(h, hermitian):
     # The simulation guard counts a generator's first build as its matrix
     # bound and _build_scratch_bytes; together they bound the traced peak
-    # of the build, diagonal or CSR, real or complex.
+    # of the build, with X masks or none, real or complex.
     if hermitian:
         h = h + h.dagger()
     for warm in (PauliSum.from_pattern("XZ"), PauliSum.from_pattern("ZZ"), PauliSum(2, {})):
-        warm._build_operator()  # numpy's and scipy's one-time caches are not the build's
+        warm._build_csr(warm._csr_dtype())  # numpy's and scipy's one-time caches are not the build's
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        h._build_operator()
+        h._build_csr(h._csr_dtype())
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= h._operator_bytes() + h._build_scratch_bytes()
+    assert peak <= h._matrix_bytes(h._csr_dtype()) + h._build_scratch_bytes()
+
+
+@given(built_sums(), st.integers(0, 2**32 - 1))
+@example(_many_mask_sum(), 0)  # a 40-mask sum in 3 row blocks
+@example(PauliSum.zero(12), 0)
+def test_expectation_bytes_bound_the_traced_expectation(h, seed):
+    # The simulation guard counts an observable's expectation as
+    # _expectation_bytes, which bounds its traced peak, state planes and
+    # row blocks together.
+    psi = _state(seed, h.n)
+    for warm in (PauliSum.from_pattern("XZ"), PauliSum.from_pattern("ZZ"), PauliSum(2, {})):
+        warm.expectation(np.ones(4, dtype=complex))  # numpy's one-time caches are not the expectation's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h.expectation(psi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= h._expectation_bytes()
 
 
 @given(pauli_sums(), st.integers(0, 2**32 - 1))
@@ -672,8 +692,8 @@ def test_row_block_build_single_term_and_single_mask(n):
 
 @given(csr_sums(max_n=10) | csr_sums(max_n=10, diagonal=True), st.integers(0, 2**32 - 1))
 def test_apply_and_expectation_equal_reference_matvec(h, seed):
-    # apply keeps a real matrix where every weight is real, and only the
-    # diagonal of Z strings; both give the complex matvec's bits. An
+    # apply keeps a real matrix where every weight is real, which gives the
+    # complex matvec's bits, for Z strings as for any other. An
     # expectation builds and reads no matrix and gives the matvec's bits.
     v = _state(seed, h.n)
     rng = np.random.default_rng(seed)
@@ -686,7 +706,7 @@ def test_apply_and_expectation_equal_reference_matvec(h, seed):
     assert h.apply(v).tobytes() == want.tobytes()
     assert np.array(h.expectation(v)).tobytes() == expectation
     assert h._matrix.dtype == np.dtype(h._csr_dtype())
-    assert h._matrix.format == ("csr" if h._x.any() else "dia")
+    assert h._matrix.format == "csr"
 
 
 @given(csr_sums(max_n=6))
@@ -717,11 +737,8 @@ def test_csr_dtype_equals_per_term_rule(h):
 
 
 @given(csr_sums(max_n=10) | csr_sums(max_n=10, diagonal=True))
-def test_operator_bytes_bound_the_kept_matrix(h):
-    m, need = h._operator(), h._operator_bytes()
-    if m.format == "dia":
-        assert need == m.data.nbytes
-        return
+def test_matrix_bytes_bound_the_kept_matrix(h):
+    m, need = h._operator(), h._matrix_bytes(h._csr_dtype())
     held = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
     assert need >= held
     if m.nnz == h._num_x_masks() << h.n:  # no exact zero left out
