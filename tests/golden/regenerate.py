@@ -57,7 +57,8 @@ CORPUS = Path(__file__).with_name("cli.json")
 # span, coupling or qubit frequency) or whose tolerance is below its float64
 # floor, and sizes whose device arrays or masks would not fit in memory;
 # last, a simulate whose observables have X parts, one of them (XY) an
-# imaginary matrix weight.
+# imaginary matrix weight; then 10^9-site devices, whose arrays would not
+# fit in memory.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -155,6 +156,13 @@ COMMANDS = [
     "verify-frames --n 1000000000 --t 1",
     "compile --model xy2d --nx 1000000000",
     "simulate --model xy1d --n 4 --blocks 3 --observable pauli:XYII --observable pauli:YZZY --observable z2",
+    "simulate --model ising --n 1000000000 --realistic",
+    "hamiltonian --kind qf_device --n 1000000000",
+    "hamiltonian --kind org_zz --n 1000000000",
+    "hamiltonian --kind org_xy --n 1000000000",
+    "hamiltonian --kind delta_xy --n 1000000000",
+    "errors --which synthesis --model control --n 1000000000",
+    "errors --which dyson --n 1000000000",
 ]
 
 
