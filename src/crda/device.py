@@ -12,12 +12,14 @@ where delta_k = omega_q[k] - omega[k] is the drive detuning.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
+
+from .pauli import _check_memory
 
 __all__ = [
     "DeviceParams",
@@ -103,14 +105,17 @@ class DeviceParams:
         omega: float = 0.0,
     ) -> "DeviceParams":
         """Chain with identical (g, delta, Omega, phi) on every driven site."""
-        return cls(
-            n=n,
-            omega_q=np.full(n, omega + delta),
-            omega=np.full(n, omega),
-            Omega=np.full(n, Omega),
-            phi=np.full(n, phi),
-            g=np.full(n - 1, g),
-        )
+        return cls._filled(n, dict(omega_q=omega + delta, omega=omega, Omega=Omega, phi=phi, g=g))
+
+    @classmethod
+    def _filled(cls, n: int, values: Mapping[str, float]) -> "DeviceParams":
+        """Chain whose arrays each hold the one value ``values`` gives them.
+
+        Refused (:class:`~crda.pauli.DenseLimitError`) before the five arrays,
+        8 bytes a site each, outgrow memory.
+        """
+        _check_memory(8 * (5 * n - 1), f"a {n}-site device")
+        return cls(n=n, **{name: np.full(n - (name == "g"), v) for name, v in values.items()})
 
     @classmethod
     def cr_chain(
@@ -145,24 +150,15 @@ class DeviceParams:
 
     @classmethod
     def from_config(cls, cfg: Mapping) -> "DeviceParams":
-        n = int(cfg["n"])
-
-        def per_site(name: str, count: int = n) -> np.ndarray:
-            arr = np.full(count, float(cfg.get(name, 0.0)))
-            for k in range(1, count + 1):
+        names = ("omega_q", "omega", "Omega", "phi", "g")
+        p = cls._filled(int(cfg["n"]), {name: float(cfg.get(name, 0.0)) for name in names})
+        for name in names:
+            arr = getattr(p, name)
+            for k in range(1, arr.size + 1):
                 key = f"{name}.{k}"
                 if key in cfg:
                     arr[k - 1] = float(cfg[key])
-            return arr
-
-        return cls(
-            n=n,
-            omega_q=per_site("omega_q"),
-            omega=per_site("omega"),
-            Omega=per_site("Omega"),
-            phi=per_site("phi"),
-            g=per_site("g", n - 1),
-        )
+        return replace(p)  # checks the per-site values
 
     def uniform(self) -> tuple[float, float, float]:
         """The shared (g, delta, Omega) of a uniform chain.

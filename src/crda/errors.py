@@ -42,6 +42,7 @@ from .pauli import (
     _pair_terms,
     _pattern,
     _popcount,
+    _summed,
     commutator,
     spectral_norm,
 )
@@ -312,7 +313,7 @@ def table1_check(lat: Lattice, j: float = 1.0) -> ErrorReport:
         analytic=0.0,
         passed=not bad_pairs,
     )
-    residual = _doubled_sum(h_i.n, x, z, c) - (commutator(i_yy, ii_xx) + commutator(i_xx, ii_yy))
+    residual = _doubled_sum(h_i.n, *_summed(x, z, c)) - (commutator(i_yy, ii_xx) + commutator(i_xx, ii_yy))
     for name, zero in (
         ("xx_xx_block_norm", commutator(i_xx, ii_xx)),
         ("yy_yy_block_norm", commutator(i_yy, ii_yy)),

@@ -92,12 +92,14 @@ _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = {bits: letter for letter, bits in _BITS.items()}
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-_I_POW_RE = np.array([p.real for p in _I_POW])
-_I_POW_IM = np.array([p.imag for p in _I_POW])
+_I_POW_ARRAY = np.array(_I_POW)
 
 # Bounds the row blocks' scratch: entries of their table of sums at a time, 16
 # times a block's entries and 64 times its rows (an expectation's stay in cache).
 _BLOCK_ENTRIES = 1 << 20
+
+# String pairs per block of the pair kernel (:func:`_pair_terms`).
+_PAIR_BLOCK = 1 << 13
 
 # Bytes of Python and array objects a matrix build holds per string at most;
 # its own take 16 times this.
@@ -158,14 +160,14 @@ def _index_dtype(entries: int) -> type:
     return np.int32 if entries < 2**31 else np.int64
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of ``(..., W)`` mask words, as int64.
+def _popcount(words: np.ndarray, dtype: type = np.int64) -> np.ndarray:
+    """Set bits of each row of ``(..., W)`` mask words, as int64 or, mod 256, as uint8.
 
-    The uint8 word counts are added one word at a time onto an int64 total,
+    The uint8 word counts are added one word at a time onto the total,
     which a reduction over the short last axis does several times slower.
     """
     counts = np.bitwise_count(words)
-    total = counts[..., 0].astype(np.int64)
+    total = counts[..., 0].astype(dtype, copy=False)
     for k in range(1, counts.shape[-1]):
         total += counts[..., k]
     return total
@@ -186,15 +188,19 @@ def _pattern(n: int, x: int, z: int) -> str:
     return "".join(_LETTER_OF[(x >> k) & 1, (z >> k) & 1] for k in range(n))
 
 
-def _product_phase_exp(x1, z1, x2, z2, ys=None):
+def _product_phase_exp(x1, z1, x2, z2, ys=None, product=None):
     """Power of i picked up when composing two symplectic-encoded strings: the one phase rule.
 
-    On ``(pairs, W)`` mask-word arrays, one exponent per pair. ``ys`` gives
-    the two strings' Y counts ``_popcount(x & z)`` where the caller has them.
+    On ``(pairs, W)`` mask-word arrays, one uint8 exponent per pair. ``ys``
+    gives the two strings' Y counts ``_popcount(x & z)`` mod 4 and
+    ``product`` the product's words ``(x1 ^ x2, z1 ^ z2)`` where the caller
+    has them. The arithmetic is uint8's, whose wrap mod 256 keeps every
+    value mod 4.
     """
-    y1, y2 = (_popcount(x1 & z1), _popcount(x2 & z2)) if ys is None else ys
-    exp = y1 + y2 + 2 * _popcount(z1 & x2) - _popcount((x1 ^ x2) & (z1 ^ z2))
-    return exp % 4
+    y1, y2 = (_popcount(x1 & z1, np.uint8), _popcount(x2 & z2, np.uint8)) if ys is None else ys
+    x, z = (x1 ^ x2, z1 ^ z2) if product is None else product
+    exp = y1 + y2 + 2 * _popcount(z1 & x2, np.uint8) - _popcount(x & z, np.uint8)
+    return exp & 3
 
 
 def _clash_parity(x1, z1, x2, z2):
@@ -338,8 +344,7 @@ class PauliSum:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        """Operator product, canonicalized; refused before its table (48 (W + 1) B a pair) outgrows memory."""
-        _check_memory(48 * (self._x.shape[1] + 1) * len(self) * len(other), "Pauli product")
+        """Operator product, canonicalized (:func:`_pair_terms`, :func:`_summed`)."""
         return _from_sorted(self.n, *_summed(*_pair_terms(self, other)))
 
     # ------------------------------------------------------------------
@@ -682,77 +687,103 @@ def _anticommuting_pairs(a: PauliSum, b: PauliSum) -> tuple[np.ndarray, np.ndarr
     """Term indices ``(i, j)`` in ``a`` and ``b`` of the anticommuting string pairs, in a-major order.
 
     The ``(len(a), len(b))`` parity table is the XOR of each mask word's
-    clash parities, so its scratch holds one word per pair at a time.
+    clash parities, a block of ``a``'s rows at a time, as in :func:`_pair_terms`.
+    Refused before the table and the indices (25 B a pair) outgrow memory.
     """
     a._require_same_size(b)
-    odd = np.zeros((len(a), len(b)), dtype=bool)
-    for k in range(a._x.shape[1]):
-        xa, za, xb, zb = a._x[:, k, None], a._z[:, k, None], b._x[:, k], b._z[:, k]
-        odd ^= _clash_parity(xa, za, xb, zb).view(bool)
+    _check_memory(25 * len(a) * len(b), "anticommuting pair table")
+    odd, rows = np.zeros((len(a), len(b)), dtype=bool), max(1, _PAIR_BLOCK // max(len(b), 1))
+    for i, k in itertools.product(range(0, len(a), rows), range(a._x.shape[1])):
+        block = np.s_[i : i + rows, k, None]
+        odd[i : i + rows] ^= _clash_parity(a._x[block], a._z[block], b._x[:, k], b._z[:, k]).view(bool)
     return np.divmod(np.flatnonzero(odd), len(b))
 
 
 def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] | None = None):
     """Unsummed string products ``PQ``, in a-major pair order, as ``(x, z, c)``.
 
-    Of every pair, as a ``(len(a), len(b))`` table that broadcasts ``a``'s
-    term arrays against ``b``'s; or of the ``pairs`` ``(i, j)`` of term
-    indices in ``a`` and ``b`` (:func:`_anticommuting_pairs`), gathered.
-    Each product has its ``(pairs, W)`` mask words and its coefficient ``c1 *
-    c2 * i^e`` (:func:`_times`, :func:`_product_phase_exp`), with each
-    term's Y count taken once.
+    Of every pair, a block of ``a``'s rows against all of ``b`` at a time; or
+    of the ``pairs`` ``(i, j)`` of term indices in ``a`` and ``b``
+    (:func:`_anticommuting_pairs`), a chunk gathered at a time. A block of
+    about ``_PAIR_BLOCK`` pairs writes its ``(pairs, W)`` mask words, and
+    coefficients ``c1 * c2 * i^e`` (:func:`_times`, :func:`_product_phase_exp`
+    on those words), into the output. ``i^e`` is a factor of 0 and ±1 parts,
+    so one complex multiply by it rounds nothing. Refused before the output
+    and its sum (:func:`_summed`, 48 (W + 1) B a pair) outgrow memory.
     """
     a._require_same_size(b)
-    if pairs is None:  # a's arrays down the table's rows, b's across its columns
-        pick, (i, j) = operator.getitem, (np.s_[:, None], np.s_[None])
+    w, rows = a._x.shape[1], max(1, _PAIR_BLOCK // max(len(b), 1))
+    if pairs is None:  # a's arrays down a block's rows, b's across its columns
+        count, pick = len(a) * len(b), operator.getitem
+        blocks = ((np.s_[k : k + rows, None], np.s_[:]) for k in range(0, len(a), rows))
     else:  # np.take gathers rows several times faster than fancy indexing does
-        pick, (i, j) = functools.partial(np.take, axis=0), pairs
-    x1, z1, y1, c1 = (pick(v, i) for v in (a._x, a._z, _popcount(a._x & a._z), a._c))
-    x2, z2, y2, c2 = (pick(v, j) for v in (b._x, b._z, _popcount(b._x & b._z), b._c))
-    e = _product_phase_exp(x1, z1, x2, z2, (y1, y2))
-    c = np.empty(e.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pr, pi = _times(c1.real, c1.imag, c2.real, c2.imag)
-        c.real, c.imag = _times(pr, pi, _I_POW_RE[e], _I_POW_IM[e])
-    w = a._x.shape[1]
-    return (x1 ^ x2).reshape(-1, w), (z1 ^ z2).reshape(-1, w), c.reshape(-1)
+        count, pick = len(pairs[0]), functools.partial(np.take, axis=0)
+        blocks = (tuple(p[k : k + _PAIR_BLOCK] for p in pairs) for k in range(0, count, _PAIR_BLOCK))
+    _check_memory(48 * (w + 1) * count, "Pauli product")
+    ya, yb = (_popcount(h._x & h._z, np.uint8) for h in (a, b))
+    x, z, c, end = np.empty((count, w), np.uint64), np.empty((count, w), np.uint64), np.empty(count, complex), 0
+    for i, j in blocks:
+        x1, z1, y1, c1 = (pick(v, i) for v in (a._x, a._z, ya, a._c))
+        x2, z2, y2, c2 = (pick(v, j) for v in (b._x, b._z, yb, b._c))
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        out = slice(end, end := end + math.prod(shape[:-1]))
+        px = np.bitwise_xor(x1, x2, out=x[out].reshape(shape))
+        e = _product_phase_exp(x1, z1, x2, z2, (y1, y2), (px, np.bitwise_xor(z1, z2, out=z[out].reshape(shape))))
+        pc = c[out].reshape(shape[:-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pc.real, pc.imag = _times(c1.real, c1.imag, c2.real, c2.imag)
+            pc *= np.take(_I_POW_ARRAY, e)
+    return x, z, c
 
 
-def _grouped(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one key-grouping step: ``(order, first, group)`` of ``(terms, W)`` keys.
+def _grouped(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one key-grouping step: ``(order, first)`` of ``(terms, W)`` keys.
 
     ``order`` sorts the keys as ``(x, z)`` int tuples, stably; ``first`` marks
-    the first of each run of equal keys in that order, ``group`` its run.
-    One sort of the most significant x word comes first. When no two keys
-    share that word, the order it gives is the only one, and every key is its
-    own run; otherwise a stable ``lexsort`` of every word sets the order.
+    the first of each run of equal keys in that order, and is None when
+    every key is its own run. One sort of the most significant x word comes
+    first: where the word shifted past the key indices fits in 64 bits, a
+    value sort of the word or-ed with the indices, several times faster than
+    ``argsort``. When no two keys share that word, the order it gives is the
+    only one; otherwise a stable ``lexsort`` of every word sets the order.
     """
-    top = x[:, -1]
-    order = np.argsort(top)
-    top = top[order]
+    top, shift = x[:, -1], len(x).bit_length()
+    if int(top.max(initial=0)) >> (64 - shift) == 0:
+        top = top << shift | np.arange(len(x), dtype=np.uint64)
+        top.sort()
+        order, top = (top & (1 << shift) - 1).view(np.int64), top >> shift
+    else:
+        order = np.argsort(top)
+        top = np.take(top, order)
     if (top[1:] != top[:-1]).all():
-        return order, np.ones(len(order), dtype=bool), np.arange(len(order), dtype=np.intp)
+        return order, None
     keys = np.concatenate((z, x), axis=1)  # lexsort's last key is its primary
     order = np.lexsort(keys.T)
     keys = keys[order]
     first = np.empty(len(order), dtype=bool)
     first[:1] = True
     np.logical_or.reduce(keys[1:] != keys[:-1], axis=1, out=first[1:])
-    return order, first, np.add.accumulate(first, dtype=np.intp) - 1
+    return order, first
 
 
 def _summed(x: np.ndarray, z: np.ndarray, c: np.ndarray, start: np.ndarray | None = None):
     """Weights summed per distinct key, as ``(x, z, c)`` in key order.
 
     ``np.add.at`` adds them one by one, in input order, onto 0.0, as
-    ``acc.get(key, 0.0) + c`` would; or onto ``start`` at each key's first input.
+    ``acc.get(key, 0.0) + c`` would; or onto ``start`` at each key's first
+    input. When every key is distinct, each weight in key order gets its 0.0
+    or start added at once: the same operands, so the same bits.
     """
-    order, first, group = _grouped(x, z)
-    keys = order[first]
-    sums = np.zeros(len(keys), dtype=complex) if start is None else start[keys]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(sums, group, c[order])
-    return x[keys], z[keys], sums
+    order, first = _grouped(x, z)
+    if first is None:
+        keys, sums = order, np.take(c, order)
+        sums += 0.0 if start is None else np.take(start, order)
+    else:
+        keys = order[first]
+        sums = np.zeros(len(keys), dtype=complex) if start is None else start[keys]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(sums, np.add.accumulate(first, dtype=np.intp) - 1, c[order])
+    return np.take(x, keys, axis=0), np.take(z, keys, axis=0), sums
 
 
 def _merged(a: PauliSum, b: PauliSum, cb: np.ndarray):
@@ -788,7 +819,9 @@ class _FoldPlan:
                 raise ValueError(f"site count mismatch: {n} != {h.n}")
         sums = list(sums) or [PauliSum.zero(n)]  # no sums: one with no terms
         x, z = np.concatenate([h._x for h in sums]), np.concatenate([h._z for h in sums])
-        order, first, group = _grouped(x, z)
+        order, first = _grouped(x, z)
+        first = np.ones(len(order), dtype=bool) if first is None else first
+        group = np.add.accumulate(first, dtype=np.intp) - 1
         rank = np.arange(len(order)) - np.flatnonzero(first)[group]
         by_rank = np.argsort(rank, kind="stable")
         terms, group = order[by_rank], group[by_rank]
@@ -874,12 +907,11 @@ def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """Exact ``ab - ba`` in canonical pruned form: :func:`_doubled_sum` of the anticommuting pairs."""
-    return _doubled_sum(a.n, *_pair_terms(a, b, _anticommuting_pairs(a, b)))
+    return _doubled_sum(a.n, *_summed(*_pair_terms(a, b, _anticommuting_pairs(a, b))))
 
 
 def _doubled_sum(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:
-    """``[P, Q] = 2PQ`` summed over anticommuting pairs' products ``(x, z, c)``, doubled (exactly) last."""
-    x, z, c = _summed(x, z, c)
+    """``[P, Q] = 2PQ`` from the anticommuting pairs' products summed (:func:`_summed`) as ``(x, z, c)``, doubled (exactly) last."""
     with np.errstate(over="ignore"):
         c.real *= 2.0
         c.imag *= 2.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from crda.device import (
     effective_coupling,
     load_config,
 )
+from crda.pauli import DenseLimitError
 
 
 def uniform(n=2, g=1.0, delta=10.0, Omega=0.4, phi=0.0):
@@ -71,6 +73,29 @@ class TestDeviceFields:
         fields[field][-1] = bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             DeviceParams(n=3, **fields)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: DeviceParams.uniform_chain(n, g=1.0, delta=10.0, Omega=0.5),
+            lambda n: DeviceParams.from_config({"n": n, "omega_q": 40.0, "g": 0.2}),
+        ],
+    )
+    def test_huge_device_refused_before_allocating(self, make):
+        # five arrays of 10^9 float64 values would take 37 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match=r"1000000000-site device needs about 37\.3 GiB"):
+                make(10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("field", ["omega_q", "Omega", "g"])
+    def test_non_finite_per_site_value_refused(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DeviceParams.from_config({"n": 3, "omega_q": 40.0, f"{field}.2": "inf"})
 
     def test_xi_regular_in_undriven_limit(self):
         p = DeviceParams.uniform_chain(1, g=0.0, delta=3.0, Omega=0.0)

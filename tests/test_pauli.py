@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import os
 import re
 import tracemalloc
@@ -567,6 +568,44 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_commutator_refused_before_allocating(self):
+        # 2^17 X strings against 2^17 Z strings: the 2^34-entry parity table
+        # and its pair indices would take about 400 GiB
+        xs = PauliSum(17, {(x, 0): 1.0 for x in range(1 << 17)})
+        zs = PauliSum(17, {(0, z): 1.0 for z in range(1 << 17)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseLimitError, match="anticommuting pair table needs about 400 GiB"):
+                commutator(xs, zs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", [12, 40, 150, 190])
+    def test_pair_kernel_counts_its_traced_peak(self, n):
+        # 300 x 300 strings on one or three mask words, whose product keys
+        # share their top word (12 and 150 sites: lexsort) or not (one
+        # sort). The traced peak stays within what the guards count: 48 (W +
+        # 1) B per summed pair, and for a commutator 25 B per pair of its
+        # parity table. (A few kB of fixed overhead are not counted, so
+        # small sums may pass their count.)
+        rng = np.random.default_rng(n)
+        masks = [[int.from_bytes(rng.bytes(24), "little") % (1 << n) for _ in range(2)] for _ in range(600)]
+        a, b = (PauliSum(n, {(x, z): 1.0 for x, z in masks[k::2]}) for k in (0, 1))
+        per_pair = 48 * (a._x.shape[1] + 1)
+        odd = len(pauli._anticommuting_pairs(a, b)[0])
+        for op, bound in ((operator.matmul, per_pair * len(a) * len(b)), (commutator, max(per_pair * odd, 25 * len(a) * len(b)))):
+            op(a, b)  # numpy's one-time caches are not the kernel's
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                op(a, b)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
     def test_real_matrix_refused_at_its_real_size(self):
         # two X masks on 40 sites, both with real weights: 2^41 entries of

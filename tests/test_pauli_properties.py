@@ -288,7 +288,8 @@ def test_commutator_matches_oracle(pair):
 
 # Weights that make pair products collide and cancel, exactly or to below
 # PRUNE_TOL, carry signed zeros, or overflow to inf.
-_EDGE_COEFFS = st.sampled_from([1.0, -1.0, 1.0 + 4e-15, -1.0 + 3e-15, 0.5, 0.0, -0.0, 1e154, -1e300])
+_FINITE_EDGES = [1.0, -1.0, 1.0 + 4e-15, -1.0 + 3e-15, 0.5, 0.0, -0.0]
+_EDGE_COEFFS = st.sampled_from(_FINITE_EDGES + [1e154, -1e300])
 
 
 def _sparse_masks(n):
@@ -331,6 +332,35 @@ def test_product_equals_reference_loop(pair):
 @given(kernel_pairs())
 def test_commutator_equals_reference_loop(pair):
     _assert_matches_reference(commutator, reference_commutator, *pair)
+
+
+@st.composite
+def blocked_pairs(draw):
+    """Two sums of up to 24 strings on 40 or 130 sites (one or three mask words), and a pair block of 1-64 pairs.
+
+    Masks come from a pool of up to six or are drawn anew, so products
+    collide in every key word, or only in some, or not at all.
+    """
+    n = draw(st.sampled_from([40, 130]))
+    pool = draw(st.lists(_sparse_masks(n), min_size=1, max_size=6))
+    masks = st.sampled_from(pool) | _sparse_masks(n) | st.integers(0, (1 << n) - 1)
+    weights = _COEFFS | _EDGE_COEFFS
+
+    def one_sum():
+        keys = [(draw(masks), draw(masks)) for _ in range(draw(st.integers(1, 24)))]
+        return PauliSum(n, {k: complex(draw(weights), draw(weights)) for k in keys})
+
+    return one_sum(), one_sum(), draw(st.integers(1, 64))
+
+
+@given(blocked_pairs())
+def test_blocked_pair_kernel_equals_reference_loop(case):
+    # blocks of a few pairs: every sum spans several of a's row blocks, and
+    # the anticommuting pairs several chunks, each block written in place
+    a, b, block = case
+    with mock.patch.object(pauli, "_PAIR_BLOCK", block):
+        _assert_matches_reference(operator.matmul, reference_product, a, b)
+        _assert_matches_reference(commutator, reference_commutator, a, b)
 
 
 @given(kernel_pairs())
@@ -413,10 +443,13 @@ def _assert_grouped_is_stable_sort(x, z):
     keys = list(zip(_mask_ints(x), _mask_ints(z)))
     want = sorted(range(len(keys)), key=keys.__getitem__)  # stable, as np.lexsort
     first = [k == 0 or keys[want[k]] != keys[want[k - 1]] for k in range(len(want))]
-    order, got_first, group = _grouped(x, z)
+    order, got_first = _grouped(x, z)
     assert order.tolist() == want
-    assert got_first.dtype == bool and got_first.tolist() == first
-    assert group.dtype == np.intp and group.tolist() == (np.cumsum(first, dtype=int) - 1).tolist()
+    # no runs are marked exactly when no two keys share their most significant x word
+    tops = x[:, -1].tolist()
+    assert (got_first is None) == (len(set(tops)) == len(tops))
+    if got_first is not None:
+        assert got_first.dtype == bool and got_first.tolist() == first
 
 
 @given(grouping_keys())
@@ -585,6 +618,26 @@ def test_large_pair_equals_reference_loop(n):
     rng = np.random.default_rng(300 + n)
     a, b = _random_sum(rng, n, 300), _random_sum(rng, n, 300)
     assert len(a) == len(b) == 300 and a._x.shape[1] == -(-n // 64)
+    assert term_bits(a @ b) == term_bits(reference_product(a, b))
+    assert term_bits(commutator(a, b)) == term_bits(reference_commutator(a, b))
+
+
+@pytest.mark.parametrize("n", [40, 130])
+def test_multi_block_product_equals_reference_loop(n):
+    # 150 x 150 strings over 12 x masks and 12 z masks, with weights that
+    # cancel exactly or to below PRUNE_TOL and carry signed zeros: the table
+    # and the anticommuting pairs each span more than one _PAIR_BLOCK
+    rng = np.random.default_rng(n)
+    pool = [int.from_bytes(rng.bytes(17), "little") % (1 << n) for _ in range(24)]
+    parts = _FINITE_EDGES + rng.standard_normal(7).tolist()
+
+    def one_sum():
+        keys = {(pool[rng.integers(12)], pool[12 + rng.integers(12)]) for _ in range(400)}
+        return PauliSum(n, {k: complex(*rng.choice(parts, 2)) for k in sorted(keys)[:150]})
+
+    a, b = one_sum(), one_sum()
+    assert len(a) * len(b) > 2 * pauli._PAIR_BLOCK and a._x.shape[1] == -(-n // 64)
+    assert len(pauli._anticommuting_pairs(a, b)[0]) > pauli._PAIR_BLOCK
     assert term_bits(a @ b) == term_bits(reference_product(a, b))
     assert term_bits(commutator(a, b)) == term_bits(reference_commutator(a, b))
 
