@@ -109,11 +109,8 @@ class DeviceParams:
 
     @classmethod
     def _filled(cls, n: int, values: Mapping[str, float]) -> "DeviceParams":
-        """Chain whose arrays each hold the one value ``values`` gives them.
-
-        Refused (:class:`~crda.pauli.DenseLimitError`) before the five arrays,
-        8 bytes a site each, outgrow memory.
-        """
+        """Chain whose arrays each hold the one value ``values`` gives them;
+        refused (:class:`~crda.pauli.DenseLimitError`) before they outgrow memory."""
         _check_memory(8 * (5 * n - 1), f"a {n}-site device")
         return cls(n=n, **{name: np.full(n - (name == "g"), v) for name, v in values.items()})
 

@@ -15,9 +15,9 @@ where strings are read out, and only the matrix builds walk strings, for
 per-string sign vectors. Products and commutators run as one vectorized
 kernel over all string pairs (:func:`_pair_terms`), which holds the one
 product phase rule (:func:`_product_phase_exp`); :func:`multiply` ``(a,
-b)`` is ``a @ b``. A product broadcasts one sum's term arrays against the
-other's, a commutator gathers the anticommuting pairs of a boolean parity
-table, and a pair costs a few word operations instead of O(4^N). Every
+b)`` is ``a @ b``. A product broadcasts blocks of one sum's rows against
+the other sum, a commutator gathers the anticommuting pairs of a boolean
+parity table, and a pair costs a few word operations, not O(4^N). Every
 result is summed per string in sorted order, bit for bit as a
 left-to-right Python loop over a dict of weights would sum it: the tests'
 pair-product reference is such a loop, with a phase rule of its own.
@@ -98,7 +98,8 @@ _I_POW_ARRAY = np.array(_I_POW)
 # times a block's entries and 64 times its rows (an expectation's stay in cache).
 _BLOCK_ENTRIES = 1 << 20
 
-# String pairs per block of the pair kernel (:func:`_pair_terms`).
+# String pairs per block of the pair kernel (:func:`_pair_terms`): its scratch, about
+# 1 MB, stays in a 2 MiB L2 (2^14 was as fast; 2^15 slowed the pair lists 2x).
 _PAIR_BLOCK = 1 << 13
 
 # Bytes of Python and array objects a matrix build holds per string at most;
@@ -191,11 +192,10 @@ def _pattern(n: int, x: int, z: int) -> str:
 def _product_phase_exp(x1, z1, x2, z2, ys=None, product=None):
     """Power of i picked up when composing two symplectic-encoded strings: the one phase rule.
 
-    On ``(pairs, W)`` mask-word arrays, one uint8 exponent per pair. ``ys``
-    gives the two strings' Y counts ``_popcount(x & z)`` mod 4 and
-    ``product`` the product's words ``(x1 ^ x2, z1 ^ z2)`` where the caller
-    has them. The arithmetic is uint8's, whose wrap mod 256 keeps every
-    value mod 4.
+    On ``(pairs, W)`` mask-word arrays, one exponent per pair, in uint8
+    arithmetic, whose wrap mod 256 keeps every value mod 4. ``ys`` gives the
+    Y counts ``_popcount(x & z)`` and ``product`` the words ``(x1 ^ x2, z1 ^
+    z2)`` where the caller has them.
     """
     y1, y2 = (_popcount(x1 & z1, np.uint8), _popcount(x2 & z2, np.uint8)) if ys is None else ys
     x, z = (x1 ^ x2, z1 ^ z2) if product is None else product
@@ -703,13 +703,12 @@ def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] |
     """Unsummed string products ``PQ``, in a-major pair order, as ``(x, z, c)``.
 
     Of every pair, a block of ``a``'s rows against all of ``b`` at a time; or
-    of the ``pairs`` ``(i, j)`` of term indices in ``a`` and ``b``
-    (:func:`_anticommuting_pairs`), a chunk gathered at a time. A block of
-    about ``_PAIR_BLOCK`` pairs writes its ``(pairs, W)`` mask words, and
-    coefficients ``c1 * c2 * i^e`` (:func:`_times`, :func:`_product_phase_exp`
-    on those words), into the output. ``i^e`` is a factor of 0 and ±1 parts,
-    so one complex multiply by it rounds nothing. Refused before the output
-    and its sum (:func:`_summed`, 48 (W + 1) B a pair) outgrow memory.
+    of the ``pairs`` ``(i, j)`` of term indices (:func:`_anticommuting_pairs`),
+    a chunk gathered at a time. A block of about ``_PAIR_BLOCK`` pairs writes
+    its ``(pairs, W)`` mask words and weights ``c1 * c2 * i^e`` (:func:`_times`,
+    then :func:`_product_phase_exp` of those words) into the output; ``i^e``
+    has parts 0 and ±1, so one complex multiply by it rounds nothing.
+    Refused before the output and its sum (48 (W + 1) B a pair) outgrow memory.
     """
     a._require_same_size(b)
     w, rows = a._x.shape[1], max(1, _PAIR_BLOCK // max(len(b), 1))
@@ -740,18 +739,20 @@ def _grouped(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | Non
     """The one key-grouping step: ``(order, first)`` of ``(terms, W)`` keys.
 
     ``order`` sorts the keys as ``(x, z)`` int tuples, stably; ``first`` marks
-    the first of each run of equal keys in that order, and is None when
-    every key is its own run. One sort of the most significant x word comes
-    first: where the word shifted past the key indices fits in 64 bits, a
-    value sort of the word or-ed with the indices, several times faster than
-    ``argsort``. When no two keys share that word, the order it gives is the
-    only one; otherwise a stable ``lexsort`` of every word sets the order.
+    the first of each run of equal keys in that order, or is None when every
+    key is its own run. One sort of the most significant x word comes first:
+    where the word fits beside the key index in 64 bits, a value sort of the
+    two, twice as fast as ``argsort``. When no two keys share that word, the
+    order it gives is the only one; otherwise a stable ``lexsort`` of every
+    word sets the order.
     """
     top, shift = x[:, -1], len(x).bit_length()
     if int(top.max(initial=0)) >> (64 - shift) == 0:
-        top = top << shift | np.arange(len(x), dtype=np.uint64)
+        top = top << shift
+        top |= np.arange(len(x), dtype=np.uint64)
         top.sort()
-        order, top = (top & (1 << shift) - 1).view(np.int64), top >> shift
+        order = (top & (1 << shift) - 1).view(np.int64)
+        top >>= shift
     else:
         order = np.argsort(top)
         top = np.take(top, order)
@@ -771,8 +772,7 @@ def _summed(x: np.ndarray, z: np.ndarray, c: np.ndarray, start: np.ndarray | Non
 
     ``np.add.at`` adds them one by one, in input order, onto 0.0, as
     ``acc.get(key, 0.0) + c`` would; or onto ``start`` at each key's first
-    input. When every key is distinct, each weight in key order gets its 0.0
-    or start added at once: the same operands, so the same bits.
+    input. Distinct keys' weights get that one addition in one pass.
     """
     order, first = _grouped(x, z)
     if first is None:
@@ -911,7 +911,7 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
 
 
 def _doubled_sum(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:
-    """``[P, Q] = 2PQ`` from the anticommuting pairs' products summed (:func:`_summed`) as ``(x, z, c)``, doubled (exactly) last."""
+    """``[P, Q] = 2PQ``: the anticommuting pairs' summed products ``(x, z, c)``, doubled (exactly) last."""
     with np.errstate(over="ignore"):
         c.real *= 2.0
         c.imag *= 2.0
