@@ -713,26 +713,25 @@ def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] |
     a._require_same_size(b)
     w, rows = a._x.shape[1], max(1, _PAIR_BLOCK // max(len(b), 1))
     if pairs is None:  # a's arrays down a block's rows, b's across its columns
-        count, pick = len(a) * len(b), operator.getitem
-        blocks = ((np.s_[k : k + rows, None], np.s_[:]) for k in range(0, len(a), rows))
+        shape, pick = (len(a), len(b)), operator.getitem
+        blocks = ((np.s_[k : k + rows, None], np.s_[:], np.s_[k : k + rows]) for k in range(0, len(a), rows))
     else:  # np.take gathers rows several times faster than fancy indexing does
-        count, pick = len(pairs[0]), functools.partial(np.take, axis=0)
-        blocks = (tuple(p[k : k + _PAIR_BLOCK] for p in pairs) for k in range(0, count, _PAIR_BLOCK))
-    _check_memory(48 * (w + 1) * count, "Pauli product")
+        shape, pick = (len(pairs[0]),), functools.partial(np.take, axis=0)
+        steps = (np.s_[k : k + _PAIR_BLOCK] for k in range(0, shape[0], _PAIR_BLOCK))
+        blocks = ((pairs[0][s], pairs[1][s], s) for s in steps)
+    _check_memory(48 * (w + 1) * math.prod(shape), "Pauli product")
     ya, yb = (_popcount(h._x & h._z, np.uint8) for h in (a, b))
-    x, z, c, end = np.empty((count, w), np.uint64), np.empty((count, w), np.uint64), np.empty(count, complex), 0
-    for i, j in blocks:
+    x, z, c = np.empty((*shape, w), np.uint64), np.empty((*shape, w), np.uint64), np.empty(shape, complex)
+    for i, j, out in blocks:
         x1, z1, y1, c1 = (pick(v, i) for v in (a._x, a._z, ya, a._c))
         x2, z2, y2, c2 = (pick(v, j) for v in (b._x, b._z, yb, b._c))
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        out = slice(end, end := end + math.prod(shape[:-1]))
-        px = np.bitwise_xor(x1, x2, out=x[out].reshape(shape))
-        e = _product_phase_exp(x1, z1, x2, z2, (y1, y2), (px, np.bitwise_xor(z1, z2, out=z[out].reshape(shape))))
-        pc = c[out].reshape(shape[:-1])
+        product = np.bitwise_xor(x1, x2, out=x[out]), np.bitwise_xor(z1, z2, out=z[out])
+        e = _product_phase_exp(x1, z1, x2, z2, (y1, y2), product)
+        pc = c[out]
         with np.errstate(over="ignore", invalid="ignore"):
             pc.real, pc.imag = _times(c1.real, c1.imag, c2.real, c2.imag)
             pc *= np.take(_I_POW_ARRAY, e)
-    return x, z, c
+    return x.reshape(-1, w), z.reshape(-1, w), c.reshape(-1)
 
 
 def _grouped(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
