@@ -58,7 +58,10 @@ CORPUS = Path(__file__).with_name("cli.json")
 # floor, and sizes whose device arrays or masks would not fit in memory;
 # last, a simulate whose observables have X parts, one of them (XY) an
 # imaginary matrix weight; then 10^9-site devices, whose arrays would not
-# fit in memory.
+# fit in memory; then usage refusals: a lattice height without a width, an
+# empty sweep, a coupling swept where time sweeps, an observable site out of
+# range, an unknown observable, an initial state of the wrong length, and a
+# bound table without a size.
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -163,6 +166,13 @@ COMMANDS = [
     "hamiltonian --kind delta_xy --n 1000000000",
     "errors --which synthesis --model control --n 1000000000",
     "errors --which dyson --n 1000000000",
+    "simulate --model ising --ny 2",
+    "errors --which synthesis --sweep t=0:1:0",
+    "errors --which synthesis --sweep g=0:1:3",
+    "simulate --model ising --n 3 --observable z5",
+    "simulate --model ising --n 3 --observable q",
+    "simulate --model ising --n 3 --initial 01",
+    "errors --which bounds --model xy2d_da",
 ]
 
 
