@@ -371,6 +371,9 @@ _MAGNUS_HALVINGS = 14
 # at 13 steps (xy1d) or 17 (ising), whose first two rungs take 3.5e12.
 _MAGNUS_WORK_BUDGET = 2**55
 
+# Least price of a step: the budget admits 2^20 steps, about 10 s at 10 us a step (n = 2).
+_MAGNUS_STEP_FLOOR = 2**35
+
 # Smallest tol a ladder accepts: about 45 ulps of 1.0, near where rounding
 # in a float64 unitary's entries meets the doubling test.
 _MAGNUS_TOL_FLOOR = 1e-14
@@ -381,8 +384,8 @@ class _MagnusPlan:
     """The step ladder of one :func:`propagate_unitary` run, priced before any work.
 
     Rung ``k`` takes ``steps * 2^k`` steps; ``work[k]`` is that count times
-    dim^3. ``step_size`` is the first rung's, and ``rule`` names the bound
-    that set it: ``"norm"``, ``"frequency"`` or ``"span"``.
+    max(dim^3, ``_MAGNUS_STEP_FLOOR``). ``step_size`` is the first rung's, and
+    ``rule`` names the bound that set it: ``"norm"``, ``"frequency"`` or ``"span"``.
     """
 
     steps: int
@@ -396,7 +399,7 @@ class _MagnusPlan:
         if not need <= _MAGNUS_WORK_BUDGET:
             raise DenseLimitError(
                 f"a Magnus ladder from {float(self.steps):.3g} steps needs "
-                f"{float(need):.3g} steps x dim^3 over {rungs} rungs; "
+                f"{float(need):.3g} steps x max(dim^3, 2^35) over {rungs} rungs; "
                 f"the budget is {float(_MAGNUS_WORK_BUDGET):.3g}"
             )
 
@@ -426,7 +429,7 @@ def _magnus_plan(h: TimeDependentHamiltonian, t_final: float, tol: float) -> _Ma
     steps = abs(t_final) / limits[rule]
     if steps <= _MAGNUS_WORK_BUDGET:  # else a float, maybe inf, that the budget refuses
         steps = max(1, math.ceil(steps))
-    work = tuple(steps * 2**k * 8**h.n for k in range(_MAGNUS_HALVINGS + 1))
+    work = tuple(steps * 2**k * max(8**h.n, _MAGNUS_STEP_FLOOR) for k in range(_MAGNUS_HALVINGS + 1))
     plan = _MagnusPlan(steps, abs(t_final) / steps, rule, work)
     plan.check_budget(2)
     return plan
@@ -455,8 +458,8 @@ def propagate_unitary(
     agree to ``tol`` in spectral norm, for at most ``_MAGNUS_HALVINGS``
     doublings. Before any work, a ``tol`` below ``_MAGNUS_TOL_FLOOR`` (1e-14)
     or a norm bound whose square overflows float64 raises ``ValueError``
-    (CLI exit 2), and a ladder whose steps x dim^3, summed over its first
-    two rungs, would pass ``_MAGNUS_WORK_BUDGET`` (2^55) raises
+    (CLI exit 2), and a ladder whose steps x max(dim^3, ``_MAGNUS_STEP_FLOOR``),
+    summed over its first two rungs, would pass ``_MAGNUS_WORK_BUDGET`` raises
     :class:`~crda.pauli.DenseLimitError` (CLI exit 3). Each later rung is
     priced the same way, with the rungs before it, before it runs; a ladder
     that runs out of rungs raises :class:`~crda.pauli.ConvergenceError`

@@ -61,7 +61,9 @@ CORPUS = Path(__file__).with_name("cli.json")
 # fit in memory; then usage refusals: a lattice height without a width, an
 # empty sweep, a coupling swept where time sweeps, an observable site out of
 # range, an unknown observable, an initial state of the wrong length, and a
-# bound table without a size.
+# bound table without a size; last, frame integrations on 2 qubits whose
+# Magnus ladders pass the work budget once a step is priced at least at its
+# floor (a long span, a fast drive, a far-detuned sweep).
 _CHAIN_KINDS = (
     "h1 h2 h_e h_e_prime h_e_double_prime h_even h_even_prime h_odd h_odd_prime h_heis h_xy h_zz"
 ).split()
@@ -173,6 +175,9 @@ COMMANDS = [
     "simulate --model ising --n 3 --observable q",
     "simulate --model ising --n 3 --initial 01",
     "errors --which bounds --model xy2d_da",
+    "verify-frames --n 2 --t 1e5",
+    "verify-frames --n 2 --delta 5 --g 0.1 --omega 1e5 --t 3",
+    "verify-frames --n 2 --delta 1e5 --g 0.1 --omega 0.25 --t 12.566 --sweep scale=1:0.25:3:geom",
 ]
 
 

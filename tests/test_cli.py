@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crda import frames
 from crda.cli import _FLAGS, _SUBCOMMANDS, _build_parser, _flags, _mode, _parse_observables, main
 from crda.device import DeviceParams, Lattice
 from crda.errors import table1_check
@@ -429,6 +430,11 @@ _RUNAWAYS = [
     ("verify-frames --n 3 --delta 3 --omega 0 --t 3 --tol 1e-300", 2),
     ("verify-frames --n 1000000000 --t 1", 3),
     ("compile --model xy2d --nx 1000000000", 3),
+    # Magnus ladders whose steps on 2 qubits are priced at the floor, not dim^3:
+    # a long span, a fast drive and a far-detuned sweep
+    ("verify-frames --n 2 --t 1e5", 3),
+    ("verify-frames --n 2 --delta 5 --g 0.1 --omega 1e5 --t 3", 3),
+    ("verify-frames --n 2 --delta 1e5 --g 0.1 --omega 0.25 --t 12.566 --sweep scale=1:0.25:3:geom", 3),
 ]
 
 
@@ -458,6 +464,14 @@ class TestFailureModes:
         (line,) = got[2].splitlines()
         assert json.loads(line)["error"]["type"] == {2: "usage", 3: "resource"}[code]
         assert peak < 1 << 16  # a Magnus step stack takes 4 MiB, a device of 10^9 qubits GiBs
+
+    def test_magnus_ladder_out_of_rungs_is_convergence_error(self, capsys, monkeypatch):
+        # one doubling cannot reach tol 1e-14: propagate_unitary runs out of rungs
+        monkeypatch.setattr(frames, "_MAGNUS_HALVINGS", 1)
+        code, out, errtext = run_cli(["verify-frames", "--n", "2", "--t", "3", "--tol", "1e-14"], capsys)
+        assert (code, out) == (4, "")
+        (line,) = errtext.splitlines()
+        assert json.loads(line)["error"]["type"] == "convergence"
 
     def test_usage_error_exit_code(self, capsys):
         code, _, errtext = run_cli(["errors", "--which", "trotter"], capsys)
