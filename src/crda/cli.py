@@ -543,11 +543,8 @@ def _cmd_compile(args) -> None:
     }
     rows = [["step", "type", "kind_or_drive", "support_or_duration"]]
     for i, step in enumerate(payload["schedule"]["steps"]):
-        if step["type"] == "gate":
-            support = step["support"]
-            if isinstance(support, list):
-                support = "+".join(str(s) for s in support)
-            rows.append([i, "gate", step["kind"], support])
+        if step["type"] == "gate":  # a compiled support is "all", "even" or "odd"
+            rows.append([i, "gate", step["kind"], step["support"]])
         else:
             rows.append([i, "analog", step["drive"], step["duration"]])
     _emit(args, payload, rows)
