@@ -390,12 +390,13 @@ _CHEBYSHEV_TOL = 1e-16
 def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]) -> None:
     """Refuse, before allocating, a simulation whose arrays exceed memory.
 
-    It counts each generator's kept matrix, the trace's times, norms and
+    It counts each generator's kept matrix, every sum's kept row-block plan
+    (``kept`` of :meth:`~crda.pauli.PauliSum._layout`), the trace's times, norms and
     expectations (8 bytes per block each), and the largest of the Chebyshev
     loop's state planes; with observables, two states and the largest
     expectation value's bytes (:meth:`~crda.pauli.PauliSum._expectation_bytes`);
     and, while a generator's matrix is not yet built, three states and the
-    build's scratch (:meth:`~crda.pauli.PauliSum._build_scratch_bytes`).
+    build's scratch (:meth:`~crda.pauli.PauliSum._build_scratch_bytes`), each with its plan again.
     """
     n = schedule.n
     generators = {s.analog for s in schedule.segments() if isinstance(s.analog, PauliSum)}
@@ -407,6 +408,7 @@ def _check_simulation_memory(schedule: Schedule, observables: Sequence[PauliSum]
     need = (
         max(_SIMULATE_PLANES * (8 << n), observing, building)
         + sum(h._matrix_bytes(h._csr_dtype()) for h in generators)
+        + sum(h._layout().kept for h in [*generators, *observables])
         + 8 * schedule.repetitions * (2 + len(observables))
     )
     _check_memory(need, "simulate")
@@ -510,9 +512,9 @@ def simulate(
     the identity. A static (``PauliSum``) segment acts, at every size, by a
     Chebyshev expansion of exp(-i H tau) on the matrix the sum keeps (real
     where its weights are, as ``H.apply`` uses), so equal Hamiltonians share
-    one matrix whatever their durations. An observable builds and keeps no
-    matrix: its expectation adds its matrix entries, a block of rows at a
-    time, per X mask times the gathered state
+    one matrix whatever their durations. An observable builds no matrix and
+    keeps only its row-block plan: its expectation adds its matrix entries, a
+    block of rows at a time, per X mask times the gathered state
     (:meth:`~crda.pauli.PauliSum.expectation`). Gate layers act
     matrix-free, in blocks of adjacent sites. A time-dependent segment becomes a dense unitary from
     :func:`~crda.frames.propagate_unitary` (to ``tol``), which raises

@@ -11,8 +11,8 @@ row of a sum: a sum holds its masks bit-packed, as ``(terms, ceil(N/64))``
 uint64 word arrays sorted as ``(x, z)`` int tuples (as in Stim; Gidney,
 2021), beside a complex128 weight array, and a single string is a sum of
 one. Every consumer computes on these arrays; Python ints appear only
-where strings are read out, and only the matrix builds walk strings, for
-per-string sign vectors. Products and commutators run as one vectorized
+where strings are read out and in a row-block plan's key unions, and only
+a plan's fill walks strings. Products and commutators run as one vectorized
 kernel over all string pairs (:func:`_pair_terms`), which holds the one
 product phase rule (:func:`_product_phase_exp`); :func:`multiply` ``(a,
 b)`` is ``a @ b``. A product broadcasts blocks of one sum's rows against
@@ -26,16 +26,19 @@ A sum's matrix is one CSR matrix. Row ``i`` holds, for each distinct X
 mask ``x`` in sorted order, the sum of the strings sharing ``x`` at
 column ``i ^ x``, unless that sum is exactly zero: the stored entries are
 the nonzero ones, and the memory guards count the upper bound of one
-entry per row and X mask. One kernel forms those sums, a block of rows at
-a time (:meth:`PauliSum._row_blocks`). A sum keeps one matrix
-(:meth:`PauliSum._operator`) for ``apply``, ``simulate``'s generators and
-:func:`spectral_norm`, real where every weight is, with the complex
-matrix's bits (:meth:`PauliSum._csr_dtype`). An expectation value builds
-no matrix: it adds each block's entries times the state's entries ``i ^
-x``, with the bits of the matvec. A real matrix multiplies a complex
-state's real and imaginary parts apart (:func:`_split`), and from
-``_THREAD_ENTRIES`` entries on, with two usable CPUs, the two parts run at
-once, the second on one kept worker thread (:func:`_on_parts`).
+entry per row and X mask. A sum keeps one row-block plan, the one place
+its X masks are grouped and its blocks sized (:meth:`PauliSum._layout`),
+which the guards read before the first fill adds its sign vectors; one
+kernel fills it a block of rows at a time (:meth:`PauliSum._row_blocks`).
+A sum keeps one matrix (:meth:`PauliSum._operator`) for ``apply``,
+``simulate``'s generators and :func:`spectral_norm`, real where every
+weight is, with the complex matrix's bits (:meth:`PauliSum._csr_dtype`).
+An expectation value builds no matrix: it adds each block's entries times
+the state's entries ``i ^ x``, with the bits of the matvec. A real matrix
+multiplies a complex state's real and imaginary parts apart
+(:func:`_split`), and from ``_THREAD_ENTRIES`` entries on, with two usable
+CPUs, the two parts run at once, the second on one kept worker thread
+(:func:`_on_parts`).
 
 Conventions (fixed once, used everywhere):
 
@@ -64,7 +67,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -91,8 +94,7 @@ DEFAULT_DENSE_LIMIT = 12
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_OF = {bits: letter for letter, bits in _BITS.items()}
 
-_I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-_I_POW_ARRAY = np.array(_I_POW)
+_I_POW = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])  # i^0 .. i^3
 
 # Bounds the row blocks' scratch: entries of their table of sums at a time, 16
 # times a block's entries and 64 times its rows (an expectation's stay in cache).
@@ -213,6 +215,22 @@ def _clash_parity(x1, z1, x2, z2):
     return np.bitwise_count((x1 & z2) ^ (z1 & x2)) & 1
 
 
+class _RowPlan(NamedTuple):
+    """A sum's matrix by blocks of rows ``i = hi * 2^h + lo``, ``h = n // 2`` (:meth:`PauliSum._layout`); arrays read-only."""
+
+    xs: np.ndarray  # the sorted distinct X masks: their first mask word, at _index_dtype
+    starts: list[int]  # each X mask's first string, then the string count
+    unions: list[int]  # per X mask, the union u of its strings' z masks' low h bits
+    keys: list[int]  # per X mask, its count of keys lo & u, one table column each
+    step: int  # hi values a table holds: about _BLOCK_ENTRIES entries
+    rows: int  # hi values a laid-out block holds, at most step: at most a 64th as many rows, about a 16th as many entries
+    weights: np.ndarray  # each string's matrix weight a = c i^-|x&z|
+    kept: int  # bytes the plan holds with its sign vectors, _OBJECT_BYTES per string and 16 times that for objects
+    hi: np.ndarray | None = None  # from the first fill on, as int8: each string's (-1)^|hi & z >> h|
+    key_signs: tuple[np.ndarray, ...] = ()  # per X mask, its strings' (-1)^|key & z| over its keys
+    columns: np.ndarray | None = None  # per lo and X mask, its table column
+
+
 class PauliSum:
     """Canonical complex-weighted sum of Pauli strings on ``n`` sites.
 
@@ -222,7 +240,7 @@ class PauliSum:
     Sums are hashable, and equal sums hash equal, so a sum can key a dict.
     """
 
-    __slots__ = ("n", "_x", "_z", "_c", "_matrix")
+    __slots__ = ("n", "_x", "_z", "_c", "_matrix", "_plan")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, int], complex] | None = None):
         if n < 1:
@@ -236,7 +254,7 @@ class PauliSum:
 
     def _set(self, n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> None:
         """The one canonicalizer: hold sorted distinct keys, refuse non-finite weights, prune."""
-        self.n, (self._x, self._z, self._c), self._matrix = n, _pruned(x, z, c), None
+        self.n, (self._x, self._z, self._c), self._matrix, self._plan = n, _pruned(x, z, c), None, None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -359,37 +377,54 @@ class PauliSum:
         """A new CSR matrix of the sum, which the caller may scale in place."""
         return self._build_csr()
 
-    def _num_x_masks(self) -> int:
-        x = self._x
-        return int(len(x) and 1 + np.count_nonzero((x[1:] != x[:-1]).any(axis=1)))
-
-    def _weights(self) -> Iterator[tuple[int, int, complex]]:
-        """``(x, z, a)`` per string, in key order: its matrix entry ``(i, i ^ x)`` is ``a (-1)^|i&z|``."""
-        return ((x, z, c * _I_POW[-(x & z).bit_count() % 4]) for x, z, c in self._keyed())
-
     def _csr_dtype(self) -> type:
-        """``float`` when each string's weight ``a = c i^-|x&z|`` is exactly real, else ``complex``."""
-        odd = _popcount(self._x & self._z) & 1  # a is ±c for an even Y count, ±i c for an odd one
-        return float if (np.where(odd, self._c.real, self._c.imag) == 0.0).all() else complex
+        """``float`` when each string's matrix weight (:class:`_RowPlan`) is exactly real, else ``complex``."""
+        return complex if self._layout().weights.imag.any() else float
+
+    def _layout(self, signs: bool = False) -> _RowPlan:
+        """The sum's one row-block plan, kept once made: the integer layout the guards read, which allocates nothing
+        of size 2^(n/2), and with ``signs`` (a fill's, after the guards) the sign vectors."""
+        plan, n, h = self._plan, self.n, self.n // 2
+        if plan is None:
+            starts = np.flatnonzero(np.concatenate(([len(self) > 0], (self._x[1:] != self._x[:-1]).any(axis=1))))
+            low = self._z & _mask_words([(1 << h) - 1], self._z.shape[1])
+            unions = _mask_ints(np.bitwise_or.reduceat(low, starts)) if len(starts) else []
+            keys = [1 << u.bit_count() for u in unions]
+            step = min((1 << n) >> h, max(1, _BLOCK_ENTRIES // max(sum(keys), 1)))
+            rows = min(step, max(1, (_BLOCK_ENTRIES >> 4) // (max(len(keys), 4) << h)))
+            xs = self._x[starts, 0].astype(_index_dtype(len(keys) << n))
+            # i^e has parts 0 and ±1, so one complex multiply by it rounds nothing
+            weights = self._c * np.take(_I_POW, -_popcount(self._x & self._z) & 3)
+            kept = len(self) * (((1 << n) >> h) + max(keys, default=0)) + (xs.itemsize * len(keys) << h)  # signs, columns
+            kept += _OBJECT_BYTES * (len(self) + 16)  # Python and array objects
+            xs.flags.writeable = weights.flags.writeable = False
+            plan = _RowPlan(xs, [*starts.tolist(), len(self)], unions, keys, step, rows, weights, kept)
+        if signs and plan.hi is None:
+            zs, los = self._z[:, 0].astype(plan.xs.dtype), np.arange(1 << h, dtype=plan.xs.dtype)
+            hi = _parity_signs(np.arange((1 << n) >> h, dtype=plan.xs.dtype), zs[:, None] >> h)
+            columns, key_signs = np.empty((1 << h, len(plan.xs)), dtype=plan.xs.dtype), []
+            offsets = itertools.accumulate(plan.keys, initial=0)
+            for k, ((s0, s1), u, offset) in enumerate(zip(itertools.pairwise(plan.starts), plan.unions, offsets)):
+                key = los & u
+                keys = los[key == los]  # the distinct keys, ascending
+                columns[:, k] = offset + np.searchsorted(keys, key)
+                key_signs.append(_parity_signs(keys, zs[s0:s1, None]))
+            for a in (hi, columns, *key_signs):
+                a.flags.writeable = False
+            plan = plan._replace(hi=hi, key_signs=tuple(key_signs), columns=columns)
+        self._plan = plan
+        return plan
 
     def _matrix_bytes(self, dtype: type = complex) -> int:
-        """Bytes of the CSR matrix at most, as :meth:`_build_csr` lays it out.
-
-        Per row and X mask a weight (8 B real, 16 B complex) and an index, and
-        ``2^n + 1`` row pointers, both at :func:`_index_dtype`. The matrix
-        stores only its nonzero entries, so it may hold fewer.
-        """
-        entries = self._num_x_masks() << self.n
-        index = np.dtype(_index_dtype(entries)).itemsize
+        """Bytes of the CSR matrix at most, as :meth:`_build_csr` lays it out: per row and X mask a weight (8 B real,
+        16 B complex) and an index, and ``2^n + 1`` row pointers. It stores only its nonzero entries."""
+        entries, index = len(self._layout().xs) << self.n, self._layout().xs.itemsize
         return entries * (np.dtype(dtype).itemsize + index) + index * ((1 << self.n) + 1)
 
     def _build_scratch_bytes(self) -> int:
-        """Bytes :meth:`_build_csr` holds at most at :meth:`_csr_dtype`, besides the matrix it returns.
-
-        :meth:`_row_block_bytes`, and per laid-out entry its nonzero flag,
-        position, row and column, and per laid-out row its index and count.
-        """
-        index = np.dtype(_index_dtype(self._num_x_masks() << self.n)).itemsize
+        """Bytes :meth:`_build_csr` holds at most besides its matrix: the row blocks, and per entry and row of a block
+        its nonzero flag, position, row and column, and its index and count."""
+        index = self._layout().xs.itemsize
         return self._row_block_bytes(1 + 16 + index, index + 8)
 
     def _expectation_bytes(self) -> int:
@@ -397,82 +432,44 @@ class PauliSum:
         return (48 << self.n) + self._row_block_bytes(0, 64)  # a block row: two indices, an amplitude, products
 
     def _row_block_bytes(self, entry: int, row: int) -> int:
-        """Bytes :meth:`_row_blocks` holds at most, and ``entry`` and ``row`` more per entry and row of a block.
-
-        Per string its sign and weight vectors; per row of the table's low
-        half, its column per X mask; the table of sums and one outer product
-        into it; a block's entries, at :meth:`_csr_dtype`. The caller adds
-        what it makes of a block. Python and array objects take
-        ``_OBJECT_BYTES`` per string, and 16 times that for the generator's own.
-        """
-        n, h, dim = self.n, self.n // 2, 1 << self.n
-        item = np.dtype(self._csr_dtype()).itemsize
-        masks, low = max(1, self._num_x_masks()), (1 << h) - 1
-        keys = [  # the table's width per X mask, as _row_blocks counts its keys
-            1 << (functools.reduce(operator.or_, (z for _, z, _ in group)) & low).bit_count()
-            for _, group in itertools.groupby(self._weights(), key=operator.itemgetter(0))
-        ]
-        width = sum(keys)
-        step = min(dim >> h, max(1, _BLOCK_ENTRIES // max(width, 1)))
-        laid = min(step, max(1, (_BLOCK_ENTRIES >> 4) // (max(masks, 4) << h))) * (masks << h)
+        """Bytes :meth:`_row_blocks` holds at most, and ``entry`` and ``row`` more per entry and row of a block: the
+        plan; per string its hi signs over a table as floats and weights over the keys; the columns as ``take``
+        indexes by them; the table and one outer product into it; a block's entries, at :meth:`_csr_dtype`."""
+        plan, item, h = self._layout(), np.dtype(self._csr_dtype()).itemsize, self.n // 2
+        masks, most, laid = len(plan.xs), max(plan.keys, default=0), plan.rows << h
         return (
-            _OBJECT_BYTES * (len(self) + 16)
-            + len(self) * (8 * (dim >> h) + item * max(keys, default=0))
-            + (8 * masks << h)
-            + item * step * (width + max(keys, default=0))
-            + (item + entry) * laid
-            + row * (laid // masks)
+            plan.kept + len(self) * (8 * plan.step + item * most) + (8 * masks << h)
+            + item * (plan.step * (sum(plan.keys) + most) + laid * masks) + (entry * masks + row) * laid
         )
 
     def _row_blocks(self, dtype: type) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-        """The sorted X masks ``xs``, and the matrix entries by blocks of rows ``(i0, vals)``.
+        """The sorted X masks ``xs``, and the matrix entries by blocks of rows ``(i0, vals)``: the plan filled at ``dtype``.
 
-        ``vals[r, m]`` is the entry at ``(i0 + r, (i0 + r) ^ xs[m])``: for X
-        mask ``x``, row ``i`` sums from 0, in sorted z order, ``a *
-        (-1)^|i&z|`` over the strings sharing ``x`` (:meth:`_weights`), at
-        ``dtype``; ``dtype=float`` keeps real parts.
-
-        With ``i = hi * 2^h + lo``, ``h = n // 2``, that sign is ``(-1)^|hi &
-        z >> h| * (-1)^|lo & z|``, and the low factor depends on ``lo`` only
-        through its key ``lo & u``, ``u`` the union of the z masks sharing
-        ``x``. A table with one column per X mask and distinct key holds each
-        sum once, for about ``_BLOCK_ENTRIES`` entries' worth of ``hi`` values
-        at a time, as outer products of per-string vectors. One ``take`` by
-        key lays a block of rows of it out: about a 16th of that many entries,
-        and at most a 64th as many rows. No block is kept once yielded.
+        ``vals[r, m]``, at ``(i0 + r, (i0 + r) ^ xs[m])``, sums from 0, in sorted z order, ``a (-1)^|i&z| = a
+        (-1)^|hi & z >> h| (-1)^|key & z|`` over the strings sharing X mask ``xs[m]`` (:class:`_RowPlan`); ``float``
+        keeps real parts. A table of ``step`` hi values holds each sum once, as outer products of each string's hi
+        signs and weights over the keys (``a`` times ±1, exact); one ``take`` by key lays ``rows`` of them out.
         """
-        groups = [(x, list(group)) for x, group in itertools.groupby(self._weights(), key=operator.itemgetter(0))]
-        n, dim, h, masks = self.n, 1 << self.n, self.n // 2, len(groups)
-        itype = _index_dtype(masks << n)
-        his, los = np.arange(dim >> h, dtype=itype), np.arange(1 << h, dtype=itype)
-        # per X mask: x and each lo's table column; per string: its columns,
-        # its signs over hi and its weights over the keys
-        xs, columns, terms, width = [], np.empty((1 << h, masks), dtype=np.intp), [], 0
-        for k, (x, group) in enumerate(groups):
-            _, zs, a = (np.array(v) for v in zip(*group))
-            key = los & np.bitwise_or.reduce(zs)
-            keys = los[key == los]  # the distinct keys, ascending
-            columns[:, k] = width + np.searchsorted(keys, key)
-            part = slice(width, width + len(keys))
-            a_keys = (a.real if dtype is float else a)[:, None] * _parity_signs(keys, zs[:, None])
-            terms += [(part, s_hi, a_key) for s_hi, a_key in zip(_parity_signs(his, zs[:, None] >> h), a_keys)]
-            xs.append(x)
-            width += len(keys)
-        step = min(dim >> h, max(1, _BLOCK_ENTRIES // max(width, 1)))  # hi values per table
-        rows = max(1, (_BLOCK_ENTRIES >> 4) // (max(masks, 4) << h))  # hi values per block
+        plan = self._layout(signs=True)
+        n, h, dim, masks = self.n, self.n // 2, 1 << self.n, len(plan.xs)
+        a, offsets = plan.weights.real if dtype is float else plan.weights, [*itertools.accumulate(plan.keys, initial=0)]
+        groups = zip(itertools.pairwise(plan.starts), itertools.pairwise(offsets), plan.key_signs)
+        # per string: its table columns and its weights over the keys
+        terms = [(slice(*part), a_key) for (s0, s1), part, signs in groups for a_key in a[s0:s1, None] * signs]
 
         def blocks() -> Iterator[tuple[int, np.ndarray]]:
-            buffer = np.empty((step, width), dtype=dtype)
+            step, rows, columns = plan.step, plan.rows, plan.columns.astype(np.intp, copy=False)
+            buffer = np.empty((step, offsets[-1]), dtype=dtype)
             for h0 in range(0, dim >> h, step):
                 table = buffer[: (dim >> h) - h0]
                 table[...] = 0.0
-                for part, s_hi, a_key in terms:
-                    table[:, part] += np.multiply.outer(s_hi[h0 : h0 + step], a_key)
+                for (part, a_key), s_hi in zip(terms, plan.hi[:, h0 : h0 + step].astype(float)):
+                    table[:, part] += np.multiply.outer(s_hi, a_key)
                 for r0 in range(0, len(table), rows):
                     count = min(rows, len(table) - r0) << h
                     yield (h0 + r0) << h, np.take(table[r0 : r0 + rows], columns, axis=1).reshape(count, masks)
 
-        return np.array(xs, dtype=itype), blocks()
+        return plan.xs, blocks()
 
     def _build_csr(self, dtype: type = complex) -> scipy.sparse.csr_matrix:
         """CSR matrix of the nonzero entries of :meth:`_row_blocks`; ``dtype=float`` keeps real parts.
@@ -655,8 +652,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def _parity_signs(idx: np.ndarray, z: int | np.ndarray) -> np.ndarray:
-    """(-1)^popcount(idx & z) as a float array, broadcast over indices and z masks."""
-    return np.where(np.bitwise_count(idx & z) & 1, -1.0, 1.0)
+    """(-1)^popcount(idx & z) as an int8 array, broadcast over indices and z masks."""
+    return np.where(np.bitwise_count(idx & z) & 1, np.int8(-1), np.int8(1))
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +727,7 @@ def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] |
         pc = c[out]
         with np.errstate(over="ignore", invalid="ignore"):
             pc.real, pc.imag = _times(c1.real, c1.imag, c2.real, c2.imag)
-            pc *= np.take(_I_POW_ARRAY, e)
+            pc *= np.take(_I_POW, e)
     return x.reshape(-1, w), z.reshape(-1, w), c.reshape(-1)
 
 

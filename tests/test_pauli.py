@@ -23,6 +23,7 @@ from conftest import (
 from crda import pauli
 from crda.device import Lattice
 from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
+from crda.frames import GateLayer, GateLayerKind, toggle
 from crda.hamiltonians import HamiltonianKind, TimeDependentHamiltonian, build_canonical
 from crda.pauli import (
     ConvergenceError,
@@ -526,7 +527,7 @@ class TestStoredEntries:
         # the memory guard still counts one entry per row and X mask, and
         # one int32 row pointer per row and one more
         c = _split_commutator(model, size)
-        assert c._num_x_masks() << c.n == upper
+        assert len(c._layout().xs) << c.n == upper
         assert c._matrix_bytes(float) == upper * (8 + 4) + 4 * ((1 << c.n) + 1)
         m = c._build_csr(float)
         assert m.nnz == stored
@@ -720,6 +721,36 @@ class TestCachedMatrix:
         assert h._matrix is cached
         assert np.allclose(first, dense_oracle(h) @ psi, rtol=0.0, atol=1e-12)
 
+    def test_plan_made_once_per_sum(self, rng, monkeypatch):
+        # One row-block plan per sum: the guards, the build and repeated
+        # expectations read it, and its sign vectors are made once. A sum
+        # made from it by any operation starts with no plan of its own.
+        signs = []
+        parity_signs = pauli._parity_signs
+        monkeypatch.setattr(pauli, "_parity_signs", lambda idx, z: signs.append(len(z)) or parity_signs(idx, z))
+        n = 8
+        h = _heis_layer(n, 0) + PauliSum.from_sites(n, {2: "Y", 5: "Z"}, 0.5 - 0.25j)
+        assert h._plan is None
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        h._expectation_bytes()
+        plan = h._plan
+        assert plan.hi is None and signs == []  # the guards read only the integer layout
+        first = h.apply(psi)
+        made = list(signs)
+        assert len(made) == 1 + len(plan.keys)  # the hi signs, and the key signs of each X mask
+        values = [h.expectation(psi) for _ in range(3)]
+        assert spectral_norm(h) > 0.0
+        assert signs == made
+        assert h._plan.xs is plan.xs and h._plan.hi is not None
+        assert np.array_equal(h.apply(psi), first) and len(set(values)) == 1
+        for made_from in (
+            h + h,
+            h * 2.0,
+            toggle(h, GateLayer(GateLayerKind.HADAMARD)),
+            pauli._from_sorted(n, h._x, h._z, h._c),
+        ):
+            assert made_from._plan is None and made_from._matrix is None
+
     def test_matrix_paths_stay_complex(self):
         h = _heis_layer(6, 0) + _heis_layer(6, 1)
         assert h._csr_dtype() is float
@@ -774,6 +805,8 @@ class TestCachedMatrix:
         monkeypatch.setattr(PauliSum, "_build_csr", None)
         for entries in (pauli._BLOCK_ENTRIES, 1 << 4):  # one block, or 16 of 8 rows
             monkeypatch.setattr(pauli, "_BLOCK_ENTRIES", entries)
+            for h in sums:
+                h._plan = None  # a plan is laid out at the block size it is made with
             got = [h.expectation(psi) for h in sums]
             assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
 

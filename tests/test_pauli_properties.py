@@ -706,10 +706,11 @@ def _assert_same_products(got, full):
 
 
 def _block_builds(h, dtype=complex):
-    """``h._build_csr(dtype)`` with blocks of one, of a few and of the default entries."""
+    """``h._build_csr(dtype)`` with blocks of one, of a few and of the default entries,
+    each on a copy of ``h`` that makes its own plan at that block size."""
     for entries in (1, 24, pauli._BLOCK_ENTRIES):
         with mock.patch.object(pauli, "_BLOCK_ENTRIES", entries):
-            yield h._build_csr(dtype)
+            yield pauli._from_sorted(h.n, h._x, h._z, h._c)._build_csr(dtype)
 
 
 @given(csr_sums())
@@ -794,7 +795,7 @@ def test_matrix_bytes_bound_the_kept_matrix(h):
     m, need = h._operator(), h._matrix_bytes(h._csr_dtype())
     held = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
     assert need >= held
-    if m.nnz == h._num_x_masks() << h.n:  # no exact zero left out
+    if m.nnz == len(h._layout().xs) << h.n:  # no exact zero left out
         assert need == held
 
 
