@@ -451,7 +451,7 @@ class PauliSum:
         signs and weights over the keys (``a`` times ±1, exact); one ``take`` by key lays ``rows`` of them out.
         """
         plan = self._layout(signs=True)
-        n, h, dim, masks = self.n, self.n // 2, 1 << self.n, len(plan.xs)
+        h, dim, masks = self.n // 2, 1 << self.n, len(plan.xs)
         a, offsets = plan.weights.real if dtype is float else plan.weights, [*itertools.accumulate(plan.keys, initial=0)]
         groups = zip(itertools.pairwise(plan.starts), itertools.pairwise(offsets), plan.key_signs)
         # per string: its table columns and its weights over the keys
