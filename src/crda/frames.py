@@ -399,7 +399,7 @@ class _MagnusPlan:
         if not need <= _MAGNUS_WORK_BUDGET:
             raise DenseLimitError(
                 f"a Magnus ladder from {float(self.steps):.3g} steps needs "
-                f"{float(need):.3g} steps x max(dim^3, 2^35) over {rungs} rungs; "
+                f"{float(need):.3g} steps x max(dim^3, {float(_MAGNUS_STEP_FLOOR):.3g}) over {rungs} rungs; "
                 f"the budget is {float(_MAGNUS_WORK_BUDGET):.3g}"
             )
 
