@@ -382,10 +382,9 @@ class PauliSum:
         return complex if self._layout().weights.imag.any() else float
 
     def _layout(self, signs: bool = False) -> _RowPlan:
-        """The sum's one row-block plan, kept once made: the integer layout the guards read, which allocates nothing
-        of size 2^(n/2), and with ``signs`` (a fill's, after the guards) the sign vectors."""
+        """The sum's one row-block plan, kept once made; its sign vectors only with ``signs``, a fill's, after the guards."""
         plan, n, h = self._plan, self.n, self.n // 2
-        if plan is None:
+        if plan is None:  # from the mask words alone, with nothing of size 2^(n/2): the guards read this
             starts = np.flatnonzero(np.concatenate(([len(self) > 0], (self._x[1:] != self._x[:-1]).any(axis=1))))
             low = self._z & _mask_words([(1 << h) - 1], self._z.shape[1])
             unions = _mask_ints(np.bitwise_or.reduceat(low, starts)) if len(starts) else []
@@ -416,25 +415,25 @@ class PauliSum:
         return plan
 
     def _matrix_bytes(self, dtype: type = complex) -> int:
-        """Bytes of the CSR matrix at most, as :meth:`_build_csr` lays it out: per row and X mask a weight (8 B real,
-        16 B complex) and an index, and ``2^n + 1`` row pointers. It stores only its nonzero entries."""
-        entries, index = len(self._layout().xs) << self.n, self._layout().xs.itemsize
-        return entries * (np.dtype(dtype).itemsize + index) + index * ((1 << self.n) + 1)
+        """Bytes of the CSR matrix at most: per row and X mask a weight and an index, and ``2^n + 1`` row pointers."""
+        xs = self._layout().xs  # the index type is its dtype
+        return (len(xs) << self.n) * (np.dtype(dtype).itemsize + xs.itemsize) + xs.itemsize * ((1 << self.n) + 1)
 
     def _build_scratch_bytes(self) -> int:
-        """Bytes :meth:`_build_csr` holds at most besides its matrix: the row blocks, and per entry and row of a block
-        its nonzero flag, position, row and column, and its index and count."""
+        """Bytes :meth:`_build_csr` holds at most besides its matrix: the row blocks and what it makes of them."""
         index = self._layout().xs.itemsize
-        return self._row_block_bytes(1 + 16 + index, index + 8)
+        return self._row_block_bytes(1 + 16 + index, index + 8)  # per entry: flag, position, row, column; per row: index, count
 
     def _expectation_bytes(self) -> int:
         """Bytes :meth:`expectation` holds at most: h|state>, :func:`_vdot`'s two temporaries, the row blocks."""
         return (48 << self.n) + self._row_block_bytes(0, 64)  # a block row: two indices, an amplitude, products
 
     def _row_block_bytes(self, entry: int, row: int) -> int:
-        """Bytes :meth:`_row_blocks` holds at most, and ``entry`` and ``row`` more per entry and row of a block: the
-        plan; per string its hi signs over a table as floats and weights over the keys; the columns as ``take``
-        indexes by them; the table and one outer product into it; a block's entries, at :meth:`_csr_dtype`."""
+        """Bytes :meth:`_row_blocks` holds at most, and ``entry`` and ``row`` more per entry and row of a block.
+
+        The plan; per string its hi signs over a table as floats and weights over the keys; the columns as ``take``
+        indexes by them; the table and one outer product into it; a block's entries, at :meth:`_csr_dtype`.
+        """
         plan, item, h = self._layout(), np.dtype(self._csr_dtype()).itemsize, self.n // 2
         masks, most, laid = len(plan.xs), max(plan.keys, default=0), plan.rows << h
         return (
