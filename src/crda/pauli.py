@@ -38,7 +38,9 @@ the state's entries ``i ^ x``, with the bits of the matvec. A real matrix
 multiplies a complex state's real and imaginary parts apart
 (:func:`_split`), and from ``_THREAD_ENTRIES`` entries on, with two usable
 CPUs, the two parts run at once, the second on one kept worker thread
-(:func:`_on_parts`).
+(:func:`_on_parts`). A norm of a sum whose X masks all have even
+popcount, from ``_SECTOR_ENTRIES`` entries, runs instead on the two ∏Z
+sector blocks of one build, at once on that thread likewise.
 
 Conventions (fixed once, used everywhere):
 
@@ -122,6 +124,12 @@ _KRYLOV_VECTORS = 5
 # every size, went 16.2 -> 23.0 ms at n=12, 38.0 -> 38.1 ms at n=13 and
 # 81.7 -> 66.7 ms at n=14 (medians of 20, 2-core x86-64, one BLAS thread).
 _THREAD_ENTRIES = 1 << 14
+
+# Entries a matrix may hold (one per row and X mask) from which a norm whose
+# X masks all have even popcount runs one recurrence per ∏Z sector
+# (:func:`spectral_norm`); below it the two half recurrences cost more than
+# the one. Measured crossover: see CHANGES.md.
+_SECTOR_ENTRIES = 1 << 18
 
 # Relative residual at which the Lanczos norm stops.
 _LANCZOS_TOL = 1e-8
@@ -414,10 +422,10 @@ class PauliSum:
         self._plan = plan
         return plan
 
-    def _matrix_bytes(self, dtype: type = complex) -> int:
-        """Bytes of the CSR matrix at most: per row and X mask a weight and an index, and ``2^n + 1`` row pointers."""
+    def _matrix_bytes(self, dtype: type = complex, parts: int = 1) -> int:
+        """Bytes of the CSR matrix, or its ``parts`` blocks, at most: per row and X mask a weight and an index, and ``2^n + parts`` row pointers."""
         xs = self._layout().xs  # the index type is its dtype
-        return (len(xs) << self.n) * (np.dtype(dtype).itemsize + xs.itemsize) + xs.itemsize * ((1 << self.n) + 1)
+        return (len(xs) << self.n) * (np.dtype(dtype).itemsize + xs.itemsize) + xs.itemsize * ((1 << self.n) + parts)
 
     def _build_scratch_bytes(self) -> int:
         """Bytes :meth:`_build_csr` holds at most besides its matrix: the row blocks and what it makes of them."""
@@ -470,35 +478,51 @@ class PauliSum:
 
         return plan.xs, blocks()
 
-    def _build_csr(self, dtype: type = complex) -> scipy.sparse.csr_matrix:
+    def _build_csr(self, dtype: type = complex, sectors: bool = False):
         """CSR matrix of the nonzero entries of :meth:`_row_blocks`; ``dtype=float`` keeps real parts.
 
         Each block's entries go in row order to arrays sized for every X
         mask, trimmed at the end, unless exactly zero: a ±0 term never
         changes a sum, so a matvec or ``toarray`` gives the same bits as with
-        every mask stored. Raises :class:`DenseLimitError` first if that
-        upper bound, :meth:`_matrix_bytes`, exceeds physical memory.
+        every mask stored. With ``sectors``, for a sum whose X masks all have
+        even popcount, the same pass lays out instead the pair of ∏Z blocks:
+        row ``i`` of Z parity ``p`` goes to block ``p`` at row ``i >> 1``, its
+        entries at columns ``(i ^ x) >> 1`` in the same mask order, so a block
+        row sums with the bits of the whole matrix's row. Raises
+        :class:`DenseLimitError` first if the upper bound,
+        :meth:`_matrix_bytes`, exceeds physical memory.
         """
-        _check_memory(self._matrix_bytes(dtype), "sparse matrix")
+        parts = 1 + sectors
+        _check_memory(self._matrix_bytes(dtype, parts), "sparse matrix")
         xs, blocks = self._row_blocks(dtype)
-        n, dim, masks = self.n, 1 << self.n, len(xs)
-        data, indices = np.empty(masks << n, dtype=dtype), np.empty(masks << n, dtype=xs.dtype)
-        indptr = np.zeros(dim + 1, dtype=xs.dtype)  # entries per row, summed at the end
-        end = 0
+        dim, masks = (1 << self.n) // parts, len(xs)
+        outs = [(np.empty(masks * dim, dtype=dtype), np.empty(masks * dim, dtype=xs.dtype)) for _ in range(parts)]
+        indptrs = [np.zeros(dim + 1, dtype=xs.dtype) for _ in range(parts)]  # entries per row, summed at the end
+        ends = [0] * parts
         for i0, vals in blocks:
-            kept = np.flatnonzero(vals != 0)
-            count, stop = len(vals), end + len(kept)
-            cols = np.arange(i0, i0 + count, dtype=xs.dtype)[:, None] ^ xs
-            # mode="clip" takes straight into ``out``; every index is in range
-            np.take(vals, kept, out=data[end:stop], mode="clip")
-            np.take(cols, kept, out=indices[end:stop], mode="clip")
-            indptr[i0 + 1 : i0 + 1 + count] = np.bincount(kept // masks, minlength=count)
-            end = stop
-            del vals, kept, cols  # before the next block's are made
-        data.resize(end, refcheck=False)
-        indices.resize(end, refcheck=False)
-        np.cumsum(indptr, out=indptr)
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+            r0, count = i0 // parts, len(vals) // parts  # i0 and len(vals) are even with sectors
+            for p, (data, indices) in enumerate(outs):
+                rows = _sector_rows(r0, count, p, xs.dtype) if sectors else np.arange(i0, i0 + count, dtype=xs.dtype)
+                part = np.take(vals, rows - i0, axis=0) if sectors else vals
+                kept = np.flatnonzero(part != 0)
+                stop = ends[p] + len(kept)
+                cols = rows[:, None] ^ xs
+                if sectors:
+                    cols >>= 1
+                # mode="clip" takes straight into ``out``; every index is in range
+                np.take(part, kept, out=data[ends[p] : stop], mode="clip")
+                np.take(cols, kept, out=indices[ends[p] : stop], mode="clip")
+                indptrs[p][r0 + 1 : r0 + 1 + count] = np.bincount(kept // masks, minlength=count)
+                ends[p] = stop
+                del rows, part, kept, cols  # before the next part's are made
+            del vals  # before the next block's are made
+        matrices = []
+        for (data, indices), indptr, end in zip(outs, indptrs, ends):
+            data.resize(end, refcheck=False)
+            indices.resize(end, refcheck=False)
+            np.cumsum(indptr, out=indptr)
+            matrices.append(scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim)))
+        return tuple(matrices) if sectors else matrices[0]
 
     def _operator(self) -> scipy.sparse.csr_matrix:
         """The sum's one matrix for :meth:`apply` and norms, kept once :meth:`_build_csr` builds it."""
@@ -611,19 +635,31 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 def _on_parts(f, *parts: list[np.ndarray]) -> list[np.ndarray]:
     """``f`` of each part of split states (:func:`_split`), in order: ``[f(*a) for a in zip(*parts)]``.
 
-    Two parts of at least ``_THREAD_ENTRIES`` entries run at once, the
-    second on ``_WORKER``, when two CPUs are usable. A part's arithmetic
-    reads nothing of the other's, so the bits are the same either way;
-    ``f`` must hold no state that the two calls share.
+    Two parts of at least ``_THREAD_ENTRIES`` entries run at once
+    (:func:`_at_once`). A part's arithmetic reads nothing of the other's,
+    so the bits are the same either way.
     """
-    if len(parts[0]) == 2 and len(parts[0][1]) >= _THREAD_ENTRIES and _two_cpus():
-        later = _WORKER.submit(f, *(p[1] for p in parts))
-        try:
-            first = f(*(p[0] for p in parts))
-        finally:  # no task outlives the call
-            second = later.result()
-        return [first, second]
+    if len(parts[0]) == 2 and len(parts[0][1]) >= _THREAD_ENTRIES:
+        return _at_once(f, *parts)
     return [f(*a) for a in zip(*parts)]
+
+
+def _at_once(f, *parts: Sequence) -> list:
+    """``[f(*a) for a in zip(*parts)]`` of two parts, the second on ``_WORKER`` when two CPUs are usable.
+
+    ``f`` must hold no state that the two calls share. No task outlives
+    the call, and an error is raised as the serial loop raises it: the
+    first part's, else the second's.
+    """
+    if not _two_cpus():
+        return [f(*a) for a in zip(*parts)]
+    later = _WORKER.submit(f, *(p[1] for p in parts))
+    try:
+        first = f(*(p[0] for p in parts))
+    except BaseException:
+        later.exception()  # waits for the second part, whose error is dropped
+        raise
+    return [first, later.result()]
 
 
 def _two_cpus() -> bool:
@@ -648,6 +684,12 @@ def _make_worker() -> None:
 _make_worker()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_make_worker)
+
+
+def _sector_rows(r0: int, count: int, p: int, dtype: type) -> np.ndarray:
+    """The rows ``i`` of Z parity ``p`` whose ∏Z block rows ``i >> 1`` run from ``r0`` for ``count``: bit 0 completes the parity."""
+    r = np.arange(r0, r0 + count, dtype=dtype)
+    return (r << 1) | ((np.bitwise_count(r) & 1) ^ p)
 
 
 def _parity_signs(idx: np.ndarray, z: int | np.ndarray) -> np.ndarray:
@@ -921,65 +963,108 @@ def spectral_norm(
 ) -> float:
     """Largest singular value, by a three-term Lanczos recurrence on a Hermitian proxy.
 
-    A sum of at most one string has norm |c|, exactly. Any other sum reads
-    its kept matrix ``m`` (:meth:`PauliSum._operator`): for a sum of Z
-    strings the largest |entry| it stores, with no Lanczos run.
-    Otherwise the recurrence (Lanczos, 1950) runs on ``m``, real when
-    :meth:`PauliSum._csr_dtype` is ``float``, from a seeded start vector of
-    its dtype. The proxy is ``m`` for a Hermitian ``h``; for a non-normal one
-    ``m^H m``, ``m^H`` applied as ``m.T`` to the conjugated vector, whose top
-    value is the squared norm; for an anti-Hermitian ``h`` (commutators
-    of Hermitian sums) ``i m``. A real ``m`` is then antisymmetric, and with
-    ``u_k = v_k / i^k`` from a real start every α is 0 and ``u_{k+1} β_k =
-    m u_k + β_{k-1} u_{k-1}``: one real matvec per step on the Krylov space
-    of ``i m`` (Golub & Kahan, 1965). A complex ``m`` gives way to ``i*h``'s.
-    Three vectors and no basis are kept: lost orthogonality only adds copies
-    of converged Ritz values, so the extreme one is safe (Paige, 1980). Every
-    5 steps, when β drops below ``_LANCZOS_BREAKDOWN`` times the largest
-    tridiagonal entry, and at step 2^n (exact), the k×k tridiagonal goes to
-    :func:`_top_ritz`; the loop stops once the Ritz value θ of largest
-    magnitude has |β s| <= ε |θ|, ε = ``_LANCZOS_TOL``, s the last entry of
-    its vector. Inner
-    products are numpy sums (:func:`_vdot`). An α or β that overflows
-    float64 raises ``ValueError`` (CLI exit 2) before its Ritz step,
-    overrunning ``max_iter`` steps :class:`ConvergenceError` (CLI exit 4),
-    and a matrix, its build's scratch while it is not yet built, and vectors
-    that would not fit in physical memory :class:`DenseLimitError` (CLI
-    exit 3) before allocating. ``dense_limit``
-    is not read; ``perfbench/tracing.py`` binds it.
+    A sum of at most one string has norm |c|, exactly. A sum of Z strings
+    reads its kept matrix ``m`` (:meth:`PauliSum._operator`): the largest
+    |entry| it stores, with no Lanczos run. Any other sum runs
+    :func:`_lanczos` on a proxy of ``m``, real when :meth:`PauliSum._csr_dtype`
+    is ``float``, from a seeded start vector of the proxy's dtype. The proxy
+    is ``m`` for a Hermitian ``h``; for a non-normal one ``m^H m``, ``m^H``
+    applied as ``m.T`` to the conjugated vector, whose top value is the
+    squared norm; for an anti-Hermitian ``h`` (commutators of Hermitian sums)
+    ``i m``. A real ``m`` is then antisymmetric, and with ``u_k = v_k / i^k``
+    from a real start every α is 0 and ``u_{k+1} β_k = m u_k + β_{k-1}
+    u_{k-1}``: one real matvec per step on the Krylov space of ``i m`` (Golub
+    & Kahan, 1965). A complex ``m`` multiplies the vector, and the product's
+    parts are swapped with one sign, which rounds nothing; the start vector
+    is real when every entry of ``m`` is imaginary, and so is ``i m v``.
+
+    When every X mask has even popcount, ``m`` commutes with ∏Z and is
+    block-diagonal in its two parity sectors, and from ``_SECTOR_ENTRIES``
+    entries (one per row and X mask) the norm is the larger of two
+    recurrences, one per block of :meth:`PauliSum._build_csr` with
+    ``sectors``, each from the start vector's entries in its sector; the
+    second runs on the worker thread when two CPUs are usable
+    (:func:`_at_once`), else after the first, with the same bits. The pair
+    is made for the norm alone: the sum's kept matrix is neither read nor
+    made. Other sums, and smaller ones, run one recurrence on ``m``.
+
+    A matrix, its build's scratch while it is not yet built (the blocks
+    always are), and Lanczos vectors at ``m``'s dtype that would not fit in
+    physical memory raise :class:`DenseLimitError` (CLI exit 3) before
+    allocating. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds
+    it.
     """
     if len(h) <= 1:
         return max((abs(c) for c in h._c.tolist()), default=0.0)
-    skew = not h.is_hermitian() and (1j * h).is_hermitian()
-    if skew and h._csr_dtype() is complex:
-        h, skew = 1j * h, False
-    dtype, diagonal = h._csr_dtype(), not h._x.any()
+    dtype, diagonal, plan = h._csr_dtype(), not h._x.any(), h._layout()
+    hermitian = h.is_hermitian()
+    skew = not hermitian and bool((np.abs(h._c.real) <= 1e-12).all())  # i h is Hermitian
+    gram = not hermitian and not skew
+    sectors = not diagonal and len(plan.xs) << h.n >= _SECTOR_ENTRIES and not (_popcount(h._x, np.uint8) & 1).any()
     vectors = 0 if diagonal else _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
-    building = h._build_scratch_bytes() if h._matrix is None else 0
-    _check_memory(h._matrix_bytes(dtype) + building + vectors, "diagonal norm" if diagonal else "Lanczos norm")
-    m = h._operator()
+    building = h._build_scratch_bytes() if sectors or h._matrix is None else 0
+    need = h._matrix_bytes(dtype, 1 + sectors) + building + vectors
+    _check_memory(need, "diagonal norm" if diagonal else "Lanczos norm")
     if diagonal:
-        return float(np.abs(m.data).max())
-    gram = not skew and not h.is_hermitian()
+        return float(np.abs(h._operator().data).max())
+    matrices = h._build_csr(dtype, sectors=True) if sectors else (h._operator(),)
     dim = 1 << h.n
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
-    if dtype is complex:
+    if dtype is complex and (not skew or plan.weights.real.any()):
         v = v + 1j * rng.standard_normal(dim)
+    starts = [np.take(v, _sector_rows(0, dim >> 1, p, np.intp)) for p in (0, 1)] if sectors else [v]
+    del v
+
+    def top(m, v) -> float:  # of the proxy of the matrix or block m, from v
+        if gram:  # m^H m u; conj() of a real vector is itself
+            return _lanczos(lambda u: (m.T @ (m @ u).conj()).conj(), v, False, max_iter)
+        if skew and m.dtype == complex:  # i m u, by its real part alone where it is real
+            return _lanczos(lambda u: np.negative((m @ u).imag) if u.dtype == float else _times_i(m @ u), v, False, max_iter)
+        return _lanczos(m.__matmul__, v, skew, max_iter)
+
+    lam = max(_at_once(top, matrices, starts) if sectors else map(top, matrices, starts))
+    return math.sqrt(lam) if gram else lam
+
+
+def _times_i(w: np.ndarray) -> np.ndarray:
+    """``i w`` for a complex ``w``: its parts swapped, the new real part negated, so nothing rounds."""
+    out = np.empty_like(w)
+    out.real, out.imag = -w.imag, w.real
+    return out
+
+
+def _lanczos(mul, v: np.ndarray, antisymmetric: bool, max_iter: int) -> float:
+    """Largest |Ritz value| of the Lanczos recurrence on the Hermitian ``mul`` from the start vector ``v``.
+
+    ``v`` is normalized in place. With ``antisymmetric``, ``mul`` multiplies
+    by a real antisymmetric matrix ``m``, and the recurrence runs on ``i m``
+    in real arithmetic (:func:`spectral_norm`). Three vectors and no basis are kept:
+    lost orthogonality only adds copies of converged Ritz values, so the
+    extreme one is safe (Paige, 1980). Every 5 steps, when β drops below
+    ``_LANCZOS_BREAKDOWN`` times the largest tridiagonal entry (a zero
+    matrix stops at its first step this way, with no division by β = 0),
+    and at step ``len(v)`` (exact), the k×k tridiagonal goes to
+    :func:`_top_ritz`; the loop stops once the Ritz value θ of largest
+    magnitude has |β s| <= ε |θ|, ε = ``_LANCZOS_TOL``, s the last entry of
+    its vector. Inner products are numpy sums (:func:`_vdot`). An α or β
+    that overflows float64 raises ``ValueError`` (CLI exit 2) before its
+    Ritz step, and overrunning ``max_iter`` steps :class:`ConvergenceError`
+    (CLI exit 4).
+    """
     v /= np.sqrt(_vdot(v, v).real)
+    dim = len(v)
     alpha: list[float] = []
     beta: list[float] = []
     scale = 0.0  # largest |alpha|, beta so far: b <= ε * scale bounds the residual
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for k in range(1, max_iter + 1):
-            w = m @ v
-            if gram:
-                w = (m.T @ w.conj()).conj()  # m^H w; conj() of a real vector is itself
-            a = 0.0 if skew else _vdot(v, w).real  # u_k^T m u_k = 0 for antisymmetric m
-            if not skew:
+            w = mul(v)
+            a = 0.0 if antisymmetric else _vdot(v, w).real  # u_k^T m u_k = 0 for antisymmetric m
+            if not antisymmetric:
                 w -= a * v
             if beta:
-                w += (beta[-1] if skew else -beta[-1]) * v_prev
+                w += (beta[-1] if antisymmetric else -beta[-1]) * v_prev
             b = float(np.sqrt(_vdot(w, w).real))
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError(f"Lanczos norm overflowed float64 at step {k} (alpha={a}, beta={b})")
@@ -988,8 +1073,7 @@ def spectral_norm(
             if k % 5 == 0 or k == dim or b <= _LANCZOS_BREAKDOWN * scale:
                 theta, s = _top_ritz(alpha, beta)
                 if k == dim or abs(b * s) <= _LANCZOS_TOL * abs(theta):
-                    lam = abs(theta)
-                    return math.sqrt(lam) if gram else lam
+                    return abs(theta)
             beta.append(b)
             w /= b
             v_prev, v = v, w

@@ -471,7 +471,10 @@ class TestNormKinds:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_complex_skew_sum_runs_on_a_real_proxy(self, n, rng, monkeypatch):
         # imaginary weights on strings with an even Y count: a complex
-        # matrix, whose proxy i*h has a real symmetric one
+        # matrix m of imaginary entries, whose proxy i m is real symmetric.
+        # The recurrence multiplies the sum's own kept matrix and keeps the
+        # negated imaginary part, in real arithmetic: a second norm builds
+        # nothing, and no matrix of i*h is ever built.
         h = 1j * _real_sum(rng, n, 8, symmetric=True)
         assert h._csr_dtype() is complex and (1j * h)._csr_dtype() is float
         builds = []
@@ -482,9 +485,28 @@ class TestNormKinds:
             return build_csr(self, dtype)
 
         monkeypatch.setattr(PauliSum, "_build_csr", counted)
+        asked = []
+        check = pauli._check_memory
+        monkeypatch.setattr(pauli, "_check_memory", lambda need, what: asked.append((need, what)) or check(need, what))
+        spectral_norm(PauliSum.from_pattern("XZ", 1j) + PauliSum.from_pattern("ZX", 1j))  # one-time caches
+        builds.clear()
         ref = float(np.linalg.norm(dense_oracle(h), 2))
-        assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
-        assert builds == [float]
+        asked.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert spectral_norm(h) == spectral_norm(h)
+        assert builds == [complex] and h._matrix.dtype == complex
+        # the guard counts the complex matrix it multiplies, its build and
+        # complex vectors: m v is complex before its real part is kept
+        need, what = asked[0]
+        assert what == "Lanczos norm"
+        assert need == h._matrix_bytes(complex) + h._build_scratch_bytes() + 5 * (16 << n)
+        assert peak <= need
 
     def test_real_non_normal_two_by_two(self):
         h = PauliSum.from_pattern("X") + PauliSum.from_pattern("Y", 1j)
@@ -630,16 +652,23 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("sectors", [False, True])
+    @pytest.mark.parametrize("commuted", [False, True])
     @pytest.mark.parametrize("n", [10, 12, 14])
-    def test_first_norm_counts_the_build(self, n, monkeypatch):
+    def test_first_norm_counts_the_build(self, n, commuted, sectors, monkeypatch):
         # A norm whose matrix is not yet built counts the build's scratch
         # beside the matrix and the Krylov vectors: the Heisenberg chain's
         # first norm traced 0.40 MB against 0.16 MB counted at n=10 without it.
+        # Split by ∏Z sector, the same count bounds the build of both blocks
+        # and their two recurrences at once, with their Ritz steps, for the
+        # chain (real symmetric) and its DA Trotter commutator (antisymmetric).
         asked = []
         check = pauli._check_memory
         monkeypatch.setattr(pauli, "_check_memory", lambda need, what: asked.append((need, what)) or check(need, what))
+        monkeypatch.setattr(pauli, "_SECTOR_ENTRIES", 0 if sectors else 1 << 63)
+        monkeypatch.setattr(pauli, "_two_cpus", lambda: True)
         spectral_norm(_heis_layer(4, 0) + _heis_layer(4, 1))  # numpy's and scipy's one-time caches
-        h = build_canonical(HamiltonianKind.H_HEIS, Lattice.chain(n))
+        h = heisenberg_da_commutator_sum(n, 1.0) if commuted else build_canonical(HamiltonianKind.H_HEIS, Lattice.chain(n))
         asked.clear()
         tracemalloc.start()
         try:

@@ -1,5 +1,7 @@
 """Property tests of the numerical backends against the dense oracle, of
-the Lanczos Ritz step against scipy's tridiagonal solver, of the
+the Lanczos Ritz step against scipy's tridiagonal solver, of the norm
+split into the two ∏Z sectors against the dense oracle and the unsplit
+norm, of the
 vectorized pair kernel, its pieces (phase rule, popcount, pruning, pair
 selection) and the array algebra against the reference loops and their
 letter-table phase rule, ``int.bit_count`` and ``np.hypot``, of the row-block CSR build against the column-by-column
@@ -11,9 +13,12 @@ share one X mask (at most one entry per row of the CSR matrix); the pool always 
 ``x = 0``, and an identity term is optional.
 """
 
+import contextlib
 import json
 import operator
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -201,6 +206,147 @@ def test_commutator_norm_matrix_free_matches_dense(c):
 def test_complex_sum_norm_matrix_free_matches_dense(h):
     # general complex weights: the h^dagger h proxy unless h is (anti-)Hermitian
     _assert_norms_agree(h)
+
+
+@st.composite
+def even_x_sums(draw, kind):
+    """Sums on 2 to 8 sites whose X masks all have even popcount, so they commute with ∏Z, by proxy kind.
+
+    ``antisymmetric``: imaginary weights on strings with an odd Y count (a
+    real antisymmetric matrix); ``hermitian``: real weights (a complex
+    Hermitian matrix wherever a Y count is odd); ``skew``: imaginary weights
+    (the ``i m`` proxy of a complex matrix); ``nonnormal``: complex weights
+    (the ``m^H m`` proxy). The pool offers ``x = 0`` except for
+    antisymmetric sums, whose strings each need a Y.
+    """
+    n = draw(st.integers(2, 8))
+    masks = st.integers(0, (1 << n) - 1)
+    evens = masks.map(lambda x: x ^ (x.bit_count() & 1)).filter(bool)  # bit 0 evens an odd popcount
+    x_pool = draw(st.lists(evens, min_size=1, max_size=3)) + ([] if kind == "antisymmetric" else [0])
+    rows = []
+    for _ in range(draw(st.integers(2, 8))):
+        x, z, r = draw(st.sampled_from(x_pool)), draw(masks), draw(_COEFFS)
+        if kind == "antisymmetric" and (x & z).bit_count() % 2 == 0:
+            z ^= x & -x  # one Y more or less: an odd count
+        c = complex(r, draw(_COEFFS)) if kind == "nonnormal" else r * (1j if kind in ("antisymmetric", "skew") else 1.0)
+        rows.append(Term(n, x, z, c))
+    return reference_from_terms(n, rows)
+
+
+_PROXY_KINDS = ["antisymmetric", "hermitian", "skew", "nonnormal"]
+_EVEN_X_SUMS = st.sampled_from(_PROXY_KINDS).flatmap(even_x_sums)
+
+
+@contextlib.contextmanager
+def _sectors(on, two_cpus=True):
+    """Norms of sums whose X masks are all even split by ∏Z sector at every size (``on``) or never;
+    the second sector's recurrence goes to a worker of the caller's when ``two_cpus``. Yields the worker's tasks."""
+    tasks = []
+    with ThreadPoolExecutor(max_workers=1) as worker, pytest.MonkeyPatch.context() as mp:
+        submit = worker.submit
+
+        def counted_submit(*args):
+            tasks.append(args[0])
+            return submit(*args)
+
+        worker.submit = counted_submit
+        mp.setattr(pauli, "_SECTOR_ENTRIES", 0 if on else 1 << 63)
+        mp.setattr(pauli, "_WORKER", worker)
+        mp.setattr(pauli, "_two_cpus", lambda: two_cpus)
+        yield tasks
+
+
+def _fresh(h):
+    """``h`` with no kept plan or matrix."""
+    return pauli._from_sorted(h.n, h._x, h._z, h._c)
+
+
+def _norm_bits(h, on, two_cpus=True):
+    """The norm's hex with the sector split ``on`` or off, and whether a recurrence ran on the worker."""
+    with _sectors(on, two_cpus) as tasks:
+        return float(spectral_norm(_fresh(h))).hex(), bool(tasks)
+
+
+def _splits(h):
+    """Whether a norm with the gate at 0 runs the two sector recurrences: two or more strings, an X mask."""
+    return len(h) > 1 and bool(h._x.any())
+
+
+@given(_EVEN_X_SUMS)
+def test_sector_norms_match_dense(h):
+    # split or not, each proxy's norm meets the dense oracle's tolerances
+    for on in (False, True):
+        with _sectors(on):
+            _assert_norms_agree(_fresh(h))
+
+
+@given(_EVEN_X_SUMS)
+def test_sector_norms_have_the_same_bits_on_one_cpu_or_two(h):
+    # the two recurrences read nothing of each other: at once on two
+    # threads, or one after the other, they give the same bits
+    for on in (False, True):
+        (serial, none), (overlapped, some) = _norm_bits(h, on, False), _norm_bits(h, on, True)
+        assert not none and some == (on and _splits(h))
+        assert overlapped == serial
+
+
+@given(pauli_sums(min_n=2), st.integers(1, 63))
+def test_odd_x_mask_norms_keep_their_bits(h, x):
+    # one X mask of odd popcount: the matrix mixes the sectors, so the gate
+    # changes nothing and the norm keeps the unsplit bits
+    x %= 1 << h.n
+    x ^= (x.bit_count() + 1) & 1  # bit 0 makes an even popcount odd
+    h = h + PauliSum(h.n, {(x, 0): 0.5})
+    assert (pauli._popcount(h._x) & 1).any()
+    (full, none), (gated, some) = _norm_bits(h, False), _norm_bits(h, True)
+    assert not none and not some
+    assert gated == full
+
+
+@given(_EVEN_X_SUMS.filter(_splits), st.integers(0, 2**16 - 1))
+def test_sector_recurrences_start_from_the_seeded_vectors_entries(h, seed):
+    # each sector's recurrence starts from the seeded start vector's
+    # entries of Z parity p, in index order, as a plain mask picks them; the
+    # vector is real where the proxy's matrix is (i m for an anti-Hermitian
+    # sum whose matrix m is imaginary)
+    skew = not h.is_hermitian() and (1j * h).is_hermitian()
+    real = h._csr_dtype() is float or (skew and (1j * h)._csr_dtype() is float)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(1 << h.n)
+    if not real:
+        v = v + 1j * rng.standard_normal(1 << h.n)
+    parity = np.bitwise_count(np.arange(1 << h.n)) % 2
+    starts = []
+    with _sectors(True, two_cpus=False), mock.patch.object(pauli, "_lanczos", lambda mul, u, *a: starts.append(u) or 1.0):
+        spectral_norm(_fresh(h), seed=seed)
+    assert [u.tobytes() for u in starts] == [v[parity == p].tobytes() for p in (0, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize(
+    "kind, factor, norm",
+    [
+        ("symmetric", 1.0, 2.0),
+        ("antisymmetric", 1j, 2.0),
+        ("complex hermitian", 1.0, 2.0),
+        ("skew", 1j, 2.0),
+        ("nonnormal", 1 + 1j, 2.0 * 2**0.5),
+    ],
+)
+def test_sum_zero_on_one_sector(n, kind, factor, norm):
+    # P + ∏Z P, for P = X0X1 (X0Y1 for the antisymmetric and complex
+    # Hermitian kinds), is 2P on the even sector and 0 on the odd one: the
+    # odd block stores no entry, its recurrence stops at its first β = 0
+    # with no division (a warning is an error), and the norm is the even one's
+    p = PauliSum.from_pattern(("XX" if kind in ("symmetric", "skew", "nonnormal") else "XY") + "I" * (n - 2))
+    h = factor * (p + PauliSum.from_pattern("Z" * n) @ p)
+    even, odd = _fresh(h)._build_csr(h._csr_dtype(), sectors=True)
+    assert odd.nnz == 0 and even.nnz == 1 << (n - 1)
+    for on in (False, True):
+        with _sectors(on) as tasks, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_norm(_fresh(h)) == pytest.approx(norm, rel=1e-15)
+        assert bool(tasks) == on
 
 
 def _lanczos_ghosts(rng, k):
@@ -648,18 +794,21 @@ def test_multi_block_product_equals_reference_loop(n):
 
 
 @st.composite
-def csr_sums(draw, max_n=14, diagonal=False):
-    """Sums on 1 to ``max_n`` sites over a pool of one to three X masks, or of Z strings alone.
+def csr_sums(draw, max_n=14, diagonal=False, min_n=1, even=False):
+    """Sums on ``min_n`` to ``max_n`` sites over a pool of one to three X masks, or of Z strings alone.
 
     Weights carry signed zeros and cancel; in about half the sums every
     matrix weight ``c (-i)^|x&z|`` is real, and the others may have a few
     such weights real. About half the strings come with a partner on the
     same X mask whose matrix weight is the same up to sign: the pair sums
-    to an exact zero in half the rows.
+    to an exact zero in half the rows. With ``even``, every X mask has even
+    popcount, and the matrix commutes with ∏Z.
     """
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     masks = st.integers(0, (1 << n) - 1)
     x_pool = [0] if diagonal else draw(st.lists(masks, min_size=1, max_size=3))
+    if even:  # every X mask of even popcount: bit 0 evens an odd one
+        x_pool = [x ^ (x.bit_count() & 1) for x in x_pool]
     parts = _COEFFS | _EDGE_COEFFS
     real = draw(st.booleans())
     rows = []
@@ -705,12 +854,12 @@ def _assert_same_products(got, full):
         assert (got.T @ v).tobytes() == (full.T @ v).tobytes()
 
 
-def _block_builds(h, dtype=complex):
-    """``h._build_csr(dtype)`` with blocks of one, of a few and of the default entries,
+def _block_builds(h, dtype=complex, sectors=False):
+    """``h._build_csr(dtype, sectors)`` with blocks of one, of a few and of the default entries,
     each on a copy of ``h`` that makes its own plan at that block size."""
     for entries in (1, 24, pauli._BLOCK_ENTRIES):
         with mock.patch.object(pauli, "_BLOCK_ENTRIES", entries):
-            yield pauli._from_sorted(h.n, h._x, h._z, h._c)._build_csr(dtype)
+            yield _fresh(h)._build_csr(dtype, sectors)
 
 
 @given(csr_sums())
@@ -731,6 +880,28 @@ def test_row_block_build_equals_reference(h):
             _assert_same_csr(got, _without_zeros(real_full))
             assert got.nnz == np.count_nonzero(real_full.data)
             _assert_same_products(got, real_full)
+
+
+@given(csr_sums(min_n=2, even=True))
+def test_sector_blocks_equal_the_reference_rows(h):
+    # Block p holds the rows i of Z parity p at rows i >> 1: each row's
+    # entries as the whole matrix stores them, in the same order, at
+    # columns (i ^ x) >> 1, so each block row's matvec has the whole row's bits
+    full, rows, v = reference_csr(h), np.arange(1 << h.n), _state(h.n, h.n)
+    for dtype in (complex, float) if h._csr_dtype() is float else (complex,):
+        want = full.copy()
+        if dtype is float:
+            want.data = full.data.real.copy()
+        want = _without_zeros(want)
+        for blocks in _block_builds(h, dtype, sectors=True):
+            for p, got in enumerate(blocks):
+                picked = rows[np.bitwise_count(rows) % 2 == p]
+                assert np.array_equal(picked >> 1, np.arange(1 << (h.n - 1)))
+                at = np.concatenate([np.arange(want.indptr[i], want.indptr[i + 1]) for i in picked])
+                indptr = np.concatenate(([0], np.cumsum(np.diff(want.indptr)[picked]))).astype(want.indptr.dtype)
+                rows_of_p = scipy.sparse.csr_matrix((want.data[at], want.indices[at] >> 1, indptr), shape=got.shape)
+                _assert_same_csr(got, rows_of_p)
+                assert (got @ v[picked]).tobytes() == (want @ v)[picked].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 13, 14])
