@@ -478,7 +478,9 @@ class PauliSum:
 
         return plan.xs, blocks()
 
-    def _build_csr(self, dtype: type = complex, sectors: bool = False):
+    def _build_csr(
+        self, dtype: type = complex, sectors: bool = False
+    ) -> scipy.sparse.csr_matrix | tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
         """CSR matrix of the nonzero entries of :meth:`_row_blocks`; ``dtype=float`` keeps real parts.
 
         Each block's entries go in row order to arrays sized for every X

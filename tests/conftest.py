@@ -34,6 +34,7 @@ golden-corpus harness runs every recorded CLI command under two process
 configurations, whose outputs must agree byte for byte.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -42,6 +43,7 @@ import struct
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -316,6 +318,30 @@ def reference_pair_products(a, b, anticommuting_only: bool) -> dict:
                 continue
             acc[(x, z)] = acc.get((x, z), 0.0) + c1 * c2 * I_POWERS[e]
     return acc
+
+
+@contextlib.contextmanager
+def worker_tasks(gate, on, two_cpus=True):
+    """``crda.pauli``'s entry gate ``gate`` at 0 (``on``: work splits at every
+    size) or at 2^63 (never), ``_two_cpus`` reading ``two_cpus``, and
+    ``_WORKER`` a worker thread of the caller's; yields the list of the
+    worker's tasks. With ``two_cpus`` the second half runs on that thread
+    whatever the host's CPUs, else after the first."""
+    from crda import pauli
+
+    tasks = []
+    with ThreadPoolExecutor(max_workers=1) as worker, pytest.MonkeyPatch.context() as mp:
+        submit = worker.submit
+
+        def counted_submit(*args):
+            tasks.append(args[0])
+            return submit(*args)
+
+        worker.submit = counted_submit
+        mp.setattr(pauli, gate, 0 if on else 1 << 63)
+        mp.setattr(pauli, "_WORKER", worker)
+        mp.setattr(pauli, "_two_cpus", lambda: two_cpus)
+        yield tasks
 
 
 def reference_product(a, b):

@@ -1,6 +1,5 @@
 """Property tests of schedule simulation and Magnus propagation against dense oracles."""
 
-import contextlib
 import math
 import os
 import subprocess
@@ -14,7 +13,7 @@ import scipy.linalg
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_oracle, layer_oracle, reference_chebyshev, sinusoid_product
+from conftest import dense_oracle, layer_oracle, reference_chebyshev, sinusoid_product, worker_tasks
 from crda import compiler, frames, pauli
 from crda.compiler import (
     AnalogSegment,
@@ -320,24 +319,11 @@ def test_simulation_guard_counts_the_first_matrix_build(monkeypatch):
     assert peak <= counted[0]
 
 
-@contextlib.contextmanager
 def _overlap(on):
     """Split states' parts run at once, on a worker thread of the caller's
     whatever the host's CPUs, or one after the other; yields the list of
     the worker's tasks."""
-    tasks = []
-    with ThreadPoolExecutor(max_workers=1) as worker, pytest.MonkeyPatch.context() as mp:
-        submit = worker.submit
-
-        def counted_submit(*args):
-            tasks.append(args[0])
-            return submit(*args)
-
-        worker.submit = counted_submit
-        mp.setattr(pauli, "_THREAD_ENTRIES", 0 if on else 1 << 63)
-        mp.setattr(pauli, "_WORKER", worker)
-        mp.setattr(pauli, "_two_cpus", lambda: True)
-        yield tasks
+    return worker_tasks("_THREAD_ENTRIES", on)
 
 
 @st.composite

@@ -13,12 +13,10 @@ share one X mask (at most one entry per row of the CSR matrix); the pool always 
 ``x = 0``, and an identity term is optional.
 """
 
-import contextlib
 import json
 import operator
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -48,6 +46,7 @@ from conftest import (
     reference_toggle,
     term_bits,
     terms,
+    worker_tasks,
 )
 from crda import pauli
 from crda.frames import GateLayer, GateLayerKind, toggle
@@ -237,23 +236,10 @@ _PROXY_KINDS = ["antisymmetric", "hermitian", "skew", "nonnormal"]
 _EVEN_X_SUMS = st.sampled_from(_PROXY_KINDS).flatmap(even_x_sums)
 
 
-@contextlib.contextmanager
 def _sectors(on, two_cpus=True):
     """Norms of sums whose X masks are all even split by ∏Z sector at every size (``on``) or never;
-    the second sector's recurrence goes to a worker of the caller's when ``two_cpus``. Yields the worker's tasks."""
-    tasks = []
-    with ThreadPoolExecutor(max_workers=1) as worker, pytest.MonkeyPatch.context() as mp:
-        submit = worker.submit
-
-        def counted_submit(*args):
-            tasks.append(args[0])
-            return submit(*args)
-
-        worker.submit = counted_submit
-        mp.setattr(pauli, "_SECTOR_ENTRIES", 0 if on else 1 << 63)
-        mp.setattr(pauli, "_WORKER", worker)
-        mp.setattr(pauli, "_two_cpus", lambda: two_cpus)
-        yield tasks
+    the second sector's recurrence on a worker of the caller's when ``two_cpus``. Yields the worker's tasks."""
+    return worker_tasks("_SECTOR_ENTRIES", on, two_cpus)
 
 
 def _fresh(h):
