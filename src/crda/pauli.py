@@ -127,8 +127,14 @@ _THREAD_ENTRIES = 1 << 14
 
 # Entries a matrix may hold (one per row and X mask) from which a norm whose
 # X masks all have even popcount runs one recurrence per ∏Z sector
-# (:func:`spectral_norm`); below it the two half recurrences cost more than
-# the one. Measured crossover: see CHANGES.md.
+# (:func:`spectral_norm`); below it two half recurrences cost more than one.
+# Whole norms with their build, one recurrence -> two (medians of 15, 2-core
+# x86-64, one BLAS thread): heis_da 13.1 -> 14.3 ms at n=12 (86,016 entries),
+# 23.4 -> 21.1 ms at n=13 (188,416), 39.0 -> 33.1 ms at n=14 (409,600);
+# heis_digital 6.8 -> 8.0 ms at n=13 (188,416), 13.0 -> 12.3 ms at n=14;
+# xy2d_digital 5.4 -> 6.3 ms at 3x4 (172,032), 46.8 -> 34.9 ms at 3x5
+# (1,966,080); xy2d_da 2.7 -> 4.5 ms at 2x6 (49,152), 31.1 -> 25.6 ms at 4x4
+# (1,048,576).
 _SECTOR_ENTRIES = 1 << 18
 
 # Relative residual at which the Lanczos norm stops.
@@ -498,12 +504,15 @@ class PauliSum:
         _check_memory(self._matrix_bytes(dtype, parts), "sparse matrix")
         xs, blocks = self._row_blocks(dtype)
         dim, masks = (1 << self.n) // parts, len(xs)
-        outs = [(np.empty(masks * dim, dtype=dtype), np.empty(masks * dim, dtype=xs.dtype)) for _ in range(parts)]
-        indptrs = [np.zeros(dim + 1, dtype=xs.dtype) for _ in range(parts)]  # entries per row, summed at the end
+        # per part its data, its indices and its entries per row, summed at the end
+        outs = [
+            (np.empty(masks * dim, dtype=dtype), np.empty(masks * dim, dtype=xs.dtype), np.zeros(dim + 1, dtype=xs.dtype))
+            for _ in range(parts)
+        ]
         ends = [0] * parts
         for i0, vals in blocks:
             r0, count = i0 // parts, len(vals) // parts  # i0 and len(vals) are even with sectors
-            for p, (data, indices) in enumerate(outs):
+            for p, (data, indices, indptr) in enumerate(outs):
                 rows = _sector_rows(r0, count, p, xs.dtype) if sectors else np.arange(i0, i0 + count, dtype=xs.dtype)
                 part = np.take(vals, rows - i0, axis=0) if sectors else vals
                 kept = np.flatnonzero(part != 0)
@@ -514,12 +523,12 @@ class PauliSum:
                 # mode="clip" takes straight into ``out``; every index is in range
                 np.take(part, kept, out=data[ends[p] : stop], mode="clip")
                 np.take(cols, kept, out=indices[ends[p] : stop], mode="clip")
-                indptrs[p][r0 + 1 : r0 + 1 + count] = np.bincount(kept // masks, minlength=count)
+                indptr[r0 + 1 : r0 + 1 + count] = np.bincount(kept // masks, minlength=count)
                 ends[p] = stop
                 del rows, part, kept, cols  # before the next part's are made
             del vals  # before the next block's are made
         matrices = []
-        for (data, indices), indptr, end in zip(outs, indptrs, ends):
+        for (data, indices, indptr), end in zip(outs, ends):
             data.resize(end, refcheck=False)
             indices.resize(end, refcheck=False)
             np.cumsum(indptr, out=indptr)
