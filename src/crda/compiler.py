@@ -521,7 +521,7 @@ def simulate(
     :class:`~crda.pauli.DenseLimitError` above ``DEFAULT_DENSE_LIMIT``
     qubits. Equal ``(duration, analog)`` segments share one operator.
     Raises :class:`~crda.pauli.DenseLimitError` before allocating when the
-    state, matrices and workspace would not fit in physical memory.
+    state, matrices and workspace would not fit in usable memory.
     ``dense_limit`` is not read; ``perfbench/tracing.py`` binds it.
     """
     n = schedule.n

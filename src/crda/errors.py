@@ -59,7 +59,6 @@ __all__ = [
     "unit_cell_report",
     "bound_table",
     "xy2d_digital_hamiltonians",
-    "heisenberg_da_commutator_sum",
 ]
 
 PASS_SLACK = 1e-9
@@ -163,18 +162,16 @@ def synthesis_norm_formula(
 
 
 def _synthesis_exact_form(model: str, g: float, n: int, dt: float, r: float) -> float:
-    """Time-resolved closed form including the drive-ratio rows."""
+    """Time-resolved closed form including the drive-ratio rows, of ``model`` ``"control"`` or ``"xy"``."""
     if model == "control":
         inner = 2.0 + r * r
-    elif model == "xy":
+    else:
         inner = (
             4.0
             + 2.0 * math.cos(dt) ** 2
             + 4.0 * r * math.sin(dt) * math.sin(2.0 * dt)
             + 2.0 * r * r
         )
-    else:
-        raise ValueError(model)
     return 0.25 * g * math.sqrt((n - 1) * inner)
 
 
@@ -369,11 +366,6 @@ def _split_commutator(parts: Sequence[PauliSum]) -> PauliSum:
     """
     pairs = [commutator(pb, pa) for b, pb in enumerate(parts) for pa in parts[:b]]
     return sum(pairs[1:], pairs[0])
-
-
-def heisenberg_da_commutator_sum(n: int, j: float) -> PauliSum:
-    """Leading Trotter commutator of the Heisenberg DA block on an open n-site chain."""
-    return _split_commutator(_SPLITS["heis_da"][2](Lattice.chain(n), j))
 
 
 def _commutator_bound(model: str, sites: int, j: float) -> float:

@@ -8,8 +8,8 @@ The family tree, in physics terms:
   generalized-Rabi rotation) the chain reduces, to first order in
   Omega/delta and after a rotating-wave approximation, to the purely
   two-local cross-resonance chain H = J * sum_k x_k z_{k+1}. The lattice
-  kinds and the device chain (:func:`build_qf_effective`) alike take
-  their cross-resonance bonds from the one ``_PHASE_CHAINS`` row rule.
+  kinds (one bond walk) and the device chain (:func:`build_qf_effective`)
+  alike read their letters and signs from the one ``_PHASE_CHAINS`` table.
 * Single-qubit gate layers toggle that chain into xx/zz, xx/yy, zz/yy
   sublattice forms, whose sums realize Ising (zz), XY (xx + yy) and
   Heisenberg (xx + yy + zz) target models.
@@ -207,15 +207,6 @@ class TimeDependentHamiltonian:
 BondEntries = tuple[tuple[str, str, float], ...]
 
 
-def _check_rows(n: int, rows: int, what: str) -> None:
-    """Refuse, before building, ``rows`` strings on ``n`` sites.
-
-    A row holds two n-bit Python-int masks and then two rows of
-    ``ceil(n / 64)`` mask words: 32 bytes per word of a mask, counted once.
-    """
-    _check_memory(32 * -(-n // 64) * rows, what)
-
-
 def _row(coeff: float, *letters: tuple[int, str]) -> tuple[int, int, float]:
     """``(x, z, coeff)`` mask row of the string with each letter on its 0-based site."""
     return (*_masks(letters), coeff)
@@ -235,18 +226,21 @@ def _bond_family(
     periodic boundary only on even extents, so a periodic lattice needs
     them when the odd and even entries differ. ``bonds`` defaults to every
     bond of ``lat``, at most ``lat.dim`` a site, whose masks are refused
-    for memory (:class:`~crda.pauli.DenseLimitError`) before any is built.
+    for memory (:class:`~crda.pauli.DenseLimitError`) before any is built:
+    a row holds two n-bit Python-int masks and then two rows of ``ceil(n /
+    64)`` mask words, 32 bytes per word of a mask, counted once.
     """
+    n = lat.n_sites
     if lat.periodic and odd != even:
         lat.require_even_extents()
     if bonds is None:
-        _check_rows(lat.n_sites, lat.n_sites * lat.dim * max(len(odd), len(even)), "bond family")
+        _check_memory(32 * -(-n // 64) * n * lat.dim * max(len(odd), len(even)), "bond family")
     rows = [
         _row(j * w, (s, l1), (t, l2))
         for s, t, is_odd in (lat.bonds() if bonds is None else bonds)
         for l1, l2, w in (odd if is_odd else even)
     ]
-    return _from_rows(lat.n_sites, rows)
+    return _from_rows(n, rows)
 
 
 # Drive-phase-sensitive chains J * sum x_k (a cos(phi) + s sin(phi) y)_{k+1}:
@@ -333,12 +327,13 @@ def build_canonical(
 ) -> PauliSum:
     """Construct a time-independent family member on the given lattice.
 
-    The kind is looked up in the two kind tables: phase-sensitive chains
-    and phase-free bond families. ``phi`` enters only the
-    drive-phase-sensitive forms (the control chain and the
-    single-sublattice cross-resonance chains), which refuse a non-finite
-    one; everything else fixes phi = 0. Strings whose masks would not fit
-    in memory raise :class:`~crda.pauli.DenseLimitError` before any is built.
+    Every kind is one bond walk (:func:`_bond_family`): a phase-free family
+    lays its ``_BONDS`` entries, and a drive-phase-sensitive chain (the
+    control chain and the single-sublattice cross-resonance chains, in
+    ``_PHASE_CHAINS``) lays ``("X", a, cos phi)`` and ``("X", "Y", s sin
+    phi)`` on its marked bonds and refuses a non-finite ``phi``; everything
+    else fixes phi = 0. Strings whose masks would not fit in memory raise
+    :class:`~crda.pauli.DenseLimitError` before any is built.
     """
     if kind not in _PHASE_CHAINS and kind not in _BONDS:
         raise ValueError(f"{kind} is not a time-independent family member")
@@ -348,12 +343,9 @@ def build_canonical(
     if kind in _PHASE_CHAINS:
         if not math.isfinite(phi):
             raise ValueError(f"phi must be finite (got {phi})")
-        _, _, on_odd, on_even = _PHASE_CHAINS[kind]
-        if lat.periodic and on_odd != on_even:
-            lat.require_even_extents()
-        _check_rows(lat.n_sites, lat.n_sites * 2, "cross-resonance chain")  # two strings a bond
-        bonds = [(s, t, j, phi) for s, t, odd in lat.bonds() if (on_odd if odd else on_even)]
-        return _phase_rows(kind, bonds, lat.n_sites)
+        letter, sign, on_odd, on_even = _PHASE_CHAINS[kind]
+        bond = (("X", letter, math.cos(phi)), ("X", "Y", sign * math.sin(phi)))
+        entries = (bond if on_odd else (), bond if on_even else ())
     return _bond_family(lat, *entries, j)
 
 

@@ -68,7 +68,9 @@ import itertools
 import math
 import operator
 import os
+import resource
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -163,13 +165,36 @@ def _check_dense(n: int, what: str) -> None:
 
 
 def _check_memory(need: int, what: str) -> None:
-    """Refuse, before allocating, to hold ``need`` bytes."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    """Refuse, before allocating, to hold ``need`` bytes, more than usable memory.
+
+    Usable memory is the least of physical memory, the soft address-space
+    limit and the ``memory.max`` of the process's cgroup
+    (:func:`_cgroup_memory`), each where it exists; a refusal names it.
+    """
+    limits = {"physical memory": os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")}
+    if (soft := resource.getrlimit(resource.RLIMIT_AS)[0]) != resource.RLIM_INFINITY:
+        limits["the address-space limit"] = soft
+    if (cgroup := _cgroup_memory()) is not None:
+        limits["the cgroup memory limit"] = cgroup
+    name, have = min(limits.items(), key=lambda item: item[1])
     if need > have:
-        raise DenseLimitError(
-            f"{what} needs about {need / 2**30:.3g} GiB; "
-            f"physical memory is {have / 2**30:.3g} GiB"
-        )
+        raise DenseLimitError(f"{what} needs about {need / 2**30:.3g} GiB; {name} is {have / 2**30:.3g} GiB")
+
+
+# Where the process's cgroup (v2) is named, and the root its path is under.
+_CGROUP_FILES = (Path("/proc/self/cgroup"), Path("/sys/fs/cgroup"))
+
+
+@functools.cache
+def _cgroup_memory() -> int | None:
+    """The process's cgroup (v2) ``memory.max`` in bytes, read once; None where it has none, or it reads ``max``."""
+    own, root = _CGROUP_FILES
+    try:
+        path = next(line[3:] for line in own.read_text().splitlines() if line.startswith("0::"))
+        limit = (root / path.lstrip("/") / "memory.max").read_text().strip()
+    except (OSError, StopIteration):
+        return None
+    return int(limit) if limit.isdigit() else None
 
 
 def _index_dtype(entries: int) -> type:
@@ -177,14 +202,14 @@ def _index_dtype(entries: int) -> type:
     return np.int32 if entries < 2**31 else np.int64
 
 
-def _popcount(words: np.ndarray, dtype: type = np.int64) -> np.ndarray:
-    """Set bits of each row of ``(..., W)`` mask words, as int64 or, mod 256, as uint8.
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of ``(..., W)`` mask words, as int64.
 
-    The uint8 word counts are added one word at a time onto the total,
-    which a reduction over the short last axis does several times slower.
+    The word counts are added one word at a time onto the total, which a
+    reduction over the short last axis does several times slower.
     """
     counts = np.bitwise_count(words)
-    total = counts[..., 0].astype(dtype, copy=False)
+    total = counts[..., 0].astype(np.int64)
     for k in range(1, counts.shape[-1]):
         total += counts[..., k]
     return total
@@ -205,18 +230,16 @@ def _pattern(n: int, x: int, z: int) -> str:
     return "".join(_LETTER_OF[(x >> k) & 1, (z >> k) & 1] for k in range(n))
 
 
-def _product_phase_exp(x1, z1, x2, z2, ys=None, product=None):
+def _product_phase_exp(z1, x2, ys, product):
     """Power of i picked up when composing two symplectic-encoded strings: the one phase rule.
 
-    On ``(pairs, W)`` mask-word arrays, one exponent per pair, in uint8
-    arithmetic, whose wrap mod 256 keeps every value mod 4. ``ys`` gives the
-    Y counts ``_popcount(x & z)`` and ``product`` the words ``(x1 ^ x2, z1 ^
-    z2)`` where the caller has them.
+    On ``(pairs, W)`` mask-word arrays, one int64 exponent per pair, from the
+    first string's z words, the second's x words, the two strings' Y counts
+    ``ys`` (``_popcount(x & z)`` of each) and the ``product`` words ``(x1 ^
+    x2, z1 ^ z2)``.
     """
-    y1, y2 = (_popcount(x1 & z1, np.uint8), _popcount(x2 & z2, np.uint8)) if ys is None else ys
-    x, z = (x1 ^ x2, z1 ^ z2) if product is None else product
-    exp = y1 + y2 + 2 * _popcount(z1 & x2, np.uint8) - _popcount(x & z, np.uint8)
-    return exp & 3
+    (y1, y2), (x, z) = ys, product
+    return (y1 + y2 + 2 * _popcount(z1 & x2) - _popcount(x & z)) & 3
 
 
 def _clash_parity(x1, z1, x2, z2):
@@ -275,14 +298,6 @@ class PauliSum:
     # ------------------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "PauliSum":
-        return cls(n, {})
-
-    @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n, {(0, 0): complex(coeff)})
-
-    @classmethod
     def from_pattern(cls, pattern: str, coeff: complex = 1.0) -> "PauliSum":
         """One string, the letters of ``pattern`` with site 0 leftmost."""
         return cls(len(pattern), {_masks(enumerate(pattern)): coeff})
@@ -304,12 +319,6 @@ class PauliSum:
     def _keyed(self) -> Iterator[tuple[int, int, complex]]:
         """``(x, z, c)`` per string, as Python ints and complex, in key order."""
         return zip(_mask_ints(self._x), _mask_ints(self._z), self._c.tolist())
-
-    def coefficient(self, pattern: str) -> complex:
-        key = _masks(enumerate(pattern))
-        if len(pattern) != self.n:
-            raise ValueError("pattern length mismatch")
-        return next((c for x, z, c in self._keyed() if (x, z) == key), 0.0 + 0j)
 
     def num_terms(self) -> int:
         return len(self._c)
@@ -498,7 +507,7 @@ class PauliSum:
         entries at columns ``(i ^ x) >> 1`` in the same mask order, so a block
         row sums with the bits of the whole matrix's row. Raises
         :class:`DenseLimitError` first if the upper bound,
-        :meth:`_matrix_bytes`, exceeds physical memory.
+        :meth:`_matrix_bytes`, exceeds usable memory (:func:`_check_memory`).
         """
         parts = 1 + sectors
         _check_memory(self._matrix_bytes(dtype, parts), "sparse matrix")
@@ -542,9 +551,15 @@ class PauliSum:
         return self._matrix
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state."""
+        """Matvec by the kept matrix (:meth:`_operator`), as a complex128 state.
+
+        A real matrix multiplies the state's real and imaginary parts apart
+        (:func:`_split`): the complex matvec adds ``a x_re - 0 x_im`` and
+        ``a x_im + 0 x_re`` to 0, the same bits.
+        """
         v = self._checked_state(state)
-        return _matvec(self._operator(), v)
+        m = self._operator()
+        return _joined(_on_parts(m.__matmul__, _split(m, v)))
 
     def expectation(self, state: np.ndarray) -> complex:
         """<state|h|state>, by :func:`_vdot`, with the bits of ``apply``; it builds and reads no matrix.
@@ -617,16 +632,6 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     A real ``a`` is used as it is (its ``conj()`` returns it), with no copy.
     """
     return complex(np.sum(a.conj() * b))
-
-
-def _matvec(m, v: np.ndarray) -> np.ndarray:
-    """``m @ v`` for a matrix ``m`` of a sum and a complex128 ``v``, as complex128.
-
-    A real matrix multiplies the state's real and imaginary parts apart
-    (:func:`_split`): the complex matvec adds ``a x_re - 0 x_im`` and
-    ``a x_im + 0 x_re`` to 0, the same bits.
-    """
-    return _joined(_on_parts(m.__matmul__, _split(m, v)))
 
 
 def _split(m, v: np.ndarray) -> list[np.ndarray]:
@@ -769,13 +774,13 @@ def _pair_terms(a: PauliSum, b: PauliSum, pairs: tuple[np.ndarray, np.ndarray] |
         steps = (np.s_[k : k + _PAIR_BLOCK] for k in range(0, shape[0], _PAIR_BLOCK))
         blocks = ((pairs[0][s], pairs[1][s], s) for s in steps)
     _check_memory(48 * (w + 1) * math.prod(shape), "Pauli product")
-    ya, yb = (_popcount(h._x & h._z, np.uint8) for h in (a, b))
+    ya, yb = (_popcount(h._x & h._z) for h in (a, b))
     x, z, c = np.empty((*shape, w), np.uint64), np.empty((*shape, w), np.uint64), np.empty(shape, complex)
     for i, j, out in blocks:
         x1, z1, y1, c1 = (pick(v, i) for v in (a._x, a._z, ya, a._c))
         x2, z2, y2, c2 = (pick(v, j) for v in (b._x, b._z, yb, b._c))
         product = np.bitwise_xor(x1, x2, out=x[out]), np.bitwise_xor(z1, z2, out=z[out])
-        e = _product_phase_exp(x1, z1, x2, z2, (y1, y2), product)
+        e = _product_phase_exp(z1, x2, (y1, y2), product)
         pc = c[out]
         with np.errstate(over="ignore", invalid="ignore"):
             pc.real, pc.imag = _times(c1.real, c1.imag, c2.real, c2.imag)
@@ -865,7 +870,7 @@ class _FoldPlan:
         for h in sums:
             if h.n != n:
                 raise ValueError(f"site count mismatch: {n} != {h.n}")
-        sums = list(sums) or [PauliSum.zero(n)]  # no sums: one with no terms
+        sums = list(sums) or [PauliSum(n)]  # no sums: one with no terms
         x, z = np.concatenate([h._x for h in sums]), np.concatenate([h._z for h in sums])
         order, first = _grouped(x, z)
         first = np.ones(len(order), dtype=bool) if first is None else first
@@ -1001,7 +1006,7 @@ def spectral_norm(
 
     A matrix, its build's scratch while it is not yet built (the blocks
     always are), and Lanczos vectors at ``m``'s dtype that would not fit in
-    physical memory raise :class:`DenseLimitError` (CLI exit 3) before
+    usable memory raise :class:`DenseLimitError` (CLI exit 3) before
     allocating. ``dense_limit`` is not read; ``perfbench/tracing.py`` binds
     it.
     """
@@ -1011,7 +1016,7 @@ def spectral_norm(
     hermitian = h.is_hermitian()
     skew = not hermitian and bool((np.abs(h._c.real) <= 1e-12).all())  # i h is Hermitian
     gram = not hermitian and not skew
-    sectors = not diagonal and len(plan.xs) << h.n >= _SECTOR_ENTRIES and not (_popcount(h._x, np.uint8) & 1).any()
+    sectors = not diagonal and len(plan.xs) << h.n >= _SECTOR_ENTRIES and not (_popcount(h._x) & 1).any()
     vectors = 0 if diagonal else _KRYLOV_VECTORS * (np.dtype(dtype).itemsize << h.n)
     building = h._build_scratch_bytes() if sectors or h._matrix is None else 0
     need = h._matrix_bytes(dtype, 1 + sectors) + building + vectors
@@ -1097,7 +1102,7 @@ def _top_ritz(alpha: Sequence[float], beta: Sequence[float]) -> tuple[float, flo
     The matrix ``t`` holds ``alpha`` on its diagonal and ``beta`` on its
     superdiagonal, and numpy's dense ``eigh`` reads its upper triangle: O(k³)
     time, and 8k² bytes each for ``t`` and its eigenvectors, which over
-    physical memory raise :class:`DenseLimitError` (CLI exit 3) before
+    usable memory raise :class:`DenseLimitError` (CLI exit 3) before
     allocating. The first of equal |θ| wins.
     """
     _check_memory(16 * len(alpha) ** 2, "Lanczos Ritz step")

@@ -149,6 +149,20 @@ def terms(h) -> list[Term]:
     return [Term(h.n, x, z, c) for x, z, c in h._keyed()]
 
 
+def coefficient(h, pattern: str) -> complex:
+    """The weight of the string ``pattern`` (one letter per site of ``h``) in ``h``, 0j where it has none."""
+    assert len(pattern) == h.n, f"a {len(pattern)}-letter pattern on {h.n} sites"
+    return _weights(h).get(reference_from_pattern(pattern), 0j)
+
+
+def heis_da_commutator(n: int, j: float = 1.0):
+    """The priced commutator of the Heisenberg DA split on an open ``n``-site chain, as ``errors`` forms it."""
+    from crda.device import Lattice
+    from crda.errors import _SPLITS, _split_commutator
+
+    return _split_commutator(_SPLITS["heis_da"][2](Lattice.chain(n), j))
+
+
 def dense_oracle(h) -> np.ndarray:
     """Dense matrix of a PauliSum via the independent pattern route."""
     dim = 1 << h.n
@@ -389,7 +403,7 @@ def reference_weighted_sum(n, pieces, scalars):
     """
     from crda.pauli import PauliSum
 
-    out = PauliSum.zero(n)
+    out = PauliSum(n)
     for h, s in zip(pieces, scalars, strict=True):
         out = reference_add(out, reference_scale(h, float(s)))
     return out

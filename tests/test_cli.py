@@ -2,7 +2,9 @@
 
 import contextlib
 import json
+import os
 import re
+import resource
 import shlex
 import signal
 import tracemalloc
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crda import frames
+from crda import frames, pauli
 from crda.cli import _FLAGS, _SUBCOMMANDS, _build_parser, _flags, _mode, _parse_observables, main
 from crda.device import DeviceParams, Lattice
 from crda.errors import table1_check
@@ -196,7 +198,7 @@ class TestSimulateCommand:
     def test_sz_total_equals_one_at_a_time_sum(self):
         # one build over distinct keys is bit for bit the sum built by +
         n = 6
-        want = PauliSum.zero(n)
+        want = PauliSum(n)
         for k in range(n):
             want = want + PauliSum.from_sites(n, {k: "Z"})
         (got,), _ = _parse_observables(["sz-total"], n)
@@ -504,6 +506,21 @@ class TestFailureModes:
         error = json.loads(errtext)["error"]
         assert error["type"] == "resource"
         assert "GiB" in error["message"]
+
+    def test_trotter_norm_over_the_address_space_limit_is_resource_error(self, capsys, monkeypatch):
+        # the 4x6 DA norm's 5.2 GiB fit in physical memory (64 GiB here) but
+        # not under a soft address-space limit of 3,000,000 KiB, which
+        # `ulimit -v 3000000` sets: refused, not an allocation failure
+        page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: (64 << 30) // page if name == "SC_PHYS_PAGES" else sysconf(name))
+        getrlimit, limit = resource.getrlimit, (3_000_000 << 10, resource.RLIM_INFINITY)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: limit if which == resource.RLIMIT_AS else getrlimit(which))
+        monkeypatch.setattr(pauli, "_cgroup_memory", lambda: None)
+        argv = ["errors", "--which", "trotter", "--model", "xy2d_da", "--nx", "4", "--ny", "6"]
+        code, out, errtext = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        error = json.loads(errtext)["error"]
+        assert error == {"type": "resource", "message": "Lanczos norm needs about 5.2 GiB; the address-space limit is 2.86 GiB"}
 
     def test_oversize_simulation_is_resource_error(self, capsys):
         code, out, errtext = run_cli(["simulate", "--model", "ising", "--n", "40"], capsys)

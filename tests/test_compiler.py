@@ -286,7 +286,7 @@ class TestSimulate:
         s = compile_model(m)
         psi0 = np.zeros(1 << n, dtype=complex)
         psi0[1] = 1.0  # one flipped spin at site 1
-        sz = PauliSum.zero(n)
+        sz = PauliSum(n)
         for k in range(n):
             sz = sz + PauliSum.from_sites(n, {k: "Z"})
         trace = simulate(s, psi0, [sz])
@@ -313,7 +313,7 @@ class TestSimulate:
         s = compile_model(m)
         psi0 = np.zeros(1 << n, dtype=complex)
         psi0[0] = 1.0
-        sz = PauliSum.zero(n)
+        sz = PauliSum(n)
         for k in range(n):
             sz = sz + PauliSum.from_sites(n, {k: "Z"})
         trace = simulate(s, psi0, [sz], dense_limit=10)

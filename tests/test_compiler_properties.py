@@ -612,8 +612,8 @@ _CHAIN = (  # R = sum |c| = 2.75
 @pytest.mark.parametrize(
     "h, tau, terms",
     [
-        (PauliSum.zero(3), 0.7, None),
-        (PauliSum.identity(3, -1.3), 0.7, None),
+        (PauliSum(3), 0.7, None),
+        (PauliSum(3, {(0, 0): -1.3}), 0.7, None),
         (_CHAIN, 1e-18, 1),  # J_1(R tau) is below the cut
         (_CHAIN, 1e-10, 2),  # J_2(R tau) is below the cut
         (_CHAIN, 40.0, None),  # R tau = 110

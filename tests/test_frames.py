@@ -146,7 +146,7 @@ class TestToggle:
         lat = Lattice.chain(5)
         h = build_canonical(K.CONTROL, lat, 1.3)
         got = toggle(h, GateLayer(G.HADAMARD, "all"))
-        want = PauliSum.zero(5)
+        want = PauliSum(5)
         for k in range(4):
             want = want + PauliSum.from_sites(5, {k: "Z", k + 1: "X"}, 1.3)
         assert got.allclose(want)

@@ -110,7 +110,7 @@ def _check_weights(gen, times):
         assert np.array_equal(got[:, i], gen.weights(t))
         want = [sinusoid_product(w, t) for _, w in gen.pieces]
         assert np.allclose(got[:, i], want, rtol=0.0, atol=1e-15)
-        snapshot = PauliSum.zero(gen.n)
+        snapshot = PauliSum(gen.n)
         for (ps, _), c in zip(gen.pieces, want):
             snapshot = snapshot + c * ps
         assert gen.at(t).allclose(snapshot, tol=1e-14)
@@ -174,7 +174,7 @@ def test_integral_matches_gauss_legendre(weights, t):
 @given(uniform_devices(), _floats(0.01, 2.0))
 def test_dyson_integral_matches_gauss_legendre(p, t):
     gen = delta_hamiltonian(K.DELTA_H, p)
-    integral = PauliSum.zero(p.n)
+    integral = PauliSum(p.n)
     for ps, weight in gen.pieces:
         integral = integral + gauss_legendre_integral(weight, t) * ps
     want = integral.frobenius_norm(normalized=True)
@@ -207,7 +207,7 @@ def weighted_pieces(draw):
     n = draw(st.sampled_from([1, 2, 3, 65]))
     masks = st.integers(0, (1 << n) - 1)
     pool = draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=3, unique=True))
-    pieces, scalars, running = [], [], PauliSum.zero(n)
+    pieces, scalars, running = [], [], PauliSum(n)
     for _ in range(draw(st.integers(0, 7))):
         if not running.is_zero() and draw(st.booleans()):
             t = draw(st.sampled_from(terms(running)))
@@ -282,7 +282,7 @@ def test_weighted_sum_needs_one_scalar_per_piece():
     for scalars in (w[:-1], np.append(w, 1.0), []):
         with pytest.raises(ValueError, match=f"{len(scalars)} scalars for {len(gen.pieces)} pieces"):
             gen.weighted_sum(scalars)
-    assert TimeDependentHamiltonian(2, ()).weighted_sum([]) == PauliSum.zero(2)
+    assert TimeDependentHamiltonian(2, ()).weighted_sum([]) == PauliSum(2)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,9 @@ import math
 import operator
 import os
 import re
+import resource
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -13,16 +16,20 @@ import pytest
 
 from conftest import (
     Term,
+    coefficient,
     dense_oracle,
+    heis_da_commutator,
     kron_pattern,
     random_pauli_sum,
+    reference_csr,
     reference_from_terms,
     reference_product,
     terms,
+    worker_tasks,
 )
 from crda import pauli
 from crda.device import Lattice
-from crda.errors import heisenberg_da_commutator_sum, xy2d_digital_hamiltonians
+from crda.errors import xy2d_digital_hamiltonians
 from crda.frames import GateLayer, GateLayerKind, toggle
 from crda.hamiltonians import HamiltonianKind, TimeDependentHamiltonian, build_canonical
 from crda.pauli import (
@@ -180,7 +187,7 @@ class TestFrobenius:
 
     def test_identity_unnormalized(self):
         for n in (1, 3, 6):
-            h = PauliSum.identity(n)
+            h = PauliSum(n, {(0, 0): 1.0})
             assert np.isclose(h.frobenius_norm(normalized=False), 2 ** (n / 2))
 
     def test_matches_dense_trace(self, rng):
@@ -194,14 +201,14 @@ class TestFrobenius:
     def test_zero_sum_is_zero_on_any_size(self, n):
         # 2^(n/2) alone overflows float64 from 2048 sites on
         for normalized in (True, False):
-            assert PauliSum.zero(n).frobenius_norm(normalized) == 0.0
+            assert PauliSum(n).frobenius_norm(normalized) == 0.0
 
     @pytest.mark.parametrize(
         "h, normalized",
         [
             (PauliSum.from_pattern("XX", 1e160), True),  # its square overflows
             (PauliSum.from_pattern("XI", 1e154) + PauliSum.from_pattern("IX", 1e154), True),  # their sum does
-            (PauliSum.identity(2048), False),  # the scale does
+            (PauliSum(2048, {(0, 0): 1.0}), False),  # the scale does
         ],
     )
     def test_overflow_raises(self, h, normalized):
@@ -216,7 +223,7 @@ class TestFrobenius:
             total += abs(t.coeff) ** 2
         assert h.frobenius_norm() == float(np.sqrt(total))
         assert h.frobenius_norm(False) == float(np.sqrt(total) * 2 ** 2.5)
-        assert PauliSum.identity(2046).frobenius_norm(False) == 2.0**1023
+        assert PauliSum(2046, {(0, 0): 1.0}).frobenius_norm(False) == 2.0**1023
 
 
 class TestSpectralNorm:
@@ -295,7 +302,7 @@ class TestSpectralNorm:
         assert spectral_norm(h, max_iter=1 << n) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_operator(self):
-        assert spectral_norm(PauliSum.zero(3)) == 0.0
+        assert spectral_norm(PauliSum(3)) == 0.0
 
     @pytest.mark.parametrize("kind", ["hermitian", "commutator", "complex"])
     def test_overflow_is_refused_without_warnings(self, kind, rng):
@@ -318,7 +325,7 @@ class TestSpectralNorm:
 
     def test_largest_finite_trotter_norm(self):
         # weights of 2e152 keep the squares finite: the norm is 4√3 j² for j = 1e76
-        h = heisenberg_da_commutator_sum(4, 1e76)
+        h = heis_da_commutator(4, 1e76)
         assert spectral_norm(h) == pytest.approx(4 * np.sqrt(3) * 1e152, rel=1e-12)
 
 
@@ -377,7 +384,7 @@ def _split_commutator(model: str, size) -> PauliSum:
     if model == "heis_digital":
         return commutator(_heis_layer(size, 0), _heis_layer(size, 1))
     if model == "heis_da":
-        return heisenberg_da_commutator_sum(size, 1.0)
+        return heis_da_commutator(size)
     return commutator(*xy2d_digital_hamiltonians(Lattice.square(*size), 1.0))
 
 
@@ -668,7 +675,7 @@ class TestMemoryGuard:
         monkeypatch.setattr(pauli, "_SECTOR_ENTRIES", 0 if sectors else 1 << 63)
         monkeypatch.setattr(pauli, "_two_cpus", lambda: True)
         spectral_norm(_heis_layer(4, 0) + _heis_layer(4, 1))  # numpy's and scipy's one-time caches
-        h = heisenberg_da_commutator_sum(n, 1.0) if commuted else build_canonical(HamiltonianKind.H_HEIS, Lattice.chain(n))
+        h = heis_da_commutator(n) if commuted else build_canonical(HamiltonianKind.H_HEIS, Lattice.chain(n))
         asked.clear()
         tracemalloc.start()
         try:
@@ -697,6 +704,69 @@ class TestMemoryGuard:
         assert peak < 1 << 20
         theta, _ = pauli._top_ritz(alpha[:500], beta[:499])  # eigenvalues 1 + cos(jπ/501)
         assert theta == pytest.approx(1 + math.cos(math.pi / 501), rel=1e-12)
+
+    @pytest.fixture
+    def limits(self, monkeypatch, tmp_path):
+        """Physical memory reads 64 GiB, with no address-space limit and no cgroup file, each patchable."""
+        page, sysconf, getrlimit = os.sysconf("SC_PAGE_SIZE"), os.sysconf, resource.getrlimit
+        monkeypatch.setattr(os, "sysconf", lambda name: (64 << 30) // page if name == "SC_PHYS_PAGES" else sysconf(name))
+        unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited if which == resource.RLIMIT_AS else getrlimit(which))
+        monkeypatch.setattr(pauli, "_CGROUP_FILES", (tmp_path / "no-such-file", tmp_path))
+        pauli._cgroup_memory.cache_clear()
+        yield monkeypatch
+        pauli._cgroup_memory.cache_clear()
+
+    def test_address_space_limit_refuses(self, limits):
+        pauli._check_memory(63 << 30, "work")  # physical memory alone
+        limits.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
+        with pytest.raises(DenseLimitError, match=re.escape("work needs about 2 GiB; the address-space limit is 1 GiB")):
+            pauli._check_memory(2 << 30, "work")
+        pauli._check_memory(1 << 30, "work")  # up to the limit
+
+    def test_cgroup_memory_max_refuses_and_is_read_once(self, limits, tmp_path):
+        # the process's cgroup v2 path is the "0::" line; memory.max under it
+        # holds bytes, or "max" for none; the least of the three limits wins
+        (tmp_path / "cgroup").write_text("4:memory:/v1\n0::/crda.slice/run.scope\n")
+        limit = tmp_path / "fs" / "crda.slice" / "run.scope" / "memory.max"
+        limit.parent.mkdir(parents=True)
+        limit.write_text("1073741824\n")
+        limits.setattr(pauli, "_CGROUP_FILES", (tmp_path / "cgroup", tmp_path / "fs"))
+        limits.setattr(resource, "getrlimit", lambda which: (3 << 30, resource.RLIM_INFINITY))
+        with pytest.raises(DenseLimitError, match=re.escape("work needs about 2 GiB; the cgroup memory limit is 1 GiB")):
+            pauli._check_memory(2 << 30, "work")
+        limit.write_text("max\n")
+        assert pauli._cgroup_memory() == 1 << 30  # read once per process
+        pauli._cgroup_memory.cache_clear()
+        assert pauli._cgroup_memory() is None
+        pauli._check_memory(2 << 30, "work")
+
+
+class TestWorkerParts:
+    @pytest.mark.parametrize("raising", [(0,), (1,), (0, 1)])
+    def test_an_error_is_the_serial_loops(self, raising):
+        # a part raises on the caller's thread (0), on the worker's (1), or
+        # on both: the call raises the serial loop's error, the first
+        # part's, else the second's, and only once the second part is done
+        done = []
+
+        def part(k):
+            if k == 1:
+                time.sleep(0.05)  # the second part ends after the first
+            done.append((k, threading.current_thread()))
+            if k in raising:
+                raise ValueError(f"part {k}")
+
+        with pytest.raises(ValueError, match=f"^part {raising[0]}$"):
+            for k in (0, 1):  # the serial loop
+                part(k)
+        done.clear()
+        with worker_tasks("_THREAD_ENTRIES", True) as tasks:
+            with pytest.raises(ValueError, match=f"^part {raising[0]}$"):
+                pauli._at_once(part, [0, 1])
+            assert tasks == [part]
+            assert sorted(k for k, _ in done) == [0, 1]
+            assert dict(done)[0] is threading.current_thread() is not dict(done)[1]
 
 
 class TestPairKernel:
@@ -804,7 +874,7 @@ class TestCachedMatrix:
         ]
         # the kept matrix's matvec bits, -0.0 included
         want = [
-            pauli._vdot(psi, pauli._matvec(h._build_csr(h._csr_dtype()), psi))
+            pauli._vdot(psi, reference_csr(h) @ psi)
             for psi in states
             for h in sums
         ]
@@ -860,7 +930,7 @@ class TestCachedMatrix:
 
 class TestExpm:
     def test_zero_hamiltonian(self):
-        u = expm_hermitian(PauliSum.zero(2), 1.7)
+        u = expm_hermitian(PauliSum(2), 1.7)
         assert np.allclose(u, np.eye(4))
 
     def test_z_quarter_period(self):
@@ -909,7 +979,7 @@ class TestPauliSumInvariants:
     def test_canonical_merge(self):
         h = PauliSum.from_pattern("XY", 1.0) + PauliSum.from_pattern("XY", 0.5j)
         assert h.num_terms() == 1
-        assert h.coefficient("XY") == 1.0 + 0.5j
+        assert coefficient(h, "XY") == 1.0 + 0.5j
 
     def test_hermiticity_is_real_coefficients(self):
         assert PauliSum.from_pattern("XZ", 0.7).is_hermitian()
@@ -928,13 +998,21 @@ class TestPauliSumInvariants:
             with pytest.raises(ValueError, match="outside the registered site range"):
                 PauliSum(2, {key: 1.0})
 
-    def test_pattern_length_must_match_n(self):
-        with pytest.raises(ValueError, match="pattern length mismatch"):
-            PauliSum.identity(2).coefficient("XYZ")
+    def test_sums_on_other_site_counts_or_other_types_differ(self):
+        a, b = PauliSum.from_pattern("XI"), PauliSum.from_pattern("XII")
+        assert a != b and not a.allclose(b) and not b.allclose(a)
+        assert PauliSum(2) != PauliSum(3) and not PauliSum(2).allclose(PauliSum(3))
+        assert a.__eq__("XI") is NotImplemented and a != "XI"
+
+    def test_fold_plan_refuses_a_sum_on_another_site_count(self):
+        with pytest.raises(ValueError, match=re.escape("site count mismatch: 3 != 2")):
+            pauli._FoldPlan(3, [PauliSum(3), PauliSum.from_pattern("XY")])
+        with pytest.raises(ValueError, match=re.escape("site count mismatch: 3 != 2")):
+            TimeDependentHamiltonian(3, ((PauliSum.from_pattern("XY"), ()),)).at(0.0)
 
     def test_dagger_conjugates(self):
         h = PauliSum.from_pattern("XY", 1 + 2j)
-        assert h.dagger().coefficient("XY") == 1 - 2j
+        assert coefficient(h.dagger(), "XY") == 1 - 2j
 
     def test_equal_sums_hash_equal(self, rng):
         rows = terms(random_pauli_sum(rng, 4, nterms=8))
@@ -966,8 +1044,6 @@ class TestLetterCodec:
             lambda: PauliSum.from_pattern("XQ"),
             lambda: PauliSum.from_sites(2, {0: "Q"}),
             lambda: PauliSum.from_sites(2, {1: "X", 0: "x"}),
-            lambda: PauliSum.identity(2).coefficient("XQ"),
-            lambda: PauliSum.identity(3).coefficient("XQ"),  # the letter before the length
         )
         for build in builds:
             with pytest.raises(ValueError, match="^invalid Pauli letter '[Qx]'$"):
