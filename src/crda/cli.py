@@ -476,7 +476,7 @@ def _cmd_simulate(args) -> None:
     obs, names = _parse_observables(args.observable, n)
     _check_simulation_memory(schedule, obs)
     psi0 = _initial_state(args.initial, n)
-    trace = simulate(schedule, psi0, obs, observable_names=names)
+    trace = simulate(schedule, psi0, obs)
     results = []
     for b in range(trace.times.size):
         row = {
@@ -484,11 +484,11 @@ def _cmd_simulate(args) -> None:
             "time": float(trace.times[b]),
             "norm": float(trace.norms[b]),
         }
-        for i, name in enumerate(trace.observable_names):
+        for i, name in enumerate(names):
             row[name] = float(trace.expectations[b, i])
         results.append(row)
     payload = {"config": _config_echo(args, resolved), "results": results}
-    header = ["block", "time", "norm", *trace.observable_names]
+    header = ["block", "time", "norm", *names]
     rows = [header] + [[r[h] for h in header] for r in results]
     _emit(args, payload, rows)
 

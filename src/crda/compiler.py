@@ -344,10 +344,11 @@ def _step_operators(
     ]
 
 
-def block_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
+def block_unitary(schedule: Schedule) -> np.ndarray:
     """Dense unitary of one block: :func:`simulate`'s step list applied to the identity.
 
-    A static segment's operator here is its dense ``expm_hermitian`` exponential.
+    A static segment's operator here is its dense ``expm_hermitian`` exponential,
+    and a time-dependent one is integrated to :func:`simulate`'s default ``tol``.
     """
     _check_dense(schedule.n, "block_unitary")
 
@@ -355,7 +356,7 @@ def block_unitary(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
         return expm_hermitian(s.analog, s.duration).__matmul__
 
     u = np.eye(1 << schedule.n, dtype=complex)
-    for op in _step_operators(schedule, dense, tol):
+    for op in _step_operators(schedule, dense, 1e-10):
         u = op(u)
     return u
 
@@ -372,7 +373,6 @@ class SimulationTrace:
     times: np.ndarray  # time after each block
     norms: np.ndarray  # state norm after each block
     expectations: np.ndarray  # shape (blocks, observables), real parts
-    observable_names: tuple[str, ...]
 
 
 # 2^n-entry float64 planes a simulation holds besides its matrices, two per
@@ -502,7 +502,6 @@ def simulate(
     schedule: Schedule,
     psi0: np.ndarray,
     observables: Sequence[PauliSum],
-    observable_names: Sequence[str] | None = None,
     dense_limit: int = 0,
     tol: float = 1e-10,
 ) -> SimulationTrace:
@@ -550,12 +549,7 @@ def simulate(
         norms[b] = float(np.sqrt(np.sum((psi.conj() * psi).real)))
         for i, obs in enumerate(observables):
             expectations[b, i] = float(obs.expectation(psi).real)
-    names = tuple(
-        observable_names
-        if observable_names is not None
-        else (f"obs{i}" for i in range(len(observables)))
-    )
-    return SimulationTrace(times, norms, expectations, names)
+    return SimulationTrace(times, norms, expectations)
 
 
 def block_error(m: TargetModel, tau: float | None = None) -> float:

@@ -43,7 +43,8 @@ class DeviceParams:
     """Per-qubit drive settings and per-bond static couplings.
 
     Arrays are length ``n`` for per-qubit fields and length ``n - 1`` for
-    the bond couplings ``g`` (open-chain convention); every entry is finite.
+    the bond couplings ``g``, one per bond of the open chain; every entry
+    is finite.
     """
 
     n: int
@@ -61,8 +62,8 @@ class DeviceParams:
                 raise ValueError(f"{name} must have length n={self.n}")
         g = np.asarray(self.g, dtype=float)
         object.__setattr__(self, "g", g)
-        if g.shape not in {(self.n - 1,), (self.n,)}:
-            raise ValueError("g must have length n-1 (open) or n (periodic)")
+        if g.shape != (self.n - 1,):
+            raise ValueError(f"g must have length n-1={self.n - 1}")
         for name in ("omega_q", "omega", "Omega", "phi", "g"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -95,17 +96,10 @@ class DeviceParams:
     # ------------------------------------------------------------------
 
     @classmethod
-    def uniform_chain(
-        cls,
-        n: int,
-        g: float,
-        delta: float,
-        Omega: float,
-        phi: float = 0.0,
-        omega: float = 0.0,
-    ) -> "DeviceParams":
-        """Chain with identical (g, delta, Omega, phi) on every driven site."""
-        return cls._filled(n, dict(omega_q=omega + delta, omega=omega, Omega=Omega, phi=phi, g=g))
+    def uniform_chain(cls, n: int, g: float, delta: float, Omega: float) -> "DeviceParams":
+        """Chain with identical (g, delta, Omega) on every site; every drive has frequency 0 and phase 0."""
+        # 0.0 + delta turns a -0.0 detuning into the qubit frequency 0.0
+        return cls._filled(n, dict(omega_q=0.0 + delta, omega=0.0, Omega=Omega, phi=0.0, g=g))
 
     @classmethod
     def _filled(cls, n: int, values: Mapping[str, float]) -> "DeviceParams":
@@ -161,18 +155,28 @@ class DeviceParams:
         """The shared (g, delta, Omega) of a uniform chain.
 
         Only driven qubits are required to agree; undriven targets are
-        allowed to carry the (0, 0) assignment.
+        allowed to carry the (0, 0) assignment. A zero shared detuning
+        raises ``ZeroDivisionError``.
         """
         if not self.g.size:
             raise ValueError("a uniform chain needs at least one bond (two sites)")
         delta, Omega, g = self.delta.tolist(), self.Omega.tolist(), self.g.tolist()
         driven = [k for k in range(self.n) if Omega[k] != 0.0]
         if not driven:
-            return g[0], delta[0], 0.0
-        for values in ([delta[k] for k in driven], [Omega[k] for k in driven], g):
-            if len({round(v, 12) for v in set(values)}) > 1:  # each distinct value rounded once
-                raise ValueError("device parameters are not uniform")
-        return g[0], delta[driven[0]], Omega[driven[0]]
+            shared = g[0], delta[0], 0.0
+        else:
+            for values in ([delta[k] for k in driven], [Omega[k] for k in driven], g):
+                if len({round(v, 12) for v in set(values)}) > 1:  # each distinct value rounded once
+                    raise ValueError("device parameters are not uniform")
+            shared = g[0], delta[driven[0]], Omega[driven[0]]
+        if shared[1] == 0.0:
+            raise ZeroDivisionError("uniform chain has zero detuning")
+        return shared
+
+
+def _cr_coupling(g: float, delta: float, Omega: float) -> float:
+    """The cross-resonance coupling J = -g Omega / (4 delta)."""
+    return -g * Omega / (4.0 * delta)
 
 
 def effective_coupling(p: DeviceParams, k: int) -> float:
@@ -189,7 +193,7 @@ def effective_coupling(p: DeviceParams, k: int) -> float:
     d = p.delta[i]
     if d == 0.0:
         raise ZeroDivisionError(f"zero detuning on driven qubit {k}")
-    return float(-p.g[i] * p.Omega[i] / (4.0 * d))
+    return float(_cr_coupling(p.g[i], d, p.Omega[i]))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .hamiltonians import (
     HamiltonianKind,
     _bond_family,
     _delta_chain,
-    _uniform_quantities,
     build_canonical,
 )
 from .pauli import (
@@ -185,7 +184,7 @@ def synthesis_norm(model: str, p: DeviceParams, t: float) -> ErrorReport:
     kind = _SYNTH_KIND.get(model)
     if kind is None:
         raise ValueError(f"unknown synthesis model {model!r}")
-    n, g, delta, Omega = _uniform_quantities(p)
+    n, (g, delta, Omega) = p.n, p.uniform()
     r = Omega / delta
     dt = delta * t
     numeric = _delta_chain(kind, n, g, delta, Omega).at(t).frobenius_norm(normalized=True)
@@ -234,7 +233,7 @@ def dyson_propagator_diff(p: DeviceParams, t: float) -> ErrorReport:
     form (:meth:`~crda.hamiltonians.TimeDependentHamiltonian.integral`). A
     time whose detuning phase is not a finite float64 raises ``ValueError``.
     """
-    n, g, delta, Omega = _uniform_quantities(p)
+    n, (g, delta, Omega) = p.n, p.uniform()
     integral = _delta_chain(HamiltonianKind.DELTA_H, n, g, delta, Omega).integral(t)
     numeric = integral.frobenius_norm(normalized=True)  # |-i| factor is 1
     analytic = dyson_norm_formula(g, delta, n, t)

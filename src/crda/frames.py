@@ -533,8 +533,6 @@ def propagate_unitary(
 class FrameVerification:
     """Distance between integrated dynamics and the effective chain."""
 
-    t_final: float
-    mode: str
     distance: float
     distance_lab_mapping: float
     integrator: dict = field(default_factory=dict)
@@ -582,8 +580,6 @@ def verify_effective(
             if k < p.g.size:
                 ratios[f"g/delta.{k + 1}"] = float(p.g[k] / p.delta[k])
     return FrameVerification(
-        t_final=t_final,
-        mode=mode,
         distance=d_qf,
         distance_lab_mapping=d_lab,
         integrator=info,

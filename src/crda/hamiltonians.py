@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import DeviceParams, DriveConfig, Lattice, effective_coupling
+from .device import DeviceParams, DriveConfig, Lattice, _cr_coupling, effective_coupling
 from .pauli import (
     PauliSum,
     _FoldPlan,
@@ -453,19 +453,6 @@ def build_qf_effective(
 # ----------------------------------------------------------------------
 
 
-def _uniform_quantities(p: DeviceParams) -> tuple[int, float, float, float]:
-    """``(n, g, delta, Omega)`` of a uniform chain; refuses a zero detuning."""
-    g, delta, Omega = p.uniform()
-    if delta == 0.0:
-        raise ZeroDivisionError("uniform chain has zero detuning")
-    return p.n, g, delta, Omega
-
-
-def _cr_coupling(g: float, delta: float, Omega: float) -> float:
-    """The uniform chain's cross-resonance coupling J = -g Omega / (4 delta)."""
-    return -g * Omega / (4.0 * delta)
-
-
 def _read_only(h: TimeDependentHamiltonian) -> TimeDependentHamiltonian:
     """``h`` with every piece's arrays made read-only, so a kept result can be shared."""
     for ps, _ in h.pieces:
@@ -484,7 +471,7 @@ def org_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHami
     two delta-sinusoids. The result is kept per ``(kind, n, g, delta,
     Omega)`` (:func:`_org_chain`) and shared: its sums are read-only.
     """
-    return _org_chain(kind, *_uniform_quantities(p))
+    return _org_chain(kind, p.n, *p.uniform())
 
 
 @functools.lru_cache(maxsize=64)
@@ -563,7 +550,7 @@ def delta_hamiltonian(kind: HamiltonianKind, p: DeviceParams) -> TimeDependentHa
     """
     if kind not in _DELTA_OF:
         raise ValueError(f"{kind} is not a synthesis-defect kind")
-    return _delta_chain(kind, *_uniform_quantities(p))
+    return _delta_chain(kind, p.n, *p.uniform())
 
 
 @functools.lru_cache(maxsize=64)

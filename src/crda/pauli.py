@@ -139,8 +139,10 @@ _THREAD_ENTRIES = 1 << 14
 # (1,048,576).
 _SECTOR_ENTRIES = 1 << 18
 
-# Relative residual at which the Lanczos norm stops.
+# Relative residual at which the Lanczos norm stops, and the steps after
+# which it raises ConvergenceError.
 _LANCZOS_TOL = 1e-8
+_LANCZOS_MAX_ITER = 10_000
 
 # β, relative to the largest tridiagonal entry, at which the Krylov space is
 # taken as invariant (a breakdown) and the Ritz step runs at once. A β only
@@ -168,17 +170,30 @@ def _check_memory(need: int, what: str) -> None:
     """Refuse, before allocating, to hold ``need`` bytes, more than usable memory.
 
     Usable memory is the least of physical memory, the soft address-space
-    limit and the ``memory.max`` of the process's cgroup
+    limit less the address space the process already maps
+    (:func:`_mapped_bytes`), and the ``memory.max`` of the process's cgroup
     (:func:`_cgroup_memory`), each where it exists; a refusal names it.
     """
     limits = {"physical memory": os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")}
     if (soft := resource.getrlimit(resource.RLIMIT_AS)[0]) != resource.RLIM_INFINITY:
-        limits["the address-space limit"] = soft
+        limits["the address-space limit, less what is mapped,"] = soft - _mapped_bytes()
     if (cgroup := _cgroup_memory()) is not None:
         limits["the cgroup memory limit"] = cgroup
     name, have = min(limits.items(), key=lambda item: item[1])
     if need > have:
         raise DenseLimitError(f"{what} needs about {need / 2**30:.3g} GiB; {name} is {have / 2**30:.3g} GiB")
+
+
+# The process's memory sizes in pages, its whole mapped address space first.
+_STATM = Path("/proc/self/statm")
+
+
+def _mapped_bytes() -> int:
+    """The address space the process maps now, in bytes; 0 where ``_STATM`` cannot be read."""
+    try:
+        return int(_STATM.read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
 
 
 # Where the process's cgroup (v2) is named, and the root its path is under.
@@ -974,7 +989,6 @@ def _doubled_sum(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSu
 def spectral_norm(
     h: PauliSum,
     dense_limit: int = 0,
-    max_iter: int = 10_000,
     seed: int = 7,
 ) -> float:
     """Largest singular value, by a three-term Lanczos recurrence on a Hermitian proxy.
@@ -1034,10 +1048,10 @@ def spectral_norm(
 
     def top(m, v) -> float:  # of the proxy of the matrix or block m, from v
         if gram:  # m^H m u; conj() of a real vector is itself
-            return _lanczos(lambda u: (m.T @ (m @ u).conj()).conj(), v, False, max_iter)
+            return _lanczos(lambda u: (m.T @ (m @ u).conj()).conj(), v, False)
         if skew and m.dtype == complex:  # i m u, by its real part alone where it is real
-            return _lanczos(lambda u: np.negative((m @ u).imag) if u.dtype == float else _times_i(m @ u), v, False, max_iter)
-        return _lanczos(m.__matmul__, v, skew, max_iter)
+            return _lanczos(lambda u: np.negative((m @ u).imag) if u.dtype == float else _times_i(m @ u), v, False)
+        return _lanczos(m.__matmul__, v, skew)
 
     lam = max(_at_once(top, matrices, starts) if sectors else map(top, matrices, starts))
     return math.sqrt(lam) if gram else lam
@@ -1050,7 +1064,7 @@ def _times_i(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lanczos(mul, v: np.ndarray, antisymmetric: bool, max_iter: int) -> float:
+def _lanczos(mul, v: np.ndarray, antisymmetric: bool) -> float:
     """Largest |Ritz value| of the Lanczos recurrence on the Hermitian ``mul`` from the start vector ``v``.
 
     ``v`` is normalized in place. With ``antisymmetric``, ``mul`` multiplies
@@ -1065,8 +1079,8 @@ def _lanczos(mul, v: np.ndarray, antisymmetric: bool, max_iter: int) -> float:
     magnitude has |β s| <= ε |θ|, ε = ``_LANCZOS_TOL``, s the last entry of
     its vector. Inner products are numpy sums (:func:`_vdot`). An α or β
     that overflows float64 raises ``ValueError`` (CLI exit 2) before its
-    Ritz step, and overrunning ``max_iter`` steps :class:`ConvergenceError`
-    (CLI exit 4).
+    Ritz step, and overrunning ``_LANCZOS_MAX_ITER`` steps
+    :class:`ConvergenceError` (CLI exit 4).
     """
     v /= np.sqrt(_vdot(v, v).real)
     dim = len(v)
@@ -1074,7 +1088,7 @@ def _lanczos(mul, v: np.ndarray, antisymmetric: bool, max_iter: int) -> float:
     beta: list[float] = []
     scale = 0.0  # largest |alpha|, beta so far: b <= ε * scale bounds the residual
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        for k in range(1, max_iter + 1):
+        for k in range(1, _LANCZOS_MAX_ITER + 1):
             w = mul(v)
             a = 0.0 if antisymmetric else _vdot(v, w).real  # u_k^T m u_k = 0 for antisymmetric m
             if not antisymmetric:
@@ -1093,7 +1107,7 @@ def _lanczos(mul, v: np.ndarray, antisymmetric: bool, max_iter: int) -> float:
             beta.append(b)
             w /= b
             v_prev, v = v, w
-    raise ConvergenceError(f"Lanczos did not converge in {max_iter} steps (tol={_LANCZOS_TOL})")
+    raise ConvergenceError(f"Lanczos did not converge in {_LANCZOS_MAX_ITER} steps (tol={_LANCZOS_TOL})")
 
 
 def _top_ritz(alpha: Sequence[float], beta: Sequence[float]) -> tuple[float, float]:

@@ -507,7 +507,7 @@ class TestFailureModes:
         assert error["type"] == "resource"
         assert "GiB" in error["message"]
 
-    def test_trotter_norm_over_the_address_space_limit_is_resource_error(self, capsys, monkeypatch):
+    def test_trotter_norm_over_the_address_space_limit_is_resource_error(self, capsys, monkeypatch, tmp_path):
         # the 4x6 DA norm's 5.2 GiB fit in physical memory (64 GiB here) but
         # not under a soft address-space limit of 3,000,000 KiB, which
         # `ulimit -v 3000000` sets: refused, not an allocation failure
@@ -516,11 +516,13 @@ class TestFailureModes:
         getrlimit, limit = resource.getrlimit, (3_000_000 << 10, resource.RLIM_INFINITY)
         monkeypatch.setattr(resource, "getrlimit", lambda which: limit if which == resource.RLIMIT_AS else getrlimit(which))
         monkeypatch.setattr(pauli, "_cgroup_memory", lambda: None)
+        monkeypatch.setattr(pauli, "_STATM", tmp_path / "no-such-statm")  # nothing mapped
         argv = ["errors", "--which", "trotter", "--model", "xy2d_da", "--nx", "4", "--ny", "6"]
         code, out, errtext = run_cli(argv, capsys)
         assert (code, out) == (3, "")
         error = json.loads(errtext)["error"]
-        assert error == {"type": "resource", "message": "Lanczos norm needs about 5.2 GiB; the address-space limit is 2.86 GiB"}
+        message = "Lanczos norm needs about 5.2 GiB; the address-space limit, less what is mapped, is 2.86 GiB"
+        assert error == {"type": "resource", "message": message}
 
     def test_oversize_simulation_is_resource_error(self, capsys):
         code, out, errtext = run_cli(["simulate", "--model", "ising", "--n", "40"], capsys)

@@ -350,7 +350,7 @@ class TestRealisticMode:
         assert all(
             isinstance(seg.analog, TimeDependentHamiltonian) for seg in s.segments()
         )
-        u = block_unitary(s, tol=1e-9)
+        u = block_unitary(s)
         assert unitarity_defect(u) <= 1e-8
 
     def test_xy_block_close_to_ideal_block(self):

@@ -17,8 +17,8 @@ from crda.device import (
 from crda.pauli import DenseLimitError
 
 
-def uniform(n=2, g=1.0, delta=10.0, Omega=0.4, phi=0.0):
-    return DeviceParams.uniform_chain(n, g=g, delta=delta, Omega=Omega, phi=phi)
+def uniform(n=2, g=1.0, delta=10.0, Omega=0.4):
+    return DeviceParams.uniform_chain(n, g=g, delta=delta, Omega=Omega)
 
 
 class TestEffectiveCoupling:
@@ -35,6 +35,12 @@ class TestEffectiveCoupling:
         p = uniform(delta=0.0)
         with pytest.raises(ZeroDivisionError):
             effective_coupling(p, 1)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bond_outside_the_chain_refused(self, k):
+        # three sites have bonds 1 and 2; there is no wrap bond 3
+        with pytest.raises(ValueError, match=rf"bond index {k} outside 1\.\.2"):
+            effective_coupling(uniform(n=3), k)
 
     def test_antisymmetric_and_linear(self, rng):
         for _ in range(10):
@@ -72,6 +78,22 @@ class TestDeviceFields:
         }
         fields[field][-1] = bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DeviceParams(n=3, **fields)
+
+    @pytest.mark.parametrize(
+        "field, size, match",
+        [
+            ("omega_q", 2, "omega_q must have length n=3"),
+            ("phi", 4, "phi must have length n=3"),
+            ("g", 3, "g must have length n-1=2"),  # one coupling per site: a wrap bond no chain models
+            ("g", 1, "g must have length n-1=2"),
+        ],
+    )
+    def test_wrong_length_refused(self, field, size, match):
+        fields = {name: np.ones(3) for name in ("omega_q", "omega", "Omega", "phi")}
+        fields["g"] = np.ones(2)
+        fields[field] = np.ones(size)
+        with pytest.raises(ValueError, match=f"^{match}$"):
             DeviceParams(n=3, **fields)
 
     @pytest.mark.parametrize(
@@ -118,6 +140,14 @@ class TestCrChain:
         assert p.Omega[1] == 0 and p.Omega[3] == 0
         assert p.delta[1] == 0.0
 
+    def test_even_drive_layout(self):
+        # sites 2 and 4 drive their right neighbours; site 4 has none
+        omega_q = np.array([50.0, 40.0, 30.0, 20.0])
+        p = DeviceParams.cr_chain(omega_q, g=0.2, Omega=0.5, drive=DriveConfig.EVEN)
+        assert p.Omega.tolist() == [0.0, 0.5, 0.0, 0.0]
+        assert p.omega.tolist() == [50.0, 30.0, 30.0, 20.0]
+        assert p.delta.tolist() == [0.0, 10.0, 0.0, 0.0]
+
 
 class TestLattice:
     def test_chain_bonds_open_and_periodic(self):
@@ -158,6 +188,19 @@ class TestLattice:
         lat = Lattice.square(2, 2, boundary="open")
         with pytest.raises(ValueError):
             lat.site_index(3, 1)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"dim": 3, "nx": 2}, "dim must be 1 or 2"),
+            ({"dim": 1, "nx": 2, "boundary": "twisted"}, "boundary must be"),
+            ({"dim": 1, "nx": 2, "ny": 2}, "1D lattice must have ny = 1"),
+            ({"dim": 2, "nx": 2, "ny": 0}, "extents must be positive"),
+        ],
+    )
+    def test_malformed_lattice_refused(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            Lattice(**fields)
 
     def test_even_extent_requirement(self):
         with pytest.raises(ValueError):

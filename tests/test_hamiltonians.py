@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ class TestLabFrame:
             assert coefficient(h, "I" * k + "Z" + "I" * (2 - k)) == 0.5 * w
 
     def test_commensurate_periodicity(self):
-        p = DeviceParams.uniform_chain(2, g=0.2, delta=1.0, Omega=0.5, omega=4.0)
+        p = DeviceParams.uniform_chain(2, g=0.2, delta=1.0, Omega=0.5)
+        p = replace(p, omega_q=np.full(2, 5.0), omega=np.full(2, 4.0))
         gen = lab_frame_hamiltonian(p)
         t = 0.713
         assert gen.at(t).allclose(gen.at(t + 2 * np.pi / 4.0))
@@ -142,7 +144,8 @@ class TestLabFrame:
             assert a._c.tobytes() == b._c.tobytes()
 
     def test_generator_hermitian(self, rng):
-        p = DeviceParams.uniform_chain(3, g=0.3, delta=2.0, Omega=0.7, omega=9.0)
+        p = DeviceParams.uniform_chain(3, g=0.3, delta=2.0, Omega=0.7)
+        p = replace(p, omega_q=np.full(3, 11.0), omega=np.full(3, 9.0))
         for gen in (lab_frame_hamiltonian(p), rotating_frame_hamiltonian(p)):
             for t in rng.uniform(0, 10, 5):
                 assert gen.at(float(t)).is_hermitian()

@@ -16,6 +16,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from crda.hamiltonians import (
     TimeDependentHamiltonian,
     _delta_chain,
     _org_chain,
-    _uniform_quantities,
     delta_hamiltonian,
     lab_frame_hamiltonian,
     org_hamiltonian,
@@ -66,15 +66,12 @@ _TIMES = st.lists(_floats(0.0, 3.0), min_size=1, max_size=6)
 def uniform_devices(draw):
     """Detuning of either sign; coupling bounded away from zero, as the
     Dyson test's reference sum prunes coefficients below PRUNE_TOL and so
-    loses digits for couplings near 1e-7."""
-    return DeviceParams.uniform_chain(
-        draw(st.integers(2, 5)),
-        g=draw(_signed(0.05, 2.0)),
-        delta=draw(_signed(0.5, 30.0)),
-        Omega=draw(_floats(0.0, 3.0)),
-        phi=draw(_floats(-math.pi, math.pi)),
-        omega=draw(_floats(-50.0, 50.0)),
-    )
+    loses digits for couplings near 1e-7. Every drive shares one frequency
+    and one phase."""
+    n, g, delta = draw(st.integers(2, 5)), draw(_signed(0.05, 2.0)), draw(_signed(0.5, 30.0))
+    p = DeviceParams.uniform_chain(n, g=g, delta=delta, Omega=draw(_floats(0.0, 3.0)))
+    phi, omega = draw(_floats(-math.pi, math.pi)), draw(_floats(-50.0, 50.0))
+    return replace(p, omega_q=np.full(n, omega + delta), omega=np.full(n, omega), phi=np.full(n, phi))
 
 
 @st.composite
@@ -375,7 +372,7 @@ def _fresh(kind: K, p: DeviceParams) -> TimeDependentHamiltonian:
     _org_chain.cache_clear()
     _delta_chain.cache_clear()
     chain = _org_chain if kind in _ORG_KINDS else _delta_chain
-    return chain.__wrapped__(kind, *_uniform_quantities(p))
+    return chain.__wrapped__(kind, p.n, *p.uniform())
 
 
 def _bits(gen: TimeDependentHamiltonian) -> list:

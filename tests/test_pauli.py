@@ -275,10 +275,11 @@ class TestSpectralNorm:
         b = spectral_norm(h, seed=11)
         assert a == b
 
-    def test_nonconvergence_is_distinct_error(self, rng):
+    def test_nonconvergence_is_distinct_error(self, rng, monkeypatch):
         h = random_pauli_sum(rng, 5, nterms=10, real=True)
+        monkeypatch.setattr(pauli, "_LANCZOS_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            spectral_norm(h, max_iter=1)
+            spectral_norm(h)
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_one_string_is_exact(self, seed):
@@ -292,14 +293,15 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("kind", ["hermitian", "antihermitian", "complex"])
-    def test_exact_at_full_dimension(self, n, kind, rng):
+    def test_exact_at_full_dimension(self, n, kind, rng, monkeypatch):
         # the recurrence ends at step 2^n, where its Ritz values are exact
         h = random_pauli_sum(rng, n, real=kind != "complex")
         if kind == "antihermitian":
             h = 1j * h
         assert len(h) > 1
         ref = float(np.linalg.norm(dense_oracle(h), 2))
-        assert spectral_norm(h, max_iter=1 << n) == pytest.approx(ref, rel=1e-12)
+        monkeypatch.setattr(pauli, "_LANCZOS_MAX_ITER", 1 << n)
+        assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_operator(self):
         assert spectral_norm(PauliSum(3)) == 0.0
@@ -523,11 +525,12 @@ class TestNormKinds:
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "nonnormal"])
-    def test_exact_at_full_dimension(self, n, kind, rng):
+    def test_exact_at_full_dimension(self, n, kind, rng, monkeypatch):
         h = _kind_sum(rng, n, kind)
         assert h._csr_dtype() is float
         ref = float(np.linalg.norm(dense_oracle(h), 2))
-        assert spectral_norm(h, max_iter=1 << n) == pytest.approx(ref, rel=1e-12)
+        monkeypatch.setattr(pauli, "_LANCZOS_MAX_ITER", 1 << n)
+        assert spectral_norm(h) == pytest.approx(ref, rel=1e-12)
 
     def test_real_commutator_peak_memory(self):
         # The 4x4 XY commutator: its real matrix, five real vectors, the
@@ -707,11 +710,12 @@ class TestMemoryGuard:
 
     @pytest.fixture
     def limits(self, monkeypatch, tmp_path):
-        """Physical memory reads 64 GiB, with no address-space limit and no cgroup file, each patchable."""
+        """Physical memory reads 64 GiB, with no address-space limit, nothing mapped and no cgroup file, each patchable."""
         page, sysconf, getrlimit = os.sysconf("SC_PAGE_SIZE"), os.sysconf, resource.getrlimit
         monkeypatch.setattr(os, "sysconf", lambda name: (64 << 30) // page if name == "SC_PHYS_PAGES" else sysconf(name))
         unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
         monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited if which == resource.RLIMIT_AS else getrlimit(which))
+        monkeypatch.setattr(pauli, "_STATM", tmp_path / "no-such-statm")
         monkeypatch.setattr(pauli, "_CGROUP_FILES", (tmp_path / "no-such-file", tmp_path))
         pauli._cgroup_memory.cache_clear()
         yield monkeypatch
@@ -720,9 +724,23 @@ class TestMemoryGuard:
     def test_address_space_limit_refuses(self, limits):
         pauli._check_memory(63 << 30, "work")  # physical memory alone
         limits.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
-        with pytest.raises(DenseLimitError, match=re.escape("work needs about 2 GiB; the address-space limit is 1 GiB")):
+        with pytest.raises(DenseLimitError, match=re.escape("work needs about 2 GiB; the address-space limit, less what is mapped, is 1 GiB")):
             pauli._check_memory(2 << 30, "work")
         pauli._check_memory(1 << 30, "work")  # up to the limit
+
+    def test_address_space_limit_less_the_mapped_space_refuses(self, limits, tmp_path):
+        # statm's first field: the pages mapped now, which the limit already counts
+        page = os.sysconf("SC_PAGE_SIZE")
+        (tmp_path / "statm").write_text(f"{(256 << 20) // page} 1000 500 10 0 900 0\n")
+        limits.setattr(pauli, "_STATM", tmp_path / "statm")
+        limits.setattr(resource, "getrlimit", lambda which: (1 << 30, resource.RLIM_INFINITY))
+        assert pauli._mapped_bytes() == 256 << 20
+        with pytest.raises(DenseLimitError, match=re.escape("work needs about 0.8 GiB; the address-space limit, less what is mapped, is 0.75 GiB")):
+            pauli._check_memory(int(0.8 * 2**30), "work")
+        pauli._check_memory(768 << 20, "work")  # up to what the mapped space leaves
+        (tmp_path / "statm").write_text("")  # unreadable: nothing subtracted
+        assert pauli._mapped_bytes() == 0
+        pauli._check_memory(1 << 30, "work")
 
     def test_cgroup_memory_max_refuses_and_is_read_once(self, limits, tmp_path):
         # the process's cgroup v2 path is the "0::" line; memory.max under it
