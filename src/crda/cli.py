@@ -366,17 +366,15 @@ def _cmd_hamiltonian(args) -> None:
     else:
         if args.n is None and not args.params:
             raise ValueError("device-based kinds need --n or --params")
-        p = _uniform_device(args, args.n)
-        if args.drive != "all":  # the other sublattice: targets, undriven at zero detuning
-            target = np.arange(p.n) % 2 == int(args.drive == "odd")  # 0-based parity
-            p = replace(
-                p, Omega=np.where(target, 0.0, p.Omega), omega=np.where(target, p.omega_q, p.omega)
-            )
+        p, drive = _uniform_device(args, args.n), DriveConfig(args.drive)
+        if drive is not DriveConfig.ALL:  # the other sites: targets, undriven at zero detuning
+            driven = np.isin(np.arange(p.n), drive.sites(p.n))
+            p = replace(p, Omega=np.where(driven, p.Omega, 0.0), omega=np.where(driven, p.omega, p.omega_q))
         resolved["device"] = _device_echo(p)
         if kind == "lab":
             h = build_lab_frame(p, args.t)
         elif kind == "qf_device":
-            h = build_qf_effective(p, DriveConfig(args.drive))
+            h = build_qf_effective(p, drive)
         elif kind.startswith("org"):
             h = build_org(HamiltonianKind(kind), p, args.t)
         else:

@@ -51,6 +51,7 @@ from .frames import (
     toggle_chain,
 )
 from .hamiltonians import (
+    _BONDS,
     HamiltonianKind,
     TimeDependentHamiltonian,
     build_canonical,
@@ -96,11 +97,11 @@ class _Protocol(NamedTuple):
     application order; a segment's exit layers are the inverses of its
     entry layers, in reverse order. ``original`` is the closed-form
     time-dependent chain that realistic mode runs in every segment, if the
-    model has one.
+    model has one. The model's lattice dimension is its target's, from
+    ``_BONDS``.
     """
 
     target: HamiltonianKind
-    dim: int
     original: HamiltonianKind | None
     segments: tuple[tuple[tuple[GateLayer, ...], HamiltonianKind, str], ...]
 
@@ -111,20 +112,20 @@ _RX90_ALL = GateLayer(GateLayerKind.RX90, "all")
 _K = HamiltonianKind
 
 _PROTOCOLS: dict[ModelKind, _Protocol] = {
-    ModelKind.ISING_1D: _Protocol(target=_K.H_ZZ, dim=1, original=_K.ORG_ZZ, segments=(
+    ModelKind.ISING_1D: _Protocol(target=_K.H_ZZ, original=_K.ORG_ZZ, segments=(
         ((_H_ALL,), _K.QF_EFFECTIVE_ODD, "odd"),
         ((_H_ALL,), _K.QF_EFFECTIVE_EVEN, "even"),
     )),
-    ModelKind.XY_1D: _Protocol(target=_K.H_XY_1D, dim=1, original=_K.ORG, segments=(
+    ModelKind.XY_1D: _Protocol(target=_K.H_XY_1D, original=_K.ORG, segments=(
         ((_RX90_ALL, _H_EVEN), _K.CONTROL, "all"),
         ((_RX90_ALL, GateLayer(GateLayerKind.HADAMARD, "odd")), _K.CONTROL, "all"),
     )),
-    ModelKind.HEISENBERG_1D: _Protocol(target=_K.H_HEIS, dim=1, original=None, segments=(
+    ModelKind.HEISENBERG_1D: _Protocol(target=_K.H_HEIS, original=None, segments=(
         ((GateLayer(GateLayerKind.UE2, "all"), _H_EVEN), _K.CONTROL, "all"),
         ((GateLayer(GateLayerKind.UE, "all"), _H_EVEN), _K.CONTROL, "all"),
         ((_H_EVEN,), _K.CONTROL, "all"),
     )),
-    ModelKind.XY_2D: _Protocol(target=_K.H_XY_2D, dim=2, original=None, segments=(
+    ModelKind.XY_2D: _Protocol(target=_K.H_XY_2D, original=None, segments=(
         ((_RX90_ALL,), _K.H_2D_ODD, "all"),
         ((_RX90_ALL, _H_ALL), _K.H_2D_ODD, "all"),
     )),
@@ -144,7 +145,7 @@ class TargetModel:
             raise ValueError("tau must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        want_dim = _PROTOCOLS[self.kind].dim
+        want_dim = _BONDS[_PROTOCOLS[self.kind].target][0]
         if self.lattice.dim != want_dim:
             raise ValueError(f"{self.kind.value} needs a {want_dim}D lattice")
 
@@ -552,10 +553,8 @@ def simulate(
     return SimulationTrace(times, norms, expectations)
 
 
-def block_error(m: TargetModel, tau: float | None = None) -> float:
+def block_error(m: TargetModel) -> float:
     """Phase-insensitive distance of one block from exp(-i H_target tau)."""
-    model = m if tau is None else replace(m, tau=tau)
-    schedule = compile_model(replace(model, repetitions=1))
-    u_block = block_unitary(schedule)
-    u_target = expm_hermitian(target_hamiltonian(model), model.tau)
+    u_block = block_unitary(compile_model(replace(m, repetitions=1)))
+    u_target = expm_hermitian(target_hamiltonian(m), m.tau)
     return phase_insensitive_distance(u_block, u_target)

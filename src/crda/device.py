@@ -37,6 +37,11 @@ class DriveConfig(Enum):
     ODD = "odd"
     EVEN = "even"
 
+    def sites(self, n: int) -> range:
+        """0-based indices of the first ``n`` sites that the layout covers:
+        all of them, or the odd or the even 1-based sites."""
+        return range(int(self is DriveConfig.EVEN), n, 1 if self is DriveConfig.ALL else 2)
+
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -128,12 +133,7 @@ class DeviceParams:
         Omega_in = np.broadcast_to(np.asarray(Omega, dtype=float), (n,)).copy()
         omega = omega_q.copy()
         Om = np.zeros(n)
-        for k in range(n - 1):
-            site = k + 1  # 1-based
-            if drive is DriveConfig.ODD and site % 2 == 0:
-                continue
-            if drive is DriveConfig.EVEN and site % 2 == 1:
-                continue
+        for k in drive.sites(n - 1):
             omega[k] = omega_q[k + 1]
             Om[k] = Omega_in[k]
         g_arr = np.broadcast_to(np.asarray(g, dtype=float), (n - 1,)).copy()

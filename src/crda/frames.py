@@ -150,8 +150,9 @@ def compose_kinds(first: GateLayerKind, second: GateLayerKind) -> GateLayerKind 
 class GateLayer:
     """One single-qubit gate repeated over a support of sites.
 
-    ``support`` is "all", "even", "odd" (1-based site parity) or an
-    explicit tuple of distinct 1-based site numbers.
+    ``support`` is "all", "even", "odd" (the sites of that
+    :class:`~crda.device.DriveConfig`) or an explicit tuple of distinct
+    1-based site numbers.
     """
 
     kind: GateLayerKind
@@ -166,13 +167,11 @@ class GateLayer:
             if len(set(self.support)) != len(self.support):
                 raise ValueError(f"repeated site in support {self.support}")
             return tuple(s - 1 for s in self.support)
-        if self.support == "all":
-            return tuple(range(n))
-        if self.support == "even":
-            return tuple(k for k in range(n) if (k + 1) % 2 == 0)
-        if self.support == "odd":
-            return tuple(k for k in range(n) if (k + 1) % 2 == 1)
-        raise ValueError(f"unknown support {self.support!r}")
+        try:
+            drive = DriveConfig(self.support)
+        except ValueError:
+            raise ValueError(f"unknown support {self.support!r}") from None
+        return tuple(drive.sites(n))
 
     def inverse(self) -> "GateLayer":
         try:

@@ -9,7 +9,8 @@ The family tree, in physics terms:
   Omega/delta and after a rotating-wave approximation, to the purely
   two-local cross-resonance chain H = J * sum_k x_k z_{k+1}. The lattice
   kinds (one bond walk) and the device chain (:func:`build_qf_effective`)
-  alike read their letters and signs from the one ``_PHASE_CHAINS`` table.
+  alike read their letters, signs and drive layouts from the one
+  ``_PHASE_CHAINS`` table.
 * Single-qubit gate layers toggle that chain into xx/zz, xx/yy, zz/yy
   sublattice forms, whose sums realize Ising (zz), XY (xx + yy) and
   Heisenberg (xx + yy + zz) target models.
@@ -244,12 +245,12 @@ def _bond_family(
 
 
 # Drive-phase-sensitive chains J * sum x_k (a cos(phi) + s sin(phi) y)_{k+1}:
-# kind -> (letter a, sign s, on odd bonds, on even bonds).
-_PHASE_CHAINS: dict[HamiltonianKind, tuple[str, float, bool, bool]] = {
-    HamiltonianKind.CONTROL: ("Z", -1.0, True, True),
-    HamiltonianKind.QF_EFFECTIVE: ("Z", -1.0, True, True),
-    HamiltonianKind.QF_EFFECTIVE_ODD: ("X", 1.0, True, False),
-    HamiltonianKind.QF_EFFECTIVE_EVEN: ("X", 1.0, False, True),
+# kind -> (letter a, sign s, the drive layout whose sites k head its bonds).
+_PHASE_CHAINS: dict[HamiltonianKind, tuple[str, float, DriveConfig]] = {
+    HamiltonianKind.CONTROL: ("Z", -1.0, DriveConfig.ALL),
+    HamiltonianKind.QF_EFFECTIVE: ("Z", -1.0, DriveConfig.ALL),
+    HamiltonianKind.QF_EFFECTIVE_ODD: ("X", 1.0, DriveConfig.ODD),
+    HamiltonianKind.QF_EFFECTIVE_EVEN: ("X", 1.0, DriveConfig.EVEN),
 }
 
 
@@ -257,7 +258,7 @@ def _phase_rows(
     kind: HamiltonianKind, bonds: Sequence[tuple[int, int, float, float]], n: int
 ) -> PauliSum:
     """``kind``'s J x_a (a cos(phi) + s sin(phi) y)_b on ``(a, b, J, phi)`` bonds; no row for a 0.0 factor."""
-    letter, sign, _, _ = _PHASE_CHAINS[kind]
+    letter, sign, _ = _PHASE_CHAINS[kind]
     rows = [
         _row(j * w, (a, "X"), (b, second))
         for a, b, j, phi in bonds
@@ -343,9 +344,10 @@ def build_canonical(
     if kind in _PHASE_CHAINS:
         if not math.isfinite(phi):
             raise ValueError(f"phi must be finite (got {phi})")
-        letter, sign, on_odd, on_even = _PHASE_CHAINS[kind]
+        letter, sign, drive = _PHASE_CHAINS[kind]
         bond = (("X", letter, math.cos(phi)), ("X", "Y", sign * math.sin(phi)))
-        entries = (bond if on_odd else (), bond if on_even else ())
+        # 0-based site 0 heads the odd bonds, site 1 the even ones
+        entries = tuple(bond if k in drive.sites(2) else () for k in (0, 1))
     return _bond_family(lat, *entries, j)
 
 
@@ -435,16 +437,16 @@ def build_qf_effective(
             (k, k + 1, j, p.phi[k] - p.phi[k + 1]) for k, j in enumerate(couplings) if j != 0.0
         ]
         return _phase_rows(HamiltonianKind.QF_EFFECTIVE, bonds, p.n)
-    first = int(drive is DriveConfig.EVEN)  # 0-based index of the first control
-    for k in range(1 - first, p.n, 2):
-        if p.is_driven(k):
+    controls = drive.sites(p.n)
+    for k in range(p.n):
+        if k not in controls and p.is_driven(k):
             raise ValueError(f"qubit {k + 1} is driven but assigned a target role")
     bonds = []
-    for k in filter(p.is_driven, range(first, p.n - 1, 2)):
+    for k in filter(p.is_driven, drive.sites(p.n - 1)):
         if p.delta[k + 1] != 0.0 or p.Omega[k + 1] != 0.0:
             raise ValueError(f"target qubit {k + 2} must be undriven with zero detuning")
         bonds.append((k, k + 1, -effective_coupling(p, k + 1), p.phi[k]))
-    kind = HamiltonianKind.QF_EFFECTIVE_ODD if first == 0 else HamiltonianKind.QF_EFFECTIVE_EVEN
+    kind = next(kind for kind, (*_, on) in _PHASE_CHAINS.items() if on is drive)
     return _phase_rows(kind, bonds, p.n)
 
 

@@ -14,6 +14,7 @@ the time-resolved law on the same grid.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -228,7 +229,7 @@ class TestCriterion6HeisenbergTrotter:
     def test_block_error_scaling_and_norms(self):
         started = time.time()
         m = TargetModel(ModelKind.HEISENBERG_1D, Lattice.chain(4), j=1.0, tau=0.02)
-        ratios = [block_error(m, tau) / tau**2 for tau in (0.02, 0.01, 0.005)]
+        ratios = [block_error(replace(m, tau=tau)) / tau**2 for tau in (0.02, 0.01, 0.005)]
         scaling_ok = max(ratios) / min(ratios) <= 1.10
         norms_ok = True
         pair_ok = True

@@ -1,6 +1,7 @@
 """Schedule compilation, synthesis exactness, fusion, and simulation."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestExactSynthesis:
 class TestTrotterErrors:
     def test_heisenberg_quadratic_in_tau(self):
         m = model(ModelKind.HEISENBERG_1D, n=4)
-        ratios = [block_error(m, tau) / tau**2 for tau in (0.02, 0.01, 0.005)]
+        ratios = [block_error(replace(m, tau=tau)) / tau**2 for tau in (0.02, 0.01, 0.005)]
         assert max(ratios) / min(ratios) <= 1.1
 
     def test_heisenberg_error_grows_at_most_linearly_in_blocks(self):
@@ -218,8 +219,8 @@ class TestTrotterErrors:
     def test_xy2d_quadratic_scaling(self):
         lat = Lattice.square(2, 4, boundary="periodic")
         m = TargetModel(ModelKind.XY_2D, lat, j=1.0, tau=0.1)
-        e1 = block_error(m, 0.05)
-        e2 = block_error(m, 0.025)
+        e1 = block_error(replace(m, tau=0.05))
+        e2 = block_error(replace(m, tau=0.025))
         assert np.isclose(e1 / e2, 4.0, rtol=0.25)
 
 
@@ -270,6 +271,20 @@ class TestFusion:
 
 
 class TestSimulate:
+    def test_observable_of_the_wrong_size_refused(self):
+        s = compile_model(model(ModelKind.ISING_1D, n=4))
+        with pytest.raises(ValueError, match="observable size does not match"):
+            simulate(s, np.eye(16, 1, dtype=complex).ravel(), [PauliSum.from_pattern("ZZZ")])
+
+    def test_chebyshev_order_doubles_until_the_tail_is_below_tolerance(self, monkeypatch):
+        # at 1e-300 the first order guess (about 48 at x = 10) falls short, so it doubles
+        want = compiler._chebyshev_coefficients(10.0)
+        monkeypatch.setattr(compiler, "_CHEBYSHEV_TOL", 1e-300)
+        coef = compiler._chebyshev_coefficients(10.0)
+        assert coef.size > int(10.0 + 10.0 * 10.0 ** (1 / 3) + 16.0) + 1
+        assert np.array_equal(coef[: want.size], want)
+        assert abs(coef[-1]) >= 1e-300
+
     def test_ising_ground_state_is_stationary(self):
         m = model(ModelKind.ISING_1D, n=4, tau=0.3, reps=5)
         s = compile_model(m)
@@ -376,6 +391,12 @@ class TestRealisticMode:
 
 
 class TestScheduleExport:
+    def test_realistic_segments_export_as_time_dependent(self):
+        p = DeviceParams.uniform_chain(3, g=1.0, delta=10.0, Omega=0.4)
+        d = compile_model(model(ModelKind.XY_1D, n=3), realistic=True, device=p).to_json_dict()
+        analog = [step["analog"] for step in d["steps"] if step["type"] == "analog"]
+        assert analog == ["time-dependent", "time-dependent"]
+
     def test_json_shape(self):
         s = compile_model(model(ModelKind.HEISENBERG_1D, tau=0.2))
         d = s.to_json_dict()

@@ -126,6 +126,21 @@ class TestDeviceFields:
         assert p.eta[0] == 3.0
 
 
+class TestDriveSites:
+    def test_sublattices_by_one_based_parity(self):
+        # 0-based indices: odd 1-based sites are 0, 2, ...; even ones 1, 3, ...
+        assert list(DriveConfig.ALL.sites(5)) == [0, 1, 2, 3, 4]
+        assert list(DriveConfig.ODD.sites(5)) == [0, 2, 4]
+        assert list(DriveConfig.EVEN.sites(5)) == [1, 3]
+        assert [list(d.sites(0)) for d in DriveConfig] == [[], [], []]
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_chain_bond_walk_marks_the_odd_sites_bonds(self, n):
+        # Lattice.bonds' checkerboard flag agrees with the odd sublattice on a chain
+        odd = [first for first, _, is_odd in Lattice.chain(n).bonds() if is_odd]
+        assert odd == list(DriveConfig.ODD.sites(n - 1))
+
+
 class TestCrChain:
     def test_targets_are_parked(self):
         omega_q = np.array([50.0, 40.0, 30.0])

@@ -72,6 +72,20 @@ class TestReportEntries:
         assert rows[1][0] == "x" and rows[1][4] == "true"
 
 
+class TestRefusals:
+    def test_entry_the_report_does_not_hold(self):
+        with pytest.raises(KeyError, match="missing"):
+            ErrorReport("table1").entry("missing")
+
+    def test_unknown_synthesis_model(self):
+        with pytest.raises(ValueError, match="unknown synthesis model 'bogus'"):
+            synthesis_norm_formula("bogus", 1.0, 4)
+
+    def test_digital_2d_split_needs_a_2d_lattice(self):
+        with pytest.raises(ValueError, match="needs a 2D lattice"):
+            xy2d_digital_hamiltonians(Lattice.chain(4), 1.0)
+
+
 class TestSynthesisNorm:
     def test_control_reference_number(self):
         rep = synthesis_norm("control", uniform(2), 0.0)

@@ -434,6 +434,31 @@ class TestVerifyEffective:
         assert unitarity_defect(f) <= 1e-12
 
 
+class TestRefusals:
+    def test_non_clifford_kind_refused_by_the_table_derivation(self, monkeypatch):
+        t_gate = np.diag([1.0, np.exp(0.25j * np.pi)])
+        monkeypatch.setitem(frames._KIND_MATS, G.SPHASE, t_gate)
+        with pytest.raises(ValueError, match="map Pauli letters to signed letters"):
+            frames._derive_tables()
+
+    def test_unknown_support_refused(self):
+        with pytest.raises(ValueError, match="unknown support 'bogus'"):
+            GateLayer(G.HADAMARD, "bogus").sites(4)
+
+    def test_state_of_the_wrong_size_refused(self):
+        with pytest.raises(ValueError, match="state size mismatch"):
+            apply_layer(GateLayer(G.HADAMARD, "all"), np.ones(4, dtype=complex), 3)
+
+    def test_driven_qubit_at_zero_detuning_refused(self):
+        p = DeviceParams.uniform_chain(2, g=0.1, delta=0.0, Omega=1.0)
+        with pytest.raises(ZeroDivisionError, match="driven qubit 1 has zero detuning"):
+            uqf_approx(p, 0.5)
+
+    def test_unknown_verification_mode_refused(self):
+        with pytest.raises(ValueError, match="mode must be 'lab' or 'rotating'"):
+            verify_effective(ladder(2), 1.0, mode="bogus")
+
+
 class TestPhaseInsensitiveDistance:
     def test_global_phase_ignored(self, rng):
         h = random_pauli_sum(rng, 2, real=True)

@@ -34,6 +34,7 @@ from crda.hamiltonians import (
     build_qf_effective,
     delta_hamiltonian,
     lab_frame_hamiltonian,
+    org_hamiltonian,
     rotating_frame_hamiltonian,
     translate_2d,
 )
@@ -428,6 +429,11 @@ class TestTranslate2D:
                 out, ref = translate_2d(h, lat, di, dj), reference_translate_2d(h, lat, di, dj)
                 assert _array_bytes(out) == _array_bytes(ref)
 
+    @pytest.mark.parametrize("lat", [Lattice.square(4, 4, boundary="open"), Lattice.chain(4, "periodic")])
+    def test_open_or_1d_lattice_rejected(self, lat):
+        with pytest.raises(ValueError, match="translation requires a periodic 2D lattice"):
+            translate_2d(PauliSum(lat.n_sites), lat, 1, 0)
+
     @pytest.mark.parametrize(
         "h",
         [
@@ -537,6 +543,16 @@ class TestOriginalAndDefect:
         h = build_delta(K.DELTA_ZZ, p, 0.2)
         assert coefficient(h, "ZZI") != 0.0  # the phase-weighted zz row survives
         assert h.is_hermitian()
+
+    def test_device_kind_is_not_a_canonical_family(self):
+        with pytest.raises(ValueError, match="is not a time-independent family member"):
+            build_canonical(K.LAB_FRAME, chain(3))
+
+    def test_kinds_outside_the_originals_and_defects_refused(self):
+        with pytest.raises(ValueError, match="is not an original-Hamiltonian kind"):
+            org_hamiltonian(K.H_ZZ, self.p())
+        with pytest.raises(ValueError, match="is not a synthesis-defect kind"):
+            delta_hamiltonian(K.ORG, self.p())
 
     def test_generators_share_frequencies(self):
         gen = delta_hamiltonian(K.DELTA_H, self.p())
